@@ -32,27 +32,52 @@ let ops_energy ce dfg =
     (fun acc (nd : Ir.Dfg.node) -> acc + of_class ce (Ir.Instr.op_class nd.instr))
     0 (Ir.Dfg.nodes dfg)
 
-let block_energy_fpga model (platform : Platform.t) cdfg i =
-  let dfg = (Ir.Cdfg.info cdfg i).Ir.Cdfg.dfg in
-  let mapping = Finegrain.Fine_map.map_block platform.Platform.fpga cdfg i in
-  ops_energy model.fpga_op dfg
-  + (mapping.Finegrain.Fine_map.partition_count * model.reconfig)
+let fpga_energy model dfg ~partitions =
+  ops_energy model.fpga_op dfg + (partitions * model.reconfig)
+
+let fine_partitions (platform : Platform.t) cdfg i =
+  (Finegrain.Fine_map.map_block platform.Platform.fpga cdfg i)
+    .Finegrain.Fine_map.partition_count
+
+let block_energy_fpga model platform cdfg i =
+  fpga_energy model
+    (Ir.Cdfg.info cdfg i).Ir.Cdfg.dfg
+    ~partitions:(fine_partitions platform cdfg i)
 
 let block_energy_cgc model cdfg i =
   ops_energy model.cgc_op (Ir.Cdfg.info cdfg i).Ir.Cdfg.dfg
 
-let comm_energy model live i = Comm.block_words live i * model.comm_word
+type table = { on_fpga : int array; on_cgc : int array }
+
+let table model cdfg ~freq ~partitions ~words =
+  let n = Ir.Cdfg.block_count cdfg in
+  let on_fpga = Array.make n 0 and on_cgc = Array.make n 0 in
+  for i = 0 to n - 1 do
+    let f = freq i in
+    if f <> 0 then begin
+      let dfg = (Ir.Cdfg.info cdfg i).Ir.Cdfg.dfg in
+      on_fpga.(i) <- f * fpga_energy model dfg ~partitions:(partitions i);
+      on_cgc.(i) <-
+        f * (block_energy_cgc model cdfg i + (words i * model.comm_word))
+    end
+  done;
+  { on_fpga; on_cgc }
+
+let total t ~moved =
+  let is_moved = Array.make (Array.length t.on_fpga) false in
+  List.iter (fun i -> is_moved.(i) <- true) moved;
+  let acc = ref 0 in
+  Array.iteri
+    (fun i m -> acc := !acc + if m then t.on_cgc.(i) else t.on_fpga.(i))
+    is_moved;
+  !acc
 
 let app_energy model platform cdfg ~freq ~moved =
   let live = Ir.Live.analyse (Ir.Cdfg.cfg cdfg) in
-  List.fold_left
-    (fun acc i ->
-      let f = freq i in
-      if f = 0 then acc
-      else if List.mem i moved then
-        acc + (f * (block_energy_cgc model cdfg i + comm_energy model live i))
-      else acc + (f * block_energy_fpga model platform cdfg i))
-    0 (Ir.Cdfg.block_ids cdfg)
+  total
+    (table model cdfg ~freq ~partitions:(fine_partitions platform cdfg)
+       ~words:(Comm.block_words live))
+    ~moved
 
 type step = { moved_block : int; energy : int; meets_budget : bool }
 
@@ -70,24 +95,16 @@ let partition ?weights model (platform : Platform.t) ~energy_budget cdfg profile
   let n = Ir.Cdfg.block_count cdfg in
   let freq = Array.init n (fun i -> Profiling.Profile.freq profile i) in
   let live = Ir.Live.analyse (Ir.Cdfg.cfg cdfg) in
-  let fpga_e = Array.init n (fun i -> block_energy_fpga model platform cdfg i) in
-  let cgc_e = Array.init n (fun i -> block_energy_cgc model cdfg i) in
-  let comm_e = Array.init n (fun i -> comm_energy model live i) in
+  let energies =
+    table model cdfg ~freq:(Array.get freq)
+      ~partitions:(fine_partitions platform cdfg)
+      ~words:(Comm.block_words live)
+  in
   let cgc_ok =
     Array.init n (fun i ->
         Hypar_coarsegrain.Schedule.supported (Ir.Cdfg.info cdfg i).Ir.Cdfg.dfg)
   in
-  let total moved =
-    let is_moved = Array.make n false in
-    List.iter (fun i -> is_moved.(i) <- true) moved;
-    let acc = ref 0 in
-    for i = 0 to n - 1 do
-      if freq.(i) > 0 then
-        if is_moved.(i) then acc := !acc + (freq.(i) * (cgc_e.(i) + comm_e.(i)))
-        else acc := !acc + (freq.(i) * fpga_e.(i))
-    done;
-    !acc
-  in
+  let total moved = total energies ~moved in
   let initial_energy = total [] in
   let analysis = Analysis.Kernel.analyse ?weights cdfg profile in
   let rec go kernels steps moved current =

@@ -27,12 +27,32 @@ val block_energy_fpga : model -> Platform.t -> Hypar_ir.Cdfg.t -> int -> int
 val block_energy_cgc : model -> Hypar_ir.Cdfg.t -> int -> int
 (** Energy of one invocation on the CGC data-path (operations only). *)
 
-val comm_energy : model -> Hypar_ir.Live.t -> int -> int
-(** Shared-memory transfer energy per invocation of a moved block. *)
+type table = private {
+  on_fpga : int array;  (** per block: freq × one invocation on the FPGA *)
+  on_cgc : int array;
+      (** per block: freq × (one invocation on the CGC + its transfers) *)
+}
+
+val table :
+  model ->
+  Hypar_ir.Cdfg.t ->
+  freq:(int -> int) ->
+  partitions:(int -> int) ->
+  words:(int -> int) ->
+  table
+(** Every block's energy on either side, from its frequency, its
+    temporal-partition count on the FPGA and the words it exchanges per
+    invocation ({!Comm.block_words}).  The two prices are read only for
+    executed blocks. *)
+
+val total : table -> moved:int list -> int
+(** Energy of the partitioned execution that runs [moved] on the CGC and
+    everything else on the FPGA, in O(blocks). *)
 
 val app_energy :
   model -> Platform.t -> Hypar_ir.Cdfg.t -> freq:(int -> int) -> moved:int list -> int
-(** Total energy of a partitioned execution. *)
+(** Total energy of a partitioned execution, characterised from scratch:
+    [total] over a fresh [table]. *)
 
 type step = { moved_block : int; energy : int; meets_budget : bool }
 

@@ -46,34 +46,165 @@ type t = {
   freq : int array;
 }
 
-let times_of platform ~pricing ~fine ~coarse ~pipeline ~entries ~comm ~live
-    ~edges ~freq ~moved n =
-  let is_moved = Array.make n false in
+(* ---- characterisation, in three memoisable layers ------------------------
+
+   A block's fine-grain price depends only on the FPGA, its coarse-grain
+   price only on the CGC data-path and its health, and everything else the
+   engine reads only on the application.  Each layer is computed on its
+   own, so a caller sweeping many platforms can compute each one once per
+   distinct key and assemble the per-platform characterisation cheaply. *)
+
+type app_layer = {
+  cdfg : Ir.Cdfg.t;
+  n : int;
+  freq : int array;
+  entries : int array;
+  edges : ((int * int) * int) list;
+  live : Ir.Live.t;
+  live_in_words : int array;
+  live_out_words : int array;
+}
+
+type fine_layer = {
+  cycles_per_iteration : int array;
+  partition_count : int array;
+}
+
+type coarse_layer = {
+  latency : int option array;
+  pipeline : (int * int) option array;
+}
+
+type characterisation = {
+  platform : Platform.t;
+  app : app_layer;
+  fine : fine_layer;
+  coarse : coarse_layer;
+  comm : int array;
+}
+
+let app_layer cdfg profile =
+  let n = Ir.Cdfg.block_count cdfg in
+  let live = Ir.Live.analyse (Ir.Cdfg.cfg cdfg) in
+  let edges = profile.Profiling.Profile.edges in
+  let entries = Array.make n 0 in
+  List.iter
+    (fun (((src, dst), c) : (int * int) * int) ->
+      if src <> dst then entries.(dst) <- entries.(dst) + c)
+    edges;
+  {
+    cdfg;
+    n;
+    freq = Array.init n (fun i -> Profiling.Profile.freq profile i);
+    entries;
+    edges;
+    live;
+    live_in_words =
+      Array.init n (fun i -> List.length (Ir.Live.live_in live i));
+    live_out_words =
+      Array.init n (fun i -> List.length (Ir.Live.defs_live_out live i));
+  }
+
+let block_words app i = app.live_in_words.(i) + app.live_out_words.(i)
+
+let fine_layer app fpga =
+  let cycles_per_iteration = Array.make app.n 0 in
+  let partition_count = Array.make app.n 0 in
+  (* keep the two counts only: holding every block's mapping, temporal
+     partitions included, at once raises a sweep's peak memory *)
+  for i = 0 to app.n - 1 do
+    let m = Finegrain.Fine_map.map_block fpga app.cdfg i in
+    cycles_per_iteration.(i) <- m.Finegrain.Fine_map.cycles_per_iteration;
+    partition_count.(i) <- m.Finegrain.Fine_map.partition_count
+  done;
+  { cycles_per_iteration; partition_count }
+
+let coarse_layer ?(cgc_pipelining = false) app cgc health =
+  let latency =
+    Array.init app.n (fun i ->
+        Option.map
+          (fun (m : Coarsegrain.Coarse_map.block_mapping) ->
+            m.Coarsegrain.Coarse_map.latency)
+          (Coarsegrain.Coarse_map.map_block ?health cgc app.cdfg i))
+  in
+  let degraded =
+    match health with
+    | Some h -> not (Coarsegrain.Cgc.healthy cgc h)
+    | None -> false
+  in
+  let cfg = Ir.Cdfg.cfg app.cdfg in
+  (* pipelining applies to self-looping kernels only; on a degraded
+     data-path the modulo scheduler would over-claim dead resources, so
+     moved kernels conservatively fall back to non-pipelined pricing *)
+  let pipeline =
+    Array.init app.n (fun i ->
+        if (not cgc_pipelining) || degraded then None
+        else if not (List.mem i (Ir.Cfg.successors cfg i)) then None
+        else
+          match
+            Coarsegrain.Modulo.analyse cgc
+              (Ir.Cdfg.info app.cdfg i).Ir.Cdfg.dfg
+              ~carried:(Ir.Live.live_in app.live i)
+          with
+          | Some m ->
+            Some (m.Coarsegrain.Modulo.ii, m.Coarsegrain.Modulo.latency)
+          | None -> None)
+  in
+  { latency; pipeline }
+
+let assemble_layers app fine coarse (platform : Platform.t) =
+  let model = platform.Platform.comm in
+  {
+    platform;
+    app;
+    fine;
+    coarse;
+    comm =
+      Array.init app.n (fun i -> Comm.words_cost model (block_words app i));
+  }
+
+let assemble app fine coarse platform =
+  Hypar_obs.Span.with_ ~cat:"engine" "engine.characterise" @@ fun () ->
+  assemble_layers app fine coarse platform
+
+let characterise ?cgc_pipelining (platform : Platform.t) cdfg profile =
+  Hypar_obs.Span.with_ ~cat:"engine" "engine.characterise" @@ fun () ->
+  let app = app_layer cdfg profile in
+  let fine = fine_layer app platform.Platform.fpga in
+  let coarse =
+    coarse_layer ?cgc_pipelining app platform.Platform.cgc
+      platform.Platform.cgc_health
+  in
+  assemble_layers app fine coarse platform
+
+let times_of ~pricing (c : characterisation) ~moved =
+  let a = c.app in
+  let is_moved = Array.make a.n false in
   List.iter (fun i -> is_moved.(i) <- true) moved;
   let t_fpga = ref 0 and t_coarse_cgc = ref 0 in
-  for i = 0 to n - 1 do
-    if freq.(i) > 0 then
+  for i = 0 to a.n - 1 do
+    if a.freq.(i) > 0 then
       if is_moved.(i) then
-        match (coarse.(i), pipeline.(i)) with
+        match (c.coarse.latency.(i), c.coarse.pipeline.(i)) with
         | _, Some (ii, lat) ->
           (* software-pipelined kernel: each loop entry pays the full
              latency once, every further iteration only the II *)
-          let starts = max 1 (min entries.(i) freq.(i)) in
+          let starts = max 1 (min a.entries.(i) a.freq.(i)) in
           t_coarse_cgc :=
-            !t_coarse_cgc + ((freq.(i) - starts) * ii) + (starts * lat)
-        | Some lat, None -> t_coarse_cgc := !t_coarse_cgc + (lat * freq.(i))
+            !t_coarse_cgc + ((a.freq.(i) - starts) * ii) + (starts * lat)
+        | Some lat, None -> t_coarse_cgc := !t_coarse_cgc + (lat * a.freq.(i))
         | None, None -> invalid_arg "Engine: moved an unmappable block"
-      else t_fpga := !t_fpga + (fine.(i) * freq.(i))
+      else t_fpga := !t_fpga + (c.fine.cycles_per_iteration.(i) * a.freq.(i))
   done;
   let t_comm =
     match pricing with
     | `Transition ->
-      Comm.transition_cycles platform.Platform.comm live ~edges
+      Comm.transition_cycles c.platform.Platform.comm a.live ~edges:a.edges
         ~on_cgc:(fun i -> is_moved.(i))
     | `Per_invocation ->
-      List.fold_left (fun acc i -> acc + (comm.(i) * freq.(i))) 0 moved
+      List.fold_left (fun acc i -> acc + (c.comm.(i) * a.freq.(i))) 0 moved
   in
-  let t_coarse = Platform.cgc_to_fpga_cycles platform !t_coarse_cgc in
+  let t_coarse = Platform.cgc_to_fpga_cycles c.platform !t_coarse_cgc in
   {
     t_fpga = !t_fpga;
     t_coarse_cgc = !t_coarse_cgc;
@@ -106,63 +237,10 @@ let check_incremental =
     | Some ("1" | "true" | "on") -> true
     | Some _ | None -> false)
 
-let characterise ?(cgc_pipelining = false) (platform : Platform.t) cdfg profile
-    =
-  Hypar_obs.Span.with_ ~cat:"engine" "engine.characterise" @@ fun () ->
-  let n = Ir.Cdfg.block_count cdfg in
-  let freq = Array.init n (fun i -> Profiling.Profile.freq profile i) in
-  let fine =
-    Array.init n (fun i ->
-        (Finegrain.Fine_map.map_block platform.Platform.fpga cdfg i)
-          .Finegrain.Fine_map.cycles_per_iteration)
-  in
-  let health = platform.Platform.cgc_health in
-  let coarse =
-    Array.init n (fun i ->
-        Option.map
-          (fun (m : Coarsegrain.Coarse_map.block_mapping) ->
-            m.Coarsegrain.Coarse_map.latency)
-          (Coarsegrain.Coarse_map.map_block ?health platform.Platform.cgc cdfg
-             i))
-  in
-  let live = Ir.Live.analyse (Ir.Cdfg.cfg cdfg) in
-  let cfg = Ir.Cdfg.cfg cdfg in
-  (* pipelining applies to self-looping kernels only; on a degraded
-     data-path the modulo scheduler would over-claim dead resources, so
-     moved kernels conservatively fall back to non-pipelined pricing *)
-  let pipeline =
-    Array.init n (fun i ->
-        if (not cgc_pipelining) || Platform.degraded platform then None
-        else if not (List.mem i (Ir.Cfg.successors cfg i)) then None
-        else
-          match
-            Coarsegrain.Modulo.analyse platform.Platform.cgc
-              (Ir.Cdfg.info cdfg i).Ir.Cdfg.dfg
-              ~carried:(Ir.Live.live_in live i)
-          with
-          | Some m -> Some (m.Coarsegrain.Modulo.ii, m.Coarsegrain.Modulo.latency)
-          | None -> None)
-  in
-  let entries = Array.make n 0 in
-  List.iter
-    (fun (((src, dst), c) : (int * int) * int) ->
-      if src <> dst then entries.(dst) <- entries.(dst) + c)
-    profile.Profiling.Profile.edges;
-  let comm =
-    Array.init n (fun i -> Comm.block_cycles platform.Platform.comm live i)
-  in
-  let edges = profile.Profiling.Profile.edges in
-  (freq, fine, coarse, pipeline, entries, comm, live, edges)
-
 let evaluate ?(comm_pricing = `Transition) ?cgc_pipelining
     (platform : Platform.t) cdfg profile =
-  let freq, fine, coarse, pipeline, entries, comm, live, edges =
-    characterise ?cgc_pipelining platform cdfg profile
-  in
-  let n = Ir.Cdfg.block_count cdfg in
-  fun moved ->
-    times_of platform ~pricing:comm_pricing ~fine ~coarse ~pipeline ~entries
-      ~comm ~live ~edges ~freq ~moved n
+  let c = characterise ?cgc_pipelining platform cdfg profile in
+  fun moved -> times_of ~pricing:comm_pricing c ~moved
 
 (* Incremental recharacterisation: [times_of] walks every block and every
    profile edge on each call; over a whole greedy trajectory that is
@@ -182,17 +260,8 @@ let evaluate ?(comm_pricing = `Transition) ?cgc_pipelining
    mismatch raises {!Delta_mismatch}. *)
 module Inc = struct
   type t = {
-    platform : Platform.t;
+    c : characterisation;
     pricing : [ `Transition | `Per_invocation ];
-    n : int;
-    freq : int array;
-    fine : int array;
-    coarse : int option array;
-    pipeline : (int * int) option array;
-    entries : int array;
-    comm : int array;
-    live : Ir.Live.t;
-    edges : ((int * int) * int) list;
     (* inter-block profile edges, flattened, with both boundary prices
        precomputed (count * words_cost of the crossing direction) *)
     edge_src : int array;
@@ -207,63 +276,54 @@ module Inc = struct
     mutable t_comm : int;
   }
 
-  let initial_fpga ~freq ~fine n =
+  let initial_fpga (c : characterisation) =
     let s = ref 0 in
-    for i = 0 to n - 1 do
-      if freq.(i) > 0 then s := !s + (fine.(i) * freq.(i))
+    for i = 0 to c.app.n - 1 do
+      if c.app.freq.(i) > 0 then
+        s := !s + (c.fine.cycles_per_iteration.(i) * c.app.freq.(i))
     done;
     !s
 
-  let make ~platform ~pricing ~freq ~fine ~coarse ~pipeline ~entries ~comm
-      ~live ~edges n =
-    let inter = List.filter (fun ((s, d), _) -> s <> d) edges in
+  let make ~pricing (c : characterisation) =
+    let a = c.app in
+    let inter = List.filter (fun ((s, d), _) -> s <> d) a.edges in
     let ne = List.length inter in
     let edge_src = Array.make ne 0 in
     let edge_dst = Array.make ne 0 in
     let edge_cost_dst_cgc = Array.make ne 0 in
     let edge_cost_src_cgc = Array.make ne 0 in
-    let incident = Array.make n [] in
-    let model = platform.Platform.comm in
+    let incident = Array.make a.n [] in
+    let model = c.platform.Platform.comm in
     List.iteri
       (fun e ((s, d), count) ->
         edge_src.(e) <- s;
         edge_dst.(e) <- d;
         edge_cost_dst_cgc.(e) <-
-          count * Comm.words_cost model (List.length (Ir.Live.live_in live d));
+          count * Comm.words_cost model a.live_in_words.(d);
         edge_cost_src_cgc.(e) <-
-          count
-          * Comm.words_cost model (List.length (Ir.Live.defs_live_out live s));
+          count * Comm.words_cost model a.live_out_words.(s);
         incident.(s) <- e :: incident.(s);
         incident.(d) <- e :: incident.(d))
       inter;
     {
-      platform;
+      c;
       pricing;
-      n;
-      freq;
-      fine;
-      coarse;
-      pipeline;
-      entries;
-      comm;
-      live;
-      edges;
       edge_src;
       edge_dst;
       edge_cost_dst_cgc;
       edge_cost_src_cgc;
       incident;
-      is_moved = Array.make n false;
+      is_moved = Array.make a.n false;
       moved_rev = [];
-      t_fpga = initial_fpga ~freq ~fine n;
+      t_fpga = initial_fpga c;
       t_coarse_cgc = 0;
       t_comm = 0;
     }
 
   let reset t =
-    Array.fill t.is_moved 0 t.n false;
+    Array.fill t.is_moved 0 t.c.app.n false;
     t.moved_rev <- [];
-    t.t_fpga <- initial_fpga ~freq:t.freq ~fine:t.fine t.n;
+    t.t_fpga <- initial_fpga t.c;
     t.t_coarse_cgc <- 0;
     t.t_comm <- 0
 
@@ -276,11 +336,12 @@ module Inc = struct
     | true, false -> t.edge_cost_src_cgc.(e)
 
   let coarse_cycles t i =
-    match (t.coarse.(i), t.pipeline.(i)) with
+    let a = t.c.app in
+    match (t.c.coarse.latency.(i), t.c.coarse.pipeline.(i)) with
     | _, Some (ii, lat) ->
-      let starts = max 1 (min t.entries.(i) t.freq.(i)) in
-      ((t.freq.(i) - starts) * ii) + (starts * lat)
-    | Some lat, None -> lat * t.freq.(i)
+      let starts = max 1 (min a.entries.(i) a.freq.(i)) in
+      ((a.freq.(i) - starts) * ii) + (starts * lat)
+    | Some lat, None -> lat * a.freq.(i)
     | None, None -> invalid_arg "Engine: moved an unmappable block"
 
   let flip t i target =
@@ -294,10 +355,11 @@ module Inc = struct
     | `Per_invocation -> ());
     t.is_moved.(i) <- target;
     let sign = if target then 1 else -1 in
+    let freq = t.c.app.freq.(i) in
     (* freq-0 blocks price to zero on both sides and [times_of] never
        inspects their mappability, so neither do we *)
-    if t.freq.(i) > 0 then begin
-      t.t_fpga <- t.t_fpga - (sign * t.fine.(i) * t.freq.(i));
+    if freq > 0 then begin
+      t.t_fpga <- t.t_fpga - (sign * t.c.fine.cycles_per_iteration.(i) * freq);
       t.t_coarse_cgc <- t.t_coarse_cgc + (sign * coarse_cycles t i)
     end;
     match t.pricing with
@@ -305,7 +367,7 @@ module Inc = struct
       List.iter
         (fun e -> t.t_comm <- t.t_comm + edge_contrib t e)
         t.incident.(i)
-    | `Per_invocation -> t.t_comm <- t.t_comm + (sign * t.comm.(i) * t.freq.(i))
+    | `Per_invocation -> t.t_comm <- t.t_comm + (sign * t.c.comm.(i) * freq)
 
   let move t i =
     flip t i true;
@@ -316,7 +378,7 @@ module Inc = struct
     t.moved_rev <- List.filter (fun j -> j <> i) t.moved_rev
 
   let times t =
-    let t_coarse = Platform.cgc_to_fpga_cycles t.platform t.t_coarse_cgc in
+    let t_coarse = Platform.cgc_to_fpga_cycles t.c.platform t.t_coarse_cgc in
     let r =
       {
         t_fpga = t.t_fpga;
@@ -327,11 +389,7 @@ module Inc = struct
       }
     in
     if !check_incremental then begin
-      let full =
-        times_of t.platform ~pricing:t.pricing ~fine:t.fine ~coarse:t.coarse
-          ~pipeline:t.pipeline ~entries:t.entries ~comm:t.comm ~live:t.live
-          ~edges:t.edges ~freq:t.freq ~moved:(moved t) t.n
-      in
+      let full = times_of ~pricing:t.pricing t.c ~moved:(moved t) in
       let check field full_v inc_v =
         if full_v <> inc_v then
           raise
@@ -348,12 +406,8 @@ module Inc = struct
 
   let create ?(comm_pricing = `Transition) ?cgc_pipelining platform cdfg
       profile =
-    let freq, fine, coarse, pipeline, entries, comm, live, edges =
-      characterise ?cgc_pipelining platform cdfg profile
-    in
-    make ~platform ~pricing:comm_pricing ~freq ~fine ~coarse ~pipeline
-      ~entries ~comm ~live ~edges
-      (Ir.Cdfg.block_count cdfg)
+    make ~pricing:comm_pricing
+      (characterise ?cgc_pipelining platform cdfg profile)
 end
 
 let mappable (platform : Platform.t) cdfg i =
@@ -400,9 +454,172 @@ let group_kernels_by_loop cdfg (kernels : Analysis.Kernel.entry list) =
   List.rev_map (fun key -> List.rev (Hashtbl.find groups key)) !order
   |> List.sort (fun g1 g2 -> compare (group_weight g2) (group_weight g1))
 
-let run ?weights ?max_moves ?(comm_pricing = `Transition) ?cgc_pipelining
-    ?(granularity = `Block) ?verify_ir (platform : Platform.t)
-    ~timing_constraint cdfg profile =
+(* ---- the greedy trajectory and its cuts ---------------------------------
+
+   The timing constraint never changes which kernel moves next; it only
+   decides where the loop stops.  A trajectory is the constraint-free
+   move list — one entry per worklist group: the group's kernels that
+   cannot move, then the step that moves the rest, if any — extended on
+   demand, so a cut that stops early performs exactly the moves, spans
+   and counters of a loop that stopped there.  An exception raised while
+   extending is kept as the entry itself: every cut that reaches it
+   re-raises it, and no cut that stops earlier sees it. *)
+
+type entry = { group_skipped : (int * skip_reason) list; step : step option }
+
+type trajectory = {
+  char : characterisation;
+  analysis : Analysis.Kernel.t;
+  start : times;  (* the all-FPGA mapping *)
+  entries : (entry, exn) result Seq.t;
+}
+
+let trajectory ?(comm_pricing = `Transition) ?(granularity = `Block) ~analysis
+    (c : characterisation) =
+  let inc = Inc.make ~pricing:comm_pricing c in
+  (* each read is O(1) off the running sums (and cross-checked against the
+     full recompute when [check_incremental] is set) *)
+  let read_times () =
+    Hypar_obs.Counter.incr "engine.evaluations";
+    Inc.times inc
+  in
+  let initial = read_times () in
+  let cdfg = c.app.cdfg in
+  let skip_reason (k : Analysis.Kernel.entry) =
+    Hypar_obs.Counter.incr "engine.skipped";
+    (* distinguish a DFG the CGC can never run (division) from one only
+       the current degradation rules out *)
+    if Coarsegrain.Schedule.supported (Ir.Cdfg.info cdfg k.block_id).Ir.Cdfg.dfg
+    then begin
+      Hypar_obs.Counter.incr "resilience.fault.fallback";
+      (k.block_id, No_cgc_capacity)
+    end
+    else (k.block_id, Not_cgc_executable)
+  in
+  (* [moved]: the cumulative moved set, newest first *)
+  let rec from groups count moved () =
+    match groups with
+    | [] -> Seq.Nil
+    | group :: rest -> (
+      let movable, unmovable =
+        List.partition
+          (fun (k : Analysis.Kernel.entry) ->
+            c.coarse.latency.(k.block_id) <> None)
+          group
+      in
+      let group_skipped = List.map skip_reason unmovable in
+      match movable with
+      | [] -> Seq.Cons ({ group_skipped; step = None }, from rest count moved)
+      | (k : Analysis.Kernel.entry) :: _ ->
+        let moved =
+          List.rev_append
+            (List.rev_map
+               (fun (k : Analysis.Kernel.entry) -> k.block_id)
+               movable)
+            moved
+        in
+        let step =
+          Hypar_obs.Span.with_ ~cat:"engine" "engine.move"
+            ~args:
+              [
+                ("block", Hypar_obs.Event.Int k.block_id);
+                ("step", Hypar_obs.Event.Int (count + 1));
+              ]
+          @@ fun () ->
+          Hypar_obs.Counter.incr "engine.moves";
+          List.iter
+            (fun (k : Analysis.Kernel.entry) -> Inc.move inc k.block_id)
+            movable;
+          (* [meets_constraint] belongs to a cut, which sets it *)
+          {
+            step_index = count + 1;
+            moved_block = k.block_id;
+            kernel = k;
+            on_cgc = List.rev moved;
+            times = read_times ();
+            meets_constraint = false;
+          }
+        in
+        Seq.Cons
+          ({ group_skipped; step = Some step }, from rest (count + 1) moved))
+  in
+  let rec guard s () =
+    match s () with
+    | Seq.Nil -> Seq.Nil
+    | Seq.Cons (e, rest) -> Seq.Cons (Ok e, guard rest)
+    | exception exn -> Seq.Cons (Error exn, Seq.empty)
+  in
+  (* at loop granularity, each "kernel" of the worklist is a whole loop's
+     worth of blocks, still ordered by (summed) Eq.-1 weight *)
+  let worklist () =
+    let kernels = analysis.Analysis.Kernel.kernels in
+    match granularity with
+    | `Block -> List.map (fun k -> [ k ]) kernels
+    | `Loop -> group_kernels_by_loop cdfg kernels
+  in
+  {
+    char = c;
+    analysis;
+    start = initial;
+    entries = Seq.memoize (guard (fun () -> from (worklist ()) 0 [] ()));
+  }
+
+let cut ?(max_moves = max_int) ~timing_constraint tr =
+  let c = tr.char in
+  let base =
+    {
+      platform = c.platform;
+      timing_constraint;
+      cdfg_name = Ir.Cdfg.name c.app.cdfg;
+      initial = tr.start;
+      analysis = tr.analysis;
+      steps = [];
+      skipped = [];
+      status = Met_without_partitioning;
+      final = tr.start;
+      moved = [];
+      fine_cycles_per_iter = c.fine.cycles_per_iteration;
+      coarse_latency = c.coarse.latency;
+      comm_cycles_per_iter = c.comm;
+      freq = c.app.freq;
+    }
+  in
+  let stop status steps skipped =
+    let final, moved =
+      match steps with [] -> (tr.start, []) | s :: _ -> (s.times, s.on_cgc)
+    in
+    {
+      base with
+      steps = List.rev steps;
+      skipped = List.rev skipped;
+      status;
+      final;
+      moved;
+    }
+  in
+  let rec go entries steps skipped count =
+    if count >= max_moves then stop Infeasible steps skipped
+    else
+      match entries () with
+      | Seq.Nil -> stop Infeasible steps skipped
+      | Seq.Cons (Error exn, _) -> raise exn
+      | Seq.Cons (Ok e, rest) -> (
+        let skipped = List.rev_append e.group_skipped skipped in
+        match e.step with
+        | None -> go rest steps skipped count
+        | Some s ->
+          let s =
+            { s with meets_constraint = s.times.t_total <= timing_constraint }
+          in
+          if s.meets_constraint then
+            stop (Met_after s.step_index) (s :: steps) skipped
+          else go rest (s :: steps) skipped (count + 1))
+  in
+  if tr.start.t_total <= timing_constraint then base
+  else go tr.entries [] [] 0
+
+let run ?weights ?max_moves ?comm_pricing ?cgc_pipelining ?granularity
+    ?verify_ir (platform : Platform.t) ~timing_constraint cdfg profile =
   Hypar_obs.Span.with_ ~cat:"engine" "engine.run"
     ~args:
       [
@@ -412,147 +629,10 @@ let run ?weights ?max_moves ?(comm_pricing = `Transition) ?cgc_pipelining
   @@ fun () ->
   if Option.value verify_ir ~default:!Ir.Passes.verify_passes then
     Ir.Verify.check_exn ~context:"engine input" cdfg;
-  let n = Ir.Cdfg.block_count cdfg in
-  let freq, fine, coarse, pipeline, entries, comm, live, edges =
-    characterise ?cgc_pipelining platform cdfg profile
-  in
-  let inc =
-    Inc.make ~platform ~pricing:comm_pricing ~freq ~fine ~coarse ~pipeline
-      ~entries ~comm ~live ~edges n
-  in
-  (* each read is O(1) off the running sums (and cross-checked against the
-     full recompute when [check_incremental] is set) *)
-  let read_times () =
-    Hypar_obs.Counter.incr "engine.evaluations";
-    Inc.times inc
-  in
-  let initial = read_times () in
+  let c = characterise ?cgc_pipelining platform cdfg profile in
   let analysis = Analysis.Kernel.analyse ?weights cdfg profile in
-  let base =
-    {
-      platform;
-      timing_constraint;
-      cdfg_name = Ir.Cdfg.name cdfg;
-      initial;
-      analysis;
-      steps = [];
-      skipped = [];
-      status = Met_without_partitioning;
-      final = initial;
-      moved = [];
-      fine_cycles_per_iter = fine;
-      coarse_latency = coarse;
-      comm_cycles_per_iter = comm;
-      freq;
-    }
-  in
-  if initial.t_total <= timing_constraint then base
-  else begin
-    (* at loop granularity, each "kernel" below is a whole loop's worth of
-       blocks, still ordered by (summed) Eq.-1 weight *)
-    let worklist =
-      match granularity with
-      | `Block ->
-        List.map (fun k -> [ k ]) analysis.Analysis.Kernel.kernels
-      | `Loop -> group_kernels_by_loop cdfg analysis.Analysis.Kernel.kernels
-    in
-    let max_moves =
-      match max_moves with Some m -> m | None -> List.length worklist
-    in
-    let rec go kernels steps skipped moved count =
-      match kernels with
-      | [] ->
-        let final =
-          match steps with [] -> initial | s :: _ -> s.times
-        in
-        {
-          base with
-          steps = List.rev steps;
-          skipped = List.rev skipped;
-          status = Infeasible;
-          final;
-          moved = List.rev moved;
-        }
-      | group :: rest ->
-        if count >= max_moves then
-          let final = match steps with [] -> initial | s :: _ -> s.times in
-          {
-            base with
-            steps = List.rev steps;
-            skipped = List.rev skipped;
-            status = Infeasible;
-            final;
-            moved = List.rev moved;
-          }
-        else begin
-        let movable, unmovable =
-          List.partition
-            (fun (k : Analysis.Kernel.entry) -> coarse.(k.block_id) <> None)
-            group
-        in
-        let skipped =
-          List.fold_left
-            (fun acc (k : Analysis.Kernel.entry) ->
-              Hypar_obs.Counter.incr "engine.skipped";
-              let reason =
-                (* distinguish a DFG the CGC can never run (division)
-                   from one only the current degradation rules out *)
-                if
-                  Coarsegrain.Schedule.supported
-                    (Ir.Cdfg.info cdfg k.block_id).Ir.Cdfg.dfg
-                then begin
-                  Hypar_obs.Counter.incr "resilience.fault.fallback";
-                  No_cgc_capacity
-                end
-                else Not_cgc_executable
-              in
-              (k.block_id, reason) :: acc)
-            skipped unmovable
-        in
-        match movable with
-        | [] -> go rest steps skipped moved count
-        | (k : Analysis.Kernel.entry) :: _ ->
-          let moved =
-            List.rev_append
-              (List.rev_map (fun (k : Analysis.Kernel.entry) -> k.block_id) movable)
-              moved
-          in
-          let step =
-            Hypar_obs.Span.with_ ~cat:"engine" "engine.move"
-              ~args:
-                [
-                  ("block", Hypar_obs.Event.Int k.block_id);
-                  ("step", Hypar_obs.Event.Int (count + 1));
-                ]
-            @@ fun () ->
-            Hypar_obs.Counter.incr "engine.moves";
-            List.iter
-              (fun (k : Analysis.Kernel.entry) -> Inc.move inc k.block_id)
-              movable;
-            let times = read_times () in
-            {
-              step_index = count + 1;
-              moved_block = k.block_id;
-              kernel = k;
-              on_cgc = List.rev moved;
-              times;
-              meets_constraint = times.t_total <= timing_constraint;
-            }
-          in
-          if step.meets_constraint then
-            {
-              base with
-              steps = List.rev (step :: steps);
-              skipped = List.rev skipped;
-              status = Met_after (count + 1);
-              final = step.times;
-              moved = List.rev moved;
-            }
-          else go rest (step :: steps) skipped moved (count + 1)
-        end
-    in
-    go worklist [] [] [] 0
-  end
+  trajectory ?comm_pricing ?granularity ~analysis c
+  |> cut ?max_moves ~timing_constraint
 
 let reduction_percent t =
   if t.initial.t_total = 0 then 0.0

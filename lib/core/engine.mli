@@ -63,6 +63,108 @@ type t = {
   freq : int array;  (** per block *)
 }
 
+(** {2 Characterisation}
+
+    Everything the greedy loop prices, split by what it depends on, so a
+    caller sweeping many platforms computes each layer once per distinct
+    key and assembles a platform's characterisation in O(blocks):
+
+    - {!app_layer}: the application alone (CDFG × profile);
+    - {!fine_layer}: application × FPGA;
+    - {!coarse_layer}: application × CGC data-path × its health (×
+      pipelining);
+    - {!assemble}: the three layers × the platform's communication model
+      and clock ratio. *)
+
+type app_layer = private {
+  cdfg : Hypar_ir.Cdfg.t;
+  n : int;  (** block count *)
+  freq : int array;  (** per block *)
+  entries : int array;  (** per block: profiled entries from other blocks *)
+  edges : ((int * int) * int) list;  (** profile edge counts *)
+  live : Hypar_ir.Live.t;
+  live_in_words : int array;  (** per block: |live-in| *)
+  live_out_words : int array;  (** per block: |defs live-out| *)
+}
+
+type fine_layer = private {
+  cycles_per_iteration : int array;  (** per block, Eq. 4 *)
+  partition_count : int array;  (** per block, temporal partitions *)
+}
+
+type coarse_layer = private {
+  latency : int option array;  (** per block, CGC cycles; [None] = unmappable *)
+  pipeline : (int * int) option array;
+      (** per block, [(ii, latency)] when modulo-scheduled *)
+}
+
+type characterisation = private {
+  platform : Platform.t;
+  app : app_layer;
+  fine : fine_layer;
+  coarse : coarse_layer;
+  comm : int array;  (** per block, per-invocation transfer cycles *)
+}
+
+val app_layer : Hypar_ir.Cdfg.t -> Hypar_profiling.Profile.t -> app_layer
+(** Frequencies, loop entries, liveness (one {!Hypar_ir.Live.analyse})
+    and per-block communication word counts. *)
+
+val block_words : app_layer -> int -> int
+(** Words a block exchanges per invocation, as {!Comm.block_words}. *)
+
+val fine_layer : app_layer -> Hypar_finegrain.Fpga.t -> fine_layer
+(** Every block mapped to the fine-grain hardware. *)
+
+val coarse_layer :
+  ?cgc_pipelining:bool ->
+  app_layer ->
+  Hypar_coarsegrain.Cgc.t ->
+  Hypar_coarsegrain.Cgc.health option ->
+  coarse_layer
+(** Every block mapped to the (possibly degraded) coarse-grain
+    data-path; [cgc_pipelining] as in {!run}. *)
+
+val assemble :
+  app_layer -> fine_layer -> coarse_layer -> Platform.t -> characterisation
+(** A platform's characterisation from precomputed layers, which must
+    have been computed for this platform's FPGA, CGC and health (one
+    [engine.characterise] span). *)
+
+val characterise :
+  ?cgc_pipelining:bool ->
+  Platform.t ->
+  Hypar_ir.Cdfg.t ->
+  Hypar_profiling.Profile.t ->
+  characterisation
+(** All three layers for one platform, then {!assemble}. *)
+
+(** {2 The greedy loop: one trajectory, many cuts} *)
+
+type trajectory
+(** The constraint-free greedy move list of one characterised platform:
+    kernels in decreasing Eq.-1 weight, each moved to the coarse-grain
+    data-path in turn (or skipped).  It is extended lazily and
+    memoised: a {!cut} performs only the moves it reads, and a later cut
+    that reads no further performs none.  A trajectory is not
+    thread-safe: cut it from one domain only. *)
+
+val trajectory :
+  ?comm_pricing:[ `Transition | `Per_invocation ] ->
+  ?granularity:[ `Block | `Loop ] ->
+  analysis:Hypar_analysis.Kernel.t ->
+  characterisation ->
+  trajectory
+(** Starts the loop from the all-FPGA mapping and moves [analysis]'s
+    kernels in its order; [comm_pricing] and [granularity] as in
+    {!run}. *)
+
+val cut : ?max_moves:int -> timing_constraint:int -> trajectory -> t
+(** Where the loop stops for one constraint: at the first step that
+    meets it, or after [max_moves] movements, or when the kernels run
+    out.  An exception raised while extending the trajectory is
+    re-raised by every cut that reaches that point. *)
+
 val run :
   ?weights:Hypar_analysis.Weights.t ->
   ?max_moves:int ->
@@ -85,7 +187,10 @@ val run :
     kernels or whole innermost loops per step — the [ablation:strategy]
     bench motivates [`Loop] for multi-block loop bodies.
     [verify_ir] (default {!Hypar_ir.Passes.verify_passes}) runs
-    {!Hypar_ir.Verify.check} on the input CDFG before partitioning. *)
+    {!Hypar_ir.Verify.check} on the input CDFG before partitioning.
+    Equal to [cut (trajectory ~analysis (characterise platform cdfg
+    profile))], with [analysis] the {!Hypar_analysis.Kernel.analyse} of
+    the application under [weights]. *)
 
 val evaluate :
   ?comm_pricing:[ `Transition | `Per_invocation ] ->
@@ -94,9 +199,11 @@ val evaluate :
   Hypar_ir.Cdfg.t ->
   Hypar_profiling.Profile.t ->
   (int list -> times)
-(** [evaluate platform cdfg profile] precomputes the per-block
-    characterisation once and returns a function pricing any moved set
-    (Eq. 2).  Used by the baseline selection strategies
+(** [evaluate platform cdfg profile] characterises the platform from
+    scratch, once, and returns a function pricing any moved set (Eq. 2)
+    by walking every block and profile edge.  It is the oracle the
+    incremental engine is checked against, so it never takes
+    precomputed layers.  Used by the baseline selection strategies
     ({!Baselines}) and the ablation benches.  Raises [Invalid_argument]
     when a moved block is not CGC-executable. *)
 

@@ -1,4 +1,6 @@
 module Flow = Hypar_core.Flow
+module Engine = Hypar_core.Engine
+module Platform = Hypar_core.Platform
 module Fault = Hypar_resilience.Fault
 module Retry = Hypar_resilience.Retry
 module Journal = Hypar_resilience.Journal
@@ -58,6 +60,162 @@ let analyse results =
     best (fun (i, _) -> results.(i).point.Space.area),
     best (fun (_, m) -> m.Eval.energy) )
 
+(* A [Pool.map] whose per-item trace events are captured in the worker
+   and replayed in item order, so the merged trace is the same for every
+   [jobs] (modulo timestamps). *)
+let traced_map ~jobs f xs =
+  if not (Hypar_obs.Sink.enabled ()) then Pool.map ~jobs f xs
+  else
+    Pool.map ~jobs (fun x -> Hypar_obs.Sink.collect (fun () -> f x)) xs
+    |> Array.map (fun (y, events) ->
+           Hypar_obs.Sink.replay events;
+           y)
+
+(* an interrupt aborts the sweep; any other exception is the outcome *)
+let attempt f x =
+  match f x with
+  | y -> Ok y
+  | exception Sys.Break -> raise Sys.Break
+  | exception e -> Error e
+
+(* Computes [f] once per distinct key, in parallel, and returns the
+   lookup from a key to its outcome. *)
+let memo_map ~jobs f keys =
+  let distinct = Array.of_list (List.sort_uniq compare keys) in
+  let outcomes = Hashtbl.create 8 in
+  Array.iter2 (Hashtbl.replace outcomes) distinct
+    (traced_map ~jobs (attempt f) distinct);
+  Hashtbl.find outcomes
+
+(* Every fresh point's outcome, in two stages, each a deterministic
+   [Pool.map]:
+
+   1. once per sweep the IR check of the engine input, the application
+      layer (one liveness analysis) and the kernel analysis; then the
+      fine-grain layer once per distinct FPGA and the coarse-grain layer
+      once per distinct CGC x health;
+   2. per distinct platform, one task: its greedy trajectory, and each
+      of its points, with retries, answered by a cut of that trajectory
+      and an energy sum.  A trajectory is extended lazily, so it is only
+      ever touched by its own platform's task.
+
+   Stage 2 runs over groups of [jobs] platforms, in order of each
+   platform's first point.  [record] sees every point of a group as soon
+   as the group is answered, platform by platform, points in enumeration
+   order: the same sequence for every [jobs], available before the sweep
+   ends. *)
+let evaluate_points ~jobs ?faults ~retries ?point_fuel ~record
+    (prepared : Flow.prepared) (points : Space.point array) =
+  let platform_key (p : Space.point) =
+    (p.Space.area, p.cgcs, p.rows, p.cols, p.clock_ratio)
+  in
+  (* each distinct platform with the indices of its points *)
+  let index = Hashtbl.create 16 and groups = ref [] in
+  Array.iteri
+    (fun j p ->
+      let k = platform_key p in
+      match Hashtbl.find_opt index k with
+      | Some members -> members := j :: !members
+      | None ->
+        let members = ref [ j ] in
+        Hashtbl.add index k members;
+        groups := (p, members) :: !groups)
+    points;
+  let platforms =
+    Array.of_list
+      (List.rev_map (fun (p, members) -> (p, Array.of_list (List.rev !members)))
+         !groups)
+  in
+  let app =
+    attempt
+      (fun () ->
+        Eval.verify_input prepared;
+        let cdfg = prepared.Flow.cdfg and profile = prepared.Flow.profile in
+        (Engine.app_layer cdfg profile, Hypar_analysis.Kernel.analyse cdfg profile))
+      ()
+  in
+  let built = Array.map (fun (p, _) -> attempt (Eval.platform ?faults) p) platforms in
+  let healthy =
+    if Result.is_error app then []
+    else List.filter_map Result.to_option (Array.to_list built)
+  in
+  let int v = Hypar_obs.Event.Int v in
+  let fine =
+    memo_map ~jobs
+      (fun (fpga : Hypar_finegrain.Fpga.t) ->
+        Hypar_obs.Span.with_ ~cat:"explore" "explore.fine"
+          ~args:[ ("area", int fpga.area) ]
+        @@ fun () -> Engine.fine_layer (fst (Result.get_ok app)) fpga)
+      (List.map (fun (pl : Platform.t) -> pl.fpga) healthy)
+  in
+  let coarse =
+    memo_map ~jobs
+      (fun ((cgc : Hypar_coarsegrain.Cgc.t), health) ->
+        Hypar_obs.Span.with_ ~cat:"explore" "explore.coarse"
+          ~args:
+            [ ("cgcs", int cgc.cgcs); ("rows", int cgc.rows);
+              ("cols", int cgc.cols) ]
+        @@ fun () -> Engine.coarse_layer (fst (Result.get_ok app)) cgc health)
+      (List.map (fun (pl : Platform.t) -> (pl.cgc, pl.cgc_health)) healthy)
+  in
+  (* one attempt of one point, with transient-fault injection: the
+     injected failures are a pure function of (seed, point, attempt), so
+     a retried — or resumed — sweep stays deterministic *)
+  let attempt_point shared p attempt =
+    match faults with
+    | Some spec
+      when Fault.transient_should_fail spec ~key:(Space.point_key p) ~attempt ->
+      Hypar_obs.Counter.incr "resilience.fault.transient";
+      Error
+        (Printf.sprintf "injected transient fault (attempt %d) [point %s]"
+           attempt (Space.point_key p))
+    | _ -> Eval.answer ?point_fuel shared p
+  in
+  let answer_platform i =
+    let p, members = platforms.(i) in
+    Hypar_obs.Span.with_ ~cat:"explore" "explore.platform"
+      ~args:
+        [
+          ("area", int p.Space.area);
+          ("cgcs", int p.cgcs);
+          ("rows", int p.rows);
+          ("cols", int p.cols);
+          ("clock_ratio", int p.clock_ratio);
+        ]
+    @@ fun () ->
+    let shared =
+      Result.bind app @@ fun (app, analysis) ->
+      Result.bind built.(i) @@ fun (pl : Platform.t) ->
+      Result.bind (fine pl.fpga) @@ fun fine ->
+      Result.bind (coarse (pl.cgc, pl.cgc_health)) @@ fun coarse ->
+      attempt
+        (fun () -> Eval.share ~analysis (Engine.assemble app fine coarse pl))
+        ()
+    in
+    Array.map
+      (fun j -> Retry.run ~retries (attempt_point shared points.(j)))
+      members
+  in
+  let outcomes = Array.make (Array.length points) None in
+  let n = Array.length platforms and width = max 1 jobs in
+  let rec from first =
+    if first < n then begin
+      let group = Array.init (min width (n - first)) (fun k -> first + k) in
+      Array.iter2
+        (fun i answered ->
+          Array.iter2
+            (fun j outcome ->
+              outcomes.(j) <- Some outcome;
+              record points.(j) outcome)
+            (snd platforms.(i)) answered)
+        group
+        (traced_map ~jobs answer_platform group);
+      from (first + Array.length group)
+    end
+  in
+  from 0;
+  Array.map Option.get outcomes
+
 exception Checkpoint_error of string
 
 let run ?(jobs = 1) ?workload ?faults ?(retries = 0) ?point_fuel ?checkpoint
@@ -116,28 +274,6 @@ let run ?(jobs = 1) ?workload ?faults ?(retries = 0) ?point_fuel ?checkpoint
         | Ok j -> Some j
         | Error msg -> raise (Checkpoint_error msg))
     in
-    (* one attempt of one point, with transient-fault injection: the
-       injected failures are a pure function of (seed, point, attempt),
-       so a retried — or resumed — sweep stays deterministic *)
-    let attempt_point p attempt =
-      match faults with
-      | Some spec
-        when Fault.transient_should_fail spec ~key:(Space.point_key p) ~attempt
-        ->
-        Hypar_obs.Counter.incr "resilience.fault.transient";
-        Error
-          (Printf.sprintf "injected transient fault (attempt %d) [point %s]"
-             attempt (Space.point_key p))
-      | _ -> Eval.evaluate ?faults ?point_fuel prepared p
-    in
-    let evaluate_fresh p =
-      let outcome = Retry.run ~retries (attempt_point p) in
-      (match journal with
-      | Some j ->
-        Journal.append j (Checkpoint.encode ~key:(Cache.key ~digest p) outcome)
-      | None -> ());
-      outcome
-    in
     let resumed = Array.map (fun p -> Hashtbl.find_opt restored (Cache.key ~digest p)) unique in
     let fresh =
       Array.of_list
@@ -148,25 +284,22 @@ let run ?(jobs = 1) ?workload ?faults ?(retries = 0) ?point_fuel ?checkpoint
     let n_resumed = Array.length unique - Array.length fresh in
     if n_resumed > 0 then
       Hypar_obs.Counter.incr ~by:n_resumed "explore.resumed_points";
-    (* Under tracing, each worker captures its point's events privately and
-       the coordinator replays them in unique-point order, so the merged
-       trace is identical whatever [jobs] is (modulo timestamps). *)
     (* close the journal even when an evaluation raises (Sys.Break from an
-       interactive interrupt included): every appended entry is already
-       flushed, so an interrupted sweep leaves a resumable file behind *)
+       interactive interrupt included): every platform answered so far is
+       already journalled and flushed, so an interrupted sweep leaves a
+       resumable file behind *)
+    let record p outcome =
+      Option.iter
+        (fun j ->
+          Journal.append j (Checkpoint.encode ~key:(Cache.key ~digest p) outcome))
+        journal
+    in
     let fresh_outcomes =
       Fun.protect
         ~finally:(fun () -> Option.iter Journal.close journal)
         (fun () ->
-          if not (Hypar_obs.Sink.enabled ()) then
-            Pool.map ~jobs evaluate_fresh fresh
-          else
-            Pool.map ~jobs
-              (fun p -> Hypar_obs.Sink.collect (fun () -> evaluate_fresh p))
-              fresh
-            |> Array.map (fun (outcome, events) ->
-                   Hypar_obs.Sink.replay events;
-                   outcome))
+          evaluate_points ~jobs ?faults ~retries ?point_fuel ~record prepared
+            fresh)
     in
     let outcomes =
       let next = ref 0 in

@@ -1,10 +1,23 @@
 (** The exploration engine: space in, evaluated + analysed summary out.
 
     [run] expands the space, deduplicates the points against the memo
-    cache (shared CDFG digest × platform key), fans the unique
-    configurations out over {!Pool.map}, and reassembles per-point
-    results in enumeration order — so the summary (and anything rendered
-    from it) is byte-identical for every [jobs] value.
+    cache (shared CDFG digest × platform key) and evaluates the unique
+    configurations in two stages, each a {!Pool.map}:
+
+    + once per sweep the engine-input IR check
+      ({!Eval.verify_input}), the application layer and the kernel
+      analysis; then the fine-grain characterisation once per distinct
+      FPGA and the coarse-grain one once per distinct CGC × health
+      (after [faults]);
+    + one task per distinct platform: its greedy trajectory
+      ({!Hypar_core.Engine.trajectory}), then each of its points, with
+      retries, as a {!Hypar_core.Engine.cut} of that trajectory and an
+      energy sum ({!Eval.answer}).
+
+    Per-point results are reassembled in enumeration order — so the
+    summary (and anything rendered from it, the checkpoint included) is
+    byte-identical for every [jobs] value, and equal point by point to a
+    standalone {!Hypar_core.Engine.run}.
 
     Failed points (see {!Eval.evaluate}) are carried in the result list
     with their error string; {!all_failed} is the only condition callers
@@ -53,7 +66,9 @@ val run :
     transient failures; [retries] (default 0) re-attempts a failed point
     evaluation with deterministic backoff ({!Hypar_resilience.Retry});
     [point_fuel] bounds each point's engine search ({!Eval.evaluate}).
-    [checkpoint] journals every completed point to a crash-safe file;
+    [checkpoint] journals every evaluated point to a crash-safe file,
+    platform by platform as each group of [jobs] platforms is answered,
+    in enumeration order (the same file for every [jobs]);
     with [resume] (default false) outcomes already journalled there are
     restored instead of re-evaluated (counted by the
     [explore.resumed_points] counter) and the rendered summary is

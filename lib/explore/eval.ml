@@ -55,7 +55,36 @@ let error_string (p : Space.point) exn =
   in
   Printf.sprintf "%s [point %s]" message (Space.point_key p)
 
-let evaluate ?faults ?point_fuel (prepared : Flow.prepared) (p : Space.point) =
+let platform ?faults p =
+  let platform = platform_of p in
+  match faults with
+  | None -> platform
+  | Some spec -> (
+    (* non-strict: a sweep point smaller than the faulted hardware simply
+       ignores the inapplicable faults *)
+    match Hypar_resilience.Degrade.apply ~strict:false spec platform with
+    | Ok pl -> pl
+    | Error msg -> failwith msg)
+
+type shared = {
+  trajectory : Engine.trajectory;
+  energy : Energy.table;
+  cgc_desc : string;
+}
+
+let share ~analysis (c : Engine.characterisation) =
+  let app = c.Engine.app in
+  {
+    trajectory = Engine.trajectory ~analysis c;
+    energy =
+      Energy.table Energy.default app.Engine.cdfg
+        ~freq:(Array.get app.Engine.freq)
+        ~partitions:(Array.get c.Engine.fine.Engine.partition_count)
+        ~words:(Engine.block_words app);
+    cgc_desc = Hypar_coarsegrain.Cgc.describe c.Engine.platform.Platform.cgc;
+  }
+
+let answer ?point_fuel shared (p : Space.point) =
   Hypar_obs.Span.with_ ~cat:"explore" "explore.point"
     ~args:
       [
@@ -63,32 +92,17 @@ let evaluate ?faults ?point_fuel (prepared : Flow.prepared) (p : Space.point) =
         ("cgcs", Hypar_obs.Event.Int p.cgcs);
         ("rows", Hypar_obs.Event.Int p.rows);
         ("cols", Hypar_obs.Event.Int p.cols);
+        ("clock_ratio", Hypar_obs.Event.Int p.clock_ratio);
         ("timing", Hypar_obs.Event.Int p.timing);
       ]
   @@ fun () ->
   match
-    let platform = platform_of p in
-    let platform =
-      match faults with
-      | None -> platform
-      | Some spec -> (
-        (* non-strict: a sweep point smaller than the faulted hardware
-           simply ignores the inapplicable faults *)
-        match Hypar_resilience.Degrade.apply ~strict:false spec platform with
-        | Ok pl -> pl
-        | Error msg -> failwith msg)
-    in
+    let s = match shared with Ok s -> s | Error e -> raise e in
     let r =
-      Engine.run ?max_moves:point_fuel platform ~timing_constraint:p.timing
-        prepared.Flow.cdfg prepared.Flow.profile
-    in
-    let energy =
-      Energy.app_energy Energy.default platform prepared.Flow.cdfg
-        ~freq:(fun b -> r.Engine.freq.(b))
-        ~moved:r.Engine.moved
+      Engine.cut ?max_moves:point_fuel ~timing_constraint:p.timing s.trajectory
     in
     {
-      cgc_desc = Hypar_coarsegrain.Cgc.describe platform.Platform.cgc;
+      cgc_desc = s.cgc_desc;
       initial = r.Engine.initial;
       final = r.Engine.final;
       coarse_cgc_cycles = Engine.coarse_cycles_of_moved r;
@@ -97,8 +111,27 @@ let evaluate ?faults ?point_fuel (prepared : Flow.prepared) (p : Space.point) =
       status = r.Engine.status;
       met = Engine.met r;
       reduction = Engine.reduction_percent r;
-      energy;
+      energy = Energy.total s.energy ~moved:r.Engine.moved;
     }
   with
   | m -> Ok m
+  | exception Sys.Break -> raise Sys.Break
   | exception e -> Error (error_string p e)
+
+let verify_input (prepared : Flow.prepared) =
+  if !Hypar_ir.Passes.verify_passes then
+    Hypar_ir.Verify.check_exn ~context:"engine input" prepared.Flow.cdfg
+
+let evaluate ?faults ?point_fuel (prepared : Flow.prepared) p =
+  let shared =
+    match
+      verify_input prepared;
+      let cdfg = prepared.Flow.cdfg and profile = prepared.Flow.profile in
+      let c = Engine.characterise (platform ?faults p) cdfg profile in
+      share ~analysis:(Hypar_analysis.Kernel.analyse cdfg profile) c
+    with
+    | s -> Ok s
+    | exception Sys.Break -> raise Sys.Break
+    | exception e -> Error e
+  in
+  answer ?point_fuel shared p

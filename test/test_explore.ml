@@ -237,6 +237,180 @@ let test_jobs_determinism () =
   Alcotest.(check string) "json jobs=4 == jobs=1" j1 j4;
   Alcotest.(check string) "markdown jobs=4 == jobs=1" m1 m4
 
+(* Faults, transient failures absorbed by retries, and a point fuel that
+   cuts the kernel search short: every output, the checkpoint journal
+   included, is the same for every [jobs]. *)
+let hardened_faults =
+  match
+    Hypar_resilience.Spec.of_string
+      "seed 5\ndead-node 0 1 1 mult\ncomm-slowdown 150\ntransient 500 2"
+  with
+  | Ok s -> s
+  | Error e -> Alcotest.failf "spec rejected: %s" e
+
+let hardened_space prepared =
+  let t = budget prepared in
+  Space.make ~areas:[ 0; 500; 1500 ] ~cgcs:[ 1; 2 ] ~clock_ratios:[ 2; 3 ]
+    ~timings:[ t / 4; t / 2; t; 2 * t ] ()
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let test_jobs_determinism_hardened () =
+  let prepared = Lazy.force matmul in
+  let space = hardened_space prepared in
+  let run jobs =
+    let path = Filename.temp_file "hypar-explore" ".journal" in
+    match
+      Driver.run ~jobs ~faults:hardened_faults ~retries:1 ~point_fuel:2
+        ~checkpoint:path prepared space
+    with
+    | Error e -> Alcotest.fail e
+    | Ok s ->
+      let journal = read_file path in
+      Sys.remove path;
+      [ Render.text s; Render.csv s; Render.json s; journal ]
+  in
+  let one = run 1 in
+  Alcotest.(check bool) "some points failed, some moved" true
+    (Str_contains.contains (List.nth one 1) "injected transient"
+    && Str_contains.contains (List.nth one 1) "met-after");
+  List.iter
+    (fun jobs ->
+      List.iter2
+        (fun what (a, b) ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s jobs=%d == jobs=1" what jobs)
+            a b)
+        [ "text"; "csv"; "json"; "checkpoint" ]
+        (List.combine one (run jobs)))
+    [ 2; 4 ]
+
+(* A checkpoint cut off halfway through a platform's group of points
+   (four constraints per platform) resumes to the fresh run's outputs and
+   to the fresh run's journal, byte for byte. *)
+let test_resume_mid_platform () =
+  let prepared = Lazy.force matmul in
+  let space = hardened_space prepared in
+  let path = Filename.temp_file "hypar-explore" ".journal" in
+  let render = function
+    | Error e -> Alcotest.fail e
+    | Ok s -> (Render.csv s, Render.json s)
+  in
+  let run ?resume jobs =
+    render
+      (Driver.run ~jobs ~faults:hardened_faults ~retries:1 ~point_fuel:2
+         ~checkpoint:path ?resume prepared space)
+  in
+  let fresh = run 1 in
+  let journal = read_file path in
+  let lines = String.split_on_char '\n' journal in
+  (* header, then the first platform's four points and two of the
+     second's *)
+  let kept = List.filteri (fun i _ -> i < 7) lines in
+  Out_channel.with_open_bin path (fun oc ->
+      Out_channel.output_string oc (String.concat "\n" kept ^ "\n"));
+  List.iter
+    (fun jobs ->
+      Alcotest.(check (pair string string))
+        (Printf.sprintf "resumed jobs=%d == fresh" jobs)
+        fresh (run ~resume:true jobs);
+      Alcotest.(check string)
+        (Printf.sprintf "journal after resume jobs=%d == fresh journal" jobs)
+        journal (read_file path);
+      Out_channel.with_open_bin path (fun oc ->
+          Out_channel.output_string oc (String.concat "\n" kept ^ "\n")))
+    [ 1; 3 ];
+  Sys.remove path
+
+(* A sweep interrupted partway leaves every platform answered so far in
+   its journal, and resumes to the fresh run.  The interrupt is raised by
+   the trace clock: a fresh run under a counting clock stamps every event
+   with the index of its clock reading, which locates the reading to
+   interrupt — the start of the third platform, then the first kernel
+   move after it, deep inside a point's evaluation. *)
+let test_interrupt_keeps_journal () =
+  let module Sink = Hypar_obs.Sink in
+  let module Event = Hypar_obs.Event in
+  let prepared = Lazy.force matmul in
+  let space = hardened_space prepared in
+  let path = Filename.temp_file "hypar-explore" ".journal" in
+  let render = function
+    | Error e -> Alcotest.fail e
+    | Ok s -> (Render.csv s, Render.json s)
+  in
+  let run ?resume jobs =
+    Driver.run ~jobs ~faults:hardened_faults ~retries:1 ~point_fuel:2
+      ~checkpoint:path ?resume prepared space
+  in
+  let traced clock f =
+    Sink.clear ();
+    Sink.enable ();
+    Fun.protect
+      ~finally:(fun () ->
+        Sink.disable ();
+        Sink.clear ())
+      (fun () -> Sink.with_clock clock f)
+  in
+  let fresh, events =
+    traced (Hypar_obs.Clock.counter ()) (fun () ->
+        let r = render (run 1) in
+        (r, Sink.events ()))
+  in
+  let journal = read_file path in
+  let stamps name begin_ =
+    List.filter_map
+      (fun (e : Event.t) ->
+        match e.Event.kind with
+        | Event.Begin _ when begin_ && e.Event.name = name -> Some e.Event.ts
+        | Event.End when (not begin_) && e.Event.name = name -> Some e.Event.ts
+        | _ -> None)
+      events
+  in
+  let third_platform = List.nth (stamps "explore.platform" true) 2 in
+  let next_move =
+    List.find (fun ts -> ts > third_platform) (stamps "engine.move" true)
+  in
+  List.iter
+    (fun at ->
+      let readings = ref 0. in
+      let interrupting () =
+        let ts = !readings in
+        readings := ts +. 1.;
+        if ts = at then raise Sys.Break;
+        ts
+      in
+      (match traced interrupting (fun () -> run 1) with
+      | _ -> Alcotest.fail "the sweep was not interrupted"
+      | exception Sys.Break -> ());
+      (* the header, then four points per platform finished before *)
+      let finished =
+        List.length
+          (List.filter (fun ts -> ts < at) (stamps "explore.platform" false))
+      in
+      Alcotest.(check bool) "platforms finished" true (finished >= 2);
+      let interrupted = read_file path in
+      Alcotest.(check string)
+        (Printf.sprintf "%d platforms journalled" finished)
+        (String.split_on_char '\n' journal
+        |> List.filteri (fun i _ -> i <= 4 * finished)
+        |> List.map (fun l -> l ^ "\n")
+        |> String.concat "")
+        interrupted;
+      List.iter
+        (fun jobs ->
+          Out_channel.with_open_bin path (fun oc ->
+              Out_channel.output_string oc interrupted);
+          Alcotest.(check (pair string string))
+            (Printf.sprintf "resumed jobs=%d == fresh" jobs)
+            fresh
+            (render (run ~resume:true jobs));
+          Alcotest.(check string)
+            (Printf.sprintf "journal after resume jobs=%d == fresh journal" jobs)
+            journal (read_file path))
+        [ 1; 3 ])
+    [ third_platform; next_move ];
+  Sys.remove path
+
 let test_best_and_frontier_sane () =
   let prepared = Lazy.force matmul in
   let t = budget prepared in
@@ -283,5 +457,10 @@ let suite =
     Alcotest.test_case "failed point recorded" `Quick test_failed_point_recorded;
     Alcotest.test_case "all points failed" `Quick test_all_failed;
     Alcotest.test_case "jobs determinism" `Quick test_jobs_determinism;
+    Alcotest.test_case "jobs determinism: faults, retries, fuel" `Quick
+      test_jobs_determinism_hardened;
+    Alcotest.test_case "resume mid-platform" `Quick test_resume_mid_platform;
+    Alcotest.test_case "interrupt keeps journal" `Quick
+      test_interrupt_keeps_journal;
     Alcotest.test_case "best + frontier sane" `Quick test_best_and_frontier_sane;
   ]

@@ -161,6 +161,233 @@ let prop_faults_never_raise =
           + r.Hypar_core.Engine.final.Hypar_core.Engine.t_coarse
           + r.Hypar_core.Engine.final.Hypar_core.Engine.t_comm)
 
+(* ---- the partitioning model over generated programs --------------------
+
+   A design-space sweep characterises each platform once and answers
+   every timing constraint with a cut of one shared greedy trajectory.
+   Over generated programs and seeded random (possibly degraded)
+   platforms, every point of a sweep must equal a standalone Engine.run
+   on that point, and the trajectory's cuts must obey the paper's loop:
+   a looser constraint moves a prefix of what a tighter one moves, and a
+   constraint equal to a step's t_total stops at the first step that
+   reaches it.  The suite runs with Engine.check_incremental on, so
+   every step is also re-priced from scratch. *)
+
+type model_case = {
+  program : int;  (** fuzzgen seed *)
+  areas : int list;
+  cgcs : int;
+  rows : int;
+  cols : int;
+  ratios : int list;
+  fuel : int;  (** the sweep's --point-fuel *)
+  spec : Hypar_resilience.Fault.spec;
+}
+
+let model_arb =
+  QCheck.make
+    ~print:(fun c ->
+      let ints l = String.concat "," (List.map string_of_int l) in
+      Printf.sprintf
+        "program seed %d, areas %s, %d x %dx%d CGCs, ratios %s, fuel %d, \
+         faults:\n%s"
+        c.program (ints c.areas) c.cgcs c.rows c.cols (ints c.ratios) c.fuel
+        (Hypar_resilience.Spec.to_text c.spec))
+    QCheck.Gen.(
+      (fun ( (program, a1, a2, cgcs),
+             (rows, cols, (r1, r2), fuel),
+             (seed, faults) ) ->
+        {
+          program;
+          areas = List.sort_uniq compare [ a1; a2 ];
+          cgcs;
+          rows;
+          cols;
+          ratios = List.sort_uniq compare [ r1; r2 ];
+          fuel;
+          spec = { Hypar_resilience.Fault.seed; faults };
+        })
+      <$> triple
+            (quad (int_range 1 1_000_000) (int_range 20 3000)
+               (int_range 20 3000) (int_range 1 3))
+            (quad (int_range 1 3) (int_range 1 3)
+               (pair (int_range 1 4) (int_range 1 4))
+               (int_range 0 4))
+            (pair (int_range 0 1000) (list_size (int_range 0 4) fault_gen)))
+
+let rec is_prefix xs ys =
+  match (xs, ys) with
+  | [], _ -> true
+  | x :: xs, y :: ys -> x = y && is_prefix xs ys
+  | _ :: _, [] -> false
+
+let prop_model_cuts =
+  QCheck.Test.make
+    ~name:"model: sweep points and trajectory cuts equal standalone Engine.run"
+    ~count:20 model_arb (fun c ->
+      let module Engine = Hypar_core.Engine in
+      let module Space = Hypar_explore.Space in
+      let module Eval = Hypar_explore.Eval in
+      let prepared =
+        Hypar_core.Flow.prepare ~name:"model" (Gen.source c.program)
+      in
+      let cdfg = prepared.Hypar_core.Flow.cdfg
+      and profile = prepared.Hypar_core.Flow.profile in
+      (* platforms as (area, clock ratio); the CGC is shared *)
+      let platform (area, clock_ratio) =
+        Eval.platform ~faults:c.spec
+          { Space.area; cgcs = c.cgcs; rows = c.rows; cols = c.cols;
+            clock_ratio; timing = 0 }
+      in
+      (* standalone runs, each computed once for both checks below *)
+      let runs = Hashtbl.create 64 in
+      let run ?max_moves pl timing =
+        let key = (pl, timing, max_moves) in
+        match Hashtbl.find_opt runs key with
+        | Some r -> r
+        | None ->
+          let r =
+            Engine.run ?max_moves (platform pl) ~timing_constraint:timing cdfg
+              profile
+          in
+          Hashtbl.add runs key r;
+          r
+      in
+      let platforms =
+        List.concat_map (fun a -> List.map (fun r -> (a, r)) c.ratios) c.areas
+      in
+      (* the whole greedy loop of each platform: no constraint is met *)
+      let full = List.map (fun pl -> (pl, run pl (-1))) platforms in
+      let ladder =
+        List.concat_map
+          (fun (_, (r : Engine.t)) ->
+            List.concat_map
+              (fun t -> [ t - 1; t ])
+              (r.Engine.initial.Engine.t_total
+              :: List.map (fun (s : Engine.step) -> s.times.t_total) r.steps))
+          full
+        |> List.cons (-1)
+        |> List.sort_uniq compare
+      in
+      let space =
+        Space.make ~areas:c.areas ~cgcs:[ c.cgcs ] ~rows:[ c.rows ]
+          ~cols:[ c.cols ] ~clock_ratios:c.ratios ~timings:ladder ()
+      in
+      let check_sweep ?point_fuel () =
+        match
+          Hypar_explore.Driver.run ~jobs:2 ~faults:c.spec ~retries:3
+            ?point_fuel prepared space
+        with
+        | Error e -> QCheck.Test.fail_reportf "sweep refused: %s" e
+        | Ok s ->
+          let moved_at = Hashtbl.create 16 in
+          Array.iter
+            (fun (r : Hypar_explore.Driver.point_result) ->
+              let p = r.Hypar_explore.Driver.point in
+              match r.outcome with
+              | Error e -> QCheck.Test.fail_reportf "point failed: %s" e
+              | Ok m ->
+                let pl = (p.area, p.clock_ratio) in
+                let e = run ?max_moves:point_fuel pl p.timing in
+                let energy =
+                  Hypar_core.Energy.app_energy Hypar_core.Energy.default
+                    (platform pl) cdfg
+                    ~freq:(Hypar_profiling.Profile.freq profile)
+                    ~moved:e.Engine.moved
+                in
+                if
+                  m.Eval.initial <> e.Engine.initial
+                  || m.Eval.final <> e.Engine.final
+                  || m.Eval.moved <> e.Engine.moved
+                  || m.Eval.skipped <> List.length e.Engine.skipped
+                  || m.Eval.status <> e.Engine.status
+                  || m.Eval.coarse_cgc_cycles <> Engine.coarse_cycles_of_moved e
+                  || m.Eval.energy <> energy
+                then
+                  QCheck.Test.fail_reportf
+                    "point %s differs from Engine.run (fuel %s)"
+                    (Space.point_key p)
+                    (Option.fold ~none:"none" ~some:string_of_int point_fuel);
+                Hashtbl.add moved_at pl (p.timing, m.Eval.moved))
+            s.Hypar_explore.Driver.results;
+          (* per platform, constraints ascending: each looser constraint
+             moves a prefix of the tighter one's moved set *)
+          List.iter
+            (fun ((a, r) as pl) ->
+              let by_timing =
+                List.sort compare (Hashtbl.find_all moved_at pl)
+              in
+              ignore
+                (List.fold_left
+                   (fun tighter (t, moved) ->
+                     if not (is_prefix moved tighter) then
+                       QCheck.Test.fail_reportf
+                         "area %d ratio %d: constraint %d moves [%s], not a \
+                          prefix of a tighter one's [%s]"
+                         a r t
+                         (String.concat ";" (List.map string_of_int moved))
+                         (String.concat ";" (List.map string_of_int tighter));
+                     moved)
+                   (match by_timing with [] -> [] | (_, m) :: _ -> m)
+                   by_timing))
+            platforms
+      in
+      check_sweep ();
+      check_sweep ~point_fuel:c.fuel ();
+      let rng = Random.State.make [| c.program |] in
+      List.iter
+        (fun (((a, r) as pl), (whole : Engine.t)) ->
+          (* one trajectory, cut out of order, equals fresh runs *)
+          let tr =
+            Engine.trajectory
+              ~analysis:(Hypar_analysis.Kernel.analyse cdfg profile)
+              (Engine.characterise (platform pl) cdfg profile)
+          in
+          let shuffled =
+            List.map (fun t -> (Random.State.bits rng, t)) ladder
+            |> List.sort compare |> List.map snd
+          in
+          List.iter
+            (fun t ->
+              List.iter
+                (fun max_moves ->
+                  if
+                    Engine.cut ?max_moves ~timing_constraint:t tr
+                    <> run ?max_moves pl t
+                  then
+                    QCheck.Test.fail_reportf
+                      "area %d ratio %d: cut at %d (max_moves %s) differs from \
+                       Engine.run"
+                      a r t
+                      (Option.fold ~none:"none" ~some:string_of_int max_moves))
+                [ None; Some c.fuel ])
+            shuffled;
+          (* a constraint equal to a step's t_total stops at the first step
+             that reaches it — that step, unless an earlier one was lower *)
+          List.iter
+            (fun (s : Engine.step) ->
+              let t = s.times.t_total in
+              let expected =
+                if whole.Engine.initial.Engine.t_total <= t then
+                  Engine.Met_without_partitioning
+                else
+                  Engine.Met_after
+                    (List.find
+                       (fun (x : Engine.step) -> x.times.t_total <= t)
+                       whole.steps)
+                      .step_index
+              in
+              let got = (Engine.cut ~timing_constraint:t tr).Engine.status in
+              if got <> expected then
+                QCheck.Test.fail_reportf
+                  "area %d ratio %d: constraint %d (step %d's t_total) \
+                   stops at %s"
+                  a r t s.step_index
+                  (Hypar_explore.Eval.status_string got))
+            whole.steps)
+        full;
+      true)
+
 (* The differential properties below draw from the typed fuzzgen
    generator, as (seed, ast) pairs so QCheck shrinking can descend
    through Hypar_fuzzgen.Shrink.candidates — a failing random program is
@@ -424,6 +651,7 @@ let suite =
     Alcotest.test_case "mutated programs" `Quick test_mutated_valid_programs;
     Alcotest.test_case "deep nesting" `Quick test_deep_nesting;
     QCheck_alcotest.to_alcotest prop_faults_never_raise;
+    QCheck_alcotest.to_alcotest prop_model_cuts;
     QCheck_alcotest.to_alcotest prop_optimize_differential;
     QCheck_alcotest.to_alcotest prop_bytecode_differential;
     QCheck_alcotest.to_alcotest prop_backend_differential;
