@@ -19,6 +19,17 @@ module Jpeg = Hypar_apps.Jpeg
 let section_header name =
   Printf.printf "\n================ %s ================\n" name
 
+(* best wall-clock seconds over [reps] runs of [f] *)
+let time_best ~reps f =
+  let best = ref infinity in
+  for _ = 1 to reps do
+    let t0 = Unix.gettimeofday () in
+    f ();
+    let dt = Unix.gettimeofday () -. t0 in
+    if dt < !best then best := dt
+  done;
+  !best
+
 let platform ?(area = 1500) ?(cgcs = 2) ?(rows = 2) ?(cols = 2) ?(ratio = 3) ()
     =
   Platform.make ~clock_ratio:ratio
@@ -510,16 +521,6 @@ let obs_bench () =
   let flow () =
     ignore (Flow.partition pl ~timing_constraint:Ofdm.timing_constraint prepared)
   in
-  let time_best ~reps f =
-    let best = ref infinity in
-    for _ = 1 to reps do
-      let t0 = Unix.gettimeofday () in
-      f ();
-      let dt = Unix.gettimeofday () -. t0 in
-      if dt < !best then best := dt
-    done;
-    !best
-  in
   flow ();
   (* warmed up *)
   let t_off = time_best ~reps:7 flow in
@@ -575,16 +576,6 @@ let resilience_bench () =
   let point =
     { Space.area = 1500; cgcs = 2; rows = 2; cols = 2; clock_ratio = 3;
       timing = Ofdm.timing_constraint }
-  in
-  let time_best ~reps f =
-    let best = ref infinity in
-    for _ = 1 to reps do
-      let t0 = Unix.gettimeofday () in
-      f ();
-      let dt = Unix.gettimeofday () -. t0 in
-      if dt < !best then best := dt
-    done;
-    !best
   in
   let eval () = ignore (Eval.evaluate prepared point) in
   eval ();
@@ -660,16 +651,6 @@ let serve_bench () =
          src_file Ofdm.timing_constraint)
   in
   let health_req = request {|{"id":2,"verb":"health"}|} in
-  let time_best ~reps f =
-    let best = ref infinity in
-    for _ = 1 to reps do
-      let t0 = Unix.gettimeofday () in
-      f ();
-      let dt = Unix.gettimeofday () -. t0 in
-      if dt < !best then best := dt
-    done;
-    !best
-  in
   let run req () =
     match Worker.execute config req with
     | Protocol.Done _ -> ()
@@ -821,16 +802,6 @@ let soak_bench () =
     | Ok req -> req
     | Error e -> failwith e
   in
-  let time_best ~reps f =
-    let bestt = ref infinity in
-    for _ = 1 to reps do
-      let t0 = Unix.gettimeofday () in
-      f ();
-      let dt = Unix.gettimeofday () -. t0 in
-      if dt < !bestt then bestt := dt
-    done;
-    !bestt
-  in
   let t_req =
     time_best ~reps:7 (fun () ->
         match Worker.execute wconfig partition_req with
@@ -975,16 +946,6 @@ let dataflow_bench () =
       ("ADPCM", Hypar_apps.Adpcm.source);
     ]
   in
-  let time_best ~reps f =
-    let best = ref infinity in
-    for _ = 1 to reps do
-      let t0 = Unix.gettimeofday () in
-      f ();
-      let dt = Unix.gettimeofday () -. t0 in
-      if dt < !best then best := dt
-    done;
-    !best
-  in
   let counts cdfg = (Cdfg.block_count cdfg, Cdfg.total_instrs cdfg) in
   let rows =
     List.map
@@ -998,7 +959,7 @@ let dataflow_bench () =
               for _ = 1 to batch do
                 ignore (D.solve (module D.Liveness) cfg);
                 ignore (D.solve (module D.Reaching) cfg);
-                ignore (D.solve (module D.Avail) cfg);
+                ignore (D.Avail.solve (Hypar_ir.Exprs.build cfg) cfg);
                 ignore (D.solve (module D.Consts) cfg)
               done)
         in
@@ -1192,16 +1153,6 @@ let interp_bench () =
       ("Sobel", Hypar_apps.Sobel.source, Hypar_apps.Sobel.inputs ());
       ("ADPCM", Hypar_apps.Adpcm.source, Hypar_apps.Adpcm.inputs ());
     ]
-  in
-  let time_best ~reps f =
-    let best = ref infinity in
-    for _ = 1 to reps do
-      let t0 = Unix.gettimeofday () in
-      f ();
-      let dt = Unix.gettimeofday () -. t0 in
-      if dt < !best then best := dt
-    done;
-    !best
   in
   Printf.printf "%-6s | %12s | %12s | %8s | %6s\n" "app" "tree ms" "compiled ms"
     "speedup" "equal";

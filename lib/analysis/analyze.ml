@@ -280,6 +280,7 @@ let interval_analysis cdfg :
           | Ir.Instr.Store _ -> m)
 
     let transfer_term _ _ t = t
+    let transfer_block = None
 
     let edge =
       Some

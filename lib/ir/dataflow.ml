@@ -13,6 +13,7 @@ module type ANALYSIS = sig
   val equal : t -> t -> bool
   val transfer : pos -> Instr.t -> t -> t
   val transfer_term : int -> Block.terminator -> t -> t
+  val transfer_block : (int -> t -> t) option
   val edge : (Block.t -> Block.label -> t -> t) option
   val widen : (t -> t -> t) option
 end
@@ -24,6 +25,84 @@ type 'a solution = {
   at_exit : 'a array;
   iterations : int;
 }
+
+(* --- block transfer, shared by the solver and the replays --------------- *)
+
+(* Thread [A]'s instruction transfer through block [i] in analysis order
+   (first to last forward, last to first backward) from [v]; [visit]
+   sees each instruction with the fact on its input side. *)
+let through_instrs (type a) (module A : ANALYSIS with type t = a) ?visit cfg
+    i (v : a) =
+  let step k instr acc =
+    Option.iter (fun f -> f instr acc) visit;
+    A.transfer { block = i; index = k } instr acc
+  in
+  let instrs = (Cfg.block cfg i).Block.instrs in
+  match A.direction with
+  | Forward ->
+    let acc = ref v in
+    List.iteri (fun k instr -> acc := step k instr !acc) instrs;
+    !acc
+  | Backward ->
+    let instrs = Array.of_list instrs in
+    let acc = ref v in
+    for k = Array.length instrs - 1 downto 0 do
+      acc := step k instrs.(k) !acc
+    done;
+    !acc
+
+(* the fact on block [i]'s output side from the one on its input side *)
+let through_block (type a) (module A : ANALYSIS with type t = a) cfg i
+    (v : a) =
+  match A.transfer_block with
+  | Some f -> f i v
+  | None -> (
+    let term = (Cfg.block cfg i).Block.term in
+    match A.direction with
+    | Forward -> A.transfer_term i term (through_instrs (module A) cfg i v)
+    | Backward -> through_instrs (module A) cfg i (A.transfer_term i term v))
+
+(* What the worklist solve and a refining sweep share over one pair of
+   fact arrays: the processing order (reverse postorder forward,
+   postorder backward; blocks unreachable from the entry are absent),
+   the arrays in analysis order, and the join of the facts flowing into
+   a block along analysis-order edges. *)
+type 'a sweep = {
+  order : int list;
+  stored_in : 'a array;
+  stored_out : 'a array;
+  input_of : int -> 'a;
+}
+
+let sweep (type a) (module A : ANALYSIS with type t = a) cfg
+    ~(at_entry : a array) ~(at_exit : a array) =
+  let refine_edge pred_id target_id v =
+    match A.edge with
+    | None -> v
+    | Some f ->
+      f (Cfg.block cfg pred_id) (Cfg.block cfg target_id).Block.label v
+  in
+  match A.direction with
+  | Forward ->
+    let input_of i =
+      let base = if i = Cfg.entry cfg then A.boundary else A.init in
+      List.fold_left
+        (fun acc p -> A.join acc (refine_edge p i at_exit.(p)))
+        base (Cfg.predecessors cfg i)
+    in
+    { order = Cfg.reverse_postorder cfg; stored_in = at_entry;
+      stored_out = at_exit; input_of }
+  | Backward ->
+    let input_of i =
+      match Cfg.successors cfg i with
+      | [] -> A.boundary (* Return terminator *)
+      | succs ->
+        List.fold_left
+          (fun acc s -> A.join acc (refine_edge i s at_entry.(s)))
+          A.init succs
+    in
+    { order = List.rev (Cfg.reverse_postorder cfg); stored_in = at_exit;
+      stored_out = at_entry; input_of }
 
 (* --- the worklist solver ------------------------------------------------ *)
 
@@ -37,13 +116,8 @@ let solve_raw (type a) (module A : ANALYSIS with type t = a) cfg : a solution =
   let n = Cfg.block_count cfg in
   let at_entry = Array.make n A.init in
   let at_exit = Array.make n A.init in
-  (* processing order: reverse postorder for forward analyses, its
-     reverse (postorder) for backward ones; blocks unreachable from the
-     entry are absent and never visited *)
-  let order =
-    match A.direction with
-    | Forward -> Cfg.reverse_postorder cfg
-    | Backward -> List.rev (Cfg.reverse_postorder cfg)
+  let { order; stored_in; stored_out; input_of } =
+    sweep (module A) cfg ~at_entry ~at_exit
   in
   let priority = Array.make n (-1) in
   List.iteri (fun k i -> priority.(i) <- k) order;
@@ -52,52 +126,6 @@ let solve_raw (type a) (module A : ANALYSIS with type t = a) cfg : a solution =
   let work = ref Worklist.empty in
   let push i = if priority.(i) >= 0 then work := Worklist.add (priority.(i), i) !work in
   List.iter push order;
-  (* stored input/output arrays in *analysis* order *)
-  let stored_in =
-    match A.direction with Forward -> at_entry | Backward -> at_exit
-  in
-  let stored_out =
-    match A.direction with Forward -> at_exit | Backward -> at_entry
-  in
-  let refine_edge pred_id target_id v =
-    match A.edge with
-    | None -> v
-    | Some f ->
-      f (Cfg.block cfg pred_id) (Cfg.block cfg target_id).Block.label v
-  in
-  (* join of the facts flowing into block [i] along analysis-order edges *)
-  let input_of i =
-    match A.direction with
-    | Forward ->
-      let base = if i = Cfg.entry cfg then A.boundary else A.init in
-      List.fold_left
-        (fun acc p -> A.join acc (refine_edge p i at_exit.(p)))
-        base (Cfg.predecessors cfg i)
-    | Backward -> (
-      match Cfg.successors cfg i with
-      | [] -> A.boundary (* Return terminator *)
-      | succs ->
-        List.fold_left
-          (fun acc s -> A.join acc (refine_edge i s at_entry.(s)))
-          A.init succs)
-  in
-  let apply_block i input =
-    let b = Cfg.block cfg i in
-    match A.direction with
-    | Forward ->
-      let acc = ref input in
-      List.iteri
-        (fun k instr -> acc := A.transfer { block = i; index = k } instr !acc)
-        b.Block.instrs;
-      A.transfer_term i b.Block.term !acc
-    | Backward ->
-      let acc = ref (A.transfer_term i b.Block.term input) in
-      let instrs = Array.of_list b.Block.instrs in
-      for k = Array.length instrs - 1 downto 0 do
-        acc := A.transfer { block = i; index = k } instrs.(k) !acc
-      done;
-      !acc
-  in
   let dependents i =
     match A.direction with
     | Forward -> Cfg.successors cfg i
@@ -118,7 +146,7 @@ let solve_raw (type a) (module A : ANALYSIS with type t = a) cfg : a solution =
     if first || not (A.equal input stored_in.(i)) then begin
       incr iterations;
       stored_in.(i) <- input;
-      let out = apply_block i input in
+      let out = through_block (module A) cfg i input in
       let out_changed = not (A.equal out stored_out.(i)) in
       stored_out.(i) <- out;
       if first || out_changed then List.iter push (dependents i)
@@ -146,104 +174,45 @@ let refine (type a) (module A : ANALYSIS with type t = a) cfg
     (sol : a solution) : a solution =
   let at_entry = Array.copy sol.at_entry in
   let at_exit = Array.copy sol.at_exit in
-  let order =
-    match A.direction with
-    | Forward -> Cfg.reverse_postorder cfg
-    | Backward -> List.rev (Cfg.reverse_postorder cfg)
-  in
-  let stored_in =
-    match A.direction with Forward -> at_entry | Backward -> at_exit
-  in
-  let stored_out =
-    match A.direction with Forward -> at_exit | Backward -> at_entry
-  in
-  let refine_edge pred_id target_id v =
-    match A.edge with
-    | None -> v
-    | Some f ->
-      f (Cfg.block cfg pred_id) (Cfg.block cfg target_id).Block.label v
-  in
-  let input_of i =
-    match A.direction with
-    | Forward ->
-      let base = if i = Cfg.entry cfg then A.boundary else A.init in
-      List.fold_left
-        (fun acc p -> A.join acc (refine_edge p i at_exit.(p)))
-        base (Cfg.predecessors cfg i)
-    | Backward -> (
-      match Cfg.successors cfg i with
-      | [] -> A.boundary
-      | succs ->
-        List.fold_left
-          (fun acc s -> A.join acc (refine_edge i s at_entry.(s)))
-          A.init succs)
-  in
-  let apply_block i input =
-    let b = Cfg.block cfg i in
-    match A.direction with
-    | Forward ->
-      let acc = ref input in
-      List.iteri
-        (fun k instr -> acc := A.transfer { block = i; index = k } instr !acc)
-        b.Block.instrs;
-      A.transfer_term i b.Block.term !acc
-    | Backward ->
-      let acc = ref (A.transfer_term i b.Block.term input) in
-      let instrs = Array.of_list b.Block.instrs in
-      for k = Array.length instrs - 1 downto 0 do
-        acc := A.transfer { block = i; index = k } instrs.(k) !acc
-      done;
-      !acc
+  let { order; stored_in; stored_out; input_of } =
+    sweep (module A) cfg ~at_entry ~at_exit
   in
   List.iter
     (fun i ->
       let input = input_of i in
       stored_in.(i) <- input;
-      stored_out.(i) <- apply_block i input)
+      stored_out.(i) <- through_block (module A) cfg i input)
     order;
   { at_entry; at_exit; iterations = sol.iterations }
 
 let instr_facts (type a) (module A : ANALYSIS with type t = a) cfg
     (sol : a solution) i =
-  let b = Cfg.block cfg i in
+  let facts = ref [] in
+  let visit instr v = facts := (instr, v) :: !facts in
   match A.direction with
   | Forward ->
     (* fact immediately before each instruction *)
-    let acc = ref sol.at_entry.(i) in
-    List.mapi
-      (fun k instr ->
-        let before = !acc in
-        acc := A.transfer { block = i; index = k } instr before;
-        (instr, before))
-      b.Block.instrs
+    ignore (through_instrs (module A) ~visit cfg i sol.at_entry.(i));
+    List.rev !facts
   | Backward ->
-    (* fact immediately after each instruction, in program order *)
-    let instrs = Array.of_list b.Block.instrs in
-    let m = Array.length instrs in
-    let facts = Array.make m sol.at_exit.(i) in
-    let acc = ref (A.transfer_term i b.Block.term sol.at_exit.(i)) in
-    for k = m - 1 downto 0 do
-      facts.(k) <- !acc;
-      acc := A.transfer { block = i; index = k } instrs.(k) !acc
-    done;
-    Array.to_list (Array.mapi (fun k instr -> (instr, facts.(k))) instrs)
+    (* fact immediately after each instruction; visited last to first, so
+       the list comes out in program order *)
+    let term = (Cfg.block cfg i).Block.term in
+    ignore
+      (through_instrs (module A) ~visit cfg i
+         (A.transfer_term i term sol.at_exit.(i)));
+    !facts
 
 let term_fact (type a) (module A : ANALYSIS with type t = a) cfg
     (sol : a solution) i =
-  let b = Cfg.block cfg i in
   match A.direction with
-  | Forward ->
-    let acc = ref sol.at_entry.(i) in
-    List.iteri
-      (fun k instr -> acc := A.transfer { block = i; index = k } instr !acc)
-      b.Block.instrs;
-    !acc
-  | Backward -> A.transfer_term i b.Block.term sol.at_exit.(i)
+  | Forward -> through_instrs (module A) cfg i sol.at_entry.(i)
+  | Backward ->
+    A.transfer_term i (Cfg.block cfg i).Block.term sol.at_exit.(i)
 
 (* --- shared containers -------------------------------------------------- *)
 
 module Int_map = Map.Make (Int)
-module String_map = Map.Make (String)
 module Int_set = Set.Make (Int)
 
 module Pos_set = Set.Make (struct
@@ -271,6 +240,7 @@ module Reaching = struct
     | None -> env
 
   let transfer_term _ _ env = env
+  let transfer_block = None
   let edge = None
   let widen = None
 
@@ -283,84 +253,78 @@ end
 (* --- available expressions ---------------------------------------------- *)
 
 module Avail = struct
-  type avail = All | Known of Instr.var String_map.t
-  type t = avail
-
-  let name = "avail"
-  let direction = Forward
-  let init = All
-  let boundary = Known String_map.empty
+  type avail = All | Known of Bitset.t
 
   let join a b =
     match (a, b) with
     | All, x | x, All -> x
-    | Known m1, Known m2 ->
-      Known
-        (String_map.merge
-           (fun _ a b ->
-             match (a, b) with
-             | Some v1, Some v2 when Instr.var_equal v1 v2 -> Some v1
-             | _ -> None)
-           m1 m2)
+    | Known s1, Known s2 -> Known (Bitset.inter s1 s2)
 
   let equal a b =
     match (a, b) with
     | All, All -> true
-    | Known m1, Known m2 -> String_map.equal Instr.var_equal m1 m2
+    | Known s1, Known s2 -> Bitset.equal s1 s2
     | All, Known _ | Known _, All -> false
 
-  (* does an expression key read this register?  operand keys are
-     colon-separated ["v<id>"] / ["#<imm>"] atoms (see Instr.expr_key) *)
-  let key_mentions key vid =
-    let atom = "v" ^ string_of_int vid in
-    List.mem atom (String.split_on_char ':' key)
+  (* each block's instructions folded into one gen/kill pair:
+     out = (in \ kill) ∪ gen *)
+  let summarise tbl cfg =
+    Array.init (Cfg.block_count cfg) (fun i ->
+        let n = Exprs.fact_count tbl in
+        let gen = Bitset.create n and kill = Bitset.create n in
+        List.iteri
+          (fun k _ ->
+            let st = Exprs.step tbl i k in
+            Bitset.union_into kill st.Exprs.kill;
+            if st.Exprs.gen >= 0 then
+              List.iter (Bitset.add kill) (Exprs.expr_facts tbl st.Exprs.expr);
+            Exprs.apply tbl st gen)
+          (Cfg.block cfg i).Block.instrs;
+        (gen, kill))
 
-  let kill_var m (v : Instr.var) =
-    String_map.filter
-      (fun key cached ->
-        (not (Instr.var_equal cached v)) && not (key_mentions key v.Instr.vid))
-      m
+  let analysis tbl cfg : (module ANALYSIS with type t = avail) =
+    (module struct
+      type t = avail
 
-  let kill_array m arr =
-    String_map.filter
-      (fun key _ ->
-        match String.split_on_char ':' key with
-        | "load" :: a :: _ -> a <> arr
-        | _ -> true)
-      m
+      let name = "avail"
+      let direction = Forward
+      let init = All
+      let boundary = Known (Bitset.create (Exprs.fact_count tbl))
+      let join = join
+      let equal = equal
 
-  let transfer _ instr t =
-    match t with
-    | All -> All
-    | Known m ->
-      if Instr.is_store instr then
-        Known
-          (match Instr.accessed_array instr with
-          | Some arr -> kill_array m arr
-          | None -> m)
-      else
-        let m =
-          match Instr.def instr with Some d -> kill_var m d | None -> m
-        in
-        Known
-          (match (Instr.expr_key instr, Instr.def instr) with
-          | Some key, Some dst ->
-            (* x = x + 1 is stale the moment it is computed *)
-            let self_referential =
-              List.exists
-                (fun v -> Instr.var_equal v dst)
-                (Instr.used_vars instr)
-            in
-            if self_referential then m else String_map.add key dst m
-          | _ -> m)
+      let transfer p _ = function
+        | All -> All
+        | Known s ->
+          let s = Bitset.copy s in
+          Exprs.apply tbl (Exprs.step tbl p.block p.index) s;
+          Known s
 
-  let transfer_term _ _ t = t
-  let edge = None
-  let widen = None
+      let transfer_term _ _ t = t
 
-  let find key = function
+      (* forced inside the solve, so its span covers the summaries *)
+      let summaries = lazy (summarise tbl cfg)
+
+      let transfer_block =
+        Some
+          (fun i -> function
+            | All -> All
+            | Known s ->
+              let gen, kill = (Lazy.force summaries).(i) in
+              let s = Bitset.copy s in
+              Bitset.diff_into s kill;
+              Bitset.union_into s gen;
+              Known s)
+
+      let edge = None
+      let widen = None
+    end)
+
+  let solve tbl cfg = solve (analysis tbl cfg) cfg
+
+  let find tbl e = function
     | All -> None
-    | Known m -> String_map.find_opt key m
+    | Known s -> Exprs.holder tbl e s
 end
 
 (* --- constant lattice ---------------------------------------------------- *)
@@ -451,6 +415,7 @@ module Consts = struct
         | Instr.Store _ -> m)
 
   let transfer_term _ _ t = t
+  let transfer_block = None
 
   (* conditional constant propagation: the not-taken side of a branch
      whose condition is a known constant contributes nothing *)
@@ -539,6 +504,7 @@ module Copies = struct
           match Instr.def instr with Some d -> kill m d | None -> m))
 
   let transfer_term _ _ t = t
+  let transfer_block = None
   let edge = None
   let widen = None
 
@@ -578,6 +544,7 @@ module Assigned = struct
       | None -> t)
 
   let transfer_term _ _ t = t
+  let transfer_block = None
   let edge = None
   let widen = None
 
@@ -619,6 +586,7 @@ module Liveness = struct
     | Block.Branch { cond; _ } -> add_operand cond live
     | Block.Return (Some op) -> add_operand op live
 
+  let transfer_block = None
   let edge = None
   let widen = None
 end

@@ -52,6 +52,14 @@ module type ANALYSIS = sig
   val transfer_term : int -> Block.terminator -> t -> t
   (** Same for the block's terminator; the [int] is the block id. *)
 
+  val transfer_block : (int -> t -> t) option
+  (** Optional whole-block transfer [f block v]: the fact on the block's
+      output side from the one on its input side, terminator included.
+      When given, the solver calls it instead of replaying {!transfer}
+      and {!transfer_term} over the block, so a gen/kill analysis can
+      apply one precomputed summary per block; it must equal that
+      replay.  {!instr_facts} and {!term_fact} still replay. *)
+
   val edge : (Block.t -> Block.label -> t -> t) option
   (** Optional edge refinement: [f pred target v] filters the fact
       flowing along the CFG edge from block [pred] to the block labelled
@@ -105,7 +113,6 @@ val term_fact :
 (** The fact holding between the last instruction and the terminator. *)
 
 module Int_map : Map.S with type key = int
-module String_map : Map.S with type key = string
 module Int_set : Set.S with type elt = int
 
 module Pos_set : Set.S with type elt = pos
@@ -114,7 +121,9 @@ module Pos_set : Set.S with type elt = pos
 
     Each is a plain module satisfying {!module-type:ANALYSIS}, so it can be
     passed to {!solve} as [(module Reaching)] and its [transfer] reused
-    directly by rewriting passes threading facts through a block. *)
+    directly by rewriting passes threading facts through a block —
+    except {!Avail}, whose facts are one CFG's {!Exprs} ids, so
+    {!Avail.analysis} builds its module from a table. *)
 
 (** Reaching definitions (forward, may): which definition sites can
     produce the current value of each register. *)
@@ -129,19 +138,27 @@ module Reaching : sig
 end
 
 (** Available expressions (forward, must): pure expressions already
-    computed on every path, keyed by {!Instr.expr_key}, with the register
-    still holding each result.  Loads are available until a store to the
-    same array; any expression dies when an operand or its cached
+    computed on every path, with the register still holding each result.
+    Facts are the (expression, register) pairs of an {!Exprs} table,
+    sets of them are bitsets, join is intersection and each block
+    transfers as one gen/kill summary.  Loads are available until a store
+    to the same array; any expression dies when an operand or its holding
     register is redefined. *)
 module Avail : sig
   type avail =
     | All  (** top: unvisited — every expression optimistically available *)
-    | Known of Instr.var String_map.t
+    | Known of Bitset.t  (** the facts of the table that hold *)
 
-  include ANALYSIS with type t = avail
+  val analysis : Exprs.t -> Cfg.t -> (module ANALYSIS with type t = avail)
+  (** The lattice over the facts of a table built from this CFG.  Its
+      per-instruction [transfer] copies the set (fine for
+      {!instr_facts}); the solver uses the in-place block summaries. *)
 
-  val find : string -> avail -> Instr.var option
-  (** The register holding an available expression key, if any. *)
+  val solve : Exprs.t -> Cfg.t -> avail solution
+  (** [Dataflow.solve (analysis tbl cfg) cfg]. *)
+
+  val find : Exprs.t -> int -> avail -> Instr.var option
+  (** The register holding an available expression id, if any. *)
 end
 
 (** Constant lattice (forward, conditional): registers with one known

@@ -68,39 +68,6 @@ let mnemonic = function
 
 let var_equal v1 v2 = v1.vid = v2.vid
 
-let operand_key = function
-  | Var v -> Printf.sprintf "v%d" v.vid
-  | Imm n -> Printf.sprintf "#%d" n
-
-let expr_key (instr : t) : string option =
-  match instr with
-  | Bin { op; a; b; _ } ->
-    (* exploit commutativity for a canonical key *)
-    let ka = operand_key a and kb = operand_key b in
-    let ka, kb =
-      match op with
-      | Types.Add | Types.And | Types.Or | Types.Xor | Types.Eq | Types.Ne
-      | Types.Min | Types.Max ->
-        if ka <= kb then (ka, kb) else (kb, ka)
-      | Types.Sub | Types.Shl | Types.Shr | Types.Ashr | Types.Lt | Types.Le
-      | Types.Gt | Types.Ge ->
-        (ka, kb)
-    in
-    Some (Printf.sprintf "bin:%s:%s:%s" (Types.string_of_alu_op op) ka kb)
-  | Mul { a; b; _ } ->
-    let ka = operand_key a and kb = operand_key b in
-    let ka, kb = if ka <= kb then (ka, kb) else (kb, ka) in
-    Some (Printf.sprintf "mul:%s:%s" ka kb)
-  | Un { op; a; _ } ->
-    Some (Printf.sprintf "un:%s:%s" (Types.string_of_un_op op) (operand_key a))
-  | Select { cond; if_true; if_false; _ } ->
-    Some
-      (Printf.sprintf "sel:%s:%s:%s" (operand_key cond) (operand_key if_true)
-         (operand_key if_false))
-  | Load { arr; index; _ } ->
-    Some (Printf.sprintf "load:%s:%s" arr (operand_key index))
-  | Div _ | Rem _ | Mov _ | Store _ -> None
-
 let pp_var ppf v = Format.fprintf ppf "%s#%d" v.vname v.vid
 
 let pp_operand ppf = function

@@ -44,16 +44,6 @@ val mnemonic : t -> string
 
 val var_equal : var -> var -> bool
 
-val operand_key : operand -> string
-(** Canonical textual key of an operand: ["v<id>"] or ["#<imm>"]. *)
-
-val expr_key : t -> string option
-(** Canonical value-numbering key of a pure expression, commutative
-    operations normalised; [None] for instructions that are impure
-    (divisions may trap, stores write memory) or carry no expression
-    (moves).  Shared by local and global CSE and the available-expressions
-    lattice ({!Dataflow.Avail}). *)
-
 val pp_var : Format.formatter -> var -> unit
 val pp_operand : Format.formatter -> operand -> unit
 val pp : Format.formatter -> t -> unit

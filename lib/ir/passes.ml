@@ -205,87 +205,46 @@ let algebraic_simplify cdfg =
 
 (* --- local common-subexpression elimination ---------------------------- *)
 
-(* the canonical keys now live in {!Instr} so {!Dataflow.Avail} can share
-   them *)
-let expr_key = Instr.expr_key
-
-let cse_block (b : Block.t) =
-  let available : (string, Instr.var) Hashtbl.t = Hashtbl.create 32 in
-  (* for invalidation: var vid -> keys mentioning it; array -> load keys *)
-  let keys_by_var : (int, string list) Hashtbl.t = Hashtbl.create 32 in
-  let keys_by_arr : (string, string list) Hashtbl.t = Hashtbl.create 8 in
-  let remember_deps key instr =
-    List.iter
-      (fun (v : Instr.var) ->
-        let prev =
-          match Hashtbl.find_opt keys_by_var v.vid with Some l -> l | None -> []
-        in
-        Hashtbl.replace keys_by_var v.vid (key :: prev))
-      (Instr.used_vars instr);
-    match Instr.accessed_array instr with
-    | Some arr ->
-      let prev =
-        match Hashtbl.find_opt keys_by_arr arr with Some l -> l | None -> []
-      in
-      Hashtbl.replace keys_by_arr arr (key :: prev)
-    | None -> ()
+(* [holder.(e)] is the fact (expression [e] held in a register) available
+   at this point of block [i], or -1; every entry this block sets is reset
+   before returning, so one array serves every block of the table *)
+let cse_block tbl holder i (b : Block.t) =
+  let kill (st : Exprs.step) =
+    Bitset.iter
+      (fun f ->
+        let e = Exprs.fact_expr tbl f in
+        if holder.(e) = f then holder.(e) <- -1)
+      st.Exprs.kill
   in
-  let kill_var (v : Instr.var) =
-    (match Hashtbl.find_opt keys_by_var v.vid with
-    | Some keys -> List.iter (Hashtbl.remove available) keys
-    | None -> ());
-    Hashtbl.remove keys_by_var v.vid;
-    (* results cached under this destination are stale too *)
-    let stale =
-      Hashtbl.fold
-        (fun key cached acc -> if Instr.var_equal cached v then key :: acc else acc)
-        available []
+  let process k (instr : Instr.t) : Instr.t =
+    let st = Exprs.step tbl i k in
+    let cached =
+      if st.Exprs.expr >= 0 && holder.(st.Exprs.expr) >= 0 then
+        Some (Exprs.fact_reg tbl holder.(st.Exprs.expr))
+      else None
     in
-    List.iter (Hashtbl.remove available) stale
-  in
-  let kill_array arr =
-    (match Hashtbl.find_opt keys_by_arr arr with
-    | Some keys -> List.iter (Hashtbl.remove available) keys
-    | None -> ());
-    Hashtbl.remove keys_by_arr arr
-  in
-  let process (instr : Instr.t) : Instr.t =
-    if Instr.is_store instr then begin
-      (match Instr.accessed_array instr with
-      | Some arr -> kill_array arr
-      | None -> ());
+    kill st;
+    match (cached, Instr.def instr) with
+    | Some src, Some dst -> Instr.Mov { dst; src = Var src }
+    | _ ->
+      if st.Exprs.gen >= 0 then holder.(st.Exprs.expr) <- st.Exprs.gen;
       instr
-    end
-    else
-      let key = expr_key instr in
-      let replacement =
-        match key with
-        | Some k -> Hashtbl.find_opt available k
-        | None -> None
-      in
-      match (replacement, Instr.def instr) with
-      | Some cached, Some dst ->
-        kill_var dst;
-        Instr.Mov { dst; src = Var cached }
-      | _, def ->
-        (match def with Some dst -> kill_var dst | None -> ());
-        (match (key, Instr.def instr) with
-        | Some k, Some dst ->
-          (* an expression reading its own destination (x = x + 1) is
-             stale the moment it is computed: don't cache it *)
-          let self_referential =
-            List.exists (fun v -> Instr.var_equal v dst) (Instr.used_vars instr)
-          in
-          if not self_referential then begin
-            Hashtbl.replace available k dst;
-            remember_deps k instr
-          end
-        | _, _ -> ());
-        instr
   in
-  { b with Block.instrs = List.map process b.Block.instrs }
+  let instrs = List.mapi process b.Block.instrs in
+  List.iteri
+    (fun k _ ->
+      let e = (Exprs.step tbl i k).Exprs.expr in
+      if e >= 0 then holder.(e) <- -1)
+    b.Block.instrs;
+  { b with Block.instrs }
 
-let common_subexpressions cdfg = map_blocks cse_block cdfg
+let common_subexpressions cdfg =
+  let tbl = Exprs.build (Cdfg.cfg cdfg) in
+  let holder = Array.make (Exprs.expr_count tbl) (-1) in
+  rebuild cdfg
+    (List.map
+       (fun i -> cse_block tbl holder i (Cdfg.info cdfg i).Cdfg.block)
+       (Cdfg.block_ids cdfg))
 
 (* --- copy propagation ------------------------------------------------ *)
 
@@ -407,31 +366,30 @@ let global_copy_propagate cdfg =
 
 let global_cse cdfg =
   let cfg = Cdfg.cfg cdfg in
-  let sol = Dataflow.solve (module Dataflow.Avail) cfg in
+  let tbl = Exprs.build cfg in
+  let sol = Dataflow.Avail.solve tbl cfg in
   let rewrite i (b : Block.t) =
     match sol.Dataflow.at_entry.(i) with
     | Dataflow.Avail.All -> b (* unreachable: no facts to seed from *)
-    | Dataflow.Avail.Known _ ->
-      (* thread Avail's own transfer over the original instructions; a
+    | Dataflow.Avail.Known entry ->
+      (* thread the facts over the original instructions, in place; a
          pure instruction recomputing an expression available here
          becomes a move from the register still holding it *)
-      let fact = ref sol.Dataflow.at_entry.(i) in
+      let facts = Bitset.copy entry in
       let instrs =
         List.mapi
           (fun k instr ->
+            let st = Exprs.step tbl i k in
             let replacement =
-              match (Instr.expr_key instr, Instr.def instr) with
-              | Some key, Some dst -> (
-                match Dataflow.Avail.find key !fact with
+              match Instr.def instr with
+              | Some dst when st.Exprs.expr >= 0 -> (
+                match Exprs.holder tbl st.Exprs.expr facts with
                 | Some cached when not (Instr.var_equal cached dst) ->
                   Some (Instr.Mov { dst; src = Var cached })
                 | Some _ | None -> None)
-              | _ -> None
+              | Some _ | None -> None
             in
-            fact :=
-              Dataflow.Avail.transfer
-                { Dataflow.block = i; index = k }
-                instr !fact;
+            Exprs.apply tbl st facts;
             Option.value replacement ~default:instr)
           b.Block.instrs
       in

@@ -66,23 +66,85 @@ let test_reaching () =
 
 let test_avail () =
   let cfg = diamond () in
-  let sol = D.solve (module D.Avail) cfg in
-  let key =
-    match Ir.Instr.expr_key (List.nth (Ir.Cfg.block cfg 1).Ir.Block.instrs 0) with
-    | Some k -> k
-    | None -> Alcotest.fail "x + y has an expression key"
-  in
+  let tbl = Ir.Exprs.build cfg in
+  let sol = D.Avail.solve tbl cfg in
+  let e = (Ir.Exprs.step tbl 1 0).Ir.Exprs.expr in
+  if e < 0 then Alcotest.fail "x + y has an expression id";
   (* x + y is computed on both arms, but b then redefines x — so it is
      not available at the join *)
   Alcotest.(check bool)
     "x + y available after a" true
-    (D.Avail.find key sol.D.at_exit.(1) <> None);
+    (D.Avail.find tbl e sol.D.at_exit.(1) <> None);
   Alcotest.(check bool)
     "x + y killed by b's redefinition" true
-    (D.Avail.find key sol.D.at_exit.(2) = None);
+    (D.Avail.find tbl e sol.D.at_exit.(2) = None);
   Alcotest.(check bool)
     "x + y not available at the join" true
-    (D.Avail.find key sol.D.at_entry.(3) = None)
+    (D.Avail.find tbl e sol.D.at_entry.(3) = None)
+
+(* The dense-id lattice and both CSE passes against the string-keyed
+   reference (Cse_reference) on generated programs, safe and unsafe
+   grammars, as the frontend lowers them without optimisation. *)
+
+let reference_facts = function
+  | Cse_reference.Avail.All -> None
+  | Cse_reference.Avail.Known m ->
+    Some
+      (List.map
+         (fun (k, (v : Ir.Instr.var)) -> (k, v.Ir.Instr.vid))
+         (Cse_reference.String_map.bindings m))
+
+let table_facts tbl = function
+  | D.Avail.All -> None
+  | D.Avail.Known s ->
+    Some
+      (List.sort compare
+         (List.map
+            (fun (k, (v : Ir.Instr.var)) ->
+              (Cse_reference.string_of_key k, v.Ir.Instr.vid))
+            (Ir.Exprs.facts tbl s)))
+
+let same_blocks c1 c2 =
+  Ir.Cfg.blocks (Ir.Cdfg.cfg c1) = Ir.Cfg.blocks (Ir.Cdfg.cfg c2)
+
+let cse_matches_reference raw =
+  let cfg = Ir.Cdfg.cfg raw in
+  let tbl = Ir.Exprs.build cfg in
+  let sol = D.Avail.solve tbl cfg in
+  let ref_sol = D.solve (module Cse_reference.Avail) cfg in
+  let agree side ref_side =
+    Array.for_all2
+      (fun a r -> table_facts tbl a = reference_facts r)
+      side ref_side
+  in
+  (agree sol.D.at_entry ref_sol.D.at_entry
+  || QCheck.Test.fail_reportf "block-entry facts differ")
+  && (agree sol.D.at_exit ref_sol.D.at_exit
+     || QCheck.Test.fail_reportf "block-exit facts differ")
+  && (same_blocks (Ir.Passes.global_cse raw) (Cse_reference.global_cse raw)
+     || QCheck.Test.fail_reportf "global_cse rewrites differ")
+  && (same_blocks
+        (Ir.Passes.common_subexpressions raw)
+        (Cse_reference.common_subexpressions raw)
+     || QCheck.Test.fail_reportf "common_subexpressions rewrites differ")
+
+let prop_cse_reference ~unsafe =
+  let config = { Hypar_fuzzgen.Gen.default_config with unsafe } in
+  QCheck.Test.make
+    ~name:
+      (Printf.sprintf "avail/CSE match the string-keyed reference (%s)"
+         (if unsafe then "unsafe" else "safe"))
+    ~count:60
+    QCheck.(make ~print:string_of_int Gen.(int_range 1 1_000_000))
+    (fun seed ->
+      match
+        Hypar_minic.Driver.compile ~name:"cse" ~simplify:false
+          (Hypar_fuzzgen.Gen.source ~config seed)
+      with
+      | Ok raw -> cse_matches_reference raw
+      | Error e ->
+        QCheck.Test.fail_reportf "generated program does not compile: %s"
+          (Hypar_minic.Driver.string_of_error e))
 
 let test_assigned () =
   let cfg = diamond () in
@@ -264,4 +326,6 @@ let suite =
       test_unreachable_blocks_keep_init;
     Alcotest.test_case "refine: no-op at a fixpoint" `Quick
       test_refine_is_stable_without_widening;
+    QCheck_alcotest.to_alcotest (prop_cse_reference ~unsafe:false);
+    QCheck_alcotest.to_alcotest (prop_cse_reference ~unsafe:true);
   ]
