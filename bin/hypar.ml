@@ -109,9 +109,9 @@ let prepare_file ?backend ?(verify_ir = false) ?max_steps path =
 
 (* Uniform reporting + exit codes for the typed failures every subcommand
    can hit: frontend errors render as a located file:line:col diagnostic
-   (exit 2, never a backtrace), an exhausted profiling budget as a plain
-   message (exit 2), and a broken IR invariant as the verifier report
-   (exit 3). *)
+   (exit 2, never a backtrace), an exhausted profiling budget or a
+   failed profiling run as a plain message (exit 2), and a broken IR
+   invariant as the verifier report (exit 3). *)
 let with_verification f =
   match f () with
   | exception Hypar_ir.Verify.Failed { context; violations } ->
@@ -140,6 +140,9 @@ let with_verification f =
     Printf.eprintf
       "hypar: profiling budget exhausted after %d steps (raise --point-fuel)\n"
       steps;
+    2
+  | exception Hypar_profiling.Interp.Runtime_error msg ->
+    Printf.eprintf "hypar: profiling run failed: %s\n" msg;
     2
   | code -> code
 

@@ -88,6 +88,12 @@ val solve : (module ANALYSIS with type t = 'a) -> Cfg.t -> 'a solution
     join over successors and [at_entry] the result of transferring the
     block — the program-order naming is kept in both directions. *)
 
+val solve_raw : (module ANALYSIS with type t = 'a) -> Cfg.t -> 'a solution
+(** {!solve} without its span and counter, for a client whose own
+    [--stats] breakdown must not change with it (the profiling
+    interpreter's compiled backend, which must report exactly what the
+    tree-walker reports). *)
+
 val refine :
   (module ANALYSIS with type t = 'a) -> Cfg.t -> 'a solution -> 'a solution
 (** One decreasing (narrowing) sweep: every block's input is recomputed

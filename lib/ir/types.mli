@@ -45,6 +45,10 @@ val eval_alu_op : alu_op -> int -> int -> int
 (** [eval_alu_op op a b] computes the operation on native integers.
     Comparisons yield 0/1; shifts clamp their amount to [0, 62]. *)
 
+val clamp_shift : int -> int
+(** The shift amount {!eval_alu_op} actually applies: [n] clamped to
+    [0, 62]. *)
+
 val eval_un_op : un_op -> int -> int
 
 val all_alu_ops : alu_op list

@@ -2,7 +2,8 @@ module Ir = Hypar_ir
 
 type operand =
   | Imm of int
-  | Reg of int * string  (* register index (vid) + name, for diagnostics *)
+  | Reg of int  (* defined on every path here: read without the check *)
+  | Checked of int * string  (* may be undefined: vid + name, for the error *)
 
 type instr =
   | Bin of { dst : int; op : Ir.Types.alu_op; a : operand; b : operand }
@@ -32,6 +33,7 @@ type t = {
   entry : int;
   blocks : block array;
   nregs : int;
+  tracked : bool array;  (* registers some [Checked] read inspects *)
   decls : Ir.Cdfg.array_decl array;  (* handle = index, declaration order *)
   handle_of : (string, int) Hashtbl.t;  (* name -> handle; later decls win *)
   const_names : (string, unit) Hashtbl.t;
@@ -42,8 +44,7 @@ let compile cdfg =
   let cfg = Ir.Cdfg.cfg cdfg in
   let n = Ir.Cfg.block_count cfg in
   (* Register-file size: highest vid over every def, use and terminator
-     read (a superset of the tree-walker's scan, which covers only
-     instruction operands). *)
+     read (the same scan as the tree-walker's). *)
   let max_vid = ref 0 in
   let note (v : Ir.Instr.var) = if v.vid > !max_vid then max_vid := v.vid in
   for i = 0 to n - 1 do
@@ -70,10 +71,23 @@ let compile cdfg =
   let handle name =
     match Hashtbl.find_opt handle_of name with Some h -> h | None -> -1
   in
+  (* Definite assignment decides which reads keep the undefined-read
+     check: a register in the fact holding before the read was written on
+     every path from the entry, so the check could never fire.  Blocks
+     the solver never reaches keep [All] and never run. *)
+  let module A = Ir.Dataflow.Assigned in
+  let assigned = Ir.Dataflow.solve_raw (module A) cfg in
+  let tracked = Array.make (!max_vid + 1) false in
+  let fact = ref A.init in
   let cop = function
     | Ir.Instr.Imm k -> Imm k
-    | Ir.Instr.Var v -> Reg (v.vid, v.vname)
+    | Ir.Instr.Var v when A.mem v.vid !fact -> Reg v.vid
+    | Ir.Instr.Var v ->
+      tracked.(v.vid) <- true;
+      Checked (v.vid, v.vname)
   in
+  (* [cop] reads [fact], so every operand is converted before the
+     instruction's own transfer moves it past the definition *)
   let cinstr = function
     | Ir.Instr.Bin { dst; op; a; b } ->
       Bin { dst = dst.vid; op; a = cop a; b = cop b }
@@ -118,7 +132,16 @@ let compile cdfg =
   let blocks =
     Array.init n (fun i ->
         let b = Ir.Cfg.block cfg i in
-        let body = Array.of_list (List.map cinstr b.Ir.Block.instrs) in
+        fact := assigned.Ir.Dataflow.at_entry.(i);
+        let body =
+          Array.of_list
+            (List.mapi
+               (fun k ins ->
+                 let c = cinstr ins in
+                 fact := A.transfer { Ir.Dataflow.block = i; index = k } ins !fact;
+                 c)
+               b.Ir.Block.instrs)
+        in
         let static_loads =
           List.length (List.filter Ir.Instr.is_load b.Ir.Block.instrs)
         in
@@ -149,6 +172,7 @@ let compile cdfg =
     entry = Ir.Cfg.entry cfg;
     blocks;
     nregs = !max_vid + 1;
+    tracked;
     decls;
     handle_of;
     const_names;

@@ -4,8 +4,10 @@
     ({!Exec}) touches no lists, labels or hashtables on the hot path:
 
     - register operands are pre-resolved to dense [vid] indices into one
-      flat register file (the variable name rides along only for the
-      "read of undefined variable" diagnostic);
+      flat register file; {!Hypar_ir.Dataflow.Assigned} splits them into
+      reads that are defined on every path ([Reg], no runtime check) and
+      reads that keep the "read of undefined variable" check ([Checked],
+      with the variable name for the diagnostic);
     - array accesses are pre-resolved to integer handles into a flat
       table of data arrays ([-1] marks an access to an undeclared array,
       which must stay a runtime error, and stores carry their const-ness
@@ -16,7 +18,9 @@
 
 type operand =
   | Imm of int
-  | Reg of int * string  (** register index (vid) + name, for diagnostics *)
+  | Reg of int  (** register index (vid); assigned on every path here *)
+  | Checked of int * string
+      (** register index + name: may be read before any definition *)
 
 type instr =
   | Bin of { dst : int; op : Hypar_ir.Types.alu_op; a : operand; b : operand }
@@ -51,6 +55,9 @@ type t = {
   entry : int;
   blocks : block array;
   nregs : int;
+  tracked : bool array;
+      (** per register: some [Checked] read inspects it, so its writes
+          must record that it is defined; no other write needs to *)
   decls : Hypar_ir.Cdfg.array_decl array;
       (** handle = index, declaration order *)
   handle_of : (string, int) Hashtbl.t;

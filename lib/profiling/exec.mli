@@ -1,5 +1,8 @@
 (** Executor for flattened programs ({!Compile}) — the compiled backend
-    of the profiling interpreter.
+    of the profiling interpreter.  Each run turns the program into one
+    closure per instruction and per terminator, then runs whole blocks
+    between the steps at which a tick could be observed (a [max_steps]
+    or fuel limit, a poll point) without counting each unit.
 
     Produces {!Interp.result} values byte-identical to {!Interp.run} on
     the same program and inputs: identical frequencies and counters,

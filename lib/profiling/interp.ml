@@ -41,7 +41,10 @@ let max_vid cdfg =
           List.iter
             (fun (v : Ir.Instr.var) -> m := max !m v.Ir.Instr.vid)
             (Ir.Instr.used_vars instr))
-        bi.Ir.Cdfg.block.Ir.Block.instrs)
+        bi.Ir.Cdfg.block.Ir.Block.instrs;
+      List.iter
+        (fun (v : Ir.Instr.var) -> m := max !m v.Ir.Instr.vid)
+        (Ir.Block.terminator_uses bi.Ir.Cdfg.block))
     (Ir.Cdfg.infos cdfg);
   !m
 

@@ -309,6 +309,173 @@ void main() { out[0] = rom[0]; }
   check_both ~inputs:[ ("rom", [| 1; 2 |]) ] "input for const array" cdfg;
   check_both ~inputs:[ ("nope", [| 1 |]) ] "input for undeclared array" cdfg
 
+(* --- undefined reads the compiled backend still checks ---
+
+   Compilation elides the undefined-read check wherever definite
+   assignment proves the register written on every path; these programs
+   keep reads on the paths where it is not, written as serialised IR. *)
+
+let ir blocks =
+  Ir.Serialize.of_string
+    (Printf.sprintf
+       "(cdfg \"t\" (arrays (array \"in\" 2 16 mutable) (array \"out\" 2 16 \
+        mutable)) (blocks %s))"
+       blocks)
+
+let inputs_of values = [ ("in", Array.of_list values) ]
+
+let test_terminator_only_register () =
+  let cdfg = ir {|(block "entry" (instrs) (term (return (var "ghost" 9 16))))|} in
+  check_both "ghost return" cdfg;
+  match Interp.run cdfg with
+  | _ -> Alcotest.fail "read of ghost#9 succeeded"
+  | exception Interp.Runtime_error m ->
+    Alcotest.(check string) "message" "read of undefined variable ghost#9" m
+
+(* [x] is written on the [then] arm only (or on both, with [both_arms]),
+   and read at the join. *)
+let diamond ~both_arms =
+  ir
+    (Printf.sprintf
+       {|(block "entry" (instrs (load (var "c" 0 16) "in" (imm 0)))
+           (term (branch (var "c" 0 16) "then" "else")))
+         (block "then" (instrs (mov (var "x" 1 16) (imm 5))) (term (jump "join")))
+         (block "else" (instrs %s) (term (jump "join")))
+         (block "join" (instrs (store "out" (imm 0) (var "x" 1 16))) (term (return)))|}
+       (if both_arms then {|(mov (var "x" 1 16) (imm 7))|} else ""))
+
+let test_diamond_join_read () =
+  List.iter
+    (fun both_arms ->
+      let cdfg = diamond ~both_arms in
+      List.iter
+        (fun c ->
+          check_both ~inputs:(inputs_of [ c ])
+            (Printf.sprintf "diamond (both arms %b, in=%d)" both_arms c)
+            cdfg)
+        [ 0; 1 ];
+      let p = Compile.compile cdfg in
+      let checked =
+        match p.Compile.blocks.(3).Compile.body.(0) with
+        | Compile.Store { value = Compile.Checked _; _ } -> true
+        | _ -> false
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "join read checked (both arms %b)" both_arms)
+        (not both_arms) checked;
+      Alcotest.(check bool) "x tracked" (not both_arms) p.Compile.tracked.(1))
+    [ false; true ]
+
+(* [x] is first written in the loop body and read in the header: through
+   a select that skips it on the first visit, or directly. *)
+let loop ~direct =
+  ir
+    (Printf.sprintf
+       {|(block "entry"
+           (instrs (mov (var "i" 0 16) (imm 0)) (mov (var "first" 1 16) (imm 1))
+                   (load (var "n" 2 16) "in" (imm 0)))
+           (term (jump "head")))
+         (block "head"
+           (instrs (select (var "y" 3 16) (var "first" 1 16) (imm 0) (var "x" 5 16))
+                   %s
+                   (bin lt (var "c" 4 16) (var "i" 0 16) (var "n" 2 16)))
+           (term (branch (var "c" 4 16) "body" "exit")))
+         (block "body"
+           (instrs (bin add (var "x" 5 16) (var "i" 0 16) (imm 10))
+                   (mov (var "first" 1 16) (imm 0))
+                   (bin add (var "i" 0 16) (var "i" 0 16) (imm 1)))
+           (term (jump "head")))
+         (block "exit" (instrs (store "out" (imm 0) (var "y" 3 16))) (term (return)))|}
+       (if direct then {|(bin add (var "s" 6 16) (var "x" 5 16) (imm 1))|} else ""))
+
+let test_loop_header_read () =
+  List.iter
+    (fun direct ->
+      List.iter
+        (fun n ->
+          check_both ~inputs:(inputs_of [ n ])
+            (Printf.sprintf "loop (direct %b, n=%d)" direct n)
+            (loop ~direct))
+        [ 0; 1; 3 ])
+    [ false; true ]
+
+let test_select_and_terminator_reads () =
+  let u = {|(var "u" 9 16)|} in
+  let select cond t f =
+    ir
+      (Printf.sprintf
+         {|(block "entry"
+             (instrs (load (var "c" 0 16) "in" (imm 0))
+                     (select (var "y" 1 16) %s %s %s)
+                     (store "out" (imm 0) (var "y" 1 16)))
+             (term (return)))|}
+         cond t f)
+  in
+  let c = {|(var "c" 0 16)|} in
+  List.iter
+    (fun (what, cdfg) ->
+      List.iter
+        (fun v ->
+          check_both ~inputs:(inputs_of [ v ]) (Printf.sprintf "%s, in=%d" what v) cdfg)
+        [ 0; 1 ])
+    [
+      ("select cond", select u "(imm 1)" "(imm 2)");
+      ("select true arm", select c u "(imm 2)");
+      ("select false arm", select c "(imm 1)" u);
+      ("select both arms", select c u u);
+      ( "branch cond",
+        ir
+          (Printf.sprintf
+             {|(block "entry" (instrs) (term (branch %s "a" "a")))
+               (block "a" (instrs) (term (return)))|}
+             u) );
+      ( "return operand",
+        ir
+          (Printf.sprintf
+             {|(block "entry" (instrs (load (var "c" 0 16) "in" (imm 0)))
+                 (term (branch (var "c" 0 16) "a" "b")))
+               (block "a" (instrs (mov %s (imm 4))) (term (jump "b")))
+               (block "b" (instrs) (term (return %s)))|}
+             u u) );
+    ]
+
+(* --- a poll that raises, swept across block boundaries ---
+
+   One loop iteration costs a few units, so the k-th poll point (step
+   1024 (k - 1)) lands at a different offset inside the loop's blocks for
+   each k.  Each run counts its poll calls and raises on the k-th; with
+   [max_steps] placed just before, at and after that poll point, the
+   budget check (which the oracle runs before the poll) decides which
+   exception wins and at which step. *)
+
+exception Poll_stop of int
+
+let polled ?max_steps ~raise_at (run : runner) cdfg =
+  let calls = ref 0 in
+  let mk_poll () () =
+    incr calls;
+    if !calls = raise_at then raise (Poll_stop !calls)
+  in
+  let o = outcome ?max_steps ~mk_poll run cdfg in
+  (o, !calls)
+
+let test_poll_raise_sweep () =
+  let cdfg = compile poll_src in
+  for k = 1 to 16 do
+    let point = 1024 * (k - 1) in
+    List.iter
+      (fun max_steps ->
+        let what =
+          Printf.sprintf "poll raises at call %d, max_steps %s" k
+            (match max_steps with Some m -> string_of_int m | None -> "none")
+        in
+        let tree, tree_calls = polled ?max_steps ~raise_at:k Interp.run cdfg in
+        let comp, comp_calls = polled ?max_steps ~raise_at:k Exec.run cdfg in
+        check_outcomes what tree comp;
+        Alcotest.(check int) (what ^ ": poll calls") tree_calls comp_calls)
+      (None :: List.map Option.some (List.filter (fun m -> m >= 0) [ point - 1; point; point + 1 ]))
+  done
+
 let suite =
   List.map
     (fun ((name, _, _) as app) ->
@@ -330,4 +497,11 @@ let suite =
       Alcotest.test_case "store to const" `Quick test_store_to_const;
       Alcotest.test_case "remainder by zero" `Quick test_remainder_by_zero;
       Alcotest.test_case "input errors" `Quick test_input_errors;
+      Alcotest.test_case "terminator-only register" `Quick
+        test_terminator_only_register;
+      Alcotest.test_case "diamond join read" `Quick test_diamond_join_read;
+      Alcotest.test_case "loop header read" `Quick test_loop_header_read;
+      Alcotest.test_case "select and terminator reads" `Quick
+        test_select_and_terminator_reads;
+      Alcotest.test_case "poll raise sweep" `Quick test_poll_raise_sweep;
     ]

@@ -483,8 +483,23 @@ let prop_bytecode_differential =
    (-O), and round-tripped through the bytecode frontend — the compiled
    executor must produce an Interp.result structurally identical to the
    tree-walking oracle in every field (frequencies, counters, edge
-   profile, arrays, return value).  170 seeds x 3 variants = 510 random
-   programs per run. *)
+   profile, arrays, return value).  Each variant also runs with a
+   counting [poll] and with [max_steps] at the program's exact unit cost
+   and one below it, where the outcome (result or exception) and the
+   number of poll calls must agree too.  170 seeds x 3 variants = 510
+   random programs per run. *)
+
+let backend_outcome ?max_steps ~with_poll run cdfg =
+  let polls = ref 0 in
+  let poll = if with_poll then Some (fun () -> incr polls) else None in
+  let outcome =
+    match run ?max_steps ?poll cdfg with
+    | r -> Ok r
+    | exception Hypar_profiling.Interp.Fuel_exhausted { steps } ->
+      Error (Printf.sprintf "Fuel_exhausted after %d steps" steps)
+    | exception Hypar_profiling.Interp.Runtime_error m -> Error m
+  in
+  (outcome, !polls)
 
 let prop_backend_differential =
   QCheck.Test.make
@@ -497,14 +512,33 @@ let prop_backend_differential =
         Hypar_bytecode.Driver.compile_exn ~name:"diff"
           (Hypar_bytecode.Emit.to_string raw)
       in
+      let tree ?max_steps ?poll cdfg =
+        Hypar_profiling.Interp.run ?max_steps ?poll cdfg
+      and comp ?max_steps ?poll cdfg =
+        Hypar_profiling.Exec.run ?max_steps ?poll cdfg
+      in
       List.for_all
         (fun (variant, cdfg) ->
-          let tree = Hypar_profiling.Interp.run cdfg in
-          let comp = Hypar_profiling.Exec.run cdfg in
-          tree = comp
-          || QCheck.Test.fail_reportf
-               "backends diverged on the %s variant of seed %d:\n%s" variant
-               seed src)
+          (* a shrunk program may fail at run time; its outcomes are
+             still compared, with the budgets at 0 and -1 *)
+          let cost =
+            match Hypar_profiling.Interp.run cdfg with
+            | r -> r.instrs_executed + r.blocks_executed
+            | exception Hypar_profiling.Interp.Runtime_error _ -> 0
+          in
+          List.for_all
+            (fun (config, max_steps, with_poll) ->
+              backend_outcome ?max_steps ~with_poll tree cdfg
+              = backend_outcome ?max_steps ~with_poll comp cdfg
+              || QCheck.Test.fail_reportf
+                   "backends diverged on the %s variant of seed %d (%s):\n%s"
+                   variant seed config src)
+            [
+              ("plain", None, false);
+              ("counting poll", None, true);
+              ("max_steps = cost", Some cost, false);
+              ("max_steps = cost - 1", Some (cost - 1), false);
+            ])
         [ ("-O0", raw); ("-O", opt); ("bytecode", bc) ])
 
 (* The whole oracle matrix as one property: what `hypar fuzz` judges per
