@@ -687,12 +687,12 @@ let serve_bench () =
 (* The self-healing pool rides along on every request even when nothing
    goes wrong: heartbeat stores, the settle CAS, the monitor domain's
    2 ms tick.  Price that tax by streaming the same chaos-free request
-   list through a supervised session and through the legacy pooled
-   session, attributing the wall-time delta per request, and relating it
-   to one real partition request — the same shape as the serve wrapper
-   gate, and the same 2% budget.  The sorted response envelopes must
-   also be identical: chaos-free supervision is a pure refactoring of
-   the plain pool. *)
+   list through a one-worker supervised session and through the inline
+   session (one job, no supervisor), attributing the wall-time delta per
+   request, and relating it to one real partition request — the same
+   shape as the serve wrapper gate, and the same 2% budget.  The sorted
+   response envelopes must also be identical: chaos-free supervision
+   answers exactly as the inline path does. *)
 let soak_bench () =
   section_header "Soak — chaos-free supervision overhead";
   let module Worker = Hypar_server.Worker in
@@ -733,7 +733,7 @@ let soak_bench () =
   let run_session ~supervisor =
     let config =
       {
-        Server.jobs = 2;
+        Server.jobs = 1;
         max_queue = n;
         drain_timeout_ms = 10_000;
         retry_after_ms = 100;
@@ -776,7 +776,7 @@ let soak_bench () =
   in
   ignore (run_session ~supervisor:None);
   (* warmed up *)
-  let t_legacy, out_legacy = best (fun () -> run_session ~supervisor:None) in
+  let t_inline, out_inline = best (fun () -> run_session ~supervisor:None) in
   let t_sup, out_sup =
     best (fun () -> run_session ~supervisor:(Some Supervisor.default_options))
   in
@@ -825,11 +825,11 @@ let soak_bench () =
   let sorted out =
     String.split_on_char '\n' out |> List.map signature |> List.sort compare
   in
-  let identical = sorted out_legacy = sorted out_sup in
-  let per_req = Float.max 0. ((t_sup -. t_legacy) /. float_of_int n) in
+  let identical = sorted out_inline = sorted out_sup in
+  let per_req = Float.max 0. ((t_sup -. t_inline) /. float_of_int n) in
   let overhead = per_req /. t_req in
-  Printf.printf "legacy session     : %10.3f ms (%d health requests, best of 5)\n"
-    (t_legacy *. 1e3) n;
+  Printf.printf "inline session     : %10.3f ms (%d health requests, best of 5)\n"
+    (t_inline *. 1e3) n;
   Printf.printf "supervised session : %10.3f ms (same stream, chaos off)\n"
     (t_sup *. 1e3);
   Printf.printf "envelopes identical: %s\n" (if identical then "yes" else "NO");
@@ -840,7 +840,7 @@ let soak_bench () =
   let failed = ref false in
   if not identical then begin
     Printf.printf
-      "FAIL: chaos-free supervised responses differ from the legacy pool\n";
+      "FAIL: chaos-free supervised responses differ from the inline session\n";
     failed := true
   end;
   if overhead > 0.02 then begin
@@ -853,7 +853,7 @@ let soak_bench () =
     "{\n\
     \  \"section\": \"soak\",\n\
     \  \"requests\": %d,\n\
-    \  \"legacy_seconds\": %.6f,\n\
+    \  \"inline_seconds\": %.6f,\n\
     \  \"supervised_seconds\": %.6f,\n\
     \  \"supervision_ns_per_request\": %.2f,\n\
     \  \"partition_request_seconds\": %.6f,\n\
@@ -861,7 +861,7 @@ let soak_bench () =
     \  \"budget_fraction\": 0.02,\n\
     \  \"envelopes_identical\": %b\n\
      }\n"
-    n t_legacy t_sup (per_req *. 1e9) t_req overhead identical;
+    n t_inline t_sup (per_req *. 1e9) t_req overhead identical;
   close_out oc;
   Printf.printf "wrote BENCH_soak.json\n";
   print_newline ()

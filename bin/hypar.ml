@@ -22,8 +22,6 @@
                 evaluation, memo cache, Pareto frontier, text/csv/json/md;
                 hardened: --faults/--retries/--point-fuel and a crash-safe
                 --checkpoint FILE journal with --resume)
-     sweep      partition across an A_FPGA x CGC design-space grid
-                (a thin preset over the explore engine)
      faults     parse/print a fault specification and show the degraded
                 platform it produces (see docs/resilience.md)
      dump       serialise the compiled CDFG (.ir)
@@ -700,8 +698,9 @@ let ranges_cmd =
     with_verification @@ fun () ->
     let cdfg = load_cdfg file in
     let reports =
-      if all then Hypar_analysis.Range.analyse cdfg
-      else Hypar_analysis.Range.overflow_risks cdfg
+      List.filter
+        (fun (r : Hypar_analysis.Range.report) -> all || not r.fits)
+        (Hypar_analysis.Analyze.register_ranges cdfg)
     in
     if reports = [] && not all then print_endline "no overflow risks detected";
     List.iter
@@ -718,58 +717,14 @@ let ranges_cmd =
        ~doc:"Value-range analysis: flag registers that may overflow their declared width")
     term
 
-(* shared by sweep and explore: run the exploration engine and report
-   failed points as warnings; only an all-failed run exits non-zero *)
+(* explore reports failed points as warnings; only an all-failed run
+   exits non-zero *)
 let exit_of_summary (summary : Explore.Driver.t) =
   let failed = Explore.Driver.failed_count summary in
   if failed > 0 then
     Printf.eprintf "hypar: %d of %d points failed\n" failed
       (Array.length summary.Explore.Driver.results);
   if Explore.Driver.all_failed summary then 1 else 0
-
-let sweep_cmd =
-  let module Space = Explore.Space in
-  let module Driver = Explore.Driver in
-  let run file ratio timing interp obs =
-    with_obs ~command:"sweep" obs @@ fun () ->
-    with_verification @@ fun () ->
-    let prepared = prepare_file ?backend:interp file in
-    let space =
-      Space.make ~areas:[ 500; 1500; 5000 ] ~cgcs:[ 1; 2; 3 ]
-        ~clock_ratios:[ ratio ] ~timings:[ timing ] ()
-    in
-    match Driver.run ~workload:(Filename.basename file) prepared space with
-    | Error msg ->
-      Printf.eprintf "hypar: %s\n" msg;
-      2
-    | Ok summary ->
-      Printf.printf "%8s %10s %16s %16s %10s %7s\n" "A_FPGA" "CGCs" "initial"
-        "final" "reduction" "moved";
-      Array.iter
-        (fun (r : Driver.point_result) ->
-          match r.Driver.outcome with
-          | Ok m ->
-            Printf.printf "%8d %10s %16d %16d %9.1f%% %7d\n"
-              r.Driver.point.Space.area m.Explore.Eval.cgc_desc
-              m.Explore.Eval.initial.Engine.t_total
-              m.Explore.Eval.final.Engine.t_total m.Explore.Eval.reduction
-              (List.length m.Explore.Eval.moved)
-          | Error msg ->
-            Printf.printf "%8d %10d %16s  %s\n" r.Driver.point.Space.area
-              r.Driver.point.Space.cgcs "FAILED" msg)
-        summary.Driver.results;
-      exit_of_summary summary
-  in
-  let term =
-    Term.(
-      const run $ file_arg $ ratio_arg $ constraint_arg $ interp_arg
-      $ obs_args)
-  in
-  Cmd.v
-    (Cmd.info "sweep"
-       ~doc:"Partition across an A_FPGA x CGC-count design-space grid \
-             (preset of $(b,explore))")
-    term
 
 let explore_cmd =
   let module Space = Explore.Space in
@@ -1566,8 +1521,9 @@ let soak_cmd =
       value & flag
       & info [ "no-baseline" ]
           ~doc:
-            "skip the chaos-free comparison against an unsupervised \
-             baseline session (only meaningful with $(b,--chaos none))")
+            "skip the chaos-free comparison against the inline baseline \
+             session ($(b,--jobs) 1, no supervisor; only meaningful with \
+             $(b,--chaos none))")
   in
   let term =
     Term.(
@@ -1628,7 +1584,7 @@ let () =
   Sys.catch_break true;
   let doc = "hybrid fine/coarse-grain reconfigurable partitioning (DATE'04/05 methodology)" in
   let info = Cmd.info "hypar" ~version:"1.0.0" ~doc in
-  let group = Cmd.group info [ partition_cmd; kernels_cmd; analyze_cmd; opt_cmd; compile_bc_cmd; profile_cmd; dot_cmd; map_cmd; lint_cmd; baselines_cmd; ranges_cmd; explore_cmd; sweep_cmd; faults_cmd; dump_cmd; demo_cmd; trace_cmd; serve_cmd; fuzz_cmd; soak_cmd ] in
+  let group = Cmd.group info [ partition_cmd; kernels_cmd; analyze_cmd; opt_cmd; compile_bc_cmd; profile_cmd; dot_cmd; map_cmd; lint_cmd; baselines_cmd; ranges_cmd; explore_cmd; faults_cmd; dump_cmd; demo_cmd; trace_cmd; serve_cmd; fuzz_cmd; soak_cmd ] in
   match Cmd.eval' ~catch:false group with
   | code -> exit code
   | exception Sys.Break ->

@@ -70,20 +70,21 @@ type ienv =
   | Iunreached
   | Ienv of (Ir.Instr.var * Range.interval) Int_map.t
 
-(* flow-insensitive per-array content range, as in {!Range} *)
-let array_ranges cdfg =
+(* Array contents are flow-insensitive: a [const] array starts at its
+   initialiser, any other at its full element width (arrays are the
+   program's input surface).  A store does not truncate to the element
+   width, so {!iter_intervals} joins every stored value in as well. *)
+let array_contents cdfg =
   let tbl : (string, Range.interval) Hashtbl.t = Hashtbl.create 8 in
   List.iter
     (fun (d : Ir.Cdfg.array_decl) ->
-      let base =
-        match (d.is_const, d.init) with
+      Hashtbl.replace tbl d.aname
+        (match (d.is_const, d.init) with
         | true, Some init ->
           Array.fold_left
             (fun acc v -> Range.join acc (Range.const v))
             (Range.const init.(0)) init
-        | _ -> Range.width_range d.elem_width
-      in
-      Hashtbl.replace tbl d.aname base)
+        | _ -> Range.width_range d.elem_width))
     (Ir.Cdfg.arrays cdfg);
   tbl
 
@@ -220,9 +221,24 @@ let threshold_lo thresholds v =
     None thresholds
   |> Option.value ~default:Range.top.Range.lo
 
-let interval_analysis cdfg :
+(* The register an instruction defines and the interval it gets in [m]. *)
+let assign contents m instr =
+  let iv = read_iv m in
+  match instr with
+  | Ir.Instr.Bin { dst; op; a; b } ->
+    Some (dst, Range.eval_bin op (iv a) (iv b))
+  | Ir.Instr.Mul { dst; a; b } -> Some (dst, Range.mul (iv a) (iv b))
+  | Ir.Instr.Div { dst; a; b } | Ir.Instr.Rem { dst; a; b } ->
+    Some (dst, Range.div_iv (iv a) (iv b))
+  | Ir.Instr.Un { dst; op; a } -> Some (dst, Range.eval_un op (iv a))
+  | Ir.Instr.Mov { dst; src } -> Some (dst, iv src)
+  | Ir.Instr.Select { dst; if_true; if_false; _ } ->
+    Some (dst, Range.join (iv if_true) (iv if_false))
+  | Ir.Instr.Load { dst; arr; _ } -> Some (dst, contents arr)
+  | Ir.Instr.Store _ -> None
+
+let interval_analysis cdfg contents :
     (module Dataflow.ANALYSIS with type t = ienv) =
-  let arrays = array_ranges cdfg in
   let thresholds = widen_thresholds cdfg in
   (module struct
     type t = ienv
@@ -257,27 +273,10 @@ let interval_analysis cdfg :
     let transfer _ instr t =
       match t with
       | Iunreached -> Iunreached
-      | Ienv m ->
-        let set (d : Ir.Instr.var) r = Int_map.add d.Ir.Instr.vid (d, r) m in
-        Ienv
-          (match instr with
-          | Ir.Instr.Bin { dst; op; a; b } ->
-            set dst (Range.eval_bin op (read_iv m a) (read_iv m b))
-          | Ir.Instr.Mul { dst; a; b } ->
-            set dst (Range.mul (read_iv m a) (read_iv m b))
-          | Ir.Instr.Div { dst; a; b } | Ir.Instr.Rem { dst; a; b } ->
-            set dst (Range.div_iv (read_iv m a) (read_iv m b))
-          | Ir.Instr.Un { dst; op; a } ->
-            set dst (Range.eval_un op (read_iv m a))
-          | Ir.Instr.Mov { dst; src } -> set dst (read_iv m src)
-          | Ir.Instr.Select { dst; if_true; if_false; _ } ->
-            set dst (Range.join (read_iv m if_true) (read_iv m if_false))
-          | Ir.Instr.Load { dst; arr; _ } ->
-            set dst
-              (match Hashtbl.find_opt arrays arr with
-              | Some r -> r
-              | None -> Range.top)
-          | Ir.Instr.Store _ -> m)
+      | Ienv m -> (
+        match assign contents m instr with
+        | Some (d, r) -> Ienv (Int_map.add d.Ir.Instr.vid (d, r) m)
+        | None -> t)
 
     let transfer_term _ _ t = t
     let transfer_block = None
@@ -438,67 +437,130 @@ let check_constant_branches cfg acc =
   done;
   !acc
 
-let check_intervals cdfg cfg acc =
-  (* one solve powers both the bounds rule and the divisor rule *)
-  let m = interval_analysis cdfg in
-  let (module I) = m in
-  (* two narrowing sweeps claw back the bounds widening blew away *)
-  let sol =
-    Dataflow.solve (module I) cfg
-    |> Dataflow.refine (module I) cfg
-    |> Dataflow.refine (module I) cfg
+(* Rounds of exact store joins before a still-growing array bound jumps
+   to {!Range.top}'s, after which each array can grow at most twice. *)
+let store_rounds = 3
+
+(* The one interval solve every range client shares: a widened fixpoint,
+   then two narrowing sweeps that claw back the bounds widening blew
+   away.  While a reachable store puts a value outside its array's
+   contents, the contents grow and the solve runs again.  [f block index
+   instr env def] sees each instruction the final solve reaches, the
+   environment holding before it, and the register it defines with the
+   value it gets. *)
+let iter_intervals cdfg f =
+  let cfg = Ir.Cdfg.cfg cdfg in
+  let contents = array_contents cdfg in
+  let find arr =
+    Option.value (Hashtbl.find_opt contents arr) ~default:Range.top
   in
   let reachable = Ir.Cfg.reachable cfg in
+  let each_fact (module I : Dataflow.ANALYSIS with type t = ienv) sol g =
+    for i = 0 to Ir.Cfg.block_count cfg - 1 do
+      if reachable.(i) then
+        List.iteri
+          (fun k (instr, fact) ->
+            match fact with
+            | Iunreached -> ()
+            | Ienv env -> g i k instr env)
+          (Dataflow.instr_facts (module I) cfg sol i)
+    done
+  in
+  let rec settle round =
+    let analysis = interval_analysis cdfg find in
+    let sol =
+      Dataflow.solve analysis cfg
+      |> Dataflow.refine analysis cfg
+      |> Dataflow.refine analysis cfg
+    in
+    let grew = ref false in
+    each_fact analysis sol (fun _ _ instr env ->
+        match instr with
+        | Ir.Instr.Store { arr; value; _ } ->
+          let old = find arr and v = read_iv env value in
+          if v.Range.lo < old.Range.lo || v.Range.hi > old.Range.hi then begin
+            grew := true;
+            Hashtbl.replace contents arr
+              (if round < store_rounds then Range.join old v
+               else
+                 {
+                   Range.lo =
+                     (if v.lo < old.lo then Range.top.lo else old.lo);
+                   hi = (if v.hi > old.hi then Range.top.hi else old.hi);
+                 })
+          end
+        | _ -> ());
+    if !grew then settle (round + 1) else (analysis, sol)
+  in
+  let analysis, sol = settle 0 in
+  each_fact analysis sol (fun i k instr env ->
+      f i k instr env (assign find env instr))
+
+let register_ranges cdfg =
+  let ranges : (int, Ir.Instr.var * Range.interval) Hashtbl.t =
+    Hashtbl.create 64
+  in
+  iter_intervals cdfg (fun _ _ _ _ def ->
+      match def with
+      | Some (d, r) ->
+        let r =
+          match Hashtbl.find_opt ranges d.Ir.Instr.vid with
+          | Some (_, prev) -> Range.join prev r
+          | None -> r
+        in
+        Hashtbl.replace ranges d.Ir.Instr.vid (d, r)
+      | None -> ());
+  Hashtbl.fold (fun _ vr acc -> vr :: acc) ranges []
+  |> List.sort (fun ((a : Ir.Instr.var), _) (b, _) -> compare a.vid b.vid)
+  |> List.map (fun ((v : Ir.Instr.var), range) ->
+         let declared = Range.width_range v.vwidth in
+         {
+           Range.var = v;
+           range;
+           declared;
+           fits = range.lo >= declared.lo && range.hi <= declared.hi;
+         })
+
+let check_intervals cdfg acc =
   let size_of arr =
     Option.map
       (fun (d : Ir.Cdfg.array_decl) -> d.Ir.Cdfg.size)
       (Ir.Cdfg.array_decl cdfg arr)
   in
   let acc = ref acc in
-  for i = 0 to Ir.Cfg.block_count cfg - 1 do
-    if reachable.(i) then
-      List.iteri
-        (fun k (instr, fact) ->
-          match fact with
-          | Iunreached -> ()
-          | Ienv env ->
-            let index_check arr index =
-              match size_of arr with
-              | None -> ()
-              | Some size ->
-                let iv = read_iv env index in
-                if iv.Range.lo < 0 || iv.Range.hi > size - 1 then
-                  acc :=
-                    finding Possible_out_of_bounds i k
-                      "index of %s may be out of bounds: inferred %a, valid \
-                       [0, %d]"
-                      arr Range.pp_interval iv (size - 1)
-                    :: !acc
-            in
-            (match instr with
-            | Ir.Instr.Load { arr; index; _ } -> index_check arr index
-            | Ir.Instr.Store { arr; index; _ } -> index_check arr index
-            | _ -> ());
-            (match instr with
-            | Ir.Instr.Div { b; _ } | Ir.Instr.Rem { b; _ } -> (
-              match b with
-              | Ir.Instr.Imm 0 ->
-                acc :=
-                  finding Possible_div_by_zero i k
-                    "divisor is the constant zero"
-                  :: !acc
-              | Ir.Instr.Imm _ -> ()
-              | Ir.Instr.Var _ ->
-                let iv = read_iv env b in
-                if Range.contains iv 0 then
-                  acc :=
-                    finding Possible_div_by_zero i k
-                      "divisor may be zero: inferred %a" Range.pp_interval iv
-                    :: !acc)
-            | _ -> ())
-        )
-        (Dataflow.instr_facts (module I) cfg sol i)
-  done;
+  iter_intervals cdfg (fun i k instr env _ ->
+      let index_check arr index =
+        match size_of arr with
+        | None -> ()
+        | Some size ->
+          let iv = read_iv env index in
+          if iv.Range.lo < 0 || iv.Range.hi > size - 1 then
+            acc :=
+              finding Possible_out_of_bounds i k
+                "index of %s may be out of bounds: inferred %a, valid [0, %d]"
+                arr Range.pp_interval iv (size - 1)
+              :: !acc
+      in
+      (match instr with
+      | Ir.Instr.Load { arr; index; _ } -> index_check arr index
+      | Ir.Instr.Store { arr; index; _ } -> index_check arr index
+      | _ -> ());
+      match instr with
+      | Ir.Instr.Div { b; _ } | Ir.Instr.Rem { b; _ } -> (
+        match b with
+        | Ir.Instr.Imm 0 ->
+          acc :=
+            finding Possible_div_by_zero i k "divisor is the constant zero"
+            :: !acc
+        | Ir.Instr.Imm _ -> ()
+        | Ir.Instr.Var _ ->
+          let iv = read_iv env b in
+          if Range.contains iv 0 then
+            acc :=
+              finding Possible_div_by_zero i k
+                "divisor may be zero: inferred %a" Range.pp_interval iv
+              :: !acc)
+      | _ -> ());
   !acc
 
 let check_invariant_loads cfg acc =
@@ -593,7 +655,7 @@ let check cdfg =
   |> check_dead_stores cfg
   |> check_unreachable cfg
   |> check_constant_branches cfg
-  |> check_intervals cdfg cfg
+  |> check_intervals cdfg
   |> check_invariant_loads cfg
   |> check_write_only cfg
   |> sort_findings

@@ -64,6 +64,13 @@ val check : Hypar_ir.Cdfg.t -> finding list
     typically the {e unoptimised} CDFG: the optimiser deliberately
     removes most of what A002/A004/A007 report. *)
 
+val register_ranges : Hypar_ir.Cdfg.t -> Range.report list
+(** Per-register value ranges from the same interval solve A005/A006
+    run on: each register's range is the join of the values its
+    definitions get, over every definition the solve reaches.  One
+    report per such register, ordered by id.  [hypar ranges] and the
+    {!Lint} range rules (W006-W008) read it. *)
+
 val render : ?file:string -> finding list -> string
 (** Human-readable, one finding per line:
     [file:BBn.i: note A00N [mnemonic]: message]. *)

@@ -492,7 +492,7 @@ type range_env = {
   elem_widths : (string, int) Hashtbl.t;  (* array element widths *)
 }
 
-let build_range_env (prog : Ast.program) cdfg =
+let build_range_env (prog : Ast.program) reports =
   let vars = Hashtbl.create 64 in
   List.iter
     (fun (r : Range.report) ->
@@ -503,7 +503,7 @@ let build_range_env (prog : Ast.program) cdfg =
         | None -> r.range
       in
       Hashtbl.replace vars base range)
-    (Range.analyse cdfg);
+    reports;
   let widths = Hashtbl.create 32 in
   let elem_widths = Hashtbl.create 8 in
   List.iter
@@ -531,7 +531,6 @@ let build_range_env (prog : Ast.program) cdfg =
           | _ -> ())
         f.body)
     prog.funcs;
-  ignore cdfg;
   { vars; widths; elem_widths }
 
 let bool_interval = Range.join (Range.const 0) (Range.const 1)
@@ -633,7 +632,7 @@ let interval_rules env (f : Ast.func) =
     f.body;
   !diags
 
-let width_overflow_rules (prog : Ast.program) cdfg =
+let width_overflow_rules (prog : Ast.program) reports =
   (* first declaration position of each source-level scalar *)
   let decl_pos : (string, Token.pos) Hashtbl.t = Hashtbl.create 32 in
   List.iter
@@ -673,7 +672,7 @@ let width_overflow_rules (prog : Ast.program) cdfg =
           Hashtbl.replace grouped base
             { prev with Range.range = Range.join prev.Range.range r.Range.range }
         | None -> Hashtbl.replace grouped base r)
-    (Range.overflow_risks cdfg);
+    (List.filter (fun (r : Range.report) -> not r.fits) reports);
   Hashtbl.fold
     (fun base (r : Range.report) acc ->
       let pos =
@@ -689,9 +688,10 @@ let width_overflow_rules (prog : Ast.program) cdfg =
     grouped []
 
 let range_rules (prog : Ast.program) cdfg =
-  let env = build_range_env prog cdfg in
+  let reports = Analyze.register_ranges cdfg in
+  let env = build_range_env prog reports in
   List.concat_map (interval_rules env) prog.funcs
-  @ width_overflow_rules prog cdfg
+  @ width_overflow_rules prog reports
 
 (* --- entry points --------------------------------------------------------- *)
 

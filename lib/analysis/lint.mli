@@ -3,8 +3,8 @@
     A static pre-analysis of the kernels before they enter the Figure-2
     flow: purely syntactic rules run on the parsed AST (so they work even
     on programs the semantic checks reject), and value-range rules run on
-    the unoptimised lowered CDFG through {!Range.analyse}, mapped back to
-    source declarations by register name.
+    the unoptimised lowered CDFG through {!Analyze.register_ranges},
+    mapped back to source declarations by register name.
 
     Every diagnostic carries a stable code usable in CI gates
     ([hypar lint --deny CODE]):
@@ -22,7 +22,7 @@
     - [W007] [shift-out-of-range] — a shift amount that may be negative
       or exceed 31;
     - [W008] [width-overflow] — a declared register whose inferred value
-      range escapes its declared bit-width ({!Range.overflow_risks});
+      range escapes its declared bit-width ({!Analyze.register_ranges});
     - [W009] [induction-write] — a [for] body writes the loop's own
       induction variable. *)
 

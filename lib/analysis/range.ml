@@ -2,8 +2,8 @@ module Ir = Hypar_ir
 
 type interval = { lo : int; hi : int }
 
-(* bounds kept well inside native ints so interval arithmetic cannot
-   overflow (|bound| <= 2^45, products of clamped operands <= 2^62) *)
+(* bounds kept well inside native ints so sums and differences cannot
+   overflow (|bound| <= 2^45); products can reach 2^90 and saturate *)
 let limit = 1 lsl 45
 
 let clamp v = if v > limit then limit else if v < -limit then -limit else v
@@ -27,10 +27,17 @@ let add a b = make (a.lo + b.lo) (a.hi + b.hi)
 let sub a b = make (a.lo - b.hi) (a.hi - b.lo)
 let neg a = make (-a.hi) (-a.lo)
 
+(* x * y saturated at +-limit: |x * y| > limit exactly when
+   |y| > limit / |x|, so the native product is only taken when it fits *)
+let sat_mul x y =
+  if x = 0 || y = 0 then 0
+  else if abs y > limit / abs x then if (x < 0) = (y < 0) then limit else -limit
+  else x * y
+
 let mul a b =
-  (* clamp operands first so products stay in range *)
   let a = make a.lo a.hi and b = make b.lo b.hi in
-  let p1 = a.lo * b.lo and p2 = a.lo * b.hi and p3 = a.hi * b.lo and p4 = a.hi * b.hi in
+  let p1 = sat_mul a.lo b.lo and p2 = sat_mul a.lo b.hi
+  and p3 = sat_mul a.hi b.lo and p4 = sat_mul a.hi b.hi in
   make (min (min p1 p2) (min p3 p4)) (max (max p1 p2) (max p3 p4))
 
 let abs_iv a =
@@ -104,277 +111,6 @@ type report = {
   declared : interval;
   fits : bool;
 }
-
-(* Rotated-loop counter caps: for a self-looping block B entered only
-   under a guard/latch condition [i < k] (or [<=]), the increment
-   [i' = i + s] inside B can never produce more than [k - 1 + s]
-   ([k + s] for [<=]).  This recovers the precision a flow-insensitive
-   fixpoint loses on loop counters, soundly: the cap constrains the
-   *increment instruction's result*, which only executes after the entry
-   test. *)
-let counter_caps cdfg =
-  let cfg = Ir.Cdfg.cfg cdfg in
-  let caps : (int * int, int) Hashtbl.t = Hashtbl.create 8 in
-  let entry_bound (b : Ir.Block.t) target_label =
-    match b.Ir.Block.term with
-    | Ir.Block.Branch { cond = Ir.Instr.Var c; if_true; _ }
-      when if_true = target_label -> (
-      let def =
-        List.find_opt
-          (fun instr ->
-            match Ir.Instr.def instr with
-            | Some d -> Ir.Instr.var_equal d c
-            | None -> false)
-          b.Ir.Block.instrs
-      in
-      match def with
-      | Some (Ir.Instr.Bin { op = Ir.Types.Lt; a = Ir.Instr.Var i; b = Ir.Instr.Imm k; _ })
-        ->
-        Some (i.Ir.Instr.vid, k - 1)
-      | Some (Ir.Instr.Bin { op = Ir.Types.Le; a = Ir.Instr.Var i; b = Ir.Instr.Imm k; _ })
-        ->
-        Some (i.Ir.Instr.vid, k)
-      | _ -> None)
-    | Ir.Block.Branch _ | Ir.Block.Jump _ | Ir.Block.Return _ -> None
-  in
-  List.iter
-    (fun (l : Ir.Loop.t) ->
-      let header = l.Ir.Loop.header in
-      let header_label = (Ir.Cfg.block cfg header).Ir.Block.label in
-      let bounds =
-        List.map
-          (fun p -> entry_bound (Ir.Cfg.block cfg p) header_label)
-          (Ir.Cfg.predecessors cfg header)
-      in
-      let conditional = List.filter_map Fun.id bounds in
-      match conditional with
-      | (vid0, b0) :: rest when List.for_all (fun (v, _) -> v = vid0) rest ->
-        let entry_hi =
-          List.fold_left (fun acc (_, b) -> max acc b) b0 rest
-        in
-        (* an entry edge without a condition is fine when that block's
-           last write to the counter is a constant within the bound
-           (constant-folded guards leave exactly this shape) *)
-        let unconditional_ok =
-          List.for_all2
-            (fun p bound ->
-              match bound with
-              | Some _ -> true
-              | None ->
-                let last_def = ref None in
-                List.iter
-                  (fun instr ->
-                    match Ir.Instr.def instr with
-                    | Some d when d.Ir.Instr.vid = vid0 -> last_def := Some instr
-                    | Some _ | None -> ())
-                  (Ir.Cfg.block cfg p).Ir.Block.instrs;
-                (match !last_def with
-                | Some (Ir.Instr.Mov { src = Ir.Instr.Imm c; _ }) -> c <= entry_hi
-                | _ -> false))
-            (Ir.Cfg.predecessors cfg header)
-            bounds
-        in
-        if not unconditional_ok then ()
-        else
-        (* the counter must have exactly one definition inside the loop:
-           its positive constant-step increment *)
-        let defs = ref [] in
-        List.iter
-          (fun bi ->
-            List.iteri
-              (fun idx instr ->
-                match Ir.Instr.def instr with
-                | Some d when d.Ir.Instr.vid = vid0 ->
-                  defs := (bi, idx, instr) :: !defs
-                | Some _ | None -> ())
-              (Ir.Cfg.block cfg bi).Ir.Block.instrs)
-          l.Ir.Loop.body;
-        (match !defs with
-        | [ (bi, idx,
-             Ir.Instr.Bin
-               { op = Ir.Types.Add; a = Ir.Instr.Var i; b = Ir.Instr.Imm st; _ }) ]
-          when i.Ir.Instr.vid = vid0 && st > 0 ->
-          Hashtbl.replace caps (bi, idx) (entry_hi + st)
-        | _ -> ())
-      | _ -> ())
-    (Ir.Loop.find cfg);
-  caps
-
-(* flow-insensitive per-array content range *)
-let array_ranges cdfg =
-  let tbl : (string, interval) Hashtbl.t = Hashtbl.create 8 in
-  List.iter
-    (fun (d : Ir.Cdfg.array_decl) ->
-      let base =
-        match (d.is_const, d.init) with
-        | true, Some init ->
-          Array.fold_left (fun acc v -> join acc (const v)) (const init.(0)) init
-        | _ -> width_range d.elem_width
-      in
-      Hashtbl.replace tbl d.aname base)
-    (Ir.Cdfg.arrays cdfg);
-  tbl
-
-let analyse cdfg =
-  let cfg = Ir.Cdfg.cfg cdfg in
-  let n = Ir.Cfg.block_count cfg in
-  let arrays = array_ranges cdfg in
-  (* global (flow-insensitive across blocks, flow-sensitive inside) var
-     environment with widening after repeated growth *)
-  let env : (int, interval) Hashtbl.t = Hashtbl.create 64 in
-  let grow_count : (int, int) Hashtbl.t = Hashtbl.create 64 in
-  let vars : (int, Ir.Instr.var) Hashtbl.t = Hashtbl.create 64 in
-  let read = function
-    | Ir.Instr.Imm k -> const k
-    | Ir.Instr.Var v -> (
-      match Hashtbl.find_opt env v.vid with Some i -> i | None -> width_range v.vwidth)
-  in
-  let write ?cap (v : Ir.Instr.var) range =
-    Hashtbl.replace vars v.vid v;
-    let old = Hashtbl.find_opt env v.vid in
-    let merged = match old with Some o -> join o range | None -> range in
-    let changed =
-      match old with Some o -> merged.lo < o.lo || merged.hi > o.hi | None -> true
-    in
-    if changed then begin
-      let g = 1 + Option.value (Hashtbl.find_opt grow_count v.vid) ~default:0 in
-      Hashtbl.replace grow_count v.vid g;
-      (* directional widening after a few rounds of growth: only the
-         bound that keeps moving is blown up *)
-      let final =
-        if g > 4 then
-          match old with
-          | Some o ->
-            {
-              lo = (if merged.lo < o.lo then -limit else o.lo);
-              hi = (if merged.hi > o.hi then limit else o.hi);
-            }
-          | None -> merged
-        else merged
-      in
-      (* loop-counter caps survive widening *)
-      let final =
-        match cap with
-        | Some c -> { final with hi = min final.hi c }
-        | None -> final
-      in
-      let actually_changed =
-        match old with
-        | Some o -> final.lo < o.lo || final.hi > o.hi
-        | None -> true
-      in
-      if actually_changed then begin
-        Hashtbl.replace env v.vid final;
-        true
-      end
-      else false
-    end
-    else false
-  in
-  let caps = counter_caps cdfg in
-  let transfer_instr changed block_id idx (instr : Ir.Instr.t) =
-    let cap = Hashtbl.find_opt caps (block_id, idx) in
-    let upd ?cap v range = if write ?cap v range then changed := true in
-    match instr with
-    | Ir.Instr.Bin { dst; op; a; b } ->
-      upd ?cap dst (eval_bin op (read a) (read b))
-    | Ir.Instr.Mul { dst; a; b } -> upd dst (mul (read a) (read b))
-    | Ir.Instr.Div { dst; a; b } -> upd dst (div_iv (read a) (read b))
-    | Ir.Instr.Rem { dst; a; b } -> upd dst (div_iv (read a) (read b))
-    | Ir.Instr.Un { dst; op; a } -> upd dst (eval_un op (read a))
-    | Ir.Instr.Mov { dst; src } -> upd dst (read src)
-    | Ir.Instr.Select { dst; if_true; if_false; _ } ->
-      upd dst (join (read if_true) (read if_false))
-    | Ir.Instr.Load { dst; arr; _ } -> (
-      match Hashtbl.find_opt arrays arr with
-      | Some r -> upd dst r
-      | None -> upd dst top)
-    | Ir.Instr.Store { arr; value; _ } -> (
-      (* stores only widen the (non-const) array's content range *)
-      match Hashtbl.find_opt arrays arr with
-      | Some r ->
-        let r' = join r (read value) in
-        if r'.lo < r.lo || r'.hi > r.hi then begin
-          Hashtbl.replace arrays arr r';
-          changed := true
-        end
-      | None -> ())
-  in
-  let changed = ref true in
-  let rounds = ref 0 in
-  while !changed && !rounds < 32 do
-    changed := false;
-    incr rounds;
-    for b = 0 to n - 1 do
-      List.iteri
-        (fun idx instr -> transfer_instr changed b idx instr)
-        (Ir.Cfg.block cfg b).Ir.Block.instrs
-    done
-  done;
-  (* narrowing: recompute every register from the converged environment
-     and keep the intersection — recovers the precision widening threw
-     away on derived values (sound: one application of the transfer to a
-     post-fixpoint stays above the least fixpoint) *)
-  for _ = 1 to 2 do
-    let fresh : (int, interval) Hashtbl.t = Hashtbl.create 64 in
-    let record (v : Ir.Instr.var) range =
-      let range =
-        match Hashtbl.find_opt fresh v.vid with
-        | Some prev -> join prev range
-        | None -> range
-      in
-      Hashtbl.replace fresh v.vid range
-    in
-    for b = 0 to n - 1 do
-      List.iteri
-        (fun idx instr ->
-          let cap = Hashtbl.find_opt caps (b, idx) in
-          let capped range =
-            match cap with
-            | Some c -> { range with hi = min range.hi c }
-            | None -> range
-          in
-          match instr with
-          | Ir.Instr.Bin { dst; op; a; b = rb } ->
-            record dst (capped (eval_bin op (read a) (read rb)))
-          | Ir.Instr.Mul { dst; a; b = rb } -> record dst (mul (read a) (read rb))
-          | Ir.Instr.Div { dst; a; b = rb } -> record dst (div_iv (read a) (read rb))
-          | Ir.Instr.Rem { dst; a; b = rb } -> record dst (div_iv (read a) (read rb))
-          | Ir.Instr.Un { dst; op; a } -> record dst (eval_un op (read a))
-          | Ir.Instr.Mov { dst; src } -> record dst (read src)
-          | Ir.Instr.Select { dst; if_true; if_false; _ } ->
-            record dst (join (read if_true) (read if_false))
-          | Ir.Instr.Load { dst; arr; _ } ->
-            record dst
-              (match Hashtbl.find_opt arrays arr with Some r -> r | None -> top)
-          | Ir.Instr.Store _ -> ())
-        (Ir.Cfg.block cfg b).Ir.Block.instrs
-    done;
-    Hashtbl.iter
-      (fun vid recomputed ->
-        match Hashtbl.find_opt env vid with
-        | Some current ->
-          let lo = max current.lo recomputed.lo in
-          let hi = min current.hi recomputed.hi in
-          if lo <= hi then Hashtbl.replace env vid { lo; hi }
-        | None -> ())
-      fresh
-  done;
-  Hashtbl.fold (fun _ v acc -> v :: acc) vars []
-  |> List.sort (fun (a : Ir.Instr.var) b -> compare a.vid b.vid)
-  |> List.map (fun (v : Ir.Instr.var) ->
-         let range =
-           match Hashtbl.find_opt env v.vid with Some r -> r | None -> top
-         in
-         let declared = width_range v.vwidth in
-         {
-           var = v;
-           range;
-           declared;
-           fits = range.lo >= declared.lo && range.hi <= declared.hi;
-         })
-
-let overflow_risks cdfg = List.filter (fun r -> not r.fits) (analyse cdfg)
 
 let pp_interval ppf i = Format.fprintf ppf "[%d, %d]" i.lo i.hi
 

@@ -1,17 +1,10 @@
-(** Value-range (interval) analysis over the CDFG.
+(** Interval arithmetic for value-range (width) checks.
 
     Declared bit-widths drive the fine-grain area model and the
     operation-weight model, so widths that silently overflow would skew
-    every downstream number.  This analysis infers a conservative
-    [lo, hi] interval for every scalar register (forward data-flow with
-    interval arithmetic, joining at control-flow merges and widening at
-    loop heads) and flags registers whose inferred range exceeds their
-    declared signed width.
-
-    Array contents are handled flow-insensitively: a [const] array's
-    range comes from its initialiser; any other array is assumed to hold
-    values of its full declared element width (arrays are the program's
-    input surface). *)
+    every downstream number.  {!Analyze.register_ranges} infers a
+    conservative [lo, hi] interval for every register on this arithmetic
+    and reports it against the declared signed width as a {!report}. *)
 
 type interval = { lo : int; hi : int }
 
@@ -24,9 +17,9 @@ val width_range : int -> interval
 
 (** {2 Interval arithmetic}
 
-    The clamped operations the analysis itself runs on, exposed so other
-    analyses (the {!Lint} rules in particular) can evaluate expressions
-    over the inferred ranges without re-implementing the arithmetic. *)
+    Bounds are clamped to [top]'s, and products saturate there, so no
+    operation overflows native ints.  The {!Analyze} interval solve and
+    the {!Lint} rules both evaluate on it. *)
 
 val const : int -> interval
 val join : interval -> interval -> interval
@@ -48,19 +41,15 @@ val div_iv : interval -> interval -> interval
 (** Division/remainder: the magnitude of the result never exceeds the
     dividend's. *)
 
+(** One register's inferred range against its declared width. *)
 type report = {
   var : Hypar_ir.Instr.var;
   range : interval;
   declared : interval;  (** from the variable's width *)
-  fits : bool;
+  fits : bool;  (** [range] lies inside [declared] *)
 }
-
-val analyse : Hypar_ir.Cdfg.t -> report list
-(** One report per distinct register, ordered by variable id. *)
-
-val overflow_risks : Hypar_ir.Cdfg.t -> report list
-(** Only the registers whose inferred range escapes their declared
-    width. *)
 
 val pp_interval : Format.formatter -> interval -> unit
 val pp_report : Format.formatter -> report -> unit
+(** One [hypar ranges] line:
+    [name#id width=W inferred=[lo, hi] declared=[lo, hi] ok]. *)

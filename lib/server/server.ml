@@ -1,5 +1,4 @@
 module Sink = Hypar_obs.Sink
-module Pool = Hypar_explore.Pool
 
 type config = {
   jobs : int;
@@ -147,10 +146,20 @@ let run_session ?(drain_on_eof = true) ?(execute = Worker.execute) ?on_stats
       on_poll = None;
     }
   in
-  match config.supervisor with
-  | Some opts -> (
+  if jobs = 1 && Option.is_none config.supervisor then
+    (* inline: each request runs on the reading domain, so responses
+       leave in request order *)
+    let wconfig = base_wconfig (fun () -> 0) in
+    read_loop ~pooled:false ~admit:(fun _seq req ->
+        let resp = execute wconfig req in
+        Drain.record drain resp;
+        write_response (Protocol.render resp))
+  else
     (* self-healing pool: the supervisor owns the queue and the worker
        domains; the session supplies execution, delivery and admission *)
+    let opts =
+      Option.value config.supervisor ~default:Supervisor.default_options
+    in
     let sup_ref = ref None in
     let queue_depth () =
       match !sup_ref with Some s -> Supervisor.depth s | None -> 0
@@ -173,7 +182,7 @@ let run_session ?(drain_on_eof = true) ?(execute = Worker.execute) ?on_stats
         ~deadline_ms:(Worker.request_deadline_ms base) ~execute:exec ~deliver
     with
     | Error msg -> failwith (Printf.sprintf "hypar serve: %s" msg)
-    | Ok sup ->
+    | Ok sup -> (
       sup_ref := Some sup;
       let admit seq req =
         match Supervisor.submit sup ~seq req with
@@ -185,59 +194,6 @@ let run_session ?(drain_on_eof = true) ?(execute = Worker.execute) ?on_stats
       let sstats = Supervisor.drain sup in
       replay ();
       match on_stats with Some f -> f sstats | None -> ())
-  | None ->
-    let queue = Bqueue.create ~capacity:config.max_queue in
-    let wconfig =
-      base_wconfig (fun () -> if jobs > 1 then Bqueue.depth queue else 0)
-    in
-    let worker_loop _i =
-      let rec loop () =
-        match Bqueue.pop queue with
-        | None -> ()
-        | Some (seq, req) ->
-          (* record inside the capture so the response-class counters
-             replay in request order, exactly as the inline mode emits
-             them — counter totals stay byte-identical across [jobs] *)
-          let resp, events =
-            Sink.collect (fun () ->
-                let resp = execute wconfig req in
-                Drain.record drain resp;
-                resp)
-          in
-          capture seq events;
-          write_response (Protocol.render resp);
-          loop ()
-      in
-      loop ()
-    in
-    let pool =
-      if jobs > 1 then Some (Pool.fork ~domains:jobs worker_loop) else None
-    in
-    let admit seq req =
-      match pool with
-      | None ->
-        let resp = execute wconfig req in
-        Drain.record drain resp;
-        write_response (Protocol.render resp)
-      | Some _ -> (
-        match Bqueue.push queue (seq, req) with
-        | Bqueue.Pushed depth ->
-          if Sink.enabled () then
-            Hypar_obs.Counter.set "server.queue.depth" depth
-        | Bqueue.Full depth -> overloaded seq req depth
-        | Bqueue.Closed -> draining_failed seq req)
-    in
-    read_loop ~pooled:(pool <> None) ~admit;
-    (match pool with
-    | None -> ()
-    | Some pool ->
-      Bqueue.close queue;
-      (* Workers exit once the queue drains; a signal drain's cancellation
-         deadline cuts in-flight work short cooperatively, so the join is
-         bounded by the drain timeout plus one poll interval. *)
-      Pool.join pool);
-    replay ();
-    ignore on_stats
 
 let supervisor_line (s : Supervisor.stats) =
   Printf.sprintf

@@ -9,19 +9,19 @@
     (cooperatively, through every request's deadline), a final stats
     line goes to stderr and the process exits 0.
 
-    With [jobs = 1] requests execute inline in the read loop, so
-    response order equals request order — the mode cram tests rely on.
-    With [jobs > 1] well-formed requests go through the bounded queue to
-    a {!Pool.fork}ed domain pool; when the queue is full the request is
-    refused with a typed [overloaded] envelope instead of queueing
-    without bound.  Worker trace events are captured per request
-    ({!Hypar_obs.Sink.collect}) and replayed in request order at session
-    end, so merged traces and counter totals are independent of [jobs].
-
-    With [supervisor = Some opts] the pool is owned by {!Supervisor}
-    instead: worker crashes and wedges are healed, failing requests are
-    retried and ultimately quarantined, and chaos faults from
-    [opts.chaos] are injected — see {!Supervisor} and {!Chaos}. *)
+    With [jobs = 1] and no [supervisor] requests execute inline in the
+    read loop, so response order equals request order — the mode cram
+    tests rely on.  Every other session runs a {!Supervisor} pool
+    ([supervisor], or {!Supervisor.default_options} when [None]):
+    well-formed requests go through its bounded queue, and when the
+    queue is full the request is refused with a typed [overloaded]
+    envelope instead of queueing without bound.  Worker crashes and
+    wedges are healed, failing requests are retried and ultimately
+    quarantined, and chaos faults from the options' [chaos] are
+    injected — see {!Supervisor} and {!Chaos}.  Worker trace events are
+    captured per request ({!Hypar_obs.Sink.collect}) and replayed in
+    request order at session end, so merged traces and counter totals
+    are independent of [jobs]. *)
 
 type config = {
   jobs : int;
@@ -37,7 +37,9 @@ type config = {
   default_deadline_ms : int option;
   default_fuel : int option;
   supervisor : Supervisor.options option;
-      (** [Some] serves through the self-healing supervised pool *)
+      (** the pool's supervision options; [None] means
+          {!Supervisor.default_options}, or the inline path when
+          [jobs = 1] *)
 }
 
 val retry_after_hint : base:int -> jobs:int -> depth:int -> int
@@ -59,7 +61,7 @@ val run_session :
     [false] so a disconnecting client does not stop the server.
     [execute] (default {!Worker.execute}) is a test seam for injecting
     deterministic or blocking workloads.  [on_stats] observes the
-    supervisor's final statistics (supervised sessions only). *)
+    supervisor's final statistics (every session but the inline one). *)
 
 val supervisor_line : Supervisor.stats -> string
 (** The one-line stderr summary of a supervised session. *)

@@ -187,14 +187,15 @@ let no_stats =
 (* One in-process server session over a pipe pair: a feeder domain
    writes the request lines (with slow-loris interference when chaos
    says so), a collector domain gathers the response bytes, the session
-   runs on the calling domain. *)
+   runs on the calling domain.  The unsupervised baseline is the inline
+   session: one job, no pool. *)
 let run_server (cfg : config) ~supervised lines =
   let req_r, req_w = Unix.pipe ~cloexec:true () in
   let resp_r, resp_w = Unix.pipe ~cloexec:true () in
   let chaos = if supervised then cfg.chaos else None in
   let sconfig =
     {
-      Server.jobs = cfg.jobs;
+      Server.jobs = (if supervised then cfg.jobs else 1);
       max_queue = max 64 cfg.count;
       drain_timeout_ms = cfg.budget_ms;
       retry_after_ms = 100;
@@ -315,8 +316,8 @@ let run (cfg : config) =
         @ [ Printf.sprintf "budget exceeded: %d ms > %d ms" elapsed_ms cfg.budget_ms ]
       else failures
     in
-    (* With chaos off, the supervised pool must be a pure refactoring of
-       the plain pool: byte-identical responses (modulo completion
+    (* With chaos off, the supervised pool must answer exactly as the
+       inline session does: byte-identical responses (modulo completion
        order, which was never deterministic for jobs > 1). *)
     let baseline_match, failures =
       if chaos_active || not cfg.compare_baseline then (None, failures)
@@ -328,7 +329,7 @@ let run (cfg : config) =
         else
           ( Some false,
             failures
-            @ [ "chaos-free supervised output differs from the unsupervised \
+            @ [ "chaos-free supervised output differs from the inline \
                  baseline" ] )
       end
     in

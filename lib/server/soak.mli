@@ -12,8 +12,8 @@
       worker was respawned);
     - the drain completes within the budget;
     - with chaos disabled, the supervised responses are identical to an
-      unsupervised baseline run over the same requests (supervision is
-      pure overhead, not behaviour).
+      inline baseline run over the same requests ([jobs = 1], no
+      supervisor: supervision is pure overhead, not behaviour).
 
     Generated programs are written to a directory derived from the seed
     alone and each request body carries a unique tag, so request

@@ -2,16 +2,22 @@
 
 module Ir = Hypar_ir
 module Range = Hypar_analysis.Range
+module Analyze = Hypar_analysis.Analyze
 module Driver = Hypar_minic.Driver
 
 let compile = Driver.compile_exn ~simplify:false
+
+let overflow_risks cdfg =
+  List.filter
+    (fun (r : Range.report) -> not r.fits)
+    (Analyze.register_ranges cdfg)
 
 let report_for cdfg name_prefix =
   List.find_opt
     (fun (r : Range.report) ->
       String.length r.var.vname >= String.length name_prefix
       && String.sub r.var.vname 0 (String.length name_prefix) = name_prefix)
-    (Range.analyse cdfg)
+    (Analyze.register_ranges cdfg)
 
 let test_constant_ranges () =
   let cdfg = compile {|
@@ -72,7 +78,7 @@ void main() {
   out[0] = p;
 }
 |} in
-  let risky = Range.overflow_risks cdfg in
+  let risky = overflow_risks cdfg in
   Alcotest.(check bool) "product flagged" true
     (List.exists (fun (r : Range.report) -> r.var.vname.[0] = 'p') risky)
 
@@ -131,7 +137,7 @@ void main() {
 let test_apps_declared_widths () =
   (* the ADPCM implementation clamps its predictor: its stored state fits *)
   let cdfg = (Hypar_apps.Adpcm.prepared ()).Hypar_core.Flow.cdfg in
-  let reports = Range.analyse cdfg in
+  let reports = Analyze.register_ranges cdfg in
   Alcotest.(check bool) "analysis covers many registers" true
     (List.length reports > 20);
   (* abs/shift results of the interval machinery must stay ordered *)
@@ -149,8 +155,70 @@ let test_width_range () =
   Alcotest.(check bool) "w16" true
     (Range.width_range 16 = { Range.lo = -32768; hi = 32767 })
 
+let test_mul_saturates () =
+  (* corner products of clamped operands reach 2^90: they must saturate
+     at top's bounds, never wrap *)
+  let iv = Alcotest.testable Range.pp_interval ( = ) in
+  Alcotest.check iv "top * top" Range.top (Range.mul Range.top Range.top);
+  Alcotest.check iv "2^45 << 40"
+    { Range.lo = 0; hi = Range.top.Range.hi }
+    (Range.eval_bin Hypar_ir.Types.Shl
+       { Range.lo = 0; hi = 1 lsl 45 }
+       (Range.const 40));
+  Alcotest.check iv "3e9 * 3e9"
+    (Range.const Range.top.Range.hi)
+    (Range.mul (Range.const 3_000_000_000) (Range.const 3_000_000_000));
+  Alcotest.check iv "-3e9 * 3e9"
+    (Range.const Range.top.Range.lo)
+    (Range.mul (Range.const (-3_000_000_000)) (Range.const 3_000_000_000));
+  Alcotest.check iv "in-range products stay exact"
+    { Range.lo = -600; hi = 800 }
+    (Range.mul { Range.lo = -3; hi = 4 } { Range.lo = -150; hi = 200 })
+
+let test_stores_widen_array_contents () =
+  (* a store is not truncated to the element width: a register loaded
+     back from the array must see the wide value *)
+  let cdfg = compile {|
+int16 out[1];
+int16 in[1];
+int16 buf[2];
+void main() {
+  int32 w = in[0] * 4096;
+  buf[0] = w;
+  int16 y = buf[0];
+  out[0] = y;
+}
+|} in
+  (match report_for cdfg "y" with
+  | Some r ->
+    Alcotest.(check int) "stored value reaches the load" (-32768 * 4096)
+      r.range.Range.lo;
+    Alcotest.(check bool) "y flagged" false r.fits
+  | None -> Alcotest.fail "no report for y");
+  (* contents that grow on every solve fall back to top's bounds *)
+  let cdfg = compile {|
+int16 out[1];
+int16 buf[8];
+void main() {
+  int16 i = 1;
+  while (i < 8) {
+    buf[i] = buf[i - 1] * 2 + 1;
+    i = i + 1;
+  }
+  int16 y = buf[7];
+  out[0] = y;
+}
+|} in
+  match report_for cdfg "y" with
+  | Some r ->
+    Alcotest.(check int) "growing contents widen" Range.top.Range.hi
+      r.range.Range.hi;
+    Alcotest.(check bool) "y flagged" false r.fits
+  | None -> Alcotest.fail "no report for y"
+
 let suite =
   [
+    Alcotest.test_case "mul saturates" `Quick test_mul_saturates;
     Alcotest.test_case "constant ranges" `Quick test_constant_ranges;
     Alcotest.test_case "input arrays" `Quick test_input_arrays_assume_width;
     Alcotest.test_case "const ROM exact" `Quick test_const_rom_exact;
@@ -160,6 +228,8 @@ let suite =
     Alcotest.test_case "loop accumulator widens" `Quick test_loop_accumulator_widens;
     Alcotest.test_case "apps analysed" `Quick test_apps_declared_widths;
     Alcotest.test_case "width_range" `Quick test_width_range;
+    Alcotest.test_case "stores widen arrays" `Quick
+      test_stores_widen_array_contents;
   ]
 
 let test_counter_cap_precision () =
@@ -221,7 +291,7 @@ void main() {
   Alcotest.(check bool) "accumulator flagged" true
     (List.exists
        (fun (r : Range.report) -> r.var.vname.[0] = 's')
-       (Range.overflow_risks cdfg))
+       (overflow_risks cdfg))
 
 let precision_suite =
   [

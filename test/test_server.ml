@@ -351,7 +351,7 @@ let test_drain_stats () =
 (* Run one pipe session over real descriptors: requests are pre-written
    to a temp file (so EOF terminates the session), responses land in a
    second temp file. *)
-let run_session ?execute ~jobs requests =
+let run_session ?execute ?on_stats ~jobs requests =
   let in_path = write_temp ~suffix:".jsonl" (String.concat "\n" requests ^ "\n") in
   let out_path = write_temp ~suffix:".out" "" in
   let config =
@@ -372,7 +372,7 @@ let run_session ?execute ~jobs requests =
   let out_fd = Unix.openfile out_path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
   Fun.protect
     ~finally:(fun () -> Unix.close in_fd; Unix.close out_fd)
-    (fun () -> Server.run_session ?execute config drain in_fd out_fd);
+    (fun () -> Server.run_session ?execute ?on_stats config drain in_fd out_fd);
   let ic = open_in out_path in
   let rec read acc =
     match input_line ic with
@@ -439,6 +439,20 @@ let test_session_jobs_equivalence () =
   in
   Alcotest.(check (list (pair string int))) "span names"
     (summary events1) (summary events4)
+
+let test_session_pool_is_supervised () =
+  (* every pooled session runs under the supervisor, [supervisor = None]
+     included: it reports its final statistics with the whole pool live *)
+  let stats = ref None in
+  let _, lines =
+    run_session ~on_stats:(fun s -> stats := Some s) ~jobs:4
+      (session_requests ())
+  in
+  Alcotest.(check int) "one response per line" 5 (List.length lines);
+  match !stats with
+  | Some s ->
+    Alcotest.(check int) "live workers" 4 s.Hypar_server.Supervisor.live_workers
+  | None -> Alcotest.fail "a jobs=4 session did not report supervisor stats"
 
 let test_session_backpressure () =
   (* deterministic overload: 2 workers block on a gate, capacity-1 queue
@@ -674,6 +688,8 @@ let suite =
       test_session_pipe_order;
     Alcotest.test_case "session: jobs-independent" `Quick
       test_session_jobs_equivalence;
+    Alcotest.test_case "session: pool is supervised" `Quick
+      test_session_pool_is_supervised;
     Alcotest.test_case "session: backpressure" `Quick test_session_backpressure;
     Alcotest.test_case "overload: load-aware retry hint" `Quick
       test_retry_after_hint;

@@ -163,7 +163,7 @@ let test_delay_is_innocent () =
   Alcotest.(check int) "no wedges" 0 r.Soak.stats.Supervisor.wedges;
   Alcotest.(check int) "no retries" 0 r.Soak.stats.Supervisor.retries
 
-(* Chaos off: supervision must be a pure refactoring of the plain pool. *)
+(* Chaos off: the supervised pool must answer exactly as the inline session. *)
 let test_chaos_free_baseline () =
   let cfg =
     { Soak.default_config with seed = 2; count = 6; jobs = 2; chaos = None }
@@ -172,7 +172,7 @@ let test_chaos_free_baseline () =
   | Error e -> Alcotest.fail e
   | Ok r ->
     check_clean_pass r ~count:6;
-    Alcotest.(check bool) "matches the unsupervised baseline" true
+    Alcotest.(check bool) "matches the inline baseline" true
       (r.Soak.baseline_match = Some true);
     Alcotest.(check int) "no respawns" 0 r.Soak.stats.Supervisor.respawns;
     Alcotest.(check int) "no crashes" 0 r.Soak.stats.Supervisor.crashes
