@@ -247,18 +247,17 @@ let ablation_priority () =
     | _ -> ()
   in
   let jpeg = Jpeg.prepared () in
-  report "JPEG DCT row pass"
-    (Hypar_ir.Cdfg.info jpeg.Flow.cdfg 5).Hypar_ir.Cdfg.dfg;
+  report "JPEG DCT row pass" (Hypar_ir.Cdfg.dfg jpeg.Flow.cdfg 5);
   let ofdm = Ofdm.prepared () in
   let butterfly =
     let best = ref 0 in
     List.iter
       (fun i ->
-        let d = (Hypar_ir.Cdfg.info ofdm.Flow.cdfg i).Hypar_ir.Cdfg.dfg in
-        let cur = (Hypar_ir.Cdfg.info ofdm.Flow.cdfg !best).Hypar_ir.Cdfg.dfg in
+        let d = Hypar_ir.Cdfg.dfg ofdm.Flow.cdfg i in
+        let cur = Hypar_ir.Cdfg.dfg ofdm.Flow.cdfg !best in
         if Hypar_ir.Dfg.node_count d > Hypar_ir.Dfg.node_count cur then best := i)
       (Hypar_ir.Cdfg.block_ids ofdm.Flow.cdfg);
-    (Hypar_ir.Cdfg.info ofdm.Flow.cdfg !best).Hypar_ir.Cdfg.dfg
+    Hypar_ir.Cdfg.dfg ofdm.Flow.cdfg !best
   in
   report "OFDM butterfly" butterfly;
   List.iter
@@ -310,9 +309,7 @@ let ablation_temporal () =
       (Hypar_finegrain.Temporal.count bf)
   in
   let jpeg = Jpeg.prepared () in
-  let dct =
-    (Hypar_ir.Cdfg.info jpeg.Flow.cdfg 5).Hypar_ir.Cdfg.dfg
-  in
+  let dct = Hypar_ir.Cdfg.dfg jpeg.Flow.cdfg 5 in
   List.iter (fun a -> report "JPEG DCT row pass" dct a) [ 500; 1000; 1500; 5000 ];
   List.iter
     (fun seed ->
@@ -879,12 +876,12 @@ let micro () =
     let heaviest = ref 0 in
     List.iter
       (fun i ->
-        let d = (Hypar_ir.Cdfg.info cdfg i).Hypar_ir.Cdfg.dfg in
-        let best = (Hypar_ir.Cdfg.info cdfg !heaviest).Hypar_ir.Cdfg.dfg in
+        let d = Hypar_ir.Cdfg.dfg cdfg i in
+        let best = Hypar_ir.Cdfg.dfg cdfg !heaviest in
         if Hypar_ir.Dfg.node_count d > Hypar_ir.Dfg.node_count best then
           heaviest := i)
       (Hypar_ir.Cdfg.block_ids cdfg);
-    (Hypar_ir.Cdfg.info cdfg !heaviest).Hypar_ir.Cdfg.dfg
+    Hypar_ir.Cdfg.dfg cdfg !heaviest
   in
   let fpga = Hypar_finegrain.Fpga.make ~area:1500 () in
   let cgc = Hypar_coarsegrain.Cgc.two_by_two 2 in

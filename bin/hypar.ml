@@ -516,9 +516,9 @@ let dot_cmd =
     (match block with
     | None -> print_string (Hypar_ir.Dot.cfg_to_dot prepared.Flow.cdfg)
     | Some b ->
-      let info = Hypar_ir.Cdfg.info prepared.Flow.cdfg b in
       print_string
-        (Hypar_ir.Dot.dfg_to_dot ~title:(Printf.sprintf "BB%d" b) info.Hypar_ir.Cdfg.dfg));
+        (Hypar_ir.Dot.dfg_to_dot ~title:(Printf.sprintf "BB%d" b)
+           (Hypar_ir.Cdfg.dfg prepared.Flow.cdfg b)));
     0
   in
   let block_arg =
@@ -540,7 +540,7 @@ let map_cmd =
     let cgc = Hypar_coarsegrain.Cgc.make ~cgcs ~rows ~cols () in
     let show i =
       let info = Hypar_ir.Cdfg.info cdfg i in
-      let dfg = info.Hypar_ir.Cdfg.dfg in
+      let dfg = Hypar_ir.Cdfg.dfg cdfg i in
       Printf.printf "BB%d (%s): %d ops, %d ASAP levels\n" i
         info.Hypar_ir.Cdfg.block.Hypar_ir.Block.label
         (Hypar_ir.Dfg.node_count dfg)

@@ -22,7 +22,7 @@ let analyse ?(weights = Weights.paper) cdfg (profile : Profiling.Profile.t) =
     Array.mapi
       (fun i (bi : Ir.Cdfg.block_info) ->
         let exec_freq = Profiling.Profile.freq profile i in
-        let bb_weight = Weights.bb_weight weights bi.dfg in
+        let bb_weight = Weights.bb_weight weights (Ir.Cdfg.dfg cdfg i) in
         let total_weight = exec_freq * bb_weight in
         {
           block_id = i;

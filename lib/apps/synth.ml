@@ -37,7 +37,7 @@ let random_dfg ?(seed = 1) ~nodes () =
   done;
   Ir.Builder.finish_block b ~label:"body" ~term:(Ir.Block.Return None);
   let cdfg = Ir.Builder.cdfg ~name:"random_dfg" b in
-  (Ir.Cdfg.info cdfg 0).Ir.Cdfg.dfg
+  Ir.Cdfg.dfg cdfg 0
 
 let binops = [| "+"; "-"; "*"; "&"; "|"; "^" |]
 

@@ -24,7 +24,7 @@ let map_dfg_id ?health cgc ~block_id dfg =
 let map_dfg ?health cgc dfg = map_dfg_id ?health cgc ~block_id:(-1) dfg
 
 let map_block ?health cgc cdfg i =
-  map_dfg_id ?health cgc ~block_id:i (Ir.Cdfg.info cdfg i).Ir.Cdfg.dfg
+  map_dfg_id ?health cgc ~block_id:i (Ir.Cdfg.dfg cdfg i)
 
 let app_cycles ?health cgc cdfg ~freq ~on_cgc =
   List.fold_left

@@ -40,12 +40,11 @@ let fine_partitions (platform : Platform.t) cdfg i =
     .Finegrain.Fine_map.partition_count
 
 let block_energy_fpga model platform cdfg i =
-  fpga_energy model
-    (Ir.Cdfg.info cdfg i).Ir.Cdfg.dfg
+  fpga_energy model (Ir.Cdfg.dfg cdfg i)
     ~partitions:(fine_partitions platform cdfg i)
 
 let block_energy_cgc model cdfg i =
-  ops_energy model.cgc_op (Ir.Cdfg.info cdfg i).Ir.Cdfg.dfg
+  ops_energy model.cgc_op (Ir.Cdfg.dfg cdfg i)
 
 type table = { on_fpga : int array; on_cgc : int array }
 
@@ -55,7 +54,7 @@ let table model cdfg ~freq ~partitions ~words =
   for i = 0 to n - 1 do
     let f = freq i in
     if f <> 0 then begin
-      let dfg = (Ir.Cdfg.info cdfg i).Ir.Cdfg.dfg in
+      let dfg = Ir.Cdfg.dfg cdfg i in
       on_fpga.(i) <- f * fpga_energy model dfg ~partitions:(partitions i);
       on_cgc.(i) <-
         f * (block_energy_cgc model cdfg i + (words i * model.comm_word))
@@ -102,7 +101,7 @@ let partition ?weights model (platform : Platform.t) ~energy_budget cdfg profile
   in
   let cgc_ok =
     Array.init n (fun i ->
-        Hypar_coarsegrain.Schedule.supported (Ir.Cdfg.info cdfg i).Ir.Cdfg.dfg)
+        Hypar_coarsegrain.Schedule.supported (Ir.Cdfg.dfg cdfg i))
   in
   let total moved = total energies ~moved in
   let initial_energy = total [] in

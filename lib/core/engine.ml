@@ -143,7 +143,7 @@ let coarse_layer ?(cgc_pipelining = false) app cgc health =
         else
           match
             Coarsegrain.Modulo.analyse cgc
-              (Ir.Cdfg.info app.cdfg i).Ir.Cdfg.dfg
+              (Ir.Cdfg.dfg app.cdfg i)
               ~carried:(Ir.Live.live_in app.live i)
           with
           | Some m ->
@@ -412,8 +412,7 @@ end
 
 let mappable (platform : Platform.t) cdfg i =
   Coarsegrain.Schedule.supported_on ?health:platform.Platform.cgc_health
-    platform.Platform.cgc
-    (Ir.Cdfg.info cdfg i).Ir.Cdfg.dfg
+    platform.Platform.cgc (Ir.Cdfg.dfg cdfg i)
   && platform.Platform.cgc.Coarsegrain.Cgc.cgcs > 0
 
 (* Group the kernel worklist by innermost loop when the engine runs at
@@ -489,7 +488,7 @@ let trajectory ?(comm_pricing = `Transition) ?(granularity = `Block) ~analysis
     Hypar_obs.Counter.incr "engine.skipped";
     (* distinguish a DFG the CGC can never run (division) from one only
        the current degradation rules out *)
-    if Coarsegrain.Schedule.supported (Ir.Cdfg.info cdfg k.block_id).Ir.Cdfg.dfg
+    if Coarsegrain.Schedule.supported (Ir.Cdfg.dfg cdfg k.block_id)
     then begin
       Hypar_obs.Counter.incr "resilience.fault.fallback";
       (k.block_id, No_cgc_capacity)

@@ -48,7 +48,7 @@ let map_dfg_id fpga ~block_id dfg =
 let map_dfg fpga dfg = map_dfg_id fpga ~block_id:(-1) dfg
 
 let map_block fpga cdfg i =
-  map_dfg_id fpga ~block_id:i (Ir.Cdfg.info cdfg i).Ir.Cdfg.dfg
+  map_dfg_id fpga ~block_id:i (Ir.Cdfg.dfg cdfg i)
 
 let map_cdfg fpga cdfg =
   Array.of_list (List.map (map_block fpga cdfg) (Ir.Cdfg.block_ids cdfg))

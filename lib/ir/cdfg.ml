@@ -6,24 +6,49 @@ type array_decl = {
   elem_width : Types.width;
 }
 
-type block_info = { block : Block.t; dfg : Dfg.t; loop_depth : int }
+type block_info = { block : Block.t; loop_depth : int }
 
 type t = {
   name : string;
   cfg : Cfg.t;
   arrays : array_decl list;
   infos : block_info array;
+  dfgs : Dfg.t option array;  (* block i's DFG, once [dfg t i] built it *)
 }
 
-let make ?(name = "program") ~arrays cfg =
+let with_dfgs ~name ~arrays cfg dfgs =
   let depth = Loop.depth_map cfg in
   let infos =
-    Array.mapi
-      (fun i (b : Block.t) ->
-        { block = b; dfg = Dfg.of_instrs b.instrs; loop_depth = depth.(i) })
-      (Cfg.blocks cfg)
+    Array.mapi (fun i b -> { block = b; loop_depth = depth.(i) }) (Cfg.blocks cfg)
   in
-  { name; cfg; arrays; infos }
+  { name; cfg; arrays; infos; dfgs }
+
+let make ?(name = "program") ~arrays cfg =
+  with_dfgs ~name ~arrays cfg (Array.make (Cfg.block_count cfg) None)
+
+let with_blocks t blocks =
+  let cfg = Cfg.of_blocks blocks in
+  (* a DFG depends only on the instructions: keep the built one of every
+     block whose instructions equal those of the same-labelled old block *)
+  let reuse (b : Block.t) =
+    match Cfg.id_of_label t.cfg b.label with
+    | j ->
+      let old = t.infos.(j).block.instrs in
+      if old == b.instrs || old = b.instrs then t.dfgs.(j) else None
+    | exception Not_found -> None
+  in
+  with_dfgs ~name:t.name ~arrays:t.arrays cfg (Array.map reuse (Cfg.blocks cfg))
+
+(* A plain memo slot, not a [Lazy.t]: domains that race on an empty slot
+   each build the same DFG and one write wins, where forcing a shared
+   [Lazy.t] from a second domain raises [Lazy.Undefined]. *)
+let dfg t i =
+  match t.dfgs.(i) with
+  | Some d -> d
+  | None ->
+    let d = Dfg.of_instrs t.infos.(i).block.instrs in
+    t.dfgs.(i) <- Some d;
+    d
 
 let name t = t.name
 let cfg t = t.cfg
@@ -65,6 +90,6 @@ let pp_summary ppf t =
       Format.fprintf ppf "  BB%-3d %-16s instrs=%-4d levels=%-3d loop-depth=%d@,"
         i bi.block.Block.label
         (Block.instr_count bi.block)
-        (Dfg.max_level bi.dfg) bi.loop_depth)
+        (Dfg.max_level (dfg t i)) bi.loop_depth)
     t.infos;
   Format.fprintf ppf "@]"

@@ -16,15 +16,28 @@ type array_decl = {
 
 type block_info = {
   block : Block.t;
-  dfg : Dfg.t;
   loop_depth : int;  (** number of natural loops containing the block *)
 }
 
 type t
 
 val make : ?name:string -> arrays:array_decl list -> Cfg.t -> t
-(** Builds per-block DFGs and loop information. Raises {!Cfg.Malformed}
-    on inconsistencies found by {!validate}. *)
+(** Computes each block's loop depth.  No DFG is built here (see {!dfg})
+    and nothing is validated: call {!validate} or {!Verify.check} for
+    that. *)
+
+val with_blocks : t -> Block.t list -> t
+(** [with_blocks t blocks] is [make] over [Cfg.of_blocks blocks] with
+    [t]'s name and arrays.  A block whose instructions equal those of
+    the block of [t] with the same label keeps that block's built DFG;
+    every other block's DFG is built on first use.  Raises
+    {!Cfg.Malformed} as {!Cfg.of_blocks} does. *)
+
+val dfg : t -> int -> Dfg.t
+(** [dfg t i] is the DFG of block [i], built by {!Dfg.of_instrs} on the
+    first call and cached in [t].  Safe to call from several domains at
+    once: domains that race on a block's first use may each build the
+    same DFG, and one of the equal results is kept. *)
 
 val name : t -> string
 val cfg : t -> Cfg.t
@@ -37,8 +50,9 @@ val block_ids : t -> int list
 val total_instrs : t -> int
 
 val validate : t -> (unit, string) result
-(** Structural checks: every accessed array is declared, no store to a
-    const array, branch conditions are defined or block-live-in. *)
+(** Array checks only: every accessed array is declared and no store
+    targets a const array.  The first failure is returned.  The full
+    invariant set is {!Verify.check}. *)
 
 val pp_summary : Format.formatter -> t -> unit
 (** One line per block: id, label, instruction count, DFG depth, loop

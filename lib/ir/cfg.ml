@@ -102,26 +102,20 @@ let idom t =
   done;
   idom
 
-let dominates t a b =
+let dominates t =
   let idom = idom t in
-  let rec walk x = if x = a then true else if x = idom.(x) then false else walk idom.(x) in
-  if idom.(b) = -1 then false else walk b
+  fun a b ->
+    let rec walk x = if x = a then true else if x = idom.(x) then false else walk idom.(x) in
+    if idom.(b) = -1 then false else walk b
 
 let back_edges t =
-  let idom = idom t in
-  let dominates_cached a b =
-    let rec walk x =
-      if x = a then true else if x = idom.(x) then false else walk idom.(x)
-    in
-    if idom.(b) = -1 then false else walk b
-  in
+  let dominates = dominates t in
   let acc = ref [] in
   Array.iteri
     (fun n targets ->
-      if idom.(n) <> -1 then
-        List.iter
-          (fun h -> if dominates_cached h n then acc := (n, h) :: !acc)
-          targets)
+      (* the entry dominates exactly the reachable blocks *)
+      if dominates t.entry n then
+        List.iter (fun h -> if dominates h n then acc := (n, h) :: !acc) targets)
     t.succs;
   List.rev !acc
 

@@ -29,8 +29,9 @@ val idom : t -> int array
     [-1]), computed with the Cooper–Harvey–Kennedy iterative algorithm. *)
 
 val dominates : t -> int -> int -> bool
-(** [dominates cfg a b] — does block [a] dominate block [b]?  Both must be
-    reachable. *)
+(** [dominates cfg a b] — does block [a] dominate block [b]?  [false]
+    when [b] is unreachable.  [dominates cfg] computes {!idom} once; apply
+    it partially to answer many queries on one CFG. *)
 
 val back_edges : t -> (int * int) list
 (** Edges [n -> h] where [h] dominates [n] (loop back-edges). *)

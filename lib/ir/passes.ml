@@ -6,31 +6,46 @@ let verify_passes =
     | Some ("1" | "true" | "yes" | "on") -> true
     | Some _ | None -> false)
 
-let checked ?verify name pass cdfg =
-  let run () =
-    let out = pass cdfg in
-    if Option.value verify ~default:!verify_passes then
-      Verify.check_exn ~context:name out;
-    if Hypar_obs.Sink.enabled () then begin
-      Hypar_obs.Counter.set "ir.blocks" (Cdfg.block_count out);
-      Hypar_obs.Counter.set "ir.instrs" (Cdfg.total_instrs out);
-      (* per-pass shrink accounting, surfaced by [hypar ... --stats] *)
-      let di = Cdfg.total_instrs cdfg - Cdfg.total_instrs out in
-      if di > 0 then
-        Hypar_obs.Counter.incr ("ir.shrink." ^ name ^ ".instrs") ~by:di;
-      let db = Cdfg.block_count cdfg - Cdfg.block_count out in
-      if db > 0 then
-        Hypar_obs.Counter.incr ("ir.shrink." ^ name ^ ".blocks") ~by:db
-    end;
-    out
-  in
+let span name f =
   if Hypar_obs.Sink.enabled () then
-    Hypar_obs.Span.with_ ~cat:"ir" ("ir.pass." ^ name) run
-  else run ()
+    Hypar_obs.Span.with_ ~cat:"ir" ("ir.pass." ^ name) f
+  else f ()
 
+(* verify [out] when verification is on, then set the size gauges and
+   count what [name] removed from [before] *)
+let observe ?verify name ~before out =
+  if Option.value verify ~default:!verify_passes then
+    Verify.check_exn ~context:name out;
+  if Hypar_obs.Sink.enabled () then begin
+    Hypar_obs.Counter.set "ir.blocks" (Cdfg.block_count out);
+    Hypar_obs.Counter.set "ir.instrs" (Cdfg.total_instrs out);
+    (* per-pass shrink accounting, surfaced by [hypar ... --stats] *)
+    let di = Cdfg.total_instrs before - Cdfg.total_instrs out in
+    if di > 0 then
+      Hypar_obs.Counter.incr ("ir.shrink." ^ name ^ ".instrs") ~by:di;
+    let db = Cdfg.block_count before - Cdfg.block_count out in
+    if db > 0 then
+      Hypar_obs.Counter.incr ("ir.shrink." ^ name ^ ".blocks") ~by:db
+  end
+
+(* a pass that changed nothing returns its input physically, and that
+   input was already observed: verified, gauged and counted *)
+let checked ?verify name pass cdfg =
+  span name (fun () ->
+      let out = pass cdfg in
+      if out != cdfg then observe ?verify name ~before:cdfg out;
+      out)
+
+(* the one place a pass's new blocks become a CDFG: when every block
+   equals the input's block at the same index the pass changed nothing,
+   and the input itself is returned *)
 let rebuild cdfg blocks =
-  Cdfg.make ~name:(Cdfg.name cdfg) ~arrays:(Cdfg.arrays cdfg)
-    (Cfg.of_blocks blocks)
+  let old = Cfg.blocks (Cdfg.cfg cdfg) in
+  let unchanged =
+    List.compare_length_with blocks (Array.length old) = 0
+    && List.for_all2 (fun b o -> b == o || b = o) blocks (Array.to_list old)
+  in
+  if unchanged then cdfg else Cdfg.with_blocks cdfg blocks
 
 let map_blocks f cdfg =
   let blocks =
@@ -451,11 +466,6 @@ let dead_code_eliminate cdfg =
 
 (* --- control-flow clean-up --------------------------------------------- *)
 
-let same_program c1 c2 =
-  let b1 = Array.to_list (Cfg.blocks (Cdfg.cfg c1)) in
-  let b2 = Array.to_list (Cfg.blocks (Cdfg.cfg c2)) in
-  b1 = b2
-
 let simplify_cfg_once cdfg =
   let cfg = Cdfg.cfg cdfg in
   let reachable = Cfg.reachable cfg in
@@ -535,7 +545,7 @@ let simplify_cfg cdfg =
     if round >= 64 then c
     else
       let c' = simplify_cfg_once c in
-      if same_program c c' then c else go (round + 1) c'
+      if c' == c then c else go (round + 1) c'
   in
   go 0 cdfg
 
@@ -543,10 +553,10 @@ let simplify_cfg cdfg =
 
 module Int_map = Map.Make (Int)
 
-(* Hoist from one loop; returns the rebuilt block list and whether
-   anything moved. *)
-let hoist_loop (blocks : Block.t array) (loop : Loop.t) =
-  let cfg = Cfg.of_blocks (Array.to_list blocks) in
+(* Hoist from one loop.  [cfg] is the CFG over [blocks], [live] solves
+   its liveness on demand and [dominates] answers for its dominator tree.
+   Returns the new blocks when anything moved; [blocks] is not mutated. *)
+let hoist_loop ~cfg ~live ~dominates (blocks : Block.t array) (loop : Loop.t) =
   let in_loop = Array.make (Array.length blocks) false in
   List.iter (fun b -> in_loop.(b) <- true) loop.Loop.body;
   (* unique out-of-loop predecessor of the header *)
@@ -555,7 +565,7 @@ let hoist_loop (blocks : Block.t array) (loop : Loop.t) =
   in
   match outside_preds with
   | [ preheader ] ->
-    let live = Live.analyse cfg in
+    let live = live () in
     let live_in_header =
       List.fold_left
         (fun acc (v : Instr.var) -> Int_map.add v.vid () acc)
@@ -601,7 +611,7 @@ let hoist_loop (blocks : Block.t array) (loop : Loop.t) =
           loop.Loop.body
       in
       let must_dominate = loop.Loop.latches @ exiting in
-      fun b -> List.for_all (fun d -> Cfg.dominates cfg b d) must_dominate
+      fun b -> List.for_all (fun d -> dominates b d) must_dominate
     in
     let is_hoistable b instr =
       let pure =
@@ -640,7 +650,7 @@ let hoist_loop (blocks : Block.t array) (loop : Loop.t) =
             blocks.(b).Block.instrs)
         loop.Loop.body
     done;
-    if Hashtbl.length to_hoist = 0 then (blocks, false)
+    if Hashtbl.length to_hoist = 0 then None
     else begin
       let moved = ref [] in
       let blocks =
@@ -666,28 +676,43 @@ let hoist_loop (blocks : Block.t array) (loop : Loop.t) =
       let moved = List.rev !moved in
       let ph = blocks.(preheader) in
       blocks.(preheader) <- { ph with Block.instrs = ph.Block.instrs @ moved };
-      (blocks, true)
+      Some blocks
     end
-  | [] | _ :: _ :: _ -> (blocks, false)
+  | [] | _ :: _ :: _ -> None
 
 let loop_invariant_motion cdfg =
-  let blocks = Array.copy (Cfg.blocks (Cdfg.cfg cdfg)) in
-  (* innermost loops first: larger depth before smaller, then smaller body *)
   let cfg = Cdfg.cfg cdfg in
-  let depth = Loop.depth_map cfg in
+  (* innermost loops first: larger depth before smaller, then smaller body *)
+  let depth i = (Cdfg.info cdfg i).Cdfg.loop_depth in
   let loops =
     List.sort
       (fun (l1 : Loop.t) (l2 : Loop.t) ->
-        match compare depth.(l2.Loop.header) depth.(l1.Loop.header) with
+        match compare (depth l2.Loop.header) (depth l1.Loop.header) with
         | 0 -> compare (List.length l1.Loop.body) (List.length l2.Loop.body)
         | c -> c)
       (Loop.find cfg)
   in
-  let blocks = ref blocks in
+  (* hoisting moves instructions, never edges: one dominator tree serves
+     every loop, and the CFG over the current blocks and its liveness are
+     rebuilt only after a loop actually hoisted *)
+  let dominates = Cfg.dominates cfg in
+  let blocks = ref (Cfg.blocks cfg) and cfg = ref cfg and live = ref None in
+  let solve () =
+    match !live with
+    | Some l -> l
+    | None ->
+      let l = Live.analyse !cfg in
+      live := Some l;
+      l
+  in
   List.iter
     (fun loop ->
-      let updated, _ = hoist_loop !blocks loop in
-      blocks := updated)
+      match hoist_loop ~cfg:!cfg ~live:solve ~dominates !blocks loop with
+      | None -> ()
+      | Some updated ->
+        blocks := updated;
+        cfg := Cfg.of_blocks (Array.to_list updated);
+        live := None)
     loops;
   rebuild cdfg (Array.to_list !blocks)
 
@@ -705,7 +730,7 @@ let simplify ?(max_rounds = 8) ?verify cdfg =
                 (step "algebraic_simplify" algebraic_simplify
                    (step "const_fold" const_fold c))))
       in
-      if same_program c c' then c else go (round + 1) c'
+      if c' == c then c else go (round + 1) c'
   in
   go 0 cdfg
 
@@ -721,9 +746,10 @@ let global_round ?verify c =
   |> step "simplify_cfg" simplify_cfg
 
 let optimize ?verify cdfg =
+  (* the input is observed unconditionally: no pass has checked it yet *)
+  span "input" (fun () -> observe ?verify "input" ~before:cdfg cdfg);
   let step = checked ?verify in
-  step "input" Fun.id cdfg
-  |> simplify ?verify
+  simplify ?verify cdfg
   |> step "simplify_cfg" simplify_cfg
   |> global_round ?verify
   |> step "loop_invariant_motion" loop_invariant_motion

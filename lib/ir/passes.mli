@@ -19,7 +19,12 @@ val verify_passes : bool ref
 val checked : ?verify:bool -> string -> (Cdfg.t -> Cdfg.t) -> Cdfg.t -> Cdfg.t
 (** [checked name pass cdfg] runs [pass] and, when verification is on
     ([verify] overrides {!verify_passes}), checks the result, raising
-    {!Verify.Failed} with [name] as the context on any violation. *)
+    {!Verify.Failed} with [name] as the context on any violation.
+
+    Every pass below returns its input itself ([==]) when it changes
+    nothing.  Such an output is not verified again, and the size gauges
+    and shrink counters are left alone; the [ir.pass.NAME] span is still
+    recorded. *)
 
 val const_fold : Cdfg.t -> Cdfg.t
 (** Propagates constants within each block and folds operations whose
@@ -103,5 +108,5 @@ val optimize : ?verify:bool -> Cdfg.t -> Cdfg.t
     global round ({!global_const_propagate} → {!global_copy_propagate} →
     {!global_cse} → {!simplify} → {!simplify_cfg}) →
     {!loop_invariant_motion} (innermost loops first) → a second global
-    round.  With verification on the input and every pass output are
-    {!checked}. *)
+    round.  With verification on, the input and every pass output that
+    differs from its pass's input are {!checked}. *)

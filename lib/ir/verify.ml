@@ -267,8 +267,8 @@ let check (cdfg : Cdfg.t) =
     List.concat
       [
         List.concat_map
-          (fun (bi : Cdfg.block_info) -> check_dfg_against bi.block bi.dfg)
-          (Array.to_list (Cdfg.infos cdfg));
+          (fun i -> check_dfg_against (Cfg.block cfg i) (Cdfg.dfg cdfg i))
+          (Cdfg.block_ids cdfg);
         defs_before_uses cfg;
         check_liveness cfg
           ~live_in:(Live.live_in live)

@@ -66,7 +66,7 @@ let test_oversized_partition_rejected () =
 let test_streams_for_real_partitions () =
   (* every temporal partition of the JPEG DCT block yields a valid stream *)
   let jpeg = Hypar_apps.Jpeg.prepared () in
-  let dfg = (Ir.Cdfg.info jpeg.Hypar_core.Flow.cdfg 5).Ir.Cdfg.dfg in
+  let dfg = Ir.Cdfg.dfg jpeg.Hypar_core.Flow.cdfg 5 in
   let tp = Temporal.partition ~area:1500 ~size:(Fpga.op_area fpga) dfg in
   List.iter
     (fun (p : Temporal.partition) ->

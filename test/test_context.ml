@@ -62,7 +62,7 @@ let test_idle_slots_inactive () =
 let test_context_matches_gantt () =
   (* context decoding recovers exactly the ops the Gantt shows *)
   let jpeg = Hypar_apps.Jpeg.prepared () in
-  let dfg = (Ir.Cdfg.info jpeg.Hypar_core.Flow.cdfg 5).Ir.Cdfg.dfg in
+  let dfg = Ir.Cdfg.dfg jpeg.Hypar_core.Flow.cdfg 5 in
   let m = map dfg in
   let ctx = Context.generate cgc2 dfg m.Coarse_map.schedule m.Coarse_map.binding in
   let decoded =

@@ -157,9 +157,9 @@ let test_validate_passes () =
   | Ok () -> ()
   | Error msg -> Alcotest.failf "ofdm failed validation: %s" msg);
   Alcotest.(check bool) "all DFGs well-formed" true
-    (Array.for_all
-       (fun (bi : Ir.Cdfg.block_info) -> Ir.Dfg.is_well_formed bi.dfg)
-       (Ir.Cdfg.infos cdfg))
+    (List.for_all
+       (fun i -> Ir.Dfg.is_well_formed (Ir.Cdfg.dfg cdfg i))
+       (Ir.Cdfg.block_ids cdfg))
 
 let suite =
   [

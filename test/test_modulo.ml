@@ -23,7 +23,7 @@ let carried_dfg () =
     (Ir.Instr.Bin { dst = i; op = Ir.Types.Add; a = Var i; b = Imm 1 });
   Ir.Builder.finish_block b ~label:"body" ~term:(Ir.Block.Return None);
   let cdfg = Ir.Builder.cdfg b in
-  let dfg = (Ir.Cdfg.info cdfg 0).Ir.Cdfg.dfg in
+  let dfg = Ir.Cdfg.dfg cdfg 0 in
   (dfg, s, i)
 
 let test_bounds () =
@@ -49,7 +49,7 @@ let test_wide_kernel_pipelines_well () =
     (Ir.Instr.Bin { dst = i; op = Ir.Types.Add; a = Var i; b = Imm 1 });
   Ir.Builder.finish_block b ~label:"body" ~term:(Ir.Block.Return None);
   let cdfg = Ir.Builder.cdfg b in
-  let dfg = (Ir.Cdfg.info cdfg 0).Ir.Cdfg.dfg in
+  let dfg = Ir.Cdfg.dfg cdfg 0 in
   match Modulo.analyse cgc2 dfg ~carried:[ i ] with
   | Some m ->
     Alcotest.(check bool)
@@ -79,7 +79,7 @@ let test_division_unsupported () =
     (Ir.Instr.Div { dst = Ir.Builder.fresh_var b "q"; a = Var x; b = Imm 2 });
   Ir.Builder.finish_block b ~label:"body" ~term:(Ir.Block.Return None);
   let cdfg = Ir.Builder.cdfg b in
-  let dfg = (Ir.Cdfg.info cdfg 0).Ir.Cdfg.dfg in
+  let dfg = Ir.Cdfg.dfg cdfg 0 in
   Alcotest.(check bool) "unsupported" true (Modulo.analyse cgc2 dfg ~carried:[] = None)
 
 let prepared = lazy (Flow.prepare ~name:"acc" {|

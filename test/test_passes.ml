@@ -132,6 +132,112 @@ let test_semantics_preserved_random () =
       (out0 raw) (out0 simplified)
   done
 
+(* --- the pass contract: no-op identity and the DFG cache ------------------ *)
+
+let public_passes =
+  Ir.Passes.
+    [
+      ("const_fold", const_fold);
+      ("copy_propagate", copy_propagate);
+      ("algebraic_simplify", algebraic_simplify);
+      ("common_subexpressions", common_subexpressions);
+      ("dead_code_eliminate", dead_code_eliminate);
+      ("simplify_cfg", simplify_cfg);
+      ("loop_invariant_motion", loop_invariant_motion);
+      ("global_const_propagate", global_const_propagate);
+      ("global_copy_propagate", global_copy_propagate);
+      ("global_cse", global_cse);
+    ]
+
+let apps =
+  Hypar_apps.
+    [ ("ofdm", Ofdm.source); ("jpeg", Jpeg.source); ("adpcm", Adpcm.source);
+      ("sobel", Sobel.source) ]
+
+let test_noop_returns_input () =
+  List.iter
+    (fun (app, src) ->
+      let out = Ir.Passes.optimize (compile_raw src) in
+      List.iter
+        (fun (pass, run) ->
+          Alcotest.(check bool) (Printf.sprintf "%s: %s" app pass) true (run out == out))
+        public_passes;
+      Alcotest.(check bool) (app ^ ": simplify, one round") true
+        (Ir.Passes.simplify ~max_rounds:1 out == out))
+    apps
+
+let test_optimize_verifies_input () =
+  (* reads "ghost", which no instruction defines *)
+  let ghost = Ir.Instr.{ vname = "ghost"; vid = 7; vwidth = 16 } in
+  let x = Ir.Instr.{ vname = "x"; vid = 0; vwidth = 16 } in
+  let b =
+    Ir.Block.make ~label:"bb0"
+      ~instrs:[ Ir.Instr.Mov { dst = x; src = Var ghost } ]
+      ~term:(Ir.Block.Return None)
+  in
+  let broken = Ir.Cdfg.make ~arrays:[] (Ir.Cfg.of_blocks [ b ]) in
+  match Ir.Passes.optimize ~verify:true broken with
+  | _ -> Alcotest.fail "expected Verify.Failed"
+  | exception Ir.Verify.Failed { context; _ } ->
+    Alcotest.(check string) "context" "input" context
+
+(* a DFG compared by what its consumers read: nodes, edges, ASAP levels and
+   live-ins *)
+let dfg_view d =
+  let node (nd : Ir.Dfg.node) = (nd.id, nd.instr, Ir.Dfg.succs d nd.id) in
+  (List.map node (Ir.Dfg.nodes d), Ir.Dfg.asap d, Ir.Dfg.live_in_vars d)
+
+let fresh_dfg cdfg i = Ir.Dfg.of_instrs (Ir.Cdfg.info cdfg i).Ir.Cdfg.block.Ir.Block.instrs
+
+let check_dfgs what cdfg =
+  List.iter
+    (fun i ->
+      if dfg_view (Ir.Cdfg.dfg cdfg i) <> dfg_view (fresh_dfg cdfg i) then
+        Alcotest.failf "%s: cached DFG of BB%d differs from a fresh build" what i)
+    (Ir.Cdfg.block_ids cdfg)
+
+(* every DFG of each input is built before the pass runs, so a slot a pass
+   carries over wrongly is read back by [check_dfgs] *)
+let test_dfg_cache_matches_rebuild () =
+  let unsafe = { Hypar_fuzzgen.Gen.default_config with Hypar_fuzzgen.Gen.unsafe = true } in
+  List.iter
+    (fun (grammar, config) ->
+      for seed = 1 to 12 do
+        let src = Hypar_fuzzgen.Gen.source ~config seed in
+        let c = ref (compile_raw src) in
+        for round = 1 to 2 do
+          List.iter
+            (fun (pass, run) ->
+              check_dfgs "input" !c;
+              c := run !c;
+              check_dfgs
+                (Printf.sprintf "%s seed %d round %d: %s" grammar seed round pass)
+                !c)
+            public_passes
+        done
+      done)
+    [ ("safe", Hypar_fuzzgen.Gen.default_config); ("unsafe", unsafe) ]
+
+let test_dfg_concurrent_first_use () =
+  (* unverified: verification builds every DFG *)
+  let cdfg = Driver.compile_exn ~name:"jpeg" ~verify_ir:false Hypar_apps.Jpeg.source in
+  let ids = Ir.Cdfg.block_ids cdfg in
+  let started = Atomic.make 0 in
+  let force () =
+    Atomic.incr started;
+    while Atomic.get started < 4 do Domain.cpu_relax () done;
+    List.map (fun i -> Ir.Cdfg.dfg cdfg i) ids
+  in
+  let results = List.map Domain.join (List.init 4 (fun _ -> Domain.spawn force)) in
+  List.iteri
+    (fun d dfgs ->
+      List.iter2
+        (fun i got ->
+          if dfg_view got <> dfg_view (fresh_dfg cdfg i) then
+            Alcotest.failf "domain %d: DFG of BB%d differs from a single-domain build" d i)
+        ids dfgs)
+    results
+
 let suite =
   [
     Alcotest.test_case "const fold arithmetic" `Quick test_const_fold_arithmetic;
@@ -142,4 +248,8 @@ let suite =
     Alcotest.test_case "DCE removes dead loads" `Quick test_dce_removes_dead_load;
     Alcotest.test_case "simplify idempotent" `Quick test_simplify_idempotent;
     Alcotest.test_case "random semantics preserved" `Quick test_semantics_preserved_random;
+    Alcotest.test_case "no-op passes return their input" `Quick test_noop_returns_input;
+    Alcotest.test_case "optimize verifies its input" `Quick test_optimize_verifies_input;
+    Alcotest.test_case "DFG cache matches a rebuild" `Quick test_dfg_cache_matches_rebuild;
+    Alcotest.test_case "DFG first use from 4 domains" `Quick test_dfg_concurrent_first_use;
   ]

@@ -79,7 +79,7 @@ let test_dot_export () =
   Alcotest.(check bool) "has edges" true (contains dot "->");
   let highlighted = Ir.Dot.cfg_to_dot ~highlight:[ 1 ] p.Flow.cdfg in
   Alcotest.(check bool) "highlight style" true (contains highlighted "filled");
-  let dfg = (Ir.Cdfg.info p.Flow.cdfg 1).Ir.Cdfg.dfg in
+  let dfg = Ir.Cdfg.dfg p.Flow.cdfg 1 in
   let ddot = Ir.Dot.dfg_to_dot ~title:"BB1" dfg in
   Alcotest.(check bool) "dfg digraph" true (contains ddot "digraph \"BB1\"");
   Alcotest.(check bool) "ranks by level" true (contains ddot "(L1)")
@@ -87,7 +87,7 @@ let test_dot_export () =
 let test_gantt_renders () =
   let p = Lazy.force prepared in
   let cgc = Hypar_coarsegrain.Cgc.two_by_two 2 in
-  let dfg = (Ir.Cdfg.info p.Flow.cdfg 1).Ir.Cdfg.dfg in
+  let dfg = Ir.Cdfg.dfg p.Flow.cdfg 1 in
   match Hypar_coarsegrain.Coarse_map.map_dfg cgc dfg with
   | Some m ->
     let gantt =

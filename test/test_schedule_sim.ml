@@ -110,9 +110,7 @@ let test_app_blocks () =
       let cdfg = prepared.Hypar_core.Flow.cdfg in
       List.iter
         (fun i ->
-          check_dfg
-            (Printf.sprintf "%s BB%d" name i)
-            (Ir.Cdfg.info cdfg i).Ir.Cdfg.dfg)
+          check_dfg (Printf.sprintf "%s BB%d" name i) (Ir.Cdfg.dfg cdfg i))
         (Ir.Cdfg.block_ids cdfg))
     [
       ("ofdm", Hypar_apps.Ofdm.prepared ());
