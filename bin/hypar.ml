@@ -64,47 +64,6 @@ module Platform = Hypar_core.Platform
 module Engine = Hypar_core.Engine
 module Explore = Hypar_explore
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
-exception Unsupported_input of string
-
-(* The one frontend dispatch every subcommand shares, keyed on the file
-   extension: .ir files (serialised CDFGs, see Hypar_ir.Serialize) load
-   directly, .hbc goes through the bytecode frontend, .mc through the
-   Mini-C compiler; anything else is a clean exit-2 error rather than a
-   Mini-C parse failure.  [raw] skips the optimisation pipeline (Mini-C
-   [~simplify:false], bytecode [~optimize:false]; meaningless for .ir);
-   [verify] overrides the Passes.verify_passes default. *)
-let load_cdfg ?(raw = false) ?verify path =
-  let name = Filename.basename path in
-  if Filename.check_suffix path ".ir" then begin
-    let cdfg = Hypar_ir.Serialize.of_string (read_file path) in
-    if Option.value verify ~default:!Hypar_ir.Passes.verify_passes then
-      Hypar_ir.Verify.check_exn ~context:name cdfg;
-    cdfg
-  end
-  else if Filename.check_suffix path ".hbc" then
-    Hypar_bytecode.Driver.compile_exn ~name ~optimize:(not raw)
-      ?verify_ir:verify (read_file path)
-  else if Filename.check_suffix path ".mc" then
-    Hypar_minic.Driver.compile_exn ~name ~simplify:(not raw) ?verify_ir:verify
-      (read_file path)
-  else raise (Unsupported_input path)
-
-(* [backend] is the --interp override; when absent Profile.run honours
-   the HYPAR_INTERP environment variable and defaults to the compiled
-   backend, which is byte-identical to the tree-walking oracle. *)
-let prepare_file ?backend ?(verify_ir = false) ?max_steps path =
-  let cdfg = load_cdfg ?verify:(if verify_ir then Some true else None) path in
-  let interp = Hypar_profiling.Profile.run ?backend ?max_steps cdfg in
-  let profile = Hypar_profiling.Profile.of_result cdfg interp in
-  { Flow.cdfg; profile; interp }
-
 (* Uniform reporting + exit codes for the typed failures every subcommand
    can hit: frontend errors render as a located file:line:col diagnostic
    (exit 2, never a backtrace), an exhausted profiling budget or a
@@ -116,23 +75,13 @@ let with_verification f =
     Printf.eprintf "hypar: IR verification failed after %S:\n%s\n" context
       (Hypar_ir.Verify.report violations);
     3
-  | exception Hypar_minic.Driver.Frontend_error { name; err } ->
-    Printf.eprintf "%s%d:%d: %s\n"
-      (match name with Some n -> n ^ ":" | None -> "")
-      err.Hypar_minic.Driver.line err.Hypar_minic.Driver.col
-      err.Hypar_minic.Driver.msg;
+  | exception (Flow.Unsupported_input _ as e) ->
+    Printf.eprintf "hypar: %s\n" (Flow.load_error_message e);
     2
-  | exception Hypar_bytecode.Driver.Frontend_error { name; err } ->
-    Printf.eprintf "%s%d:%d: %s\n"
-      (match name with Some n -> n ^ ":" | None -> "")
-      err.Hypar_bytecode.Driver.line err.Hypar_bytecode.Driver.col
-      err.Hypar_bytecode.Driver.msg;
-    2
-  | exception Unsupported_input path ->
-    Printf.eprintf
-      "hypar: %s: unsupported input (expected .mc Mini-C, .hbc bytecode or \
-       .ir serialised CDFG)\n"
-      path;
+  | exception
+      (( Hypar_minic.Driver.Frontend_error _
+       | Hypar_bytecode.Driver.Frontend_error _ ) as e) ->
+    Printf.eprintf "%s\n" (Flow.load_error_message e);
     2
   | exception Hypar_profiling.Interp.Fuel_exhausted { steps } ->
     Printf.eprintf
@@ -143,12 +92,6 @@ let with_verification f =
     Printf.eprintf "hypar: profiling run failed: %s\n" msg;
     2
   | code -> code
-
-let platform_of ~area ~cgcs ~rows ~cols ~ratio =
-  Platform.make ~clock_ratio:ratio
-    ~fpga:(Hypar_finegrain.Fpga.make ~area ())
-    ~cgc:(Hypar_coarsegrain.Cgc.make ~cgcs ~rows ~cols ())
-    ()
 
 open Cmdliner
 
@@ -251,11 +194,15 @@ let constraint_arg =
     & opt (some int) None
     & info [ "timing"; "t" ] ~docv:"CYCLES" ~doc:"timing constraint in FPGA cycles")
 
+(* [Some true] when given; [None] defers to Passes.verify_passes
+   (HYPAR_VERIFY_IR) *)
 let verify_ir_arg =
-  Arg.(
-    value & flag
-    & info [ "verify-ir" ]
-        ~doc:"check IR structural invariants before and after every pass")
+  Term.(
+    const (fun on -> if on then Some true else None)
+    $ Arg.(
+        value & flag
+        & info [ "verify-ir" ]
+            ~doc:"check IR structural invariants before and after every pass"))
 
 let faults_file_arg =
   Arg.(
@@ -271,14 +218,14 @@ let partition_cmd =
       faults interp obs =
     with_obs ~command:"partition" obs @@ fun () ->
     with_verification @@ fun () ->
-    let prepared = prepare_file ?backend:interp ~verify_ir file in
-    let platform = platform_of ~area ~cgcs ~rows ~cols ~ratio in
+    let prepared = Flow.prepare_file ?backend:interp ?verify_ir file in
+    let platform =
+      Platform.of_geometry ~area ~cgcs ~rows ~cols ~clock_ratio:ratio
+    in
     let granularity = if loops then `Loop else `Block in
     let go platform =
-      Engine.run ~granularity ~cgc_pipelining:pipelined
-        ?verify_ir:(if verify_ir then Some true else None)
-        platform ~timing_constraint:timing prepared.Flow.cdfg
-        prepared.Flow.profile
+      Engine.run ~granularity ~cgc_pipelining:pipelined ?verify_ir platform
+        ~timing_constraint:timing prepared.Flow.cdfg prepared.Flow.profile
     in
     match faults with
     | None ->
@@ -330,7 +277,7 @@ let kernels_cmd =
   let run file top interp obs =
     with_obs ~command:"kernels" obs @@ fun () ->
     with_verification @@ fun () ->
-    let prepared = prepare_file ?backend:interp file in
+    let prepared = Flow.prepare_file ?backend:interp file in
     let analysis =
       Hypar_analysis.Kernel.analyse prepared.Flow.cdfg prepared.Flow.profile
     in
@@ -344,6 +291,46 @@ let kernels_cmd =
   let term = Term.(const run $ file_arg $ top_arg $ interp_arg $ obs_args) in
   Cmd.v (Cmd.info "kernels" ~doc:"Kernel analysis (Table-1 style)") term
 
+(* The CI gate lint and analyze share.  --deny takes ids, mnemonics or
+   "all" and is resolved before any work, so a typo fails fast (exit 2).
+   [run] prints the findings and returns their codes, or a message for a
+   failure that exits 2.  A denied code present, or more than [max]
+   findings, exits 1. *)
+let gate ~tool ~noun ~ids ~all_codes ~of_string ~id ~format ~max deny run =
+  let deny_all = List.exists (fun s -> String.lowercase_ascii s = "all") deny in
+  match List.find_opt (fun s -> Option.is_none (of_string s)) deny with
+  | Some s when not deny_all ->
+    Printf.eprintf "hypar: unknown %s code %S (use %s or a mnemonic)\n" tool s
+      ids;
+    2
+  | _ -> (
+    match run () with
+    | Error msg ->
+      Printf.eprintf "%s\n" msg;
+      2
+    | Ok codes ->
+      let total = List.length codes in
+      if format = `Text && total > 0 then
+        Printf.printf "%d %s%s\n" total noun (if total = 1 then "" else "s");
+      let deny_codes =
+        if deny_all then all_codes else List.filter_map of_string deny
+      in
+      let denied =
+        List.sort_uniq compare
+          (List.filter_map
+             (fun c -> if List.mem c deny_codes then Some (id c) else None)
+             codes)
+      in
+      let over_limit = match max with Some m -> total > m | None -> false in
+      if denied <> [] then
+        Printf.eprintf "hypar: denied %s codes present: %s\n" tool
+          (String.concat ", " denied);
+      (match (over_limit, max) with
+      | true, Some m ->
+        Printf.eprintf "hypar: %d %ss exceed --max-%ss %d\n" total noun noun m
+      | _ -> ());
+      if denied <> [] || over_limit then 1 else 0)
+
 let analyze_cmd =
   let module Analyze = Hypar_analysis.Analyze in
   (* Diagnostics want the program as written: the optimiser deliberately
@@ -352,61 +339,26 @@ let analyze_cmd =
      unverified and Mini-C compiles with the pipeline off unless -O
      explicitly asks for the optimised view. *)
   let load ~optimize file =
-    let cdfg = load_cdfg ~raw:true ~verify:false file in
+    let cdfg = Flow.load ~raw:true ~verify:false file in
     if optimize then Hypar_ir.Passes.optimize ~verify:false cdfg else cdfg
   in
   let run files format max_findings deny optimize obs =
     with_obs ~command:"analyze" obs @@ fun () ->
     with_verification @@ fun () ->
-    (* resolve the denied codes first so a typo fails fast *)
-    let deny_codes =
-      if List.exists (fun s -> String.lowercase_ascii s = "all") deny then
-        Ok Analyze.all_codes
-      else
-        List.fold_left
-          (fun acc s ->
-            match (acc, Analyze.code_of_string s) with
-            | Error _, _ -> acc
-            | Ok _, None -> Error s
-            | Ok codes, Some c -> Ok (c :: codes))
-          (Ok []) deny
-    in
-    match deny_codes with
-    | Error s ->
-      Printf.eprintf
-        "hypar: unknown analyze code %S (use A001..A008 or a mnemonic)\n" s;
-      2
-    | Ok deny_codes ->
-      let total = ref 0 and denied = ref [] in
-      List.iter
-        (fun file ->
-          let findings = Analyze.check (load ~optimize file) in
-          total := !total + List.length findings;
-          List.iter
-            (fun (f : Analyze.finding) ->
-              if List.mem f.code deny_codes then
-                denied := Analyze.code_id f.code :: !denied)
-            findings;
-          match format with
-          | `Json -> print_string (Analyze.render_json ~file findings)
-          | `Text -> print_string (Analyze.render ~file findings))
-        files;
-      (match format with
-      | `Text when !total > 0 ->
-        Printf.printf "%d finding%s\n" !total (if !total = 1 then "" else "s")
-      | _ -> ());
-      let denied = List.sort_uniq compare !denied in
-      let over_limit =
-        match max_findings with Some m -> !total > m | None -> false
-      in
-      if denied <> [] then
-        Printf.eprintf "hypar: denied analyze codes present: %s\n"
-          (String.concat ", " denied);
-      (match (over_limit, max_findings) with
-      | true, Some m ->
-        Printf.eprintf "hypar: %d findings exceed --max-findings %d\n" !total m
-      | _ -> ());
-      if denied <> [] || over_limit then 1 else 0
+    gate ~tool:"analyze" ~noun:"finding" ~ids:"A001..A008"
+      ~all_codes:Analyze.all_codes ~of_string:Analyze.code_of_string
+      ~id:Analyze.code_id ~format ~max:max_findings deny
+    @@ fun () ->
+    Ok
+      (List.concat_map
+         (fun file ->
+           let findings = Analyze.check (load ~optimize file) in
+           print_string
+             (match format with
+             | `Json -> Analyze.render_json ~file findings
+             | `Text -> Analyze.render ~file findings);
+           List.map (fun (f : Analyze.finding) -> f.code) findings)
+         files)
   in
   let files_arg =
     Arg.(
@@ -458,16 +410,10 @@ let opt_cmd =
   let run file out verify_ir obs =
     with_obs ~command:"opt" obs @@ fun () ->
     with_verification @@ fun () ->
-    let cdfg =
-      load_cdfg ~raw:true ?verify:(if verify_ir then Some true else None) file
-    in
+    let cdfg = Flow.load ~raw:true ?verify:verify_ir file in
     let blocks_before = Hypar_ir.Cdfg.block_count cdfg in
     let instrs_before = Hypar_ir.Cdfg.total_instrs cdfg in
-    let optimized =
-      Hypar_ir.Passes.optimize
-        ?verify:(if verify_ir then Some true else None)
-        cdfg
-    in
+    let optimized = Hypar_ir.Passes.optimize ?verify:verify_ir cdfg in
     let blocks_after = Hypar_ir.Cdfg.block_count optimized in
     let instrs_after = Hypar_ir.Cdfg.total_instrs optimized in
     Printf.printf "%s: %d blocks / %d instrs -> %d blocks / %d instrs (%+d)\n"
@@ -502,7 +448,7 @@ let profile_cmd =
   let run file interp obs =
     with_obs ~command:"profile" obs @@ fun () ->
     with_verification @@ fun () ->
-    let prepared = prepare_file ?backend:interp file in
+    let prepared = Flow.prepare_file ?backend:interp file in
     Format.printf "%a@." Hypar_profiling.Profile.pp prepared.Flow.profile;
     0
   in
@@ -512,7 +458,7 @@ let profile_cmd =
 let dot_cmd =
   let run file block =
     with_verification @@ fun () ->
-    let prepared = prepare_file file in
+    let prepared = Flow.prepare_file file in
     (match block with
     | None -> print_string (Hypar_ir.Dot.cfg_to_dot prepared.Flow.cdfg)
     | Some b ->
@@ -534,7 +480,7 @@ let map_cmd =
   let run file block area cgcs rows cols verify_ir obs =
     with_obs ~command:"map" obs @@ fun () ->
     with_verification @@ fun () ->
-    let prepared = prepare_file ~verify_ir file in
+    let prepared = Flow.prepare_file ?verify_ir file in
     let cdfg = prepared.Flow.cdfg in
     let fpga = Hypar_finegrain.Fpga.make ~area () in
     let cgc = Hypar_coarsegrain.Cgc.make ~cgcs ~rows ~cols () in
@@ -582,58 +528,19 @@ let map_cmd =
 let lint_cmd =
   let module Lint = Hypar_analysis.Lint in
   let run file format max_warnings deny =
-    (* resolve the denied codes first so a typo fails fast *)
-    let deny_codes =
-      if List.exists (fun s -> String.lowercase_ascii s = "all") deny then
-        Ok Lint.all_codes
-      else
-        List.fold_left
-          (fun acc s ->
-            match (acc, Lint.code_of_string s) with
-            | Error _, _ -> acc
-            | Ok _, None -> Error s
-            | Ok codes, Some c -> Ok (c :: codes))
-          (Ok []) deny
-    in
-    match deny_codes with
-    | Error s ->
-      Printf.eprintf "hypar: unknown lint code %S (use W001..W009 or a mnemonic)\n" s;
-      2
-    | Ok deny_codes -> (
-      match Lint.check ~name:(Filename.basename file) (read_file file) with
-      | Error msg ->
-        Printf.eprintf "%s:%s\n" file msg;
-        2
-      | Ok diags ->
+    gate ~tool:"lint" ~noun:"warning" ~ids:"W001..W009"
+      ~all_codes:Lint.all_codes ~of_string:Lint.code_of_string ~id:Lint.code_id
+      ~format ~max:max_warnings deny
+    @@ fun () ->
+    let source = In_channel.with_open_bin file In_channel.input_all in
+    match Lint.check ~name:(Filename.basename file) source with
+    | Error msg -> Error (file ^ ":" ^ msg)
+    | Ok diags ->
+      print_string
         (match format with
-        | `Json -> print_string (Lint.render_json ~file diags)
-        | `Text ->
-          print_string (Lint.render ~file diags);
-          if diags <> [] then
-            Printf.printf "%d warning%s\n" (List.length diags)
-              (if List.length diags = 1 then "" else "s"));
-        let denied =
-          List.sort_uniq compare
-            (List.filter_map
-               (fun (d : Lint.diagnostic) ->
-                 if List.mem d.code deny_codes then Some (Lint.code_id d.code)
-                 else None)
-               diags)
-        in
-        let over_limit =
-          match max_warnings with
-          | Some m -> List.length diags > m
-          | None -> false
-        in
-        if denied <> [] then
-          Printf.eprintf "hypar: denied lint codes present: %s\n"
-            (String.concat ", " denied);
-        (match (over_limit, max_warnings) with
-        | true, Some m ->
-          Printf.eprintf "hypar: %d warnings exceed --max-warnings %d\n"
-            (List.length diags) m
-        | _ -> ());
-        if denied <> [] || over_limit then 1 else 0)
+        | `Json -> Lint.render_json ~file diags
+        | `Text -> Lint.render ~file diags);
+      Ok (List.map (fun (d : Lint.diagnostic) -> d.code) diags)
   in
   let format_arg =
     Arg.(
@@ -669,8 +576,10 @@ let baselines_cmd =
   let run file area cgcs rows cols ratio timing interp obs =
     with_obs ~command:"baselines" obs @@ fun () ->
     with_verification @@ fun () ->
-    let prepared = prepare_file ?backend:interp file in
-    let platform = platform_of ~area ~cgcs ~rows ~cols ~ratio in
+    let prepared = Flow.prepare_file ?backend:interp file in
+    let platform =
+      Platform.of_geometry ~area ~cgcs ~rows ~cols ~clock_ratio:ratio
+    in
     Printf.printf "%-28s %7s %16s %6s %8s\n" "strategy" "moves" "final" "met"
       "evals";
     List.iter
@@ -696,7 +605,7 @@ let baselines_cmd =
 let ranges_cmd =
   let run file all =
     with_verification @@ fun () ->
-    let cdfg = load_cdfg file in
+    let cdfg = Flow.load file in
     let reports =
       List.filter
         (fun (r : Hypar_analysis.Range.report) -> all || not r.fits)
@@ -865,7 +774,9 @@ let explore_cmd =
         Printf.eprintf "hypar: %s\n" msg;
         2
       | Ok faults -> (
-        let prepared = prepare_file ?backend:interp ?max_steps:point_fuel file in
+        let prepared =
+          Flow.prepare_file ?backend:interp ?max_steps:point_fuel file
+        in
         let space =
           Space.make ~areas ~cgcs ~rows ~cols ~clock_ratios:ratios
             ~timings ~max_points ()
@@ -915,7 +826,9 @@ let faults_cmd =
       (match format with
       | `Text -> print_string (R.Spec.to_text spec)
       | `Json -> print_endline (R.Spec.to_json spec));
-      let platform = platform_of ~area ~cgcs ~rows ~cols ~ratio in
+      let platform =
+      Platform.of_geometry ~area ~cgcs ~rows ~cols ~clock_ratio:ratio
+    in
       match R.Degrade.apply spec platform with
       | Error msg ->
         Printf.eprintf "hypar: %s\n" msg;
@@ -956,7 +869,7 @@ let faults_cmd =
 let dump_cmd =
   let run file raw =
     with_verification @@ fun () ->
-    let cdfg = load_cdfg ~raw file in
+    let cdfg = Flow.load ~raw file in
     print_string (Hypar_ir.Serialize.to_string cdfg);
     0
   in
@@ -977,11 +890,7 @@ let compile_bc_cmd =
   let run file out optimized verify_ir obs =
     with_obs ~command:"compile-bc" obs @@ fun () ->
     with_verification @@ fun () ->
-    let cdfg =
-      load_cdfg ~raw:(not optimized)
-        ?verify:(if verify_ir then Some true else None)
-        file
-    in
+    let cdfg = Flow.load ~raw:(not optimized) ?verify:verify_ir file in
     let text = Hypar_bytecode.Emit.to_string cdfg in
     (match out with
     | None -> print_string text
@@ -1543,7 +1452,10 @@ let soak_cmd =
 
 let trace_cmd =
   let run file =
-    match Hypar_obs.Export.parse_chrome (read_file file) with
+    match
+      Hypar_obs.Export.parse_chrome
+        (In_channel.with_open_bin file In_channel.input_all)
+    with
     | Error msg ->
       Printf.eprintf "hypar: %s: %s\n" file msg;
       2

@@ -674,30 +674,15 @@ let render ?(file = "<ir>") fs =
   String.concat ""
     (List.map (fun f -> Format.asprintf "%s:%a\n" file pp_finding f) fs)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let render_json ?(file = "<ir>") fs =
   let entry f =
     Printf.sprintf
       "    {\"code\": %S, \"name\": %S, \"block\": %d, \"index\": %d, \
        \"message\": \"%s\"}"
       (code_id f.code) (code_mnemonic f.code) f.block f.index
-      (json_escape f.message)
+      (Hypar_obs.Jsonv.escape f.message)
   in
   Printf.sprintf
     "{\n  \"file\": \"%s\",\n  \"count\": %d,\n  \"findings\": [\n%s\n  ]\n}\n"
-    (json_escape file) (List.length fs)
+    (Hypar_obs.Jsonv.escape file) (List.length fs)
     (String.concat ",\n" (List.map entry fs))

@@ -722,30 +722,15 @@ let render ?(file = "<source>") ds =
   String.concat ""
     (List.map (fun d -> Format.asprintf "%s:%a\n" file pp_diagnostic d) ds)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let render_json ?(file = "<source>") ds =
   let entry d =
     Printf.sprintf
       "    {\"code\": %S, \"name\": %S, \"line\": %d, \"col\": %d, \
        \"message\": \"%s\"}"
       (code_id d.code) (code_mnemonic d.code) d.line d.col
-      (json_escape d.message)
+      (Hypar_obs.Jsonv.escape d.message)
   in
   Printf.sprintf
     "{\n  \"file\": \"%s\",\n  \"count\": %d,\n  \"diagnostics\": [\n%s\n  ]\n}\n"
-    (json_escape file) (List.length ds)
+    (Hypar_obs.Jsonv.escape file) (List.length ds)
     (String.concat ",\n" (List.map entry ds))

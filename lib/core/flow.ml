@@ -6,12 +6,55 @@ type prepared = {
   interp : Profiling.Interp.result;
 }
 
-let prepare ?backend ?name ?simplify ?verify_ir ?max_steps ?poll ?(inputs = [])
-    source =
-  let cdfg = Hypar_minic.Driver.compile_exn ?name ?simplify ?verify_ir source in
-  let interp = Profiling.Profile.run ?backend ?max_steps ?poll ~inputs cdfg in
+let profiled ?backend ?max_steps ?poll ?inputs cdfg =
+  let interp = Profiling.Profile.run ?backend ?max_steps ?poll ?inputs cdfg in
   let profile = Profiling.Profile.of_result cdfg interp in
   { cdfg; profile; interp }
+
+let prepare ?backend ?name ?simplify ?verify_ir ?max_steps ?poll ?(inputs = [])
+    source =
+  profiled ?backend ?max_steps ?poll ~inputs
+    (Hypar_minic.Driver.compile_exn ?name ?simplify ?verify_ir source)
+
+exception Unsupported_input of string
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let load ?(raw = false) ?verify path =
+  let name = Filename.basename path in
+  if Filename.check_suffix path ".ir" then begin
+    let cdfg = Hypar_ir.Serialize.of_string (read_file path) in
+    if Option.value verify ~default:!Hypar_ir.Passes.verify_passes then
+      Hypar_ir.Verify.check_exn ~context:name cdfg;
+    cdfg
+  end
+  else if Filename.check_suffix path ".hbc" then
+    Hypar_bytecode.Driver.compile_exn ~name ~optimize:(not raw)
+      ?verify_ir:verify (read_file path)
+  else if Filename.check_suffix path ".mc" then
+    Hypar_minic.Driver.compile_exn ~name ~simplify:(not raw) ?verify_ir:verify
+      (read_file path)
+  else raise (Unsupported_input path)
+
+let prepare_file ?backend ?verify_ir ?max_steps ?poll path =
+  profiled ?backend ?max_steps ?poll (load ?verify:verify_ir path)
+
+let located name line col msg =
+  Printf.sprintf "%s%d:%d: %s"
+    (match name with Some n -> n ^ ":" | None -> "")
+    line col msg
+
+let load_error_message = function
+  | Hypar_minic.Driver.Frontend_error { name; err = { line; col; msg } } ->
+    located name line col msg
+  | Hypar_bytecode.Driver.Frontend_error { name; err = { line; col; msg } } ->
+    located name line col msg
+  | Unsupported_input path ->
+    Printf.sprintf
+      "%s: unsupported input (expected .mc Mini-C, .hbc bytecode or .ir \
+       serialised CDFG)"
+      path
+  | e -> Printexc.to_string e
 
 let partition ?weights platform ~timing_constraint prepared =
   Engine.run ?weights platform ~timing_constraint prepared.cdfg prepared.profile

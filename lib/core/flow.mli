@@ -1,5 +1,6 @@
-(** One-call driver for the whole prototype framework: Mini-C source in,
-    partitioning result out (the paper's "prototype software framework"). *)
+(** One-call driver for the whole prototype framework: Mini-C source or
+    a [.mc]/[.hbc]/[.ir] file in, partitioning result out (the paper's
+    "prototype software framework"). *)
 
 type prepared = {
   cdfg : Hypar_ir.Cdfg.t;
@@ -29,6 +30,39 @@ val prepare :
     {!Hypar_profiling.Interp.run}).
     [verify_ir] (default {!Hypar_ir.Passes.verify_passes}) checks the IR
     at every pass boundary, raising {!Hypar_ir.Verify.Failed}. *)
+
+exception Unsupported_input of string
+(** Raised by {!load} for a path whose extension names no frontend. *)
+
+val load : ?raw:bool -> ?verify:bool -> string -> Hypar_ir.Cdfg.t
+(** The one input loader, shared by the CLI and [hypar serve]: it picks
+    the frontend from the file extension.  [.ir] files (serialised
+    CDFGs, see {!Hypar_ir.Serialize}) load directly and are checked with
+    {!Hypar_ir.Verify.check_exn} (context: the file's basename) when
+    [verify] holds; [.hbc] goes through the bytecode frontend, [.mc]
+    through the Mini-C compiler.  Any other extension raises
+    {!Unsupported_input} before the file is read.  [raw] (default
+    [false]) skips the optimisation pipeline (Mini-C [~simplify:false],
+    bytecode [~optimize:false]; meaningless for [.ir]).  [verify]
+    defaults to {!Hypar_ir.Passes.verify_passes}.  Frontend failures
+    raise the frontend's [Frontend_error]; I/O failures raise
+    [Sys_error]. *)
+
+val prepare_file :
+  ?backend:Hypar_profiling.Profile.backend ->
+  ?verify_ir:bool ->
+  ?max_steps:int ->
+  ?poll:(unit -> unit) ->
+  string ->
+  prepared
+(** {!load} (optimised) then profile, with the parameters of
+    {!prepare}.  The program runs without inputs. *)
+
+val load_error_message : exn -> string
+(** The text of a loader failure: a frontend [Frontend_error] as
+    [file:line:col: message], {!Unsupported_input} as
+    [path: unsupported input (...)].  Any other exception renders as
+    [Printexc.to_string]. *)
 
 val partition :
   ?weights:Hypar_analysis.Weights.t ->

@@ -30,6 +30,11 @@ let degraded t =
   | Some h when not (Cgc.healthy t.cgc h) -> true
   | Some _ | None -> false
 
+let of_geometry ~area ~cgcs ~rows ~cols ~clock_ratio =
+  make ~clock_ratio ~fpga:(Fpga.make ~area ())
+    ~cgc:(Cgc.make ~cgcs ~rows ~cols ())
+    ()
+
 let paper_configs () =
   let mk area k =
     make ~fpga:(Fpga.make ~area ()) ~cgc:(Cgc.two_by_two k) ()

@@ -27,6 +27,11 @@ val make :
     data-path.  Raises [Invalid_argument] when [cgc_health] does not match
     the CGC geometry. *)
 
+val of_geometry :
+  area:int -> cgcs:int -> rows:int -> cols:int -> clock_ratio:int -> t
+(** A healthy platform with an FPGA of [area] units and [cgcs] CGCs of
+    [rows] x [cols] nodes, other parameters as {!make}'s defaults. *)
+
 val degraded : t -> bool
 (** [true] when the platform carries a health mask that actually disables
     hardware. *)

@@ -4,6 +4,7 @@ module Platform = Hypar_core.Platform
 module Fault = Hypar_resilience.Fault
 module Retry = Hypar_resilience.Retry
 module Journal = Hypar_resilience.Journal
+module Pool = Hypar_obs.Pool
 
 type point_result = {
   point : Space.point;

@@ -2,7 +2,7 @@
 
     [run] expands the space, deduplicates the points against the memo
     cache (shared CDFG digest × platform key) and evaluates the unique
-    configurations in two stages, each a {!Pool.map}:
+    configurations in two stages, each a {!Hypar_obs.Pool.map}:
 
     + once per sweep the engine-input IR check
       ({!Eval.verify_input}), the application layer and the kernel

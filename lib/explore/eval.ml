@@ -17,10 +17,8 @@ type metrics = {
 }
 
 let platform_of (p : Space.point) =
-  Platform.make ~clock_ratio:p.clock_ratio
-    ~fpga:(Hypar_finegrain.Fpga.make ~area:p.area ())
-    ~cgc:(Hypar_coarsegrain.Cgc.make ~cgcs:p.cgcs ~rows:p.rows ~cols:p.cols ())
-    ()
+  Platform.of_geometry ~area:p.area ~cgcs:p.cgcs ~rows:p.rows ~cols:p.cols
+    ~clock_ratio:p.clock_ratio
 
 let status_string = function
   | Engine.Met_without_partitioning -> "met-without-partitioning"

@@ -120,21 +120,6 @@ let csv ?pareto_only (t : Driver.t) =
 
 (* ---- json ---------------------------------------------------------------- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let json ?pareto_only (t : Driver.t) =
   let selected = selected_indices ?pareto_only t in
   (* original result index -> position in the emitted array *)
@@ -146,7 +131,7 @@ let json ?pareto_only (t : Driver.t) =
   let buf = Buffer.create 2048 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   add "{\n";
-  add "  \"workload\": \"%s\",\n" (json_escape t.Driver.workload);
+  add "  \"workload\": \"%s\",\n" (Hypar_obs.Jsonv.escape t.Driver.workload);
   add "  \"digest\": \"%s\",\n" t.Driver.digest;
   add "  \"points\": %d,\n" (Array.length t.Driver.results);
   add "  \"ok\": %d,\n" (Driver.ok_count t);
@@ -185,7 +170,7 @@ let json ?pareto_only (t : Driver.t) =
     | Error msg ->
       Printf.sprintf
         "    {%s, \"status\": \"failed\", \"cache\": \"%s\", \"error\": \"%s\"}"
-        config cache (json_escape msg)
+        config cache (Hypar_obs.Jsonv.escape msg)
   in
   Buffer.add_string buf (String.concat ",\n" (List.map entry selected));
   add "\n  ],\n";

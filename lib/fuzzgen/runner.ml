@@ -70,30 +70,6 @@ let oracle_for (config : config) src =
     | Error _ -> real ())
   | _ -> real ()
 
-(* Striped parallel map (the [Hypar_explore.Pool] discipline): worker
-   [d] owns indices [d, d + jobs, ...], each slot is written by exactly
-   one domain, and merging by index erases scheduling order. *)
-let parallel_map jobs f n =
-  let results = Array.make n None in
-  let worker stride start () =
-    let rec go i =
-      if i < n then begin
-        results.(i) <- Some (f i);
-        go (i + stride)
-      end
-    in
-    go start
-  in
-  if jobs <= 1 || n <= 1 then worker 1 0 ()
-  else begin
-    let spawned =
-      List.init (jobs - 1) (fun d -> Domain.spawn (worker jobs (d + 1)))
-    in
-    worker jobs 0 ();
-    List.iter Domain.join spawned
-  end;
-  Array.map Option.get results
-
 let judge (config : config) index =
   let case_seed = Rng.derive ~seed:config.seed index in
   let src = Gen.source ~config:config.gen case_seed in
@@ -116,7 +92,8 @@ let run (config : config) =
   let n = max 0 config.count in
   let cases =
     match config.budget_ms with
-    | None -> parallel_map config.jobs (judge config) n
+    | None ->
+      Hypar_obs.Pool.map ~jobs:config.jobs (judge config) (Array.init n Fun.id)
     | Some budget ->
       (* budgeted campaigns run sequentially: the executed count is then
          a deterministic prefix 0..k of the counted campaign, merely cut

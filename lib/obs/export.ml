@@ -1,16 +1,14 @@
 (* --- JSON emission helpers -------------------------------------------- *)
 
-let json_escape = Jsonv.escape
-
 let json_args args =
   "{"
   ^ String.concat ","
       (List.map
          (fun (k, v) ->
-           Printf.sprintf "\"%s\":%s" (json_escape k)
+           Printf.sprintf "\"%s\":%s" (Jsonv.escape k)
              (match v with
              | Event.Int n -> string_of_int n
-             | Event.Str s -> Printf.sprintf "\"%s\"" (json_escape s)))
+             | Event.Str s -> Printf.sprintf "\"%s\"" (Jsonv.escape s)))
          args)
   ^ "}"
 
@@ -33,11 +31,11 @@ let chrome events =
         match e.Event.kind with
         | Event.Begin { cat; args } ->
           Printf.sprintf "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"B\",%s%s}"
-            (json_escape e.Event.name) (json_escape cat) common
+            (Jsonv.escape e.Event.name) (Jsonv.escape cat) common
             (if args = [] then "" else ",\"args\":" ^ json_args args)
         | Event.End ->
           Printf.sprintf "{\"name\":\"%s\",\"ph\":\"E\",%s}"
-            (json_escape e.Event.name) common
+            (Jsonv.escape e.Event.name) common
         | Event.Counter { delta } ->
           let total =
             delta + Option.value (Hashtbl.find_opt totals e.Event.name) ~default:0
@@ -45,15 +43,15 @@ let chrome events =
           Hashtbl.replace totals e.Event.name total;
           Printf.sprintf
             "{\"name\":\"%s\",\"ph\":\"C\",%s,\"args\":{\"value\":%d}}"
-            (json_escape e.Event.name) common total
+            (Jsonv.escape e.Event.name) common total
         | Event.Gauge { value } ->
           Printf.sprintf
             "{\"name\":\"%s\",\"ph\":\"C\",%s,\"args\":{\"value\":%d}}"
-            (json_escape e.Event.name) common value
+            (Jsonv.escape e.Event.name) common value
         | Event.Instant { cat } ->
           Printf.sprintf
             "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"i\",\"s\":\"t\",%s}"
-            (json_escape e.Event.name) (json_escape cat) common
+            (Jsonv.escape e.Event.name) (Jsonv.escape cat) common
       in
       Buffer.add_string buf line;
       if i < n - 1 then Buffer.add_char buf ',';
@@ -72,13 +70,13 @@ let json events =
     (fun i (e : Event.t) ->
       let common =
         Printf.sprintf "\"name\":\"%s\",\"tid\":%d,\"ts\":%.3f"
-          (json_escape e.Event.name) e.Event.tid e.Event.ts
+          (Jsonv.escape e.Event.name) e.Event.tid e.Event.ts
       in
       let line =
         match e.Event.kind with
         | Event.Begin { cat; args } ->
           Printf.sprintf "{\"type\":\"begin\",%s,\"cat\":\"%s\"%s}" common
-            (json_escape cat)
+            (Jsonv.escape cat)
             (if args = [] then "" else ",\"args\":" ^ json_args args)
         | Event.End -> Printf.sprintf "{\"type\":\"end\",%s}" common
         | Event.Counter { delta } ->
@@ -87,7 +85,7 @@ let json events =
           Printf.sprintf "{\"type\":\"gauge\",%s,\"value\":%d}" common value
         | Event.Instant { cat } ->
           Printf.sprintf "{\"type\":\"instant\",%s,\"cat\":\"%s\"}" common
-            (json_escape cat)
+            (Jsonv.escape cat)
       in
       Buffer.add_string buf line;
       if i < n - 1 then Buffer.add_char buf ',';

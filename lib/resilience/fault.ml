@@ -31,28 +31,29 @@ let transient spec =
       | _ -> None)
     spec.faults
 
-(* FNV-1a over the seed, the point key and the attempt number: transient
-   failures are a pure function of (spec, point, attempt), so a re-run —
-   and a resumed run — sees exactly the same fault pattern. *)
-let hash seed key attempt =
+let hash parts =
   let h = ref 0x811c9dc5 in
   let mix byte = h := (!h lxor byte) * 0x01000193 land 0x3FFFFFFF in
-  let mix_int n =
-    mix (n land 0xff);
-    mix ((n lsr 8) land 0xff);
-    mix ((n lsr 16) land 0xff);
-    mix ((n lsr 24) land 0xff)
-  in
-  mix_int seed;
-  String.iter (fun c -> mix (Char.code c)) key;
-  mix_int attempt;
+  List.iter
+    (function
+      | `Int n ->
+        mix (n land 0xff);
+        mix ((n lsr 8) land 0xff);
+        mix ((n lsr 16) land 0xff);
+        mix ((n lsr 24) land 0xff)
+      | `Str s -> String.iter (fun c -> mix (Char.code c)) s)
+    parts;
   !h
 
+(* Hashing the seed, the point key and the attempt number makes
+   transient failures a pure function of (spec, point, attempt), so a
+   re-run — and a resumed run — sees exactly the same fault pattern. *)
 let transient_should_fail spec ~key ~attempt =
   match transient spec with
   | None -> false
   | Some (permille, max_failures) ->
-    attempt <= max_failures && hash spec.seed key attempt mod 1000 < permille
+    attempt <= max_failures
+    && hash [ `Int spec.seed; `Str key; `Int attempt ] mod 1000 < permille
 
 let pp_fault ppf f = Format.pp_print_string ppf (fault_string f)
 

@@ -43,5 +43,11 @@ val transient_should_fail : spec -> key:string -> attempt:int -> bool
     function of [(spec.seed, key, attempt)]: re-runs and resumed runs see
     the same fault pattern. *)
 
+val hash : [ `Int of int | `Str of string ] list -> int
+(** FNV-1a (30-bit) over the parts in order: an integer contributes its
+    low four bytes, least significant first, a string its bytes.  The
+    one hash behind every seeded fault decision, here and in the serve
+    chaos specs. *)
+
 val pp_fault : Format.formatter -> fault -> unit
 val pp : Format.formatter -> spec -> unit

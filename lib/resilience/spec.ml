@@ -79,38 +79,43 @@ let words_of s =
   String.split_on_char ' ' (String.map (function '\t' -> ' ' | c -> c) s)
   |> List.filter (fun w -> w <> "")
 
-let of_string text =
+let parse_lines directive text =
   let lines = String.split_on_char '\n' text in
-  let rec go lineno seed faults = function
-    | [] -> Ok { Fault.seed; faults = List.rev faults }
+  let rec go lineno seed items = function
+    | [] -> Ok (seed, List.rev items)
     | raw :: rest -> (
       match words_of (strip_comment raw) with
-      | [] -> go (lineno + 1) seed faults rest
+      | [] -> go (lineno + 1) seed items rest
       | [ "seed"; n ] ->
         let* n = nat_arg lineno "seed" n in
-        go (lineno + 1) n faults rest
+        go (lineno + 1) n items rest
       | "seed" :: _ -> error lineno "seed takes exactly one argument"
       | words ->
-        let* f = parse_fault lineno words in
-        go (lineno + 1) seed (f :: faults) rest)
+        let* item = directive lineno words in
+        go (lineno + 1) seed (item :: items) rest)
   in
   go 1 0 [] lines
 
-let load path =
+let load_with parse path =
   match In_channel.with_open_text path In_channel.input_all with
   | exception Sys_error msg -> Error msg
-  | text -> (
-    match of_string text with
-    | Ok _ as ok -> ok
-    | Error msg -> Error (Printf.sprintf "%s: %s" path msg))
+  | text -> Result.map_error (Printf.sprintf "%s: %s" path) (parse text)
+
+let seeded_text ~seed item_string items =
+  let buf = Buffer.create 128 in
+  Buffer.add_string buf (Printf.sprintf "seed %d\n" seed);
+  List.iter (fun item -> Buffer.add_string buf (item_string item ^ "\n")) items;
+  Buffer.contents buf
+
+let of_string text =
+  Result.map
+    (fun (seed, faults) -> { Fault.seed; faults })
+    (parse_lines parse_fault text)
+
+let load = load_with of_string
 
 let to_text (spec : Fault.spec) =
-  let buf = Buffer.create 128 in
-  Buffer.add_string buf (Printf.sprintf "seed %d\n" spec.Fault.seed);
-  List.iter
-    (fun f -> Buffer.add_string buf (Fault.fault_string f ^ "\n"))
-    spec.Fault.faults;
-  Buffer.contents buf
+  seeded_text ~seed:spec.Fault.seed Fault.fault_string spec.Fault.faults
 
 let json_fault f =
   let obj fields =

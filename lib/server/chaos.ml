@@ -1,3 +1,5 @@
+module Spec = Hypar_resilience.Spec
+
 type fault =
   | Crash of int
   | Crash_on of int
@@ -35,26 +37,13 @@ let default =
 
 (* --- seeded decisions ---------------------------------------------------- *)
 
-(* FNV-1a over (seed, fault kind, request key, attempt) — the same
-   deterministic-transient idiom as Fault.Transient.  Decisions are keyed
-   by the request digest, never by worker id or arrival order, so a
-   chaos campaign makes the same choices for every [--jobs] value. *)
+(* Fault.hash over (seed, fault kind, request key, attempt), the hash
+   behind Fault.Transient.  Decisions are keyed by the request digest,
+   never by worker id or arrival order, so a chaos campaign makes the
+   same choices for every [--jobs] value. *)
 let hash spec ~kind ~key ~salt =
-  let h = ref 0x811c9dc5 in
-  let mix byte = h := (!h lxor byte) * 0x01000193 land 0x3FFFFFFF in
-  let mix_int n =
-    mix (n land 0xff);
-    mix ((n lsr 8) land 0xff);
-    mix ((n lsr 16) land 0xff);
-    mix ((n lsr 24) land 0xff)
-  in
-  mix_int spec.seed;
-  String.iter (fun c -> mix (Char.code c)) kind;
-  mix 0x2f;
-  String.iter (fun c -> mix (Char.code c)) key;
-  mix 0x2f;
-  mix_int salt;
-  !h
+  Hypar_resilience.Fault.hash
+    [ `Int spec.seed; `Str kind; `Str "/"; `Str key; `Str "/"; `Int salt ]
 
 let roll spec ~kind ~key ~salt ~percent =
   percent > 0
@@ -150,24 +139,11 @@ let fault_string = function
   | Truncate p -> Printf.sprintf "truncate %d%%" p
   | Slowloris { percent; ms } -> Printf.sprintf "slowloris %d%% %d" percent ms
 
-let to_text spec =
-  let buf = Buffer.create 128 in
-  Buffer.add_string buf (Printf.sprintf "seed %d\n" spec.seed);
-  List.iter
-    (fun f -> Buffer.add_string buf (fault_string f ^ "\n"))
-    spec.faults;
-  Buffer.contents buf
+let to_text spec = Spec.seeded_text ~seed:spec.seed fault_string spec.faults
 
-let error line fmt =
-  Format.kasprintf (fun msg -> Error (Printf.sprintf "line %d: %s" line msg)) fmt
-
+let error = Spec.error
+let nat_arg = Spec.nat_arg
 let ( let* ) = Result.bind
-
-let nat_arg line what s =
-  match int_of_string_opt s with
-  | Some n when n >= 0 -> Ok n
-  | Some n -> error line "%s: must be non-negative, got %d" what n
-  | None -> error line "%s: expected an integer, got %S" what s
 
 let percent_arg line what s =
   if String.length s < 2 || s.[String.length s - 1] <> '%' then
@@ -234,39 +210,12 @@ let parse_fault line words =
   | directive :: _ -> error line "unknown directive %S" directive
   | [] -> assert false
 
-let strip_comment s =
-  match String.index_opt s '#' with
-  | Some i -> String.sub s 0 i
-  | None -> s
-
-let words_of s =
-  String.split_on_char ' ' (String.map (function '\t' -> ' ' | c -> c) s)
-  |> List.filter (fun w -> w <> "")
-
 let of_string text =
-  let lines = String.split_on_char '\n' text in
-  let rec go lineno seed faults = function
-    | [] -> Ok { seed; faults = List.rev faults }
-    | raw :: rest -> (
-      match words_of (strip_comment raw) with
-      | [] -> go (lineno + 1) seed faults rest
-      | [ "seed"; n ] ->
-        let* n = nat_arg lineno "seed" n in
-        go (lineno + 1) n faults rest
-      | "seed" :: _ -> error lineno "seed takes exactly one argument"
-      | words ->
-        let* f = parse_fault lineno words in
-        go (lineno + 1) seed (f :: faults) rest)
-  in
-  go 1 0 [] lines
+  Result.map
+    (fun (seed, faults) -> { seed; faults })
+    (Spec.parse_lines parse_fault text)
 
-let load path =
-  match In_channel.with_open_text path In_channel.input_all with
-  | exception Sys_error msg -> Error msg
-  | text -> (
-    match of_string text with
-    | Ok _ as ok -> ok
-    | Error msg -> Error (Printf.sprintf "%s: %s" path msg))
+let load = Spec.load_with of_string
 
 (* The CLI's --chaos argument: a built-in name or a spec file. *)
 let of_arg = function

@@ -51,11 +51,6 @@ let passed r = r.failures = []
 
 (* --- the program pool ---------------------------------------------------- *)
 
-let write_file_atomic path contents =
-  let tmp = Printf.sprintf "%s.%d.tmp" path (Unix.getpid ()) in
-  Out_channel.with_open_bin tmp (fun oc -> Out_channel.output_string oc contents);
-  Sys.rename tmp path
-
 (* Generated programs land in a directory named after the seed alone, so
    every soak process with the same seed sees the same paths — request
    digests, and with them every chaos decision, are identical across
@@ -73,7 +68,7 @@ let program_pool (cfg : config) =
     List.init 6 (fun i ->
         let seed = Rng.derive ~seed:cfg.seed i in
         let path = Filename.concat dir (Printf.sprintf "gen-%d.mc" i) in
-        write_file_atomic path (Gen.source seed);
+        Hypar_obs.Export.write_file path (Gen.source seed);
         path)
   in
   match cfg.corpus_dir with

@@ -14,39 +14,6 @@ type config = {
   on_poll : (unit -> unit) option;
 }
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-(* Mirrors the CLI loader: .ir files are deserialised, .hbc goes through
-   the bytecode frontend, .mc through Mini-C — anything else is a typed
-   failure envelope, not a parse error.  Every path profiles under the
-   same poll hook and fuel cap so deadlines reach the interpreter. *)
-let prepare ?backend ~poll ?max_steps path =
-  let profile_of cdfg =
-    let interp = Hypar_profiling.Profile.run ?backend ?max_steps ~poll cdfg in
-    let profile = Hypar_profiling.Profile.of_result cdfg interp in
-    { Flow.cdfg; profile; interp }
-  in
-  if Filename.check_suffix path ".ir" then
-    profile_of (Hypar_ir.Serialize.of_string (read_file path))
-  else if Filename.check_suffix path ".hbc" then
-    profile_of
-      (Hypar_bytecode.Driver.compile_exn ~name:(Filename.basename path)
-         (read_file path))
-  else if Filename.check_suffix path ".mc" then
-    Flow.prepare ?backend ~name:(Filename.basename path) ?max_steps ~poll
-      (read_file path)
-  else
-    raise
-      (P.Bad_request
-         (Printf.sprintf
-            "%s: unsupported input (expected .mc Mini-C, .hbc bytecode or \
-             .ir serialised CDFG)"
-            path))
-
 (* --- request budget ----------------------------------------------------- *)
 
 let deadline_of config body =
@@ -95,17 +62,6 @@ let times_json (t : Engine.times) =
       ("t_total", num t.Engine.t_total);
     ]
 
-let status_string = function
-  | Engine.Met_without_partitioning -> "met-without-partitioning"
-  | Engine.Met_after n -> Printf.sprintf "met-after-%d" n
-  | Engine.Infeasible -> "infeasible"
-
-let platform_of ~area ~cgcs ~rows ~cols ~ratio =
-  Platform.make ~clock_ratio:ratio
-    ~fpga:(Hypar_finegrain.Fpga.make ~area ())
-    ~cgc:(Hypar_coarsegrain.Cgc.make ~cgcs ~rows ~cols ())
-    ()
-
 let degrade config platform =
   match config.faults with
   | None -> platform
@@ -129,8 +85,14 @@ let partition config body =
   let pipelined = P.bool_field body "pipelined" in
   let deadline = deadline_of config body in
   let poll = poll_hook config deadline in
-  let platform = degrade config (platform_of ~area ~cgcs ~rows ~cols ~ratio) in
-  let prepared = prepare ?backend:config.backend ~poll ?max_steps:(fuel_of config body) file in
+  let platform =
+    degrade config
+      (Platform.of_geometry ~area ~cgcs ~rows ~cols ~clock_ratio:ratio)
+  in
+  let prepared =
+    Flow.prepare_file ?backend:config.backend ~poll
+      ?max_steps:(fuel_of config body) file
+  in
   poll ();
   let r =
     Engine.run ~granularity ~cgc_pipelining:pipelined platform
@@ -141,7 +103,8 @@ let partition config body =
     (Jsonv.Obj
        [
          ("file", Jsonv.Str (Filename.basename file));
-         ("status", Jsonv.Str (status_string r.Engine.status));
+         ( "status",
+           Jsonv.Str (Hypar_explore.Eval.status_string r.Engine.status) );
          ("met", Jsonv.Bool (Engine.met r));
          ("timing_constraint", num timing);
          ("initial", times_json r.Engine.initial);
@@ -156,7 +119,10 @@ let analyze config body =
   let top = P.int_field ~default:8 body "top" in
   let deadline = deadline_of config body in
   let poll = poll_hook config deadline in
-  let prepared = prepare ?backend:config.backend ~poll ?max_steps:(fuel_of config body) file in
+  let prepared =
+    Flow.prepare_file ?backend:config.backend ~poll
+      ?max_steps:(fuel_of config body) file
+  in
   poll ();
   let analysis =
     Hypar_analysis.Kernel.analyse prepared.Flow.cdfg prepared.Flow.profile
@@ -211,7 +177,9 @@ let explore config body =
   let fuel = fuel_of config body in
   let deadline = deadline_of config body in
   let poll = poll_hook config deadline in
-  let prepared = prepare ?backend:config.backend ~poll ?max_steps:fuel file in
+  let prepared =
+    Flow.prepare_file ?backend:config.backend ~poll ?max_steps:fuel file
+  in
   poll ();
   let space =
     Hypar_explore.Space.make ~areas ~cgcs ~rows ~cols ~clock_ratios:ratios
@@ -266,18 +234,8 @@ let exn_message = function
   | Hypar_ir.Verify.Failed { context; violations } ->
     Printf.sprintf "IR verification failed after %S: %s" context
       (String.trim (Hypar_ir.Verify.report violations))
-  | Hypar_minic.Driver.Frontend_error { name; err } ->
-    Printf.sprintf "%s%d:%d: %s"
-      (match name with Some n -> n ^ ":" | None -> "")
-      err.Hypar_minic.Driver.line err.Hypar_minic.Driver.col
-      err.Hypar_minic.Driver.msg
-  | Hypar_bytecode.Driver.Frontend_error { name; err } ->
-    Printf.sprintf "%s%d:%d: %s"
-      (match name with Some n -> n ^ ":" | None -> "")
-      err.Hypar_bytecode.Driver.line err.Hypar_bytecode.Driver.col
-      err.Hypar_bytecode.Driver.msg
   | Hypar_profiling.Interp.Runtime_error msg -> msg
-  | e -> Printexc.to_string e
+  | e -> Flow.load_error_message e
 
 let request_label = function
   | Some n -> string_of_int n
@@ -288,6 +246,8 @@ let envelope_of_exn id = function
   | Hypar_profiling.Interp.Fuel_exhausted { steps } ->
     P.Deadline_exceeded { id; reason = P.Fuel steps }
   | P.Bad_request msg -> P.Failed { id; kind = "bad-request"; message = msg }
+  | Flow.Unsupported_input _ as e ->
+    P.Failed { id; kind = "bad-request"; message = Flow.load_error_message e }
   | (Stack_overflow | Out_of_memory) as e ->
     (* resource-exhaustion crashes are a different severity class from a
        verb reporting a domain error: rank them as [crash:*] so clients

@@ -16,6 +16,9 @@
     signal-initiated drain folds its cancellation deadline into every
     in-flight request's budget ({!Drain.cancel_deadline}).
 
+    Files load through {!Hypar_core.Flow.prepare_file}, the CLI's
+    loader; an unsupported extension is a [bad-request] failure.
+
     Verbs: [partition], [analyze], [explore], [faults], [health] — see
     [docs/server.md] for their request fields and payloads. *)
 

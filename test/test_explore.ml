@@ -6,7 +6,7 @@ module Flow = Hypar_core.Flow
 module Engine = Hypar_core.Engine
 module Space = Hypar_explore.Space
 module Cache = Hypar_explore.Cache
-module Pool = Hypar_explore.Pool
+module Pool = Hypar_obs.Pool
 module Pareto = Hypar_explore.Pareto
 module Eval = Hypar_explore.Eval
 module Driver = Hypar_explore.Driver
@@ -134,6 +134,28 @@ let test_pool_matches_sequential () =
         (Printf.sprintf "jobs=%d" jobs)
         seq (Pool.map ~jobs f xs))
     [ 2; 3; 8; 64 ]
+
+(* A raise from any slot leaves [map] only after every domain is joined:
+   the slots that do not raise sleep (the one after the raising slot
+   longest) and count themselves done. *)
+let test_pool_joins_before_raising () =
+  let raising slot =
+    let finished = Atomic.make 0 in
+    let f i =
+      if i = slot then failwith (string_of_int i);
+      Unix.sleepf (0.05 *. float_of_int (i + 1));
+      Atomic.incr finished
+    in
+    match Pool.map ~jobs:4 f (Array.init 4 Fun.id) with
+    | _ -> Alcotest.failf "slot %d: no exception" slot
+    | exception Failure msg ->
+      Alcotest.(check string) "the slot's exception" (string_of_int slot) msg;
+      Alcotest.(check int)
+        (Printf.sprintf "slot %d: every other slot finished" slot)
+        3 (Atomic.get finished)
+  in
+  raising 0;
+  raising 2
 
 (* ---- cache key stability ------------------------------------------------ *)
 
@@ -450,6 +472,8 @@ let suite =
     Alcotest.test_case "pareto frontier" `Quick test_pareto_frontier;
     Alcotest.test_case "pareto best_by" `Quick test_pareto_best_by;
     Alcotest.test_case "pool matches sequential" `Quick test_pool_matches_sequential;
+    Alcotest.test_case "pool joins before raising" `Quick
+      test_pool_joins_before_raising;
     Alcotest.test_case "point key stable" `Quick test_point_key_stable;
     Alcotest.test_case "digest stable" `Quick test_digest_stable_across_compiles;
     Alcotest.test_case "cache counters" `Quick test_cache_counters;

@@ -249,6 +249,44 @@ let test_worker_typed_errors () =
        (exec config
           (Printf.sprintf {|{"verb":"partition","file":"%s","timing":1}|} div)))
 
+let partition_line ?(timing = 8000) file =
+  Printf.sprintf {|{"verb":"partition","file":"%s","timing":%d}|} file timing
+
+(* serve loads files through the CLI's loader: the same dispatch on the
+   extension, the same refusal text (the CLI prefixes it with "hypar: ") *)
+let test_worker_unsupported_input () =
+  match exec (fresh_config ()) (partition_line "faults.spec") with
+  | Protocol.Failed { kind; message; _ } ->
+    Alcotest.(check string) "kind" "bad-request" kind;
+    Alcotest.(check string) "message"
+      "faults.spec: unsupported input (expected .mc Mini-C, .hbc bytecode \
+       or .ir serialised CDFG)"
+      message
+  | resp -> Alcotest.failf "expected bad-request, got %s" (Protocol.render resp)
+
+let test_worker_loads_every_frontend () =
+  let config = fresh_config () in
+  let dir =
+    List.find Sys.file_exists [ "../examples/bytecode"; "examples/bytecode" ]
+  in
+  let hbc =
+    payload_exn "hbc"
+      (exec config (partition_line (Filename.concat dir "dotprod.hbc")))
+  in
+  Alcotest.(check (option string)) "hbc file" (Some "dotprod.hbc")
+    (Option.bind (Jsonv.member "file" hbc) Jsonv.to_str);
+  let mc = Lazy.force fir_file in
+  let ir =
+    write_temp ~suffix:".ir"
+      (Hypar_ir.Serialize.to_string (Hypar_core.Flow.prepare_file mc).cdfg)
+  in
+  let final file =
+    Jsonv.member "final" (payload_exn file (exec config (partition_line file)))
+  in
+  Alcotest.(check (option string)) ".ir final times equal the .mc's"
+    (Option.map Jsonv.to_string (final mc))
+    (Option.map Jsonv.to_string (final ir))
+
 let test_worker_survives_errors () =
   (* request isolation: a stream of poisonous requests never leaves the
      worker unable to serve the next good one *)
@@ -674,6 +712,10 @@ let suite =
     Alcotest.test_case "worker: partition" `Quick test_worker_partition;
     Alcotest.test_case "worker: analyze" `Quick test_worker_analyze;
     Alcotest.test_case "worker: typed errors" `Quick test_worker_typed_errors;
+    Alcotest.test_case "worker: unsupported input" `Quick
+      test_worker_unsupported_input;
+    Alcotest.test_case "worker: loads every frontend" `Quick
+      test_worker_loads_every_frontend;
     Alcotest.test_case "worker: survives poisonous requests" `Quick
       test_worker_survives_errors;
     Alcotest.test_case "worker: fuel deadline" `Quick test_worker_fuel_deadline;
