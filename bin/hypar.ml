@@ -176,17 +176,28 @@ let file_arg =
           "input program: Mini-C source ($(b,.mc)), HYPAR bytecode \
            ($(b,.hbc)) or a serialised CDFG ($(b,.ir))")
 
+(* platform geometry: a non-positive value is a usage error, not an
+   exception out of the platform constructors *)
+let positive =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok n when n > 0 -> Ok n
+    | Ok _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %s" s))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.int)
+
 let area_arg =
-  Arg.(value & opt int 1500 & info [ "area"; "a" ] ~docv:"UNITS" ~doc:"FPGA area $(docv) (A_FPGA)")
+  Arg.(value & opt positive 1500 & info [ "area"; "a" ] ~docv:"UNITS" ~doc:"FPGA area $(docv) (A_FPGA)")
 
 let cgcs_arg =
-  Arg.(value & opt int 2 & info [ "cgcs"; "k" ] ~docv:"N" ~doc:"number of CGC components")
+  Arg.(value & opt positive 2 & info [ "cgcs"; "k" ] ~docv:"N" ~doc:"number of CGC components")
 
-let rows_arg = Arg.(value & opt int 2 & info [ "rows" ] ~docv:"N" ~doc:"CGC rows")
-let cols_arg = Arg.(value & opt int 2 & info [ "cols" ] ~docv:"N" ~doc:"CGC columns")
+let rows_arg = Arg.(value & opt positive 2 & info [ "rows" ] ~docv:"N" ~doc:"CGC rows")
+let cols_arg = Arg.(value & opt positive 2 & info [ "cols" ] ~docv:"N" ~doc:"CGC columns")
 
 let ratio_arg =
-  Arg.(value & opt int 3 & info [ "clock-ratio" ] ~docv:"R" ~doc:"T_FPGA / T_CGC")
+  Arg.(value & opt positive 3 & info [ "clock-ratio" ] ~docv:"R" ~doc:"T_FPGA / T_CGC")
 
 let constraint_arg =
   Arg.(
@@ -684,8 +695,8 @@ let explore_cmd =
     Arg.(
       value & opt int 1
       & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:"evaluate points on $(docv) domains; results are identical \
-                for every $(docv)")
+          ~doc:"evaluate points on $(docv) domains, at most one per core; \
+                results are identical for every $(docv)")
   in
   let max_points_arg =
     Arg.(
@@ -1234,8 +1245,8 @@ let fuzz_cmd =
       value & opt int 1
       & info [ "jobs"; "j" ] ~docv:"N"
           ~doc:
-            "judge programs on $(docv) worker domains; the report is \
-             byte-identical for every value")
+            "judge programs on $(docv) worker domains, at most one per \
+             core; the report is byte-identical for every value")
   in
   let fuel_arg =
     Arg.(

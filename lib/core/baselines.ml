@@ -1,4 +1,3 @@
-module Ir = Hypar_ir
 module Analysis = Hypar_analysis
 
 type strategy =
@@ -39,52 +38,12 @@ let shuffle seed l =
   done;
   Array.to_list a
 
-(* Greedy over a given order of kernel *groups*: move group by group
-   until feasible. *)
-let greedy_groups evaluate timing_constraint groups =
-  let evaluations = ref 0 in
-  let eval moved =
-    incr evaluations;
-    (evaluate moved : Engine.times)
-  in
-  let rec go groups moved last =
-    if last.Engine.t_total <= timing_constraint then (List.rev moved, last, true)
-    else
-      match groups with
-      | [] -> (List.rev moved, last, false)
-      | g :: rest ->
-        let moved = List.rev_append g moved in
-        go rest moved (eval (List.rev moved))
-  in
-  let moved, times, met = go groups [] (eval []) in
-  (moved, times, met, !evaluations)
-
-(* Greedy over a given kernel order: move until feasible. *)
-let greedy evaluate timing_constraint order =
-  let evaluations = ref 0 in
-  let eval moved =
-    incr evaluations;
-    (evaluate moved : Engine.times)
-  in
-  let rec go order moved last =
-    if last.Engine.t_total <= timing_constraint then (List.rev moved, last, true)
-    else
-      match order with
-      | [] -> (List.rev moved, last, false)
-      | b :: rest ->
-        let moved = b :: moved in
-        go rest moved (eval (List.rev moved))
-  in
-  let moved, times, met = go order [] (eval []) in
-  (moved, times, met, !evaluations)
-
 (* All subsets of the top-k kernels; prefer feasible with fewest moves,
    then lowest total; else lowest total. *)
 let exhaustive evaluate timing_constraint candidates =
   let cands = Array.of_list candidates in
   let k = Array.length cands in
   if k > 20 then invalid_arg "Baselines: exhaustive beyond top-20 kernels";
-  let evaluations = ref 0 in
   let best = ref None in
   let better (subset, (times : Engine.times)) =
     let met = times.Engine.t_total <= timing_constraint in
@@ -99,98 +58,78 @@ let exhaustive evaluate timing_constraint candidates =
     for bit = k - 1 downto 0 do
       if mask land (1 lsl bit) <> 0 then subset := cands.(bit) :: !subset
     done;
-    incr evaluations;
     better (!subset, evaluate !subset)
   done;
   match !best with
-  | Some (subset, times, met, _) -> (subset, times, met, !evaluations)
+  | Some (subset, times, met, _) -> (subset, times, met, 1 lsl k)
   | None -> assert false
 
-let run (platform : Platform.t) ~timing_constraint cdfg profile strategy =
-  let evaluate = Engine.evaluate platform cdfg profile in
+(* Every strategy of one comparison reads one characterisation and one
+   kernel analysis, and the probes one from-scratch Eq.-2 oracle, built
+   only if a strategy asks for it. *)
+let compare_all
+    ?(strategies =
+      [ Paper_greedy; Benefit_greedy; Loop_greedy; Random_order 1; Exhaustive 12 ])
+    platform ~timing_constraint cdfg profile =
+  let char = Engine.characterise platform cdfg profile in
   let analysis = Analysis.Kernel.analyse cdfg profile in
-  let kernels =
-    List.filter_map
-      (fun (e : Analysis.Kernel.entry) ->
-        if Engine.mappable platform cdfg e.block_id then Some e.block_id
-        else None)
+  let evaluate = lazy (Engine.evaluate platform cdfg profile) in
+  (* the kernels the CGC can run, in Eq.-1 order *)
+  let movable =
+    List.filter
+      (fun (k : Analysis.Kernel.entry) ->
+        char.Engine.coarse.Engine.latency.(k.block_id) <> None)
       analysis.Analysis.Kernel.kernels
   in
-  let moved, times, met, evaluations =
-    match strategy with
-    | Paper_greedy -> greedy evaluate timing_constraint kernels
-    | Loop_greedy ->
-      (* group the mappable kernels by the innermost loop containing
-         them, keep each group in kernel-weight order, and order groups
-         by their summed Eq.-1 weight *)
-      let cfg = Ir.Cdfg.cfg cdfg in
-      let loops = Ir.Loop.find cfg in
-      let innermost_of b =
-        List.fold_left
-          (fun acc (l : Ir.Loop.t) ->
-            if List.mem b l.Ir.Loop.body then
-              match acc with
-              | Some (best : Ir.Loop.t)
-                when List.length best.Ir.Loop.body <= List.length l.Ir.Loop.body
-                ->
-                acc
-              | _ -> Some l
-            else acc)
-          None loops
-      in
-      let weight_of b =
-        (Analysis.Kernel.entry analysis b).Analysis.Kernel.total_weight
-      in
-      let groups : (int, int list) Hashtbl.t = Hashtbl.create 8 in
-      List.iter
-        (fun b ->
-          let key =
-            match innermost_of b with
-            | Some l -> l.Ir.Loop.header
-            | None -> -1 - b
-          in
-          let prev = Option.value (Hashtbl.find_opt groups key) ~default:[] in
-          Hashtbl.replace groups key (b :: prev))
-        kernels;
-      let group_list =
-        Hashtbl.fold (fun _ blocks acc -> List.rev blocks :: acc) groups []
-      in
-      let group_weight g = List.fold_left (fun acc b -> acc + weight_of b) 0 g in
-      let ordered =
-        List.sort (fun g1 g2 -> compare (group_weight g2) (group_weight g1))
-          group_list
-      in
-      greedy_groups evaluate timing_constraint ordered
-    | Random_order seed -> greedy evaluate timing_constraint (shuffle seed kernels)
-    | Benefit_greedy ->
-      let base = (evaluate []).Engine.t_total in
-      let benefits =
-        List.map (fun b -> (b, base - (evaluate [ b ]).Engine.t_total)) kernels
-      in
-      let order =
-        List.map fst
-          (List.sort (fun (_, b1) (_, b2) -> compare b2 b1) benefits)
-      in
-      let moved, times, met, evals = greedy evaluate timing_constraint order in
-      (moved, times, met, evals + List.length kernels)
-    | Exhaustive k ->
-      let top = List.filteri (fun i _ -> i < k) kernels in
-      exhaustive evaluate timing_constraint top
+  (* a greedy strategy is a kernel order cut from the engine's own loop:
+     one Eq.-2 read for the all-FPGA start and one per step *)
+  let cut_order ?granularity order =
+    let r =
+      Engine.trajectory ?granularity
+        ~analysis:{ analysis with Analysis.Kernel.kernels = order }
+        char
+      |> Engine.cut ~timing_constraint
+    in
+    (r.Engine.moved, r.Engine.final, Engine.met r, 1 + List.length r.Engine.steps)
   in
-  {
-    strategy;
-    name = name_of strategy;
-    moved;
-    met;
-    t_total = times.Engine.t_total;
-    evaluations;
-  }
+  let run strategy =
+    let moved, times, met, evaluations =
+      match strategy with
+      | Paper_greedy -> cut_order movable
+      | Loop_greedy -> cut_order ~granularity:`Loop movable
+      | Random_order seed -> cut_order (shuffle seed movable)
+      | Benefit_greedy ->
+        let evaluate = Lazy.force evaluate in
+        let base = (evaluate []).Engine.t_total in
+        let benefits =
+          List.map
+            (fun (k : Analysis.Kernel.entry) ->
+              (k, base - (evaluate [ k.block_id ]).Engine.t_total))
+            movable
+        in
+        let order =
+          List.map fst
+            (List.sort (fun (_, b1) (_, b2) -> compare b2 b1) benefits)
+        in
+        let moved, times, met, evals = cut_order order in
+        (moved, times, met, evals + List.length movable)
+      | Exhaustive k ->
+        List.filteri (fun i _ -> i < k) movable
+        |> List.map (fun (k : Analysis.Kernel.entry) -> k.block_id)
+        |> exhaustive (Lazy.force evaluate) timing_constraint
+    in
+    {
+      strategy;
+      name = name_of strategy;
+      moved;
+      met;
+      t_total = times.Engine.t_total;
+      evaluations;
+    }
+  in
+  List.map run strategies
 
-let compare_all ?strategies platform ~timing_constraint cdfg profile =
-  let strategies =
-    match strategies with
-    | Some s -> s
-    | None ->
-      [ Paper_greedy; Benefit_greedy; Loop_greedy; Random_order 1; Exhaustive 12 ]
-  in
-  List.map (run platform ~timing_constraint cdfg profile) strategies
+let run platform ~timing_constraint cdfg profile strategy =
+  List.hd
+    (compare_all ~strategies:[ strategy ] platform ~timing_constraint cdfg
+       profile)

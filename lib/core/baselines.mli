@@ -15,17 +15,23 @@
       feasible moved set with the fewest moves (ties broken by lowest
       [t_total]), or the best-[t_total] subset when nothing is feasible.
 
-    All strategies skip CGC-unmappable kernels and price moved sets with
-    the same Eq.-2 evaluator as the engine. *)
+    The four greedy strategies are kernel orders over the engine's own
+    loop: each passes its order to {!Engine.trajectory} ([`Loop]
+    granularity for {!Loop_greedy}) and reads the {!Engine.cut} at the
+    constraint, so a comparison traces the same [engine.move] spans as
+    [hypar partition].  All strategies skip kernels the CGC cannot run
+    (no coarse-grain latency in the characterisation).  {!Benefit_greedy}'s
+    standalone probes and {!Exhaustive}'s subsets are priced by
+    {!Engine.evaluate}, the from-scratch Eq.-2 recompute. *)
 
 type strategy =
   | Paper_greedy
   | Benefit_greedy
   | Loop_greedy
-      (** moves *whole innermost loops* (all mappable kernel blocks of a
-          natural loop together), heaviest loop first — multi-block loop
-          bodies like the ADPCM sample loop then never straddle the
-          fine/coarse boundary *)
+      (** moves *whole innermost loops* (all movable kernel blocks of a
+          natural loop together, in weight order), heaviest loop first —
+          multi-block loop bodies like the ADPCM sample loop then never
+          straddle the fine/coarse boundary *)
   | Random_order of int  (** seed *)
   | Exhaustive of int  (** consider the top-k kernels (k <= 20) *)
 
@@ -35,7 +41,10 @@ type outcome = {
   moved : int list;  (** in move order (or the chosen subset) *)
   met : bool;
   t_total : int;
-  evaluations : int;  (** Eq.-2 evaluations spent *)
+  evaluations : int;
+      (** Eq.-2 reads spent: for a greedy order, the all-FPGA start plus
+          one per step of the trajectory (plus the standalone probes of
+          {!Benefit_greedy}); for {!Exhaustive}, one per subset *)
 }
 
 val name_of : strategy -> string
@@ -56,4 +65,5 @@ val compare_all :
   Hypar_profiling.Profile.t ->
   outcome list
 (** Defaults: paper greedy, benefit greedy, loop greedy, random (seed 1),
-    exhaustive over the top 12 kernels. *)
+    exhaustive over the top 12 kernels.  The platform is characterised
+    and the application analysed once for all of them. *)

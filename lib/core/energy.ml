@@ -1,6 +1,5 @@
 module Ir = Hypar_ir
 module Analysis = Hypar_analysis
-module Profiling = Hypar_profiling
 module Finegrain = Hypar_finegrain
 
 type class_energy = { alu : int; mul : int; div : int; mem : int; move : int }
@@ -91,60 +90,46 @@ type t = {
 }
 
 let partition ?weights model (platform : Platform.t) ~energy_budget cdfg profile =
-  let n = Ir.Cdfg.block_count cdfg in
-  let freq = Array.init n (fun i -> Profiling.Profile.freq profile i) in
-  let live = Ir.Live.analyse (Ir.Cdfg.cfg cdfg) in
+  let app = Engine.app_layer cdfg profile in
+  let fine = Engine.fine_layer app platform.Platform.fpga in
   let energies =
-    table model cdfg ~freq:(Array.get freq)
-      ~partitions:(fine_partitions platform cdfg)
-      ~words:(Comm.block_words live)
+    table model cdfg ~freq:(Array.get app.Engine.freq)
+      ~partitions:(Array.get fine.Engine.partition_count)
+      ~words:(Engine.block_words app)
   in
-  let cgc_ok =
-    Array.init n (fun i ->
-        Hypar_coarsegrain.Schedule.supported (Ir.Cdfg.dfg cdfg i))
-  in
-  let total moved = total energies ~moved in
-  let initial_energy = total [] in
-  let analysis = Analysis.Kernel.analyse ?weights cdfg profile in
+  let initial_energy = total energies ~moved:[] in
   let rec go kernels steps moved current =
-    if current <= energy_budget then
-      {
-        model;
-        energy_budget;
-        initial_energy;
-        steps = List.rev steps;
-        final_energy = current;
-        moved = List.rev moved;
-        feasible = true;
-      }
-    else
-      match kernels with
-      | [] ->
-        {
-          model;
-          energy_budget;
-          initial_energy;
-          steps = List.rev steps;
-          final_energy = current;
-          moved = List.rev moved;
-          feasible = false;
-        }
-      | (k : Analysis.Kernel.entry) :: rest ->
-        if not cgc_ok.(k.block_id) then go rest steps moved current
-        else begin
-          let candidate = k.block_id :: moved in
-          let e = total candidate in
-          if e >= current then
-            (* moving this kernel does not help (communication dominates) *)
-            go rest steps moved current
-          else
-            let step =
-              { moved_block = k.block_id; energy = e; meets_budget = e <= energy_budget }
-            in
-            go rest (step :: steps) candidate e
-        end
+    match kernels with
+    | (k : Analysis.Kernel.entry) :: rest when current > energy_budget ->
+      if not (Hypar_coarsegrain.Schedule.supported (Ir.Cdfg.dfg cdfg k.block_id))
+      then go rest steps moved current
+      else begin
+        let candidate = k.block_id :: moved in
+        let e = total energies ~moved:candidate in
+        if e >= current then
+          (* moving this kernel does not help (communication dominates) *)
+          go rest steps moved current
+        else
+          let step =
+            { moved_block = k.block_id; energy = e; meets_budget = e <= energy_budget }
+          in
+          go rest (step :: steps) candidate e
+      end
+    | _ -> (steps, moved, current)
   in
-  go analysis.Analysis.Kernel.kernels [] [] initial_energy
+  let steps, moved, final_energy =
+    go (Analysis.Kernel.analyse ?weights cdfg profile).Analysis.Kernel.kernels
+      [] [] initial_energy
+  in
+  {
+    model;
+    energy_budget;
+    initial_energy;
+    steps = List.rev steps;
+    final_energy;
+    moved = List.rev moved;
+    feasible = final_energy <= energy_budget;
+  }
 
 let reduction_percent t =
   if t.initial_energy = 0 then 0.0

@@ -410,11 +410,6 @@ module Inc = struct
       (characterise ?cgc_pipelining platform cdfg profile)
 end
 
-let mappable (platform : Platform.t) cdfg i =
-  Coarsegrain.Schedule.supported_on ?health:platform.Platform.cgc_health
-    platform.Platform.cgc (Ir.Cdfg.dfg cdfg i)
-  && platform.Platform.cgc.Coarsegrain.Cgc.cgcs > 0
-
 (* Group the kernel worklist by innermost loop when the engine runs at
    loop granularity: each movement then transfers a whole loop body. *)
 let group_kernels_by_loop cdfg (kernels : Analysis.Kernel.entry list) =
@@ -511,11 +506,9 @@ let trajectory ?(comm_pricing = `Transition) ?(granularity = `Block) ~analysis
       | [] -> Seq.Cons ({ group_skipped; step = None }, from rest count moved)
       | (k : Analysis.Kernel.entry) :: _ ->
         let moved =
-          List.rev_append
-            (List.rev_map
-               (fun (k : Analysis.Kernel.entry) -> k.block_id)
-               movable)
-            moved
+          List.fold_left
+            (fun moved (k : Analysis.Kernel.entry) -> k.block_id :: moved)
+            moved movable
         in
         let step =
           Hypar_obs.Span.with_ ~cat:"engine" "engine.move"

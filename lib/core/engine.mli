@@ -203,8 +203,9 @@ val evaluate :
     scratch, once, and returns a function pricing any moved set (Eq. 2)
     by walking every block and profile edge.  It is the oracle the
     incremental engine is checked against, so it never takes
-    precomputed layers.  Used by the baseline selection strategies
-    ({!Baselines}) and the ablation benches.  Raises [Invalid_argument]
+    precomputed layers.  Used by the standalone probes and subsets of
+    the baseline selection strategies ({!Baselines}) and the ablation
+    benches.  Raises [Invalid_argument]
     when a moved block is not CGC-executable. *)
 
 exception
@@ -260,9 +261,6 @@ module Inc : sig
   val reset : t -> unit
   (** Back to the all-FPGA mapping without recharacterising. *)
 end
-
-val mappable : Platform.t -> Hypar_ir.Cdfg.t -> int -> bool
-(** Whether a block can execute on the platform's CGC data-path. *)
 
 val reduction_percent : t -> float
 (** Cycle reduction of the final partitioning relative to the all-FPGA

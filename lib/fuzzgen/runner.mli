@@ -16,7 +16,9 @@ type config = {
   seed : int;  (** campaign seed *)
   count : int;  (** cases to run (upper bound under [budget_ms]) *)
   budget_ms : int option;  (** stop after this much wall time *)
-  jobs : int;  (** worker domains; never affects report bytes *)
+  jobs : int;
+      (** worker domains, capped at the core count ({!Hypar_obs.Pool.workers});
+          never affects report bytes *)
   fuel : int;  (** baseline interpretation budget per case *)
   gen : Gen.config;
   shrink : bool;

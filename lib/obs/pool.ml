@@ -1,8 +1,10 @@
+let workers ~jobs n = max 1 (min (min jobs n) (Domain.recommended_domain_count ()))
+
 let map ~jobs f xs =
   let n = Array.length xs in
-  if jobs <= 1 || n <= 1 then Array.map f xs
+  let workers = workers ~jobs n in
+  if workers = 1 then Array.map f xs
   else begin
-    let workers = min jobs n in
     let out = Array.make n None in
     (* worker [d] owns indices d, d+workers, d+2*workers, ... — disjoint
        slots, so the unsynchronised writes below never race.  A raise is

@@ -1,11 +1,15 @@
 (** Multicore fan-out over the stdlib [Domain] API (no domainslib). *)
 
+val workers : jobs:int -> int -> int
+(** [workers ~jobs n] is how many workers {!map} uses for [n] elements:
+    [min jobs n], capped at [Domain.recommended_domain_count ()] (more
+    domains than cores only contend for them), and at least 1. *)
+
 val map : jobs:int -> ('a -> 'b) -> 'a array -> 'b array
-(** [map ~jobs f xs] applies [f] to every element.  [jobs <= 1] or fewer
-    than two elements run sequentially in the calling domain (no domain
-    is spawned); otherwise [min jobs (length xs)] workers share the
-    work, the calling domain being one of them, so [min jobs (length
-    xs) - 1] domains are spawned.
+(** [map ~jobs f xs] applies [f] to every element on
+    [workers ~jobs (length xs)] workers, the calling domain being one of
+    them, so one fewer domain is spawned.  A single worker runs
+    sequentially in the calling domain (no domain is spawned).
 
     Work is dealt round-robin by index: worker [d] owns indices [d],
     [d + workers], ...  Every worker writes only its own slots of the

@@ -31,18 +31,112 @@ let budget prepared =
   let e = Engine.evaluate (platform ()) prepared.Flow.cdfg prepared.Flow.profile in
   (e []).Engine.t_total / 2
 
+(* The paper's stop rule replayed with the from-scratch Eq.-2 oracle:
+   kernels in Eq.-1 order, the ones the CGC cannot run skipped, stop at
+   the first moved set that meets the constraint. *)
+let replay_paper_greedy (platform : Platform.t) ~timing_constraint
+    (p : Flow.prepared) =
+  let evaluate = Engine.evaluate platform p.Flow.cdfg p.Flow.profile in
+  let c = Engine.characterise platform p.Flow.cdfg p.Flow.profile in
+  let kernels =
+    List.filter_map
+      (fun (k : Hypar_analysis.Kernel.entry) ->
+        if c.Engine.coarse.Engine.latency.(k.block_id) <> None then
+          Some k.block_id
+        else None)
+      (Hypar_analysis.Kernel.analyse p.Flow.cdfg p.Flow.profile)
+        .Hypar_analysis.Kernel.kernels
+  in
+  let rec go moved kernels =
+    let times = evaluate (List.rev moved) in
+    if times.Engine.t_total <= timing_constraint then (List.rev moved, times)
+    else
+      match kernels with
+      | [] -> (List.rev moved, times)
+      | b :: rest -> go (b :: moved) rest
+  in
+  go [] kernels
+
 let test_paper_greedy_matches_engine () =
   let p = Lazy.force prepared in
   let timing_constraint = budget p in
   let engine = Flow.partition (platform ()) ~timing_constraint p in
-  let baseline =
-    Baselines.run (platform ()) ~timing_constraint p.Flow.cdfg p.Flow.profile
-      Baselines.Paper_greedy
-  in
-  Alcotest.(check (list int)) "same moved set" engine.Engine.moved
-    baseline.Baselines.moved;
-  Alcotest.(check int) "same final total" engine.Engine.final.Engine.t_total
-    baseline.Baselines.t_total
+  let moved, times = replay_paper_greedy (platform ()) ~timing_constraint p in
+  Alcotest.(check (list int)) "same moved set" moved engine.Engine.moved;
+  Alcotest.(check int) "same final total" times.Engine.t_total
+    engine.Engine.final.Engine.t_total
+
+(* Ablation E pinned: every default strategy on the paper apps at their
+   paper constraints, first paper platform.  Each row is (strategy,
+   moved in move order, t_total, met, Eq.-2 evaluations). *)
+let ablation_e_golden =
+  [
+    ( "OFDM",
+      Hypar_apps.Ofdm.prepared,
+      Hypar_apps.Ofdm.timing_constraint,
+      [
+        ("paper greedy (Eq.1 weight)", [ 10; 6; 16 ], 52129, true, 4);
+        ("benefit greedy", [ 10; 6; 2 ], 52123, true, 21);
+        (* BB6 and BB16 are single-block loops of equal weight (2688):
+           equal groups keep their Eq.-1 order, ties by block id *)
+        ("loop greedy (whole loops)", [ 10; 6; 16 ], 52129, true, 4);
+        ("random order (seed 1)", [ 10; 11; 15; 3; 6 ], 52291, true, 6);
+        ("exhaustive (top 12)", [ 10; 11; 9 ], 49267, true, 4096);
+      ] );
+    ( "JPEG",
+      Hypar_apps.Jpeg.prepared,
+      Hypar_apps.Jpeg.timing_constraint,
+      [
+        ("paper greedy (Eq.1 weight)", [ 9; 25; 7; 5; 3; 27 ], 10031179, true, 7);
+        ("benefit greedy", [ 9; 25; 3; 27; 5; 7 ], 10031179, true, 37);
+        ( "loop greedy (whole loops)",
+          [ 25; 27; 26; 9; 7; 5; 3 ],
+          9097261,
+          true,
+          6 );
+        ( "random order (seed 1)",
+          [ 24; 26; 14; 11; 25; 28; 30; 9; 18; 15; 7; 10; 29; 23; 21; 22; 27 ],
+          10156563,
+          true,
+          18 );
+        ("exhaustive (top 12)", [ 9; 25; 7; 5; 3; 27 ], 10031179, true, 4096);
+      ] );
+    ( "ADPCM",
+      Hypar_apps.Adpcm.prepared,
+      Hypar_apps.Adpcm.timing_constraint,
+      [
+        ("paper greedy (Eq.1 weight)", [ 12; 1; 3; 5; 7; 13 ], 580002, true, 7);
+        ("benefit greedy", [ 1; 12; 15; 5; 7; 3 ], 538371, true, 21);
+        ( "loop greedy (whole loops)",
+          [ 12; 1; 3; 5; 7; 13; 15; 6; 2; 8; 4; 11; 14; 10 ],
+          69015,
+          true,
+          2 );
+        ( "random order (seed 1)",
+          [ 1; 5; 11; 6; 14; 2; 10; 8; 15 ],
+          594642,
+          true,
+          10 );
+        ("exhaustive (top 12)", [ 1; 3; 5; 7; 15 ], 595715, true, 4096);
+      ] );
+  ]
+
+let test_ablation_e_golden () =
+  List.iter
+    (fun (app, prepared, timing_constraint, expected) ->
+      let p : Flow.prepared = prepared () in
+      let got =
+        List.map
+          (fun (o : Baselines.outcome) ->
+            (o.name, o.moved, o.t_total, o.met, o.evaluations))
+          (Baselines.compare_all (platform ()) ~timing_constraint p.Flow.cdfg
+             p.Flow.profile)
+      in
+      Alcotest.(check (list (pair string (pair (list int) (triple int bool int)))))
+        app
+        (List.map (fun (n, m, t, met, e) -> (n, (m, (t, met, e)))) expected)
+        (List.map (fun (n, m, t, met, e) -> (n, (m, (t, met, e)))) got))
+    ablation_e_golden
 
 let test_exhaustive_no_worse_than_greedy () =
   let p = Lazy.force prepared in
@@ -162,6 +256,7 @@ let suite =
     Alcotest.test_case "random converges" `Quick test_random_is_met_eventually;
     Alcotest.test_case "compare_all" `Quick test_compare_all;
     Alcotest.test_case "exhaustive cap" `Quick test_exhaustive_cap;
+    Alcotest.test_case "Ablation E golden" `Quick test_ablation_e_golden;
     Alcotest.test_case "backfill no worse" `Quick test_backfill_no_worse;
     Alcotest.test_case "backfill area bound" `Quick test_backfill_area_bound;
     Alcotest.test_case "backfill strictly better" `Quick test_backfill_strictly_better_sometimes;

@@ -227,8 +227,50 @@ let test_loop_granularity_same_on_single_block_loops () =
     (List.sort compare block.Engine.moved)
     (List.sort compare loop.Engine.moved)
 
+(* At loop granularity a step moves a whole group through [Inc.move] in
+   Eq.-1 weight order; [on_cgc] and [moved] list the group in that same
+   order, so replaying each step's new blocks by weight through a fresh
+   [Inc] reproduces every published moved set and its times. *)
+let test_loop_granularity_move_order () =
+  let prepared = Hypar_apps.Adpcm.prepared () in
+  let cdfg = prepared.Flow.cdfg and profile = prepared.Flow.profile in
+  let pl = platform () in
+  let r = Engine.run ~granularity:`Loop pl ~timing_constraint:(-1) cdfg profile in
+  let rank b =
+    let rec go i = function
+      | [] -> max_int
+      | (k : Hypar_analysis.Kernel.entry) :: rest ->
+        if k.block_id = b then i else go (i + 1) rest
+    in
+    go 0 r.Engine.analysis.Hypar_analysis.Kernel.kernels
+  in
+  let inc = Engine.Inc.create pl cdfg profile in
+  let widest =
+    List.fold_left
+      (fun (prev, widest) (s : Engine.step) ->
+        let added =
+          List.filter (fun b -> not (List.mem b prev)) s.Engine.on_cgc
+          |> List.sort (fun a b -> compare (rank a) (rank b))
+        in
+        List.iter (Engine.Inc.move inc) added;
+        Alcotest.(check (list int))
+          (Printf.sprintf "step %d: on_cgc in Inc's move order" s.step_index)
+          (Engine.Inc.moved inc) s.Engine.on_cgc;
+        Alcotest.(check int)
+          (Printf.sprintf "step %d: t_total" s.step_index)
+          (Engine.Inc.times inc).Engine.t_total s.Engine.times.Engine.t_total;
+        (s.Engine.on_cgc, max widest (List.length added)))
+      ([], 0) r.Engine.steps
+    |> snd
+  in
+  Alcotest.(check bool) "some step moves a multi-block loop" true (widest > 1);
+  Alcotest.(check (list int)) "moved in Inc's move order"
+    (Engine.Inc.moved inc) r.Engine.moved
+
 let granularity_suite =
   [
+    Alcotest.test_case "loop groups move in weight order" `Quick
+      test_loop_granularity_move_order;
     Alcotest.test_case "loop granularity on ADPCM" `Quick test_loop_granularity;
     Alcotest.test_case "granularities coincide" `Quick test_loop_granularity_same_on_single_block_loops;
   ]

@@ -137,8 +137,12 @@ let test_pool_matches_sequential () =
 
 (* A raise from any slot leaves [map] only after every domain is joined:
    the slots that do not raise sleep (the one after the raising slot
-   longest) and count themselves done. *)
+   longest) and count themselves done.  [map] deals slots round-robin
+   over [Pool.workers] workers, so every slot finishes except the raising
+   one and the later slots of its own worker. *)
 let test_pool_joins_before_raising () =
+  let n = 4 in
+  let workers = Pool.workers ~jobs:n n in
   let raising slot =
     let finished = Atomic.make 0 in
     let f i =
@@ -146,16 +150,31 @@ let test_pool_joins_before_raising () =
       Unix.sleepf (0.05 *. float_of_int (i + 1));
       Atomic.incr finished
     in
-    match Pool.map ~jobs:4 f (Array.init 4 Fun.id) with
+    match Pool.map ~jobs:n f (Array.init n Fun.id) with
     | _ -> Alcotest.failf "slot %d: no exception" slot
     | exception Failure msg ->
+      let expected =
+        List.length
+          (List.filter
+             (fun i -> i < slot || (i > slot && (i - slot) mod workers <> 0))
+             (List.init n Fun.id))
+      in
       Alcotest.(check string) "the slot's exception" (string_of_int slot) msg;
       Alcotest.(check int)
-        (Printf.sprintf "slot %d: every other slot finished" slot)
-        3 (Atomic.get finished)
+        (Printf.sprintf "slot %d on %d workers: every other worker finished"
+           slot workers)
+        expected (Atomic.get finished)
   in
   raising 0;
   raising 2
+
+let test_pool_workers_capped () =
+  let cores = Domain.recommended_domain_count () in
+  Alcotest.(check int) "one job" 1 (Pool.workers ~jobs:1 100);
+  Alcotest.(check int) "no more workers than elements" 1
+    (Pool.workers ~jobs:8 1);
+  Alcotest.(check int) "no more workers than cores" (min 64 cores)
+    (Pool.workers ~jobs:64 64)
 
 (* ---- cache key stability ------------------------------------------------ *)
 
@@ -474,6 +493,7 @@ let suite =
     Alcotest.test_case "pool matches sequential" `Quick test_pool_matches_sequential;
     Alcotest.test_case "pool joins before raising" `Quick
       test_pool_joins_before_raising;
+    Alcotest.test_case "pool workers capped" `Quick test_pool_workers_capped;
     Alcotest.test_case "point key stable" `Quick test_point_key_stable;
     Alcotest.test_case "digest stable" `Quick test_digest_stable_across_compiles;
     Alcotest.test_case "cache counters" `Quick test_cache_counters;

@@ -388,6 +388,104 @@ let prop_model_cuts =
         full;
       true)
 
+
+(* ---- greedy is never better than exhaustive search ---------------------
+
+   With at most 10 kernels the CGC can run, [Exhaustive 10] searches every
+   subset of them, the paper greedy's moved set included.  So whenever
+   the greedy meets the constraint, exhaustive meets it with no more
+   moves, and when neither does, exhaustive's t_total is no higher.  The
+   gap the greedy leaves when both meet is recorded and printed. *)
+
+type greedy_case = {
+  g_program : int;  (** fuzzgen seed *)
+  g_point : Hypar_explore.Space.point;  (** [timing] unused *)
+  g_percent : int;  (** constraint, as a percentage of the all-FPGA total *)
+  g_spec : Hypar_resilience.Fault.spec;
+}
+
+let greedy_arb =
+  QCheck.make
+    ~print:(fun c ->
+      Printf.sprintf "program seed %d, point %s, constraint %d%%, faults:\n%s"
+        c.g_program
+        (Hypar_explore.Space.point_key c.g_point)
+        c.g_percent
+        (Hypar_resilience.Spec.to_text c.g_spec))
+    QCheck.Gen.(
+      (fun ((program, area, cgcs, rows), (cols, clock_ratio, percent),
+            (seed, faults)) ->
+        {
+          g_program = program;
+          g_point =
+            { Hypar_explore.Space.area; cgcs; rows; cols; clock_ratio;
+              timing = 0 };
+          g_percent = percent;
+          g_spec = { Hypar_resilience.Fault.seed; faults };
+        })
+      <$> triple
+            (quad (int_range 1 1_000_000) (int_range 20 3000) (int_range 1 3)
+               (int_range 1 3))
+            (triple (int_range 1 3) (int_range 1 4) (int_range 0 110))
+            (pair (int_range 0 1000) (list_size (int_range 0 3) fault_gen)))
+
+let greedy_gap = ref 0
+
+let prop_exhaustive_no_worse =
+  QCheck.Test.make
+    ~name:"model: exhaustive search is never worse than the paper greedy"
+    ~count:40 greedy_arb (fun c ->
+      let module Engine = Hypar_core.Engine in
+      let module Baselines = Hypar_core.Baselines in
+      let prepared =
+        Hypar_core.Flow.prepare ~name:"greedy" (Gen.source c.g_program)
+      in
+      let cdfg = prepared.Hypar_core.Flow.cdfg
+      and profile = prepared.Hypar_core.Flow.profile in
+      let platform = Hypar_explore.Eval.platform ~faults:c.g_spec c.g_point in
+      let char = Engine.characterise platform cdfg profile in
+      let movable =
+        List.filter
+          (fun (k : Hypar_analysis.Kernel.entry) ->
+            char.Engine.coarse.Engine.latency.(k.block_id) <> None)
+          (Hypar_analysis.Kernel.analyse cdfg profile)
+            .Hypar_analysis.Kernel.kernels
+      in
+      QCheck.assume (List.length movable <= 10);
+      let initial = (Engine.evaluate platform cdfg profile []).Engine.t_total in
+      let timing_constraint = initial * c.g_percent / 100 in
+      match
+        Baselines.compare_all
+          ~strategies:[ Baselines.Paper_greedy; Baselines.Exhaustive 10 ]
+          platform ~timing_constraint cdfg profile
+      with
+      | [ greedy; exhaustive ] ->
+        let show (o : Baselines.outcome) =
+          Printf.sprintf "%s: met %b, %d moves, t_total %d" o.name o.met
+            (List.length o.moved) o.t_total
+        in
+        let fail why =
+          QCheck.Test.fail_reportf "constraint %d: %s (%s; %s)"
+            timing_constraint why (show greedy) (show exhaustive)
+        in
+        if greedy.met then begin
+          if not exhaustive.met then fail "greedy met, exhaustive did not";
+          if List.length exhaustive.moved > List.length greedy.moved then
+            fail "exhaustive needs more moves";
+          greedy_gap := max !greedy_gap (greedy.t_total - exhaustive.t_total)
+        end
+        else if (not exhaustive.met) && exhaustive.t_total > greedy.t_total
+        then fail "neither met and exhaustive is slower";
+        true
+      | _ -> QCheck.Test.fail_report "expected two outcomes")
+
+let test_exhaustive_no_worse () =
+  let _, _, run = QCheck_alcotest.to_alcotest prop_exhaustive_no_worse in
+  run ();
+  Printf.printf
+    "largest t_total gap, greedy over exhaustive, when both met: %d cycles\n"
+    !greedy_gap
+
 (* The differential properties below draw from the typed fuzzgen
    generator, as (seed, ast) pairs so QCheck shrinking can descend
    through Hypar_fuzzgen.Shrink.candidates — a failing random program is
@@ -686,6 +784,8 @@ let suite =
     Alcotest.test_case "deep nesting" `Quick test_deep_nesting;
     QCheck_alcotest.to_alcotest prop_faults_never_raise;
     QCheck_alcotest.to_alcotest prop_model_cuts;
+    Alcotest.test_case "model: exhaustive never worse than greedy" `Quick
+      test_exhaustive_no_worse;
     QCheck_alcotest.to_alcotest prop_optimize_differential;
     QCheck_alcotest.to_alcotest prop_bytecode_differential;
     QCheck_alcotest.to_alcotest prop_backend_differential;
