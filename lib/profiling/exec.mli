@@ -1,8 +1,14 @@
 (** Executor for flattened programs ({!Compile}) — the compiled backend
-    of the profiling interpreter.  Each run turns the program into one
-    closure per instruction and per terminator, then runs whole blocks
+    of the profiling interpreter.  Each run turns every block into one
+    chain of closures: each instruction's closure tail-calls the next
+    and the last returns the next block id.  Inside a chain a compare
+    feeding the block's branch is fused with it, and an instruction
+    whose result the next one reads exactly once is fused with that
+    reader (the result is still written).  Whole blocks run as chains
     between the steps at which a tick could be observed (a [max_steps]
-    or fuel limit, a poll point) without counting each unit.
+    or fuel limit, a poll point) without counting each unit; a block
+    that reaches such a step ticks unit by unit on unfused closures,
+    built on its first such visit.
 
     Produces {!Interp.result} values byte-identical to {!Interp.run} on
     the same program and inputs: identical frequencies and counters,

@@ -450,13 +450,13 @@ let test_select_and_terminator_reads () =
 
 exception Poll_stop of int
 
-let polled ?max_steps ~raise_at (run : runner) cdfg =
+let polled ?max_steps ?inputs ~raise_at (run : runner) cdfg =
   let calls = ref 0 in
   let mk_poll () () =
     incr calls;
     if !calls = raise_at then raise (Poll_stop !calls)
   in
-  let o = outcome ?max_steps ~mk_poll run cdfg in
+  let o = outcome ?max_steps ?inputs ~mk_poll run cdfg in
   (o, !calls)
 
 let test_poll_raise_sweep () =
@@ -475,6 +475,277 @@ let test_poll_raise_sweep () =
         Alcotest.(check int) (what ^ ": poll calls") tree_calls comp_calls)
       (None :: List.map Option.some (List.filter (fun m -> m >= 0) [ point - 1; point; point + 1 ]))
   done
+
+(* --- fused chains ---
+
+   A batched block runs as one chain in which a compare feeding the
+   block's branch is fused with it, and an instruction whose untracked
+   result the next one reads exactly once is fused with that reader.
+   These programs put every fused shape in a block of its own, with the
+   temporary read again after the pair or not, and the unfused shapes
+   next to them; the loops further down move every fuel, [max_steps] and
+   poll boundary across every unit of a block made of fused pairs. *)
+
+let fused_ir blocks =
+  Ir.Serialize.of_string
+    (Printf.sprintf
+       "(cdfg \"t\" (arrays (array \"in\" 8 16 mutable) (array \"out\" 4 16 \
+        mutable)) (blocks %s))"
+       blocks)
+
+let x = {|(var "x" 1 16)|}
+let y = {|(var "y" 2 16)|}
+let z = {|(var "z" 3 16)|}
+let t = {|(var "t" 4 16)|}
+let d = {|(var "d" 5 16)|}
+let c = {|(var "c" 6 16)|}
+let imm k = Printf.sprintf "(imm %d)" k
+let bin op dst a b = Printf.sprintf "(bin %s %s %s %s)" (Ir.Types.string_of_alu_op op) dst a b
+let mul dst a b = Printf.sprintf "(mul %s %s %s)" dst a b
+let load dst arr index = Printf.sprintf "(load %s %S %s)" dst arr index
+let store arr index value = Printf.sprintf "(store %S %s %s)" arr index value
+let loads = String.concat " " [ load x "in" (imm 0); load y "in" (imm 1); load z "in" (imm 2) ]
+
+let fused_inputs =
+  [ [ 5; 3; 0; 11; 12; 13; 14; 15 ]; [ -7; 70; 1; 2; 3; 4; 5; 6 ]; [ 2; -1; 6; 0; 9; 8; 7; 6 ] ]
+
+(* [d] is set to 0 and [x], [y], [z] are read from [in], then [instrs]
+   run as one block; the next block stores [d] and, with [live], the
+   temporary [t] *)
+let pair_program ~live instrs =
+  fused_ir
+    (Printf.sprintf
+       {|(block "entry" (instrs (mov %s (imm 0)) %s %s) (term (jump "obs")))
+         (block "obs" (instrs %s %s) (term (return)))|}
+       d loads (String.concat " " instrs) (store "out" (imm 3) d)
+       (if live then store "out" (imm 2) t else ""))
+
+let check_fused ?(inputs = fused_inputs) what cdfg =
+  List.iter
+    (fun values ->
+      check_both ~inputs:(inputs_of values)
+        (Printf.sprintf "%s, in=[%s]" what
+           (String.concat ";" (List.map string_of_int values)))
+        cdfg)
+    inputs
+
+let producers =
+  List.concat_map
+    (fun op -> [ bin op t x y; bin op t x (imm 3); bin op t (imm 3) x ])
+    Ir.Types.all_alu_ops
+  @ [
+      mul t x y; mul t x (imm 3); mul t (imm 3) x;
+      Printf.sprintf "(un neg %s %s)" t x;
+      Printf.sprintf "(un not %s %s)" t x;
+      Printf.sprintf "(un abs %s %s)" t x;
+      Printf.sprintf "(mov %s %s)" t x;
+      Printf.sprintf "(mov %s %s)" t (imm 4);
+      Printf.sprintf "(select %s %s %s %s)" t x y z;
+      load t "in" x;
+    ]
+
+let consumers =
+  List.concat_map
+    (fun op -> [ bin op d t y; bin op d t (imm 5); bin op d y t; bin op d (imm 5) t ])
+    Ir.Types.all_alu_ops
+  @ [
+      mul d t y; mul d t (imm 5); mul d y t; mul d (imm 5) t;
+      load d "in" t;
+      store "out" t y; store "out" t (imm 5); store "out" y t; store "out" (imm 2) t;
+    ]
+
+let test_fused_pairs () =
+  List.iter
+    (fun producer ->
+      List.iter
+        (fun consumer ->
+          List.iter
+            (fun live ->
+              check_fused
+                (Printf.sprintf "%s then %s (live %b)" producer consumer live)
+                (pair_program ~live [ producer; consumer ]))
+            [ false; true ])
+        consumers)
+    producers
+
+let test_fused_read_twice () =
+  List.iter
+    (fun consumer ->
+      List.iter
+        (fun live ->
+          check_fused
+            (Printf.sprintf "t read twice by %s (live %b)" consumer live)
+            (pair_program ~live [ bin Add t x y; consumer ]))
+        [ false; true ])
+    [ bin Add d t t; bin Lt d t t; mul d t t; store "out" t t ]
+
+(* The producer's checks run before the consumer's: a failing load
+   feeding a store that would fail too must raise the load's message. *)
+let test_fused_producer_fails_first () =
+  let cdfg = pair_program ~live:false [ load t "in" x; store "out" (imm 99) t ] in
+  check_fused ~inputs:[ [ 100 ]; [ -1 ]; [ 3 ] ] "failing load feeds a failing store" cdfg;
+  match Exec.run ~inputs:(inputs_of [ 100 ]) cdfg with
+  | _ -> Alcotest.fail "load of in[100] succeeded"
+  | exception Interp.Runtime_error m ->
+    Alcotest.(check string) "producer's message"
+      {|array "in" index 100 out of bounds [0, 8)|} m
+
+let test_fused_store_index () =
+  List.iter
+    (fun live ->
+      check_fused ~inputs:[ [ 0; 1 ]; [ -20; 1 ]; [ -10; 1 ]; [ -7; 1 ] ]
+        (Printf.sprintf "store index from a fused add (live %b)" live)
+        (pair_program ~live [ bin Add t x (imm 10); store "out" t y ]))
+    [ false; true ]
+
+(* [x op rhs] and its branch, fused (with a producer of the left operand
+   fused in too when [producer]); both arms store the compare's result,
+   and the inputs take each edge. *)
+let test_fused_compare_branch () =
+  let branch_program instrs =
+    fused_ir
+      (Printf.sprintf
+         {|(block "entry" (instrs %s %s) (term (branch %s "a" "b")))
+           (block "a" (instrs %s %s) (term (return)))
+           (block "b" (instrs %s %s) (term (return)))|}
+         loads (String.concat " " instrs) c
+         (store "out" (imm 0) c) (store "out" (imm 1) (imm 1))
+         (store "out" (imm 0) c) (store "out" (imm 2) (imm 1)))
+  in
+  let inputs = List.map (fun v -> [ v; 3 ]) [ 1; 2; 3; 4; 5 ] in
+  List.iter
+    (fun op ->
+      List.iter
+        (fun instrs ->
+          check_fused ~inputs (String.concat " " instrs) (branch_program instrs))
+        [
+          [ bin op c x y ];
+          [ bin op c x (imm 3) ];
+          [ bin op c (imm 3) x ];
+          [ bin op c x x ];
+          [ bin Add t x (imm 1); bin op c t y ];
+          [ bin Add t x (imm 1); bin op c t (imm 3) ];
+          [ bin Add t x (imm 1); bin op c (imm 3) t ];
+          [ bin Add t x (imm 1); bin op c y t ];
+          [ bin Add t x (imm 1); bin op c t t ];
+          [ load t "in" x; bin op c t (imm 3) ];
+        ])
+    [ Ir.Types.Lt; Le; Eq; Ne; Gt; Ge ];
+  check_fused ~inputs "both arms one block"
+    (fused_ir
+       (Printf.sprintf
+          {|(block "entry" (instrs %s %s) (term (branch %s "a" "a")))
+            (block "a" (instrs %s) (term (return)))|}
+          loads (bin Lt c x y) c (store "out" (imm 0) c)))
+
+(* A read that keeps its undefined-read check sits in, before and after
+   fusable pairs: [u] is written only when [in[3]] is non-zero. *)
+let test_fused_next_to_checked () =
+  let u = {|(var "u" 7 16)|} and w = {|(var "w" 8 16)|} in
+  let program instrs =
+    fused_ir
+      (Printf.sprintf
+         {|(block "entry" (instrs (mov %s (imm 0)) (mov %s (imm 0)) %s %s)
+             (term (branch %s "def" "join")))
+           (block "def" (instrs (mov %s (imm 1))) (term (jump "join")))
+           (block "join" (instrs %s) (term (jump "obs")))
+           (block "obs" (instrs %s %s) (term (return)))|}
+         d t loads (load c "in" (imm 3)) c u (String.concat " " instrs)
+         (store "out" (imm 3) d) (store "out" (imm 2) t))
+  in
+  List.iter
+    (fun instrs ->
+      check_fused ~inputs:[ [ 1; 2; 0; 0 ]; [ 1; 2; 0; 1 ] ] (String.concat " " instrs)
+        (program instrs))
+    [
+      [ bin Add t x y; bin Add d t u ];
+      [ bin Add t x u; bin Add d t y ];
+      [ Printf.sprintf "(mov %s %s)" w u; bin Add t x y; bin Add d t (imm 1) ];
+      [ bin Add t x y; bin Add d t (imm 1); Printf.sprintf "(mov %s %s)" w u ];
+      [ bin Add t x y; store "out" t u ];
+      [ load t "in" x; store "out" u t ];
+      [ bin Add t x (imm 1); bin Lt c t u ];
+    ]
+
+(* Loops whose body is made of fused pairs: the Mini-C loop's body has
+   three fused pairs and a fused compare and branch in 11 units, the
+   IR loop's three pairs and a compare and branch fused with the add
+   that feeds it, in 9 units.  11 and 9 are prime to 1024, so the
+   successive poll points land on every unit offset of the body. *)
+let fused_loops =
+  [
+    ( "mini-c loop",
+      11,
+      compile
+        {|
+int in[8];
+int out[2];
+void main() {
+  int i = 0;
+  int s = 0;
+  while (i < 3000) {
+    s = s + in[(i + 1) & 7] * 3;
+    out[i & 1] = s >> 2;
+    i = i + 1;
+  }
+  out[0] = s;
+}
+|} );
+    ( "ir loop",
+      9,
+      let i = {|(var "i" 0 16)|} and s = {|(var "s" 1 16)|} in
+      let v k = Printf.sprintf {|(var "v%d" %d 16)|} k (10 + k) in
+      fused_ir
+        (Printf.sprintf
+           {|(block "entry" (instrs (mov %s (imm 0)) (mov %s (imm 0))) (term (jump "body")))
+             (block "body" (instrs %s) (term (branch %s "body" "exit")))
+             (block "exit" (instrs %s) (term (return)))|}
+           i s
+           (String.concat " "
+              [
+                bin And (v 1) i (imm 7); load (v 2) "in" (v 1);
+                mul (v 3) (v 2) (imm 3); bin Add s s (v 3);
+                bin Ashr (v 4) s (imm 2); store "out" (imm 1) (v 4);
+                bin Add i i (imm 1); bin Lt c i (imm 3000);
+              ])
+           c (store "out" (imm 0) s)) );
+  ]
+
+let loop_inputs = [ ("in", [| 3; -1; 4; 1; -5; 9; 2; -6 |]) ]
+
+let test_fused_loop_budgets () =
+  List.iter
+    (fun (name, body, cdfg) ->
+      let r = Interp.run ~inputs:loop_inputs cdfg in
+      let total = r.Interp.instrs_executed + r.Interp.blocks_executed in
+      let around n = List.init (body + 2) (fun k -> n + k - 1) in
+      List.iter
+        (fun n ->
+          let what budget = Printf.sprintf "%s, %s=%d (total=%d)" name budget n total in
+          check_both ~inputs:loop_inputs ~fuel:n (what "fuel") cdfg;
+          check_both ~inputs:loop_inputs ~max_steps:n (what "max_steps") cdfg)
+        (around 1000 @ around (total - body - 1) @ [ total + 1 ]))
+    fused_loops
+
+let test_fused_loop_poll_sweep () =
+  List.iter
+    (fun (name, body, cdfg) ->
+      for k = 1 to body + 2 do
+        let point = 1024 * (k - 1) in
+        List.iter
+          (fun max_steps ->
+            let what =
+              Printf.sprintf "%s: poll raises at call %d, max_steps %s" name k
+                (match max_steps with Some m -> string_of_int m | None -> "none")
+            in
+            let inputs = loop_inputs in
+            let tree, tree_calls = polled ?max_steps ~inputs ~raise_at:k Interp.run cdfg in
+            let comp, comp_calls = polled ?max_steps ~inputs ~raise_at:k Exec.run cdfg in
+            check_outcomes what tree comp;
+            Alcotest.(check int) (what ^ ": poll calls") tree_calls comp_calls)
+          (None :: List.map Option.some (List.filter (fun m -> m >= 0) [ point - 1; point; point + 1 ]))
+      done)
+    fused_loops
 
 let suite =
   List.map
@@ -504,4 +775,14 @@ let suite =
       Alcotest.test_case "select and terminator reads" `Quick
         test_select_and_terminator_reads;
       Alcotest.test_case "poll raise sweep" `Quick test_poll_raise_sweep;
+      Alcotest.test_case "fused pairs" `Quick test_fused_pairs;
+      Alcotest.test_case "fused pair read twice" `Quick test_fused_read_twice;
+      Alcotest.test_case "fused producer fails first" `Quick
+        test_fused_producer_fails_first;
+      Alcotest.test_case "fused store index" `Quick test_fused_store_index;
+      Alcotest.test_case "fused compare and branch" `Quick test_fused_compare_branch;
+      Alcotest.test_case "fused pairs next to checked reads" `Quick
+        test_fused_next_to_checked;
+      Alcotest.test_case "fused loop budgets" `Quick test_fused_loop_budgets;
+      Alcotest.test_case "fused loop poll sweep" `Quick test_fused_loop_poll_sweep;
     ]

@@ -486,6 +486,52 @@ let test_exhaustive_no_worse () =
     "largest t_total gap, greedy over exhaustive, when both met: %d cycles\n"
     !greedy_gap
 
+(* Degradation only takes hardware away (dead nodes or CGCs, lost FPGA
+   area) or slows the links down, so over generated programs, random
+   platforms and fault specs no block may get a cheaper coarse-grain or
+   communication price on the degraded platform than on the healthy one:
+   its CGC latency is [None] or no lower (never [Some] where the healthy
+   one is [None]), and its transfer cycles are no lower.  The fine-grain
+   price is left out on purpose: it is not monotone in the FPGA area,
+   because the Figure-3 temporal partitioner moves partition boundaries
+   across ASAP levels, so a smaller area can cut a block into the same
+   number of partitions with fewer cycles per iteration.  The property
+   reuses [greedy_arb]; its constraint is unused. *)
+let prop_degradation_never_cheaper =
+  QCheck.Test.make
+    ~name:"model: degradation never lowers a block's CGC or communication price"
+    ~count:60 greedy_arb (fun c ->
+      let module Engine = Hypar_core.Engine in
+      let prepared =
+        Hypar_core.Flow.prepare ~name:"degrade" (Gen.source c.g_program)
+      in
+      let characterise platform =
+        Engine.characterise platform prepared.Hypar_core.Flow.cdfg
+          prepared.Hypar_core.Flow.profile
+      in
+      let healthy = characterise (Hypar_explore.Eval.platform c.g_point)
+      and degraded =
+        characterise (Hypar_explore.Eval.platform ~faults:c.g_spec c.g_point)
+      in
+      let latency (ch : Engine.characterisation) b =
+        ch.Engine.coarse.Engine.latency.(b)
+      in
+      let show = function Some l -> string_of_int l | None -> "unmappable" in
+      Array.iteri
+        (fun b comm ->
+          (match (latency healthy b, latency degraded b) with
+          | _, None -> ()
+          | None, Some _ -> QCheck.Test.fail_reportf "block %d became mappable" b
+          | Some h, Some d ->
+            if d < h then
+              QCheck.Test.fail_reportf "block %d: CGC latency %s -> %s" b
+                (show (Some h)) (show (Some d)));
+          if degraded.Engine.comm.(b) < comm then
+            QCheck.Test.fail_reportf "block %d: communication %d -> %d" b comm
+              degraded.Engine.comm.(b))
+        healthy.Engine.comm;
+      true)
+
 (* The differential properties below draw from the typed fuzzgen
    generator, as (seed, ast) pairs so QCheck shrinking can descend
    through Hypar_fuzzgen.Shrink.candidates — a failing random program is
@@ -786,6 +832,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_model_cuts;
     Alcotest.test_case "model: exhaustive never worse than greedy" `Quick
       test_exhaustive_no_worse;
+    QCheck_alcotest.to_alcotest prop_degradation_never_cheaper;
     QCheck_alcotest.to_alcotest prop_optimize_differential;
     QCheck_alcotest.to_alcotest prop_bytecode_differential;
     QCheck_alcotest.to_alcotest prop_backend_differential;
