@@ -243,6 +243,17 @@ let test_worker_typed_errors () =
     (failed_kind "frontend"
        (exec config
           (Printf.sprintf {|{"verb":"partition","file":"%s","timing":1}|} bad)));
+  let bad_hbc = write_temp ~suffix:".hbc" ".local x 8\n  push 3\n  stor x\n" in
+  (match
+     exec config
+       (Printf.sprintf {|{"verb":"partition","file":"%s","timing":1}|} bad_hbc)
+   with
+  | Protocol.Failed { kind; message; _ } ->
+    Alcotest.(check string) "bytecode frontend" "Frontend_error" kind;
+    Alcotest.(check string) "bytecode message"
+      (Filename.basename bad_hbc ^ ":3:3: unknown mnemonic \"stor\"")
+      message
+  | resp -> Alcotest.failf "bytecode: expected error, got %s" (Protocol.render resp));
   let div = write_temp ~suffix:".mc" "int o[1];\nvoid main() { o[0] = 1 / 0; }" in
   Alcotest.(check string) "runtime" "Runtime_error"
     (failed_kind "runtime"
