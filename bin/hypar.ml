@@ -78,9 +78,7 @@ let with_verification f =
   | exception (Flow.Unsupported_input _ as e) ->
     Printf.eprintf "hypar: %s\n" (Flow.load_error_message e);
     2
-  | exception
-      (( Hypar_minic.Driver.Frontend_error _
-       | Hypar_bytecode.Driver.Frontend_error _ ) as e) ->
+  | exception (Hypar_ir.Frontend.Error _ as e) ->
     Printf.eprintf "%s\n" (Flow.load_error_message e);
     2
   | exception Hypar_profiling.Interp.Fuel_exhausted { steps } ->

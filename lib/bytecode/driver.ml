@@ -1,17 +1,6 @@
-type error = Parse.error = { line : int; col : int; msg : string }
+type error = Hypar_ir.Frontend.error = { line : int; col : int; msg : string }
 
-exception Frontend_error of { name : string option; err : error }
-
-let string_of_error = Parse.string_of_error
-
-let () =
-  Printexc.register_printer (function
-    | Frontend_error { name; err } ->
-      Some
-        (Printf.sprintf "%s%s"
-           (match name with Some n -> n ^ ":" | None -> "")
-           (string_of_error err))
-    | _ -> None)
+exception Frontend_error = Hypar_ir.Frontend.Error
 
 let span name f = Hypar_obs.Span.with_ ~cat:"bytecode" name f
 

@@ -1,15 +1,16 @@
 (** One-call bytecode frontend: `.hbc` text to CDFG.
 
-    The mirror of [Hypar_minic.Driver] for the second frontend: same
-    error shape, same exception discipline, so the CLI renders bytecode
-    diagnostics exactly like Mini-C ones. *)
+    The mirror of [Hypar_minic.Driver] for the second frontend: both
+    fail through {!Hypar_ir.Frontend}, so the CLI and serve render
+    bytecode diagnostics exactly like Mini-C ones. *)
 
-type error = Parse.error = { line : int; col : int; msg : string }
+type error = Hypar_ir.Frontend.error = { line : int; col : int; msg : string }
 
 exception Frontend_error of { name : string option; err : error }
 (** Raised by {!compile_exn} for every frontend failure — parse error or
     CFG-recovery diagnostic — so callers can render a located
-    [file:line:col: message]. *)
+    [file:line:col: message].  It is {!Hypar_ir.Frontend.Error} under
+    the frontend's name. *)
 
 val compile :
   ?name:string ->
@@ -31,5 +32,3 @@ val compile_exn :
 
 val parse : ?name:string -> string -> (Prog.t, error) result
 (** Parse only (no recovery); for tools that inspect the stream. *)
-
-val string_of_error : error -> string

@@ -1,8 +1,6 @@
 module Types = Hypar_ir.Types
 
-type error = { line : int; col : int; msg : string }
-
-let string_of_error e = Printf.sprintf "%d:%d: %s" e.line e.col e.msg
+type error = Hypar_ir.Frontend.error = { line : int; col : int; msg : string }
 
 exception Fail of error
 

@@ -9,10 +9,9 @@
     - [NAME:] on a line of its own labels the next instruction;
     - everything else is [mnemonic [operand]] (see {!Insn}).
 
-    Errors carry 1-based line/column positions, mirroring
-    [Hypar_minic.Driver]. *)
+    Errors carry 1-based line/column positions ({!Hypar_ir.Frontend}). *)
 
-type error = { line : int; col : int; msg : string }
+type error = Hypar_ir.Frontend.error = { line : int; col : int; msg : string }
 
 val program : ?name:string -> string -> (Prog.t, error) result
 (** Parses a whole `.hbc` source.  [name] defaults to ["bytecode"].
@@ -20,5 +19,3 @@ val program : ?name:string -> string -> (Prog.t, error) result
     operand, bad directive, duplicate declaration); whole-program
     properties — label resolution, stack discipline — are checked by
     {!Recover}. *)
-
-val string_of_error : error -> string

@@ -39,16 +39,8 @@ let load ?(raw = false) ?verify path =
 let prepare_file ?backend ?verify_ir ?max_steps ?poll path =
   profiled ?backend ?max_steps ?poll (load ?verify:verify_ir path)
 
-let located name line col msg =
-  Printf.sprintf "%s%d:%d: %s"
-    (match name with Some n -> n ^ ":" | None -> "")
-    line col msg
-
 let load_error_message = function
-  | Hypar_minic.Driver.Frontend_error { name; err = { line; col; msg } } ->
-    located name line col msg
-  | Hypar_bytecode.Driver.Frontend_error { name; err = { line; col; msg } } ->
-    located name line col msg
+  | Hypar_ir.Frontend.Error { name; err } -> Hypar_ir.Frontend.message name err
   | Unsupported_input path ->
     Printf.sprintf
       "%s: unsupported input (expected .mc Mini-C, .hbc bytecode or .ir \

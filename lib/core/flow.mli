@@ -45,7 +45,7 @@ val load : ?raw:bool -> ?verify:bool -> string -> Hypar_ir.Cdfg.t
     [false]) skips the optimisation pipeline (Mini-C [~simplify:false],
     bytecode [~optimize:false]; meaningless for [.ir]).  [verify]
     defaults to {!Hypar_ir.Passes.verify_passes}.  Frontend failures
-    raise the frontend's [Frontend_error]; I/O failures raise
+    raise {!Hypar_ir.Frontend.Error}; I/O failures raise
     [Sys_error]. *)
 
 val prepare_file :
@@ -59,7 +59,7 @@ val prepare_file :
     {!prepare}.  The program runs without inputs. *)
 
 val load_error_message : exn -> string
-(** The text of a loader failure: a frontend [Frontend_error] as
+(** The text of a loader failure: a {!Hypar_ir.Frontend.Error} as
     [file:line:col: message], {!Unsupported_input} as
     [path: unsupported input (...)].  Any other exception renders as
     [Printexc.to_string]. *)

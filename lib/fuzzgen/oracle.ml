@@ -118,7 +118,7 @@ let run ?(fuel = 2_000_000) ?(expect_clean = true) src =
           | Ok cdfg -> cdfg
           | Error e ->
             fail "frontend/minic" "frontend:minic"
-              (Hypar_minic.Driver.string_of_error e))
+              (Hypar_ir.Frontend.string_of_error e))
     in
     let opt =
       stage "optimize" (fun () -> Hypar_ir.Passes.optimize ~verify:true raw)
@@ -132,7 +132,7 @@ let run ?(fuel = 2_000_000) ?(expect_clean = true) src =
           | Ok cdfg -> cdfg
           | Error e ->
             fail "frontend/bytecode" "frontend:bytecode"
-              (Hypar_bytecode.Driver.string_of_error e))
+              (Hypar_ir.Frontend.string_of_error e))
     in
     let base = backend_oracle "-O0" fuel raw in
     (* variants get slack so a borderline baseline budget cannot read as

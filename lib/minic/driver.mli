@@ -1,13 +1,13 @@
 (** One-call frontend: source text to CDFG. *)
 
-type error = { line : int; col : int; msg : string }
+type error = Hypar_ir.Frontend.error = { line : int; col : int; msg : string }
 
 exception Frontend_error of { name : string option; err : error }
 (** The single typed error raised by {!compile_exn}: every frontend
     failure — lexer, parser, type checker, inliner, lowering — surfaces
     as this exception so callers (the CLI in particular) can render a
     located [file:line:col: message] diagnostic instead of a backtrace.
-    [name] is the [?name] the caller compiled under, when any. *)
+    It is {!Hypar_ir.Frontend.Error} under the frontend's name. *)
 
 val compile :
   ?name:string ->
@@ -26,5 +26,3 @@ val compile :
 val compile_exn :
   ?name:string -> ?simplify:bool -> ?verify_ir:bool -> string -> Hypar_ir.Cdfg.t
 (** Like {!compile} but raises {!Frontend_error} on failure. *)
-
-val string_of_error : error -> string

@@ -224,9 +224,7 @@ let dispatch config (req : P.request) =
 
 let exn_kind = function
   | Hypar_ir.Verify.Failed _ -> "Verify.Failed"
-  | Hypar_minic.Driver.Frontend_error _
-  | Hypar_bytecode.Driver.Frontend_error _ ->
-    "Frontend_error"
+  | Hypar_ir.Frontend.Error _ -> "Frontend_error"
   | Hypar_profiling.Interp.Runtime_error _ -> "Runtime_error"
   | e -> Printexc.exn_slot_name e
 

@@ -9,7 +9,7 @@ module Interp = Hypar_profiling.Interp
 let compile ?(optimize = false) src =
   match B.Driver.compile ~name:"t.hbc" ~optimize ~verify_ir:true src with
   | Ok cdfg -> cdfg
-  | Error e -> Alcotest.failf "unexpected reject: %s" (B.Driver.string_of_error e)
+  | Error e -> Alcotest.failf "unexpected reject: %s" (Hypar_ir.Frontend.string_of_error e)
 
 let error src =
   match B.Driver.compile ~name:"t.hbc" src with
@@ -66,11 +66,11 @@ loop:
 
 let test_parser_roundtrip () =
   match B.Parse.program ~name:"rt" roundtrip_src with
-  | Error e -> Alcotest.failf "parse failed: %s" (B.Parse.string_of_error e)
+  | Error e -> Alcotest.failf "parse failed: %s" (Hypar_ir.Frontend.string_of_error e)
   | Ok prog -> (
     let printed = B.Prog.to_string prog in
     match B.Parse.program ~name:"rt" printed with
-    | Error e -> Alcotest.failf "reparse failed: %s" (B.Parse.string_of_error e)
+    | Error e -> Alcotest.failf "reparse failed: %s" (Hypar_ir.Frontend.string_of_error e)
     | Ok again ->
       Alcotest.(check bool) "print/parse round-trip" true (B.Prog.equal prog again))
 
@@ -329,7 +329,7 @@ let test_emit_roundtrip () =
   let hbc = B.Emit.to_string direct in
   (* the emitted text parses back to the exact same program *)
   (match B.Parse.program ~name:"emit" hbc with
-  | Error e -> Alcotest.failf "emitted text unparseable: %s" (B.Parse.string_of_error e)
+  | Error e -> Alcotest.failf "emitted text unparseable: %s" (Hypar_ir.Frontend.string_of_error e)
   | Ok prog ->
     Alcotest.(check bool) "emit/parse round-trip" true
       (B.Prog.equal prog (B.Emit.program direct)));

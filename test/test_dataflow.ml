@@ -144,7 +144,7 @@ let prop_cse_reference ~unsafe =
       | Ok raw -> cse_matches_reference raw
       | Error e ->
         QCheck.Test.fail_reportf "generated program does not compile: %s"
-          (Hypar_minic.Driver.string_of_error e))
+          (Hypar_ir.Frontend.string_of_error e))
 
 let test_assigned () =
   let cfg = diamond () in

@@ -598,7 +598,7 @@ let prop_bytecode_differential =
         | Ok cdfg -> cdfg
         | Error e ->
           QCheck.Test.fail_reportf "bytecode frontend rejected emitted code: %s\n%s"
-            (Hypar_bytecode.Driver.string_of_error e)
+            (Hypar_ir.Frontend.string_of_error e)
             hbc
       in
       Hypar_ir.Verify.check_exn ~context:"bytecode-differential" recovered;

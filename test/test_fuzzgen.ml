@@ -111,7 +111,7 @@ let test_corpus_roundtrip () =
   | Ok _ -> ()
   | Error e ->
     Alcotest.failf "serialized entry does not compile: %s"
-      (Hypar_minic.Driver.string_of_error e));
+      (Hypar_ir.Frontend.string_of_error e));
   (* save/load through a temp dir *)
   let dir = Filename.temp_file "hypar-corpus" "" in
   Sys.remove dir;
@@ -180,7 +180,7 @@ let test_runner_finds_and_shrinks () =
       | Ok _ -> ()
       | Error e ->
         Alcotest.failf "reduced reproducer does not compile: %s\n%s"
-          (Hypar_minic.Driver.string_of_error e)
+          (Hypar_ir.Frontend.string_of_error e)
           f.Runner.reduced)
     r.Runner.failures
 
