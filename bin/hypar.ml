@@ -300,45 +300,91 @@ let kernels_cmd =
   let term = Term.(const run $ file_arg $ top_arg $ interp_arg $ obs_args) in
   Cmd.v (Cmd.info "kernels" ~doc:"Kernel analysis (Table-1 style)") term
 
-(* The CI gate lint and analyze share.  --deny takes ids, mnemonics or
-   "all" and is resolved before any work, so a typo fails fast (exit 2).
-   [run] prints the findings and returns their codes, or a message for a
-   failure that exits 2.  A denied code present, or more than [max]
-   findings, exits 1. *)
-let gate ~tool ~noun ~ids ~all_codes ~of_string ~id ~format ~max deny run =
-  let deny_all = List.exists (fun s -> String.lowercase_ascii s = "all") deny in
-  match List.find_opt (fun s -> Option.is_none (of_string s)) deny with
-  | Some s when not deny_all ->
-    Printf.eprintf "hypar: unknown %s code %S (use %s or a mnemonic)\n" tool s
-      ids;
-    2
-  | _ -> (
-    match run () with
-    | Error msg ->
-      Printf.eprintf "%s\n" msg;
+(* The CI gate lint and analyze share: their --format, --max-<noun>s and
+   --deny options, and the gate those feed.  --deny takes ids, mnemonics
+   or "all" and is resolved before any work, so a typo fails fast (exit
+   2).  The term yields [gate run]: [run report] hands each file's
+   findings to [report], which prints them, or returns a message for a
+   failure that exits 2.  A denied code present, or more than the
+   --max-<noun>s findings, exits 1. *)
+let gate_term ~tool ~noun ~emitted ~example kind =
+  let module D = Hypar_analysis.Diagnostics in
+  let format_arg =
+    Arg.(
+      value
+      & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
+      & info [ "format" ] ~docv:"FMT" ~doc:"output format: $(b,text) or $(b,json)")
+  in
+  let max_arg =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "max-" ^ noun ^ "s" ] ~docv:"N"
+          ~doc:
+            ("fail (exit 1) when more than $(docv) " ^ emitted ^ " are emitted"))
+  in
+  let deny_arg =
+    Arg.(
+      value & opt_all string []
+      & info [ "deny" ] ~docv:"CODE"
+          ~doc:
+            (Printf.sprintf
+               "fail (exit 1) if this code is present; accepts an id (%s), a \
+                mnemonic (%s) or $(b,all); repeatable"
+               (D.id kind example) (D.mnemonic kind example)))
+  in
+  let gate format max deny run =
+    let deny_all =
+      List.exists (fun s -> String.lowercase_ascii s = "all") deny
+    in
+    match List.find_opt (fun s -> Option.is_none (D.of_string kind s)) deny with
+    | Some s when not deny_all ->
+      let ids = List.map (D.id kind) (D.all kind) in
+      Printf.eprintf "hypar: unknown %s code %S (use %s..%s or a mnemonic)\n"
+        tool s (List.hd ids)
+        (List.hd (List.rev ids));
       2
-    | Ok codes ->
-      let total = List.length codes in
-      if format = `Text && total > 0 then
-        Printf.printf "%d %s%s\n" total noun (if total = 1 then "" else "s");
-      let deny_codes =
-        if deny_all then all_codes else List.filter_map of_string deny
+    | _ -> (
+      let codes = ref [] in
+      let report ~file ds =
+        print_string
+          ((match format with `Json -> D.render_json | `Text -> D.render)
+             kind ~file ds);
+        codes := List.rev_append (List.map kind.D.code ds) !codes
       in
-      let denied =
-        List.sort_uniq compare
-          (List.filter_map
-             (fun c -> if List.mem c deny_codes then Some (id c) else None)
-             codes)
-      in
-      let over_limit = match max with Some m -> total > m | None -> false in
-      if denied <> [] then
-        Printf.eprintf "hypar: denied %s codes present: %s\n" tool
-          (String.concat ", " denied);
-      (match (over_limit, max) with
-      | true, Some m ->
-        Printf.eprintf "hypar: %d %ss exceed --max-%ss %d\n" total noun noun m
-      | _ -> ());
-      if denied <> [] || over_limit then 1 else 0)
+      match run report with
+      | Error msg ->
+        Printf.eprintf "%s\n" msg;
+        2
+      | Ok () ->
+        let total = List.length !codes in
+        if format = `Text && total > 0 then
+          Printf.printf "%d %s%s\n" total noun (if total = 1 then "" else "s");
+        let deny_codes =
+          if deny_all then D.all kind
+          else List.filter_map (D.of_string kind) deny
+        in
+        let denied =
+          List.sort_uniq compare
+            (List.filter_map
+               (fun c ->
+                 if List.mem c deny_codes then Some (D.id kind c) else None)
+               !codes)
+        in
+        let over_limit =
+          match max with Some m -> total > m | None -> false
+        in
+        if denied <> [] then
+          Printf.eprintf "hypar: denied %s codes present: %s\n" tool
+            (String.concat ", " denied);
+        (match (over_limit, max) with
+        | true, Some m ->
+          Printf.eprintf "hypar: %d %ss exceed --max-%ss %d\n" total noun noun
+            m
+        | _ -> ());
+        if denied <> [] || over_limit then 1 else 0)
+  in
+  Term.(const gate $ format_arg $ max_arg $ deny_arg)
 
 let analyze_cmd =
   let module Analyze = Hypar_analysis.Analyze in
@@ -351,49 +397,19 @@ let analyze_cmd =
     let cdfg = Flow.load ~raw:true ~verify:false file in
     if optimize then Hypar_ir.Passes.optimize ~verify:false cdfg else cdfg
   in
-  let run files format max_findings deny optimize obs =
+  let run files gate optimize obs =
     with_obs ~command:"analyze" obs @@ fun () ->
     with_verification @@ fun () ->
-    gate ~tool:"analyze" ~noun:"finding" ~ids:"A001..A008"
-      ~all_codes:Analyze.all_codes ~of_string:Analyze.code_of_string
-      ~id:Analyze.code_id ~format ~max:max_findings deny
-    @@ fun () ->
+    gate @@ fun report ->
     Ok
-      (List.concat_map
-         (fun file ->
-           let findings = Analyze.check (load ~optimize file) in
-           print_string
-             (match format with
-             | `Json -> Analyze.render_json ~file findings
-             | `Text -> Analyze.render ~file findings);
-           List.map (fun (f : Analyze.finding) -> f.code) findings)
+      (List.iter
+         (fun file -> report ~file (Analyze.check (load ~optimize file)))
          files)
   in
   let files_arg =
     Arg.(
       non_empty & pos_all file []
       & info [] ~docv:"FILE" ~doc:"Mini-C source or serialised .ir file(s)")
-  in
-  let format_arg =
-    Arg.(
-      value
-      & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
-      & info [ "format" ] ~docv:"FMT" ~doc:"output format: $(b,text) or $(b,json)")
-  in
-  let max_findings_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "max-findings" ] ~docv:"N"
-          ~doc:"fail (exit 1) when more than $(docv) findings are emitted")
-  in
-  let deny_arg =
-    Arg.(
-      value & opt_all string []
-      & info [ "deny" ] ~docv:"CODE"
-          ~doc:
-            "fail (exit 1) if this code is present; accepts an id (A001), a \
-             mnemonic (use-before-def) or $(b,all); repeatable")
   in
   let optimize_arg =
     Arg.(
@@ -404,7 +420,9 @@ let analyze_cmd =
   in
   let term =
     Term.(
-      const run $ files_arg $ format_arg $ max_findings_arg $ deny_arg
+      const run $ files_arg
+      $ gate_term ~tool:"analyze" ~noun:"finding" ~emitted:"findings"
+          ~example:Analyze.Use_before_def Analyze.kind
       $ optimize_arg $ obs_args)
   in
   Cmd.v
@@ -536,44 +554,18 @@ let map_cmd =
 
 let lint_cmd =
   let module Lint = Hypar_analysis.Lint in
-  let run file format max_warnings deny =
-    gate ~tool:"lint" ~noun:"warning" ~ids:"W001..W009"
-      ~all_codes:Lint.all_codes ~of_string:Lint.code_of_string ~id:Lint.code_id
-      ~format ~max:max_warnings deny
-    @@ fun () ->
+  let run file gate =
+    gate @@ fun report ->
     let source = In_channel.with_open_bin file In_channel.input_all in
     match Lint.check ~name:(Filename.basename file) source with
     | Error msg -> Error (file ^ ":" ^ msg)
-    | Ok diags ->
-      print_string
-        (match format with
-        | `Json -> Lint.render_json ~file diags
-        | `Text -> Lint.render ~file diags);
-      Ok (List.map (fun (d : Lint.diagnostic) -> d.code) diags)
-  in
-  let format_arg =
-    Arg.(
-      value
-      & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
-      & info [ "format" ] ~docv:"FMT" ~doc:"output format: $(b,text) or $(b,json)")
-  in
-  let max_warnings_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "max-warnings" ] ~docv:"N"
-          ~doc:"fail (exit 1) when more than $(docv) diagnostics are emitted")
-  in
-  let deny_arg =
-    Arg.(
-      value & opt_all string []
-      & info [ "deny" ] ~docv:"CODE"
-          ~doc:
-            "fail (exit 1) if this code is present; accepts an id (W003), a \
-             mnemonic (dead-assignment) or $(b,all); repeatable")
+    | Ok diags -> Ok (report ~file diags)
   in
   let term =
-    Term.(const run $ file_arg $ format_arg $ max_warnings_arg $ deny_arg)
+    Term.(
+      const run $ file_arg
+      $ gate_term ~tool:"lint" ~noun:"warning" ~emitted:"diagnostics"
+          ~example:Lint.Dead_assignment Lint.kind)
   in
   Cmd.v
     (Cmd.info "lint"

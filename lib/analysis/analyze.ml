@@ -12,40 +12,36 @@ type code =
   | Unhoisted_invariant_load
   | Write_only_variable
 
-let all_codes =
-  [
-    Use_before_def; Dead_store; Unreachable_block; Constant_branch;
-    Possible_out_of_bounds; Possible_div_by_zero; Unhoisted_invariant_load;
-    Write_only_variable;
-  ]
-
-let code_id = function
-  | Use_before_def -> "A001"
-  | Dead_store -> "A002"
-  | Unreachable_block -> "A003"
-  | Constant_branch -> "A004"
-  | Possible_out_of_bounds -> "A005"
-  | Possible_div_by_zero -> "A006"
-  | Unhoisted_invariant_load -> "A007"
-  | Write_only_variable -> "A008"
-
-let code_mnemonic = function
-  | Use_before_def -> "use-before-def"
-  | Dead_store -> "dead-store"
-  | Unreachable_block -> "unreachable-block"
-  | Constant_branch -> "constant-branch"
-  | Possible_out_of_bounds -> "possible-out-of-bounds"
-  | Possible_div_by_zero -> "possible-div-by-zero"
-  | Unhoisted_invariant_load -> "unhoisted-invariant-load"
-  | Write_only_variable -> "write-only-variable"
-
-let code_of_string s =
-  let s = String.lowercase_ascii s in
-  List.find_opt
-    (fun c -> String.lowercase_ascii (code_id c) = s || code_mnemonic c = s)
-    all_codes
-
 type finding = { code : code; block : int; index : int; message : string }
+
+let kind =
+  {
+    Diagnostics.codes =
+      [
+        (Use_before_def, "A001", "use-before-def");
+        (Dead_store, "A002", "dead-store");
+        (Unreachable_block, "A003", "unreachable-block");
+        (Constant_branch, "A004", "constant-branch");
+        (Possible_out_of_bounds, "A005", "possible-out-of-bounds");
+        (Possible_div_by_zero, "A006", "possible-div-by-zero");
+        (Unhoisted_invariant_load, "A007", "unhoisted-invariant-load");
+        (Write_only_variable, "A008", "write-only-variable");
+      ];
+    severity = "note";
+    key = "findings";
+    code = (fun f -> f.code);
+    message = (fun f -> f.message);
+    position =
+      (fun f ->
+        if f.index < 0 then Printf.sprintf "BB%d.term" f.block
+        else Printf.sprintf "BB%d.%d" f.block f.index);
+    fields = (fun f -> [ ("block", f.block); ("index", f.index) ]);
+  }
+
+let all_codes = Diagnostics.all kind
+let code_id = Diagnostics.id kind
+let code_mnemonic = Diagnostics.mnemonic kind
+let code_of_string = Diagnostics.of_string kind
 
 let finding code block index fmt =
   Format.kasprintf (fun message -> { code; block; index; message }) fmt
@@ -640,14 +636,6 @@ let check_write_only cfg acc =
         :: acc)
     first_def acc
 
-let sort_findings fs =
-  List.sort_uniq
-    (fun a b ->
-      compare
-        (a.block, a.index, code_id a.code, a.message)
-        (b.block, b.index, code_id b.code, b.message))
-    fs
-
 let check cdfg =
   let cfg = Ir.Cdfg.cfg cdfg in
   []
@@ -658,31 +646,9 @@ let check cdfg =
   |> check_intervals cdfg
   |> check_invariant_loads cfg
   |> check_write_only cfg
-  |> sort_findings
+  |> Diagnostics.sort kind
 
 (* --- rendering ----------------------------------------------------------- *)
 
-let pp_finding ppf f =
-  let pos =
-    if f.index < 0 then Printf.sprintf "BB%d.term" f.block
-    else Printf.sprintf "BB%d.%d" f.block f.index
-  in
-  Format.fprintf ppf "%s: note %s [%s]: %s" pos (code_id f.code)
-    (code_mnemonic f.code) f.message
-
-let render ?(file = "<ir>") fs =
-  String.concat ""
-    (List.map (fun f -> Format.asprintf "%s:%a\n" file pp_finding f) fs)
-
-let render_json ?(file = "<ir>") fs =
-  let entry f =
-    Printf.sprintf
-      "    {\"code\": %S, \"name\": %S, \"block\": %d, \"index\": %d, \
-       \"message\": \"%s\"}"
-      (code_id f.code) (code_mnemonic f.code) f.block f.index
-      (Hypar_obs.Jsonv.escape f.message)
-  in
-  Printf.sprintf
-    "{\n  \"file\": \"%s\",\n  \"count\": %d,\n  \"findings\": [\n%s\n  ]\n}\n"
-    (Hypar_obs.Jsonv.escape file) (List.length fs)
-    (String.concat ",\n" (List.map entry fs))
+let render ?(file = "<ir>") fs = Diagnostics.render kind ~file fs
+let render_json ?(file = "<ir>") fs = Diagnostics.render_json kind ~file fs

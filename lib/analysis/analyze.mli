@@ -28,7 +28,10 @@
       never read anywhere.
 
     Findings are positioned by basic block id and instruction index
-    (there may be no source file to point into). *)
+    (there may be no source file to point into).  Analyze supplies only
+    its code table, the severity word [note] and these positions;
+    {!Diagnostics} does the lookups, sorting and rendering it shares
+    with {!Lint}. *)
 
 type code =
   | Use_before_def
@@ -39,6 +42,17 @@ type code =
   | Possible_div_by_zero
   | Unhoisted_invariant_load
   | Write_only_variable
+
+type finding = {
+  code : code;
+  block : int;  (** basic-block id; for A003 the block itself *)
+  index : int;  (** instruction index in the block; -1 = the terminator *)
+  message : string;
+}
+
+val kind : (code, finding) Diagnostics.kind
+(** Analyze's code table and positions, as [hypar analyze] renders and
+    gates them. *)
 
 val all_codes : code list
 
@@ -51,13 +65,6 @@ val code_mnemonic : code -> string
 val code_of_string : string -> code option
 (** Accepts an id ([A004]), a mnemonic ([constant-branch]), either
     case. *)
-
-type finding = {
-  code : code;
-  block : int;  (** basic-block id; for A003 the block itself *)
-  index : int;  (** instruction index in the block; -1 = the terminator *)
-  message : string;
-}
 
 val check : Hypar_ir.Cdfg.t -> finding list
 (** Run every rule, sorted by (block, index, code).  The input is
@@ -77,5 +84,3 @@ val render : ?file:string -> finding list -> string
 
 val render_json : ?file:string -> finding list -> string
 (** A JSON object [{"file": …, "count": N, "findings": […]}]. *)
-
-val pp_finding : Format.formatter -> finding -> unit

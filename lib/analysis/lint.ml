@@ -12,56 +12,41 @@ type code =
   | Width_overflow
   | Induction_write
 
-let all_codes =
-  [
-    Unused_variable; Unused_parameter; Dead_assignment; Unreachable_code;
-    Constant_condition; Division_by_zero; Shift_out_of_range; Width_overflow;
-    Induction_write;
-  ]
-
-let code_id = function
-  | Unused_variable -> "W001"
-  | Unused_parameter -> "W002"
-  | Dead_assignment -> "W003"
-  | Unreachable_code -> "W004"
-  | Constant_condition -> "W005"
-  | Division_by_zero -> "W006"
-  | Shift_out_of_range -> "W007"
-  | Width_overflow -> "W008"
-  | Induction_write -> "W009"
-
-let code_mnemonic = function
-  | Unused_variable -> "unused-variable"
-  | Unused_parameter -> "unused-parameter"
-  | Dead_assignment -> "dead-assignment"
-  | Unreachable_code -> "unreachable-code"
-  | Constant_condition -> "constant-condition"
-  | Division_by_zero -> "possible-div-by-zero"
-  | Shift_out_of_range -> "shift-out-of-range"
-  | Width_overflow -> "width-overflow"
-  | Induction_write -> "induction-write"
-
-let code_of_string s =
-  let s = String.lowercase_ascii s in
-  List.find_opt
-    (fun c ->
-      String.lowercase_ascii (code_id c) = s || code_mnemonic c = s)
-    all_codes
-
 type diagnostic = { code : code; line : int; col : int; message : string }
+
+let kind =
+  {
+    Diagnostics.codes =
+      [
+        (Unused_variable, "W001", "unused-variable");
+        (Unused_parameter, "W002", "unused-parameter");
+        (Dead_assignment, "W003", "dead-assignment");
+        (Unreachable_code, "W004", "unreachable-code");
+        (Constant_condition, "W005", "constant-condition");
+        (Division_by_zero, "W006", "possible-div-by-zero");
+        (Shift_out_of_range, "W007", "shift-out-of-range");
+        (Width_overflow, "W008", "width-overflow");
+        (Induction_write, "W009", "induction-write");
+      ];
+    severity = "warning";
+    key = "diagnostics";
+    code = (fun d -> d.code);
+    message = (fun d -> d.message);
+    position = (fun d -> Printf.sprintf "%d:%d" d.line d.col);
+    fields = (fun d -> [ ("line", d.line); ("col", d.col) ]);
+  }
+
+let all_codes = Diagnostics.all kind
+let code_id = Diagnostics.id kind
+let code_mnemonic = Diagnostics.mnemonic kind
+let code_of_string = Diagnostics.of_string kind
 
 let diag code (pos : Token.pos) fmt =
   Format.kasprintf
     (fun message -> { code; line = pos.line; col = pos.col; message })
     fmt
 
-let sort_diags ds =
-  List.sort_uniq
-    (fun a b ->
-      compare
-        (a.line, a.col, code_id a.code, a.message)
-        (b.line, b.col, code_id b.code, b.message))
-    ds
+let sort_diags = Diagnostics.sort kind
 
 (* --- AST walking helpers ------------------------------------------------ *)
 
@@ -697,10 +682,11 @@ let range_rules (prog : Ast.program) cdfg =
 
 let check ?(name = "program") src =
   match Hypar_minic.Parser.parse_program src with
-  | exception Hypar_minic.Lexer.Error { pos; msg } ->
-    Error (Printf.sprintf "%d:%d: %s" pos.line pos.col msg)
-  | exception Hypar_minic.Parser.Error { pos; msg } ->
-    Error (Printf.sprintf "%d:%d: %s" pos.line pos.col msg)
+  | exception
+      (Hypar_minic.Lexer.Error { pos; msg } | Hypar_minic.Parser.Error { pos; msg })
+    ->
+    Error
+      (Hypar_ir.Frontend.string_of_error { line = pos.line; col = pos.col; msg })
   | ast ->
     let syntactic = check_ast ast in
     let ranged =
@@ -714,23 +700,5 @@ let check ?(name = "program") src =
     in
     Ok (sort_diags (syntactic @ ranged))
 
-let pp_diagnostic ppf d =
-  Format.fprintf ppf "%d:%d: warning %s [%s]: %s" d.line d.col (code_id d.code)
-    (code_mnemonic d.code) d.message
-
-let render ?(file = "<source>") ds =
-  String.concat ""
-    (List.map (fun d -> Format.asprintf "%s:%a\n" file pp_diagnostic d) ds)
-
-let render_json ?(file = "<source>") ds =
-  let entry d =
-    Printf.sprintf
-      "    {\"code\": %S, \"name\": %S, \"line\": %d, \"col\": %d, \
-       \"message\": \"%s\"}"
-      (code_id d.code) (code_mnemonic d.code) d.line d.col
-      (Hypar_obs.Jsonv.escape d.message)
-  in
-  Printf.sprintf
-    "{\n  \"file\": \"%s\",\n  \"count\": %d,\n  \"diagnostics\": [\n%s\n  ]\n}\n"
-    (Hypar_obs.Jsonv.escape file) (List.length ds)
-    (String.concat ",\n" (List.map entry ds))
+let render ?(file = "<source>") ds = Diagnostics.render kind ~file ds
+let render_json ?(file = "<source>") ds = Diagnostics.render_json kind ~file ds

@@ -24,7 +24,11 @@
     - [W008] [width-overflow] — a declared register whose inferred value
       range escapes its declared bit-width ({!Analyze.register_ranges});
     - [W009] [induction-write] — a [for] body writes the loop's own
-      induction variable. *)
+      induction variable.
+
+    Lint supplies only its code table, the severity word [warning] and
+    [line:col] positions; {!Diagnostics} does the lookups, sorting and
+    rendering it shares with {!Analyze}. *)
 
 type code =
   | Unused_variable
@@ -37,6 +41,17 @@ type code =
   | Width_overflow
   | Induction_write
 
+type diagnostic = {
+  code : code;
+  line : int;  (** 1-based; 0 when no source position exists *)
+  col : int;
+  message : string;
+}
+
+val kind : (code, diagnostic) Diagnostics.kind
+(** Lint's code table and positions, as [hypar lint] renders and gates
+    them. *)
+
 val all_codes : code list
 
 val code_id : code -> string
@@ -47,13 +62,6 @@ val code_mnemonic : code -> string
 
 val code_of_string : string -> code option
 (** Accepts an id ([W003]), a mnemonic ([dead-assignment]), either case. *)
-
-type diagnostic = {
-  code : code;
-  line : int;  (** 1-based; 0 when no source position exists *)
-  col : int;
-  message : string;
-}
 
 val check_ast : Hypar_minic.Ast.program -> diagnostic list
 (** The syntactic rules (W001–W005, W009) over a parsed program, sorted
@@ -71,5 +79,3 @@ val render : ?file:string -> diagnostic list -> string
 
 val render_json : ?file:string -> diagnostic list -> string
 (** A JSON object [{"file": …, "count": N, "diagnostics": […]}]. *)
-
-val pp_diagnostic : Format.formatter -> diagnostic -> unit
