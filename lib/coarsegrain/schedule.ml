@@ -221,8 +221,7 @@ let schedule ?priority ?health cgc dfg =
     incr t
   done;
   let makespan = Array.fold_left max 0 finish in
-  if Hypar_obs.Sink.enabled () then
-    Hypar_obs.Counter.set "cgc.schedule_length" makespan;
+  Hypar_obs.Counter.set "cgc.schedule_length" makespan;
   { placements; makespan }
 
 let chains_in_cycle t cycle =

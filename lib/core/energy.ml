@@ -89,7 +89,7 @@ type t = {
   feasible : bool;
 }
 
-let partition ?weights model (platform : Platform.t) ~energy_budget cdfg profile =
+let partition model (platform : Platform.t) ~energy_budget cdfg profile =
   let app = Engine.app_layer cdfg profile in
   let fine = Engine.fine_layer app platform.Platform.fpga in
   let energies =
@@ -118,7 +118,7 @@ let partition ?weights model (platform : Platform.t) ~energy_budget cdfg profile
     | _ -> (steps, moved, current)
   in
   let steps, moved, final_energy =
-    go (Analysis.Kernel.analyse ?weights cdfg profile).Analysis.Kernel.kernels
+    go (Analysis.Kernel.analyse cdfg profile).Analysis.Kernel.kernels
       [] [] initial_energy
   in
   {

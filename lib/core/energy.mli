@@ -67,7 +67,6 @@ type t = {
 }
 
 val partition :
-  ?weights:Hypar_analysis.Weights.t ->
   model ->
   Platform.t ->
   energy_budget:int ->

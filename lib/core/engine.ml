@@ -610,7 +610,7 @@ let cut ?(max_moves = max_int) ~timing_constraint tr =
   if tr.start.t_total <= timing_constraint then base
   else go tr.entries [] [] 0
 
-let run ?weights ?max_moves ?comm_pricing ?cgc_pipelining ?granularity
+let run ?max_moves ?comm_pricing ?cgc_pipelining ?granularity
     ?verify_ir (platform : Platform.t) ~timing_constraint cdfg profile =
   Hypar_obs.Span.with_ ~cat:"engine" "engine.run"
     ~args:
@@ -622,7 +622,7 @@ let run ?weights ?max_moves ?comm_pricing ?cgc_pipelining ?granularity
   if Option.value verify_ir ~default:!Ir.Passes.verify_passes then
     Ir.Verify.check_exn ~context:"engine input" cdfg;
   let c = characterise ?cgc_pipelining platform cdfg profile in
-  let analysis = Analysis.Kernel.analyse ?weights cdfg profile in
+  let analysis = Analysis.Kernel.analyse cdfg profile in
   trajectory ?comm_pricing ?granularity ~analysis c
   |> cut ?max_moves ~timing_constraint
 

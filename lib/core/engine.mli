@@ -166,7 +166,6 @@ val cut : ?max_moves:int -> timing_constraint:int -> trajectory -> t
     re-raised by every cut that reaches that point. *)
 
 val run :
-  ?weights:Hypar_analysis.Weights.t ->
   ?max_moves:int ->
   ?comm_pricing:[ `Transition | `Per_invocation ] ->
   ?cgc_pipelining:bool ->
@@ -190,7 +189,7 @@ val run :
     {!Hypar_ir.Verify.check} on the input CDFG before partitioning.
     Equal to [cut (trajectory ~analysis (characterise platform cdfg
     profile))], with [analysis] the {!Hypar_analysis.Kernel.analyse} of
-    the application under [weights]. *)
+    the application under the paper's weights. *)
 
 val evaluate :
   ?comm_pricing:[ `Transition | `Per_invocation ] ->

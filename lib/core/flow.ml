@@ -48,8 +48,8 @@ let load_error_message = function
       path
   | e -> Printexc.to_string e
 
-let partition ?weights platform ~timing_constraint prepared =
-  Engine.run ?weights platform ~timing_constraint prepared.cdfg prepared.profile
+let partition platform ~timing_constraint prepared =
+  Engine.run platform ~timing_constraint prepared.cdfg prepared.profile
 
-let partition_source ?name ?inputs ?weights platform ~timing_constraint source =
-  partition ?weights platform ~timing_constraint (prepare ?name ?inputs source)
+let partition_source ?name ?inputs platform ~timing_constraint source =
+  partition platform ~timing_constraint (prepare ?name ?inputs source)

@@ -65,7 +65,6 @@ val load_error_message : exn -> string
     [Printexc.to_string]. *)
 
 val partition :
-  ?weights:Hypar_analysis.Weights.t ->
   Platform.t ->
   timing_constraint:int ->
   prepared ->
@@ -75,7 +74,6 @@ val partition :
 val partition_source :
   ?name:string ->
   ?inputs:(string * int array) list ->
-  ?weights:Hypar_analysis.Weights.t ->
   Platform.t ->
   timing_constraint:int ->
   string ->

@@ -8,12 +8,3 @@ type kind =
   | Instant of { cat : string }
 
 type t = { name : string; ts : float; tid : int; kind : kind }
-
-let kind_label = function
-  | Begin _ -> "begin"
-  | End -> "end"
-  | Counter _ -> "counter"
-  | Gauge _ -> "gauge"
-  | Instant _ -> "instant"
-
-let string_of_arg = function Int n -> string_of_int n | Str s -> s

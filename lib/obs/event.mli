@@ -17,5 +17,3 @@ type kind =
 
 type t = { name : string; ts : float; tid : int; kind : kind }
 
-val kind_label : kind -> string
-val string_of_arg : arg -> string

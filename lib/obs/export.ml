@@ -60,79 +60,6 @@ let chrome events =
   Buffer.add_string buf "],\n\"displayTimeUnit\":\"ms\"}\n";
   Buffer.contents buf
 
-(* --- native JSON dump --------------------------------------------------- *)
-
-let json events =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\"schema\":\"hypar-obs/1\",\"events\":[\n";
-  let n = List.length events in
-  List.iteri
-    (fun i (e : Event.t) ->
-      let common =
-        Printf.sprintf "\"name\":\"%s\",\"tid\":%d,\"ts\":%.3f"
-          (Jsonv.escape e.Event.name) e.Event.tid e.Event.ts
-      in
-      let line =
-        match e.Event.kind with
-        | Event.Begin { cat; args } ->
-          Printf.sprintf "{\"type\":\"begin\",%s,\"cat\":\"%s\"%s}" common
-            (Jsonv.escape cat)
-            (if args = [] then "" else ",\"args\":" ^ json_args args)
-        | Event.End -> Printf.sprintf "{\"type\":\"end\",%s}" common
-        | Event.Counter { delta } ->
-          Printf.sprintf "{\"type\":\"counter\",%s,\"delta\":%d}" common delta
-        | Event.Gauge { value } ->
-          Printf.sprintf "{\"type\":\"gauge\",%s,\"value\":%d}" common value
-        | Event.Instant { cat } ->
-          Printf.sprintf "{\"type\":\"instant\",%s,\"cat\":\"%s\"}" common
-            (Jsonv.escape cat)
-      in
-      Buffer.add_string buf line;
-      if i < n - 1 then Buffer.add_char buf ',';
-      Buffer.add_char buf '\n')
-    events;
-  Buffer.add_string buf "]}\n";
-  Buffer.contents buf
-
-(* --- human-readable text ------------------------------------------------ *)
-
-let text events =
-  let buf = Buffer.create 4096 in
-  let depth : (int, int) Hashtbl.t = Hashtbl.create 4 in
-  List.iter
-    (fun (e : Event.t) ->
-      let d = Option.value (Hashtbl.find_opt depth e.Event.tid) ~default:0 in
-      let line indent marker rest =
-        Buffer.add_string buf
-          (Printf.sprintf "%12.3f %d %s%s %s\n" e.Event.ts e.Event.tid
-             (String.make (2 * indent) ' ')
-             marker rest)
-      in
-      match e.Event.kind with
-      | Event.Begin { cat; args } ->
-        line d ">"
-          (Printf.sprintf "%s [%s]%s" e.Event.name cat
-             (if args = [] then ""
-              else
-                " "
-                ^ String.concat " "
-                    (List.map
-                       (fun (k, v) -> k ^ "=" ^ Event.string_of_arg v)
-                       args)));
-        Hashtbl.replace depth e.Event.tid (d + 1)
-      | Event.End ->
-        let d = max 0 (d - 1) in
-        Hashtbl.replace depth e.Event.tid d;
-        line d "<" e.Event.name
-      | Event.Counter { delta } ->
-        line d "+" (Printf.sprintf "%s %+d" e.Event.name delta)
-      | Event.Gauge { value } ->
-        line d "=" (Printf.sprintf "%s %d" e.Event.name value)
-      | Event.Instant { cat } ->
-        line d "!" (Printf.sprintf "%s [%s]" e.Event.name cat))
-    events;
-  Buffer.contents buf
-
 (* --- parsing exported chrome traces back (see Jsonv) -------------------- *)
 
 exception Bad_event of string

@@ -1,5 +1,5 @@
-(** Exporters over an event stream, plus a parser for validating
-    exported Chrome traces. *)
+(** Chrome trace export of an event stream, a parser that validates
+    such an export, and the atomic file writer for rendered artefacts. *)
 
 val chrome : Event.t list -> string
 (** Chrome [trace_event] JSON (loadable in chrome://tracing and
@@ -7,15 +7,6 @@ val chrome : Event.t list -> string
     phase with [args.value] (counters as running totals), instants as
     "i".  [pid] is always 0 and timestamps are microseconds, so two
     runs differ only in [ts] values. *)
-
-val json : Event.t list -> string
-(** Native dump, schema ["hypar-obs/1"]: one object per event with
-    [type], [name], [tid], [ts] and kind-specific fields ([cat]/[args],
-    [delta], [value]). *)
-
-val text : Event.t list -> string
-(** Human-readable listing, one event per line, indented by span depth:
-    [>]/[<] open/close spans, [+] counters, [=] gauges, [!] instants. *)
 
 val parse_chrome : string -> (Event.t list, string) result
 (** Parse a {!chrome} export back into events ("C" phases come back as

@@ -66,14 +66,3 @@ let pp ppf t =
         (Engine.skip_reason_string reason))
     t.degraded.Engine.skipped;
   Format.fprintf ppf "@]"
-
-let to_json t =
-  Printf.sprintf
-    "{\"app\": %S, \"healthy_t_total\": %d, \"degraded_t_total\": %d, \
-     \"delta\": %d, \"slowdown_percent\": %.1f, \"fallback_kernels\": [%s], \
-     \"healthy_status\": %S, \"degraded_status\": %S}"
-    t.healthy.Engine.cdfg_name t.healthy.Engine.final.Engine.t_total
-    t.degraded.Engine.final.Engine.t_total t.t_total_delta t.slowdown_percent
-    (String.concat ", " (List.map string_of_int t.fallback_kernels))
-    (status_string t.healthy.Engine.status)
-    (status_string t.degraded.Engine.status)

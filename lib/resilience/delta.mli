@@ -31,4 +31,3 @@ val run :
     both.  [Error] only when the spec does not fit the platform. *)
 
 val pp : Format.formatter -> t -> unit
-val to_json : t -> string

@@ -37,8 +37,7 @@ let cancel_deadline t = Atomic.get t.cancel_at
 
 let accepted t =
   Atomic.incr t.accepted;
-  if Hypar_obs.Sink.enabled () then
-    Hypar_obs.Counter.incr "server.requests.accepted"
+  Hypar_obs.Counter.incr "server.requests.accepted"
 
 let record t (resp : Protocol.response) =
   let cell, counter =
@@ -51,7 +50,7 @@ let record t (resp : Protocol.response) =
     | Protocol.Poisoned _ -> (t.poisoned, "server.requests.poisoned")
   in
   Atomic.incr cell;
-  if Hypar_obs.Sink.enabled () then Hypar_obs.Counter.incr counter
+  Hypar_obs.Counter.incr counter
 
 let uptime_ms t =
   int_of_float (Float.round ((Unix.gettimeofday () -. t.started_at) *. 1000.))

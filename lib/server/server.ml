@@ -76,12 +76,10 @@ let run_session ?(drain_on_eof = true) ?(execute = Worker.execute) ?on_stats
   let write_response line =
     match chaos with
     | Some spec when Chaos.drop_write spec ~key:line ->
-      if Sink.enabled () then
-        Hypar_obs.Counter.incr "server.chaos.dropped_writes";
+      Hypar_obs.Counter.incr "server.chaos.dropped_writes";
       write_line ~first:0 out_lock out_fd line
     | Some spec when Chaos.truncate_write spec ~key:line ->
-      if Sink.enabled () then
-        Hypar_obs.Counter.incr "server.chaos.truncated_writes";
+      Hypar_obs.Counter.incr "server.chaos.truncated_writes";
       write_line ~first:(String.length line / 2) out_lock out_fd line
     | _ -> write_line out_lock out_fd line
   in

@@ -1,4 +1,3 @@
-module Sink = Hypar_obs.Sink
 module Counter = Hypar_obs.Counter
 module Journal = Hypar_resilience.Journal
 module Retry = Hypar_resilience.Retry
@@ -155,7 +154,7 @@ let quarantine t job ~signature =
     | Some j -> Journal.append j (job.digest ^ " " ^ signature)
     | None -> ());
     Atomic.incr t.quarantines;
-    if Sink.enabled () then Counter.incr "server.supervisor.quarantines"
+    Counter.incr "server.supervisor.quarantines"
   end;
   settle t job
     (poisoned_response job ~signature ~attempts:(Atomic.get job.attempt))
@@ -170,7 +169,7 @@ let handle_failure t job ~signature =
     else begin
       Atomic.incr job.attempt;
       Atomic.incr t.retries;
-      if Sink.enabled () then Counter.incr "server.supervisor.retries";
+      Counter.incr "server.supervisor.retries";
       Bqueue.requeue t.queue job
     end
   end
@@ -300,7 +299,7 @@ let monitor_loop t =
   in
   let count_respawn () =
     Atomic.incr t.respawns;
-    if Sink.enabled () then Counter.incr "server.supervisor.respawns"
+    Counter.incr "server.supervisor.respawns"
   in
   while not (Atomic.get t.shutdown) do
     let now = Unix.gettimeofday () in
@@ -316,7 +315,7 @@ let monitor_loop t =
             | Some d -> Domain.join d
             | None -> ());
             Atomic.incr t.crashes;
-            if Sink.enabled () then Counter.incr "server.supervisor.crashes";
+            Counter.incr "server.supervisor.crashes";
             (match job with
             | Some job ->
               handle_failure t job ~signature:("crash:" ^ exn_name)
@@ -342,7 +341,7 @@ let monitor_loop t =
                    fresh one takes its slot *)
                 Atomic.set slot.abandoned true;
                 Atomic.incr t.wedges;
-                if Sink.enabled () then Counter.incr "server.supervisor.wedges";
+                Counter.incr "server.supervisor.wedges";
                 handle_failure t job ~signature:"wedge";
                 Mutex.lock t.slots_lock;
                 (match slot.domain with
@@ -434,7 +433,7 @@ let submit t ~seq req =
     Atomic.incr t.inflight;
     match Bqueue.push t.queue job with
     | Bqueue.Pushed depth ->
-      if Sink.enabled () then Counter.set "server.queue.depth" depth;
+      Counter.set "server.queue.depth" depth;
       Admitted
     | Bqueue.Full depth ->
       Atomic.decr t.inflight;
@@ -480,7 +479,6 @@ let drain t =
   List.iter Domain.join t.orphans;
   t.orphans <- [];
   (match t.journal with Some j -> Journal.close j | None -> ());
-  if Sink.enabled () then
-    Counter.set "server.supervisor.max_heartbeat_age_ms"
-      (Atomic.get t.max_hb_age_us / 1000);
+  Counter.set "server.supervisor.max_heartbeat_age_ms"
+    (Atomic.get t.max_hb_age_us / 1000);
   stats t
