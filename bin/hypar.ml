@@ -197,6 +197,26 @@ let cols_arg = Arg.(value & opt positive 2 & info [ "cols" ] ~docv:"N" ~doc:"CGC
 let ratio_arg =
   Arg.(value & opt positive 3 & info [ "clock-ratio" ] ~docv:"R" ~doc:"T_FPGA / T_CGC")
 
+(* cmdliner reads a separate "-1" as an option name, so "--rows -1" would
+   fail as "unknown option '-1'".  Gluing a negative integer to the
+   geometry option before it ("--rows=-1", "-a-1") lets it reach
+   [positive]'s message, as the glued spellings already do. *)
+let glue_negative_geometry argv =
+  let names =
+    [ "--area"; "-a"; "--cgcs"; "-k"; "--rows"; "--cols"; "--clock-ratio" ]
+  in
+  let negative v =
+    String.length v > 1 && v.[0] = '-' && Option.is_some (int_of_string_opt v)
+  in
+  let rec go = function
+    | "--" :: _ as rest -> rest
+    | name :: v :: rest when List.mem name names && negative v ->
+      (if String.length name = 2 then name ^ v else name ^ "=" ^ v) :: go rest
+    | x :: rest -> x :: go rest
+    | [] -> []
+  in
+  Array.of_list (go (Array.to_list argv))
+
 let constraint_arg =
   Arg.(
     required
@@ -1498,7 +1518,7 @@ let () =
   let doc = "hybrid fine/coarse-grain reconfigurable partitioning (DATE'04/05 methodology)" in
   let info = Cmd.info "hypar" ~version:"1.0.0" ~doc in
   let group = Cmd.group info [ partition_cmd; kernels_cmd; analyze_cmd; opt_cmd; compile_bc_cmd; profile_cmd; dot_cmd; map_cmd; lint_cmd; baselines_cmd; ranges_cmd; explore_cmd; faults_cmd; dump_cmd; demo_cmd; trace_cmd; serve_cmd; fuzz_cmd; soak_cmd ] in
-  match Cmd.eval' ~catch:false group with
+  match Cmd.eval' ~catch:false ~argv:(glue_negative_geometry Sys.argv) group with
   | code -> exit code
   | exception Sys.Break ->
     prerr_endline "hypar: interrupted";
