@@ -532,6 +532,93 @@ let prop_degradation_never_cheaper =
         healthy.Engine.comm;
       true)
 
+(* What does hold for the fine-grain model is the temporal partition
+   count.  Figure 3 packs a block's nodes next-fit over a fixed ASAP
+   level order, which gives the fewest contiguous segments of that order
+   for the device's area, and that minimum can only shrink as the area
+   grows.  So over generated programs, for every block, the count never
+   rises along an ascending area ladder, and an area-loss fault
+   ({!Hypar_resilience.Degrade.apply}) never lowers it. *)
+type ladder_case = {
+  l_program : int;  (** fuzzgen seed *)
+  l_areas : int list;  (** strictly ascending A_FPGA values *)
+  l_loss : [ `Percent of int | `Units of int ];
+}
+
+let ladder_arb =
+  QCheck.make
+    ~print:(fun c ->
+      Printf.sprintf "program seed %d, areas %s, area loss %s" c.l_program
+        (String.concat "," (List.map string_of_int c.l_areas))
+        (match c.l_loss with
+        | `Percent p -> Printf.sprintf "%d%%" p
+        | `Units u -> Printf.sprintf "%d units" u))
+    QCheck.Gen.(
+      (fun ((program, base), steps, loss) ->
+        let _, areas =
+          List.fold_left
+            (fun (area, acc) step -> (area + step, (area + step) :: acc))
+            (base, [ base ]) steps
+        in
+        { l_program = program; l_areas = List.rev areas; l_loss = loss })
+      <$> triple
+            (pair (int_range 1 1_000_000) (int_range 1 400))
+            (list_size (int_range 2 10) (int_range 1 600))
+            (oneof
+               [
+                 (fun p -> `Percent p) <$> int_range 1 100;
+                 (fun u -> `Units u) <$> int_range 1 2000;
+               ]))
+
+let prop_partition_count_monotone =
+  QCheck.Test.make
+    ~name:"model: the temporal partition count never rises with FPGA area"
+    ~count:60 ladder_arb (fun c ->
+      let module Engine = Hypar_core.Engine in
+      let module Platform = Hypar_core.Platform in
+      let prepared =
+        Hypar_core.Flow.prepare ~name:"ladder" (Gen.source c.l_program)
+      in
+      let app =
+        Engine.app_layer prepared.Hypar_core.Flow.cdfg
+          prepared.Hypar_core.Flow.profile
+      in
+      let counts (platform : Platform.t) =
+        (Engine.fine_layer app platform.Platform.fpga).Engine.partition_count
+      in
+      let spec =
+        { Hypar_resilience.Fault.seed = 0; faults = [ Area_loss c.l_loss ] }
+      in
+      let _ =
+        List.fold_left
+          (fun previous area ->
+            let platform =
+              Platform.of_geometry ~area ~cgcs:1 ~rows:2 ~cols:2 ~clock_ratio:2
+            in
+            let healthy = counts platform in
+            let degraded =
+              match Hypar_resilience.Degrade.apply spec platform with
+              | Ok p -> counts p
+              | Error e -> QCheck.Test.fail_reportf "area loss refused: %s" e
+            in
+            Array.iteri
+              (fun b n ->
+                (match previous with
+                | Some (a, before) when n > before.(b) ->
+                  QCheck.Test.fail_reportf
+                    "block %d: %d partitions at A_FPGA %d, %d at %d" b
+                    before.(b) a n area
+                | _ -> ());
+                if degraded.(b) < n then
+                  QCheck.Test.fail_reportf
+                    "block %d at A_FPGA %d: %d partitions healthy, %d degraded"
+                    b area n degraded.(b))
+              healthy;
+            Some (area, healthy))
+          None c.l_areas
+      in
+      true)
+
 (* The differential properties below draw from the typed fuzzgen
    generator, as (seed, ast) pairs so QCheck shrinking can descend
    through Hypar_fuzzgen.Shrink.candidates — a failing random program is
@@ -833,6 +920,7 @@ let suite =
     Alcotest.test_case "model: exhaustive never worse than greedy" `Quick
       test_exhaustive_no_worse;
     QCheck_alcotest.to_alcotest prop_degradation_never_cheaper;
+    QCheck_alcotest.to_alcotest prop_partition_count_monotone;
     QCheck_alcotest.to_alcotest prop_optimize_differential;
     QCheck_alcotest.to_alcotest prop_bytecode_differential;
     QCheck_alcotest.to_alcotest prop_backend_differential;
