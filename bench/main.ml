@@ -1,7 +1,6 @@
 (* Benchmark harness: regenerates every table of the paper's evaluation
    section (Tables 1-3), the shape claims of §4, ablations over the design
-   axes, the two extensions, and Bechamel micro-benchmarks of the core
-   algorithms.
+   axes and the extensions.
 
    Run everything:        dune exec bench/main.exe
    Run one section:       dune exec bench/main.exe -- table2 ablation:afpga
@@ -863,71 +862,6 @@ let soak_bench () =
   Printf.printf "wrote BENCH_soak.json\n";
   print_newline ()
 
-(* ---- Bechamel micro-benchmarks ------------------------------------------ *)
-
-let micro () =
-  section_header "Micro-benchmarks (Bechamel) — core algorithm costs";
-  let open Bechamel in
-  let open Toolkit in
-  let ofdm = Ofdm.prepared () in
-  let dct_dfg =
-    let jpeg = Jpeg.prepared () in
-    let cdfg = jpeg.Flow.cdfg in
-    let heaviest = ref 0 in
-    List.iter
-      (fun i ->
-        let d = Hypar_ir.Cdfg.dfg cdfg i in
-        let best = Hypar_ir.Cdfg.dfg cdfg !heaviest in
-        if Hypar_ir.Dfg.node_count d > Hypar_ir.Dfg.node_count best then
-          heaviest := i)
-      (Hypar_ir.Cdfg.block_ids cdfg);
-    Hypar_ir.Cdfg.dfg cdfg !heaviest
-  in
-  let fpga = Hypar_finegrain.Fpga.make ~area:1500 () in
-  let cgc = Hypar_coarsegrain.Cgc.two_by_two 2 in
-  let tests =
-    [
-      Test.make ~name:"frontend: compile OFDM"
-        (Staged.stage (fun () ->
-             ignore (Hypar_minic.Driver.compile_exn ~name:"ofdm" Ofdm.source)));
-      Test.make ~name:"interp: run OFDM"
-        (Staged.stage (fun () ->
-             ignore
-               (Hypar_profiling.Interp.run ~inputs:(Ofdm.inputs ())
-                  ofdm.Flow.cdfg)));
-      Test.make ~name:"temporal: partition DCT block"
-        (Staged.stage (fun () ->
-             ignore
-               (Hypar_finegrain.Temporal.partition ~area:1500
-                  ~size:(Hypar_finegrain.Fpga.op_area fpga) dct_dfg)));
-      Test.make ~name:"schedule: DCT block on two 2x2"
-        (Staged.stage (fun () ->
-             ignore (Hypar_coarsegrain.Schedule.schedule cgc dct_dfg)));
-      Test.make ~name:"engine: partition OFDM"
-        (Staged.stage (fun () ->
-             ignore
-               (Flow.partition (platform ())
-                  ~timing_constraint:Ofdm.timing_constraint ofdm)));
-    ]
-  in
-  let grouped = Test.make_grouped ~name:"hypar" ~fmt:"%s %s" tests in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) ()
-  in
-  let raw = Benchmark.all cfg instances grouped in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  Printf.printf "%-36s %16s\n" "benchmark" "ns/run";
-  Hashtbl.fold (fun name ols acc -> (name, ols) :: acc) results []
-  |> List.sort compare
-  |> List.iter (fun (name, ols) ->
-         match Analyze.OLS.estimates ols with
-         | Some [ est ] -> Printf.printf "%-36s %16.0f\n" name est
-         | Some _ | None -> Printf.printf "%-36s %16s\n" name "n/a")
-
 (* ---- Dataflow: solver throughput and global-pass shrinkage -------------- *)
 
 let dataflow_bench () =
@@ -1363,7 +1297,6 @@ let sections =
     ("interp", interp_bench);
     ("fuzz", fuzz_bench);
     ("soak", soak_bench);
-    ("micro", micro);
   ]
 
 let () =
