@@ -323,10 +323,9 @@ let kernels_cmd =
 (* The CI gate lint and analyze share: their --format, --max-<noun>s and
    --deny options, and the gate those feed.  --deny takes ids, mnemonics
    or "all" and is resolved before any work, so a typo fails fast (exit
-   2).  The term yields [gate run]: [run report] hands each file's
-   findings to [report], which prints them, or returns a message for a
-   failure that exits 2.  A denied code present, or more than the
-   --max-<noun>s findings, exits 1. *)
+   2).  [run report] hands each file's findings to [report], which prints
+   them, or returns a message for a failure that exits 2.  A denied code
+   present, or more findings than --max-<noun>s, exits 1. *)
 let gate_term ~tool ~noun ~emitted ~example kind =
   let module D = Hypar_analysis.Diagnostics in
   let format_arg =
@@ -340,8 +339,7 @@ let gate_term ~tool ~noun ~emitted ~example kind =
       value
       & opt (some int) None
       & info [ "max-" ^ noun ^ "s" ] ~docv:"N"
-          ~doc:
-            ("fail (exit 1) when more than $(docv) " ^ emitted ^ " are emitted"))
+          ~doc:("fail (exit 1) when more than $(docv) " ^ emitted ^ " are emitted"))
   in
   let deny_arg =
     Arg.(
@@ -354,15 +352,12 @@ let gate_term ~tool ~noun ~emitted ~example kind =
                (D.id kind example) (D.mnemonic kind example)))
   in
   let gate format max deny run =
-    let deny_all =
-      List.exists (fun s -> String.lowercase_ascii s = "all") deny
-    in
+    let deny_all = List.exists (fun s -> String.lowercase_ascii s = "all") deny in
     match List.find_opt (fun s -> Option.is_none (D.of_string kind s)) deny with
     | Some s when not deny_all ->
       let ids = List.map (D.id kind) (D.all kind) in
       Printf.eprintf "hypar: unknown %s code %S (use %s..%s or a mnemonic)\n"
-        tool s (List.hd ids)
-        (List.hd (List.rev ids));
+        tool s (List.hd ids) (List.hd (List.rev ids));
       2
     | _ -> (
       let codes = ref [] in
@@ -380,28 +375,23 @@ let gate_term ~tool ~noun ~emitted ~example kind =
         let total = List.length !codes in
         if format = `Text && total > 0 then
           Printf.printf "%d %s%s\n" total noun (if total = 1 then "" else "s");
-        let deny_codes =
-          if deny_all then D.all kind
-          else List.filter_map (D.of_string kind) deny
-        in
+        let deny_codes = List.filter_map (D.of_string kind) deny in
         let denied =
-          List.sort_uniq compare
-            (List.filter_map
-               (fun c ->
-                 if List.mem c deny_codes then Some (D.id kind c) else None)
-               !codes)
-        in
-        let over_limit =
-          match max with Some m -> total > m | None -> false
+          List.filter (fun c -> deny_all || List.mem c deny_codes) !codes
+          |> List.map (D.id kind)
+          |> List.sort_uniq compare
         in
         if denied <> [] then
           Printf.eprintf "hypar: denied %s codes present: %s\n" tool
             (String.concat ", " denied);
-        (match (over_limit, max) with
-        | true, Some m ->
-          Printf.eprintf "hypar: %d %ss exceed --max-%ss %d\n" total noun noun
-            m
-        | _ -> ());
+        let over_limit =
+          match max with
+          | Some m when total > m ->
+            Printf.eprintf "hypar: %d %ss exceed --max-%ss %d\n" total noun
+              noun m;
+            true
+          | _ -> false
+        in
         if denied <> [] || over_limit then 1 else 0)
   in
   Term.(const gate $ format_arg $ max_arg $ deny_arg)

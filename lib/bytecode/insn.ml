@@ -50,18 +50,6 @@ let to_string i =
   | Alu _ | Mul | Div | Rem | Un _ | Select | Dup | Pop | Swap | Ret | Retv ->
     mnemonic i
 
-let pops = function
-  | Push _ | Load _ -> 0
-  | Store _ | Aload _ | Un _ | Dup | Pop | Brt _ | Brf _ | Retv -> 1
-  | Astore _ | Alu _ | Mul | Div | Rem | Swap -> 2
-  | Select -> 3
-  | Jmp _ | Ret -> 0
-
-let pushes = function
-  | Push _ | Load _ | Aload _ | Alu _ | Mul | Div | Rem | Un _ | Select -> 1
-  | Dup | Swap -> 2
-  | Store _ | Astore _ | Pop | Jmp _ | Brt _ | Brf _ | Ret | Retv -> 0
-
 let ends_block = function
   | Jmp _ | Brt _ | Brf _ | Ret | Retv -> true
   | _ -> false

@@ -33,12 +33,6 @@ val mnemonic : t -> string
 val to_string : t -> string
 (** Mnemonic plus operand, exactly as the assembler parses it. *)
 
-val pops : t -> int
-(** Values consumed from the operand stack. *)
-
-val pushes : t -> int
-(** Values produced onto the operand stack. *)
-
 val ends_block : t -> bool
 (** Does this instruction terminate a basic block?  True for [Jmp],
     [Brt], [Brf], [Ret] and [Retv]. *)

@@ -123,7 +123,3 @@ let points t =
 let point_key p =
   Printf.sprintf "a%d/k%d/g%dx%d/r%d/t%d" p.area p.cgcs p.rows p.cols
     p.clock_ratio p.timing
-
-let pp_point ppf p =
-  Format.fprintf ppf "A_FPGA=%d cgcs=%d %dx%d ratio=%d timing=%d" p.area p.cgcs
-    p.rows p.cols p.clock_ratio p.timing

@@ -64,6 +64,3 @@ val points : t -> (point list, string) result
 val point_key : point -> string
 (** Canonical configuration key, e.g. ["a1500/k2/g2x2/r3/t8000"].  The
     format is stable — the memo cache and its tests rely on it. *)
-
-val pp_point : Format.formatter -> point -> unit
-(** e.g. [A_FPGA=1500 cgcs=2 2x2 ratio=3 timing=8000]. *)

@@ -147,8 +147,6 @@ let nodes_at_level t level =
 
 let critical_path t = t.max_level
 
-let topological t = List.init (Array.length t.nodes) Fun.id
-
 let live_in_vars t = t.live_ins
 
 let is_well_formed t =

@@ -41,9 +41,6 @@ val nodes_at_level : t -> int -> int list
 val critical_path : t -> int
 (** Longest path length in nodes — equals [max_level]. *)
 
-val topological : t -> int list
-(** A topological order (program order is always one). *)
-
 val live_in_vars : t -> Instr.var list
 (** Variables read before any definition in the block (operand inputs). *)
 

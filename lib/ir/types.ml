@@ -49,8 +49,6 @@ let string_of_op_class = function
   | Class_mem -> "mem"
   | Class_move -> "move"
 
-let pp_op_class ppf c = Format.pp_print_string ppf (string_of_op_class c)
-
 let bool_to_int b = if b then 1 else 0
 
 (* Shift amounts are clamped so that hostile inputs cannot trigger

@@ -39,7 +39,6 @@ type op_class =
 val string_of_alu_op : alu_op -> string
 val string_of_un_op : un_op -> string
 val string_of_op_class : op_class -> string
-val pp_op_class : Format.formatter -> op_class -> unit
 
 val eval_alu_op : alu_op -> int -> int -> int
 (** [eval_alu_op op a b] computes the operation on native integers.
