@@ -589,34 +589,33 @@ let prop_partition_count_monotone =
       let spec =
         { Hypar_resilience.Fault.seed = 0; faults = [ Area_loss c.l_loss ] }
       in
-      let _ =
-        List.fold_left
-          (fun previous area ->
-            let platform =
-              Platform.of_geometry ~area ~cgcs:1 ~rows:2 ~cols:2 ~clock_ratio:2
-            in
-            let healthy = counts platform in
-            let degraded =
-              match Hypar_resilience.Degrade.apply spec platform with
-              | Ok p -> counts p
-              | Error e -> QCheck.Test.fail_reportf "area loss refused: %s" e
-            in
-            Array.iteri
-              (fun b n ->
-                (match previous with
-                | Some (a, before) when n > before.(b) ->
-                  QCheck.Test.fail_reportf
-                    "block %d: %d partitions at A_FPGA %d, %d at %d" b
-                    before.(b) a n area
-                | _ -> ());
-                if degraded.(b) < n then
-                  QCheck.Test.fail_reportf
-                    "block %d at A_FPGA %d: %d partitions healthy, %d degraded"
-                    b area n degraded.(b))
-              healthy;
-            Some (area, healthy))
-          None c.l_areas
-      in
+      ignore
+        (List.fold_left
+           (fun previous area ->
+             let platform =
+               Platform.of_geometry ~area ~cgcs:1 ~rows:2 ~cols:2 ~clock_ratio:2
+             in
+             let healthy = counts platform in
+             let degraded =
+               match Hypar_resilience.Degrade.apply spec platform with
+               | Ok p -> counts p
+               | Error e -> QCheck.Test.fail_reportf "area loss refused: %s" e
+             in
+             Array.iteri
+               (fun b n ->
+                 (match previous with
+                 | Some (a, before) when n > before.(b) ->
+                   QCheck.Test.fail_reportf
+                     "block %d: %d partitions at A_FPGA %d, %d at %d" b
+                     before.(b) a n area
+                 | _ -> ());
+                 if degraded.(b) < n then
+                   QCheck.Test.fail_reportf
+                     "block %d at A_FPGA %d: %d partitions healthy, %d degraded"
+                     b area n degraded.(b))
+               healthy;
+             Some (area, healthy))
+           None c.l_areas);
       true)
 
 (* The differential properties below draw from the typed fuzzgen
