@@ -174,16 +174,21 @@ let file_arg =
           "input program: Mini-C source ($(b,.mc)), HYPAR bytecode \
            ($(b,.hbc)) or a serialised CDFG ($(b,.ir))")
 
-(* platform geometry: a non-positive value is a usage error, not an
-   exception out of the platform constructors *)
-let positive =
+(* An integer option with a lower bound: a value below it is a usage
+   error, not an exception out of the code it feeds.  Platform geometry
+   is positive; a timing constraint, kernel count or block id is
+   non-negative. *)
+let at_least lo what =
   let parse s =
     match Arg.conv_parser Arg.int s with
-    | Ok n when n > 0 -> Ok n
-    | Ok _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %s" s))
+    | Ok n when n >= lo -> Ok n
+    | Ok _ -> Error (`Msg (Printf.sprintf "expected a %s integer, got %s" what s))
     | Error _ as e -> e
   in
   Arg.conv (parse, Arg.conv_printer Arg.int)
+
+let positive = at_least 1 "positive"
+let natural = at_least 0 "non-negative"
 
 let area_arg =
   Arg.(value & opt positive 1500 & info [ "area"; "a" ] ~docv:"UNITS" ~doc:"FPGA area $(docv) (A_FPGA)")
@@ -197,20 +202,38 @@ let cols_arg = Arg.(value & opt positive 2 & info [ "cols" ] ~docv:"N" ~doc:"CGC
 let ratio_arg =
   Arg.(value & opt positive 3 & info [ "clock-ratio" ] ~docv:"R" ~doc:"T_FPGA / T_CGC")
 
-(* cmdliner reads a separate "-1" as an option name, so "--rows -1" would
-   fail as "unknown option '-1'".  Gluing a negative integer to the
-   geometry option before it ("--rows=-1", "-a-1") lets it reach
-   [positive]'s message, as the glued spellings already do. *)
-let glue_negative_geometry argv =
-  let names =
-    [ "--area"; "-a"; "--cgcs"; "-k"; "--rows"; "--cols"; "--clock-ratio" ]
+(* Every option that takes an integer, in every subcommand. *)
+let integer_options =
+  [ "--area"; "-a"; "--cgcs"; "-k"; "--rows"; "--cols"; "--clock-ratio";
+    "--timing"; "-t"; "--top"; "--max-warnings"; "--max-findings"; "--block";
+    "-b"; "--jobs"; "-j"; "--max-points"; "--retries"; "--point-fuel";
+    "--max-queue"; "--drain-timeout"; "--deadline"; "--fuel";
+    "--retry-after-ms"; "--max-retries"; "--grace"; "--seed"; "--count";
+    "--budget-ms"; "--max-stmts"; "--depth" ]
+
+(* cmdliner reads a separate "-5" as an option name, so "-t -5" would
+   fail as "unknown option '-5'".  Gluing a negative integer to the
+   integer option before it ("--top=-5", "-t-5") lets it reach the
+   option's own check, as the glued spellings already do.  After "--"
+   nothing is rewritten.  Explore's "-t"/"--timing" is an axis, not an
+   integer, and is left alone; explore is the only subcommand that
+   starts with "e", so any prefix of its name that cmdliner accepts
+   names it. *)
+let glue_negative_integers argv =
+  let explore =
+    Array.length argv > 1 && argv.(1) <> ""
+    && String.starts_with ~prefix:argv.(1) "explore"
+  in
+  let integer name =
+    List.mem name integer_options
+    && not (explore && (name = "-t" || name = "--timing"))
   in
   let negative v =
     String.length v > 1 && v.[0] = '-' && Option.is_some (int_of_string_opt v)
   in
   let rec go = function
     | "--" :: _ as rest -> rest
-    | name :: v :: rest when List.mem name names && negative v ->
+    | name :: v :: rest when integer name && negative v ->
       (if String.length name = 2 then name ^ v else name ^ "=" ^ v) :: go rest
     | x :: rest -> x :: go rest
     | [] -> []
@@ -220,7 +243,7 @@ let glue_negative_geometry argv =
 let constraint_arg =
   Arg.(
     required
-    & opt (some int) None
+    & opt (some natural) None
     & info [ "timing"; "t" ] ~docv:"CYCLES" ~doc:"timing constraint in FPGA cycles")
 
 (* [Some true] when given; [None] defers to Passes.verify_passes
@@ -315,7 +338,7 @@ let kernels_cmd =
     0
   in
   let top_arg =
-    Arg.(value & opt int 8 & info [ "top" ] ~docv:"N" ~doc:"number of kernels to list")
+    Arg.(value & opt natural 8 & info [ "top" ] ~docv:"N" ~doc:"number of kernels to list")
   in
   let term = Term.(const run $ file_arg $ top_arg $ interp_arg $ obs_args) in
   Cmd.v (Cmd.info "kernels" ~doc:"Kernel analysis (Table-1 style)") term
@@ -493,7 +516,8 @@ let profile_cmd =
   Cmd.v (Cmd.info "profile" ~doc:"Dynamic profile of a Mini-C program") term
 
 let dot_cmd =
-  let run file block =
+  let run file block obs =
+    with_obs ~command:"dot" obs @@ fun () ->
     with_verification @@ fun () ->
     let prepared = Flow.prepare_file file in
     (match block with
@@ -507,10 +531,10 @@ let dot_cmd =
   let block_arg =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some natural) None
       & info [ "block"; "b" ] ~docv:"ID" ~doc:"emit this block's DFG instead of the CFG")
   in
-  let term = Term.(const run $ file_arg $ block_arg) in
+  let term = Term.(const run $ file_arg $ block_arg $ obs_args) in
   Cmd.v (Cmd.info "dot" ~doc:"Graphviz export of the CFG or one DFG") term
 
 let map_cmd =
@@ -549,7 +573,7 @@ let map_cmd =
   let block_arg =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some natural) None
       & info [ "block"; "b" ] ~docv:"ID" ~doc:"map only this block")
   in
   let term =
@@ -564,7 +588,8 @@ let map_cmd =
 
 let lint_cmd =
   let module Lint = Hypar_analysis.Lint in
-  let run file gate =
+  let run file gate obs =
+    with_obs ~command:"lint" obs @@ fun () ->
     gate @@ fun report ->
     let source = In_channel.with_open_bin file In_channel.input_all in
     match Lint.check ~name:(Filename.basename file) source with
@@ -575,7 +600,8 @@ let lint_cmd =
     Term.(
       const run $ file_arg
       $ gate_term ~tool:"lint" ~noun:"warning" ~emitted:"diagnostics"
-          ~example:Lint.Dead_assignment Lint.kind)
+          ~example:Lint.Dead_assignment Lint.kind
+      $ obs_args)
   in
   Cmd.v
     (Cmd.info "lint"
@@ -614,7 +640,8 @@ let baselines_cmd =
     term
 
 let ranges_cmd =
-  let run file all =
+  let run file all obs =
+    with_obs ~command:"ranges" obs @@ fun () ->
     with_verification @@ fun () ->
     let cdfg = Flow.load file in
     let reports =
@@ -631,7 +658,7 @@ let ranges_cmd =
   let all_arg =
     Arg.(value & flag & info [ "all" ] ~doc:"list every register, not only overflow risks")
   in
-  let term = Term.(const run $ file_arg $ all_arg) in
+  let term = Term.(const run $ file_arg $ all_arg $ obs_args) in
   Cmd.v
     (Cmd.info "ranges"
        ~doc:"Value-range analysis: flag registers that may overflow their declared width")
@@ -828,7 +855,8 @@ let explore_cmd =
 
 let faults_cmd =
   let module R = Hypar_resilience in
-  let run spec_file format area cgcs rows cols ratio =
+  let run spec_file format area cgcs rows cols ratio obs =
+    with_obs ~command:"faults" obs @@ fun () ->
     match R.Spec.load spec_file with
     | Error msg ->
       Printf.eprintf "hypar: %s\n%s\n" msg R.Spec.syntax_help;
@@ -868,7 +896,7 @@ let faults_cmd =
   let term =
     Term.(
       const run $ spec_file_arg $ format_arg $ area_arg $ cgcs_arg $ rows_arg
-      $ cols_arg $ ratio_arg)
+      $ cols_arg $ ratio_arg $ obs_args)
   in
   Cmd.v
     (Cmd.info "faults"
@@ -878,7 +906,8 @@ let faults_cmd =
     term
 
 let dump_cmd =
-  let run file raw =
+  let run file raw obs =
+    with_obs ~command:"dump" obs @@ fun () ->
     with_verification @@ fun () ->
     let cdfg = Flow.load ~raw file in
     print_string (Hypar_ir.Serialize.to_string cdfg);
@@ -891,7 +920,7 @@ let dump_cmd =
           ~doc:"dump the CDFG as lowered, before the optimisation pipeline \
                 (what $(b,hypar analyze) inspects)")
   in
-  let term = Term.(const run $ file_arg $ raw_arg) in
+  let term = Term.(const run $ file_arg $ raw_arg $ obs_args) in
   Cmd.v
     (Cmd.info "dump"
        ~doc:"Serialise the compiled CDFG (reload it by passing the .ir file to any command)")
@@ -1508,7 +1537,7 @@ let () =
   let doc = "hybrid fine/coarse-grain reconfigurable partitioning (DATE'04/05 methodology)" in
   let info = Cmd.info "hypar" ~version:"1.0.0" ~doc in
   let group = Cmd.group info [ partition_cmd; kernels_cmd; analyze_cmd; opt_cmd; compile_bc_cmd; profile_cmd; dot_cmd; map_cmd; lint_cmd; baselines_cmd; ranges_cmd; explore_cmd; faults_cmd; dump_cmd; demo_cmd; trace_cmd; serve_cmd; fuzz_cmd; soak_cmd ] in
-  match Cmd.eval' ~catch:false ~argv:(glue_negative_geometry Sys.argv) group with
+  match Cmd.eval' ~catch:false ~argv:(glue_negative_integers Sys.argv) group with
   | code -> exit code
   | exception Sys.Break ->
     prerr_endline "hypar: interrupted";

@@ -283,8 +283,11 @@ let source = source_with ~qrecip
 let source_for ~quality =
   source_with ~qrecip:(qrecip_for (quant_table_for ~quality))
 
-(* Deterministic synthetic image: gradients, sinusoidal texture, noise. *)
+(* Deterministic synthetic image: gradients, sinusoidal texture, noise.
+   Three transcendental calls per pixel make it a measurable stage of its
+   own, so it has a span. *)
 let inputs ?(seed = 7) () =
+  Hypar_obs.Span.with_ ~cat:"apps" "apps.jpeg.inputs" @@ fun () ->
   let state = ref seed in
   let noise () =
     state := ((!state * 1103515245) + 12345) land 0x3FFFFFFF;

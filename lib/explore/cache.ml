@@ -1,7 +1,7 @@
 type stats = { hits : int; misses : int }
 
 type 'a t = {
-  tbl : (string, 'a) Hashtbl.t;
+  tbl : (Space.point, 'a) Hashtbl.t;
   mutable hits : int;
   mutable misses : int;
 }
@@ -13,8 +13,8 @@ let digest_of_cdfg cdfg =
 
 let key ~digest point = digest ^ "|" ^ Space.point_key point
 
-let find t k =
-  match Hashtbl.find_opt t.tbl k with
+let find t p =
+  match Hashtbl.find_opt t.tbl p with
   | Some _ as v ->
     t.hits <- t.hits + 1;
     v
@@ -22,5 +22,5 @@ let find t k =
     t.misses <- t.misses + 1;
     None
 
-let add t k v = Hashtbl.replace t.tbl k v
+let add t p v = Hashtbl.replace t.tbl p v
 let stats t = { hits = t.hits; misses = t.misses }

@@ -234,14 +234,13 @@ let run ?(jobs = 1) ?workload ?faults ?(retries = 0) ?point_fuel ?checkpoint
     let digest = Cache.digest_of_cdfg prepared.Flow.cdfg in
     let cache = Cache.create () in
     (* deduplicate before fanning out: the cache maps each configuration
-       key to the index of its unique evaluation job *)
+       to the index of its unique evaluation job *)
     let unique = ref [] in
     let n_unique = ref 0 in
     let slots =
       List.map
         (fun p ->
-          let k = Cache.key ~digest p in
-          match Cache.find cache k with
+          match Cache.find cache p with
           | Some j ->
             Hypar_obs.Counter.incr "explore.cache_hits";
             (p, j, true)
@@ -250,23 +249,25 @@ let run ?(jobs = 1) ?workload ?faults ?(retries = 0) ?point_fuel ?checkpoint
             let j = !n_unique in
             incr n_unique;
             unique := p :: !unique;
-            Cache.add cache k j;
+            Cache.add cache p j;
             (p, j, false))
         pts
     in
     let unique = Array.of_list (List.rev !unique) in
     (* crash recovery: outcomes journalled by an interrupted run are
-       restored by key and their points never re-evaluated *)
-    let restored : (string, (Eval.metrics, string) result) Hashtbl.t =
-      Hashtbl.create 16
+       restored by checkpoint key and their points never re-evaluated;
+       without --resume no key is built *)
+    let restore =
+      match checkpoint with
+      | Some path when resume -> (
+        match Checkpoint.load path with
+        | Ok entries ->
+          let restored = Hashtbl.create 16 in
+          List.iter (fun (k, outcome) -> Hashtbl.replace restored k outcome) entries;
+          fun p -> Hashtbl.find_opt restored (Cache.key ~digest p)
+        | Error msg -> raise (Checkpoint_error msg))
+      | Some _ | None -> fun _ -> None
     in
-    (match checkpoint with
-    | Some path when resume -> (
-      match Checkpoint.load path with
-      | Ok entries ->
-        List.iter (fun (k, outcome) -> Hashtbl.replace restored k outcome) entries
-      | Error msg -> raise (Checkpoint_error msg))
-    | Some _ | None -> ());
     let journal =
       match checkpoint with
       | None -> None
@@ -275,7 +276,7 @@ let run ?(jobs = 1) ?workload ?faults ?(retries = 0) ?point_fuel ?checkpoint
         | Ok j -> Some j
         | Error msg -> raise (Checkpoint_error msg))
     in
-    let resumed = Array.map (fun p -> Hashtbl.find_opt restored (Cache.key ~digest p)) unique in
+    let resumed = Array.map restore unique in
     let fresh =
       Array.of_list
         (List.filteri

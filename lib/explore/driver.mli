@@ -1,7 +1,7 @@
 (** The exploration engine: space in, evaluated + analysed summary out.
 
     [run] expands the space, deduplicates the points against the memo
-    cache (shared CDFG digest × platform key) and evaluates the unique
+    cache (keyed by platform configuration) and evaluates the unique
     configurations in two stages, each a {!Hypar_obs.Pool.map}:
 
     + once per sweep the engine-input IR check
@@ -36,7 +36,7 @@ type point_result = {
 
 type t = {
   workload : string;
-  digest : string;  (** CDFG digest shared by every cache key *)
+  digest : string;  (** CDFG digest shared by every checkpoint key *)
   jobs : int;
   results : point_result array;  (** in {!Space.points} order *)
   cache : Cache.stats;

@@ -1,16 +1,27 @@
-let dominates a b =
-  if Array.length a <> Array.length b then
+(* plain loops over int arrays: no closure, no ref cell, no polymorphic
+   compare, and the scan stops at the first worse objective *)
+let dominates (a : int array) (b : int array) =
+  let n = Array.length a in
+  if n <> Array.length b then
     invalid_arg "Pareto.dominates: mismatched objective vectors";
-  let no_worse = ref true and better = ref false in
-  Array.iteri
-    (fun i x ->
-      if x > b.(i) then no_worse := false else if x < b.(i) then better := true)
-    a;
-  !no_worse && !better
+  let i = ref 0 and better = ref false in
+  while !i < n && a.(!i) <= b.(!i) do
+    if a.(!i) < b.(!i) then better := true;
+    incr i
+  done;
+  !i = n && !better
 
 let frontier_flags objectives xs =
   let vecs = Array.map objectives xs in
-  Array.map (fun v -> not (Array.exists (fun w -> dominates w v) vecs)) vecs
+  let n = Array.length vecs in
+  Array.map
+    (fun v ->
+      let k = ref 0 in
+      while !k < n && not (dominates vecs.(!k) v) do
+        incr k
+      done;
+      !k = n)
+    vecs
 
 let frontier objectives l =
   let xs = Array.of_list l in

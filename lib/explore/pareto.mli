@@ -10,7 +10,10 @@ val dominates : int array -> int array -> bool
     Raises [Invalid_argument] on mismatched lengths. *)
 
 val frontier_flags : ('a -> int array) -> 'a array -> bool array
-(** Per-index membership of the Pareto frontier (O(n²) pairwise scan). *)
+(** Per-index membership of the Pareto frontier.  An O(n²) pairwise
+    scan that allocates only the objective vectors and the flags: each
+    comparison is a plain loop that stops at the first worse objective,
+    and each point's scan stops at its first dominator. *)
 
 val frontier : ('a -> int array) -> 'a list -> 'a list
 (** The non-dominated subset, in input order. *)

@@ -2,35 +2,9 @@ exception Parse_error of string
 
 let fail fmt = Format.kasprintf (fun s -> raise (Parse_error s)) fmt
 
-(* --- a tiny s-expression layer ----------------------------------------- *)
+(* --- a tiny s-expression reader ------------------------------------------ *)
 
 type sexp = Atom of string | Str of string | List of sexp list
-
-let escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let rec write buf = function
-  | Atom a -> Buffer.add_string buf a
-  | Str s ->
-    Buffer.add_char buf '"';
-    Buffer.add_string buf (escape s);
-    Buffer.add_char buf '"'
-  | List items ->
-    Buffer.add_char buf '(';
-    List.iteri
-      (fun i item ->
-        if i > 0 then Buffer.add_char buf ' ';
-        write buf item)
-      items;
-    Buffer.add_char buf ')'
 
 let tokenize src =
   let toks = ref [] in
@@ -114,85 +88,161 @@ let parse_sexp src =
 
 (* --- encoding ------------------------------------------------------------ *)
 
-let int_atom n = Atom (string_of_int n)
+(* The writer emits the s-expression layout the reader parses straight
+   into one buffer.  Every item after a list's head is written with its
+   leading space, so [(head item item)] is [open_ head], the items, and
+   [close]. *)
 
-let sexp_of_var (v : Instr.var) =
-  List [ Atom "var"; Str v.vname; int_atom v.vid; int_atom v.vwidth ]
+(* the digits of a non-positive [n]: working below zero covers [min_int] *)
+let rec add_digits buf n =
+  if n <= -10 then add_digits buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 - (n mod 10)))
 
-let sexp_of_operand = function
-  | Instr.Var v -> sexp_of_var v
-  | Instr.Imm n -> List [ Atom "imm"; int_atom n ]
+let add_int buf n =
+  Buffer.add_char buf ' ';
+  if n < 0 then begin
+    Buffer.add_char buf '-';
+    add_digits buf n
+  end
+  else add_digits buf (-n)
 
-let sexp_of_instr (instr : Instr.t) =
-  match instr with
+let add_str buf s =
+  Buffer.add_string buf " \"";
+  if String.exists (fun c -> c = '"' || c = '\\') s then
+    String.iter
+      (fun c ->
+        if c = '"' || c = '\\' then Buffer.add_char buf '\\';
+        Buffer.add_char buf c)
+      s
+  else Buffer.add_string buf s;
+  Buffer.add_char buf '"'
+
+let add_atom buf a =
+  Buffer.add_char buf ' ';
+  Buffer.add_string buf a
+
+let open_ buf head =
+  Buffer.add_string buf " (";
+  Buffer.add_string buf head
+
+let close buf = Buffer.add_char buf ')'
+
+let add_var buf (v : Instr.var) =
+  open_ buf "var";
+  add_str buf v.vname;
+  add_int buf v.vid;
+  add_int buf v.vwidth;
+  close buf
+
+let add_operand buf = function
+  | Instr.Var v -> add_var buf v
+  | Instr.Imm n ->
+    open_ buf "imm";
+    add_int buf n;
+    close buf
+
+let add_instr buf (instr : Instr.t) =
+  (match instr with
   | Instr.Bin { dst; op; a; b } ->
-    List
-      [ Atom "bin"; Atom (Types.string_of_alu_op op); sexp_of_var dst;
-        sexp_of_operand a; sexp_of_operand b ]
+    open_ buf "bin";
+    add_atom buf (Types.string_of_alu_op op);
+    add_var buf dst;
+    add_operand buf a;
+    add_operand buf b
   | Instr.Mul { dst; a; b } ->
-    List [ Atom "mul"; sexp_of_var dst; sexp_of_operand a; sexp_of_operand b ]
+    open_ buf "mul";
+    add_var buf dst;
+    add_operand buf a;
+    add_operand buf b
   | Instr.Div { dst; a; b } ->
-    List [ Atom "div"; sexp_of_var dst; sexp_of_operand a; sexp_of_operand b ]
+    open_ buf "div";
+    add_var buf dst;
+    add_operand buf a;
+    add_operand buf b
   | Instr.Rem { dst; a; b } ->
-    List [ Atom "rem"; sexp_of_var dst; sexp_of_operand a; sexp_of_operand b ]
+    open_ buf "rem";
+    add_var buf dst;
+    add_operand buf a;
+    add_operand buf b
   | Instr.Un { dst; op; a } ->
-    List
-      [ Atom "un"; Atom (Types.string_of_un_op op); sexp_of_var dst;
-        sexp_of_operand a ]
+    open_ buf "un";
+    add_atom buf (Types.string_of_un_op op);
+    add_var buf dst;
+    add_operand buf a
   | Instr.Mov { dst; src } ->
-    List [ Atom "mov"; sexp_of_var dst; sexp_of_operand src ]
+    open_ buf "mov";
+    add_var buf dst;
+    add_operand buf src
   | Instr.Select { dst; cond; if_true; if_false } ->
-    List
-      [ Atom "select"; sexp_of_var dst; sexp_of_operand cond;
-        sexp_of_operand if_true; sexp_of_operand if_false ]
+    open_ buf "select";
+    add_var buf dst;
+    add_operand buf cond;
+    add_operand buf if_true;
+    add_operand buf if_false
   | Instr.Load { dst; arr; index } ->
-    List [ Atom "load"; sexp_of_var dst; Str arr; sexp_of_operand index ]
+    open_ buf "load";
+    add_var buf dst;
+    add_str buf arr;
+    add_operand buf index
   | Instr.Store { arr; index; value } ->
-    List [ Atom "store"; Str arr; sexp_of_operand index; sexp_of_operand value ]
+    open_ buf "store";
+    add_str buf arr;
+    add_operand buf index;
+    add_operand buf value);
+  close buf
 
-let sexp_of_terminator = function
-  | Block.Jump l -> List [ Atom "jump"; Str l ]
+let add_terminator buf term =
+  open_ buf "term";
+  (match term with
+  | Block.Jump l ->
+    open_ buf "jump";
+    add_str buf l
   | Block.Branch { cond; if_true; if_false } ->
-    List [ Atom "branch"; sexp_of_operand cond; Str if_true; Str if_false ]
-  | Block.Return None -> List [ Atom "return" ]
-  | Block.Return (Some op) -> List [ Atom "return"; sexp_of_operand op ]
+    open_ buf "branch";
+    add_operand buf cond;
+    add_str buf if_true;
+    add_str buf if_false
+  | Block.Return None -> open_ buf "return"
+  | Block.Return (Some op) ->
+    open_ buf "return";
+    add_operand buf op);
+  close buf;
+  close buf
 
-let sexp_of_block (b : Block.t) =
-  List
-    [
-      Atom "block";
-      Str b.label;
-      List (Atom "instrs" :: List.map sexp_of_instr b.instrs);
-      List [ Atom "term"; sexp_of_terminator b.term ];
-    ]
+let add_block buf (b : Block.t) =
+  open_ buf "block";
+  add_str buf b.label;
+  open_ buf "instrs";
+  List.iter (add_instr buf) b.instrs;
+  close buf;
+  add_terminator buf b.term;
+  close buf
 
-let sexp_of_array (d : Cdfg.array_decl) =
-  let base =
-    [
-      Atom "array"; Str d.aname; int_atom d.size; int_atom d.elem_width;
-      Atom (if d.is_const then "const" else "mutable");
-    ]
-  in
-  match d.init with
-  | None -> List base
-  | Some init ->
-    List (base @ [ List (Atom "init" :: Array.to_list (Array.map int_atom init)) ])
+let add_array buf (d : Cdfg.array_decl) =
+  open_ buf "array";
+  add_str buf d.aname;
+  add_int buf d.size;
+  add_int buf d.elem_width;
+  add_atom buf (if d.is_const then "const" else "mutable");
+  Option.iter
+    (fun init ->
+      open_ buf "init";
+      Array.iter (add_int buf) init;
+      close buf)
+    d.init;
+  close buf
 
 let to_string cdfg =
   let buf = Buffer.create 4096 in
-  let sexp =
-    List
-      [
-        Atom "cdfg";
-        Str (Cdfg.name cdfg);
-        List (Atom "arrays" :: List.map sexp_of_array (Cdfg.arrays cdfg));
-        List
-          (Atom "blocks"
-          :: Array.to_list (Array.map sexp_of_block (Cfg.blocks (Cdfg.cfg cdfg))));
-      ]
-  in
-  write buf sexp;
-  Buffer.add_char buf '\n';
+  Buffer.add_string buf "(cdfg";
+  add_str buf (Cdfg.name cdfg);
+  open_ buf "arrays";
+  List.iter (add_array buf) (Cdfg.arrays cdfg);
+  close buf;
+  open_ buf "blocks";
+  Array.iter (add_block buf) (Cfg.blocks (Cdfg.cfg cdfg));
+  close buf;
+  Buffer.add_string buf ")\n";
   Buffer.contents buf
 
 (* --- decoding ------------------------------------------------------------ *)

@@ -10,7 +10,12 @@
 exception Parse_error of string
 
 val to_string : Cdfg.t -> string
-(** Serialise, including array initialisers. *)
+(** Serialise, including array initialisers.  The text is written
+    straight into one buffer — no intermediate s-expression, integers
+    by a digit writer, strings copied whole unless they hold a quote or
+    a backslash to escape — and is the canonical form that
+    [Hypar_explore.Cache.digest_of_cdfg] hashes, so its bytes are fixed:
+    the test suite pins them against the tree writer it replaced. *)
 
 val of_string : string -> Cdfg.t
 (** Parse back. Raises {!Parse_error} on malformed input and

@@ -115,6 +115,45 @@ let test_pareto_frontier () =
     (frontier [ [| 7 |] ]);
   Alcotest.(check (list (array int))) "empty" [] (frontier [])
 
+(* the definition, pair by pair: a point is on the frontier when no
+   other vector is no worse everywhere and better somewhere *)
+let naive_frontier_flags vecs =
+  Array.map
+    (fun v ->
+      not
+        (Array.exists
+           (fun w ->
+             List.for_all2 ( <= ) (Array.to_list w) (Array.to_list v)
+             && List.exists2 ( < ) (Array.to_list w) (Array.to_list v))
+           vecs))
+    vecs
+
+(* few distinct values and vectors drawn from a small pool: ties on an
+   objective and whole duplicate vectors are the common case *)
+let objective_vectors_arb =
+  let open QCheck.Gen in
+  let vectors =
+    int_range 1 4 >>= fun dim ->
+    list_size (int_range 1 6) (array_repeat dim (int_range 0 3)) >>= fun pool ->
+    array_size (int_range 0 40) (oneofl pool)
+  in
+  QCheck.make
+    ~print:(fun vs ->
+      String.concat " "
+        (Array.to_list
+           (Array.map
+              (fun v ->
+                "["
+                ^ String.concat ";" (Array.to_list (Array.map string_of_int v))
+                ^ "]")
+              vs)))
+    vectors
+
+let prop_frontier_flags_naive =
+  QCheck.Test.make ~name:"pareto: frontier_flags equals the pairwise definition"
+    ~count:500 objective_vectors_arb (fun vecs ->
+      Pareto.frontier_flags Fun.id vecs = naive_frontier_flags vecs)
+
 let test_pareto_best_by () =
   Alcotest.(check (option int)) "min index" (Some 2)
     (Pareto.best_by (fun x -> x) [| 5; 3; 1; 4 |]);
@@ -202,12 +241,18 @@ let test_digest_stable_across_compiles () =
 
 let test_cache_counters () =
   let c = Cache.create () in
-  Alcotest.(check bool) "miss" true (Cache.find c "k" = None);
-  Cache.add c "k" 1;
-  Alcotest.(check bool) "hit" true (Cache.find c "k" = Some 1);
+  let p =
+    { Space.area = 1500; cgcs = 2; rows = 2; cols = 2; clock_ratio = 3;
+      timing = 8000 }
+  in
+  Alcotest.(check bool) "miss" true (Cache.find c p = None);
+  Cache.add c p 1;
+  Alcotest.(check bool) "hit" true (Cache.find c { p with timing = 8000 } = Some 1);
+  Alcotest.(check bool) "other point misses" true
+    (Cache.find c { p with timing = 8001 } = None);
   let s = Cache.stats c in
   Alcotest.(check int) "hits" 1 s.Cache.hits;
-  Alcotest.(check int) "misses" 1 s.Cache.misses
+  Alcotest.(check int) "misses" 2 s.Cache.misses
 
 (* ---- driver: duplicates, failures, determinism -------------------------- *)
 
@@ -452,6 +497,73 @@ let test_interrupt_keeps_journal () =
     [ third_platform; next_move ];
   Sys.remove path
 
+(* A duplicated axis value: each configuration is evaluated once, and
+   every later copy is a hit marked [cached] — the same counts and flags
+   as deduplicating on the [<digest>|<point_key>] string.  A checkpoint
+   cut after two of its points resumes to the fresh run's outputs and
+   journal at every [jobs]. *)
+let test_duplicate_axis_resume () =
+  let prepared = Lazy.force matmul in
+  let t = budget prepared in
+  let space =
+    Space.make ~areas:[ 500; 1500; 500 ] ~cgcs:[ 1; 2 ]
+      ~timings:[ t; t / 2; t ] ()
+  in
+  let path = Filename.temp_file "hypar-explore" ".journal" in
+  let run ?checkpoint ?resume jobs =
+    match Driver.run ~jobs ~workload:"matmul8" ?checkpoint ?resume prepared space with
+    | Error e -> Alcotest.fail e
+    | Ok s -> s
+  in
+  let renders s =
+    [ Render.text s; Render.csv s; Render.json s; Render.markdown s;
+      Render.text ~pareto_only:true s ]
+  in
+  let fresh = run 1 in
+  let keys =
+    Array.to_list
+      (Array.map
+         (fun (r : Driver.point_result) ->
+           Cache.key ~digest:fresh.Driver.digest r.Driver.point)
+         fresh.Driver.results)
+  in
+  let expected_cached =
+    List.mapi (fun i k -> List.mem k (List.filteri (fun j _ -> j < i) keys)) keys
+  in
+  let distinct = List.length (List.sort_uniq compare keys) in
+  Alcotest.(check int) "eighteen points" 18 (List.length keys);
+  Alcotest.(check int) "misses: distinct keys" distinct fresh.Driver.cache.Cache.misses;
+  Alcotest.(check int) "hits: repeated keys" (18 - distinct)
+    fresh.Driver.cache.Cache.hits;
+  Alcotest.(check (list bool)) "cached: key seen before" expected_cached
+    (Array.to_list
+       (Array.map (fun (r : Driver.point_result) -> r.Driver.cached) fresh.Driver.results));
+  let _ = run ~checkpoint:path 1 in
+  let journal = read_file path in
+  let kept =
+    String.split_on_char '\n' journal |> List.filteri (fun i _ -> i < 3)
+  in
+  List.iter
+    (fun jobs ->
+      Alcotest.(check (list string))
+        (Printf.sprintf "jobs=%d == jobs=1" jobs)
+        (renders fresh) (renders (run jobs));
+      Out_channel.with_open_bin path (fun oc ->
+          Out_channel.output_string oc (String.concat "\n" kept ^ "\n"));
+      let resumed = run ~checkpoint:path ~resume:true jobs in
+      Alcotest.(check (list string))
+        (Printf.sprintf "resumed jobs=%d == fresh" jobs)
+        (renders fresh) (renders resumed);
+      Alcotest.(check (pair int int))
+        (Printf.sprintf "resumed jobs=%d: hits and misses" jobs)
+        (fresh.Driver.cache.Cache.hits, fresh.Driver.cache.Cache.misses)
+        (resumed.Driver.cache.Cache.hits, resumed.Driver.cache.Cache.misses);
+      Alcotest.(check string)
+        (Printf.sprintf "journal after resume jobs=%d == fresh journal" jobs)
+        journal (read_file path))
+    [ 1; 4 ];
+  Sys.remove path
+
 let test_best_and_frontier_sane () =
   let prepared = Lazy.force matmul in
   let t = budget prepared in
@@ -490,6 +602,7 @@ let suite =
     Alcotest.test_case "pareto dominance" `Quick test_pareto_dominance;
     Alcotest.test_case "pareto frontier" `Quick test_pareto_frontier;
     Alcotest.test_case "pareto best_by" `Quick test_pareto_best_by;
+    QCheck_alcotest.to_alcotest prop_frontier_flags_naive;
     Alcotest.test_case "pool matches sequential" `Quick test_pool_matches_sequential;
     Alcotest.test_case "pool joins before raising" `Quick
       test_pool_joins_before_raising;
@@ -506,5 +619,7 @@ let suite =
     Alcotest.test_case "resume mid-platform" `Quick test_resume_mid_platform;
     Alcotest.test_case "interrupt keeps journal" `Quick
       test_interrupt_keeps_journal;
+    Alcotest.test_case "duplicated axis value: cache and resume" `Quick
+      test_duplicate_axis_resume;
     Alcotest.test_case "best + frontier sane" `Quick test_best_and_frontier_sane;
   ]
