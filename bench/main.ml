@@ -149,7 +149,7 @@ let ablation_cgc () =
           in
           Printf.printf "%14s %16d %16d %9.1f%%\n"
             (Printf.sprintf "%d x %dx%d" cgcs rows cols)
-            (Engine.coarse_cycles_of_moved r)
+            r.Engine.final.Engine.t_coarse_cgc
             r.Engine.final.Engine.t_total
             (Engine.reduction_percent r))
         [ (1, 2, 2); (2, 2, 2); (3, 2, 2); (4, 2, 2); (2, 1, 2); (2, 2, 4) ];

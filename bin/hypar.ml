@@ -176,8 +176,8 @@ let file_arg =
 
 (* An integer option with a lower bound: a value below it is a usage
    error, not an exception out of the code it feeds.  Platform geometry
-   is positive; a timing constraint, kernel count or block id is
-   non-negative. *)
+   and a domain count are positive; a timing constraint, kernel count,
+   warning budget or block id is non-negative. *)
 let at_least lo what =
   let parse s =
     match Arg.conv_parser Arg.int s with
@@ -360,7 +360,7 @@ let gate_term ~tool ~noun ~emitted ~example kind =
   let max_arg =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some natural) None
       & info [ "max-" ^ noun ^ "s" ] ~docv:"N"
           ~doc:("fail (exit 1) when more than $(docv) " ^ emitted ^ " are emitted"))
   in
@@ -515,25 +515,37 @@ let profile_cmd =
   let term = Term.(const run $ file_arg $ interp_arg $ obs_args) in
   Cmd.v (Cmd.info "profile" ~doc:"Dynamic profile of a Mini-C program") term
 
+(* --block ID, of dot and map *)
+let block_arg doc =
+  Arg.(value & opt (some natural) None & info [ "block"; "b" ] ~docv:"ID" ~doc)
+
+(* Runs [f] unless --block names an id at or beyond the file's block
+   count, which exits 2 with that count. *)
+let with_block file cdfg block f =
+  let n = Hypar_ir.Cdfg.block_count cdfg in
+  match block with
+  | Some b when b >= n ->
+    Printf.eprintf "hypar: no block %d: %s has %d block%s\n" b file n
+      (if n = 1 then "" else "s");
+    2
+  | _ ->
+    f ();
+    0
+
 let dot_cmd =
   let run file block obs =
     with_obs ~command:"dot" obs @@ fun () ->
     with_verification @@ fun () ->
-    let prepared = Flow.prepare_file file in
-    (match block with
-    | None -> print_string (Hypar_ir.Dot.cfg_to_dot prepared.Flow.cdfg)
+    let cdfg = (Flow.prepare_file file).Flow.cdfg in
+    with_block file cdfg block @@ fun () ->
+    match block with
+    | None -> print_string (Hypar_ir.Dot.cfg_to_dot cdfg)
     | Some b ->
       print_string
         (Hypar_ir.Dot.dfg_to_dot ~title:(Printf.sprintf "BB%d" b)
-           (Hypar_ir.Cdfg.dfg prepared.Flow.cdfg b)));
-    0
+           (Hypar_ir.Cdfg.dfg cdfg b))
   in
-  let block_arg =
-    Arg.(
-      value
-      & opt (some natural) None
-      & info [ "block"; "b" ] ~docv:"ID" ~doc:"emit this block's DFG instead of the CFG")
-  in
+  let block_arg = block_arg "emit this block's DFG instead of the CFG" in
   let term = Term.(const run $ file_arg $ block_arg $ obs_args) in
   Cmd.v (Cmd.info "dot" ~doc:"Graphviz export of the CFG or one DFG") term
 
@@ -565,17 +577,12 @@ let map_cmd =
       | None -> print_endline "  coarse-grain: not CGC-executable (division)");
       print_newline ()
     in
-    (match block with
+    with_block file cdfg block @@ fun () ->
+    match block with
     | Some b -> show b
-    | None -> List.iter show (Hypar_ir.Cdfg.block_ids cdfg));
-    0
+    | None -> List.iter show (Hypar_ir.Cdfg.block_ids cdfg)
   in
-  let block_arg =
-    Arg.(
-      value
-      & opt (some natural) None
-      & info [ "block"; "b" ] ~docv:"ID" ~doc:"map only this block")
-  in
+  let block_arg = block_arg "map only this block" in
   let term =
     Term.(
       const run $ file_arg $ block_arg $ area_arg $ cgcs_arg $ rows_arg
@@ -720,7 +727,7 @@ let explore_cmd =
   in
   let jobs_arg =
     Arg.(
-      value & opt int 1
+      value & opt positive 1
       & info [ "jobs"; "j" ] ~docv:"N"
           ~doc:"evaluate points on $(docv) domains, at most one per core; \
                 results are identical for every $(docv)")
@@ -1055,7 +1062,7 @@ let serve_cmd =
   in
   let jobs_arg =
     Arg.(
-      value & opt int 1
+      value & opt positive 1
       & info [ "jobs"; "j" ] ~docv:"N"
           ~doc:
             "execute requests on $(docv) worker domains; with $(b,1) \
@@ -1271,7 +1278,7 @@ let fuzz_cmd =
   in
   let jobs_arg =
     Arg.(
-      value & opt int 1
+      value & opt positive 1
       & info [ "jobs"; "j" ] ~docv:"N"
           ~doc:
             "judge programs on $(docv) worker domains, at most one per \
@@ -1422,7 +1429,7 @@ let soak_cmd =
   in
   let jobs_arg =
     Arg.(
-      value & opt int 4
+      value & opt positive 4
       & info [ "jobs"; "j" ] ~docv:"N"
           ~doc:
             "worker domains of the supervised pool; the response digest is \

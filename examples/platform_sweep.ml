@@ -68,7 +68,8 @@ let () =
     prepared
   |> iter_ok (fun p m ->
          Printf.printf "%8d %14d %14d %9.1f%%\n" p.Space.cgcs
-           m.Eval.coarse_cgc_cycles m.Eval.final.Engine.t_total m.Eval.reduction);
+           m.Eval.final.Engine.t_coarse_cgc m.Eval.final.Engine.t_total
+           m.Eval.reduction);
 
   Printf.printf "\nClock-ratio sweep (A_FPGA = 1500, two 2x2 CGCs):\n";
   Printf.printf "%8s %14s %10s\n" "ratio" "final" "reduction";

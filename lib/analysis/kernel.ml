@@ -51,13 +51,3 @@ let entry t i = t.entries.(i)
 
 let total_application_weight t =
   Array.fold_left (fun acc e -> acc + e.total_weight) 0 t.entries
-
-let pp_entry ppf e =
-  Format.fprintf ppf "BB%-3d freq=%-9d bb_weight=%-5d total=%-11d depth=%d%s"
-    e.block_id e.exec_freq e.bb_weight e.total_weight e.loop_depth
-    (if e.is_kernel then " [kernel]" else "")
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>analysis (%a):@," Weights.pp t.weights;
-  List.iter (fun e -> Format.fprintf ppf "  %a@," pp_entry e) t.kernels;
-  Format.fprintf ppf "@]"

@@ -35,6 +35,3 @@ val entry : t -> int -> entry
 
 val total_application_weight : t -> int
 (** Sum of all blocks' total weights — a size measure of the workload. *)
-
-val pp_entry : Format.formatter -> entry -> unit
-val pp : Format.formatter -> t -> unit

@@ -13,14 +13,3 @@ let render ?(top = 8) ~title analysis =
            e.bb_weight e.total_weight))
     rows;
   Buffer.contents buf
-
-let render_csv ?(top = 8) analysis =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf "block_id,exec_freq,bb_weight,total_weight\n";
-  List.iter
-    (fun (e : Kernel.entry) ->
-      Buffer.add_string buf
-        (Printf.sprintf "%d,%d,%d,%d\n" e.block_id e.exec_freq e.bb_weight
-           e.total_weight))
-    (Kernel.top analysis top);
-  Buffer.contents buf

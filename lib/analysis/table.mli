@@ -7,6 +7,3 @@ val render : ?top:int -> title:string -> Kernel.t -> string
     ([Basic Block no. | exec. freq. | Operations weight | Total weight]);
     [top] defaults to 8, the number of rows the paper prints per
     application. *)
-
-val render_csv : ?top:int -> Kernel.t -> string
-(** The same rows as CSV (header included). *)

@@ -21,7 +21,3 @@ let bb_weight t dfg =
   List.fold_left
     (fun acc (nd : Ir.Dfg.node) -> acc + instr_weight t nd.instr)
     0 (Ir.Dfg.nodes dfg)
-
-let pp ppf t =
-  Format.fprintf ppf "weights{alu=%d mul=%d div=%d mem=%d move=%d}" t.alu t.mul
-    t.div t.mem t.move

@@ -26,5 +26,3 @@ val instr_weight : t -> Hypar_ir.Instr.t -> int
 
 val bb_weight : t -> Hypar_ir.Dfg.t -> int
 (** The paper's [bb_weight]: weighted operation count of a block's DFG. *)
-
-val pp : Format.formatter -> t -> unit

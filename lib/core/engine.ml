@@ -626,19 +626,43 @@ let run ?max_moves ?comm_pricing ?cgc_pipelining ?granularity
   trajectory ?comm_pricing ?granularity ~analysis c
   |> cut ?max_moves ~timing_constraint
 
-let reduction_percent t =
-  if t.initial.t_total = 0 then 0.0
-  else
-    100.0
-    *. float_of_int (t.initial.t_total - t.final.t_total)
-    /. float_of_int t.initial.t_total
+let status_key = function
+  | Met_without_partitioning -> "met-without-partitioning"
+  | Met_after n -> "met-after-" ^ string_of_int n
+  | Infeasible -> "infeasible"
 
-let coarse_cycles_of_moved t = t.final.t_coarse_cgc
+let status_of_key = function
+  | "met-without-partitioning" -> Some Met_without_partitioning
+  | "infeasible" -> Some Infeasible
+  | s -> (
+    let prefix = "met-after-" in
+    let p = String.length prefix in
+    if not (String.starts_with ~prefix s) then None
+    else
+      let digits = String.sub s p (String.length s - p) in
+      (* only what [status_key] writes: "0x1F", "+3" and "007" parse as
+         integers but do not re-render to themselves *)
+      match int_of_string_opt digits with
+      | Some n when n >= 1 && string_of_int n = digits -> Some (Met_after n)
+      | _ -> None)
 
-let met t =
-  match t.status with
+let status_label = function
+  | Met_without_partitioning -> "met without partitioning"
+  | Met_after n -> Printf.sprintf "met after %d movement(s)" n
+  | Infeasible -> "infeasible"
+
+let status_met = function
   | Met_without_partitioning | Met_after _ -> true
   | Infeasible -> false
+
+let reduction_of_totals ~initial ~final =
+  if initial = 0 then 0.0
+  else 100.0 *. float_of_int (initial - final) /. float_of_int initial
+
+let reduction_percent t =
+  reduction_of_totals ~initial:t.initial.t_total ~final:t.final.t_total
+
+let met t = status_met t.status
 
 let pp_times ppf x =
   Format.fprintf ppf
@@ -659,9 +683,5 @@ let pp ppf t =
     (fun (b, reason) ->
       Format.fprintf ppf "  skipped BB%d: %s@," b (skip_reason_string reason))
     t.skipped;
-  (match t.status with
-  | Met_without_partitioning ->
-    Format.fprintf ppf "  met without partitioning@,"
-  | Met_after k -> Format.fprintf ppf "  met after %d movement(s)@," k
-  | Infeasible -> Format.fprintf ppf "  INFEASIBLE@,");
+  Format.fprintf ppf "  %s@," (status_label t.status);
   Format.fprintf ppf "  reduction: %.1f%%@]" (reduction_percent t)

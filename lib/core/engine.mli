@@ -32,7 +32,8 @@ type step = {
 
 type status =
   | Met_without_partitioning  (** all-FPGA mapping already meets timing *)
-  | Met_after of int  (** satisfied after this many kernel movements *)
+  | Met_after of int
+      (** satisfied after this many kernel movements (at least one) *)
   | Infeasible  (** kernels exhausted without meeting the constraint *)
 
 type skip_reason =
@@ -261,14 +262,37 @@ module Inc : sig
   (** Back to the all-FPGA mapping without recharacterising. *)
 end
 
-val reduction_percent : t -> float
-(** Cycle reduction of the final partitioning relative to the all-FPGA
-    mapping, in percent (the paper's last table row). *)
+(** {2 The outcome of a run}
 
-val coarse_cycles_of_moved : t -> int
-(** The "Cycles in CGC" row: Σ latency×freq over moved kernels, in CGC
-    cycles. *)
+    One vocabulary for every report, payload and checkpoint: a status
+    is turned into text only by {!status_key} and {!status_label}, and
+    [met] and the reduction are derived only here. *)
+
+val status_key : status -> string
+(** The machine key of explore reports, checkpoints and serve payloads:
+    ["met-without-partitioning"] / ["met-after-N"] / ["infeasible"]. *)
+
+val status_of_key : string -> status option
+(** The exact inverse of {!status_key}: [Some s] only for a string that
+    [status_key s] writes (so not ["met-after-0x1F"], ["met-after-+3"],
+    ["met-after-007"], ["met-after-0"] or ["met-after--1"]). *)
+
+val status_label : status -> string
+(** The human wording: ["met without partitioning"] / ["met after N
+    movement(s)"] / ["infeasible"]. *)
+
+val status_met : status -> bool
+(** Whether the status satisfies the timing constraint. *)
+
+val reduction_of_totals : initial:int -> final:int -> float
+(** Cycle reduction from [initial] to [final] total cycles, in percent
+    ([0.] when [initial] is [0]). *)
+
+val reduction_percent : t -> float
+(** {!reduction_of_totals} of the all-FPGA and the final [t_total] (the
+    paper's last table row). *)
 
 val met : t -> bool
-val pp_times : Format.formatter -> times -> unit
+(** {!status_met} of the run's status. *)
+
 val pp : Format.formatter -> t -> unit

@@ -8,11 +8,7 @@ let markdown ?(top_kernels = 8) (r : Engine.t) =
   line "- platform: %s" r.Engine.platform.Platform.name;
   line "- clock ratio: T_FPGA = %d x T_CGC" r.Engine.platform.Platform.clock_ratio;
   line "- timing constraint: %d FPGA cycles" r.Engine.timing_constraint;
-  line "- status: %s"
-    (match r.Engine.status with
-    | Engine.Met_without_partitioning -> "met by the all-FPGA mapping"
-    | Engine.Met_after k -> Printf.sprintf "met after %d kernel movement(s)" k
-    | Engine.Infeasible -> "infeasible (all kernels moved)");
+  line "- status: %s" (Engine.status_label r.Engine.status);
   line "- cycle reduction: %.1f%%" (Engine.reduction_percent r);
   line "";
   line "## Kernel analysis (Eq. 1)";

@@ -1,68 +1,49 @@
 let moved_blocks_string (r : Engine.t) =
   String.concat ", " (List.map string_of_int r.Engine.moved)
 
-let status_string (r : Engine.t) =
-  match r.Engine.status with
-  | Engine.Met_without_partitioning -> "met (all-FPGA)"
-  | Engine.Met_after k -> Printf.sprintf "met after %d move(s)" k
-  | Engine.Infeasible -> "infeasible"
-
-let render ~title runs =
+let render ~title (runs : Engine.t list) =
+  let cells f = List.map f runs in
+  let ints f = cells (fun r -> string_of_int (f r)) in
+  let rows =
+    [
+      ( "A_FPGA",
+        ints (fun r ->
+            r.Engine.platform.Platform.fpga.Hypar_finegrain.Fpga.area) );
+      ( "CGCs no.",
+        cells (fun r ->
+            Hypar_coarsegrain.Cgc.describe r.Engine.platform.Platform.cgc) );
+      ("Initial cycles", ints (fun r -> r.Engine.initial.Engine.t_total));
+      ("Cycles in CGC", ints (fun r -> r.Engine.final.Engine.t_coarse_cgc));
+      ("BB no.", cells moved_blocks_string);
+      ("Final cycles", ints (fun r -> r.Engine.final.Engine.t_total));
+      ( "% cycles reduction",
+        cells (fun r -> Printf.sprintf "%.1f" (Engine.reduction_percent r)) );
+      ("Status", cells (fun r -> Engine.status_label r.Engine.status));
+    ]
+  in
+  (* every column one space wider than its widest cell, so the
+     separators of all rows line up *)
+  let width column =
+    1 + List.fold_left (fun w c -> max w (String.length c)) 0 column
+  in
+  let label_width = width (List.map fst rows) in
+  let widths =
+    List.mapi
+      (fun i _ -> width (List.map (fun (_, cs) -> List.nth cs i) rows))
+      runs
+  in
+  let pad w s = s ^ String.make (w - String.length s) ' ' in
   let buf = Buffer.create 1024 in
-  let col_width = 18 in
-  let label_width = 22 in
-  let pad s w =
-    if String.length s >= w then s else s ^ String.make (w - String.length s) ' '
-  in
-  let row label cells =
-    Buffer.add_string buf (pad label label_width);
-    List.iter
-      (fun c ->
-        Buffer.add_string buf "| ";
-        Buffer.add_string buf (pad c col_width))
-      cells;
-    Buffer.add_char buf '\n'
-  in
   (match runs with
   | r :: _ ->
     Buffer.add_string buf
       (Printf.sprintf "%s (timing constraint %d cycles)\n" title
          r.Engine.timing_constraint)
   | [] -> Buffer.add_string buf (title ^ "\n"));
-  let fpga_area (r : Engine.t) =
-    r.Engine.platform.Platform.fpga.Hypar_finegrain.Fpga.area
-  in
-  let cgc_desc (r : Engine.t) =
-    Hypar_coarsegrain.Cgc.describe r.Engine.platform.Platform.cgc
-  in
-  row "A_FPGA" (List.map (fun r -> string_of_int (fpga_area r)) runs);
-  row "CGCs no." (List.map cgc_desc runs);
-  row "Initial cycles"
-    (List.map (fun (r : Engine.t) -> string_of_int r.Engine.initial.Engine.t_total) runs);
-  row "Cycles in CGC"
-    (List.map (fun r -> string_of_int (Engine.coarse_cycles_of_moved r)) runs);
-  row "BB no." (List.map moved_blocks_string runs);
-  row "Final cycles"
-    (List.map (fun (r : Engine.t) -> string_of_int r.Engine.final.Engine.t_total) runs);
-  row "% cycles reduction"
-    (List.map (fun r -> Printf.sprintf "%.1f" (Engine.reduction_percent r)) runs);
-  row "Status" (List.map status_string runs);
-  Buffer.contents buf
-
-let render_csv runs =
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf
-    "platform,a_fpga,cgcs,initial_cycles,cycles_in_cgc,moved_bbs,final_cycles,reduction_percent,status\n";
   List.iter
-    (fun (r : Engine.t) ->
-      Buffer.add_string buf
-        (Printf.sprintf "%s,%d,%s,%d,%d,\"%s\",%d,%.2f,%s\n"
-           r.Engine.platform.Platform.name
-           r.Engine.platform.Platform.fpga.Hypar_finegrain.Fpga.area
-           (Hypar_coarsegrain.Cgc.describe r.Engine.platform.Platform.cgc)
-           r.Engine.initial.Engine.t_total
-           (Engine.coarse_cycles_of_moved r)
-           (moved_blocks_string r) r.Engine.final.Engine.t_total
-           (Engine.reduction_percent r) (status_string r)))
-    runs;
+    (fun (label, cs) ->
+      Buffer.add_string buf (pad label_width label);
+      List.iter2 (fun w c -> Buffer.add_string buf ("| " ^ pad w c)) widths cs;
+      Buffer.add_char buf '\n')
+    rows;
   Buffer.contents buf

@@ -1,13 +1,12 @@
 (** Rendering of partitioning results in the layout of the paper's
     Tables 2 and 3: one column per platform configuration, rows for the
     initial all-FPGA cycles, the cycles spent in the CGC data-path, the
-    moved basic blocks, the final cycles and the percentage reduction. *)
+    moved basic blocks, the final cycles, the percentage reduction and
+    the {!Engine.status_label}. *)
 
 val render : title:string -> Engine.t list -> string
-(** All runs must target the same application and timing constraint. *)
-
-val render_csv : Engine.t list -> string
-(** The same data as CSV (one row per configuration). *)
+(** All runs must target the same application and timing constraint.
+    Each column is as wide as its widest cell. *)
 
 val moved_blocks_string : Engine.t -> string
 (** e.g. ["22, 12, 3"] — moved kernels in move order. *)

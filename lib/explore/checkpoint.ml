@@ -38,19 +38,6 @@ let times_fields (t : Engine.times) =
   List.map string_of_int
     [ t.Engine.t_fpga; t.t_coarse_cgc; t.t_coarse; t.t_comm; t.t_total ]
 
-let status_of_string s =
-  match s with
-  | "met-without-partitioning" -> Some Engine.Met_without_partitioning
-  | "infeasible" -> Some Engine.Infeasible
-  | _ ->
-    let prefix = "met-after-" in
-    let pl = String.length prefix in
-    if String.length s > pl && String.sub s 0 pl = prefix then
-      Option.map
-        (fun n -> Engine.Met_after n)
-        (int_of_string_opt (String.sub s pl (String.length s - pl)))
-    else None
-
 let encode ~key outcome =
   let fields =
     match outcome with
@@ -59,10 +46,10 @@ let encode ~key outcome =
       [ "ok"; escape key; escape m.Eval.cgc_desc ]
       @ times_fields m.Eval.initial @ times_fields m.Eval.final
       @ [
-          string_of_int m.Eval.coarse_cgc_cycles;
+          string_of_int m.Eval.final.Engine.t_coarse_cgc;
           String.concat "," (List.map string_of_int m.Eval.moved);
           string_of_int m.Eval.skipped;
-          Eval.status_string m.Eval.status;
+          Engine.status_key m.Eval.status;
           string_of_int m.Eval.energy;
         ]
   in
@@ -92,41 +79,31 @@ let decode line =
     :: f4 :: f5 :: [ coarse; moved; skipped; status; energy ] ->
     Option.bind (times_of [ i1; i2; i3; i4; i5 ]) @@ fun initial ->
     Option.bind (times_of [ f1; f2; f3; f4; f5 ]) @@ fun final ->
-    Option.bind (int_of_string_opt coarse) @@ fun coarse_cgc_cycles ->
-    Option.bind (moved_of moved) @@ fun moved ->
-    Option.bind (int_of_string_opt skipped) @@ fun skipped ->
-    Option.bind (status_of_string status) @@ fun status ->
-    Option.bind (int_of_string_opt energy) @@ fun energy ->
-    (* [met] and [reduction] are recomputed rather than serialised: the
-       status determines the former, and the latter is a pure function of
-       the stored totals, so no float ever round-trips through text *)
-    let met =
-      match status with
-      | Engine.Met_without_partitioning | Engine.Met_after _ -> true
-      | Engine.Infeasible -> false
-    in
-    let reduction =
-      if initial.Engine.t_total = 0 then 0.0
-      else
-        100.0
-        *. float_of_int (initial.Engine.t_total - final.Engine.t_total)
-        /. float_of_int initial.Engine.t_total
-    in
-    Some
-      ( unescape key,
-        Ok
-          {
-            Eval.cgc_desc = unescape cgc_desc;
-            initial;
-            final;
-            coarse_cgc_cycles;
-            moved;
-            skipped;
-            status;
-            met;
-            reduction;
-            energy;
-          } )
+    (* the "Cycles in CGC" column must repeat the final [t_coarse_cgc] *)
+    if coarse <> string_of_int final.Engine.t_coarse_cgc then None
+    else
+      Option.bind (moved_of moved) @@ fun moved ->
+      Option.bind (int_of_string_opt skipped) @@ fun skipped ->
+      Option.bind (Engine.status_of_key status) @@ fun status ->
+      Option.bind (int_of_string_opt energy) @@ fun energy ->
+      (* [met] and [reduction] are derived rather than serialised, so no
+         float ever round-trips through text *)
+      Some
+        ( unescape key,
+          Ok
+            {
+              Eval.cgc_desc = unescape cgc_desc;
+              initial;
+              final;
+              moved;
+              skipped;
+              status;
+              met = Engine.status_met status;
+              reduction =
+                Engine.reduction_of_totals ~initial:initial.Engine.t_total
+                  ~final:final.Engine.t_total;
+              energy;
+            } )
   | _ -> None
 
 let load path =

@@ -7,7 +7,6 @@ type metrics = {
   cgc_desc : string;
   initial : Engine.times;
   final : Engine.times;
-  coarse_cgc_cycles : int;
   moved : int list;
   skipped : int;
   status : Engine.status;
@@ -19,11 +18,6 @@ type metrics = {
 let platform_of (p : Space.point) =
   Platform.of_geometry ~area:p.area ~cgcs:p.cgcs ~rows:p.rows ~cols:p.cols
     ~clock_ratio:p.clock_ratio
-
-let status_string = function
-  | Engine.Met_without_partitioning -> "met-without-partitioning"
-  | Engine.Met_after n -> Printf.sprintf "met-after-%d" n
-  | Engine.Infeasible -> "infeasible"
 
 (* every failed point names the raising constructor and its own
    coordinates, so a failure in a JSON/CSV report is reproducible without
@@ -103,7 +97,6 @@ let answer ?point_fuel shared (p : Space.point) =
       cgc_desc = s.cgc_desc;
       initial = r.Engine.initial;
       final = r.Engine.final;
-      coarse_cgc_cycles = Engine.coarse_cycles_of_moved r;
       moved = r.Engine.moved;
       skipped = List.length r.Engine.skipped;
       status = r.Engine.status;

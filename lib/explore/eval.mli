@@ -25,7 +25,7 @@ type metrics = {
   cgc_desc : string;  (** e.g. ["two 2x2"], {!Hypar_coarsegrain.Cgc.describe} *)
   initial : Hypar_core.Engine.times;  (** the all-FPGA mapping *)
   final : Hypar_core.Engine.times;
-  coarse_cgc_cycles : int;  (** "Cycles in CGC" row, CGC cycles *)
+      (** [t_coarse_cgc] is the "Cycles in CGC" row, in CGC cycles *)
   moved : int list;  (** moved kernels, in move order *)
   skipped : int;  (** kernels that could not move *)
   status : Hypar_core.Engine.status;
@@ -81,9 +81,6 @@ val evaluate :
 (** One point on its own: {!verify_input}, {!platform}, a fresh
     {!Hypar_core.Engine.characterise} and kernel analysis, {!share} and
     {!answer}. *)
-
-val status_string : Hypar_core.Engine.status -> string
-(** ["met-without-partitioning"] / ["met-after-N"] / ["infeasible"]. *)
 
 val error_string : Space.point -> exn -> string
 (** The message recorded for a failed point: the raising exception's

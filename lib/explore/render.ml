@@ -38,7 +38,7 @@ let text ?pareto_only (t : Driver.t) =
       | Ok m ->
         add "%8d %10s %6d %9d %24s %12d %12d %8.1f%% %12d %6d %6s %7s\n"
           p.Space.area m.Eval.cgc_desc p.Space.clock_ratio p.Space.timing
-          (Eval.status_string m.Eval.status)
+          (Engine.status_key m.Eval.status)
           m.Eval.initial.Engine.t_total m.Eval.final.Engine.t_total
           m.Eval.reduction m.Eval.energy
           (List.length m.Eval.moved)
@@ -100,11 +100,11 @@ let csv ?pareto_only (t : Driver.t) =
         match r.Driver.outcome with
         | Ok m ->
           Printf.sprintf "%s,%b,%d,%d,%d,%d,%d,%d,%s,%.1f,%d,%s,%b,"
-            (Eval.status_string m.Eval.status)
+            (Engine.status_key m.Eval.status)
             m.Eval.met m.Eval.initial.Engine.t_total
             m.Eval.final.Engine.t_total m.Eval.final.Engine.t_fpga
             m.Eval.final.Engine.t_coarse m.Eval.final.Engine.t_comm
-            m.Eval.coarse_cgc_cycles
+            m.Eval.final.Engine.t_coarse_cgc
             (moved_string m.Eval.moved)
             m.Eval.reduction m.Eval.energy cache
             t.Driver.pareto.(i)
@@ -160,10 +160,10 @@ let json ?pareto_only (t : Driver.t) =
          \"reduction\": %.1f, \"energy\": %d, \"cache\": \"%s\", \
          \"pareto\": %b}"
         config
-        (Eval.status_string m.Eval.status)
+        (Engine.status_key m.Eval.status)
         m.Eval.met m.Eval.initial.Engine.t_total m.Eval.final.Engine.t_total
         m.Eval.final.Engine.t_fpga m.Eval.final.Engine.t_coarse
-        m.Eval.final.Engine.t_comm m.Eval.coarse_cgc_cycles
+        m.Eval.final.Engine.t_comm m.Eval.final.Engine.t_coarse_cgc
         (String.concat ", " (List.map string_of_int m.Eval.moved))
         m.Eval.reduction m.Eval.energy cache
         t.Driver.pareto.(i)
@@ -220,7 +220,7 @@ let markdown ?pareto_only (t : Driver.t) =
       | Ok m ->
         add "| %d | %s | %d | %d | %s | %d | %d | %.1f%% | %d | %s | %s | %s |\n"
           p.Space.area m.Eval.cgc_desc p.Space.clock_ratio p.Space.timing
-          (Eval.status_string m.Eval.status)
+          (Engine.status_key m.Eval.status)
           m.Eval.initial.Engine.t_total m.Eval.final.Engine.t_total
           m.Eval.reduction m.Eval.energy
           (moved_string m.Eval.moved)

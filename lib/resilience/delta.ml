@@ -38,20 +38,15 @@ let run ?comm_pricing ?cgc_pipelining ?granularity (spec : Fault.spec)
     in
     Ok (of_runs ~healthy:(go platform) ~degraded:(go degraded_platform))
 
-let status_string = function
-  | Engine.Met_without_partitioning -> "met without partitioning"
-  | Engine.Met_after k -> Printf.sprintf "met after %d movement(s)" k
-  | Engine.Infeasible -> "infeasible"
-
 let pp ppf t =
   Format.fprintf ppf "@[<v>degradation delta for %s:@,"
     t.healthy.Engine.cdfg_name;
   Format.fprintf ppf "  healthy : t_total=%d (%s)@,"
     t.healthy.Engine.final.Engine.t_total
-    (status_string t.healthy.Engine.status);
+    (Engine.status_label t.healthy.Engine.status);
   Format.fprintf ppf "  degraded: t_total=%d (%s)@,"
     t.degraded.Engine.final.Engine.t_total
-    (status_string t.degraded.Engine.status);
+    (Engine.status_label t.degraded.Engine.status);
   Format.fprintf ppf "  delta   : %+d cycles (%+.1f%%)@," t.t_total_delta
     t.slowdown_percent;
   (match t.fallback_kernels with

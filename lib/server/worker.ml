@@ -103,8 +103,7 @@ let partition config body =
     (Jsonv.Obj
        [
          ("file", Jsonv.Str (Filename.basename file));
-         ( "status",
-           Jsonv.Str (Hypar_explore.Eval.status_string r.Engine.status) );
+         ("status", Jsonv.Str (Engine.status_key r.Engine.status));
          ("met", Jsonv.Bool (Engine.met r));
          ("timing_constraint", num timing);
          ("initial", times_json r.Engine.initial);

@@ -440,4 +440,51 @@ let incremental_suite =
       test_inc_move_unmove_reset;
   ]
 
-let suite = suite @ granularity_suite @ incremental_suite
+(* ---- the status key ----------------------------------------------------- *)
+
+let status_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        return Engine.Met_without_partitioning;
+        return Engine.Infeasible;
+        map
+          (fun n -> Engine.Met_after n)
+          (oneof [ int_range 1 20; int_range 1 max_int ]);
+      ])
+
+let prop_status_key_inverse =
+  QCheck.Test.make ~name:"status: of_key (key s) = Some s" ~count:500
+    (QCheck.make ~print:Engine.status_key status_gen) (fun s ->
+      Engine.status_of_key (Engine.status_key s) = Some s)
+
+(* near misses of the key: signs, hex and underscore digits, leading
+   zeros, spaces and empty counts after the "met-after-" prefix *)
+let key_like_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        map Engine.status_key status_gen;
+        map
+          (fun t -> "met-after-" ^ t)
+          (string_size
+             ~gen:(oneofl [ '0'; '1'; '7'; '9'; '-'; '+'; 'x'; 'F'; '_'; ' ' ])
+             (int_range 0 6));
+        string_printable;
+      ])
+
+let prop_status_key_accepts_only_keys =
+  QCheck.Test.make ~name:"status: an accepted key re-renders to itself"
+    ~count:1000 (QCheck.make ~print:(Printf.sprintf "%S") key_like_gen)
+    (fun k ->
+      match Engine.status_of_key k with
+      | Some s -> Engine.status_key s = k
+      | None -> true)
+
+let status_suite =
+  [
+    QCheck_alcotest.to_alcotest prop_status_key_inverse;
+    QCheck_alcotest.to_alcotest prop_status_key_accepts_only_keys;
+  ]
+
+let suite = suite @ granularity_suite @ incremental_suite @ status_suite

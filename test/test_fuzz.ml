@@ -301,7 +301,6 @@ let prop_model_cuts =
                   || m.Eval.moved <> e.Engine.moved
                   || m.Eval.skipped <> List.length e.Engine.skipped
                   || m.Eval.status <> e.Engine.status
-                  || m.Eval.coarse_cgc_cycles <> Engine.coarse_cycles_of_moved e
                   || m.Eval.energy <> energy
                 then
                   QCheck.Test.fail_reportf
@@ -383,7 +382,7 @@ let prop_model_cuts =
                   "area %d ratio %d: constraint %d (step %d's t_total) \
                    stops at %s"
                   a r t s.step_index
-                  (Hypar_explore.Eval.status_string got))
+                  (Engine.status_key got))
             whole.steps)
         full;
       true)

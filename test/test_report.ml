@@ -58,10 +58,38 @@ let test_result_table_columns () =
   List.iter
     (fun s -> Alcotest.(check bool) ("row " ^ s) true (contains table s))
     [ "Initial cycles"; "Cycles in CGC"; "BB no."; "Final cycles";
-      "% cycles reduction"; "Status"; "two 2x2"; "three 2x2" ];
-  let csv = Hypar_core.Result_table.render_csv runs in
-  Alcotest.(check int) "csv rows = header + 4 configs" 5
-    (List.length (String.split_on_char '\n' (String.trim csv)))
+      "% cycles reduction"; "Status"; "two 2x2"; "three 2x2" ]
+
+(* every column is as wide as its widest cell, so every row's "|"
+   separators sit in the same columns, whatever the cells hold (the
+   statuses and moved sets here differ in length) *)
+let test_result_table_aligned () =
+  let p = Lazy.force prepared in
+  let runs =
+    List.concat_map
+      (fun pl ->
+        List.map
+          (fun timing_constraint -> Flow.partition pl ~timing_constraint p)
+          [ 1; 10_000; 100_000_000 ])
+      (Platform.paper_configs ())
+  in
+  let separators line =
+    List.init (String.length line) Fun.id
+    |> List.filter (fun i -> line.[i] = '|')
+  in
+  let table = Hypar_core.Result_table.render ~title:"t" runs in
+  match String.split_on_char '\n' table with
+  | _title :: first :: rows ->
+    let expected = separators first in
+    Alcotest.(check int) "one separator per run" (List.length runs)
+      (List.length expected);
+    List.iter
+      (fun row ->
+        if row <> "" then
+          Alcotest.(check (list int)) ("separators of " ^ row) expected
+            (separators row))
+      rows
+  | _ -> Alcotest.fail "no rows"
 
 let test_moved_blocks_string () =
   let r = Lazy.force result in
@@ -106,6 +134,7 @@ let suite =
     Alcotest.test_case "markdown sections" `Quick test_markdown_sections;
     Alcotest.test_case "assignment consistency" `Quick test_markdown_assignment_consistency;
     Alcotest.test_case "result table" `Quick test_result_table_columns;
+    Alcotest.test_case "result table aligned" `Quick test_result_table_aligned;
     Alcotest.test_case "moved blocks string" `Quick test_moved_blocks_string;
     Alcotest.test_case "DOT export" `Quick test_dot_export;
     Alcotest.test_case "Gantt rendering" `Quick test_gantt_renders;

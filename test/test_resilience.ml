@@ -18,6 +18,8 @@ module Journal = Hypar_resilience.Journal
 module Space = Hypar_explore.Space
 module Driver = Hypar_explore.Driver
 module Render = Hypar_explore.Render
+module Eval = Hypar_explore.Eval
+module Checkpoint = Hypar_explore.Checkpoint
 
 let platform () = List.hd (Platform.paper_configs ())
 
@@ -302,6 +304,46 @@ let test_resume_byte_identical () =
   Alcotest.(check string) "resume renders byte-identically" fresh resumed;
   Sys.remove path
 
+(* ---- checkpoint codec --------------------------------------------------- *)
+
+(* a v1 payload as the explore driver journals it: key, CGC description,
+   initial and final times, the "Cycles in CGC" column (13), moved set,
+   skip count, status key (16) and energy *)
+let v1_line =
+  String.concat "\t"
+    [ "ok"; "digest|a500/k1/g2x2/r3/t600"; "one 2x2"; "26737"; "0"; "0"; "0";
+      "26737"; "25"; "1568"; "523"; "10"; "558"; "1568"; "2,3,1"; "0";
+      "met-after-3"; "39255" ]
+
+let with_field i v line =
+  String.split_on_char '\t' line
+  |> List.mapi (fun j f -> if j = i then v else f)
+  |> String.concat "\t"
+
+let test_checkpoint_decode () =
+  (match Checkpoint.decode v1_line with
+  | Some (key, Ok m) ->
+    Alcotest.(check string) "key" "digest|a500/k1/g2x2/r3/t600" key;
+    Alcotest.(check bool) "met derived" true m.Eval.met;
+    Alcotest.(check (float 0.)) "reduction derived"
+      (Engine.reduction_of_totals ~initial:26737 ~final:558)
+      m.Eval.reduction;
+    Alcotest.(check string) "re-encodes byte for byte" v1_line
+      (Checkpoint.encode ~key (Ok m))
+  | _ -> Alcotest.fail "v1 line rejected");
+  (match Checkpoint.decode (with_field 16 "infeasible" v1_line) with
+  | Some (_, Ok m) -> Alcotest.(check bool) "infeasible is not met" false m.Eval.met
+  | _ -> Alcotest.fail "infeasible line rejected");
+  (* int_of_string_opt reads the first three as 31, 3 and -1 *)
+  List.iter
+    (fun status ->
+      Alcotest.(check bool) (status ^ " rejected") true
+        (Option.is_none (Checkpoint.decode (with_field 16 status v1_line))))
+    [ "met-after-0x1F"; "met-after-+3"; "met-after--1"; "met-after-";
+      "met-after-03"; "met-after-0" ];
+  Alcotest.(check bool) "CGC-cycles column unlike t_coarse_cgc rejected" true
+    (Option.is_none (Checkpoint.decode (with_field 13 "1569" v1_line)))
+
 let test_explore_with_faults_and_retries () =
   let prepared = Lazy.force small_prepared in
   let space = Space.make ~areas:[ 1500 ] ~cgcs:[ 2 ] ~timings:[ 4000 ] () in
@@ -338,6 +380,7 @@ let suite =
     Alcotest.test_case "journal torn line" `Quick test_journal_torn_line;
     Alcotest.test_case "resume byte identical" `Quick
       test_resume_byte_identical;
+    Alcotest.test_case "checkpoint decode" `Quick test_checkpoint_decode;
     Alcotest.test_case "explore faults and retries" `Quick
       test_explore_with_faults_and_retries;
   ]
