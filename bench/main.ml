@@ -883,12 +883,12 @@ let dataflow_bench () =
       (fun (name, src) ->
         let raw = Hypar_minic.Driver.compile_exn ~name ~simplify:false src in
         let cfg = Cdfg.cfg raw in
-        let iterations = (D.solve (module D.Liveness) cfg).D.iterations in
+        let iterations = (D.Liveness.solve cfg).D.iterations in
         let batch = 50 in
         let t =
           time_best ~reps:7 (fun () ->
               for _ = 1 to batch do
-                ignore (D.solve (module D.Liveness) cfg);
+                ignore (D.Liveness.solve cfg);
                 ignore (D.solve (module D.Reaching) cfg);
                 ignore (D.Avail.solve (Hypar_ir.Exprs.build cfg) cfg);
                 ignore (D.solve (module D.Consts) cfg)

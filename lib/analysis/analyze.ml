@@ -368,8 +368,8 @@ let check_use_before_def cfg acc =
   !acc
 
 let check_dead_stores cfg acc =
-  let module L = Dataflow.Liveness in
-  let sol = Dataflow.solve (module L) cfg in
+  let ((module L) as live) = Dataflow.Liveness.analysis cfg in
+  let sol = Dataflow.solve live cfg in
   let reachable = Ir.Cfg.reachable cfg in
   let acc = ref acc in
   for i = 0 to Ir.Cfg.block_count cfg - 1 do
@@ -377,7 +377,7 @@ let check_dead_stores cfg acc =
       List.iteri
         (fun k (instr, after) ->
           match Ir.Instr.def instr with
-          | Some d when not (Int_map.mem d.Ir.Instr.vid after) ->
+          | Some d when not (Ir.Bitset.mem after d.Ir.Instr.vid) ->
             acc :=
               finding Dead_store i k "value of %a is never read" pp_var d
               :: !acc

@@ -11,7 +11,7 @@ let make ?(cycles_per_word = default.cycles_per_word) ?(ports = default.ports)
   { cycles_per_word; ports; fixed_overhead }
 
 let block_words live i =
-  List.length (Ir.Live.live_in live i) + List.length (Ir.Live.defs_live_out live i)
+  Ir.Live.live_in_count live i + Ir.Live.defs_live_out_count live i
 
 let ceil_div a b = (a + b - 1) / b
 
@@ -30,8 +30,8 @@ let transition_cycles model live ~edges ~on_cgc =
       if src_cgc = dst_cgc then acc
       else
         let words =
-          if dst_cgc then List.length (Hypar_ir.Live.live_in live dst)
-          else List.length (Hypar_ir.Live.defs_live_out live src)
+          if dst_cgc then Ir.Live.live_in_count live dst
+          else Ir.Live.defs_live_out_count live src
         in
         acc + (count * words_cost model words))
     0 edges

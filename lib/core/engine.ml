@@ -99,10 +99,8 @@ let app_layer cdfg profile =
     entries;
     edges;
     live;
-    live_in_words =
-      Array.init n (fun i -> List.length (Ir.Live.live_in live i));
-    live_out_words =
-      Array.init n (fun i -> List.length (Ir.Live.defs_live_out live i));
+    live_in_words = Array.init n (Ir.Live.live_in_count live);
+    live_out_words = Array.init n (Ir.Live.defs_live_out_count live);
   }
 
 let block_words app i = app.live_in_words.(i) + app.live_out_words.(i)

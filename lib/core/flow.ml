@@ -20,10 +20,31 @@ exception Unsupported_input of string
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
+(* Register ids index the liveness bitsets and the profiler's register
+   file, which are sized by the largest id; both frontends number
+   registers densely from 0.  A serialised CDFG is held to a range that
+   keeps those tables small. *)
+let max_register_id = (1 lsl 20) - 1
+
+let check_register_ids name cdfg =
+  let check (v : Hypar_ir.Instr.var) =
+    if v.vid < 0 || v.vid > max_register_id then
+      let msg =
+        Printf.sprintf "register %s has id %d, outside 0..%d" v.vname v.vid
+          max_register_id
+      in
+      raise
+        (Hypar_ir.Frontend.Error
+           { name = Some name; err = { line = 1; col = 1; msg } })
+  in
+  Array.iter (Hypar_ir.Block.iter_vars check)
+    (Hypar_ir.Cfg.blocks (Hypar_ir.Cdfg.cfg cdfg))
+
 let load ?(raw = false) ?verify path =
   let name = Filename.basename path in
   if Filename.check_suffix path ".ir" then begin
     let cdfg = Hypar_ir.Serialize.of_string (read_file path) in
+    check_register_ids name cdfg;
     if Option.value verify ~default:!Hypar_ir.Passes.verify_passes then
       Hypar_ir.Verify.check_exn ~context:name cdfg;
     cdfg

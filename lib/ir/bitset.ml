@@ -18,6 +18,11 @@ let union_into s g =
   done
 
 let inter a b = Array.mapi (fun w x -> x land b.(w)) a
+let union a b = Array.mapi (fun w x -> x lor b.(w)) a
+
+let cardinal s =
+  let rec ones n x = if x = 0 then n else ones (n + 1) (x land (x - 1)) in
+  Array.fold_left ones 0 s
 
 let equal a b =
   let rec go w = w < 0 || (a.(w) = b.(w) && go (w - 1)) in

@@ -1,8 +1,9 @@
 (** Fixed-capacity mutable bitsets over [0 .. n-1].
 
-    The dense-id lattices ({!Dataflow.Avail}) keep one set per block and
-    rewrite facts in place; every binary operation expects both sets to
-    come from the same universe (the same [n] at {!create}). *)
+    The dense-id lattices ({!Dataflow.Avail}, {!Dataflow.Liveness}) keep
+    one set per block and build each new fact in a fresh copy; every
+    binary operation expects both sets to come from the same universe
+    (the same [n] at {!create}). *)
 
 type t
 
@@ -22,6 +23,11 @@ val union_into : t -> t -> unit
 
 val inter : t -> t -> t
 (** A fresh set: the intersection of the two. *)
+
+val union : t -> t -> t
+(** A fresh set: the union of the two. *)
+
+val cardinal : t -> int
 
 val equal : t -> t -> bool
 

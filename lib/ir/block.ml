@@ -26,6 +26,14 @@ let terminator_uses b =
   | Return None -> []
   | Return (Some op) -> of_operand op
 
+let iter_vars f b =
+  List.iter
+    (fun instr ->
+      Option.iter f (Instr.def instr);
+      List.iter f (Instr.used_vars instr))
+    b.instrs;
+  List.iter f (terminator_uses b)
+
 let pp_terminator ppf = function
   | Jump l -> Format.fprintf ppf "jump %s" l
   | Branch { cond; if_true; if_false } ->

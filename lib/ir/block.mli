@@ -20,5 +20,9 @@ val instr_count : t -> int
 val terminator_uses : t -> Instr.var list
 (** Variables read by the terminator. *)
 
+val iter_vars : (Instr.var -> unit) -> t -> unit
+(** Every variable the block mentions, once per mention: each
+    instruction's def and reads in order, then the terminator's reads. *)
+
 val pp : Format.formatter -> t -> unit
 val pp_terminator : Format.formatter -> terminator -> unit

@@ -106,12 +106,6 @@ let sweep (type a) (module A : ANALYSIS with type t = a) cfg
 
 (* --- the worklist solver ------------------------------------------------ *)
 
-module Worklist = Set.Make (struct
-  type t = int * int (* priority, block id *)
-
-  let compare = compare
-end)
-
 let solve_raw (type a) (module A : ANALYSIS with type t = a) cfg : a solution =
   let n = Cfg.block_count cfg in
   let at_entry = Array.make n A.init in
@@ -119,50 +113,69 @@ let solve_raw (type a) (module A : ANALYSIS with type t = a) cfg : a solution =
   let { order; stored_in; stored_out; input_of } =
     sweep (module A) cfg ~at_entry ~at_exit
   in
+  (* the worklist: one pending flag per priority (a block's place in
+     [order]) and a low-water mark below which no flag is set, so the
+     lowest pending priority is always the next block visited *)
+  let block_at = Array.of_list order in
+  let m = Array.length block_at in
   let priority = Array.make n (-1) in
-  List.iteri (fun k i -> priority.(i) <- k) order;
+  Array.iteri (fun k i -> priority.(i) <- k) block_at;
+  let pending = Array.make m true in
+  let low = ref 0 in
+  let push i =
+    let k = priority.(i) in
+    if k >= 0 && not pending.(k) then begin
+      pending.(k) <- true;
+      if k < !low then low := k
+    end
+  in
   let visits = Array.make n 0 in
   let iterations = ref 0 in
-  let work = ref Worklist.empty in
-  let push i = if priority.(i) >= 0 then work := Worklist.add (priority.(i), i) !work in
-  List.iter push order;
   let dependents i =
     match A.direction with
     | Forward -> Cfg.successors cfg i
     | Backward -> Cfg.predecessors cfg i
   in
-  while not (Worklist.is_empty !work) do
-    let ((_, i) as item) = Worklist.min_elt !work in
-    work := Worklist.remove item !work;
-    let input = input_of i in
-    let input =
-      match A.widen with
-      | Some w when visits.(i) >= widen_threshold -> w stored_in.(i) input
-      | Some _ | None -> input
-    in
-    let first = visits.(i) = 0 in
-    visits.(i) <- visits.(i) + 1;
-    (* block-level cache: an unchanged input needs no re-transfer *)
-    if first || not (A.equal input stored_in.(i)) then begin
-      incr iterations;
-      stored_in.(i) <- input;
-      let out = through_block (module A) cfg i input in
-      let out_changed = not (A.equal out stored_out.(i)) in
-      stored_out.(i) <- out;
-      if first || out_changed then List.iter push (dependents i)
+  while !low < m do
+    let k = !low in
+    if not pending.(k) then incr low
+    else begin
+      pending.(k) <- false;
+      let i = block_at.(k) in
+      let input = input_of i in
+      let input =
+        match A.widen with
+        | Some w when visits.(i) >= widen_threshold -> w stored_in.(i) input
+        | Some _ | None -> input
+      in
+      let first = visits.(i) = 0 in
+      visits.(i) <- visits.(i) + 1;
+      (* block-level cache: an unchanged input needs no re-transfer *)
+      if first || not (A.equal input stored_in.(i)) then begin
+        incr iterations;
+        stored_in.(i) <- input;
+        let out = through_block (module A) cfg i input in
+        let out_changed = not (A.equal out stored_out.(i)) in
+        stored_out.(i) <- out;
+        if first || out_changed then List.iter push (dependents i)
+      end
     end
   done;
   { at_entry; at_exit; iterations = !iterations }
 
-let solve (type a) (module A : ANALYSIS with type t = a) cfg : a solution =
-  if not (Hypar_obs.Sink.enabled ()) then solve_raw (module A) cfg
+(* [f ()] under the [dataflow.<name>] span, publishing its iterations *)
+let observed name f =
+  if not (Hypar_obs.Sink.enabled ()) then f ()
   else
-    Hypar_obs.Span.with_ ~cat:"dataflow" ("dataflow." ^ A.name) (fun () ->
-        let sol = solve_raw (module A) cfg in
+    Hypar_obs.Span.with_ ~cat:"dataflow" ("dataflow." ^ name) (fun () ->
+        let sol = f () in
         Hypar_obs.Counter.incr
-          ("dataflow." ^ A.name ^ ".iterations")
+          ("dataflow." ^ name ^ ".iterations")
           ~by:sol.iterations;
         sol)
+
+let solve (type a) (module A : ANALYSIS with type t = a) cfg : a solution =
+  observed A.name (fun () -> solve_raw (module A) cfg)
 
 (* One decreasing (narrowing) sweep.  A widened fixpoint sits above the
    least fixpoint; re-applying the (monotone) transfer functions from it
@@ -554,39 +567,94 @@ end
 (* --- liveness ------------------------------------------------------------ *)
 
 module Liveness = struct
-  type live = Instr.var Int_map.t
-  type t = live
+  type live = Bitset.t
 
-  let name = "liveness"
-  let direction = Backward
-  let init = Int_map.empty
-  let boundary = Int_map.empty
-  let join = Int_map.union (fun _ v _ -> Some v)
-  let equal = Int_map.equal (fun _ _ -> true)
+  (* one past the largest register id the CFG mentions *)
+  let universe cfg =
+    let top = ref (-1) in
+    Array.iter
+      (Block.iter_vars (fun v -> if v.Instr.vid > !top then top := v.Instr.vid))
+      (Cfg.blocks cfg);
+    !top + 1
 
-  let add_operand op live =
+  (* each block's instructions and terminator folded into one gen/kill
+     pair, in = (out \ kill) ∪ gen: gen holds the reads no earlier def in
+     the block shadows (the terminator's included), kill every def *)
+  let summarise n cfg =
+    Array.map
+      (fun (b : Block.t) ->
+        let gen = Bitset.create n and kill = Bitset.create n in
+        let read (v : Instr.var) =
+          if not (Bitset.mem kill v.Instr.vid) then Bitset.add gen v.Instr.vid
+        in
+        List.iter
+          (fun instr ->
+            List.iter read (Instr.used_vars instr);
+            Option.iter
+              (fun (d : Instr.var) -> Bitset.add kill d.Instr.vid)
+              (Instr.def instr))
+          b.Block.instrs;
+        List.iter read (Block.terminator_uses b);
+        (gen, kill))
+      (Cfg.blocks cfg)
+
+  let with_read op live =
     match op with
-    | Instr.Var v -> Int_map.add v.Instr.vid v live
+    | Instr.Var v ->
+      let s = Bitset.copy live in
+      Bitset.add s v.Instr.vid;
+      s
     | Instr.Imm _ -> live
 
-  (* live-before = uses U (live-after \ def) *)
-  let transfer _ instr live =
-    let live =
-      match Instr.def instr with
-      | Some d -> Int_map.remove d.Instr.vid live
-      | None -> live
-    in
-    List.fold_left
-      (fun acc (v : Instr.var) -> Int_map.add v.Instr.vid v acc)
-      live (Instr.used_vars instr)
+  let analysis cfg : (module ANALYSIS with type t = live) =
+    let n = universe cfg in
+    (module struct
+      type t = live
 
-  let transfer_term _ term live =
-    match term with
-    | Block.Jump _ | Block.Return None -> live
-    | Block.Branch { cond; _ } -> add_operand cond live
-    | Block.Return (Some op) -> add_operand op live
+      let name = "liveness"
+      let direction = Backward
+      let init = Bitset.create n
+      let boundary = init
 
-  let transfer_block = None
-  let edge = None
-  let widen = None
+      (* facts are never written after they are made, so the solver's
+         fold over successors, which starts from [init], can share the
+         first one *)
+      let join a b = if a == init then b else Bitset.union a b
+      let equal = Bitset.equal
+
+      (* live-before = uses ∪ (live-after \ def) *)
+      let transfer _ instr live =
+        let s = Bitset.copy live in
+        Option.iter
+          (fun (d : Instr.var) -> Bitset.remove s d.Instr.vid)
+          (Instr.def instr);
+        List.iter
+          (fun (v : Instr.var) -> Bitset.add s v.Instr.vid)
+          (Instr.used_vars instr);
+        s
+
+      let transfer_term _ term live =
+        match term with
+        | Block.Jump _ | Block.Return None -> live
+        | Block.Branch { cond = op; _ } | Block.Return (Some op) ->
+          with_read op live
+
+      (* forced inside the solve, so its span covers the summaries *)
+      let summaries = lazy (summarise n cfg)
+
+      let transfer_block =
+        Some
+          (fun i live ->
+            let gen, kill = (Lazy.force summaries).(i) in
+            let s = Bitset.copy live in
+            Bitset.diff_into s kill;
+            Bitset.union_into s gen;
+            s)
+
+      let edge = None
+      let widen = None
+    end)
+
+  (* the universe scan, too, inside the span *)
+  let solve cfg = observed "liveness" (fun () -> solve_raw (analysis cfg) cfg)
 end

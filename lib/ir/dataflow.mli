@@ -9,9 +9,11 @@
     diagnostics engine.
 
     The solver iterates blocks in reverse postorder (postorder for
-    backward analyses), keeps a priority worklist, and caches block
-    inputs: a block whose join-of-predecessors did not change since its
-    last visit is not re-transferred.  Blocks unreachable from the entry
+    backward analyses).  Its worklist is one pending flag per position
+    in that order plus a low-water mark, so the pending block earliest
+    in the order is always visited next.  It caches block inputs: a
+    block whose join-of-predecessors did not change since its last
+    visit is not re-transferred.  Blocks unreachable from the entry
     are never visited and keep {!ANALYSIS.init} on both sides.  When the
     {!Hypar_obs} sink is enabled each solve runs under a
     [dataflow.<name>] span and publishes a
@@ -128,8 +130,8 @@ module Pos_set : Set.S with type elt = pos
     Each is a plain module satisfying {!module-type:ANALYSIS}, so it can be
     passed to {!solve} as [(module Reaching)] and its [transfer] reused
     directly by rewriting passes threading facts through a block —
-    except {!Avail}, whose facts are one CFG's {!Exprs} ids, so
-    {!Avail.analysis} builds its module from a table. *)
+    except {!Avail} and {!Liveness}, whose facts are bitsets over one
+    CFG's ids, so their [analysis] builds the module per CFG. *)
 
 (** Reaching definitions (forward, may): which definition sites can
     produce the current value of each register. *)
@@ -208,11 +210,23 @@ module Assigned : sig
 end
 
 (** Liveness (backward, may): registers whose current value may still be
-    read.  {!Live} wraps this into the block-level API the partitioning
-    engine consumes. *)
+    read.  Facts are bitsets indexed by register id ([vid]; ids are
+    dense, [0 .. max vid], as the profiling interpreter's register file
+    also assumes), join is union and each block transfers as one
+    gen/kill summary: its upward-exposed reads and its defs.  {!Live}
+    wraps this into the block-level API the partitioning engine
+    consumes. *)
 module Liveness : sig
-  type live = Instr.var Int_map.t
-  (** register id -> the variable (kept for name/width reporting). *)
+  type live = Bitset.t
+  (** the ids of the live registers, over one CFG's universe *)
 
-  include ANALYSIS with type t = live
+  val analysis : Cfg.t -> (module ANALYSIS with type t = live)
+  (** The lattice over the register ids of this CFG.  Its
+      per-instruction [transfer] copies the set (fine for
+      {!instr_facts}); the solver uses the block summaries, built on the
+      solve's first block transfer. *)
+
+  val solve : Cfg.t -> live solution
+  (** [Dataflow.solve (analysis cfg) cfg], with the lattice built inside
+      the span too. *)
 end

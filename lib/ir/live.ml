@@ -1,13 +1,39 @@
-module Var_map = Dataflow.Int_map
+type t = {
+  cfg : Cfg.t;
+  live_in : Bitset.t array;
+  live_out : Bitset.t array;
+  mutable vars : Instr.var array option;  (* by vid, for the list views *)
+}
 
-type var_set = Instr.var Var_map.t
+(* every register the CFG mentions, at its id *)
+let vars_by_vid cfg =
+  let seen = ref [] in
+  Array.iter (Block.iter_vars (fun v -> seen := v :: !seen)) (Cfg.blocks cfg);
+  let top = List.fold_left (fun m (v : Instr.var) -> max m v.vid) (-1) !seen in
+  let vars = Array.make (top + 1) { Instr.vname = ""; vid = -1; vwidth = 0 } in
+  List.iter (fun (v : Instr.var) -> vars.(v.vid) <- v) !seen;
+  vars
 
-type t = { cfg : Cfg.t; live_in : var_set array; live_out : var_set array }
+(* a memo rather than a [Lazy.t]: explore's worker domains share one
+   application layer, and forcing a [Lazy.t] from two domains at once
+   raises; two domains racing here build the same table *)
+let vars t =
+  match t.vars with
+  | Some vars -> vars
+  | None ->
+    let vars = vars_by_vid t.cfg in
+    t.vars <- Some vars;
+    vars
 
-let to_sorted_list set = List.map snd (Var_map.bindings set)
+let to_list t set =
+  let vars = vars t and acc = ref [] in
+  Bitset.iter (fun vid -> acc := vars.(vid) :: !acc) set;
+  List.rev !acc
 
 (* use = upward-exposed reads; def = all variables written in the block. *)
-let use_def_sets (b : Block.t) =
+let use_set cfg i =
+  let module Var_map = Dataflow.Int_map in
+  let b = Cfg.block cfg i in
   let defs = ref Var_map.empty in
   let uses = ref Var_map.empty in
   let see_use (v : Instr.var) =
@@ -21,29 +47,42 @@ let use_def_sets (b : Block.t) =
       | None -> ())
     b.Block.instrs;
   List.iter see_use (Block.terminator_uses b);
-  (!uses, !defs)
-
-let use_set cfg i = to_sorted_list (fst (use_def_sets (Cfg.block cfg i)))
+  List.map snd (Var_map.bindings !uses)
 
 (* The fixpoint itself lives in {!Dataflow}: liveness is the backward
    may-analysis [Dataflow.Liveness], and this module only repackages the
-   solution into the block-level sets the partitioning engine consumes.
-   [Dataflow.Liveness.live] and [var_set] are the same map type. *)
+   solution into the block-level views the partitioning engine
+   consumes. *)
 let analyse cfg =
-  let sol = Dataflow.solve (module Dataflow.Liveness) cfg in
-  { cfg; live_in = sol.Dataflow.at_entry; live_out = sol.Dataflow.at_exit }
+  let sol = Dataflow.Liveness.solve cfg in
+  {
+    cfg;
+    live_in = sol.Dataflow.at_entry;
+    live_out = sol.Dataflow.at_exit;
+    vars = None;
+  }
 
-let live_in t i = to_sorted_list t.live_in.(i)
-let live_out t i = to_sorted_list t.live_out.(i)
+let live_in t i = to_list t t.live_in.(i)
+let live_out t i = to_list t t.live_out.(i)
+let live_in_count t i = Bitset.cardinal t.live_in.(i)
+
+(* the block's defs live on exit, each once, in program order: a def
+   counts when its register is still pending in a copy of the live-out
+   set, and leaves it *)
+let fold_defs_live_out f acc t i =
+  let pending = Bitset.copy t.live_out.(i) in
+  List.fold_left
+    (fun acc instr ->
+      match Instr.def instr with
+      | Some d when Bitset.mem pending d.vid ->
+        Bitset.remove pending d.vid;
+        f acc d
+      | Some _ | None -> acc)
+    acc (Cfg.block t.cfg i).Block.instrs
 
 let defs_live_out t i =
-  let b = Cfg.block t.cfg i in
-  let defs = ref Var_map.empty in
-  List.iter
-    (fun instr ->
-      match Instr.def instr with
-      | Some v -> defs := Var_map.add v.vid v !defs
-      | None -> ())
-    b.Block.instrs;
-  to_sorted_list
-    (Var_map.filter (fun vid _ -> Var_map.mem vid t.live_out.(i)) !defs)
+  List.sort
+    (fun (a : Instr.var) b -> compare a.vid b.vid)
+    (fold_defs_live_out (fun acc d -> d :: acc) [] t i)
+
+let defs_live_out_count t i = fold_defs_live_out (fun n _ -> n + 1) 0 t i

@@ -420,12 +420,11 @@ let global_cse cdfg =
 
 let dead_code_eliminate cdfg =
   let cfg = Cdfg.cfg cdfg in
-  let live = Live.analyse cfg in
+  let live = (Dataflow.Liveness.solve cfg).Dataflow.at_exit in
   let eliminate i (b : Block.t) =
-    let live_now : (int, unit) Hashtbl.t = Hashtbl.create 32 in
-    List.iter (fun (v : Instr.var) -> Hashtbl.replace live_now v.vid ())
-      (Live.live_out live i);
-    List.iter (fun (v : Instr.var) -> Hashtbl.replace live_now v.vid ())
+    (* walked last to first on a copy of the block's live-out set *)
+    let live_now = Bitset.copy live.(i) in
+    List.iter (fun (v : Instr.var) -> Bitset.add live_now v.vid)
       (Block.terminator_uses b);
     let keep instr =
       let needed =
@@ -438,14 +437,14 @@ let dead_code_eliminate cdfg =
           | Instr.Store _ -> true
           | Instr.Bin _ | Instr.Mul _ | Instr.Un _ | Instr.Mov _
           | Instr.Select _ | Instr.Load _ ->
-            Hashtbl.mem live_now dst.vid)
+            Bitset.mem live_now dst.vid)
       in
       if needed then begin
         (match Instr.def instr with
-        | Some dst -> Hashtbl.remove live_now dst.vid
+        | Some dst -> Bitset.remove live_now dst.vid
         | None -> ());
         List.iter
-          (fun (v : Instr.var) -> Hashtbl.replace live_now v.vid ())
+          (fun (v : Instr.var) -> Bitset.add live_now v.vid)
           (Instr.used_vars instr)
       end;
       needed
@@ -551,8 +550,6 @@ let simplify_cfg cdfg =
 
 (* --- loop-invariant code motion ---------------------------------------- *)
 
-module Int_map = Map.Make (Int)
-
 (* Hoist from one loop.  [cfg] is the CFG over [blocks], [live] solves
    its liveness on demand and [dominates] answers for its dominator tree.
    Returns the new blocks when anything moved; [blocks] is not mutated. *)
@@ -565,13 +562,7 @@ let hoist_loop ~cfg ~live ~dominates (blocks : Block.t array) (loop : Loop.t) =
   in
   match outside_preds with
   | [ preheader ] ->
-    let live = live () in
-    let live_in_header =
-      List.fold_left
-        (fun acc (v : Instr.var) -> Int_map.add v.vid () acc)
-        Int_map.empty
-        (Live.live_in live loop.Loop.header)
-    in
+    let live_in_header = (live ()).Dataflow.at_entry.(loop.Loop.header) in
     (* definition counts and array stores inside the loop *)
     let def_count : (int, int) Hashtbl.t = Hashtbl.create 32 in
     let stored_arrays : (string, unit) Hashtbl.t = Hashtbl.create 4 in
@@ -626,7 +617,7 @@ let hoist_loop ~cfg ~live ~dominates (blocks : Block.t array) (loop : Loop.t) =
       && (match Instr.def instr with
          | Some dst ->
            Hashtbl.find_opt def_count dst.vid = Some 1
-           && (not (Int_map.mem dst.vid live_in_header))
+           && (not (Bitset.mem live_in_header dst.vid))
            && not (Hashtbl.mem hoisted_vids dst.vid)
          | None -> false)
       && List.for_all operand_invariant (Instr.uses instr)
@@ -701,7 +692,7 @@ let loop_invariant_motion cdfg =
     match !live with
     | Some l -> l
     | None ->
-      let l = Live.analyse !cfg in
+      let l = Dataflow.Liveness.solve !cfg in
       live := Some l;
       l
   in

@@ -83,6 +83,40 @@ let test_jpeg_dc_tracks_brightness () =
     g.Jpeg.dc_values;
   Alcotest.(check bool) "tiny bitstream" true (g.Jpeg.len < 2048)
 
+(* The synthetic image as it was built before the per-axis tables: three
+   transcendental calls per pixel.  The tables must give the same
+   pixels for every seed. *)
+let jpeg_inputs_reference ~seed =
+  let state = ref seed in
+  let noise () =
+    state := ((!state * 1103515245) + 12345) land 0x3FFFFFFF;
+    !state mod 61
+  in
+  let pixel x y =
+    let fx = float_of_int x and fy = float_of_int y in
+    let v =
+      80.0 +. (56.0 *. sin (fx /. 3.1)) +. (40.0 *. cos (fy /. 2.3))
+      +. (24.0 *. sin ((fx +. (2.0 *. fy)) /. 5.7))
+      +. (0.15 *. fx) +. (0.1 *. fy)
+    in
+    let v = int_of_float v + noise () in
+    if v < 0 then 0 else if v > 255 then 255 else v
+  in
+  Array.init (Jpeg.width * Jpeg.height) (fun i ->
+      pixel (i mod Jpeg.width) (i / Jpeg.width))
+
+let test_jpeg_inputs_match_reference () =
+  List.iter
+    (fun seed ->
+      let image = List.assoc "image" (Jpeg.inputs ~seed ()) in
+      Alcotest.(check bool)
+        (Printf.sprintf "seed %d: same pixels as the per-pixel formula" seed)
+        true
+        (image = jpeg_inputs_reference ~seed))
+    [ 7; 0; 1; 42; 123_456_789 ];
+  Alcotest.(check bool) "the default seed is 7" true
+    (Jpeg.inputs () = Jpeg.inputs ~seed:7 ())
+
 let test_jpeg_block_count () =
   (* the paper's JPEG CDFG has 22 basic blocks; ours lands nearby *)
   let n = Ir.Cdfg.block_count (Jpeg.prepared ()).Flow.cdfg in
@@ -180,6 +214,8 @@ let suite =
     Alcotest.test_case "JPEG compresses" `Quick test_jpeg_compresses;
     Alcotest.test_case "JPEG flat image" `Quick test_jpeg_dc_tracks_brightness;
     Alcotest.test_case "JPEG block count" `Quick test_jpeg_block_count;
+    Alcotest.test_case "JPEG input tables match the per-pixel formula" `Quick
+      test_jpeg_inputs_match_reference;
     Alcotest.test_case "Table 2 shape" `Quick test_table2_shape;
     Alcotest.test_case "Table 3 shape" `Quick test_table3_shape;
     Alcotest.test_case "moved kernels are hot" `Quick test_moved_kernels_are_hot;

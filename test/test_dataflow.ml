@@ -233,24 +233,169 @@ let test_copies () =
 
 let test_liveness_matches_live () =
   let cfg = diamond () in
-  let sol = D.solve (module D.Liveness) cfg in
+  let sol = D.Liveness.solve cfg in
   let live = Ir.Live.analyse cfg in
-  let of_list l = List.map (fun (v : Ir.Instr.var) -> v.Ir.Instr.vname) l in
-  let of_map m =
-    List.map
-      (fun (_, (v : Ir.Instr.var)) -> v.Ir.Instr.vname)
-      (D.Int_map.bindings m)
+  let of_list l = List.map (fun (v : Ir.Instr.var) -> v.Ir.Instr.vid) l in
+  let of_set s =
+    let acc = ref [] in
+    Ir.Bitset.iter (fun vid -> acc := vid :: !acc) s;
+    List.rev !acc
   in
   for i = 0 to Ir.Cfg.block_count cfg - 1 do
-    Alcotest.(check (list string))
+    Alcotest.(check (list int))
       (Printf.sprintf "live-in of %d" i)
       (of_list (Ir.Live.live_in live i))
-      (of_map sol.D.at_entry.(i));
-    Alcotest.(check (list string))
+      (of_set sol.D.at_entry.(i));
+    Alcotest.(check (list int))
       (Printf.sprintf "live-out of %d" i)
       (of_list (Ir.Live.live_out live i))
-      (of_map sol.D.at_exit.(i))
+      (of_set sol.D.at_exit.(i));
+    Alcotest.(check int)
+      (Printf.sprintf "live-in count of %d" i)
+      (List.length (Ir.Live.live_in live i))
+      (Ir.Live.live_in_count live i);
+    Alcotest.(check int)
+      (Printf.sprintf "published-defs count of %d" i)
+      (List.length (Ir.Live.defs_live_out live i))
+      (Ir.Live.defs_live_out_count live i)
   done
+
+(* The bitset liveness against the map lattice it replaced
+   (Liveness_reference): every block view, as full variable records,
+   and both counts.  Generated programs come raw, optimized and
+   recovered from their bytecode; hand-built CFGs add self-loops,
+   constant conditions and blocks no edge reaches. *)
+
+let live_matches_reference cfg =
+  let live = Ir.Live.analyse cfg and oracle = Liveness_reference.analyse cfg in
+  let views =
+    [
+      ("live_in", Ir.Live.live_in live, Liveness_reference.live_in oracle);
+      ("live_out", Ir.Live.live_out live, Liveness_reference.live_out oracle);
+      ( "defs_live_out",
+        Ir.Live.defs_live_out live,
+        Liveness_reference.defs_live_out oracle );
+      ("use_set", Ir.Live.use_set cfg, Liveness_reference.use_set cfg);
+    ]
+  in
+  let show vars =
+    String.concat ", "
+      (List.map
+         (fun (v : Ir.Instr.var) ->
+           Printf.sprintf "%s#%d:%d" v.Ir.Instr.vname v.Ir.Instr.vid
+             v.Ir.Instr.vwidth)
+         vars)
+  in
+  for i = 0 to Ir.Cfg.block_count cfg - 1 do
+    List.iter
+      (fun (view, got, expected) ->
+        if got i <> expected i then
+          QCheck.Test.fail_reportf "block %d %s: {%s}, oracle {%s}" i view
+            (show (got i)) (show (expected i)))
+      views;
+    if
+      Ir.Live.live_in_count live i
+      <> List.length (Liveness_reference.live_in oracle i)
+    then QCheck.Test.fail_reportf "block %d: live_in_count differs" i;
+    if
+      Ir.Live.defs_live_out_count live i
+      <> List.length (Liveness_reference.defs_live_out oracle i)
+    then QCheck.Test.fail_reportf "block %d: defs_live_out_count differs" i
+  done;
+  true
+
+let prop_liveness_generated =
+  QCheck.Test.make
+    ~name:"liveness matches the map oracle (generated: raw, -O, bytecode)"
+    ~count:200
+    QCheck.(make ~print:string_of_int Gen.(int_range 1 1_000_000))
+    (fun seed ->
+      match
+        Hypar_minic.Driver.compile ~name:"live" ~simplify:false
+          (Hypar_fuzzgen.Gen.source seed)
+      with
+      | Error e ->
+        QCheck.Test.fail_reportf "generated program does not compile: %s"
+          (Hypar_ir.Frontend.string_of_error e)
+      | Ok raw ->
+        let recovered =
+          Hypar_bytecode.Driver.compile_exn ~name:"live" ~optimize:false
+            ~verify_ir:false
+            (Hypar_bytecode.Emit.to_string raw)
+        in
+        List.for_all
+          (fun cdfg -> live_matches_reference (Ir.Cdfg.cfg cdfg))
+          [ raw; Ir.Passes.optimize ~verify:false raw; recovered ])
+
+(* a random CFG over blocks b0..bn, whose terminators name b0..b(n-1)
+   only, and registers 0..7; a register's record is fixed by its id, as
+   every frontend keeps it *)
+let cfg_gen =
+  let open QCheck.Gen in
+  let reg vid =
+    {
+      Ir.Instr.vname = Printf.sprintf "r%d" vid;
+      vid;
+      vwidth = 8 * (1 + (vid mod 4));
+    }
+  in
+  let var = map reg (int_range 0 7) in
+  let operand =
+    frequency
+      [
+        (3, map (fun v -> Ir.Instr.Var v) var);
+        (1, map (fun n -> Ir.Instr.Imm n) (int_range 0 9));
+      ]
+  in
+  let instr =
+    oneof
+      [
+        map2 (fun dst src -> Ir.Instr.Mov { dst; src }) var operand;
+        map3
+          (fun dst a b -> Ir.Instr.Bin { dst; op = Ir.Types.Add; a; b })
+          var operand operand;
+        map3 (fun arr index value -> Ir.Instr.Store { arr; index; value })
+          (return "m") operand operand;
+        map2
+          (fun dst index -> Ir.Instr.Load { dst; arr = "m"; index })
+          var operand;
+      ]
+  in
+  int_range 1 7 >>= fun n ->
+  let label = map (Printf.sprintf "b%d") (int_range 0 (n - 1)) in
+  let term =
+    frequency
+      [
+        (3, map (fun l -> Ir.Block.Jump l) label);
+        ( 3,
+          map3
+            (fun cond if_true if_false ->
+              Ir.Block.Branch { cond; if_true; if_false })
+            operand label label );
+        (1, map (fun op -> Ir.Block.Return op) (opt operand));
+      ]
+  in
+  let block k =
+    map2
+      (fun instrs term ->
+        Ir.Block.make ~label:(Printf.sprintf "b%d" k) ~instrs ~term)
+      (list_size (int_range 0 5) instr)
+      term
+  in
+  (* no terminator names the last block, so none reaches it *)
+  map Ir.Cfg.of_blocks (flatten_l (List.init (n + 1) block))
+
+let prop_liveness_hand_built =
+  QCheck.Test.make
+    ~name:"liveness matches the map oracle (hand-built CFGs, dead blocks)"
+    ~count:300
+    (QCheck.make
+       ~print:(fun cfg ->
+         String.concat "\n"
+           (Array.to_list
+              (Array.map (Format.asprintf "%a" Ir.Block.pp) (Ir.Cfg.blocks cfg))))
+       cfg_gen)
+    (fun cfg -> live_matches_reference cfg)
 
 let test_instr_facts_and_term_fact () =
   let cfg = constant_branch () in
@@ -328,4 +473,6 @@ let suite =
       test_refine_is_stable_without_widening;
     QCheck_alcotest.to_alcotest (prop_cse_reference ~unsafe:false);
     QCheck_alcotest.to_alcotest (prop_cse_reference ~unsafe:true);
+    QCheck_alcotest.to_alcotest prop_liveness_generated;
+    QCheck_alcotest.to_alcotest prop_liveness_hand_built;
   ]

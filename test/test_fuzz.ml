@@ -531,6 +531,96 @@ let prop_degradation_never_cheaper =
         healthy.Engine.comm;
       true)
 
+(* Eq. 2-4 stated directly, not only through [Inc]: at the all-FPGA
+   mapping and after every step, on the healthy platform and on its
+   degraded copy, [t_fpga] is the Eq.-4 sum over the blocks left on the
+   FPGA, [t_coarse_cgc] the Eq.-3 sum over the moved ones (pipelining
+   is off), [t_coarse] its conversion at the platform clock ratio,
+   [t_comm] the transition price of every profiled edge that crosses
+   the partition, from the map-lattice liveness oracle
+   (Liveness_reference), and [t_total] their sum.  The property reuses
+   [greedy_arb]; its percentage sets the constraint. *)
+let prop_eq2_sums =
+  QCheck.Test.make
+    ~name:"model: Eq. 2-4 sums hold at the initial mapping and every step"
+    ~count:60 greedy_arb (fun c ->
+      let module Engine = Hypar_core.Engine in
+      let module Platform = Hypar_core.Platform in
+      let prepared =
+        Hypar_core.Flow.prepare ~name:"eq2" (Gen.source c.g_program)
+      in
+      let cdfg = prepared.Hypar_core.Flow.cdfg
+      and profile = prepared.Hypar_core.Flow.profile in
+      let oracle = Liveness_reference.analyse (Hypar_ir.Cdfg.cfg cdfg) in
+      let check (r : Engine.t) what on_cgc (t : Engine.times) =
+        let moved = Array.make (Array.length r.freq) false in
+        List.iter (fun b -> moved.(b) <- true) on_cgc;
+        let sum f =
+          let acc = ref 0 in
+          Array.iteri (fun b freq -> acc := !acc + f b moved.(b) freq) r.freq;
+          !acc
+        in
+        let t_fpga =
+          sum (fun b m freq ->
+              if m then 0 else r.fine_cycles_per_iter.(b) * freq)
+        and t_coarse_cgc =
+          sum (fun b m freq ->
+              match (m, r.coarse_latency.(b)) with
+              | false, _ -> 0
+              | true, Some latency -> latency * freq
+              | true, None when freq = 0 -> 0
+              | true, None ->
+                QCheck.Test.fail_reportf "%s: unmappable block %d moved" what b)
+        in
+        let t_comm =
+          List.fold_left
+            (fun acc (((src, dst), count) : (int * int) * int) ->
+              if moved.(src) = moved.(dst) then acc
+              else
+                let words =
+                  List.length
+                    (if moved.(dst) then Liveness_reference.live_in oracle dst
+                     else Liveness_reference.defs_live_out oracle src)
+                in
+                acc
+                + count
+                  * Hypar_core.Comm.words_cost r.platform.Platform.comm words)
+            0 profile.Hypar_profiling.Profile.edges
+        in
+        let expect name got want =
+          if got <> want then
+            QCheck.Test.fail_reportf "%s: %s is %d, the sum gives %d" what name
+              got want
+        in
+        expect "t_fpga (Eq. 4)" t.t_fpga t_fpga;
+        expect "t_coarse_cgc (Eq. 3)" t.t_coarse_cgc t_coarse_cgc;
+        expect "t_coarse" t.t_coarse
+          (Platform.cgc_to_fpga_cycles r.platform t_coarse_cgc);
+        expect "t_comm" t.t_comm t_comm;
+        expect "t_total (Eq. 2)" t.t_total (t_fpga + t.t_coarse + t_comm)
+      in
+      List.iter
+        (fun platform ->
+          let initial =
+            (Engine.evaluate platform cdfg profile []).Engine.t_total
+          in
+          let r =
+            Engine.run platform
+              ~timing_constraint:(initial * c.g_percent / 100)
+              cdfg profile
+          in
+          check r "initial mapping" [] r.initial;
+          List.iter
+            (fun (s : Engine.step) ->
+              check r (Printf.sprintf "step %d" s.step_index) s.on_cgc s.times)
+            r.steps;
+          check r "final" r.moved r.final)
+        [
+          Hypar_explore.Eval.platform c.g_point;
+          Hypar_explore.Eval.platform ~faults:c.g_spec c.g_point;
+        ];
+      true)
+
 (* What does hold for the fine-grain model is the temporal partition
    count.  Figure 3 packs a block's nodes next-fit over a fixed ASAP
    level order, which gives the fewest contiguous segments of that order
@@ -918,6 +1008,7 @@ let suite =
     Alcotest.test_case "model: exhaustive never worse than greedy" `Quick
       test_exhaustive_no_worse;
     QCheck_alcotest.to_alcotest prop_degradation_never_cheaper;
+    QCheck_alcotest.to_alcotest prop_eq2_sums;
     QCheck_alcotest.to_alcotest prop_partition_count_monotone;
     QCheck_alcotest.to_alcotest prop_optimize_differential;
     QCheck_alcotest.to_alcotest prop_bytecode_differential;
