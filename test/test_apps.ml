@@ -214,8 +214,6 @@ let suite =
     Alcotest.test_case "JPEG compresses" `Quick test_jpeg_compresses;
     Alcotest.test_case "JPEG flat image" `Quick test_jpeg_dc_tracks_brightness;
     Alcotest.test_case "JPEG block count" `Quick test_jpeg_block_count;
-    Alcotest.test_case "JPEG input tables match the per-pixel formula" `Quick
-      test_jpeg_inputs_match_reference;
     Alcotest.test_case "Table 2 shape" `Quick test_table2_shape;
     Alcotest.test_case "Table 3 shape" `Quick test_table3_shape;
     Alcotest.test_case "moved kernels are hot" `Quick test_moved_kernels_are_hot;
@@ -247,6 +245,10 @@ let test_ofdm_scaling () =
     (abs (blocks4 - (2 * blocks2)) < blocks2 / 4)
 
 let scaling_suite =
-  [ Alcotest.test_case "OFDM payload scaling" `Quick test_ofdm_scaling ]
+  [
+    Alcotest.test_case "OFDM payload scaling" `Quick test_ofdm_scaling;
+    Alcotest.test_case "JPEG input tables match the per-pixel formula" `Quick
+      test_jpeg_inputs_match_reference;
+  ]
 
 let suite = suite @ scaling_suite
