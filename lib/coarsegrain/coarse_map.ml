@@ -21,6 +21,10 @@ let map_dfg_id ?health cgc ~block_id dfg =
       }
   end
 
+let latency ?health cgc dfg =
+  if not (Schedule.supported_on ?health cgc dfg) then None
+  else Some (max 1 (Schedule.schedule ?health cgc dfg).Schedule.makespan)
+
 let map_dfg ?health cgc dfg = map_dfg_id ?health cgc ~block_id:(-1) dfg
 
 let map_block ?health cgc cdfg i =
@@ -30,8 +34,8 @@ let app_cycles ?health cgc cdfg ~freq ~on_cgc =
   List.fold_left
     (fun acc i ->
       if on_cgc i && freq i > 0 then
-        match map_block ?health cgc cdfg i with
-        | Some m -> acc + (m.latency * freq i)
+        match latency ?health cgc (Ir.Cdfg.dfg cdfg i) with
+        | Some lat -> acc + (lat * freq i)
         | None ->
           invalid_arg
             (Printf.sprintf "Coarse_map.app_cycles: block %d is not CGC-executable" i)

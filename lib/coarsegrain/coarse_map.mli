@@ -21,6 +21,11 @@ val map_dfg : ?health:Cgc.health -> Cgc.t -> Hypar_ir.Dfg.t -> block_mapping opt
 val map_block :
   ?health:Cgc.health -> Cgc.t -> Hypar_ir.Cdfg.t -> int -> block_mapping option
 
+val latency : ?health:Cgc.health -> Cgc.t -> Hypar_ir.Dfg.t -> int option
+(** {!map_dfg}'s [latency] alone: the DFG is scheduled but not bound to
+    registers ({!Binding.bind}), the cost the partitioning engine does
+    not read.  [None] exactly when {!map_dfg} is [None]. *)
+
 val app_cycles :
   ?health:Cgc.health ->
   Cgc.t -> Hypar_ir.Cdfg.t -> freq:(int -> int) -> on_cgc:(int -> bool) -> int

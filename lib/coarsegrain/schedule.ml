@@ -16,15 +16,22 @@ let kind_of instr =
   | Ir.Instr.Div _ | Ir.Instr.Rem _ ->
     raise (Unsupported "CGC nodes cannot execute division/remainder")
 
+(* true iff [f] holds for some node's instruction *)
+let exists_instr f dfg =
+  let rec from i =
+    i < Ir.Dfg.node_count dfg && (f (Ir.Dfg.node dfg i).Ir.Dfg.instr || from (i + 1))
+  in
+  from 0
+
 let supported dfg =
-  List.for_all
-    (fun (nd : Ir.Dfg.node) ->
-      match nd.instr with
-      | Ir.Instr.Div _ | Ir.Instr.Rem _ -> false
-      | Ir.Instr.Mov _ | Ir.Instr.Load _ | Ir.Instr.Store _ | Ir.Instr.Bin _
-      | Ir.Instr.Un _ | Ir.Instr.Mul _ | Ir.Instr.Select _ ->
-        true)
-    (Ir.Dfg.nodes dfg)
+  not
+    (exists_instr
+       (function
+         | Ir.Instr.Div _ | Ir.Instr.Rem _ -> true
+         | Ir.Instr.Mov _ | Ir.Instr.Load _ | Ir.Instr.Store _ | Ir.Instr.Bin _
+         | Ir.Instr.Un _ | Ir.Instr.Mul _ | Ir.Instr.Select _ ->
+           false)
+       dfg)
 
 let is_mul = function Ir.Instr.Mul _ -> true | _ -> false
 
@@ -38,16 +45,16 @@ let supported_on ?health cgc dfg =
   match health with
   | None -> true
   | Some (h : Cgc.health) ->
-    let needs_mul = ref false and needs_alu = ref false in
-    List.iter
-      (fun (nd : Ir.Dfg.node) ->
-        match nd.Ir.Dfg.instr with
-        | Ir.Instr.Mul _ -> needs_mul := true
-        | Ir.Instr.Bin _ | Ir.Instr.Un _ | Ir.Instr.Select _ -> needs_alu := true
-        | Ir.Instr.Mov _ | Ir.Instr.Load _ | Ir.Instr.Store _
-        | Ir.Instr.Div _ | Ir.Instr.Rem _ ->
-          ())
-      (Ir.Dfg.nodes dfg);
+    let needs_mul = exists_instr is_mul dfg in
+    let needs_alu =
+      exists_instr
+        (function
+          | Ir.Instr.Bin _ | Ir.Instr.Un _ | Ir.Instr.Select _ -> true
+          | Ir.Instr.Mul _ | Ir.Instr.Mov _ | Ir.Instr.Load _
+          | Ir.Instr.Store _ | Ir.Instr.Div _ | Ir.Instr.Rem _ ->
+            false)
+        dfg
+    in
     let columns = min (Cgc.chains cgc) (Array.length h.Cgc.col_rows) in
     let some_column pred =
       let found = ref false in
@@ -56,48 +63,52 @@ let supported_on ?health cgc dfg =
       done;
       !found
     in
-    (not !needs_mul || some_column (fun c -> not (List.mem (c, 1) h.Cgc.no_mul)))
-    && (not !needs_alu || some_column (fun c -> not (List.mem (c, 1) h.Cgc.no_alu)))
+    (not needs_mul || some_column (fun c -> not (List.mem (c, 1) h.Cgc.no_mul)))
+    && (not needs_alu || some_column (fun c -> not (List.mem (c, 1) h.Cgc.no_alu)))
 
 (* Priority: by default most critical first (smallest ALAP), then most
    successors, then program order.  `Asap and `Program are the ablation
-   baselines. *)
+   baselines.  The order is total, so it does not depend on the sort. *)
 let priority_order ?(priority = `Alap) dfg =
-  let ids = List.init (Ir.Dfg.node_count dfg) Fun.id in
-  match priority with
-  | `Program -> ids
+  let n = Ir.Dfg.node_count dfg in
+  let ids = Array.init n Fun.id in
+  (match priority with
+  | `Program -> ()
   | (`Alap | `Asap) as p ->
     let level = match p with `Alap -> Ir.Dfg.alap dfg | `Asap -> Ir.Dfg.asap dfg in
-    List.sort
+    let fanout = Array.init n (fun i -> List.length (Ir.Dfg.succs dfg i)) in
+    Array.stable_sort
       (fun a b ->
-        match compare level.(a) level.(b) with
+        match Int.compare level.(a) level.(b) with
         | 0 -> (
-          match
-            compare
-              (List.length (Ir.Dfg.succs dfg b))
-              (List.length (Ir.Dfg.succs dfg a))
-          with
-          | 0 -> compare a b
+          match Int.compare fanout.(b) fanout.(a) with
+          | 0 -> Int.compare a b
           | c -> c)
         | c -> c)
-      ids
+      ids);
+  ids
 
 (* Per-cycle resources: [Cgc.chains cgc] columns, each with [rows] node
    slots.  Independent operations may share a column (each node of a CGC
    is a full compute unit); a *same-cycle dependent* operation must sit in
    its producer's column, below it — the steering-logic chaining — and
-   only onto the current tail of that dependency chain. *)
+   only onto the current tail of that dependency chain.
+
+   Each cycle makes passes over the unscheduled nodes in priority order
+   until a pass places nothing.  A node is tried once all its
+   predecessors are scheduled ([waiting] counts the ones that are not);
+   [pending] keeps the unscheduled nodes in priority order and is
+   compacted as a pass places them; [tail] holds the cycle in which a
+   node is the tail of its column's chain. *)
 let schedule ?priority ?health cgc dfg =
   Hypar_obs.Span.with_ ~cat:"cgc" "cgc.schedule" @@ fun () ->
   let n = Ir.Dfg.node_count dfg in
   let kinds =
     Array.init n (fun i -> kind_of (Ir.Dfg.node dfg i).Ir.Dfg.instr)
   in
+  let preds = Array.init n (fun v -> Array.of_list (Ir.Dfg.preds dfg v)) in
   let placements = Array.make n { cycle = -1; chain = -1; depth = 0 } in
   let finish = Array.make n (-1) in
-  let scheduled = Array.make n false in
-  let order = priority_order ?priority dfg in
-  let remaining = ref n in
   let columns = Cgc.chains cgc in
   (match health with
   | Some (h : Cgc.health) when Array.length h.Cgc.col_rows <> columns ->
@@ -120,103 +131,110 @@ let schedule ?priority ?health cgc dfg =
       let dead = if is_mul (Ir.Dfg.node dfg v).Ir.Dfg.instr then h.Cgc.no_mul else h.Cgc.no_alu in
       not (List.mem (c, depth) dead)
   in
+  let waiting = Array.map Array.length preds in
+  let pending = priority_order ?priority dfg in
+  let pending_count = ref n in
+  let column_used = Array.make columns 0 in
+  let tail = Array.make n 0 in
   let bound = (10 * n) + 100 + (2 * n * columns) in
   let t = ref 1 in
-  while !remaining > 0 do
-    if !t > bound then
-      invalid_arg "Schedule.schedule: no progress (internal error)";
-    (* per-cycle resource state *)
-    let column_used = Array.make columns 0 in
-    let chain_tail = Array.make n false in
-    (* chain tails this cycle, by node id *)
-    let mem_used = ref 0 in
-    let preds_scheduled v =
-      List.for_all (fun p -> scheduled.(p)) (Ir.Dfg.preds dfg v)
-    in
-    (* emptiest column first, so later chain extensions find room; a
-       column qualifies only if its next depth slot is alive for [v] *)
-    let pick_column v =
-      let best = ref (-1) in
-      for c = columns - 1 downto 0 do
-        if
-          column_used.(c) < cap.(c)
-          && slot_ok v c (column_used.(c) + 1)
-          && (!best = -1 || column_used.(c) < column_used.(!best))
-        then best := c
-      done;
-      !best
-    in
-    let place v column =
-      column_used.(column) <- column_used.(column) + 1;
-      placements.(v) <- { cycle = !t; chain = column; depth = column_used.(column) };
-      finish.(v) <- !t;
-      chain_tail.(v) <- true
-    in
-    let try_schedule v =
-      match kinds.(v) with
-      | Free ->
-        let f =
-          List.fold_left (fun acc p -> max acc finish.(p)) 0 (Ir.Dfg.preds dfg v)
-        in
-        placements.(v) <- { cycle = f; chain = -1; depth = 0 };
-        finish.(v) <- f;
+  let mem_used = ref 0 in
+  (* emptiest column first, so later chain extensions find room; a
+     column qualifies only if its next depth slot is alive for [v] *)
+  let pick_column v =
+    let best = ref (-1) in
+    for c = columns - 1 downto 0 do
+      if
+        column_used.(c) < cap.(c)
+        && slot_ok v c (column_used.(c) + 1)
+        && (!best = -1 || column_used.(c) < column_used.(!best))
+      then best := c
+    done;
+    !best
+  in
+  let place v column =
+    column_used.(column) <- column_used.(column) + 1;
+    placements.(v) <- { cycle = !t; chain = column; depth = column_used.(column) };
+    finish.(v) <- !t;
+    tail.(v) <- !t
+  in
+  let try_schedule v =
+    let ps = preds.(v) in
+    match kinds.(v) with
+    | Free ->
+      let f = Array.fold_left (fun acc p -> max acc finish.(p)) 0 ps in
+      placements.(v) <- { cycle = f; chain = -1; depth = 0 };
+      finish.(v) <- f;
+      true
+    | Mem ->
+      if
+        !mem_used < cgc.Cgc.mem_ports
+        && Array.for_all (fun p -> finish.(p) < !t) ps
+      then begin
+        incr mem_used;
+        placements.(v) <- { cycle = !t; chain = -1; depth = 0 };
+        finish.(v) <- !t;
         true
-      | Mem ->
-        let ready =
-          List.for_all (fun p -> finish.(p) < !t) (Ir.Dfg.preds dfg v)
-        in
-        if ready && !mem_used < cgc.Cgc.mem_ports then begin
-          incr mem_used;
-          placements.(v) <- { cycle = !t; chain = -1; depth = 0 };
-          finish.(v) <- !t;
+      end
+      else false
+    | Node ->
+      (* every predecessor done before this cycle, except node-op
+         producers of this cycle: chaining onto one of them is allowed *)
+      let producer = ref (-1) and producers = ref 0 and ready = ref true in
+      Array.iter
+        (fun p ->
+          if finish.(p) = !t then
+            if kinds.(p) = Node then begin
+              producer := p;
+              incr producers
+            end
+            else ready := false
+          else if finish.(p) > !t then ready := false)
+        ps;
+      if not !ready then false
+      else if !producers = 0 then (
+        match pick_column v with
+        | -1 -> false
+        | c ->
+          place v c;
+          true)
+      else if !producers = 1 then begin
+        let p = !producer in
+        let c = placements.(p).chain in
+        if
+          c >= 0 && tail.(p) = !t
+          && column_used.(c) < cap.(c)
+          && slot_ok v c (column_used.(c) + 1)
+        then begin
+          tail.(p) <- 0;
+          place v c;
           true
         end
         else false
-      | Node -> (
-        let same_cycle_node_preds =
-          List.filter
-            (fun p -> finish.(p) = !t && kinds.(p) = Node)
-            (Ir.Dfg.preds dfg v)
-        in
-        let others_ready =
-          List.for_all
-            (fun p -> finish.(p) < !t || (finish.(p) = !t && kinds.(p) = Node))
-            (Ir.Dfg.preds dfg v)
-        in
-        if not others_ready then false
-        else
-          match same_cycle_node_preds with
-          | [] -> (
-            match pick_column v with
-            | -1 -> false
-            | c ->
-              place v c;
-              true)
-          | [ p ] ->
-            let c = placements.(p).chain in
-            if
-              c >= 0 && chain_tail.(p)
-              && column_used.(c) < cap.(c)
-              && slot_ok v c (column_used.(c) + 1)
-            then begin
-              chain_tail.(p) <- false;
-              place v c;
-              true
-            end
-            else false
-          | _ :: _ :: _ -> false (* cannot chain from two producers *))
-    in
+      end
+      else false (* cannot chain from two producers *)
+  in
+  while !pending_count > 0 do
+    if !t > bound then
+      invalid_arg "Schedule.schedule: no progress (internal error)";
+    Array.fill column_used 0 columns 0;
+    mem_used := 0;
     let progress = ref true in
     while !progress do
       progress := false;
-      List.iter
-        (fun v ->
-          if (not scheduled.(v)) && preds_scheduled v && try_schedule v then begin
-            scheduled.(v) <- true;
-            decr remaining;
-            progress := true
-          end)
-        order
+      let kept = ref 0 in
+      for k = 0 to !pending_count - 1 do
+        let v = pending.(k) in
+        if waiting.(v) = 0 && try_schedule v then begin
+          List.iter (fun s -> waiting.(s) <- waiting.(s) - 1) (Ir.Dfg.succs dfg v);
+          progress := true
+        end
+        else begin
+          pending.(!kept) <- v;
+          incr kept
+        end
+      done;
+      pending_count := !kept
     done;
     incr t
   done;

@@ -27,15 +27,17 @@ let of_class (ce : class_energy) = function
   | Ir.Types.Class_move -> ce.move
 
 let ops_energy ce dfg =
-  List.fold_left
-    (fun acc (nd : Ir.Dfg.node) -> acc + of_class ce (Ir.Instr.op_class nd.instr))
-    0 (Ir.Dfg.nodes dfg)
+  let acc = ref 0 in
+  for i = 0 to Ir.Dfg.node_count dfg - 1 do
+    acc := !acc + of_class ce (Ir.Instr.op_class (Ir.Dfg.node dfg i).Ir.Dfg.instr)
+  done;
+  !acc
 
 let fpga_energy model dfg ~partitions =
   ops_energy model.fpga_op dfg + (partitions * model.reconfig)
 
 let fine_partitions (platform : Platform.t) cdfg i =
-  (Finegrain.Fine_map.map_block platform.Platform.fpga cdfg i)
+  (Finegrain.Fine_map.price platform.Platform.fpga cdfg i)
     .Finegrain.Fine_map.partition_count
 
 let block_energy_fpga model platform cdfg i =

@@ -108,22 +108,17 @@ let block_words app i = app.live_in_words.(i) + app.live_out_words.(i)
 let fine_layer app fpga =
   let cycles_per_iteration = Array.make app.n 0 in
   let partition_count = Array.make app.n 0 in
-  (* keep the two counts only: holding every block's mapping, temporal
-     partitions included, at once raises a sweep's peak memory *)
   for i = 0 to app.n - 1 do
-    let m = Finegrain.Fine_map.map_block fpga app.cdfg i in
-    cycles_per_iteration.(i) <- m.Finegrain.Fine_map.cycles_per_iteration;
-    partition_count.(i) <- m.Finegrain.Fine_map.partition_count
+    let p = Finegrain.Fine_map.price fpga app.cdfg i in
+    cycles_per_iteration.(i) <- p.Finegrain.Fine_map.cycles_per_iteration;
+    partition_count.(i) <- p.Finegrain.Fine_map.partition_count
   done;
   { cycles_per_iteration; partition_count }
 
 let coarse_layer ?(cgc_pipelining = false) app cgc health =
   let latency =
     Array.init app.n (fun i ->
-        Option.map
-          (fun (m : Coarsegrain.Coarse_map.block_mapping) ->
-            m.Coarsegrain.Coarse_map.latency)
-          (Coarsegrain.Coarse_map.map_block ?health cgc app.cdfg i))
+        Coarsegrain.Coarse_map.latency ?health cgc (Ir.Cdfg.dfg app.cdfg i))
   in
   let degraded =
     match health with

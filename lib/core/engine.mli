@@ -115,7 +115,8 @@ val block_words : app_layer -> int -> int
 (** Words a block exchanges per invocation, as {!Comm.block_words}. *)
 
 val fine_layer : app_layer -> Hypar_finegrain.Fpga.t -> fine_layer
-(** Every block mapped to the fine-grain hardware. *)
+(** Every block priced on the fine-grain hardware
+    ({!Hypar_finegrain.Fine_map.price}). *)
 
 val coarse_layer :
   ?cgc_pipelining:bool ->
@@ -123,8 +124,9 @@ val coarse_layer :
   Hypar_coarsegrain.Cgc.t ->
   Hypar_coarsegrain.Cgc.health option ->
   coarse_layer
-(** Every block mapped to the (possibly degraded) coarse-grain
-    data-path; [cgc_pipelining] as in {!run}. *)
+(** Every block's latency on the (possibly degraded) coarse-grain
+    data-path ({!Hypar_coarsegrain.Coarse_map.latency}: scheduled, not
+    bound); [cgc_pipelining] as in {!run}. *)
 
 val assemble :
   app_layer -> fine_layer -> coarse_layer -> Platform.t -> characterisation

@@ -26,16 +26,17 @@ let read_file path = In_channel.with_open_bin path In_channel.input_all
    keeps those tables small. *)
 let max_register_id = (1 lsl 20) - 1
 
+(* a serialised CDFG carries no source positions: its errors sit at 1:1 *)
+let ir_error name msg =
+  raise
+    (Hypar_ir.Frontend.Error { name = Some name; err = { line = 1; col = 1; msg } })
+
 let check_register_ids name cdfg =
   let check (v : Hypar_ir.Instr.var) =
     if v.vid < 0 || v.vid > max_register_id then
-      let msg =
-        Printf.sprintf "register %s has id %d, outside 0..%d" v.vname v.vid
-          max_register_id
-      in
-      raise
-        (Hypar_ir.Frontend.Error
-           { name = Some name; err = { line = 1; col = 1; msg } })
+      ir_error name
+        (Printf.sprintf "register %s has id %d, outside 0..%d" v.vname v.vid
+           max_register_id)
   in
   Array.iter (Hypar_ir.Block.iter_vars check)
     (Hypar_ir.Cfg.blocks (Hypar_ir.Cdfg.cfg cdfg))
@@ -43,7 +44,10 @@ let check_register_ids name cdfg =
 let load ?(raw = false) ?verify path =
   let name = Filename.basename path in
   if Filename.check_suffix path ".ir" then begin
-    let cdfg = Hypar_ir.Serialize.of_string (read_file path) in
+    let cdfg =
+      try Hypar_ir.Serialize.of_string (read_file path)
+      with Hypar_ir.Serialize.Parse_error msg -> ir_error name msg
+    in
     check_register_ids name cdfg;
     if Option.value verify ~default:!Hypar_ir.Passes.verify_passes then
       Hypar_ir.Verify.check_exn ~context:name cdfg;

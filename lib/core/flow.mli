@@ -37,7 +37,9 @@ exception Unsupported_input of string
 val load : ?raw:bool -> ?verify:bool -> string -> Hypar_ir.Cdfg.t
 (** The one input loader, shared by the CLI and [hypar serve]: it picks
     the frontend from the file extension.  [.ir] files (serialised
-    CDFGs, see {!Hypar_ir.Serialize}) load directly, must keep every
+    CDFGs, see {!Hypar_ir.Serialize}) load directly, must parse (a
+    {!Hypar_ir.Serialize.Parse_error} becomes a
+    {!Hypar_ir.Frontend.Error} at 1:1 with its message), must keep every
     register id in [0 .. 1048575] (a {!Hypar_ir.Frontend.Error} at 1:1
     otherwise: per-id tables are sized by the largest id) and are
     checked with {!Hypar_ir.Verify.check_exn} (context: the file's

@@ -93,8 +93,8 @@ let memo_map ~jobs f keys =
 
    1. once per sweep the IR check of the engine input, the application
       layer (one liveness analysis) and the kernel analysis; then the
-      fine-grain layer once per distinct FPGA and the coarse-grain layer
-      once per distinct CGC x health;
+      fine-grain layer and its energy table once per distinct FPGA, and
+      the coarse-grain layer once per distinct CGC x health;
    2. per distinct platform, one task: its greedy trajectory, and each
       of its points, with retries, answered by a cut of that trajectory
       and an energy sum.  A trajectory is extended lazily, so it is only
@@ -146,7 +146,10 @@ let evaluate_points ~jobs ?faults ~retries ?point_fuel ~record
       (fun (fpga : Hypar_finegrain.Fpga.t) ->
         Hypar_obs.Span.with_ ~cat:"explore" "explore.fine"
           ~args:[ ("area", int fpga.area) ]
-        @@ fun () -> Engine.fine_layer (fst (Result.get_ok app)) fpga)
+        @@ fun () ->
+        let app = fst (Result.get_ok app) in
+        let fine = Engine.fine_layer app fpga in
+        (fine, Eval.energy_table app fine))
       (List.map (fun (pl : Platform.t) -> pl.fpga) healthy)
   in
   let coarse =
@@ -187,10 +190,11 @@ let evaluate_points ~jobs ?faults ~retries ?point_fuel ~record
     let shared =
       Result.bind app @@ fun (app, analysis) ->
       Result.bind built.(i) @@ fun (pl : Platform.t) ->
-      Result.bind (fine pl.fpga) @@ fun fine ->
+      Result.bind (fine pl.fpga) @@ fun (fine, energy) ->
       Result.bind (coarse (pl.cgc, pl.cgc_health)) @@ fun coarse ->
       attempt
-        (fun () -> Eval.share ~analysis (Engine.assemble app fine coarse pl))
+        (fun () ->
+          Eval.share ~analysis ~energy (Engine.assemble app fine coarse pl))
         ()
     in
     Array.map

@@ -64,15 +64,16 @@ type shared = {
   cgc_desc : string;
 }
 
-let share ~analysis (c : Engine.characterisation) =
-  let app = c.Engine.app in
+let energy_table (app : Engine.app_layer) (fine : Engine.fine_layer) =
+  Energy.table Energy.default app.Engine.cdfg
+    ~freq:(Array.get app.Engine.freq)
+    ~partitions:(Array.get fine.Engine.partition_count)
+    ~words:(Engine.block_words app)
+
+let share ~analysis ~energy (c : Engine.characterisation) =
   {
     trajectory = Engine.trajectory ~analysis c;
-    energy =
-      Energy.table Energy.default app.Engine.cdfg
-        ~freq:(Array.get app.Engine.freq)
-        ~partitions:(Array.get c.Engine.fine.Engine.partition_count)
-        ~words:(Engine.block_words app);
+    energy;
     cgc_desc = Hypar_coarsegrain.Cgc.describe c.Engine.platform.Platform.cgc;
   }
 
@@ -119,7 +120,10 @@ let evaluate ?faults ?point_fuel (prepared : Flow.prepared) p =
       verify_input prepared;
       let cdfg = prepared.Flow.cdfg and profile = prepared.Flow.profile in
       let c = Engine.characterise (platform ?faults p) cdfg profile in
-      share ~analysis:(Hypar_analysis.Kernel.analyse cdfg profile) c
+      share
+        ~analysis:(Hypar_analysis.Kernel.analyse cdfg profile)
+        ~energy:(energy_table c.Engine.app c.Engine.fine)
+        c
     with
     | s -> Ok s
     | exception Sys.Break -> raise Sys.Break

@@ -7,9 +7,10 @@
     {!Hypar_core.Energy.default}).
 
     The work splits in two.  {!share} does everything that depends only
-    on the platform: its greedy trajectory and its per-block energy
-    table.  {!answer} does what depends on the point's timing constraint:
-    a cut of that trajectory and an O(blocks) energy sum.  Points that
+    on the platform: its greedy trajectory, beside the per-block energy
+    table of its FPGA ({!energy_table}).  {!answer} does what depends on
+    the point's timing constraint: a cut of that trajectory and an
+    O(blocks) energy sum.  Points that
     differ only in their constraint share one {!shared}; {!Driver.run}
     builds one per distinct platform.
 
@@ -48,11 +49,22 @@ val platform :
 type shared
 (** The constraint-independent part of a platform's points. *)
 
+val energy_table :
+  Hypar_core.Engine.app_layer ->
+  Hypar_core.Engine.fine_layer ->
+  Hypar_core.Energy.table
+(** Every block's {!Hypar_core.Energy.default} energy on either side.
+    It reads the application and the FPGA's partition counts only, so
+    a sweep builds one per distinct FPGA. *)
+
 val share :
-  analysis:Hypar_analysis.Kernel.t -> Hypar_core.Engine.characterisation -> shared
+  analysis:Hypar_analysis.Kernel.t ->
+  energy:Hypar_core.Energy.table ->
+  Hypar_core.Engine.characterisation ->
+  shared
 (** The platform's {!Hypar_core.Engine.trajectory} (default engine
-    options, [analysis]'s kernels) and its {!Hypar_core.Energy.default}
-    energy table. *)
+    options, [analysis]'s kernels), with [energy], the
+    {!energy_table} of its application and fine layer. *)
 
 val answer :
   ?point_fuel:int ->

@@ -9,40 +9,42 @@ type block_mapping = {
   partitions : Temporal.t;
 }
 
-(* Cycles of one DFG mapping: group nodes by (partition, ASAP level);
-   each group costs the max delay among its members. *)
-let compute_cycles_of fpga dfg (tp : Temporal.t) =
-  let asap = Ir.Dfg.asap dfg in
-  let group_cost : (int * int, int) Hashtbl.t = Hashtbl.create 32 in
-  List.iter
-    (fun (nd : Ir.Dfg.node) ->
-      let key = (tp.Temporal.assignment.(nd.id), asap.(nd.id)) in
-      let d = Fpga.op_delay fpga nd.instr in
-      let prev = match Hashtbl.find_opt group_cost key with Some c -> c | None -> 0 in
-      if d > prev then Hashtbl.replace group_cost key d)
-    (Ir.Dfg.nodes dfg);
-  Hashtbl.fold (fun _ cost acc -> acc + cost) group_cost 0
+type price = { partition_count : int; cycles_per_iteration : int }
 
-let map_dfg_id fpga ~block_id dfg =
+let traced_block block_id f =
   Hypar_obs.Span.with_ ~cat:"fine" "fine.map_block"
     ~args:[ ("block", Hypar_obs.Event.Int block_id) ]
-  @@ fun () ->
-  let tp = Temporal.partition ~area:fpga.Fpga.area ~size:(Fpga.op_area fpga) dfg in
-  let parts = Temporal.count tp in
-  let compute = compute_cycles_of fpga dfg tp in
-  let reconfig =
-    List.fold_left
-      (fun acc (p : Temporal.partition) ->
-        acc + Fpga.partition_reconfig_cycles fpga ~partition_area:p.area_used)
-      0 tp.Temporal.partitions
+    f
+
+(* Both prices come from the one Figure-3 walk: a (partition, ASAP level)
+   group costs the max delay among its members, a partition its
+   reconfiguration under the device's model. *)
+let map_dfg_id fpga ~block_id dfg =
+  traced_block block_id @@ fun () ->
+  let tp, (cost : Temporal.cost) =
+    Temporal.partition_priced ~delay:(Fpga.op_delay fpga)
+      ~reconfig:(Fpga.partition_reconfig_cycles fpga)
+      ~area:fpga.Fpga.area ~size:(Fpga.op_area fpga) dfg
   in
   {
     block_id;
-    partition_count = parts;
-    compute_cycles = compute;
-    reconfig_cycles = reconfig;
-    cycles_per_iteration = compute + reconfig;
+    partition_count = cost.count;
+    compute_cycles = cost.compute_cycles;
+    reconfig_cycles = cost.reconfig_cycles;
+    cycles_per_iteration = cost.compute_cycles + cost.reconfig_cycles;
     partitions = tp;
+  }
+
+let price fpga cdfg i =
+  traced_block i @@ fun () ->
+  let (cost : Temporal.cost) =
+    Temporal.price ~delay:(Fpga.op_delay fpga)
+      ~reconfig:(Fpga.partition_reconfig_cycles fpga)
+      ~area:fpga.Fpga.area ~size:(Fpga.op_area fpga) (Ir.Cdfg.dfg cdfg i)
+  in
+  {
+    partition_count = cost.count;
+    cycles_per_iteration = cost.compute_cycles + cost.reconfig_cycles;
   }
 
 let map_dfg fpga dfg = map_dfg_id fpga ~block_id:(-1) dfg
@@ -57,7 +59,7 @@ let app_cycles fpga cdfg ~freq ~on_fpga =
   List.fold_left
     (fun acc i ->
       if on_fpga i && freq i > 0 then
-        acc + ((map_block fpga cdfg i).cycles_per_iteration * freq i)
+        acc + ((price fpga cdfg i).cycles_per_iteration * freq i)
       else acc)
     0 (Ir.Cdfg.block_ids cdfg)
 

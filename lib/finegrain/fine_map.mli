@@ -24,6 +24,17 @@ val map_dfg : Fpga.t -> Hypar_ir.Dfg.t -> block_mapping
 
 val map_block : Fpga.t -> Hypar_ir.Cdfg.t -> int -> block_mapping
 
+type price = {
+  partition_count : int;  (** as {!block_mapping}'s *)
+  cycles_per_iteration : int;  (** as {!block_mapping}'s *)
+}
+
+val price : Fpga.t -> Hypar_ir.Cdfg.t -> int -> price
+(** The two numbers the partitioning engine reads of {!map_block}, from
+    the same Figure-3 walk ({!Temporal.price}) but without recording the
+    temporal partitions — the per-FPGA characterisation a design-space
+    sweep repeats.  Same [fine.map_block] and [fine.temporal] spans. *)
+
 val map_cdfg : Fpga.t -> Hypar_ir.Cdfg.t -> block_mapping array
 (** One mapping per basic block ("the mapping methodology also handles
     CDFGs by iteratively mapping the DFGs composing the CDFG"). *)
@@ -31,6 +42,6 @@ val map_cdfg : Fpga.t -> Hypar_ir.Cdfg.t -> block_mapping array
 val app_cycles :
   Fpga.t -> Hypar_ir.Cdfg.t -> freq:(int -> int) -> on_fpga:(int -> bool) -> int
 (** Eq. 4 over the blocks selected by [on_fpga], weighting each block's
-    per-iteration cycles by its execution frequency. *)
+    per-iteration cycles ({!price}) by its execution frequency. *)
 
 val pp_block_mapping : Format.formatter -> block_mapping -> unit

@@ -7,6 +7,10 @@ type t = {
   asap_levels : int array;
   alap_levels : int array;
   max_level : int;
+  level_order : int array;
+  level_start : int array;
+      (* level [l]'s nodes are [level_order.(level_start.(l - 1))] up to,
+         not including, [level_order.(level_start.(l))] *)
   live_ins : Instr.var list;
 }
 
@@ -122,8 +126,32 @@ let of_instrs instr_list =
           alap_levels.(i) <- alap_levels.(s) - 1)
       succs.(i)
   done;
+  (* counting sort by level; ids ascend within a level because they are
+     placed in ascending order *)
+  let level_start = Array.make (max_level + 1) 0 in
+  Array.iter (fun l -> level_start.(l) <- level_start.(l) + 1) asap_levels;
+  for l = 1 to max_level do
+    level_start.(l) <- level_start.(l) + level_start.(l - 1)
+  done;
+  let level_order = Array.make n 0 in
+  let next = Array.sub level_start 0 max_level in
+  for i = 0 to n - 1 do
+    let l = asap_levels.(i) - 1 in
+    level_order.(next.(l)) <- i;
+    next.(l) <- next.(l) + 1
+  done;
   let nodes = Array.mapi (fun id instr -> { id; instr }) instrs in
-  { nodes; succs; preds; asap_levels; alap_levels; max_level; live_ins }
+  {
+    nodes;
+    succs;
+    preds;
+    asap_levels;
+    alap_levels;
+    max_level;
+    level_order;
+    level_start;
+    live_ins;
+  }
 
 let node_count t = Array.length t.nodes
 let node t i = t.nodes.(i)
@@ -131,6 +159,7 @@ let nodes t = Array.to_list t.nodes
 let succs t i = t.succs.(i)
 let preds t i = t.preds.(i)
 let asap t = Array.copy t.asap_levels
+let level t i = t.asap_levels.(i)
 let alap t = Array.copy t.alap_levels
 let max_level t = t.max_level
 
@@ -138,12 +167,14 @@ let slack t =
   Array.init (Array.length t.nodes) (fun i ->
       t.alap_levels.(i) - t.asap_levels.(i))
 
+let level_order t = t.level_order
+
 let nodes_at_level t level =
-  let acc = ref [] in
-  Array.iteri
-    (fun i l -> if l = level then acc := i :: !acc)
-    t.asap_levels;
-  List.rev !acc
+  if level < 1 || level > t.max_level then []
+  else
+    List.init
+      (t.level_start.(level) - t.level_start.(level - 1))
+      (fun k -> t.level_order.(t.level_start.(level - 1) + k))
 
 let critical_path t = t.max_level
 

@@ -26,6 +26,9 @@ val asap : t -> int array
 (** Unit-delay ASAP level of every node, starting at 1 (paper convention:
     nodes with no predecessors are level 1). *)
 
+val level : t -> int -> int
+(** ASAP level of one node, without copying {!asap}. *)
+
 val alap : t -> int array
 (** Unit-delay ALAP level of every node within [max_level]. *)
 
@@ -35,8 +38,15 @@ val max_level : t -> int
 val slack : t -> int array
 (** [alap - asap], per node; critical nodes have slack 0. *)
 
+val level_order : t -> int array
+(** Every node id, by ascending ASAP level and in program order within a
+    level: the order in which Figure 3 visits the nodes.  Computed once
+    by {!of_instrs} with a counting sort; the array is the graph's own,
+    so callers must not mutate it. *)
+
 val nodes_at_level : t -> int -> int list
-(** Node ids whose ASAP level equals the given level, in program order. *)
+(** Node ids whose ASAP level equals the given level, in program order:
+    that level's slice of {!level_order}. *)
 
 val critical_path : t -> int
 (** Longest path length in nodes — equals [max_level]. *)

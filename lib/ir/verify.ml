@@ -123,8 +123,7 @@ let pp_var_set vars =
   String.concat ", "
     (List.map (fun (vid, vname) -> Printf.sprintf "%s#%d" vname vid) vars)
 
-let defs_before_uses (cfg : Cfg.t) =
-  let live = Live.analyse cfg in
+let defs_before_uses (cfg : Cfg.t) live =
   match var_set_of_list (Live.live_in live (Cfg.entry cfg)) with
   | [] -> []
   | undefined ->
@@ -269,7 +268,7 @@ let check (cdfg : Cdfg.t) =
         List.concat_map
           (fun i -> check_dfg_against (Cfg.block cfg i) (Cdfg.dfg cdfg i))
           (Cdfg.block_ids cdfg);
-        defs_before_uses cfg;
+        defs_before_uses cfg live;
         check_liveness cfg
           ~live_in:(Live.live_in live)
           ~live_out:(Live.live_out live);

@@ -48,6 +48,7 @@ let () =
       ("schedule_sim", Test_schedule_sim.suite);
       ("binding", Test_binding.suite);
       ("coarse_map", Test_coarse_map.suite);
+      ("pricing", Test_pricing.suite);
       ("modulo", Test_modulo.suite);
       ("context", Test_context.suite);
       ("comm", Test_comm.suite);
