@@ -21,8 +21,5 @@ val paper : t
 val make : ?alu:int -> ?mul:int -> ?div:int -> ?mem:int -> ?move:int -> unit -> t
 (** [paper] with selected fields overridden. *)
 
-val of_class : t -> Hypar_ir.Types.op_class -> int
-val instr_weight : t -> Hypar_ir.Instr.t -> int
-
 val bb_weight : t -> Hypar_ir.Dfg.t -> int
 (** The paper's [bb_weight]: weighted operation count of a block's DFG. *)

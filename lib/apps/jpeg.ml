@@ -354,7 +354,12 @@ let llm_pass ~first d =
   out.(1) <- (t7 + z1c + z4d + round) asr shift;
   out
 
-let golden_with ~qrecip input_list =
+let golden ?quality input_list =
+  let qrecip =
+    match quality with
+    | None -> qrecip
+    | Some quality -> qrecip_for (quant_table_for ~quality)
+  in
   let image =
     match List.assoc_opt "image" input_list with
     | Some a -> a
@@ -449,11 +454,6 @@ let golden_with ~qrecip input_list =
     incr out_len
   end;
   { bytes = out_bytes; len = !out_len; dc_values }
-
-let golden input_list = golden_with ~qrecip input_list
-
-let golden_for ~quality input_list =
-  golden_with ~qrecip:(qrecip_for (quant_table_for ~quality)) input_list
 
 let prepared_memo = ref None
 

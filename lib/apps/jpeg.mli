@@ -34,11 +34,9 @@ type golden_result = {
   dc_values : int array;  (** quantised DC per block, for diagnostics *)
 }
 
-val golden : (string * int array) list -> golden_result
-(** Bit-exact OCaml reference encoder. *)
-
-val golden_for : quality:int -> (string * int array) list -> golden_result
-(** Reference encoder at a scaled quality (matches {!source_for}). *)
+val golden : ?quality:int -> (string * int array) list -> golden_result
+(** Bit-exact OCaml reference encoder, at the standard table or at a
+    scaled [quality] (matching {!source_for}). *)
 
 val quant_table_for : quality:int -> int array
 (** The quality-scaled quantisation table (for the decoder oracle). *)

@@ -44,4 +44,4 @@ val timing_constraint : int
 
 val carrier_map : int array
 (** FFT bin of each of the 48 data subcarriers (802.11a layout), used by
-    the receiver oracle ({!Decode.ofdm_demodulate}). *)
+    the receiver oracle ([test/decode.ml]). *)

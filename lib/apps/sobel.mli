@@ -6,7 +6,6 @@
 
 val width : int
 val height : int
-val threshold : int
 
 val source : string
 (** The Mini-C program. *)

@@ -7,8 +7,6 @@ let span name f = Hypar_obs.Span.with_ ~cat:"bytecode" name f
 let error_of_diag (d : Recover.diag) =
   { line = d.dpos.Prog.line; col = d.dpos.Prog.col; msg = Recover.message d.dkind }
 
-let parse ?name src = Parse.program ?name src
-
 let compile ?name ?(optimize = true) ?verify_ir src =
   let verify = Option.value verify_ir ~default:!Hypar_ir.Passes.verify_passes in
   try

@@ -29,6 +29,3 @@ val compile :
 val compile_exn :
   ?name:string -> ?optimize:bool -> ?verify_ir:bool -> string -> Hypar_ir.Cdfg.t
 (** Like {!compile} but raises {!Frontend_error} on failure. *)
-
-val parse : ?name:string -> string -> (Prog.t, error) result
-(** Parse only (no recovery); for tools that inspect the stream. *)

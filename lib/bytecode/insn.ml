@@ -59,5 +59,3 @@ let falls_through = function Jmp _ | Ret | Retv -> false | _ -> true
 let branch_target = function
   | Jmp l | Brt l | Brf l -> Some l
   | _ -> None
-
-let pp ppf i = Format.pp_print_string ppf (to_string i)

@@ -43,5 +43,3 @@ val falls_through : t -> bool
 
 val branch_target : t -> string option
 (** The label a [Jmp]/[Brt]/[Brf] transfers to. *)
-
-val pp : Format.formatter -> t -> unit

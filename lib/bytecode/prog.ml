@@ -52,5 +52,3 @@ let equal a b =
   && a.arrays = b.arrays && a.locals = b.locals
   && List.length a.code = List.length b.code
   && List.for_all2 (fun (_, x) (_, y) -> item_eq x y) a.code b.code
-
-let pp ppf t = Format.pp_print_string ppf (to_string t)

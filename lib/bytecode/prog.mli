@@ -31,5 +31,3 @@ val to_string : t -> string
 
 val equal : t -> t -> bool
 (** Structural equality ignoring source positions. *)
-
-val pp : Format.formatter -> t -> unit

@@ -136,14 +136,3 @@ let render_gantt (cgc : Cgc.t) dfg (sched : Schedule.t) t =
     row (Printf.sprintf "mem%d" port) cells
   done;
   Buffer.contents buf
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>binding: %d slots, %d mem ops, max_live=%d%s@,"
-    (List.length t.slots) (List.length t.mem_ports) t.max_live
-    (if t.fits_register_bank then "" else " (SPILLS)");
-  List.iter
-    (fun s ->
-      Format.fprintf ppf "  n%-3d @cycle %-3d cgc%d[%d,%d]@," s.node s.cycle
-        s.cgc s.row s.col)
-    t.slots;
-  Format.fprintf ppf "@]"

@@ -23,8 +23,6 @@ val is_valid : ?health:Cgc.health -> Cgc.t -> t -> bool
     that no slot occupies dead hardware (a position beyond its column's
     usable chain depth). *)
 
-val pp : Format.formatter -> t -> unit
-
 val render_gantt : Cgc.t -> Hypar_ir.Dfg.t -> Schedule.t -> t -> string
 (** Text Gantt chart of the bound schedule: one row per physical node
     (cgcN[row,col]) and memory port, one column per CGC cycle, cells

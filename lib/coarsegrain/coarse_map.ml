@@ -30,18 +30,6 @@ let map_dfg ?health cgc dfg = map_dfg_id ?health cgc ~block_id:(-1) dfg
 let map_block ?health cgc cdfg i =
   map_dfg_id ?health cgc ~block_id:i (Ir.Cdfg.dfg cdfg i)
 
-let app_cycles ?health cgc cdfg ~freq ~on_cgc =
-  List.fold_left
-    (fun acc i ->
-      if on_cgc i && freq i > 0 then
-        match latency ?health cgc (Ir.Cdfg.dfg cdfg i) with
-        | Some lat -> acc + (lat * freq i)
-        | None ->
-          invalid_arg
-            (Printf.sprintf "Coarse_map.app_cycles: block %d is not CGC-executable" i)
-      else acc)
-    0 (Ir.Cdfg.block_ids cdfg)
-
 let pp_block_mapping ppf m =
   Format.fprintf ppf "BB%d: latency=%d CGC cycles, max_live=%d" m.block_id
     m.latency m.binding.Binding.max_live

@@ -1,4 +1,5 @@
-(** Mapping to the coarse-grain data-path and Eq. 3 cycle accounting.
+(** Mapping to the coarse-grain data-path: the per-block latencies the
+    partitioning engine sums into Eq. 3.
 
     The latency of a block is its schedule makespan in [T_CGC] cycles
     (at least 1); CDFGs are handled by iterating over their DFGs.
@@ -25,12 +26,5 @@ val latency : ?health:Cgc.health -> Cgc.t -> Hypar_ir.Dfg.t -> int option
 (** {!map_dfg}'s [latency] alone: the DFG is scheduled but not bound to
     registers ({!Binding.bind}), the cost the partitioning engine does
     not read.  [None] exactly when {!map_dfg} is [None]. *)
-
-val app_cycles :
-  ?health:Cgc.health ->
-  Cgc.t -> Hypar_ir.Cdfg.t -> freq:(int -> int) -> on_cgc:(int -> bool) -> int
-(** Eq. 3: [t_coarse = Σ t_to_coarse(BB_i) · Iter(BB_i)] over the blocks
-    selected by [on_cgc], in CGC cycles. Raises [Invalid_argument] if a
-    selected block is unmappable. *)
 
 val pp_block_mapping : Format.formatter -> block_mapping -> unit

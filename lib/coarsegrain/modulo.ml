@@ -75,9 +75,3 @@ let analyse cgc dfg ~carried =
 let pipelined_cycles t ~iterations =
   if iterations <= 0 then 0
   else ((iterations - 1) * t.ii) + t.latency
-
-let pp ppf t =
-  Format.fprintf ppf "II=%d (res=%d rec=%d) latency=%d carried=[%s]" t.ii
-    t.res_mii t.rec_mii t.latency
-    (String.concat ";"
-       (List.map (fun (v : Ir.Instr.var) -> v.vname) t.recurrences))

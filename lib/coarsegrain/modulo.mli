@@ -34,5 +34,3 @@ val analyse : Cgc.t -> Hypar_ir.Dfg.t -> carried:Hypar_ir.Instr.var list -> t op
 val pipelined_cycles : t -> iterations:int -> int
 (** [(iterations-1)·II + latency], at least one iteration's latency;
     0 for 0 iterations. *)
-
-val pp : Format.formatter -> t -> unit

@@ -47,8 +47,6 @@ type outcome = {
           {!Benefit_greedy}); for {!Exhaustive}, one per subset *)
 }
 
-val name_of : strategy -> string
-
 val run :
   Platform.t ->
   timing_constraint:int ->

@@ -18,11 +18,6 @@ let ceil_div a b = (a + b - 1) / b
 let words_cost model words =
   model.fixed_overhead + ceil_div (words * model.cycles_per_word) model.ports
 
-let block_cycles model live i = words_cost model (block_words live i)
-
-let total_cycles model live ~freq ~moved =
-  List.fold_left (fun acc i -> acc + (block_cycles model live i * freq i)) 0 moved
-
 let transition_cycles model live ~edges ~on_cgc =
   List.fold_left
     (fun acc (((src, dst), count) : (int * int) * int) ->

@@ -20,16 +20,6 @@ val make : ?cycles_per_word:int -> ?ports:int -> ?fixed_overhead:int -> unit -> 
 val block_words : Hypar_ir.Live.t -> int -> int
 (** Words a block exchanges per invocation: |live-in| + |defs live-out|. *)
 
-val block_cycles : model -> Hypar_ir.Live.t -> int -> int
-(** Per-invocation transfer cost of one block, in FPGA cycles. *)
-
-val total_cycles :
-  model -> Hypar_ir.Live.t -> freq:(int -> int) -> moved:int list -> int
-(** Per-invocation pricing: [t_comm] over all moved kernels, weighted by
-    execution frequency.  Pessimistic — it ignores that consecutive
-    iterations of a moved kernel keep their values in the CGC register
-    bank.  Kept for the communication-model ablation. *)
-
 val words_cost : model -> int -> int
 (** Cost of one boundary crossing moving [words] words: the fixed
     synchronisation overhead plus the port-parallel transfer time.  The

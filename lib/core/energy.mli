@@ -24,9 +24,6 @@ val block_energy_fpga : model -> Platform.t -> Hypar_ir.Cdfg.t -> int -> int
 (** Energy of one invocation of a block mapped on the FPGA (operations +
     per-partition reconfiguration). *)
 
-val block_energy_cgc : model -> Hypar_ir.Cdfg.t -> int -> int
-(** Energy of one invocation on the CGC data-path (operations only). *)
-
 type table = private {
   on_fpga : int array;  (** per block: freq × one invocation on the FPGA *)
   on_cgc : int array;

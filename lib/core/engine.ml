@@ -224,11 +224,7 @@ let () =
            (String.concat ";" (List.map string_of_int moved)))
     | _ -> None)
 
-let check_incremental =
-  ref
-    (match Sys.getenv_opt "HYPAR_ENGINE_CHECK" with
-    | Some ("1" | "true" | "on") -> true
-    | Some _ | None -> false)
+let check_incremental = ref false
 
 let evaluate ?(comm_pricing = `Transition) ?cgc_pipelining
     (platform : Platform.t) cdfg profile =
@@ -248,9 +244,9 @@ let evaluate ?(comm_pricing = `Transition) ?cgc_pipelining
    - [`Per_invocation] comm prices are per-block and additive;
    - self edges never cross the boundary, so they are dropped up front.
 
-   With [check_incremental] set (or HYPAR_ENGINE_CHECK=1), every [times]
-   read is cross-checked against the full [times_of] recompute and a
-   mismatch raises {!Delta_mismatch}. *)
+   With [check_incremental] set, every [times] read is cross-checked
+   against the full [times_of] recompute and a mismatch raises
+   {!Delta_mismatch}. *)
 module Inc = struct
   type t = {
     c : characterisation;

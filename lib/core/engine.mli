@@ -221,7 +221,7 @@ exception
     time disagrees with the full {!evaluate}-style recompute. *)
 
 val check_incremental : bool ref
-(** Debug cross-check switch (also set by [HYPAR_ENGINE_CHECK=1]): every
+(** Debug cross-check switch (off by default): every
     {!Inc.times} read — including the ones inside {!run} — recomputes the
     times from scratch and raises {!Delta_mismatch} on disagreement.  The
     test suite runs with this on. *)

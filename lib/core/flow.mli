@@ -22,8 +22,8 @@ val prepare :
     the given inputs. Raises {!Hypar_minic.Driver.Frontend_error} on
     frontend errors and {!Hypar_profiling.Interp.Runtime_error} on
     execution errors.  [backend] selects the profiling execution backend
-    (default {!Hypar_profiling.Profile.backend_of_env}: compiled, unless
-    [HYPAR_INTERP=tree]).  [max_steps] bounds the profiling interpreter
+    (default: compiled, unless [HYPAR_INTERP=tree], as
+    {!Hypar_profiling.Profile.run}).  [max_steps] bounds the profiling interpreter
     (default unlimited), raising
     {!Hypar_profiling.Interp.Fuel_exhausted} when exceeded; [poll] is
     the interpreter's cooperative cancellation hook (see

@@ -77,7 +77,9 @@ val answer :
     search for this point (the companion interpreter budget is applied
     once at preparation time, see {!Hypar_core.Flow.prepare}).  An
     [Error] platform, or an exception from the cut, becomes the point's
-    {!error_string}. *)
+    error: the exception's constructor, its message and the point's
+    {!Space.point_key}, e.g.
+    ["Invalid_argument: ... [point a0/k2/g2x2/r3/t500]"]. *)
 
 val verify_input : Hypar_core.Flow.prepared -> unit
 (** Checks the IR invariants of the prepared CDFG when
@@ -93,8 +95,3 @@ val evaluate :
 (** One point on its own: {!verify_input}, {!platform}, a fresh
     {!Hypar_core.Engine.characterise} and kernel analysis, {!share} and
     {!answer}. *)
-
-val error_string : Space.point -> exn -> string
-(** The message recorded for a failed point: the raising exception's
-    constructor, its message, and the point's {!Space.point_key} — e.g.
-    ["Invalid_argument: ... [point a0/k2/g2x2/r3/t500]"]. *)

@@ -55,14 +55,6 @@ let map_block fpga cdfg i =
 let map_cdfg fpga cdfg =
   Array.of_list (List.map (map_block fpga cdfg) (Ir.Cdfg.block_ids cdfg))
 
-let app_cycles fpga cdfg ~freq ~on_fpga =
-  List.fold_left
-    (fun acc i ->
-      if on_fpga i && freq i > 0 then
-        acc + ((price fpga cdfg i).cycles_per_iteration * freq i)
-      else acc)
-    0 (Ir.Cdfg.block_ids cdfg)
-
 let pp_block_mapping ppf m =
   Format.fprintf ppf
     "BB%d: %d partition(s), compute=%d reconfig=%d cycles/iter=%d" m.block_id

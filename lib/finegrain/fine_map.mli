@@ -5,8 +5,8 @@
     order; nodes of one level inside one partition run in parallel, so a
     (partition, level) group costs the maximum FPGA delay of its
     operations.  Every temporal partition additionally pays the full
-    reconfiguration cost.  Application-level cycles follow Eq. 4:
-    [t_FPGA = Σ_i t_to_FPGA(BB_i) · Iter(BB_i)]. *)
+    reconfiguration cost.  The partitioning engine sums the per-block
+    cycles into Eq. 4: [t_FPGA = Σ_i t_to_FPGA(BB_i) · Iter(BB_i)]. *)
 
 type block_mapping = {
   block_id : int;
@@ -38,10 +38,5 @@ val price : Fpga.t -> Hypar_ir.Cdfg.t -> int -> price
 val map_cdfg : Fpga.t -> Hypar_ir.Cdfg.t -> block_mapping array
 (** One mapping per basic block ("the mapping methodology also handles
     CDFGs by iteratively mapping the DFGs composing the CDFG"). *)
-
-val app_cycles :
-  Fpga.t -> Hypar_ir.Cdfg.t -> freq:(int -> int) -> on_fpga:(int -> bool) -> int
-(** Eq. 4 over the blocks selected by [on_fpga], weighting each block's
-    per-iteration cycles ({!price}) by its execution frequency. *)
 
 val pp_block_mapping : Format.formatter -> block_mapping -> unit

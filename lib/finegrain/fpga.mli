@@ -37,7 +37,7 @@ type t = {
 
 val default_frame_params : frame_params
 (** 4 area units/CLB, 16-CLB columns, 64 bits/CLB, 64-bit port, 256-bit
-    header — matching {!Bitstream.device_of_fpga}. *)
+    header — matching the bit-stream oracle's device ([test/bitstream.ml]). *)
 
 val make :
   ?area_scale:int ->

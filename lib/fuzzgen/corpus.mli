@@ -37,8 +37,6 @@ val save : dir:string -> entry -> string
 (** Writes [<dir>/<name>.mc] (creating [dir] if needed) and returns the
     path. *)
 
-val load_file : string -> (entry, string) result
-
 val load_dir : string -> (entry list, string) result
 (** All [.mc] entries under a directory, sorted by name; [Error] if the
     directory is unreadable or any entry is malformed. *)

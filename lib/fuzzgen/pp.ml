@@ -72,11 +72,6 @@ let rec stmt_lines buf indent (s : Ast.stmt) =
     List.iter (stmt_lines buf (indent + 2)) body;
     add "}"
 
-let stmt s =
-  let buf = Buffer.create 64 in
-  stmt_lines buf 0 s;
-  Buffer.contents buf
-
 let param = function
   | Ast.Scalar_param { pname; pwidth } ->
     Printf.sprintf "%s %s" (width_kw pwidth) pname

@@ -15,13 +15,5 @@
 
 val program : Hypar_minic.Ast.program -> string
 
-val stmt : Hypar_minic.Ast.stmt -> string
-(** One statement at zero indentation (diagnostics, shrinker traces). *)
-
-val expr : Hypar_minic.Ast.expr -> string
-
-val strip : Hypar_minic.Ast.program -> Hypar_minic.Ast.program
-(** The same program with every source position zeroed. *)
-
 val equal_program : Hypar_minic.Ast.program -> Hypar_minic.Ast.program -> bool
 (** Structural equality modulo source positions. *)

@@ -23,7 +23,6 @@ let int t bound = if bound <= 1 then 0 else bits t mod bound
 let range t lo hi = lo + int t (hi - lo + 1)
 let bool t = Int64.logand (next t) 1L = 1L
 let choose t arr = arr.(int t (Array.length arr))
-let split t = { state = next t }
 
 let derive ~seed index =
   let t =

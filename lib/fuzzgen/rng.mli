@@ -26,10 +26,6 @@ val bool : t -> bool
 val choose : t -> 'a array -> 'a
 (** Uniform draw from a non-empty array. *)
 
-val split : t -> t
-(** A statistically independent child stream; the parent advances by one
-    draw.  Used to give nested generator scopes their own streams. *)
-
 val derive : seed:int -> int -> int
 (** [derive ~seed index] is the per-program seed of program [index] in a
     campaign rooted at [seed]: a non-negative value that depends on both

@@ -55,12 +55,6 @@ type report = {
   failures : failure list;
 }
 
-val oracle_for : config -> string -> Oracle.verdict
-(** The judged verdict for one source under this configuration —
-    {!Oracle.run} composed with the [fail_on] injection.  Exposed so
-    the corpus-persistence path and tests judge exactly as the campaign
-    does. *)
-
 val run : config -> report
 
 val to_text : report -> string

@@ -121,12 +121,3 @@ let back_edges t =
 
 let instr_count t =
   Array.fold_left (fun acc b -> acc + Block.instr_count b) 0 t.blocks
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>";
-  Array.iteri
-    (fun i b ->
-      if i > 0 then Format.fprintf ppf "@,";
-      Block.pp ppf b)
-    t.blocks;
-  Format.fprintf ppf "@]"

@@ -37,4 +37,3 @@ val back_edges : t -> (int * int) list
 (** Edges [n -> h] where [h] dominates [n] (loop back-edges). *)
 
 val instr_count : t -> int
-val pp : Format.formatter -> t -> unit

@@ -228,41 +228,6 @@ let term_fact (type a) (module A : ANALYSIS with type t = a) cfg
 module Int_map = Map.Make (Int)
 module Int_set = Set.Make (Int)
 
-module Pos_set = Set.Make (struct
-  type t = pos
-
-  let compare = compare
-end)
-
-(* --- reaching definitions ----------------------------------------------- *)
-
-module Reaching = struct
-  type reaching = Pos_set.t Int_map.t
-  type t = reaching
-
-  let name = "reaching"
-  let direction = Forward
-  let init = Int_map.empty
-  let boundary = Int_map.empty
-  let join = Int_map.union (fun _ a b -> Some (Pos_set.union a b))
-  let equal = Int_map.equal Pos_set.equal
-
-  let transfer p instr env =
-    match Instr.def instr with
-    | Some d -> Int_map.add d.Instr.vid (Pos_set.singleton p) env
-    | None -> env
-
-  let transfer_term _ _ env = env
-  let transfer_block = None
-  let edge = None
-  let widen = None
-
-  let sites vid env =
-    match Int_map.find_opt vid env with
-    | Some s -> Pos_set.elements s
-    | None -> []
-end
-
 (* --- available expressions ---------------------------------------------- *)
 
 module Avail = struct

@@ -72,12 +72,9 @@ module type ANALYSIS = sig
 
   val widen : (t -> t -> t) option
   (** Optional widening [widen old_input new_input], applied to a block's
-      input after it has been visited {!widen_threshold} times.  Required
+      input after it has been visited 4 times.  Required
       for infinite-height lattices (intervals); [None] for finite ones. *)
 end
-
-val widen_threshold : int
-(** Number of visits to a block before {!ANALYSIS.widen} kicks in. *)
 
 type 'a solution = {
   at_entry : 'a array;  (** fact at each block's entry, in program order *)
@@ -123,27 +120,13 @@ val term_fact :
 module Int_map : Map.S with type key = int
 module Int_set : Set.S with type elt = int
 
-module Pos_set : Set.S with type elt = pos
-
 (** {2 The classic global analyses}
 
     Each is a plain module satisfying {!module-type:ANALYSIS}, so it can be
-    passed to {!solve} as [(module Reaching)] and its [transfer] reused
+    passed to {!solve} as [(module Consts)] and its [transfer] reused
     directly by rewriting passes threading facts through a block —
     except {!Avail} and {!Liveness}, whose facts are bitsets over one
     CFG's ids, so their [analysis] builds the module per CFG. *)
-
-(** Reaching definitions (forward, may): which definition sites can
-    produce the current value of each register. *)
-module Reaching : sig
-  type reaching = Pos_set.t Int_map.t
-  (** register id -> the definition sites that may reach this point. *)
-
-  include ANALYSIS with type t = reaching
-
-  val sites : int -> reaching -> pos list
-  (** Definition sites of a register id, sorted; [[]] when none reach. *)
-end
 
 (** Available expressions (forward, must): pure expressions already
     computed on every path, with the register still holding each result.
@@ -156,11 +139,6 @@ module Avail : sig
   type avail =
     | All  (** top: unvisited — every expression optimistically available *)
     | Known of Bitset.t  (** the facts of the table that hold *)
-
-  val analysis : Exprs.t -> Cfg.t -> (module ANALYSIS with type t = avail)
-  (** The lattice over the facts of a table built from this CFG.  Its
-      per-instruction [transfer] copies the set (fine for
-      {!instr_facts}); the solver uses the in-place block summaries. *)
 
   val solve : Exprs.t -> Cfg.t -> avail solution
   (** [Dataflow.solve (analysis tbl cfg) cfg]. *)

@@ -29,11 +29,6 @@ type key =
   | Select of atom * atom * atom
   | Load of string * atom
 
-val key : Instr.t -> key option
-(** The expression an instruction computes; [None] for instructions that
-    are impure (divisions may trap, stores write memory) or carry no
-    expression (moves). *)
-
 type t
 
 type step = private {

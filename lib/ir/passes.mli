@@ -16,15 +16,11 @@ val verify_passes : bool ref
     [on]); the test runner turns it on for the whole suite, the CLI
     exposes it as [--verify-ir]. *)
 
-val checked : ?verify:bool -> string -> (Cdfg.t -> Cdfg.t) -> Cdfg.t -> Cdfg.t
-(** [checked name pass cdfg] runs [pass] and, when verification is on
-    ([verify] overrides {!verify_passes}), checks the result, raising
-    {!Verify.Failed} with [name] as the context on any violation.
-
-    Every pass below returns its input itself ([==]) when it changes
-    nothing.  Such an output is not verified again, and the size gauges
-    and shrink counters are left alone; the [ir.pass.NAME] span is still
-    recorded. *)
+(** A verified pass raises {!Verify.Failed} with the pass name as the
+    context on any violation.  Every pass below returns its input itself
+    ([==]) when it changes nothing.  Such an output is not verified
+    again, and the size gauges and shrink counters are left alone; the
+    [ir.pass.NAME] span is still recorded. *)
 
 val const_fold : Cdfg.t -> Cdfg.t
 (** Propagates constants within each block and folds operations whose
@@ -101,7 +97,7 @@ val simplify : ?max_rounds:int -> ?verify:bool -> Cdfg.t -> Cdfg.t
 (** [const_fold → algebraic_simplify → copy_propagate →
     common_subexpressions → dead_code_eliminate] to a fixpoint (at most
     [max_rounds] rounds, default 8).  With verification on (see
-    {!verify_passes}) every constituent pass is {!checked}. *)
+    {!verify_passes}) every constituent pass is verified. *)
 
 val optimize : ?verify:bool -> Cdfg.t -> Cdfg.t
 (** The default frontend pipeline: {!simplify} → {!simplify_cfg} → one
@@ -109,4 +105,4 @@ val optimize : ?verify:bool -> Cdfg.t -> Cdfg.t
     {!global_cse} → {!simplify} → {!simplify_cfg}) →
     {!loop_invariant_motion} (innermost loops first) → a second global
     round.  With verification on, the input and every pass output that
-    differs from its pass's input are {!checked}. *)
+    differs from its pass's input are verified. *)

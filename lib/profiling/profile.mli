@@ -29,12 +29,6 @@ type backend = [ `Compiled | `Tree ]
     program ({!Exec}); [`Tree] is the original tree-walking oracle
     ({!Interp.run}).  Both produce byte-identical {!Interp.result}s. *)
 
-val backend_of_env : unit -> backend
-(** Backend selected by the [HYPAR_INTERP] environment variable:
-    ["tree"] picks the oracle, anything else (or unset) the compiled
-    backend.  This is the default of {!run} and what [hypar serve]
-    honours. *)
-
 val run :
   ?backend:backend ->
   ?fuel:int ->
@@ -43,8 +37,10 @@ val run :
   ?inputs:(string * int array) list ->
   Hypar_ir.Cdfg.t ->
   Interp.result
-(** Executes the program on the selected backend (default
-    {!backend_of_env}).  Parameters and exceptions as {!Interp.run}. *)
+(** Executes the program on the selected backend (default: [`Tree] when
+    the [HYPAR_INTERP] environment variable is ["tree"], [`Compiled]
+    otherwise, which [hypar serve] honours too).  Parameters and
+    exceptions as {!Interp.run}. *)
 
 val collect :
   ?backend:backend ->

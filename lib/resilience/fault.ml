@@ -9,8 +9,6 @@ type fault =
 
 type spec = { seed : int; faults : fault list }
 
-let empty = { seed = 0; faults = [] }
-
 let unit_kind_string = function Mult -> "mult" | Alu -> "alu" | Both -> "both"
 
 let fault_string = function
@@ -54,10 +52,3 @@ let transient_should_fail spec ~key ~attempt =
   | Some (permille, max_failures) ->
     attempt <= max_failures
     && hash [ `Int spec.seed; `Str key; `Int attempt ] mod 1000 < permille
-
-let pp_fault ppf f = Format.pp_print_string ppf (fault_string f)
-
-let pp ppf spec =
-  Format.fprintf ppf "@[<v>seed %d@,%a@]" spec.seed
-    (Format.pp_print_list pp_fault)
-    spec.faults

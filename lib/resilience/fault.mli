@@ -26,16 +26,10 @@ type fault =
 
 type spec = { seed : int; faults : fault list }
 
-val empty : spec
-(** Seed 0, no faults. *)
-
 val unit_kind_string : unit_kind -> string
 
 val fault_string : fault -> string
 (** One fault in the {!Spec} text syntax, e.g. ["dead-node 0 1 1 mult"]. *)
-
-val transient : spec -> (int * int) option
-(** The first transient fault's [(permille, max_failures)], if any. *)
 
 val transient_should_fail : spec -> key:string -> attempt:int -> bool
 (** Whether the [attempt]-th (1-based) evaluation of the work item
@@ -48,6 +42,3 @@ val hash : [ `Int of int | `Str of string ] list -> int
     low four bytes, least significant first, a string its bytes.  The
     one hash behind every seeded fault decision, here and in the serve
     chaos specs. *)
-
-val pp_fault : Format.formatter -> fault -> unit
-val pp : Format.formatter -> spec -> unit

@@ -55,7 +55,6 @@ val slowloris_ms : spec -> key:string -> int option
 (* parse / print *)
 
 val syntax_help : string
-val fault_string : fault -> string
 val to_text : spec -> string
 
 val of_string : string -> (spec, string) result

@@ -30,8 +30,6 @@ val record : t -> Protocol.response -> unit
 (** Classify a response into completed / errors / deadline-exceeded /
     rejected / poisoned. *)
 
-val uptime_ms : t -> int
-
 val health_payload : t -> queue_depth:int -> string
 (** The [health] verb's payload: uptime, queue depth and the counters,
     as one-line JSON. *)

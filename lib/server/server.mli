@@ -63,9 +63,6 @@ val run_session :
     deterministic or blocking workloads.  [on_stats] observes the
     supervisor's final statistics (every session but the inline one). *)
 
-val supervisor_line : Supervisor.stats -> string
-(** The one-line stderr summary of a supervised session. *)
-
 val run_pipe : config -> int
 (** Serve stdin/stdout until EOF or a signal; returns the exit code
     (always 0 — per-request failures are envelopes, not exits). *)

@@ -70,9 +70,6 @@ type admission =
 
 type t
 
-val quarantine_header : string
-(** Journal header identifying a quarantine journal file. *)
-
 val validate_quarantine : string -> (unit, string) result
 (** Check that [path] is absent or a loadable quarantine journal —
     the CLI validates before starting the server for a clean exit. *)
@@ -101,10 +98,6 @@ val submit : t -> seq:int -> Protocol.request -> admission
 
 val depth : t -> int
 (** Current queue depth, for overload envelopes and health. *)
-
-val live_workers : t -> int
-
-val stats : t -> stats
 
 val drain : t -> stats
 (** Close the queue, wait until every admitted request has settled,

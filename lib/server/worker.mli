@@ -27,7 +27,7 @@ type config = {
       (** degrade the platform for [partition]/[explore], as [--faults] *)
   backend : Hypar_profiling.Profile.backend option;
       (** profiling interpreter backend; [None] defers to
-          {!Hypar_profiling.Profile.backend_of_env} ([HYPAR_INTERP]) *)
+          {!Hypar_profiling.Profile.run}'s default ([HYPAR_INTERP]) *)
   default_deadline_ms : int option;
   default_fuel : int option;
   drain : Drain.t;

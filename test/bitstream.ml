@@ -1,3 +1,20 @@
+(* Test oracle: configuration bit-streams for temporal partitions, the
+   derivation behind the frame models of
+   {!Hypar_finegrain.Fpga.partition_reconfig_cycles}.
+
+   The paper: "For each temporal segment a configuration bit-stream is
+   generated... full reconfiguration of the fine-grain hardware is
+   performed, thus the reconfiguration time has the same value for each
+   partition."  A Virtex-style frame-organised device: the usable area
+   maps to a CLB grid configured column by column; a partition's
+   operations are placed row-major and a deterministic bit-stream (with
+   a CRC-16 trailer) is produced.  Reconfiguration time derives from
+   bit-stream length and configuration-port width: full-device streams
+   for the paper's model (constant per partition), per-column partial
+   streams as the alternative. *)
+
+module Fpga = Hypar_finegrain.Fpga
+
 type device = {
   clb_area : int;
   clbs : int;
@@ -22,8 +39,8 @@ type t = {
   device : device;
   clbs_used : int;
   columns_used : int;
-  bit_count : int;
-  words : int array;
+  bit_count : int;  (* header + configured frames + CRC *)
+  words : int array;  (* the stream, 16-bit words *)
   crc : int;
 }
 

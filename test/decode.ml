@@ -1,3 +1,17 @@
+(* Test oracle: decode sides of the benchmark applications.
+
+   Each encoder's output is actually decodable: the OFDM receiver (CP
+   removal, forward FFT, nearest-constellation demapping) recovers the
+   transmitted QAM symbols, the JPEG decoder (entropy decode, dequantise,
+   IDCT) reconstructs the image, and the IMA ADPCM decoder reconstructs
+   the waveform.  [test_decode] checks bit-error rates, PSNR and SNR with
+   them: end-to-end evidence that the Mini-C applications implement the
+   real pipelines, not stand-ins. *)
+
+module Ofdm = Hypar_apps.Ofdm
+module Jpeg = Hypar_apps.Jpeg
+module Adpcm = Hypar_apps.Adpcm
+
 (* --- OFDM receiver ------------------------------------------------------- *)
 
 (* complex forward DFT, float: the receiver is a test oracle, so float

@@ -50,7 +50,6 @@ let () =
       ("coarse_map", Test_coarse_map.suite);
       ("pricing", Test_pricing.suite);
       ("modulo", Test_modulo.suite);
-      ("context", Test_context.suite);
       ("comm", Test_comm.suite);
       ("platform", Test_platform.suite);
       ("engine", Test_engine.suite);

@@ -1,7 +1,6 @@
-(* Unit tests for configuration bit-stream generation. *)
+(* Unit tests for the configuration bit-stream oracle ({!Bitstream}). *)
 
 module Fpga = Hypar_finegrain.Fpga
-module Bitstream = Hypar_finegrain.Bitstream
 module Temporal = Hypar_finegrain.Temporal
 module Ir = Hypar_ir
 

@@ -5,8 +5,18 @@ module Cgc = Hypar_coarsegrain.Cgc
 module Coarse_map = Hypar_coarsegrain.Coarse_map
 module Driver = Hypar_minic.Driver
 module Interp = Hypar_profiling.Interp
+module Engine = Hypar_core.Engine
 
 let cgc2 = Cgc.two_by_two 2
+
+(* The engine's Eq.-2 times of [cdfg] on an FPGA and [cgc2], pricing any
+   moved set *)
+let engine_times ?inputs cdfg =
+  let run = Interp.run ?inputs cdfg in
+  let platform =
+    Hypar_core.Platform.make ~fpga:(Hypar_finegrain.Fpga.make ~area:1500 ()) ~cgc:cgc2 ()
+  in
+  (run, Engine.evaluate platform cdfg (Hypar_profiling.Profile.of_result cdfg run))
 
 let test_latency_minimum_one () =
   let dfg =
@@ -38,9 +48,9 @@ void main() {
 
 let test_app_cycles_eq3 () =
   let cdfg = Driver.compile_exn loop_src in
-  let freqs = (Interp.run cdfg).Interp.exec_freq in
-  let freq i = freqs.(i) in
-  let total = Coarse_map.app_cycles cgc2 cdfg ~freq ~on_cgc:(fun _ -> true) in
+  let run, times = engine_times cdfg in
+  let freq i = run.Interp.exec_freq.(i) in
+  let total = (times (Ir.Cdfg.block_ids cdfg)).Engine.t_coarse_cgc in
   let expected =
     List.fold_left
       (fun acc i ->
@@ -62,10 +72,8 @@ void main() {
   out[0] = s;
 }
 |} in
-  let freqs = (Interp.run ~inputs:[ ("in", [| 10 |]) ] cdfg).Interp.exec_freq in
-  match
-    Coarse_map.app_cycles cgc2 cdfg ~freq:(fun i -> freqs.(i)) ~on_cgc:(fun _ -> true)
-  with
+  let _, times = engine_times ~inputs:[ ("in", [| 10 |]) ] cdfg in
+  match times (Ir.Cdfg.block_ids cdfg) with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected rejection of division block"
 

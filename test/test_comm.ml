@@ -41,23 +41,38 @@ let test_block_words () =
   (* the rotated loop body reads and republishes s and i: 2 in + 2 out *)
   Alcotest.(check int) "live words" 4 (Comm.block_words live body)
 
+(* The engine's [`Per_invocation] t_comm of moving [moved] under [comm] *)
+let per_invocation_comm comm cdfg moved =
+  let run = Interp.run cdfg in
+  let platform =
+    Hypar_core.Platform.make ~comm ~fpga:(Hypar_finegrain.Fpga.make ~area:1500 ())
+      ~cgc:(Hypar_coarsegrain.Cgc.two_by_two 2) ()
+  in
+  let times =
+    Hypar_core.Engine.evaluate ~comm_pricing:`Per_invocation platform cdfg
+      (Hypar_profiling.Profile.of_result cdfg run) moved
+  in
+  (run.Interp.exec_freq, times.Hypar_core.Engine.t_comm)
+
 let test_block_cycles () =
   let cdfg = loop_cdfg () in
-  let live = Ir.Live.analyse (Ir.Cdfg.cfg cdfg) in
   let body = body_block cdfg in
   let m = Comm.make ~cycles_per_word:1 ~ports:2 ~fixed_overhead:4 () in
+  let freq, t_comm = per_invocation_comm m cdfg [ body ] in
+  Alcotest.(check int) "20 invocations" 20 freq.(body);
   (* 4 words on 2 ports = 2 cycles, + 4 overhead *)
-  Alcotest.(check int) "per-invocation cost" 6 (Comm.block_cycles m live body)
+  Alcotest.(check int) "per-invocation cost" (6 * 20) t_comm
 
 let test_per_invocation_total () =
   let cdfg = loop_cdfg () in
   let live = Ir.Live.analyse (Ir.Cdfg.cfg cdfg) in
   let body = body_block cdfg in
   let m = Comm.default in
-  let per = Comm.block_cycles m live body in
-  Alcotest.(check int) "freq-weighted"
-    (per * 20)
-    (Comm.total_cycles m live ~freq:(fun _ -> 20) ~moved:[ body ])
+  let per = Comm.words_cost m (Comm.block_words live body) in
+  let freq, t_comm = per_invocation_comm m cdfg [ body ] in
+  Alcotest.(check int) "freq-weighted" (per * freq.(body)) t_comm;
+  Alcotest.(check int) "nothing moved, nothing paid" 0
+    (snd (per_invocation_comm m cdfg []))
 
 let test_transition_self_loop_free () =
   let cdfg = loop_cdfg () in
@@ -69,7 +84,7 @@ let test_transition_self_loop_free () =
     Comm.transition_cycles Comm.default live ~edges:r.Interp.edge_freq ~on_cgc
   in
   (* entering once and leaving once: far below 20 invocations' worth *)
-  let per_inv = Comm.block_cycles Comm.default live body in
+  let per_inv = Comm.words_cost Comm.default (Comm.block_words live body) in
   Alcotest.(check bool)
     (Printf.sprintf "transition cost %d < per-invocation cost %d" cost (per_inv * 20))
     true

@@ -5,6 +5,42 @@ module D = Ir.Dataflow
 
 let mk name id = { Ir.Instr.vname = name; vid = id; vwidth = 16 }
 
+module Pos_set = Set.Make (struct
+  type t = D.pos
+
+  let compare = compare
+end)
+
+(* Reaching definitions (forward, may): register id -> the definition
+   sites that may reach this point.  No pass needs it; it exercises the
+   solver on a may-analysis over a plain map. *)
+module Reaching = struct
+  type t = Pos_set.t D.Int_map.t
+
+  let name = "reaching"
+  let direction = D.Forward
+  let init = D.Int_map.empty
+  let boundary = D.Int_map.empty
+  let join = D.Int_map.union (fun _ a b -> Some (Pos_set.union a b))
+  let equal = D.Int_map.equal Pos_set.equal
+
+  let transfer p instr env =
+    match Ir.Instr.def instr with
+    | Some d -> D.Int_map.add d.Ir.Instr.vid (Pos_set.singleton p) env
+    | None -> env
+
+  let transfer_term _ _ env = env
+  let transfer_block = None
+  let edge = None
+  let widen = None
+
+  (* definition sites of a register id, sorted; [] when none reach *)
+  let sites vid env =
+    match D.Int_map.find_opt vid env with
+    | Some s -> Pos_set.elements s
+    | None -> []
+end
+
 (* entry: x = 1; y = 2; c = x < y; branch c -> a / b
    a: z = x + y; jump exit
    b: z = x + y; x = 9; jump exit
@@ -47,22 +83,22 @@ let diamond () =
 
 let test_reaching () =
   let cfg = diamond () in
-  let sol = D.solve (module D.Reaching) cfg in
+  let sol = D.solve (module Reaching) cfg in
   (* x at exit entry: the entry def and the redefinition in b both reach *)
-  let sites = D.Reaching.sites 0 sol.D.at_entry.(3) in
+  let sites = Reaching.sites 0 sol.D.at_entry.(3) in
   Alcotest.(check (list (pair int int)))
     "x defs reaching exit"
     [ (0, 0); (2, 1) ]
     (List.map (fun (p : D.pos) -> (p.D.block, p.D.index)) sites);
   (* z at exit: one def per arm *)
-  let z_sites = D.Reaching.sites 2 sol.D.at_entry.(3) in
+  let z_sites = Reaching.sites 2 sol.D.at_entry.(3) in
   Alcotest.(check int) "two z defs reach exit" 2 (List.length z_sites);
   (* inside the entry block nothing reaches yet *)
   Alcotest.(check (list (pair int int)))
     "nothing reaches the entry" []
     (List.map
        (fun (p : D.pos) -> (p.D.block, p.D.index))
-       (D.Reaching.sites 0 sol.D.at_entry.(0)))
+       (Reaching.sites 0 sol.D.at_entry.(0)))
 
 let test_avail () =
   let cfg = diamond () in
@@ -414,7 +450,7 @@ let test_instr_facts_and_term_fact () =
 let test_iterations_bounded () =
   (* an acyclic CFG needs exactly one transfer per reachable block *)
   let cfg = diamond () in
-  let sol = D.solve (module D.Reaching) cfg in
+  let sol = D.solve (module Reaching) cfg in
   Alcotest.(check int) "one pass over an acyclic graph" 4 sol.D.iterations
 
 let test_unreachable_blocks_keep_init () =

@@ -6,7 +6,6 @@ module Interp = Hypar_profiling.Interp
 module Ofdm = Hypar_apps.Ofdm
 module Jpeg = Hypar_apps.Jpeg
 module Adpcm = Hypar_apps.Adpcm
-module Decode = Hypar_apps.Decode
 
 let test_ofdm_roundtrip_zero_ber () =
   let inputs = Ofdm.inputs () in
@@ -108,7 +107,7 @@ let test_jpeg_quality_sweep () =
   let inputs = Jpeg.inputs () in
   let original = List.assoc "image" inputs in
   let run quality =
-    let g = Jpeg.golden_for ~quality inputs in
+    let g = Jpeg.golden ~quality inputs in
     let img =
       Decode.jpeg_decode
         ~quant_table:(Jpeg.quant_table_for ~quality)
@@ -136,7 +135,7 @@ let test_jpeg_quality_minic_matches_golden () =
     Hypar_minic.Driver.compile_exn ~name:"jpeg75" (Jpeg.source_for ~quality)
   in
   let r = Interp.run ~inputs cdfg in
-  let g = Jpeg.golden_for ~quality inputs in
+  let g = Jpeg.golden ~quality inputs in
   let got = Interp.array_exn r "out_bytes" in
   let ok = ref true in
   for i = 0 to g.Jpeg.len - 1 do

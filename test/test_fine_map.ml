@@ -75,12 +75,17 @@ void main() {
 }
 |}
   in
-  let freqs = (Hypar_profiling.Interp.run cdfg).Hypar_profiling.Interp.exec_freq in
-  let freq i = freqs.(i) in
-  let total =
-    Fine_map.app_cycles big_fpga cdfg ~freq ~on_fpga:(fun _ -> true)
+  let run = Hypar_profiling.Interp.run cdfg in
+  let freq i = run.Hypar_profiling.Interp.exec_freq.(i) in
+  let times =
+    Hypar_core.Engine.evaluate
+      (Hypar_core.Platform.make ~fpga:big_fpga
+         ~cgc:(Hypar_coarsegrain.Cgc.two_by_two 2) ())
+      cdfg
+      (Hypar_profiling.Profile.of_result cdfg run)
   in
-  (* Eq. 4 check: recompute by hand from the per-block mappings *)
+  (* Eq. 4 check: the engine's all-FPGA t_FPGA, recomputed by hand from
+     the per-block mappings *)
   let expected =
     List.fold_left
       (fun acc i ->
@@ -89,9 +94,9 @@ void main() {
       0
       (Ir.Cdfg.block_ids cdfg)
   in
-  Alcotest.(check int) "Eq. 4" expected total;
-  let nothing = Fine_map.app_cycles big_fpga cdfg ~freq ~on_fpga:(fun _ -> false) in
-  Alcotest.(check int) "empty selection is 0 cycles" 0 nothing
+  Alcotest.(check int) "Eq. 4" expected (times []).Hypar_core.Engine.t_fpga;
+  let nothing = times (Ir.Cdfg.block_ids cdfg) in
+  Alcotest.(check int) "empty selection is 0 cycles" 0 nothing.Hypar_core.Engine.t_fpga
 
 let suite =
   [

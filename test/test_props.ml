@@ -194,12 +194,12 @@ let prop_bitstream_verifies =
         1 + (!next mod bound)
       in
       let fpga = Fpga.make ~area:4000 () in
-      let device = Hypar_finegrain.Bitstream.device_of_fpga fpga in
+      let device = Bitstream.device_of_fpga fpga in
       let op_areas = List.init n (fun _ -> rand 64) in
-      match Hypar_finegrain.Bitstream.generate device ~op_areas with
+      match Bitstream.generate device ~op_areas with
       | s ->
-        Hypar_finegrain.Bitstream.verify s
-        && Hypar_finegrain.Bitstream.reconfig_cycles s > 0
+        Bitstream.verify s
+        && Bitstream.reconfig_cycles s > 0
       | exception Invalid_argument _ -> true)
 
 let prop_gantt_row_count =

@@ -64,10 +64,10 @@ let test_fine_map_uses_model () =
 let test_matches_bitstream_module () =
   (* Fpga's closed-form pricing agrees with generating an actual stream *)
   let fpga = Fpga.make ~area:1500 ~reconfig_model:(Fpga.Frame_full fp) () in
-  let device = Hypar_finegrain.Bitstream.device_of_fpga fpga in
-  let stream = Hypar_finegrain.Bitstream.generate_full device ~op_areas:[ 64 ] in
+  let device = Bitstream.device_of_fpga fpga in
+  let stream = Bitstream.generate_full device ~op_areas:[ 64 ] in
   Alcotest.(check int) "closed form = generated stream"
-    (Hypar_finegrain.Bitstream.reconfig_cycles stream)
+    (Bitstream.reconfig_cycles stream)
     (Fpga.partition_reconfig_cycles fpga ~partition_area:64)
 
 let suite =
