@@ -67,16 +67,19 @@ let supported_on ?health cgc dfg =
     && (not needs_alu || some_column (fun c -> not (List.mem (c, 1) h.Cgc.no_alu)))
 
 (* Priority: by default most critical first (smallest ALAP), then most
-   successors, then program order.  `Asap and `Program are the ablation
-   baselines.  The order is total, so it does not depend on the sort. *)
+   successors, then program order — the DFG's own [critical_order], kept
+   across geometries.  `Asap and `Program are the ablation baselines,
+   ordered afresh.  Either order is total, so it does not depend on the
+   sort.  The result is the caller's to mutate. *)
 let priority_order ?(priority = `Alap) dfg =
-  let n = Ir.Dfg.node_count dfg in
-  let ids = Array.init n Fun.id in
-  (match priority with
-  | `Program -> ()
-  | (`Alap | `Asap) as p ->
-    let level = match p with `Alap -> Ir.Dfg.alap dfg | `Asap -> Ir.Dfg.asap dfg in
+  match priority with
+  | `Alap -> Array.copy (Ir.Dfg.critical_order dfg)
+  | `Program -> Array.init (Ir.Dfg.node_count dfg) Fun.id
+  | `Asap ->
+    let n = Ir.Dfg.node_count dfg in
+    let level = Ir.Dfg.asap dfg in
     let fanout = Array.init n (fun i -> List.length (Ir.Dfg.succs dfg i)) in
+    let ids = Array.init n Fun.id in
     Array.stable_sort
       (fun a b ->
         match Int.compare level.(a) level.(b) with
@@ -85,8 +88,8 @@ let priority_order ?(priority = `Alap) dfg =
           | 0 -> Int.compare a b
           | c -> c)
         | c -> c)
-      ids);
-  ids
+      ids;
+    ids
 
 (* Per-cycle resources: [Cgc.chains cgc] columns, each with [rows] node
    slots.  Independent operations may share a column (each node of a CGC
@@ -106,7 +109,7 @@ let schedule ?priority ?health cgc dfg =
   let kinds =
     Array.init n (fun i -> kind_of (Ir.Dfg.node dfg i).Ir.Dfg.instr)
   in
-  let preds = Array.init n (fun v -> Array.of_list (Ir.Dfg.preds dfg v)) in
+  let preds = Ir.Dfg.pred_arrays dfg in
   let placements = Array.make n { cycle = -1; chain = -1; depth = 0 } in
   let finish = Array.make n (-1) in
   let columns = Cgc.chains cgc in

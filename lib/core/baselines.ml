@@ -84,12 +84,12 @@ let compare_all
   (* a greedy strategy is a kernel order cut from the engine's own loop:
      one Eq.-2 read for the all-FPGA start and one per step *)
   let cut_order ?granularity order =
-    let r =
-      Engine.trajectory ?granularity
+    let plan =
+      Engine.plan ?granularity
         ~analysis:{ analysis with Analysis.Kernel.kernels = order }
-        char
-      |> Engine.cut ~timing_constraint
+        char.Engine.app char.Engine.coarse
     in
+    let r = Engine.trajectory plan char |> Engine.cut ~timing_constraint in
     (r.Engine.moved, r.Engine.final, Engine.met r, 1 + List.length r.Engine.steps)
   in
   let run strategy =

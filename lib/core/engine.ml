@@ -437,113 +437,156 @@ let group_kernels_by_loop cdfg (kernels : Analysis.Kernel.entry list) =
   List.rev_map (fun key -> List.rev (Hashtbl.find groups key)) !order
   |> List.sort (fun g1 g2 -> compare (group_weight g2) (group_weight g1))
 
-(* ---- the greedy trajectory and its cuts ---------------------------------
+(* ---- the greedy loop: one plan, one trajectory per platform, many cuts ---
 
    The timing constraint never changes which kernel moves next; it only
-   decides where the loop stops.  A trajectory is the constraint-free
-   move list — one entry per worklist group: the group's kernels that
-   cannot move, then the step that moves the rest, if any — extended on
-   demand, so a cut that stops early performs exactly the moves, spans
-   and counters of a loop that stopped there.  An exception raised while
-   extending is kept as the entry itself: every cut that reaches it
-   re-raises it, and no cut that stops earlier sees it. *)
+   decides where the loop stops.  Nor does the platform: the move order,
+   the skip reasons and every step's kernel and moved set depend only on
+   the kernel order and on which blocks the coarse layer maps.  A plan
+   holds all of that, one entry per worklist group — the group's kernels
+   that cannot move, then the step that moves the rest, if any — so
+   platforms sharing a coarse layer share it.
 
-type entry = { group_skipped : (int * skip_reason) list; step : step option }
+   A trajectory prices one platform's plan: entry [k] is performed (the
+   skip counters, one [engine.move] span, the delta-updated Eq.-2 read)
+   the first time a cut reaches it, so a cut that stops early performs
+   exactly the moves, spans and counters of a loop that stopped there.
+   An exception raised while performing an entry is kept as that entry:
+   every cut that reaches it re-raises it, and no cut that stops earlier
+   sees it. *)
 
-type trajectory = {
-  char : characterisation;
-  analysis : Analysis.Kernel.t;
-  start : times;  (* the all-FPGA mapping *)
-  entries : (entry, exn) result Seq.t;
+type planned_step = {
+  index : int;  (* 1-based step number *)
+  first : Analysis.Kernel.entry;  (* the group's first movable kernel *)
+  blocks : int list;  (* the group's movable blocks, in worklist order *)
+  cumulative : int list;  (* every block moved so far, in move order *)
 }
 
-let trajectory ?(comm_pricing = `Transition) ?(granularity = `Block) ~analysis
-    (c : characterisation) =
-  let inc = Inc.make ~pricing:comm_pricing c in
-  (* each read is O(1) off the running sums (and cross-checked against the
-     full recompute when [check_incremental] is set) *)
-  let read_times () =
-    Hypar_obs.Counter.incr "engine.evaluations";
-    Inc.times inc
-  in
-  let initial = read_times () in
-  let cdfg = c.app.cdfg in
+type plan_entry = {
+  group_skipped : (int * skip_reason) list;
+  move : planned_step option;
+}
+
+type plan = { analysis : Analysis.Kernel.t; entries : plan_entry array }
+
+let plan ?(granularity = `Block) ~analysis app coarse =
+  let cdfg = app.cdfg in
+  (* distinguish a DFG the CGC can never run (division) from one only the
+     current degradation rules out *)
   let skip_reason (k : Analysis.Kernel.entry) =
-    Hypar_obs.Counter.incr "engine.skipped";
-    (* distinguish a DFG the CGC can never run (division) from one only
-       the current degradation rules out *)
-    if Coarsegrain.Schedule.supported (Ir.Cdfg.dfg cdfg k.block_id)
-    then begin
-      Hypar_obs.Counter.incr "resilience.fault.fallback";
+    if Coarsegrain.Schedule.supported (Ir.Cdfg.dfg cdfg k.block_id) then
       (k.block_id, No_cgc_capacity)
-    end
     else (k.block_id, Not_cgc_executable)
-  in
-  (* [moved]: the cumulative moved set, newest first *)
-  let rec from groups count moved () =
-    match groups with
-    | [] -> Seq.Nil
-    | group :: rest -> (
-      let movable, unmovable =
-        List.partition
-          (fun (k : Analysis.Kernel.entry) ->
-            c.coarse.latency.(k.block_id) <> None)
-          group
-      in
-      let group_skipped = List.map skip_reason unmovable in
-      match movable with
-      | [] -> Seq.Cons ({ group_skipped; step = None }, from rest count moved)
-      | (k : Analysis.Kernel.entry) :: _ ->
-        let moved =
-          List.fold_left
-            (fun moved (k : Analysis.Kernel.entry) -> k.block_id :: moved)
-            moved movable
-        in
-        let step =
-          Hypar_obs.Span.with_ ~cat:"engine" "engine.move"
-            ~args:
-              [
-                ("block", Hypar_obs.Event.Int k.block_id);
-                ("step", Hypar_obs.Event.Int (count + 1));
-              ]
-          @@ fun () ->
-          Hypar_obs.Counter.incr "engine.moves";
-          List.iter
-            (fun (k : Analysis.Kernel.entry) -> Inc.move inc k.block_id)
-            movable;
-          (* [meets_constraint] belongs to a cut, which sets it *)
-          {
-            step_index = count + 1;
-            moved_block = k.block_id;
-            kernel = k;
-            on_cgc = List.rev moved;
-            times = read_times ();
-            meets_constraint = false;
-          }
-        in
-        Seq.Cons
-          ({ group_skipped; step = Some step }, from rest (count + 1) moved))
-  in
-  let rec guard s () =
-    match s () with
-    | Seq.Nil -> Seq.Nil
-    | Seq.Cons (e, rest) -> Seq.Cons (Ok e, guard rest)
-    | exception exn -> Seq.Cons (Error exn, Seq.empty)
   in
   (* at loop granularity, each "kernel" of the worklist is a whole loop's
      worth of blocks, still ordered by (summed) Eq.-1 weight *)
-  let worklist () =
+  let groups =
     let kernels = analysis.Analysis.Kernel.kernels in
     match granularity with
     | `Block -> List.map (fun k -> [ k ]) kernels
     | `Loop -> group_kernels_by_loop cdfg kernels
   in
+  (* [count] steps so far; [moved]: the cumulative moved set, newest
+     first *)
+  let entry (count, moved, entries) group =
+    let movable, unmovable =
+      List.partition
+        (fun (k : Analysis.Kernel.entry) -> coarse.latency.(k.block_id) <> None)
+        group
+    in
+    let group_skipped = List.map skip_reason unmovable in
+    match movable with
+    | [] -> (count, moved, { group_skipped; move = None } :: entries)
+    | first :: _ ->
+      let blocks =
+        List.map (fun (k : Analysis.Kernel.entry) -> k.block_id) movable
+      in
+      let moved = List.rev_append blocks moved in
+      let move =
+        { index = count + 1; first; blocks; cumulative = List.rev moved }
+      in
+      (count + 1, moved, { group_skipped; move = Some move } :: entries)
+  in
+  let _, _, entries = List.fold_left entry (0, [], []) groups in
+  { analysis; entries = Array.of_list (List.rev entries) }
+
+type trajectory = {
+  char : characterisation;
+  plan : plan;
+  inc : Inc.t;
+  start : times;  (* the all-FPGA mapping *)
+  performed : step option array;  (* per plan entry, once reached *)
+  mutable reached : int;  (* entries [0, reached) are performed *)
+  mutable failure : exn option;  (* raised performing entry [reached] *)
+}
+
+(* each read is O(1) off the running sums (and cross-checked against the
+   full recompute when [check_incremental] is set) *)
+let read_times inc =
+  Hypar_obs.Counter.incr "engine.evaluations";
+  Inc.times inc
+
+let trajectory ?(comm_pricing = `Transition) plan (c : characterisation) =
+  let inc = Inc.make ~pricing:comm_pricing c in
+  let start = read_times inc in
   {
     char = c;
-    analysis;
-    start = initial;
-    entries = Seq.memoize (guard (fun () -> from (worklist ()) 0 [] ()));
+    plan;
+    inc;
+    start;
+    performed = Array.make (Array.length plan.entries) None;
+    reached = 0;
+    failure = None;
   }
+
+let move_span (s : planned_step) f =
+  if Hypar_obs.Sink.enabled () then
+    Hypar_obs.Span.with_ ~cat:"engine" "engine.move"
+      ~args:
+        [
+          ("block", Hypar_obs.Event.Int s.first.block_id);
+          ("step", Hypar_obs.Event.Int s.index);
+        ]
+      f
+  else f ()
+
+let perform tr (e : plan_entry) =
+  List.iter
+    (fun (_, reason) ->
+      Hypar_obs.Counter.incr "engine.skipped";
+      if reason = No_cgc_capacity then
+        Hypar_obs.Counter.incr "resilience.fault.fallback")
+    e.group_skipped;
+  Option.map
+    (fun s ->
+      move_span s @@ fun () ->
+      Hypar_obs.Counter.incr "engine.moves";
+      List.iter (Inc.move tr.inc) s.blocks;
+      (* [meets_constraint] belongs to a cut, which sets it *)
+      {
+        step_index = s.index;
+        moved_block = s.first.block_id;
+        kernel = s.first;
+        on_cgc = s.cumulative;
+        times = read_times tr.inc;
+        meets_constraint = false;
+      })
+    e.move
+
+(* performs every entry up to [k], or re-raises the exception kept at or
+   before it *)
+let rec reach tr k =
+  if k >= tr.reached then begin
+    Option.iter raise tr.failure;
+    (match perform tr tr.plan.entries.(tr.reached) with
+    | s ->
+      tr.performed.(tr.reached) <- s;
+      tr.reached <- tr.reached + 1
+    | exception exn ->
+      tr.failure <- Some exn;
+      raise exn);
+    reach tr k
+  end
 
 let cut ?(max_moves = max_int) ~timing_constraint tr =
   let c = tr.char in
@@ -553,7 +596,7 @@ let cut ?(max_moves = max_int) ~timing_constraint tr =
       timing_constraint;
       cdfg_name = Ir.Cdfg.name c.app.cdfg;
       initial = tr.start;
-      analysis = tr.analysis;
+      analysis = tr.plan.analysis;
       steps = [];
       skipped = [];
       status = Met_without_partitioning;
@@ -578,26 +621,22 @@ let cut ?(max_moves = max_int) ~timing_constraint tr =
       moved;
     }
   in
-  let rec go entries steps skipped count =
-    if count >= max_moves then stop Infeasible steps skipped
-    else
-      match entries () with
-      | Seq.Nil -> stop Infeasible steps skipped
-      | Seq.Cons (Error exn, _) -> raise exn
-      | Seq.Cons (Ok e, rest) -> (
-        let skipped = List.rev_append e.group_skipped skipped in
-        match e.step with
-        | None -> go rest steps skipped count
-        | Some s ->
-          let s =
-            { s with meets_constraint = s.times.t_total <= timing_constraint }
-          in
-          if s.meets_constraint then
-            stop (Met_after s.step_index) (s :: steps) skipped
-          else go rest (s :: steps) skipped (count + 1))
+  let n = Array.length tr.performed in
+  let rec go k steps skipped count =
+    if count >= max_moves || k >= n then stop Infeasible steps skipped
+    else begin
+      reach tr k;
+      let skipped = List.rev_append tr.plan.entries.(k).group_skipped skipped in
+      match tr.performed.(k) with
+      | None -> go (k + 1) steps skipped count
+      | Some s when s.times.t_total <= timing_constraint ->
+        stop (Met_after s.step_index)
+          ({ s with meets_constraint = true } :: steps)
+          skipped
+      | Some s -> go (k + 1) (s :: steps) skipped (count + 1)
+    end
   in
-  if tr.start.t_total <= timing_constraint then base
-  else go tr.entries [] [] 0
+  if tr.start.t_total <= timing_constraint then base else go 0 [] [] 0
 
 let run ?max_moves ?comm_pricing ?cgc_pipelining ?granularity
     ?verify_ir (platform : Platform.t) ~timing_constraint cdfg profile =
@@ -612,7 +651,7 @@ let run ?max_moves ?comm_pricing ?cgc_pipelining ?granularity
     Ir.Verify.check_exn ~context:"engine input" cdfg;
   let c = characterise ?cgc_pipelining platform cdfg profile in
   let analysis = Analysis.Kernel.analyse cdfg profile in
-  trajectory ?comm_pricing ?granularity ~analysis c
+  trajectory ?comm_pricing (plan ?granularity ~analysis c.app c.coarse) c
   |> cut ?max_moves ~timing_constraint
 
 let status_key = function

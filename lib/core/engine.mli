@@ -142,25 +142,40 @@ val characterise :
   characterisation
 (** All three layers for one platform, then {!assemble}. *)
 
-(** {2 The greedy loop: one trajectory, many cuts} *)
+(** {2 The greedy loop: one plan, one trajectory per platform, many cuts} *)
+
+type plan
+(** What the greedy loop does without pricing anything: kernels in
+    [analysis]'s order (decreasing Eq.-1 weight), each moved to the
+    coarse-grain data-path in turn or skipped with its reason, and every
+    step's kernel and cumulative moved set.  It reads only the kernel
+    order and which blocks the coarse layer maps, so every platform
+    assembled from one coarse layer shares one plan. *)
+
+val plan :
+  ?granularity:[ `Block | `Loop ] ->
+  analysis:Hypar_analysis.Kernel.t ->
+  app_layer ->
+  coarse_layer ->
+  plan
+(** [analysis]'s kernels planned over the coarse layer's mappable
+    blocks; [granularity] as in {!run}. *)
 
 type trajectory
 (** The constraint-free greedy move list of one characterised platform:
-    kernels in decreasing Eq.-1 weight, each moved to the coarse-grain
-    data-path in turn (or skipped).  It is extended lazily and
-    memoised: a {!cut} performs only the moves it reads, and a later cut
-    that reads no further performs none.  A trajectory is not
-    thread-safe: cut it from one domain only. *)
+    its plan, priced step by step.  It is extended lazily and memoised:
+    a {!cut} performs only the moves it reads, and a later cut that
+    reads no further performs none.  A trajectory is not thread-safe:
+    cut it from one domain only. *)
 
 val trajectory :
   ?comm_pricing:[ `Transition | `Per_invocation ] ->
-  ?granularity:[ `Block | `Loop ] ->
-  analysis:Hypar_analysis.Kernel.t ->
+  plan ->
   characterisation ->
   trajectory
-(** Starts the loop from the all-FPGA mapping and moves [analysis]'s
-    kernels in its order; [comm_pricing] and [granularity] as in
-    {!run}. *)
+(** Starts the loop from the all-FPGA mapping and follows [plan], which
+    must have been built from this characterisation's application and
+    coarse layers; [comm_pricing] as in {!run}. *)
 
 val cut : ?max_moves:int -> timing_constraint:int -> trajectory -> t
 (** Where the loop stops for one constraint: at the first step that
@@ -190,9 +205,10 @@ val run :
     bench motivates [`Loop] for multi-block loop bodies.
     [verify_ir] (default {!Hypar_ir.Passes.verify_passes}) runs
     {!Hypar_ir.Verify.check} on the input CDFG before partitioning.
-    Equal to [cut (trajectory ~analysis (characterise platform cdfg
-    profile))], with [analysis] the {!Hypar_analysis.Kernel.analyse} of
-    the application under the paper's weights. *)
+    Equal to [cut (trajectory (plan ~analysis c.app c.coarse) c)], with
+    [c] the {!characterise} of the platform and [analysis] the
+    {!Hypar_analysis.Kernel.analyse} of the application under the
+    paper's weights. *)
 
 val evaluate :
   ?comm_pricing:[ `Transition | `Per_invocation ] ->

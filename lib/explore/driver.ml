@@ -14,7 +14,7 @@ type point_result = {
 
 type t = {
   workload : string;
-  digest : string;
+  digest : string Lazy.t;
   jobs : int;
   results : point_result array;
   cache : Cache.stats;
@@ -94,11 +94,13 @@ let memo_map ~jobs f keys =
    1. once per sweep the IR check of the engine input, the application
       layer (one liveness analysis) and the kernel analysis; then the
       fine-grain layer and its energy table once per distinct FPGA, and
-      the coarse-grain layer once per distinct CGC x health;
-   2. per distinct platform, one task: its greedy trajectory, and each
-      of its points, with retries, answered by a cut of that trajectory
-      and an energy sum.  A trajectory is extended lazily, so it is only
-      ever touched by its own platform's task.
+      the coarse-grain layer and the greedy loop's move plan once per
+      distinct CGC x health;
+   2. per distinct platform, one task: its greedy trajectory along the
+      plan of its coarse layer, and each of its points, with retries,
+      answered by a cut of that trajectory and an energy sum.  A
+      trajectory is extended lazily, so it is only ever touched by its
+      own platform's task; a plan is only read.
 
    Stage 2 runs over groups of [jobs] platforms, in order of each
    platform's first point.  [record] sees every point of a group as soon
@@ -159,7 +161,10 @@ let evaluate_points ~jobs ?faults ~retries ?point_fuel ~record
           ~args:
             [ ("cgcs", int cgc.cgcs); ("rows", int cgc.rows);
               ("cols", int cgc.cols) ]
-        @@ fun () -> Engine.coarse_layer (fst (Result.get_ok app)) cgc health)
+        @@ fun () ->
+        let app, analysis = Result.get_ok app in
+        let coarse = Engine.coarse_layer app cgc health in
+        (coarse, Engine.plan ~analysis app coarse))
       (List.map (fun (pl : Platform.t) -> (pl.cgc, pl.cgc_health)) healthy)
   in
   (* one attempt of one point, with transient-fault injection: the
@@ -175,26 +180,31 @@ let evaluate_points ~jobs ?faults ~retries ?point_fuel ~record
            attempt (Space.point_key p))
     | _ -> Eval.answer ?point_fuel shared p
   in
+  let platform_span (p : Space.point) f =
+    if Hypar_obs.Sink.enabled () then
+      Hypar_obs.Span.with_ ~cat:"explore" "explore.platform"
+        ~args:
+          [
+            ("area", int p.Space.area);
+            ("cgcs", int p.cgcs);
+            ("rows", int p.rows);
+            ("cols", int p.cols);
+            ("clock_ratio", int p.clock_ratio);
+          ]
+        f
+    else f ()
+  in
   let answer_platform i =
     let p, members = platforms.(i) in
-    Hypar_obs.Span.with_ ~cat:"explore" "explore.platform"
-      ~args:
-        [
-          ("area", int p.Space.area);
-          ("cgcs", int p.cgcs);
-          ("rows", int p.rows);
-          ("cols", int p.cols);
-          ("clock_ratio", int p.clock_ratio);
-        ]
-    @@ fun () ->
+    platform_span p @@ fun () ->
     let shared =
-      Result.bind app @@ fun (app, analysis) ->
+      Result.bind app @@ fun (app, _) ->
       Result.bind built.(i) @@ fun (pl : Platform.t) ->
       Result.bind (fine pl.fpga) @@ fun (fine, energy) ->
-      Result.bind (coarse (pl.cgc, pl.cgc_health)) @@ fun coarse ->
+      Result.bind (coarse (pl.cgc, pl.cgc_health)) @@ fun (coarse, plan) ->
       attempt
         (fun () ->
-          Eval.share ~analysis ~energy (Engine.assemble app fine coarse pl))
+          Eval.share ~plan ~energy (Engine.assemble app fine coarse pl))
         ()
     in
     Array.map
@@ -235,7 +245,8 @@ let run ?(jobs = 1) ?workload ?faults ?(retries = 0) ?point_fuel ?checkpoint
       | Some w -> w
       | None -> Hypar_ir.Cdfg.name prepared.Flow.cdfg
     in
-    let digest = Cache.digest_of_cdfg prepared.Flow.cdfg in
+    (* only checkpoint keys and the JSON report read the digest *)
+    let digest = lazy (Cache.digest_of_cdfg prepared.Flow.cdfg) in
     let cache = Cache.create () in
     (* deduplicate before fanning out: the cache maps each configuration
        to the index of its unique evaluation job *)
@@ -268,7 +279,8 @@ let run ?(jobs = 1) ?workload ?faults ?(retries = 0) ?point_fuel ?checkpoint
         | Ok entries ->
           let restored = Hashtbl.create 16 in
           List.iter (fun (k, outcome) -> Hashtbl.replace restored k outcome) entries;
-          fun p -> Hashtbl.find_opt restored (Cache.key ~digest p)
+          fun p ->
+            Hashtbl.find_opt restored (Cache.key ~digest:(Lazy.force digest) p)
         | Error msg -> raise (Checkpoint_error msg))
       | Some _ | None -> fun _ -> None
     in
@@ -297,7 +309,10 @@ let run ?(jobs = 1) ?workload ?faults ?(retries = 0) ?point_fuel ?checkpoint
     let record p outcome =
       Option.iter
         (fun j ->
-          Journal.append j (Checkpoint.encode ~key:(Cache.key ~digest p) outcome))
+          Journal.append j
+            (Checkpoint.encode
+               ~key:(Cache.key ~digest:(Lazy.force digest) p)
+               outcome))
         journal
     in
     let fresh_outcomes =

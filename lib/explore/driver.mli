@@ -7,10 +7,11 @@
     + once per sweep the engine-input IR check
       ({!Eval.verify_input}), the application layer and the kernel
       analysis; then the fine-grain characterisation once per distinct
-      FPGA and the coarse-grain one once per distinct CGC × health
+      FPGA and the coarse-grain one, with the greedy loop's move plan
+      ({!Hypar_core.Engine.plan}), once per distinct CGC × health
       (after [faults]);
-    + one task per distinct platform: its greedy trajectory
-      ({!Hypar_core.Engine.trajectory}), then each of its points, with
+    + one task per distinct platform: its greedy trajectory along that
+      plan ({!Hypar_core.Engine.trajectory}), then each of its points, with
       retries, as a {!Hypar_core.Engine.cut} of that trajectory and an
       energy sum ({!Eval.answer}).
 
@@ -36,7 +37,9 @@ type point_result = {
 
 type t = {
   workload : string;
-  digest : string;  (** CDFG digest shared by every checkpoint key *)
+  digest : string Lazy.t;
+      (** CDFG digest shared by every checkpoint key, computed on first
+          read *)
   jobs : int;
   results : point_result array;  (** in {!Space.points} order *)
   cache : Cache.stats;

@@ -70,25 +70,30 @@ let energy_table (app : Engine.app_layer) (fine : Engine.fine_layer) =
     ~partitions:(Array.get fine.Engine.partition_count)
     ~words:(Engine.block_words app)
 
-let share ~analysis ~energy (c : Engine.characterisation) =
+let share ~plan ~energy (c : Engine.characterisation) =
   {
-    trajectory = Engine.trajectory ~analysis c;
+    trajectory = Engine.trajectory plan c;
     energy;
     cgc_desc = Hypar_coarsegrain.Cgc.describe c.Engine.platform.Platform.cgc;
   }
 
+let point_span (p : Space.point) f =
+  if Hypar_obs.Sink.enabled () then
+    Hypar_obs.Span.with_ ~cat:"explore" "explore.point"
+      ~args:
+        [
+          ("area", Hypar_obs.Event.Int p.area);
+          ("cgcs", Hypar_obs.Event.Int p.cgcs);
+          ("rows", Hypar_obs.Event.Int p.rows);
+          ("cols", Hypar_obs.Event.Int p.cols);
+          ("clock_ratio", Hypar_obs.Event.Int p.clock_ratio);
+          ("timing", Hypar_obs.Event.Int p.timing);
+        ]
+      f
+  else f ()
+
 let answer ?point_fuel shared (p : Space.point) =
-  Hypar_obs.Span.with_ ~cat:"explore" "explore.point"
-    ~args:
-      [
-        ("area", Hypar_obs.Event.Int p.area);
-        ("cgcs", Hypar_obs.Event.Int p.cgcs);
-        ("rows", Hypar_obs.Event.Int p.rows);
-        ("cols", Hypar_obs.Event.Int p.cols);
-        ("clock_ratio", Hypar_obs.Event.Int p.clock_ratio);
-        ("timing", Hypar_obs.Event.Int p.timing);
-      ]
-  @@ fun () ->
+  point_span p @@ fun () ->
   match
     let s = match shared with Ok s -> s | Error e -> raise e in
     let r =
@@ -120,8 +125,9 @@ let evaluate ?faults ?point_fuel (prepared : Flow.prepared) p =
       verify_input prepared;
       let cdfg = prepared.Flow.cdfg and profile = prepared.Flow.profile in
       let c = Engine.characterise (platform ?faults p) cdfg profile in
+      let analysis = Hypar_analysis.Kernel.analyse cdfg profile in
       share
-        ~analysis:(Hypar_analysis.Kernel.analyse cdfg profile)
+        ~plan:(Engine.plan ~analysis c.Engine.app c.Engine.coarse)
         ~energy:(energy_table c.Engine.app c.Engine.fine)
         c
     with

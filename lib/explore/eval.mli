@@ -7,7 +7,8 @@
     {!Hypar_core.Energy.default}).
 
     The work splits in two.  {!share} does everything that depends only
-    on the platform: its greedy trajectory, beside the per-block energy
+    on the platform: its greedy trajectory, which prices a plan shared by
+    every platform of its coarse layer, beside the per-block energy
     table of its FPGA ({!energy_table}).  {!answer} does what depends on
     the point's timing constraint: a cut of that trajectory and an
     O(blocks) energy sum.  Points that
@@ -58,13 +59,14 @@ val energy_table :
     a sweep builds one per distinct FPGA. *)
 
 val share :
-  analysis:Hypar_analysis.Kernel.t ->
+  plan:Hypar_core.Engine.plan ->
   energy:Hypar_core.Energy.table ->
   Hypar_core.Engine.characterisation ->
   shared
-(** The platform's {!Hypar_core.Engine.trajectory} (default engine
-    options, [analysis]'s kernels), with [energy], the
-    {!energy_table} of its application and fine layer. *)
+(** The platform's {!Hypar_core.Engine.trajectory} along [plan] (default
+    engine options; the {!Hypar_core.Engine.plan} of the
+    characterisation's application and coarse layers), with [energy],
+    the {!energy_table} of its application and fine layer. *)
 
 val answer :
   ?point_fuel:int ->
@@ -93,5 +95,5 @@ val evaluate :
   Space.point ->
   (metrics, string) result
 (** One point on its own: {!verify_input}, {!platform}, a fresh
-    {!Hypar_core.Engine.characterise} and kernel analysis, {!share} and
-    {!answer}. *)
+    {!Hypar_core.Engine.characterise}, kernel analysis and plan,
+    {!share} and {!answer}. *)

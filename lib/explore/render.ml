@@ -132,7 +132,7 @@ let json ?pareto_only (t : Driver.t) =
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   add "{\n";
   add "  \"workload\": \"%s\",\n" (Hypar_obs.Jsonv.escape t.Driver.workload);
-  add "  \"digest\": \"%s\",\n" t.Driver.digest;
+  add "  \"digest\": \"%s\",\n" (Lazy.force t.Driver.digest);
   add "  \"points\": %d,\n" (Array.length t.Driver.results);
   add "  \"ok\": %d,\n" (Driver.ok_count t);
   add "  \"met\": %d,\n" (met_counts t);

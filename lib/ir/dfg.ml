@@ -12,6 +12,10 @@ type t = {
       (* level [l]'s nodes are [level_order.(level_start.(l - 1))] up to,
          not including, [level_order.(level_start.(l))] *)
   live_ins : Instr.var list;
+  (* the list scheduler's view, built on first use: see [pred_arrays]
+     and [critical_order] *)
+  mutable pred_arrays : int array array option;
+  mutable critical_order : int array option;
 }
 
 module Int_set = Set.Make (Int)
@@ -151,6 +155,8 @@ let of_instrs instr_list =
     level_order;
     level_start;
     live_ins;
+    pred_arrays = None;
+    critical_order = None;
   }
 
 let node_count t = Array.length t.nodes
@@ -168,6 +174,35 @@ let slack t =
       t.alap_levels.(i) - t.asap_levels.(i))
 
 let level_order t = t.level_order
+
+(* Plain memo slots, like [Cdfg.dfg]'s: domains that race on an empty
+   slot compute equal arrays and either may win. *)
+let pred_arrays t =
+  match t.pred_arrays with
+  | Some a -> a
+  | None ->
+    let a = Array.map Array.of_list t.preds in
+    t.pred_arrays <- Some a;
+    a
+
+let critical_order t =
+  match t.critical_order with
+  | Some a -> a
+  | None ->
+    let n = Array.length t.nodes in
+    let fanout = Array.map List.length t.succs in
+    let ids = Array.init n Fun.id in
+    Array.stable_sort
+      (fun a b ->
+        match Int.compare t.alap_levels.(a) t.alap_levels.(b) with
+        | 0 -> (
+          match Int.compare fanout.(b) fanout.(a) with
+          | 0 -> Int.compare a b
+          | c -> c)
+        | c -> c)
+      ids;
+    t.critical_order <- Some ids;
+    ids
 
 let nodes_at_level t level =
   if level < 1 || level > t.max_level then []

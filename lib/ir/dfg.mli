@@ -44,6 +44,16 @@ val level_order : t -> int array
     by {!of_instrs} with a counting sort; the array is the graph's own,
     so callers must not mutate it. *)
 
+val pred_arrays : t -> int array array
+(** Every node's {!preds}, as arrays.  Computed on first use and kept;
+    the arrays are the graph's own, so callers must not mutate them. *)
+
+val critical_order : t -> int array
+(** Every node id, most critical first: by ascending ALAP level, then
+    more successors first, then program order — the coarse-grain list
+    scheduler's default priority.  Computed on first use and kept; the
+    array is the graph's own, so callers must not mutate it. *)
+
 val nodes_at_level : t -> int -> int list
 (** Node ids whose ASAP level equals the given level, in program order:
     that level's slice of {!level_order}. *)

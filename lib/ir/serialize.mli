@@ -15,7 +15,9 @@ val to_string : Cdfg.t -> string
     by a digit writer, strings copied whole unless they hold a quote or
     a backslash to escape — and is the canonical form that
     [Hypar_explore.Cache.digest_of_cdfg] hashes, so its bytes are fixed:
-    the test suite pins them against the tree writer it replaced. *)
+    the test suite pins them against the tree writer it replaced.  An
+    exploration computes that digest only when a checkpoint key or its
+    JSON report reads it. *)
 
 val of_string : string -> Cdfg.t
 (** Parse back. Raises {!Parse_error} on malformed input and

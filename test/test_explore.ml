@@ -524,7 +524,7 @@ let test_duplicate_axis_resume () =
     Array.to_list
       (Array.map
          (fun (r : Driver.point_result) ->
-           Cache.key ~digest:fresh.Driver.digest r.Driver.point)
+           Cache.key ~digest:(Lazy.force fresh.Driver.digest) r.Driver.point)
          fresh.Driver.results)
   in
   let expected_cached =
@@ -593,6 +593,43 @@ let test_best_and_frontier_sane () =
             | _ -> ())
           s.Driver.results))
 
+(* The digest is computed only when read: a sweep that writes no
+   checkpoint and renders no JSON never computes it, the JSON report
+   carries [Cache.digest_of_cdfg] of the prepared CDFG, and every
+   checkpoint key is still [<digest>|<point_key>]. *)
+let test_digest_when_read () =
+  let prepared = Lazy.force matmul in
+  let t = budget prepared in
+  let space = Space.make ~areas:[ 500; 1500 ] ~cgcs:[ 1; 2 ] ~timings:[ t ] () in
+  let digest = Cache.digest_of_cdfg prepared.Flow.cdfg in
+  let run ?checkpoint () =
+    match Driver.run ?checkpoint prepared space with
+    | Error e -> Alcotest.fail e
+    | Ok s -> s
+  in
+  let s = run () in
+  ignore (Render.text s, Render.csv s);
+  Alcotest.(check bool) "text and CSV leave the digest unread" false
+    (Lazy.is_val s.Driver.digest);
+  let line = Printf.sprintf "\"digest\": \"%s\"," digest in
+  Alcotest.(check bool) "the JSON report names Cache.digest_of_cdfg" true
+    (List.mem ("  " ^ line) (String.split_on_char '\n' (Render.json s)));
+  let path = Filename.temp_file "hypar-explore" ".journal" in
+  ignore (run ~checkpoint:path ());
+  let keys =
+    match Hypar_explore.Checkpoint.load path with
+    | Error e -> Alcotest.fail e
+    | Ok entries -> List.map fst entries
+  in
+  Sys.remove path;
+  Alcotest.(check (list string)) "checkpoint keys"
+    (Array.to_list
+       (Array.map
+          (fun (r : Driver.point_result) ->
+            digest ^ "|" ^ Space.point_key r.Driver.point)
+          s.Driver.results))
+    keys
+
 let suite =
   [
     Alcotest.test_case "axis parsing" `Quick test_axis_parsing;
@@ -622,4 +659,5 @@ let suite =
     Alcotest.test_case "duplicated axis value: cache and resume" `Quick
       test_duplicate_axis_resume;
     Alcotest.test_case "best + frontier sane" `Quick test_best_and_frontier_sane;
+    Alcotest.test_case "digest computed when read" `Quick test_digest_when_read;
   ]

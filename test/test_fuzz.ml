@@ -338,9 +338,12 @@ let prop_model_cuts =
         (fun (((a, r) as pl), (whole : Engine.t)) ->
           (* one trajectory, cut out of order, equals fresh runs *)
           let tr =
+            let c = Engine.characterise (platform pl) cdfg profile in
             Engine.trajectory
-              ~analysis:(Hypar_analysis.Kernel.analyse cdfg profile)
-              (Engine.characterise (platform pl) cdfg profile)
+              (Engine.plan
+                 ~analysis:(Hypar_analysis.Kernel.analyse cdfg profile)
+                 c.Engine.app c.Engine.coarse)
+              c
           in
           let shuffled =
             List.map (fun t -> (Random.State.bits rng, t)) ladder
@@ -387,6 +390,293 @@ let prop_model_cuts =
         full;
       true)
 
+
+(* ---- one move plan per coarse layer, against the per-platform oracle ---
+
+   A sweep plans the greedy loop once per coarse layer (CGC geometry x
+   health) and prices that plan on every platform assembled from it.
+   Over generated programs, healthy and degraded variants of one CGC
+   geometry, two FPGA areas and two clock ratios, both granularities,
+   both communication pricings and a move budget, a trajectory along the
+   shared plan and one along a plan built for the platform alone must cut
+   exactly as the old per-platform trajectory (Trajectory_reference) at
+   0, at max_int and at each step's t_total and t_total - 1; with the
+   sink on, they must emit the same engine.move spans and the same
+   engine and fallback counter totals.  A kernel order that names one
+   block twice makes a move raise: the exception must stay at its entry
+   in both. *)
+
+type plan_case = {
+  p_program : int;  (** fuzzgen seed *)
+  p_areas : int list;
+  p_cgcs : int;
+  p_rows : int;
+  p_cols : int;
+  p_ratios : int list;
+  p_granularity : [ `Block | `Loop ];
+  p_pricing : [ `Transition | `Per_invocation ];
+  p_fuel : int;  (** the move budget, beside none *)
+  p_duplicate : int;  (** where the order that names a block twice repeats it *)
+  p_spec : Hypar_resilience.Fault.spec;
+}
+
+let plan_arb =
+  QCheck.make
+    ~print:(fun c ->
+      let ints l = String.concat "," (List.map string_of_int l) in
+      Printf.sprintf
+        "program seed %d, areas %s, %d x %dx%d CGCs, ratios %s, %s, %s, fuel \
+         %d, duplicate at %d, faults:\n%s"
+        c.p_program (ints c.p_areas) c.p_cgcs c.p_rows c.p_cols
+        (ints c.p_ratios)
+        (match c.p_granularity with `Block -> "blocks" | `Loop -> "loops")
+        (match c.p_pricing with
+        | `Transition -> "transition"
+        | `Per_invocation -> "per-invocation")
+        c.p_fuel c.p_duplicate
+        (Hypar_resilience.Spec.to_text c.p_spec))
+    QCheck.Gen.(
+      (fun ( (program, a1, a2, (cgcs, rows, cols)),
+             ((r1, r2), loops, per_invocation, (fuel, duplicate)),
+             (seed, faults) ) ->
+        {
+          p_program = program;
+          p_areas = List.sort_uniq compare [ a1; a2 ];
+          p_cgcs = cgcs;
+          p_rows = rows;
+          p_cols = cols;
+          p_ratios = List.sort_uniq compare [ r1; r2 ];
+          p_granularity = (if loops then `Loop else `Block);
+          p_pricing = (if per_invocation then `Per_invocation else `Transition);
+          p_fuel = fuel;
+          p_duplicate = duplicate;
+          p_spec = { Hypar_resilience.Fault.seed; faults };
+        })
+      <$> triple
+            (quad (int_range 1 1_000_000) (int_range 20 3000)
+               (int_range 20 3000)
+               (triple (int_range 1 3) (int_range 1 3) (int_range 1 3)))
+            (quad
+               (pair (int_range 1 4) (int_range 1 4))
+               bool bool
+               (pair (int_range 0 4) (int_range 0 6)))
+            (pair (int_range 0 1000) (list_size (int_range 1 4) fault_gen)))
+
+(* the events the greedy loop emits: its engine.move spans with their
+   arguments, in order, and its counter totals *)
+let loop_events events =
+  let moves =
+    List.filter_map
+      (fun (e : Hypar_obs.Event.t) ->
+        match e.kind with
+        | Hypar_obs.Event.Begin { args; _ } when e.name = "engine.move" ->
+          Some args
+        | _ -> None)
+      events
+  in
+  let total name =
+    List.fold_left
+      (fun acc (e : Hypar_obs.Event.t) ->
+        match e.kind with
+        | Hypar_obs.Event.Counter { delta } when e.name = name -> acc + delta
+        | _ -> acc)
+      0 events
+  in
+  ( moves,
+    List.map
+      (fun name -> (name, total name))
+      [ "engine.evaluations"; "engine.moves"; "engine.skipped";
+        "resilience.fault.fallback" ] )
+
+let recorded f =
+  Hypar_obs.Sink.enable ();
+  Fun.protect ~finally:Hypar_obs.Sink.disable (fun () -> Hypar_obs.Sink.collect f)
+
+let prop_shared_plan =
+  QCheck.Test.make
+    ~name:"model: cuts of a plan shared per coarse layer equal the \
+           per-platform trajectory"
+    ~count:200 plan_arb (fun c ->
+      let module Engine = Hypar_core.Engine in
+      let module Space = Hypar_explore.Space in
+      let module Eval = Hypar_explore.Eval in
+      let prepared = Hypar_core.Flow.prepare ~name:"plan" (Gen.source c.p_program) in
+      let cdfg = prepared.Hypar_core.Flow.cdfg
+      and profile = prepared.Hypar_core.Flow.profile in
+      let analysis = Hypar_analysis.Kernel.analyse cdfg profile in
+      let granularity = c.p_granularity and comm_pricing = c.p_pricing in
+      let app = Engine.app_layer cdfg profile in
+      (* every (area, ratio) pair, healthy and degraded: the CGC geometry
+         is shared, its health is not *)
+      let platforms =
+        List.concat_map
+          (fun area ->
+            List.concat_map
+              (fun clock_ratio ->
+                let p =
+                  { Space.area; cgcs = c.p_cgcs; rows = c.p_rows;
+                    cols = c.p_cols; clock_ratio; timing = 0 }
+                in
+                [ ("healthy", Eval.platform_of p);
+                  ("degraded", Eval.platform ~faults:c.p_spec p) ])
+              c.p_ratios)
+          c.p_areas
+      in
+      (* one coarse layer and one plan per CGC x health, as a sweep keys them *)
+      let plans = Hashtbl.create 4 in
+      let shared_plan ~analysis (pl : Hypar_core.Platform.t) =
+        let key = (pl.cgc, pl.cgc_health, analysis) in
+        match Hashtbl.find_opt plans key with
+        | Some cp -> cp
+        | None ->
+          let coarse = Engine.coarse_layer app pl.cgc pl.cgc_health in
+          let cp = (coarse, Engine.plan ~granularity ~analysis app coarse) in
+          Hashtbl.add plans key cp;
+          cp
+      in
+      let outcome f =
+        match f () with
+        | r -> Ok r
+        | exception e -> Error (Printexc.to_string e)
+      in
+      let rng = Random.State.make [| c.p_program |] in
+      let check what (pl : Hypar_core.Platform.t) ~analysis =
+        let coarse, plan = shared_plan ~analysis pl in
+        let shared = Engine.assemble app (Engine.fine_layer app pl.fpga) coarse pl in
+        let own = Engine.characterise pl cdfg profile in
+        let own_plan = Engine.plan ~granularity ~analysis own.app own.coarse in
+        let oracle () =
+          Trajectory_reference.trajectory ~comm_pricing ~granularity ~analysis
+            profile own
+        in
+        let reference = oracle () in
+        let ladder =
+          match
+            outcome (fun () ->
+                Trajectory_reference.cut ~timing_constraint:(-1) reference)
+          with
+          | Error _ -> [ 0; max_int ]
+          | Ok whole ->
+            0 :: max_int :: whole.Engine.initial.Engine.t_total
+            :: List.concat_map
+                 (fun (s : Engine.step) -> [ s.times.t_total; s.times.t_total - 1 ])
+                 whole.Engine.steps
+        in
+        let cuts =
+          List.concat_map
+            (fun t -> [ (t, None); (t, Some c.p_fuel) ])
+            (List.sort_uniq compare ladder)
+          |> List.map (fun x -> (Random.State.bits rng, x))
+          |> List.sort compare |> List.map snd
+        in
+        let cut_all cut tr =
+          List.map
+            (fun (t, max_moves) ->
+              outcome (fun () -> cut ?max_moves ~timing_constraint:t tr))
+            cuts
+        in
+        let expected = cut_all Trajectory_reference.cut reference in
+        let differences got =
+          List.concat
+            (List.map2
+               (fun (t, m) (e, g) ->
+                 if e = g then []
+                 else
+                   [
+                     Printf.sprintf "cut at %d (max_moves %s)%s" t
+                       (Option.fold ~none:"none" ~some:string_of_int m)
+                       (match (e, g) with
+                       | Error e, Error g -> Printf.sprintf ": %s, not %s" g e
+                       | Error e, Ok _ -> ": the oracle raised " ^ e
+                       | Ok _, Error g -> ": raised " ^ g
+                       | Ok _, Ok _ -> "");
+                   ])
+               cuts (List.combine expected got))
+        in
+        let check_cuts which got =
+          match differences got with
+          | [] -> ()
+          | diffs ->
+            QCheck.Test.fail_reportf
+              "%s, %s, %s CGCs, area %d, ratio %d: %s" what which
+              (Hypar_coarsegrain.Cgc.describe pl.cgc)
+              pl.fpga.Hypar_finegrain.Fpga.area pl.clock_ratio
+              (String.concat "; " diffs)
+        in
+        check_cuts "the shared plan"
+          (cut_all Engine.cut (Engine.trajectory ~comm_pricing plan shared));
+        check_cuts "the platform's own plan"
+          (cut_all Engine.cut (Engine.trajectory ~comm_pricing own_plan own));
+        (* the same cuts with the sink on: same results, spans and counters *)
+        let got, events =
+          recorded (fun () ->
+              cut_all Engine.cut (Engine.trajectory ~comm_pricing plan shared))
+        in
+        let _, oracle_events =
+          recorded (fun () -> cut_all Trajectory_reference.cut (oracle ()))
+        in
+        check_cuts "the traced shared plan" got;
+        if loop_events events <> loop_events oracle_events then
+          QCheck.Test.fail_reportf
+            "%s: engine.move spans or counter totals differ from the oracle's \
+             (area %d, ratio %d)"
+            what pl.fpga.Hypar_finegrain.Fpga.area pl.clock_ratio
+      in
+      List.iter (fun (what, pl) -> check what pl ~analysis) platforms;
+      (* a sweep over the degraded platforms plans each coarse layer once:
+         every point must equal the oracle's cut on its own platform *)
+      (let space =
+         Space.make ~areas:c.p_areas ~cgcs:[ c.p_cgcs ] ~rows:[ c.p_rows ]
+           ~cols:[ c.p_cols ] ~clock_ratios:c.p_ratios ~timings:[ 0; max_int ]
+           ()
+       in
+       match
+         (* three retries absorb every injected transient failure *)
+         Hypar_explore.Driver.run ~faults:c.p_spec ~retries:3 prepared space
+       with
+       | Error e -> QCheck.Test.fail_reportf "sweep refused: %s" e
+       | Ok s ->
+         Array.iter
+           (fun (r : Hypar_explore.Driver.point_result) ->
+             let p = r.Hypar_explore.Driver.point in
+             let expected =
+               outcome (fun () ->
+                   Trajectory_reference.cut ~timing_constraint:p.timing
+                     (Trajectory_reference.trajectory ~analysis profile
+                        (Engine.characterise
+                           (Eval.platform ~faults:c.p_spec p)
+                           cdfg profile)))
+             in
+             let same =
+               match (r.outcome, expected) with
+               | Ok m, Ok e ->
+                 m.Eval.initial = e.Engine.initial
+                 && m.Eval.final = e.Engine.final
+                 && m.Eval.moved = e.Engine.moved
+                 && m.Eval.skipped = List.length e.Engine.skipped
+                 && m.Eval.status = e.Engine.status
+               | Error _, Error _ -> true
+               | Ok _, Error _ | Error _, Ok _ -> false
+             in
+             if not same then
+               QCheck.Test.fail_reportf "sweep point %s differs from the oracle%s"
+                 (Space.point_key p)
+                 (match r.outcome with Error e -> ": " ^ e | Ok _ -> ""))
+           s.Hypar_explore.Driver.results);
+      (* an order that names its first kernel again raises at that move *)
+      (match analysis.Hypar_analysis.Kernel.kernels with
+      | [] -> ()
+      | k :: _ as kernels ->
+        let at = min c.p_duplicate (List.length kernels) in
+        let order =
+          List.filteri (fun i _ -> i < at) kernels
+          @ (k :: List.filteri (fun i _ -> i >= at) kernels)
+        in
+        let analysis = { analysis with Hypar_analysis.Kernel.kernels = order } in
+        List.iter
+          (fun (what, pl) -> check (what ^ ", a block named twice") pl ~analysis)
+          platforms);
+      true)
 
 (* ---- greedy is never better than exhaustive search ---------------------
 
@@ -1020,4 +1310,5 @@ let suite =
       test_protocol_truncations;
     Alcotest.test_case "worker: crash ranking" `Quick test_worker_crash_rank;
     Alcotest.test_case "worker: io ranking" `Quick test_worker_io_rank_messages;
+    QCheck_alcotest.to_alcotest prop_shared_plan;
   ]

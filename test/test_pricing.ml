@@ -152,17 +152,20 @@ let fault_gen =
         (fun c -> Fault.Dead_cgc c) <$> int_range 0 3;
       ])
 
+let geometry_gen =
+  QCheck.Gen.(
+    (fun (cgcs, rows, cols, faults) -> { cgcs; rows; cols; faults })
+    <$> quad (int_range 1 4) (int_range 1 4) (int_range 1 4)
+          (list_size (int_range 0 4) fault_gen))
+
+let describe g =
+  Printf.sprintf "%d CGC(s) of %dx%d, faults %s" g.cgcs g.rows g.cols
+    (Hypar_resilience.Spec.to_text { Fault.seed = 0; faults = g.faults })
+
 let schedule_arb =
   QCheck.make
-    ~print:(fun (seed, g) ->
-      Printf.sprintf "seed %d, %d CGC(s) of %dx%d, faults %s" seed g.cgcs g.rows
-        g.cols
-        (Hypar_resilience.Spec.to_text { Fault.seed = 0; faults = g.faults }))
-    QCheck.Gen.(
-      pair (int_range 1 1_000_000)
-        ((fun (cgcs, rows, cols, faults) -> { cgcs; rows; cols; faults })
-        <$> quad (int_range 1 4) (int_range 1 4) (int_range 1 4)
-              (list_size (int_range 0 4) fault_gen)))
+    ~print:(fun (seed, g) -> Printf.sprintf "seed %d, %s" seed (describe g))
+    QCheck.Gen.(pair (int_range 1 1_000_000) geometry_gen)
 
 (* the data-path as built, and as [Degrade.apply] leaves it *)
 let healths g =
@@ -178,26 +181,53 @@ let healths g =
   | Ok degraded -> (cgc, [ None; degraded.Hypar_core.Platform.cgc_health ])
   | Error msg -> QCheck.Test.fail_reportf "faults do not apply: %s" msg
 
+(* Each block is scheduled on two geometries (healthy and degraded) in
+   a row, in both orders and with the priorities interleaved, each time
+   on a DFG whose kept priority order and predecessor arrays were first
+   computed for another geometry or priority: every schedule must still
+   equal a fresh oracle schedule. *)
 let prop_schedule =
   QCheck.Test.make
     ~name:"cgc: the array scheduler places as the list oracle (raw, -O, bytecode)"
-    ~count:200 schedule_arb (fun (seed, g) ->
-      let cgc, healths = healths g in
+    ~count:200
+    (QCheck.make
+       ~print:(fun (seed, g1, g2) ->
+         Printf.sprintf "seed %d, %s, then %s" seed (describe g1) (describe g2))
+       QCheck.Gen.(triple (int_range 1 1_000_000) geometry_gen geometry_gen))
+    (fun (seed, g1, g2) ->
+      let setups =
+        List.concat_map
+          (fun g ->
+            let cgc, healths = healths g in
+            List.map (fun health -> (cgc, health)) healths)
+          [ g1; g2 ]
+      in
+      let priorities =
+        [ ("ALAP", `Alap); ("ASAP", `Asap); ("program-order", `Program) ]
+      in
       each_block seed (fun variant cdfg i ->
-          let dfg = Ir.Cdfg.dfg cdfg i in
+          let instrs = (Ir.Cdfg.info cdfg i).Ir.Cdfg.block.Ir.Block.instrs in
           List.iter
-            (fun health ->
-              if Schedule.supported_on ?health cgc dfg then
-                List.iter
-                  (fun (name, priority) ->
-                    expect
-                      (Printf.sprintf "the %s schedule%s" name
-                         (if health = None then "" else " (degraded)"))
-                      variant i Schedule.pp
-                      (Schedule_reference.schedule ~priority ?health cgc dfg)
-                      (Schedule.schedule ~priority ?health cgc dfg))
-                  [ ("ALAP", `Alap); ("ASAP", `Asap); ("program-order", `Program) ])
-            healths);
+            (fun (dfg, setups, priorities) ->
+              List.iter
+                (fun ((cgc : Cgc.t), health) ->
+                  if Schedule.supported_on ?health cgc dfg then
+                    List.iter
+                      (fun (name, priority) ->
+                        expect
+                          (Printf.sprintf "the %s schedule on %s%s" name
+                             (Cgc.describe cgc)
+                             (if health = None then "" else " (degraded)"))
+                          variant i Schedule.pp
+                          (Schedule_reference.schedule ~priority ?health cgc dfg)
+                          (Schedule.schedule ~priority ?health cgc dfg))
+                      priorities)
+                setups)
+            [
+              (Ir.Cdfg.dfg cdfg i, setups, priorities);
+              (Ir.Dfg.of_instrs instrs, List.rev setups, List.rev priorities);
+              (Ir.Dfg.of_instrs instrs, setups, List.rev priorities);
+            ]);
       true)
 
 let prop_coarse_latency =
