@@ -1035,8 +1035,7 @@ let serve_cmd =
       if jobs > 1 || grace <> None || quarantine <> None || chaos <> None then
         Some
           {
-            Srv.Supervisor.default_options with
-            max_retries;
+            Srv.Supervisor.max_retries;
             grace_ms = grace;
             chaos;
             quarantine_path = quarantine;

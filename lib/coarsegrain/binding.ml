@@ -10,7 +10,6 @@ type t = {
 }
 
 let bind (cgc : Cgc.t) dfg (sched : Schedule.t) =
-  Hypar_obs.Span.with_ ~cat:"cgc" "cgc.bind" @@ fun () ->
   let slots = ref [] in
   let mem_ports = ref [] in
   let port_in_cycle : (int, int) Hashtbl.t = Hashtbl.create 16 in

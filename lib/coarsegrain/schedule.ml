@@ -104,7 +104,6 @@ let priority_order ?(priority = `Alap) dfg =
    compacted as a pass places them; [tail] holds the cycle in which a
    node is the tail of its column's chain. *)
 let schedule ?priority ?health cgc dfg =
-  Hypar_obs.Span.with_ ~cat:"cgc" "cgc.schedule" @@ fun () ->
   let n = Ir.Dfg.node_count dfg in
   let kinds =
     Array.init n (fun i -> kind_of (Ir.Dfg.node dfg i).Ir.Dfg.instr)
@@ -241,9 +240,7 @@ let schedule ?priority ?health cgc dfg =
     done;
     incr t
   done;
-  let makespan = Array.fold_left max 0 finish in
-  Hypar_obs.Counter.set "cgc.schedule_length" makespan;
-  { placements; makespan }
+  { placements; makespan = Array.fold_left max 0 finish }
 
 let chains_in_cycle t cycle =
   let seen = Hashtbl.create 8 in

@@ -113,6 +113,9 @@ let fine_layer app fpga =
     cycles_per_iteration.(i) <- p.Finegrain.Fine_map.cycles_per_iteration;
     partition_count.(i) <- p.Finegrain.Fine_map.partition_count
   done;
+  Hypar_obs.Counter.incr
+    ~by:(Array.fold_left ( + ) 0 partition_count)
+    "fine.temporal_partitions";
   { cycles_per_iteration; partition_count }
 
 let coarse_layer ?(cgc_pipelining = false) app cgc health =

@@ -116,7 +116,8 @@ val block_words : app_layer -> int -> int
 
 val fine_layer : app_layer -> Hypar_finegrain.Fpga.t -> fine_layer
 (** Every block priced on the fine-grain hardware
-    ({!Hypar_finegrain.Fine_map.price}). *)
+    ({!Hypar_finegrain.Fine_map.price}).  Adds the layer's total to the
+    [fine.temporal_partitions] counter, once per call. *)
 
 val coarse_layer :
   ?cgc_pipelining:bool ->

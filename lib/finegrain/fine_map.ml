@@ -11,16 +11,10 @@ type block_mapping = {
 
 type price = { partition_count : int; cycles_per_iteration : int }
 
-let traced_block block_id f =
-  Hypar_obs.Span.with_ ~cat:"fine" "fine.map_block"
-    ~args:[ ("block", Hypar_obs.Event.Int block_id) ]
-    f
-
 (* Both prices come from the one Figure-3 walk: a (partition, ASAP level)
    group costs the max delay among its members, a partition its
    reconfiguration under the device's model. *)
 let map_dfg_id fpga ~block_id dfg =
-  traced_block block_id @@ fun () ->
   let tp, (cost : Temporal.cost) =
     Temporal.partition_priced ~delay:(Fpga.op_delay fpga)
       ~reconfig:(Fpga.partition_reconfig_cycles fpga)
@@ -36,7 +30,6 @@ let map_dfg_id fpga ~block_id dfg =
   }
 
 let price fpga cdfg i =
-  traced_block i @@ fun () ->
   let (cost : Temporal.cost) =
     Temporal.price ~delay:(Fpga.op_delay fpga)
       ~reconfig:(Fpga.partition_reconfig_cycles fpga)

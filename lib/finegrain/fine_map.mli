@@ -33,7 +33,7 @@ val price : Fpga.t -> Hypar_ir.Cdfg.t -> int -> price
 (** The two numbers the partitioning engine reads of {!map_block}, from
     the same Figure-3 walk ({!Temporal.price}) but without recording the
     temporal partitions — the per-FPGA characterisation a design-space
-    sweep repeats.  Same [fine.map_block] and [fine.temporal] spans. *)
+    sweep repeats. *)
 
 val map_cdfg : Fpga.t -> Hypar_ir.Cdfg.t -> block_mapping array
 (** One mapping per basic block ("the mapping methodology also handles

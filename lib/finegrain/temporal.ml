@@ -6,17 +6,6 @@ type t = { partitions : partition list; assignment : int array }
 
 type cost = { count : int; compute_cycles : int; reconfig_cycles : int }
 
-(* Tracing wrapper shared by every entry point: a span per call plus the
-   running total of partitions created (the "temporal-partition count"
-   the --stats breakdown reports). *)
-let traced span_name ~count impl ~area ~size dfg =
-  if not (Hypar_obs.Sink.enabled ()) then impl ~area ~size dfg
-  else
-    Hypar_obs.Span.with_ ~cat:"fine" span_name (fun () ->
-        let r = impl ~area ~size dfg in
-        Hypar_obs.Counter.incr ~by:(count r) "fine.temporal_partitions";
-        r)
-
 (* Figure 3, as one walk over the level order:
      i = 1; area_covered = 0;
      for level = 1 .. max_level:
@@ -79,14 +68,12 @@ let walk ~area ~size ~delay ~reconfig ~on_node ~on_partition dfg =
 
 let skip _ _ = ()
 
-let price ~delay ~reconfig =
-  traced "fine.temporal"
-    ~count:(fun c -> c.count)
-    (walk ~delay ~reconfig ~on_node:skip ~on_partition:skip)
+let price ~delay ~reconfig ~area ~size dfg =
+  walk ~area ~size ~delay ~reconfig ~on_node:skip ~on_partition:skip dfg
 
 (* the walk, recording each node's partition and each partition's
    members (in visiting order) and area *)
-let partition_and_price ~delay ~reconfig ~area ~size dfg =
+let partition_priced ~delay ~reconfig ~area ~size dfg =
   let assignment = Array.make (Ir.Dfg.node_count dfg) 0 in
   let members = ref [] and partitions = ref [] in
   let on_node u p =
@@ -100,11 +87,6 @@ let partition_and_price ~delay ~reconfig ~area ~size dfg =
   let cost = walk ~area ~size ~delay ~reconfig ~on_node ~on_partition dfg in
   ({ partitions = List.rev !partitions; assignment }, cost)
 
-let partition_priced ~delay ~reconfig =
-  traced "fine.temporal"
-    ~count:(fun (_, c) -> c.count)
-    (partition_and_price ~delay ~reconfig)
-
 let partition ~area ~size dfg =
   fst
     (partition_priced
@@ -115,7 +97,7 @@ let partition ~area ~size dfg =
 (* Baseline: first-fit with backfill.  Visiting nodes in the same
    level-by-level order, place each node into the lowest-indexed
    partition with room, at or after all its predecessors' partitions. *)
-let partition_best_fit_impl ~area ~size dfg =
+let partition_best_fit ~area ~size dfg =
   if area <= 0 then invalid_arg "Temporal.partition_best_fit: area must be positive";
   let n = Ir.Dfg.node_count dfg in
   let assignment = Array.make n 0 in
@@ -168,10 +150,6 @@ let partition_best_fit_impl ~area ~size dfg =
         (List.init !highest Fun.id)
   in
   { partitions; assignment }
-
-let partition_best_fit =
-  traced "fine.temporal" ~count:(fun t -> List.length t.partitions)
-    partition_best_fit_impl
 
 let count t = List.length t.partitions
 

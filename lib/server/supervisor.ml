@@ -5,20 +5,16 @@ module Retry = Hypar_resilience.Retry
 type options = {
   max_retries : int;
   grace_ms : int option;
-  backoff_us : int;
   chaos : Chaos.spec option;
   quarantine_path : string option;
-  resume_quarantine : bool;
 }
 
 let default_options =
   {
     max_retries = 1;
     grace_ms = None;
-    backoff_us = 20_000;
     chaos = None;
     quarantine_path = None;
-    resume_quarantine = true;
   }
 
 type outcome = { resp : Protocol.response; events : Hypar_obs.Event.t list }
@@ -101,10 +97,8 @@ let load_quarantine opts =
   | None -> Ok (Hashtbl.create 16, None)
   | Some path ->
     let ( let* ) = Result.bind in
-    let* entries =
-      if opts.resume_quarantine then Journal.load ~header:quarantine_header path
-      else Ok []
-    in
+    (* an existing journal is reloaded and appended to, never truncated *)
+    let* entries = Journal.load ~header:quarantine_header path in
     let tbl = Hashtbl.create 16 in
     List.iter
       (fun entry ->
@@ -115,10 +109,7 @@ let load_quarantine opts =
             (String.sub entry (i + 1) (String.length entry - i - 1))
         | None -> Hashtbl.replace tbl entry "unknown")
       entries;
-    let* journal =
-      Journal.create ~resume:opts.resume_quarantine ~header:quarantine_header
-        path
-    in
+    let* journal = Journal.create ~resume:true ~header:quarantine_header path in
     Ok (tbl, Some journal)
 
 let quarantine_signature t digest =
@@ -283,7 +274,8 @@ let note_hb_age t age_s =
 
 let monitor_loop t =
   (* consecutive respawns without an intervening settled request drive
-     the bounded exponential backoff; any progress resets it *)
+     the bounded exponential backoff (20 ms base, 200 ms cap); any
+     progress resets it *)
   let consecutive = ref 0 in
   let last_settled = ref (Atomic.get t.settled_total) in
   let respawn_backoff () =
@@ -292,8 +284,7 @@ let monitor_loop t =
     last_settled := settled_now;
     incr consecutive;
     let wait_us =
-      min 200_000
-        (Retry.delay_us ~backoff_us:t.opts.backoff_us ~attempt:!consecutive)
+      min 200_000 (Retry.delay_us ~backoff_us:20_000 ~attempt:!consecutive)
     in
     if wait_us > 0 then Unix.sleepf (float_of_int wait_us /. 1e6)
   in

@@ -7,8 +7,8 @@
     - {b crashed} workers — an exception escaped the execute callback
       (or a chaos [crash] fired).  The dead domain is joined and a fresh
       one spawned with bounded exponential backoff (the
-      {!Hypar_resilience.Retry.delay_us} schedule, reset whenever any
-      request settles, capped at 200 ms per wait);
+      {!Hypar_resilience.Retry.delay_us} schedule from a 20 ms base,
+      reset whenever any request settles, capped at 200 ms per wait);
     - {b wedged} workers — still running but past the request's deadline
       budget plus [grace_ms] with no poll progress (no heartbeat).
       Domains cannot be killed, so the worker is {e abandoned}: a flag
@@ -35,16 +35,14 @@ type options = {
       (** failed executions re-enqueued per request before quarantine *)
   grace_ms : int option;
       (** wedge detection threshold; [None] disables detection *)
-  backoff_us : int;  (** base of the respawn backoff schedule *)
   chaos : Chaos.spec option;  (** injected faults, [None] in production *)
-  quarantine_path : string option;  (** journal for quarantined digests *)
-  resume_quarantine : bool;
-      (** reload an existing journal instead of truncating it *)
+  quarantine_path : string option;
+      (** journal for quarantined digests, reloaded if it exists *)
 }
 
 val default_options : options
-(** [max_retries = 1], no grace (wedge detection off), 20 ms base
-    backoff, no chaos, no journal, [resume_quarantine = true]. *)
+(** [max_retries = 1], no grace (wedge detection off), no chaos, no
+    journal. *)
 
 type outcome = { resp : Protocol.response; events : Hypar_obs.Event.t list }
 (** What one execution produced: the response envelope plus the

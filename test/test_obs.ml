@@ -206,6 +206,63 @@ let test_stats () =
         Alcotest.failf "stats output misses %S:\n%s" needle rendered)
     [ "== hypar stats =="; "a"; "b"; "n" ]
 
+(* Characterisation is traced per layer, never per block: a partition of
+   OFDM (19 blocks) carries one [fine.temporal_partitions] counter holding
+   the fine layer's total, and no [fine.*] or [cgc.*] span or gauge. *)
+let test_probe_per_layer () =
+  let prepared = Hypar_apps.Ofdm.prepared () in
+  let platform =
+    Hypar_core.Platform.make
+      ~fpga:(Hypar_finegrain.Fpga.make ~area:1500 ())
+      ~cgc:(Hypar_coarsegrain.Cgc.make ~cgcs:2 ~rows:2 ~cols:2 ())
+      ()
+  in
+  let c =
+    Hypar_core.Engine.characterise platform prepared.Hypar_core.Flow.cdfg
+      prepared.Hypar_core.Flow.profile
+  in
+  let partitions =
+    Array.fold_left ( + ) 0 c.Hypar_core.Engine.fine.Hypar_core.Engine.partition_count
+  in
+  (* the suite verifies IR everywhere, and the engine's input check would
+     add a liveness span: trace the flow as an unverified run does *)
+  let verify = !Hypar_ir.Passes.verify_passes in
+  Hypar_ir.Passes.verify_passes := false;
+  let events =
+    Fun.protect
+      ~finally:(fun () -> Hypar_ir.Passes.verify_passes := verify)
+      (fun () ->
+        recording (fun () ->
+            ignore
+              (Hypar_core.Flow.partition platform
+                 ~timing_constraint:Hypar_apps.Ofdm.timing_constraint prepared);
+            Sink.events ()))
+  in
+  let per_block (e : Event.t) =
+    (String.starts_with ~prefix:"fine." e.name
+    || String.starts_with ~prefix:"cgc." e.name)
+    &&
+    match e.kind with
+    | Event.Begin _ | Event.End | Event.Gauge _ -> true
+    | Event.Counter _ | Event.Instant _ -> false
+  in
+  (match List.filter per_block events with
+  | [] -> ()
+  | e :: _ -> Alcotest.failf "per-block probe %s in the trace" e.name);
+  (match
+     List.filter_map
+       (fun (e : Event.t) ->
+         match e.kind with
+         | Event.Counter { delta } when e.name = "fine.temporal_partitions" ->
+           Some delta
+         | _ -> None)
+       events
+   with
+  | [ delta ] ->
+    Alcotest.(check int) "the fine layer's partitions" partitions delta
+  | l -> Alcotest.failf "expected one partition counter, got %d" (List.length l));
+  Alcotest.(check int) "events per partition" 21 (List.length events)
+
 let suite =
   [
     Alcotest.test_case "span nesting and balance" `Quick test_nesting;
@@ -222,4 +279,6 @@ let suite =
     Alcotest.test_case "parser rejects garbage" `Quick
       test_parse_chrome_rejects_garbage;
     Alcotest.test_case "stats aggregation" `Quick test_stats;
+    Alcotest.test_case "one probe per characterisation layer" `Quick
+      test_probe_per_layer;
   ]
