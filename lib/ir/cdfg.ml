@@ -27,17 +27,37 @@ let make ?(name = "program") ~arrays cfg =
   with_dfgs ~name ~arrays cfg (Array.make (Cfg.block_count cfg) None)
 
 let with_blocks t blocks =
-  let cfg = Cfg.of_blocks blocks in
-  (* a DFG depends only on the instructions: keep the built one of every
-     block whose instructions equal those of the same-labelled old block *)
-  let reuse (b : Block.t) =
-    match Cfg.id_of_label t.cfg b.label with
-    | j ->
-      let old = t.infos.(j).block.instrs in
-      if old == b.instrs || old = b.instrs then t.dfgs.(j) else None
-    | exception Not_found -> None
+  let old = Cfg.blocks t.cfg in
+  let same_edges =
+    List.compare_length_with blocks (Array.length old) = 0
+    && List.for_all2
+         (fun (b : Block.t) (o : Block.t) -> b.label == o.label && b.term == o.term)
+         blocks (Array.to_list old)
   in
-  with_dfgs ~name:t.name ~arrays:t.arrays cfg (Array.map reuse (Cfg.blocks cfg))
+  if same_edges then begin
+    (* only instructions changed: the edges, the loop depths and the DFG
+       of every block whose instruction list is the old one stay *)
+    let blocks = Array.of_list blocks in
+    let infos =
+      Array.mapi (fun i b -> { block = b; loop_depth = t.infos.(i).loop_depth }) blocks
+    in
+    let dfgs =
+      Array.mapi
+        (fun i (b : Block.t) -> if b.instrs == old.(i).instrs then t.dfgs.(i) else None)
+        blocks
+    in
+    { t with cfg = Cfg.with_same_edges t.cfg blocks; infos; dfgs }
+  end
+  else
+    let cfg = Cfg.of_blocks blocks in
+    (* a DFG depends only on the instructions: keep the built one of every
+       block whose instruction list is that of the same-labelled old block *)
+    let reuse (b : Block.t) =
+      match Cfg.id_of_label t.cfg b.label with
+      | j -> if t.infos.(j).block.instrs == b.instrs then t.dfgs.(j) else None
+      | exception Not_found -> None
+    in
+    with_dfgs ~name:t.name ~arrays:t.arrays cfg (Array.map reuse (Cfg.blocks cfg))
 
 (* A plain memo slot, not a [Lazy.t]: domains that race on an empty slot
    each build the same DFG and one write wins, where forcing a shared

@@ -28,10 +28,13 @@ val make : ?name:string -> arrays:array_decl list -> Cfg.t -> t
 
 val with_blocks : t -> Block.t list -> t
 (** [with_blocks t blocks] is [make] over [Cfg.of_blocks blocks] with
-    [t]'s name and arrays.  A block whose instructions equal those of
-    the block of [t] with the same label keeps that block's built DFG;
-    every other block's DFG is built on first use.  Raises
-    {!Cfg.Malformed} as {!Cfg.of_blocks} does. *)
+    [t]'s name and arrays.  When every block carries, physically, the
+    label and terminator of [t]'s block at the same index, the CFG's
+    edges and the loop depths are [t]'s, not computed again.  A block
+    whose instruction list is physically that of the block of [t] with
+    the same label keeps that block's built DFG; every other block's DFG
+    is built on first use.  Raises {!Cfg.Malformed} as {!Cfg.of_blocks}
+    does. *)
 
 val dfg : t -> int -> Dfg.t
 (** [dfg t i] is the DFG of block [i], built by {!Dfg.of_instrs} on the

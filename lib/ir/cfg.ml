@@ -35,6 +35,8 @@ let of_blocks block_list =
   Array.iteri (fun j l -> preds.(j) <- List.rev l) preds;
   { blocks; entry = 0; by_label; succs; preds }
 
+let with_same_edges t blocks = { t with blocks }
+
 let entry t = t.entry
 let block_count t = Array.length t.blocks
 let block t i = t.blocks.(i)

@@ -11,6 +11,13 @@ val of_blocks : Block.t list -> t
 (** Builds a CFG. Raises {!Malformed} if the list is empty, a label is
     duplicated, or a terminator targets an unknown label. *)
 
+val with_same_edges : t -> Block.t array -> t
+(** [with_same_edges t blocks] is the CFG over [blocks], which carry
+    [t]'s labels and terminators in [t]'s order (only their instructions
+    differ).  It shares [t]'s label index and edges instead of resolving
+    them again; nothing is checked, and [blocks] must not be mutated
+    afterwards. *)
+
 val entry : t -> int
 val block_count : t -> int
 val block : t -> int -> Block.t

@@ -40,15 +40,69 @@ let key (instr : Instr.t) =
   | Load { arr; index; _ } -> Some (Load (arr, atom index))
   | Div _ | Rem _ | Mov _ | Store _ -> None
 
-let operands = function
-  | Bin (_, a, b) | Mul (a, b) -> [ a; b ]
-  | Un (_, a) | Load (_, a) -> [ a ]
-  | Select (c, t, f) -> [ c; t; f ]
+let atom_equal a b =
+  match (a, b) with
+  | Reg x, Reg y | Imm x, Imm y -> x = y
+  | Reg _, Imm _ | Imm _, Reg _ -> false
+
+let key_equal k1 k2 =
+  match (k1, k2) with
+  | Bin (o1, a1, b1), Bin (o2, a2, b2) ->
+    o1 = o2 && atom_equal a1 a2 && atom_equal b1 b2
+  | Mul (a1, b1), Mul (a2, b2) -> atom_equal a1 a2 && atom_equal b1 b2
+  | Un (o1, a1), Un (o2, a2) -> o1 = o2 && atom_equal a1 a2
+  | Select (c1, t1, f1), Select (c2, t2, f2) ->
+    atom_equal c1 c2 && atom_equal t1 t2 && atom_equal f1 f2
+  | Load (r1, i1), Load (r2, i2) -> atom_equal i1 i2 && String.equal r1 r2
+  | (Bin _ | Mul _ | Un _ | Select _ | Load _), _ -> false
+
+let reads_reg k vid =
+  let is = function Reg v -> v = vid | Imm _ -> false in
+  match k with
+  | Bin (_, a, b) | Mul (a, b) -> is a || is b
+  | Un (_, a) | Load (_, a) -> is a
+  | Select (c, t, f) -> is c || is t || is f
+
+let iter_regs f k =
+  let atom = function Reg v -> f v | Imm _ -> () in
+  match k with
+  | Bin (_, a, b) | Mul (a, b) ->
+    atom a;
+    atom b
+  | Un (_, a) | Load (_, a) -> atom a
+  | Select (c, t, e) ->
+    atom c;
+    atom t;
+    atom e
+
+(* keys hashed from their ints alone: a load's array name is left to
+   [key_equal], so no string is hashed per instruction *)
+module Key_tbl = Hashtbl.Make (struct
+  type t = key
+
+  let equal = key_equal
+  let atom = function Reg v -> 2 * v | Imm n -> (2 * n) + 1
+  let mix h x = (h * 65599) + x
+
+  let hash k =
+    (match k with
+    | Bin (op, a, b) -> mix (mix (mix 1 (Hashtbl.hash op)) (atom a)) (atom b)
+    | Mul (a, b) -> mix (mix 2 (atom a)) (atom b)
+    | Un (op, a) -> mix (mix 3 (Hashtbl.hash op)) (atom a)
+    | Select (c, t, f) -> mix (mix (mix 4 (atom c)) (atom t)) (atom f)
+    | Load (_, i) -> mix 5 (atom i))
+    land max_int
+end)
 
 type step = { expr : int; gen : int; kill : Bitset.t }
 
-(* an interned expression: its id and the registers holding it *)
-type entry = { id : int; mutable held : (int * int) list (* vid, fact *) }
+(* an interned expression: its id, its array's id for a load (else -1)
+   and the registers holding it *)
+type entry = {
+  id : int;
+  arr : int;
+  mutable held : (int * int) list; (* vid, fact *)
+}
 
 type t = {
   keys : key array;  (** expression id -> key *)
@@ -58,20 +112,40 @@ type t = {
   steps : step array array;
 }
 
-(* what the first pass learns about one instruction *)
-type effect = Defines of int | Stores of string
+(* what the first pass learns about one instruction: its expression, the
+   fact it generates and what it kills — a register id, or [-1 - array
+   id] for a store *)
+type pending = { p_expr : int; p_gen : int; p_kills : int }
+
+(* register id -> the facts its redefinition kills, while a table is built *)
+let reg_kills : Bitset.t Regs.key = Regs.per_domain (Bitset.create 0)
 
 let build cfg =
-  let ids = Hashtbl.create 64 in
-  let keys = ref [] and n_exprs = ref 0 in
+  let ids = Key_tbl.create 64 in
+  let entries = ref [] and n_exprs = ref 0 in
   let facts = ref [] and n_facts = ref 0 in
+  (* array names get dense ids, the index of their kill masks *)
+  let arr_ids = Hashtbl.create 8 in
+  let arr_id name =
+    match Hashtbl.find_opt arr_ids name with
+    | Some i -> i
+    | None ->
+      let i = Hashtbl.length arr_ids in
+      Hashtbl.add arr_ids name i;
+      i
+  in
   let intern k =
-    match Hashtbl.find_opt ids k with
+    match Key_tbl.find_opt ids k with
     | Some entry -> entry
     | None ->
-      let entry = { id = !n_exprs; held = [] } in
-      Hashtbl.add ids k entry;
-      keys := k :: !keys;
+      let arr =
+        match k with
+        | Load (a, _) -> arr_id a
+        | Bin _ | Mul _ | Un _ | Select _ -> -1
+      in
+      let entry = { id = !n_exprs; arr; held = [] } in
+      Key_tbl.add ids k entry;
+      entries := (k, entry) :: !entries;
       incr n_exprs;
       entry
   in
@@ -85,67 +159,66 @@ let build cfg =
       incr n_facts;
       f
   in
+  let none = { p_expr = -1; p_gen = -1; p_kills = -1 } in
   let raw =
     Array.map
       (fun (b : Block.t) ->
-        Array.of_list
-          (List.map
-             (fun instr ->
-               match (key instr, Instr.def instr) with
-               | _, None ->
-                 (-1, -1, Stores (Option.get (Instr.accessed_array instr)))
-               | None, Some d -> (-1, -1, Defines d.Instr.vid)
-               | Some k, Some d ->
-                 let entry = intern k in
-                 (* x = x + 1 is stale the moment it is computed *)
-                 let gen =
-                   if List.mem (Reg d.Instr.vid) (operands k) then -1
-                   else fact entry d
-                 in
-                 (entry.id, gen, Defines d.Instr.vid))
-             b.Block.instrs))
+        let r = Array.make (List.length b.Block.instrs) none in
+        List.iteri
+          (fun i (instr : Instr.t) ->
+            r.(i) <-
+              (match instr with
+              | Store { arr; _ } -> { none with p_kills = -1 - arr_id arr }
+              | Bin { dst; _ } | Mul { dst; _ } | Div { dst; _ } | Rem { dst; _ }
+              | Un { dst; _ } | Mov { dst; _ } | Select { dst; _ } | Load { dst; _ }
+                -> (
+                match key instr with
+                | None -> { none with p_kills = dst.Instr.vid }
+                | Some k ->
+                  let entry = intern k in
+                  (* x = x + 1 is stale the moment it is computed *)
+                  let gen =
+                    if reads_reg k dst.Instr.vid then -1 else fact entry dst
+                  in
+                  { p_expr = entry.id; p_gen = gen; p_kills = dst.Instr.vid })))
+          b.Block.instrs;
+        r)
       (Cfg.blocks cfg)
   in
   let n = !n_facts in
-  let keys = Array.of_list (List.rev !keys) in
+  let entries = Array.of_list (List.rev !entries) in
+  let keys = Array.map fst entries in
   let facts = Array.of_list (List.rev !facts) in
   let fact_expr = Array.map fst facts and fact_reg = Array.map snd facts in
-  let expr_facts = Array.make (Array.length keys) [] in
-  Hashtbl.iter (fun _ entry -> expr_facts.(entry.id) <- List.map snd entry.held) ids;
+  let expr_facts = Array.map (fun (_, entry) -> List.map snd entry.held) entries in
   (* kill masks: a register's facts are those held in it or reading it, an
      array's are its loads *)
-  let reg_kill = Hashtbl.create 64 and arr_kill = Hashtbl.create 8 in
-  let mark tbl x f =
-    let m =
-      match Hashtbl.find_opt tbl x with
-      | Some m -> m
-      | None ->
-        let m = Bitset.create n in
-        Hashtbl.add tbl x m;
-        m
-    in
-    Bitset.add m f
+  let empty = Bitset.create n in
+  let reg_kill = Regs.fresh reg_kills in
+  let arr_kill = Array.make (Hashtbl.length arr_ids) empty in
+  let mark_reg v f =
+    if not (Regs.mem reg_kill v) then Regs.set reg_kill v (Bitset.create n);
+    Bitset.add (Regs.get reg_kill v) f
   in
   Array.iteri
     (fun f (e, (r : Instr.var)) ->
-      mark reg_kill r.Instr.vid f;
-      let k = keys.(e) in
-      List.iter (function Reg v -> mark reg_kill v f | Imm _ -> ()) (operands k);
-      match k with
-      | Load (arr, _) -> mark arr_kill arr f
-      | Bin _ | Mul _ | Un _ | Select _ -> ())
+      mark_reg r.Instr.vid f;
+      let k, entry = entries.(e) in
+      iter_regs (fun v -> mark_reg v f) k;
+      if entry.arr >= 0 then begin
+        if arr_kill.(entry.arr) == empty then arr_kill.(entry.arr) <- Bitset.create n;
+        Bitset.add arr_kill.(entry.arr) f
+      end)
     facts;
-  let empty = Bitset.create n in
-  let mask tbl x = Option.value (Hashtbl.find_opt tbl x) ~default:empty in
   let steps =
     Array.map
-      (Array.map (fun (expr, gen, effect) ->
+      (Array.map (fun p ->
            let kill =
-             match effect with
-             | Defines vid -> mask reg_kill vid
-             | Stores arr -> mask arr_kill arr
+             if p.p_kills < 0 then arr_kill.(-1 - p.p_kills)
+             else if Regs.mem reg_kill p.p_kills then Regs.get reg_kill p.p_kills
+             else empty
            in
-           { expr; gen; kill }))
+           { expr = p.p_expr; gen = p.p_gen; kill }))
       raw
   in
   { keys; fact_expr; fact_reg; expr_facts; steps }

@@ -1,19 +1,21 @@
 (** The expression table of one CFG: dense ids for its pure expressions
     and for the (expression, holding register) facts CSE reasons about.
 
-    All three CSE jobs read one table: the {!Dataflow.Avail} lattice,
-    the global rewrite {!Passes.global_cse} and the local
-    {!Passes.common_subexpressions}.  Building it hashes each
-    instruction's structural {!key} once; from then on an instruction is
+    Global CSE reads one table: the {!Dataflow.Avail} lattice and the
+    rewrite {!Passes.global_cse}; the local
+    {!Passes.common_subexpressions} uses only the keys, one block at a
+    time.  Building the table hashes each instruction's structural
+    {!key} once, from its ints alone; from then on an instruction is
     a {!step} — an expression id, the fact it generates and a
     precomputed kill mask — and transferring a set of facts over it is
     two or three word-wise bitset operations.
 
     A fact [(e, r)] means "register [r] holds the value of expression
     [e]".  Kill masks are computed once per table:
-    - per register: the facts that read it or are held in it (a
-      redefinition invalidates both);
-    - per array: its load facts (a store invalidates them);
+    - per register, indexed by register id: the facts that read it or
+      are held in it (a redefinition invalidates both);
+    - per array, indexed by a dense array id: its load facts (a store
+      invalidates them);
     - per expression: every fact of that expression (a new holder
       replaces the old one). *)
 
@@ -28,6 +30,20 @@ type key =
   | Un of Types.un_op * atom
   | Select of atom * atom * atom
   | Load of string * atom
+
+val key : Instr.t -> key option
+(** The key of a pure instruction ([Bin], [Mul], [Un], [Select],
+    [Load]); [None] for the others. *)
+
+val key_equal : key -> key -> bool
+(** Structural equality of keys, without polymorphic comparison. *)
+
+val reads_reg : key -> int -> bool
+(** [reads_reg k vid]: is register [vid] an operand of [k]? *)
+
+val iter_regs : (int -> unit) -> key -> unit
+(** The register operands of a key, in operand order (a register read
+    twice is visited twice). *)
 
 type t
 

@@ -36,133 +36,165 @@ let checked ?verify name pass cdfg =
       if out != cdfg then observe ?verify name ~before:cdfg out;
       out)
 
-(* the one place a pass's new blocks become a CDFG: when every block
-   equals the input's block at the same index the pass changed nothing,
-   and the input itself is returned *)
+(* --- sharing what a pass leaves alone ------------------------------------ *)
+
+(* [map_same f l] is [List.map f l], applied first to last, except that it
+   is [l] itself when [f] returns every element physically: a block whose
+   instructions a pass leaves alone keeps its list *)
+let map_same f l =
+  let rec scan = function
+    | [] -> l
+    | x :: rest as cell ->
+      let y = f x in
+      if y == x then scan rest
+      else
+        (* the elements before [cell], which [f] returned unchanged *)
+        let rec prefix acc c =
+          if c == cell then acc
+          else match c with h :: t -> prefix (h :: acc) t | [] -> acc
+        in
+        List.rev_append (prefix [] l) (y :: List.map f rest)
+  in
+  scan l
+
+(* a block with [instrs] and [term], or [b] itself when both are its own *)
+let with_body (b : Block.t) instrs term =
+  if instrs == b.Block.instrs && term == b.Block.term then b
+  else { b with Block.instrs; term }
+
+(* the one place a pass's new blocks become a CDFG.  Every pass hands
+   back the input's own block wherever it changed nothing, so a physical
+   comparison per block tells whether it changed anything at all, and
+   {!Cdfg.with_blocks} keeps the edges and loop depths when no label or
+   terminator is new *)
 let rebuild cdfg blocks =
   let old = Cfg.blocks (Cdfg.cfg cdfg) in
-  let unchanged =
-    List.compare_length_with blocks (Array.length old) = 0
-    && List.for_all2 (fun b o -> b == o || b = o) blocks (Array.to_list old)
-  in
-  if unchanged then cdfg else Cdfg.with_blocks cdfg blocks
+  if Array.length blocks = Array.length old && Array.for_all2 ( == ) blocks old
+  then cdfg
+  else Cdfg.with_blocks cdfg (Array.to_list blocks)
 
-let map_blocks f cdfg =
-  let blocks =
-    List.map
-      (fun i -> f ((Cdfg.info cdfg i).Cdfg.block))
-      (Cdfg.block_ids cdfg)
-  in
-  rebuild cdfg blocks
+let mapi_blocks f cdfg =
+  rebuild cdfg (Array.mapi (fun i bi -> f i bi.Cdfg.block) (Cdfg.infos cdfg))
+
+let map_blocks f cdfg = mapi_blocks (fun _ b -> f b) cdfg
 
 (* --- constant folding ------------------------------------------------ *)
 
-let const_fold_block ?(seed = []) (b : Block.t) =
-  let known : (int, int) Hashtbl.t = Hashtbl.create 16 in
-  List.iter (fun (vid, n) -> Hashtbl.replace known vid n) seed;
-  let subst = function
-    | Instr.Imm n -> Instr.Imm n
-    | Instr.Var v -> (
-      match Hashtbl.find_opt known v.vid with
-      | Some n -> Instr.Imm n
-      | None -> Instr.Var v)
+(* The block rewrites below track, per register the block has already
+   defined, what it holds at this point: an operand, or [varying].  A
+   register the block has not defined yet still holds its block-entry
+   fact, read from the seed on demand, so a seed costs nothing for the
+   registers a block never reads. *)
+let no_reg = { Instr.vname = ""; vid = -1; vwidth = 0 }
+let varying = Instr.Var no_reg
+
+(* register id -> [Imm n] for a known constant, or [varying] *)
+let block_consts : Instr.operand Regs.key = Regs.per_domain varying
+
+let const_fold_block ?(seed = Dataflow.Int_map.empty) (b : Block.t) =
+  let known = Regs.fresh block_consts in
+  let subst op =
+    match op with
+    | Instr.Imm _ -> op
+    | Instr.Var v ->
+      if Regs.mem known v.vid then
+        match Regs.get known v.vid with Imm _ as c -> c | Var _ -> op
+      else
+        match Dataflow.Int_map.find_opt v.vid seed with
+        | Some n -> Instr.Imm n
+        | None -> op
   in
-  let learn (dst : Instr.var) = function
-    | Some n -> Hashtbl.replace known dst.vid n
-    | None -> Hashtbl.remove known dst.vid
+  let forget (dst : Instr.var) = Regs.set known dst.vid varying in
+  (* [dst] gets the constant [n]: the instruction becomes a move of it *)
+  let fold (dst : Instr.var) n =
+    let src = Instr.Imm n in
+    Regs.set known dst.vid src;
+    Instr.Mov { dst; src }
   in
   let fold_instr (instr : Instr.t) : Instr.t =
     match instr with
     | Bin { dst; op; a; b } -> (
-      let a = subst a and b = subst b in
-      match (a, b) with
-      | Imm x, Imm y ->
-        let n = Types.eval_alu_op op x y in
-        learn dst (Some n);
-        Mov { dst; src = Imm n }
+      let a' = subst a and b' = subst b in
+      match (a', b') with
+      | Imm x, Imm y -> fold dst (Types.eval_alu_op op x y)
       | _ ->
-        learn dst None;
-        Bin { dst; op; a; b })
+        forget dst;
+        if a' == a && b' == b then instr else Bin { dst; op; a = a'; b = b' })
     | Mul { dst; a; b } -> (
-      let a = subst a and b = subst b in
-      match (a, b) with
-      | Imm x, Imm y ->
-        let n = x * y in
-        learn dst (Some n);
-        Mov { dst; src = Imm n }
+      let a' = subst a and b' = subst b in
+      match (a', b') with
+      | Imm x, Imm y -> fold dst (x * y)
       | _ ->
-        learn dst None;
-        Mul { dst; a; b })
+        forget dst;
+        if a' == a && b' == b then instr else Mul { dst; a = a'; b = b' })
     | Div { dst; a; b } -> (
-      let a = subst a and b = subst b in
-      match (a, b) with
-      | Imm x, Imm y when y <> 0 ->
-        let n = x / y in
-        learn dst (Some n);
-        Mov { dst; src = Imm n }
+      let a' = subst a and b' = subst b in
+      match (a', b') with
+      | Imm x, Imm y when y <> 0 -> fold dst (x / y)
       | _ ->
-        learn dst None;
-        Div { dst; a; b })
+        forget dst;
+        if a' == a && b' == b then instr else Div { dst; a = a'; b = b' })
     | Rem { dst; a; b } -> (
-      let a = subst a and b = subst b in
-      match (a, b) with
-      | Imm x, Imm y when y <> 0 ->
-        let n = x mod y in
-        learn dst (Some n);
-        Mov { dst; src = Imm n }
+      let a' = subst a and b' = subst b in
+      match (a', b') with
+      | Imm x, Imm y when y <> 0 -> fold dst (x mod y)
       | _ ->
-        learn dst None;
-        Rem { dst; a; b })
+        forget dst;
+        if a' == a && b' == b then instr else Rem { dst; a = a'; b = b' })
     | Un { dst; op; a } -> (
       match subst a with
-      | Imm x ->
-        let n = Types.eval_un_op op x in
-        learn dst (Some n);
-        Mov { dst; src = Imm n }
-      | a ->
-        learn dst None;
-        Un { dst; op; a })
+      | Imm x -> fold dst (Types.eval_un_op op x)
+      | Var _ ->
+        forget dst;
+        instr)
     | Mov { dst; src } -> (
       match subst src with
-      | Imm n ->
-        learn dst (Some n);
-        Mov { dst; src = Imm n }
-      | src ->
-        learn dst None;
-        Mov { dst; src })
+      | Imm _ as src' ->
+        Regs.set known dst.vid src';
+        if src' == src then instr else Mov { dst; src = src' }
+      | Var _ ->
+        forget dst;
+        instr)
     | Select { dst; cond; if_true; if_false } -> (
-      let cond = subst cond
-      and if_true = subst if_true
-      and if_false = subst if_false in
-      match cond with
+      let cond' = subst cond
+      and if_true' = subst if_true
+      and if_false' = subst if_false in
+      match cond' with
       | Imm c ->
-        let src = if c <> 0 then if_true else if_false in
+        let src = if c <> 0 then if_true' else if_false' in
         (match src with
-        | Imm n -> learn dst (Some n)
-        | Var _ -> learn dst None);
+        | Imm _ -> Regs.set known dst.vid src
+        | Var _ -> forget dst);
         Mov { dst; src }
       | Var _ ->
-        learn dst None;
-        Select { dst; cond; if_true; if_false })
+        forget dst;
+        if if_true' == if_true && if_false' == if_false then instr
+        else Select { dst; cond; if_true = if_true'; if_false = if_false' })
     | Load { dst; arr; index } ->
-      learn dst None;
-      Load { dst; arr; index = subst index }
+      (* the destination is forgotten before the index is read *)
+      forget dst;
+      let index' = subst index in
+      if index' == index then instr else Load { dst; arr; index = index' }
     | Store { arr; index; value } ->
-      Store { arr; index = subst index; value = subst value }
+      let index' = subst index and value' = subst value in
+      if index' == index && value' == value then instr
+      else Store { arr; index = index'; value = value' }
   in
-  let instrs = List.map fold_instr b.Block.instrs in
-  let subst_term = function
-    | Block.Branch { cond; if_true; if_false } -> (
+  let instrs = map_same fold_instr b.Block.instrs in
+  let term =
+    match b.Block.term with
+    | Block.Branch { cond; if_true; if_false } as t -> (
       match subst cond with
       | Imm c -> Block.Jump (if c <> 0 then if_true else if_false)
-      | cond -> Block.Branch { cond; if_true; if_false })
-    | Block.Jump _ as t -> t
-    | Block.Return None as t -> t
-    | Block.Return (Some op) -> Block.Return (Some (subst op))
+      | Var _ -> t)
+    | (Block.Jump _ | Block.Return None) as t -> t
+    | Block.Return (Some op) as t ->
+      let op' = subst op in
+      if op' == op then t else Block.Return (Some op')
   in
-  { b with instrs; term = subst_term b.Block.term }
+  with_body b instrs term
 
-let const_fold cdfg = map_blocks (const_fold_block ?seed:None) cdfg
+let const_fold cdfg = map_blocks (fun b -> const_fold_block b) cdfg
 
 (* --- algebraic simplification / strength reduction -------------------- *)
 
@@ -215,132 +247,192 @@ let algebraic_instr (instr : Instr.t) : Instr.t =
 
 let algebraic_simplify cdfg =
   map_blocks
-    (fun b -> { b with Block.instrs = List.map algebraic_instr b.Block.instrs })
+    (fun b -> with_body b (map_same algebraic_instr b.Block.instrs) b.Block.term)
     cdfg
 
 (* --- local common-subexpression elimination ---------------------------- *)
 
-(* [holder.(e)] is the fact (expression [e] held in a register) available
-   at this point of block [i], or -1; every entry this block sets is reset
-   before returning, so one array serves every block of the table *)
-let cse_block tbl holder i (b : Block.t) =
-  let kill (st : Exprs.step) =
-    Bitset.iter
-      (fun f ->
-        let e = Exprs.fact_expr tbl f in
-        if holder.(e) = f then holder.(e) <- -1)
-      st.Exprs.kill
-  in
-  let process k (instr : Instr.t) : Instr.t =
-    let st = Exprs.step tbl i k in
-    let cached =
-      if st.Exprs.expr >= 0 && holder.(st.Exprs.expr) >= 0 then
-        Some (Exprs.fact_reg tbl holder.(st.Exprs.expr))
-      else None
-    in
-    kill st;
-    match (cached, Instr.def instr) with
-    | Some src, Some dst -> Instr.Mov { dst; src = Var src }
-    | _ ->
-      if st.Exprs.gen >= 0 then holder.(st.Exprs.expr) <- st.Exprs.gen;
-      instr
-  in
-  let instrs = List.mapi process b.Block.instrs in
-  List.iteri
-    (fun k _ ->
-      let e = (Exprs.step tbl i k).Exprs.expr in
-      if e >= 0 then holder.(e) <- -1)
-    b.Block.instrs;
-  { b with Block.instrs }
+(* One pure expression of the block being rewritten and the register
+   holding its value at this point ([no_reg] while none does).  Each
+   structural key has one entry per block: a kill empties its holder and
+   a later computation of the key refills it. *)
+type avail = { key : Exprs.key; mutable holder : Instr.var }
 
-let common_subexpressions cdfg =
-  let tbl = Exprs.build (Cdfg.cfg cdfg) in
-  let holder = Array.make (Exprs.expr_count tbl) (-1) in
-  rebuild cdfg
-    (List.map
-       (fun i -> cse_block tbl holder i (Cdfg.info cdfg i).Cdfg.block)
-       (Cdfg.block_ids cdfg))
+(* the first register a key reads, or -1 for a key of immediates only *)
+let first_reg (k : Exprs.key) =
+  let r = ref (-1) in
+  Exprs.iter_regs (fun v -> if !r < 0 then r := v) k;
+  !r
+
+(* per register: the entries whose key reads it, where a key is also
+   looked up under its first register, and the entries it was made the
+   holder of — the kill index *)
+let cse_readers : avail list Regs.key = Regs.per_domain []
+let cse_held : avail list Regs.key = Regs.per_domain []
+
+let cse_block (b : Block.t) =
+  let readers = Regs.fresh cse_readers and held = Regs.fresh cse_held in
+  (* the entries of keys that read no register *)
+  let immediate = ref [] in
+  (* array name -> the entries of its loads *)
+  let loads = ref [] in
+  let entry k =
+    let r = first_reg k in
+    let chain = if r >= 0 then Regs.get readers r else !immediate in
+    match List.find_opt (fun e -> Exprs.key_equal e.key k) chain with
+    | Some e -> e
+    | None ->
+      let e = { key = k; holder = no_reg } in
+      if r < 0 then immediate := e :: chain;
+      Exprs.iter_regs (fun v -> Regs.push readers v e) k;
+      (match k with
+      | Load (arr, _) -> (
+        match List.assoc_opt arr !loads with
+        | Some l -> l := e :: !l
+        | None -> loads := (arr, ref [ e ]) :: !loads)
+      | Bin _ | Mul _ | Un _ | Select _ -> ());
+      e
+  in
+  (* a redefinition of [vid] kills every expression reading it and every
+     expression it still holds *)
+  let kill vid =
+    List.iter (fun e -> e.holder <- no_reg) (Regs.get readers vid);
+    List.iter
+      (fun e -> if e.holder.Instr.vid = vid then e.holder <- no_reg)
+      (Regs.get held vid);
+    Regs.remove held vid
+  in
+  let process (instr : Instr.t) : Instr.t =
+    match instr with
+    | Store { arr; _ } ->
+      (match List.assoc_opt arr !loads with
+      | Some l -> List.iter (fun e -> e.holder <- no_reg) !l
+      | None -> ());
+      instr
+    | Bin { dst; _ } | Mul { dst; _ } | Div { dst; _ } | Rem { dst; _ }
+    | Un { dst; _ } | Mov { dst; _ } | Select { dst; _ } | Load { dst; _ } -> (
+      match Exprs.key instr with
+      | None ->
+        kill dst.vid;
+        instr
+      | Some k ->
+        let e = entry k in
+        let cached = e.holder in
+        kill dst.vid;
+        if cached != no_reg then Instr.Mov { dst; src = Var cached }
+        else begin
+          (* x = x + 1 is stale the moment it is computed *)
+          if not (Exprs.reads_reg k dst.vid) then begin
+            e.holder <- dst;
+            Regs.push held dst.vid e
+          end;
+          instr
+        end)
+  in
+  with_body b (map_same process b.Block.instrs) b.Block.term
+
+let common_subexpressions cdfg = map_blocks cse_block cdfg
 
 (* --- copy propagation ------------------------------------------------ *)
 
-let copy_propagate_block ?(seed = []) (b : Block.t) =
-  (* copies: dst id -> source operand still valid at this point *)
-  let copies : (int, Instr.operand) Hashtbl.t = Hashtbl.create 16 in
-  List.iter (fun (vid, src) -> Hashtbl.replace copies vid src) seed;
-  let subst = function
-    | Instr.Imm n -> Instr.Imm n
-    | Instr.Var v -> (
-      match Hashtbl.find_opt copies v.vid with
-      | Some src -> src
-      | None -> Instr.Var v)
+(* register id -> the operand it is a copy of at this point, or
+   [varying]; and the reverse index: register id -> the registers the
+   block copied from it *)
+let block_copies : Instr.operand Regs.key = Regs.per_domain varying
+let copy_readers : int list Regs.key = Regs.per_domain []
+
+let copy_propagate_block ?(seed = Dataflow.Int_map.empty) (b : Block.t) =
+  let copies = Regs.fresh block_copies and readers = Regs.fresh copy_readers in
+  let subst op =
+    match op with
+    | Instr.Imm _ -> op
+    | Instr.Var v ->
+      if Regs.mem copies v.vid then
+        let src = Regs.get copies v.vid in
+        if src == varying then op else src
+      else
+        (* an entry copy holds until the block redefines its source *)
+        match Dataflow.Int_map.find_opt v.vid seed with
+        | Some (Instr.Var s as src) when not (Regs.mem copies s.vid) -> src
+        | Some (Instr.Imm _ as src) -> src
+        | Some (Var _) | None -> op
   in
+  (* a redefinition of [dst] ends the copy into it and every copy from it *)
   let invalidate (dst : Instr.var) =
-    Hashtbl.remove copies dst.vid;
-    (* any copy whose source is dst becomes stale *)
-    let stale =
-      Hashtbl.fold
-        (fun k src acc ->
-          match src with
-          | Instr.Var v when v.vid = dst.vid -> k :: acc
-          | Instr.Var _ | Instr.Imm _ -> acc)
-        copies []
-    in
-    List.iter (Hashtbl.remove copies) stale
+    Regs.set copies dst.vid varying;
+    List.iter
+      (fun k ->
+        match Regs.get copies k with
+        | Instr.Var v when v.vid = dst.vid -> Regs.set copies k varying
+        | Instr.Var _ | Instr.Imm _ -> ())
+      (Regs.get readers dst.vid);
+    Regs.remove readers dst.vid
+  in
+  let record (dst : Instr.var) src =
+    Regs.set copies dst.vid src;
+    match src with
+    | Instr.Var v -> Regs.push readers v.Instr.vid dst.vid
+    | Instr.Imm _ -> ()
   in
   let prop (instr : Instr.t) : Instr.t =
     match instr with
     | Bin { dst; op; a; b } ->
-      let a = subst a and b = subst b in
+      let a' = subst a and b' = subst b in
       invalidate dst;
-      Bin { dst; op; a; b }
+      if a' == a && b' == b then instr else Bin { dst; op; a = a'; b = b' }
     | Mul { dst; a; b } ->
-      let a = subst a and b = subst b in
+      let a' = subst a and b' = subst b in
       invalidate dst;
-      Mul { dst; a; b }
+      if a' == a && b' == b then instr else Mul { dst; a = a'; b = b' }
     | Div { dst; a; b } ->
-      let a = subst a and b = subst b in
+      let a' = subst a and b' = subst b in
       invalidate dst;
-      Div { dst; a; b }
+      if a' == a && b' == b then instr else Div { dst; a = a'; b = b' }
     | Rem { dst; a; b } ->
-      let a = subst a and b = subst b in
+      let a' = subst a and b' = subst b in
       invalidate dst;
-      Rem { dst; a; b }
+      if a' == a && b' == b then instr else Rem { dst; a = a'; b = b' }
     | Un { dst; op; a } ->
-      let a = subst a in
+      let a' = subst a in
       invalidate dst;
-      Un { dst; op; a }
+      if a' == a then instr else Un { dst; op; a = a' }
     | Mov { dst; src } ->
-      let src = subst src in
+      let src' = subst src in
       invalidate dst;
-      (match src with
+      (match src' with
       | Var v when v.vid = dst.vid -> ()
-      | src' -> Hashtbl.replace copies dst.vid src');
-      Mov { dst; src }
+      | Var _ | Imm _ -> record dst src');
+      if src' == src then instr else Mov { dst; src = src' }
     | Select { dst; cond; if_true; if_false } ->
-      let cond = subst cond
-      and if_true = subst if_true
-      and if_false = subst if_false in
+      let cond' = subst cond
+      and if_true' = subst if_true
+      and if_false' = subst if_false in
       invalidate dst;
-      Select { dst; cond; if_true; if_false }
+      if cond' == cond && if_true' == if_true && if_false' == if_false then instr
+      else Select { dst; cond = cond'; if_true = if_true'; if_false = if_false' }
     | Load { dst; arr; index } ->
-      let index = subst index in
+      let index' = subst index in
       invalidate dst;
-      Load { dst; arr; index }
+      if index' == index then instr else Load { dst; arr; index = index' }
     | Store { arr; index; value } ->
-      Store { arr; index = subst index; value = subst value }
+      let index' = subst index and value' = subst value in
+      if index' == index && value' == value then instr
+      else Store { arr; index = index'; value = value' }
   in
-  let instrs = List.map prop b.Block.instrs in
+  let instrs = map_same prop b.Block.instrs in
   let term =
     match b.Block.term with
-    | Block.Branch { cond; if_true; if_false } ->
-      Block.Branch { cond = subst cond; if_true; if_false }
-    | Block.Jump _ as t -> t
-    | Block.Return None as t -> t
-    | Block.Return (Some op) -> Block.Return (Some (subst op))
+    | Block.Branch { cond; if_true; if_false } as t ->
+      let cond' = subst cond in
+      if cond' == cond then t else Block.Branch { cond = cond'; if_true; if_false }
+    | (Block.Jump _ | Block.Return None) as t -> t
+    | Block.Return (Some op) as t ->
+      let op' = subst op in
+      if op' == op then t else Block.Return (Some op')
   in
-  { b with instrs; term }
+  with_body b instrs term
 
-let copy_propagate cdfg = map_blocks (copy_propagate_block ?seed:None) cdfg
+let copy_propagate cdfg = map_blocks (fun b -> copy_propagate_block b) cdfg
 
 (* --- global (dataflow-backed) passes ----------------------------------- *)
 
@@ -353,132 +445,154 @@ let copy_propagate cdfg = map_blocks (copy_propagate_block ?seed:None) cdfg
 
 let global_const_propagate cdfg =
   let sol = Dataflow.solve (module Dataflow.Consts) (Cdfg.cfg cdfg) in
-  let blocks =
-    List.map
-      (fun i ->
-        let b = (Cdfg.info cdfg i).Cdfg.block in
-        match sol.Dataflow.at_entry.(i) with
-        | Dataflow.Consts.Env m ->
-          const_fold_block ~seed:(Dataflow.Int_map.bindings m) b
-        | Dataflow.Consts.Unreached -> const_fold_block b)
-      (Cdfg.block_ids cdfg)
-  in
-  rebuild cdfg blocks
+  mapi_blocks
+    (fun i b ->
+      match sol.Dataflow.at_entry.(i) with
+      | Dataflow.Consts.Env m -> const_fold_block ~seed:m b
+      | Dataflow.Consts.Unreached -> const_fold_block b)
+    cdfg
 
 let global_copy_propagate cdfg =
   let sol = Dataflow.solve (module Dataflow.Copies) (Cdfg.cfg cdfg) in
-  let blocks =
-    List.map
-      (fun i ->
-        let b = (Cdfg.info cdfg i).Cdfg.block in
-        match sol.Dataflow.at_entry.(i) with
-        | Dataflow.Copies.Env m ->
-          copy_propagate_block ~seed:(Dataflow.Int_map.bindings m) b
-        | Dataflow.Copies.All -> copy_propagate_block b)
-      (Cdfg.block_ids cdfg)
-  in
-  rebuild cdfg blocks
+  mapi_blocks
+    (fun i b ->
+      match sol.Dataflow.at_entry.(i) with
+      | Dataflow.Copies.Env m -> copy_propagate_block ~seed:m b
+      | Dataflow.Copies.All -> copy_propagate_block b)
+    cdfg
 
 let global_cse cdfg =
   let cfg = Cdfg.cfg cdfg in
   let tbl = Exprs.build cfg in
   let sol = Dataflow.Avail.solve tbl cfg in
-  let rewrite i (b : Block.t) =
-    match sol.Dataflow.at_entry.(i) with
-    | Dataflow.Avail.All -> b (* unreachable: no facts to seed from *)
-    | Dataflow.Avail.Known entry ->
-      (* thread the facts over the original instructions, in place; a
-         pure instruction recomputing an expression available here
-         becomes a move from the register still holding it *)
-      let facts = Bitset.copy entry in
-      let instrs =
-        List.mapi
-          (fun k instr ->
-            let st = Exprs.step tbl i k in
-            let replacement =
+  mapi_blocks
+    (fun i (b : Block.t) ->
+      match sol.Dataflow.at_entry.(i) with
+      | Dataflow.Avail.All -> b (* unreachable: no facts to seed from *)
+      | Dataflow.Avail.Known entry ->
+        (* thread the facts over the original instructions; a pure
+           instruction recomputing an expression available here becomes
+           a move from the register still holding it *)
+        let facts = Bitset.copy entry in
+        let k = ref 0 in
+        let rewrite (instr : Instr.t) =
+          let st = Exprs.step tbl i !k in
+          incr k;
+          let out =
+            if st.Exprs.expr < 0 then instr
+            else
               match Instr.def instr with
-              | Some dst when st.Exprs.expr >= 0 -> (
+              | Some dst -> (
                 match Exprs.holder tbl st.Exprs.expr facts with
                 | Some cached when not (Instr.var_equal cached dst) ->
-                  Some (Instr.Mov { dst; src = Var cached })
-                | Some _ | None -> None)
-              | Some _ | None -> None
-            in
-            Exprs.apply tbl st facts;
-            Option.value replacement ~default:instr)
-          b.Block.instrs
-      in
-      { b with Block.instrs }
-  in
-  let blocks =
-    List.map (fun i -> rewrite i (Cdfg.info cdfg i).Cdfg.block)
-      (Cdfg.block_ids cdfg)
-  in
-  rebuild cdfg blocks
+                  Instr.Mov { dst; src = Var cached }
+                | Some _ | None -> instr)
+              | None -> instr
+          in
+          Exprs.apply tbl st facts;
+          out
+        in
+        with_body b (map_same rewrite b.Block.instrs) b.Block.term)
+    cdfg
 
 (* --- dead-code elimination ------------------------------------------- *)
 
+let read live = function
+  | Instr.Var v -> Bitset.add live v.Instr.vid
+  | Instr.Imm _ -> ()
+
+let read_operands live (instr : Instr.t) =
+  match instr with
+  | Bin { a; b; _ } | Mul { a; b; _ } | Div { a; b; _ } | Rem { a; b; _ } ->
+    read live a;
+    read live b
+  | Un { a; _ } -> read live a
+  | Mov { src; _ } -> read live src
+  | Select { cond; if_true; if_false; _ } ->
+    read live cond;
+    read live if_true;
+    read live if_false
+  | Load { index; _ } -> read live index
+  | Store { index; value; _ } ->
+    read live index;
+    read live value
+
+(* the block being swept, by position, and which of its instructions stay *)
+type sweep = { mutable instrs : Instr.t array; mutable keep : Bytes.t }
+
+let sweeps = Domain.DLS.new_key (fun () -> { instrs = [||]; keep = Bytes.empty })
+
 let dead_code_eliminate cdfg =
-  let cfg = Cdfg.cfg cdfg in
-  let live = (Dataflow.Liveness.solve cfg).Dataflow.at_exit in
+  let live = (Dataflow.Liveness.solve (Cdfg.cfg cdfg)).Dataflow.at_exit in
+  let sw = Domain.DLS.get sweeps in
   let eliminate i (b : Block.t) =
-    (* walked last to first on a copy of the block's live-out set *)
-    let live_now = Bitset.copy live.(i) in
-    List.iter (fun (v : Instr.var) -> Bitset.add live_now v.vid)
-      (Block.terminator_uses b);
-    let keep instr =
-      let needed =
-        match Instr.def instr with
-        | None -> true (* stores *)
-        | Some dst -> (
-          match instr with
-          | Instr.Div _ | Instr.Rem _ ->
-            true (* may trap: never removed *)
-          | Instr.Store _ -> true
-          | Instr.Bin _ | Instr.Mul _ | Instr.Un _ | Instr.Mov _
-          | Instr.Select _ | Instr.Load _ ->
-            Bitset.mem live_now dst.vid)
-      in
-      if needed then begin
-        (match Instr.def instr with
-        | Some dst -> Bitset.remove live_now dst.vid
-        | None -> ());
-        List.iter
-          (fun (v : Instr.var) -> Bitset.add live_now v.vid)
-          (Instr.used_vars instr)
+    match b.Block.instrs with
+    | [] -> b
+    | first :: _ ->
+      let n = List.length b.Block.instrs in
+      if Array.length sw.instrs < n then begin
+        sw.instrs <- Array.make (max n (2 * Array.length sw.instrs)) first;
+        sw.keep <- Bytes.create (Array.length sw.instrs)
       end;
-      needed
-    in
-    let kept_rev =
-      List.fold_left
-        (fun acc instr -> if keep instr then instr :: acc else acc)
-        []
-        (List.rev b.Block.instrs)
-    in
-    { b with Block.instrs = kept_rev }
+      List.iteri (fun k instr -> sw.instrs.(k) <- instr) b.Block.instrs;
+      (* walked last to first on a copy of the block's live-out set *)
+      let live_now = Bitset.copy live.(i) in
+      (match b.Block.term with
+      | Block.Branch { cond = op; _ } | Block.Return (Some op) -> read live_now op
+      | Block.Jump _ | Block.Return None -> ());
+      let dropped = ref 0 in
+      for k = n - 1 downto 0 do
+        let instr = sw.instrs.(k) in
+        let keep =
+          match instr with
+          | Store _ -> true
+          | Div { dst; _ } | Rem { dst; _ } ->
+            (* may trap: never removed *)
+            Bitset.remove live_now dst.vid;
+            true
+          | Bin { dst; _ } | Mul { dst; _ } | Un { dst; _ } | Mov { dst; _ }
+          | Select { dst; _ } | Load { dst; _ } ->
+            Bitset.mem live_now dst.vid
+            && (Bitset.remove live_now dst.vid;
+                true)
+        in
+        if keep then read_operands live_now instr else incr dropped;
+        Bytes.set sw.keep k (if keep then '1' else '0')
+      done;
+      if !dropped = 0 then b
+      else begin
+        let kept = ref [] in
+        for k = n - 1 downto 0 do
+          if Bytes.get sw.keep k = '1' then kept := sw.instrs.(k) :: !kept
+        done;
+        { b with Block.instrs = !kept }
+      end
   in
-  let blocks =
-    List.map (fun i -> eliminate i (Cdfg.info cdfg i).Cdfg.block)
-      (Cdfg.block_ids cdfg)
-  in
-  rebuild cdfg blocks
+  mapi_blocks eliminate cdfg
 
 (* --- control-flow clean-up --------------------------------------------- *)
 
 let simplify_cfg_once cdfg =
   let cfg = Cdfg.cfg cdfg in
   let reachable = Cfg.reachable cfg in
-  let blocks =
-    List.filteri (fun i _ -> reachable.(i)) (Array.to_list (Cfg.blocks cfg))
+  let cfg =
+    if Array.for_all Fun.id reachable then cfg
+    else
+      Cfg.of_blocks
+        (List.filteri (fun i _ -> reachable.(i)) (Array.to_list (Cfg.blocks cfg)))
   in
-  let cfg = Cfg.of_blocks blocks in
   let blocks = Array.copy (Cfg.blocks cfg) in
   let n = Array.length blocks in
+  let retargeted = ref false in
+  let set_term i term =
+    blocks.(i) <- { (blocks.(i)) with Block.term };
+    retargeted := true
+  in
   (* collapse branches with identical arms *)
   for i = 0 to n - 1 do
     match blocks.(i).Block.term with
     | Block.Branch { if_true; if_false; _ } when if_true = if_false ->
-      blocks.(i) <- { (blocks.(i)) with Block.term = Block.Jump if_true }
+      set_term i (Block.Jump if_true)
     | Block.Branch _ | Block.Jump _ | Block.Return _ -> ()
   done;
   (* thread jumps through empty forwarding blocks (not self-referential) *)
@@ -498,27 +612,26 @@ let simplify_cfg_once cdfg =
       | Some next -> resolve (l :: seen) next
       | None -> l
   in
-  for i = 0 to n - 1 do
-    let term = blocks.(i).Block.term in
-    let new_term =
-      match term with
-      | Block.Jump l -> Block.Jump (resolve [] l)
+  if Hashtbl.length forward > 0 then
+    for i = 0 to n - 1 do
+      match blocks.(i).Block.term with
+      | Block.Jump l ->
+        let l' = resolve [] l in
+        if not (String.equal l' l) then set_term i (Block.Jump l')
       | Block.Branch { cond; if_true; if_false } ->
-        Block.Branch
-          { cond; if_true = resolve [] if_true; if_false = resolve [] if_false }
-      | Block.Return _ -> term
-    in
-    blocks.(i) <- { (blocks.(i)) with Block.term = new_term }
-  done;
+        let t' = resolve [] if_true and f' = resolve [] if_false in
+        if not (String.equal t' if_true && String.equal f' if_false) then
+          set_term i (Block.Branch { cond; if_true = t'; if_false = f' })
+      | Block.Return _ -> ()
+    done;
   (* merge one block into its unique Jump successor per pass: a merge
      rewrites the surviving block's terminator, so predecessor sets must
      be recomputed before attempting another — the surrounding fixpoint
      drives convergence *)
-  let cfg = Cfg.of_blocks (Array.to_list blocks) in
-  let blocks = Array.copy (Cfg.blocks cfg) in
-  let removed = Array.make (Array.length blocks) false in
+  let cfg = if !retargeted then Cfg.of_blocks (Array.to_list blocks) else cfg in
+  let removed = ref (-1) in
   (try
-     for i = 0 to Array.length blocks - 1 do
+     for i = 0 to n - 1 do
        match blocks.(i).Block.term with
        | Block.Jump succ_label when succ_label <> blocks.(i).Block.label ->
          let j = Cfg.id_of_label cfg succ_label in
@@ -527,16 +640,17 @@ let simplify_cfg_once cdfg =
            blocks.(i) <-
              { a with Block.instrs = a.Block.instrs @ b.Block.instrs;
                term = b.Block.term };
-           removed.(j) <- true;
+           removed := j;
            raise Exit
          end
        | Block.Jump _ | Block.Branch _ | Block.Return _ -> ()
      done
    with Exit -> ());
-  let kept =
-    List.filteri (fun i _ -> not removed.(i)) (Array.to_list blocks)
-  in
-  rebuild cdfg kept
+  rebuild cdfg
+    (if !removed < 0 then blocks
+     else
+       Array.init (n - 1) (fun i ->
+           if i < !removed then blocks.(i) else blocks.(i + 1)))
 
 let simplify_cfg cdfg =
   (* one merge can happen per pass; loops are deep enough at 64 rounds *)
@@ -643,11 +757,13 @@ let hoist_loop ~cfg ~live ~dominates (blocks : Block.t array) (loop : Loop.t) =
     done;
     if Hashtbl.length to_hoist = 0 then None
     else begin
+      let hoisted_from = Array.make (Array.length blocks) false in
+      Hashtbl.iter (fun (b, _) () -> hoisted_from.(b) <- true) to_hoist;
       let moved = ref [] in
       let blocks =
         Array.mapi
           (fun b (blk : Block.t) ->
-            if not in_loop.(b) then blk
+            if not hoisted_from.(b) then blk
             else begin
               let keep =
                 List.filteri
@@ -702,10 +818,14 @@ let loop_invariant_motion cdfg =
       | None -> ()
       | Some updated ->
         blocks := updated;
-        cfg := Cfg.of_blocks (Array.to_list updated);
+        cfg := Cfg.with_same_edges !cfg updated;
         live := None)
     loops;
-  rebuild cdfg (Array.to_list !blocks)
+  (* an outer loop can hoist back out of a preheader what an inner loop
+     put there: such a block is the input's again *)
+  let old = Cfg.blocks (Cdfg.cfg cdfg) in
+  rebuild cdfg
+    (Array.mapi (fun i b -> if b != old.(i) && b = old.(i) then old.(i) else b) !blocks)
 
 (* --- fixpoint --------------------------------------------------------- *)
 

@@ -20,7 +20,10 @@ val verify_passes : bool ref
     context on any violation.  Every pass below returns its input itself
     ([==]) when it changes nothing.  Such an output is not verified
     again, and the size gauges and shrink counters are left alone; the
-    [ir.pass.NAME] span is still recorded. *)
+    [ir.pass.NAME] span is still recorded.  A pass that changes some
+    blocks returns every other block of its input physically, and when
+    it changes no label or terminator the output keeps the input's CFG
+    edges and loop depths (see {!Cdfg.with_blocks}). *)
 
 val const_fold : Cdfg.t -> Cdfg.t
 (** Propagates constants within each block and folds operations whose

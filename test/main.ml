@@ -65,6 +65,7 @@ let () =
       ("synth", Test_synth.suite);
       ("baselines", Test_baselines.suite);
       ("report", Test_report.suite);
+      ("experiments", Test_experiments.suite);
       ("obs", Test_obs.suite);
       ("server", Test_server.suite);
       ("soak", Test_soak.suite);

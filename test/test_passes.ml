@@ -238,6 +238,166 @@ let test_dfg_concurrent_first_use () =
         ids dfgs)
     results
 
+(* --- the oracle pipeline: every pass against its old body --------------- *)
+
+module Ref = Passes_reference
+
+(* each library pass beside the body it replaced (test/passes_reference.ml) *)
+let oracle_pairs =
+  [
+    ("const_fold", Ir.Passes.const_fold, Ref.const_fold);
+    ("copy_propagate", Ir.Passes.copy_propagate, Ref.copy_propagate);
+    ("algebraic_simplify", Ir.Passes.algebraic_simplify, Ref.algebraic_simplify);
+    ("common_subexpressions", Ir.Passes.common_subexpressions, Ref.common_subexpressions);
+    ("dead_code_eliminate", Ir.Passes.dead_code_eliminate, Ref.dead_code_eliminate);
+    ("simplify_cfg", Ir.Passes.simplify_cfg, Ref.simplify_cfg);
+    ("loop_invariant_motion", Ir.Passes.loop_invariant_motion, Ref.loop_invariant_motion);
+    ("global_const_propagate", Ir.Passes.global_const_propagate, Ref.global_const_propagate);
+    ("global_copy_propagate", Ir.Passes.global_copy_propagate, Ref.global_copy_propagate);
+    ("global_cse", Ir.Passes.global_cse, Ref.global_cse);
+    ("simplify", (fun c -> Ir.Passes.simplify ~verify:false c), fun c -> Ref.simplify c);
+    ("optimize", (fun c -> Ir.Passes.optimize ~verify:false c), Ref.optimize);
+  ]
+
+(* every block runs its instructions twice: each pure expression is
+   computed again after whatever redefined its operands, its holder or
+   its array in between, which generated programs alone rarely do *)
+let doubled cdfg =
+  Ir.Cdfg.make ~name:(Ir.Cdfg.name cdfg) ~arrays:(Ir.Cdfg.arrays cdfg)
+    (Ir.Cfg.of_blocks
+       (List.map
+          (fun (b : Ir.Block.t) -> { b with Ir.Block.instrs = b.instrs @ b.instrs })
+          (Array.to_list (Ir.Cfg.blocks (Ir.Cdfg.cfg cdfg)))))
+
+(* the raw program, its doubled blocks, part-way through the pipeline and
+   fully optimised: each pass meets inputs it rewrites and inputs it
+   leaves alone *)
+let stages raw =
+  let mid = Ref.simplify_cfg (Ref.simplify raw) in
+  [ ("raw", raw); ("doubled", doubled raw); ("mid", mid); ("optimised", Ref.optimize raw) ]
+
+(* the library pass serialises byte for byte like the oracle, and returns
+   its input physically exactly when the oracle finds nothing changed *)
+let matches_oracle raw =
+  List.for_all
+    (fun (stage, input) ->
+      List.for_all
+        (fun (pass, lib, oracle) ->
+          let got = lib input and want = oracle input in
+          if not (String.equal (Ir.Serialize.to_string got) (Ir.Serialize.to_string want))
+          then
+            QCheck.Test.fail_reportf "%s on the %s program: output differs from the oracle"
+              pass stage
+          else if (got == input) <> (want == input) then
+            QCheck.Test.fail_reportf
+              "%s on the %s program: returns its input %b, the oracle %b" pass stage
+              (got == input) (want == input)
+          else true)
+        oracle_pairs)
+    (stages raw)
+
+let raw_minic ~unsafe seed =
+  let config = { Hypar_fuzzgen.Gen.default_config with unsafe } in
+  compile_raw (Hypar_fuzzgen.Gen.source ~config seed)
+
+(* the same program through the second frontend: the bytecode the
+   unoptimised CDFG compiles to, decompiled without optimisation *)
+let raw_bytecode ~unsafe seed =
+  Hypar_bytecode.Driver.compile_exn ~name:"oracle" ~optimize:false
+    (Hypar_bytecode.Emit.to_string (raw_minic ~unsafe seed))
+
+let prop_oracle (frontend, compile, count) =
+  QCheck.Test.make
+    ~name:(Printf.sprintf "passes: every pass and optimize match the oracle (%s)" frontend)
+    ~count
+    QCheck.(make ~print:(fun (s, u) -> Printf.sprintf "seed %d, unsafe %b" s u)
+              Gen.(pair (int_range 1 1_000_000) bool))
+    (fun (seed, unsafe) -> matches_oracle (compile ~unsafe seed))
+
+(* --- sharing: a pass rebuilds only the blocks it changes ----------------- *)
+
+let label_index cdfg =
+  let tbl = Hashtbl.create 16 in
+  Array.iter
+    (fun (b : Ir.Block.t) -> Hashtbl.replace tbl b.Ir.Block.label b)
+    (Ir.Cfg.blocks (Ir.Cdfg.cfg cdfg));
+  tbl
+
+(* every output block equal to the input's block of the same label is
+   that block; when no label or terminator is new, the successor and
+   predecessor lists and the loop depths are the input's *)
+let check_sharing what input out =
+  let before = label_index input in
+  Array.iteri
+    (fun i (b : Ir.Block.t) ->
+      match Hashtbl.find_opt before b.Ir.Block.label with
+      | Some old when old = b && old != b ->
+        Alcotest.failf "%s: BB%d (%s) is unchanged but rebuilt" what i b.Ir.Block.label
+      | Some _ | None -> ())
+    (Ir.Cfg.blocks (Ir.Cdfg.cfg out));
+  let old_blocks = Ir.Cfg.blocks (Ir.Cdfg.cfg input)
+  and new_blocks = Ir.Cfg.blocks (Ir.Cdfg.cfg out) in
+  if
+    Array.length old_blocks = Array.length new_blocks
+    && Array.for_all2
+         (fun (o : Ir.Block.t) (b : Ir.Block.t) ->
+           o.Ir.Block.label == b.Ir.Block.label && o.Ir.Block.term == b.Ir.Block.term)
+         old_blocks new_blocks
+  then
+    Array.iteri
+      (fun i _ ->
+        let c_in = Ir.Cdfg.cfg input and c_out = Ir.Cdfg.cfg out in
+        if
+          Ir.Cfg.successors c_in i != Ir.Cfg.successors c_out i
+          || Ir.Cfg.predecessors c_in i != Ir.Cfg.predecessors c_out i
+        then Alcotest.failf "%s: the edges of BB%d were resolved again" what i;
+        if (Ir.Cdfg.info input i).Ir.Cdfg.loop_depth <> (Ir.Cdfg.info out i).Ir.Cdfg.loop_depth
+        then Alcotest.failf "%s: the loop depth of BB%d changed" what i)
+      old_blocks
+
+let test_sharing_generated () =
+  for seed = 1 to 25 do
+    List.iter
+      (fun (stage, input) ->
+        List.iter
+          (fun (pass, run) ->
+            check_sharing (Printf.sprintf "seed %d, %s program: %s" seed stage pass)
+              input (run input))
+          public_passes)
+      (stages (raw_minic ~unsafe:(seed mod 2 = 0) seed))
+  done
+
+(* a loop of two blocks and an exit; only the latch has something to fold *)
+let test_sharing_one_block () =
+  let var vname vid = { Ir.Instr.vname; vid; vwidth = 16 } in
+  let x = var "x" 0 and y = var "y" 1 in
+  let block label instrs term = Ir.Block.make ~label ~instrs ~term in
+  let blocks =
+    [
+      block "head"
+        [ Ir.Instr.Load { dst = x; arr = "in"; index = Imm 0 } ]
+        (Ir.Block.Branch { cond = Var x; if_true = "latch"; if_false = "exit" });
+      block "latch"
+        [ Ir.Instr.Bin { dst = y; op = Ir.Types.Add; a = Imm 2; b = Imm 3 } ]
+        (Ir.Block.Jump "head");
+      block "exit" [] (Ir.Block.Return (Some (Var x)));
+    ]
+  in
+  let input_decl =
+    { Ir.Cdfg.aname = "in"; size = 4; init = None; is_const = false; elem_width = 16 }
+  in
+  let input = Ir.Cdfg.make ~arrays:[ input_decl ] (Ir.Cfg.of_blocks blocks) in
+  let out = Ir.Passes.const_fold input in
+  let rebuilt =
+    List.filter
+      (fun i ->
+        (Ir.Cdfg.info out i).Ir.Cdfg.block != (Ir.Cdfg.info input i).Ir.Cdfg.block)
+      (Ir.Cdfg.block_ids out)
+  in
+  Alcotest.(check (list int)) "only the latch is rebuilt" [ 1 ] rebuilt;
+  Alcotest.(check int) "the latch is in the loop" 1 (Ir.Cdfg.info out 1).Ir.Cdfg.loop_depth;
+  check_sharing "const_fold" input out
+
 let suite =
   [
     Alcotest.test_case "const fold arithmetic" `Quick test_const_fold_arithmetic;
@@ -252,4 +412,9 @@ let suite =
     Alcotest.test_case "optimize verifies its input" `Quick test_optimize_verifies_input;
     Alcotest.test_case "DFG cache matches a rebuild" `Quick test_dfg_cache_matches_rebuild;
     Alcotest.test_case "DFG first use from 4 domains" `Quick test_dfg_concurrent_first_use;
+    Alcotest.test_case "a pass shares the blocks it leaves alone" `Quick test_sharing_generated;
+    Alcotest.test_case "one folded block, the rest shared" `Quick test_sharing_one_block;
+    (* 200 programs: decompiled bytecode is larger, so fewer of it *)
+    QCheck_alcotest.to_alcotest (prop_oracle ("Mini-C", raw_minic, 150));
+    QCheck_alcotest.to_alcotest (prop_oracle ("bytecode", raw_bytecode, 50));
   ]
