@@ -1,9 +1,13 @@
 (* Benchmark harness: regenerates every table of the paper's evaluation
    section (Tables 1-3), the shape claims of §4, ablations over the design
-   axes and the extensions.
+   axes and the extensions.  test/paper.t and test/ablation.t pin their
+   output.  Six timing gates ride along (obs, resilience, serve and soak
+   at 2% overhead each, interp at 6x on JPEG, fuzz throughput and
+   determinism); each exits 1 when it misses its bound.
 
    Run everything:        dune exec bench/main.exe
-   Run one section:       dune exec bench/main.exe -- table2 ablation:afpga
+   Run some sections:     dune exec bench/main.exe -- table2 ablation:afpga
+   Run the timing gates:  dune exec bench/main.exe -- obs resilience serve soak interp fuzz
 
    Absolute cycle counts are produced by our models of the paper's models
    (see DESIGN.md); EXPERIMENTS.md compares shapes against the published
@@ -17,17 +21,6 @@ module Jpeg = Hypar_apps.Jpeg
 
 let section_header name =
   Printf.printf "\n================ %s ================\n" name
-
-(* best wall-clock seconds over [reps] runs of [f] *)
-let time_best ~reps f =
-  let best = ref infinity in
-  for _ = 1 to reps do
-    let t0 = Unix.gettimeofday () in
-    f ();
-    let dt = Unix.gettimeofday () -. t0 in
-    if dt < !best then best := dt
-  done;
-  !best
 
 let platform ?(area = 1500) ?(cgcs = 2) ?(rows = 2) ?(cols = 2) ?(ratio = 3) ()
     =
@@ -427,89 +420,58 @@ let extension_energy () =
       print_newline ())
     (apps ())
 
-(* ---- Explore: parallel DSE throughput + cache hit-rate ------------------- *)
+(* ---- Timing gates --------------------------------------------------------- *)
 
-(* Points/sec of the exploration engine, sequential vs multi-domain, on a
-   duplicate-free grid; then the memo cache on a grid that repeats one
-   configuration.  Identical summaries across jobs levels are asserted —
-   the determinism the unit suite also pins down. *)
-let explore_bench () =
-  section_header "Explore — DSE throughput (jobs) and memo-cache hit-rate";
-  let module Space = Hypar_explore.Space in
-  let module Driver = Hypar_explore.Driver in
-  let module Render = Hypar_explore.Render in
-  let n = 12 in
-  let inputs =
-    [
-      ("a", Array.init (n * n) (fun i -> (i * 7) mod 23));
-      ("b", Array.init (n * n) (fun i -> (i * 5) mod 19));
-    ]
+(* The sections below time the tool rather than reproduce the paper; each
+   exits 1 when it misses its bound.  [best_of ~reps f] runs [f] [reps]
+   times and returns the wall-clock seconds of the fastest run with that
+   run's result. *)
+let best_of ~reps f =
+  let timed () =
+    let t0 = Unix.gettimeofday () in
+    let r = f () in
+    (Unix.gettimeofday () -. t0, r)
   in
-  let prepared =
-    Flow.prepare ~name:"matmul12" ~inputs (Hypar_apps.Synth.matmul_source ~n)
-  in
-  let budget =
-    match
-      Hypar_explore.Eval.evaluate prepared
-        { Space.area = 1500; cgcs = 2; rows = 2; cols = 2; clock_ratio = 3;
-          timing = max_int }
-    with
-    | Ok m -> m.Hypar_explore.Eval.initial.Engine.t_total / 2
-    | Error msg -> failwith msg
-  in
-  let space =
-    Space.make
-      ~areas:[ 400; 800; 1200; 1600; 2000; 2400 ]
-      ~cgcs:[ 1; 2; 3 ] ~timings:[ budget ] ()
-  in
-  Printf.printf "grid: %d points (no duplicates), constraint %d\n"
-    (Space.size space) budget;
-  Printf.printf "%6s %10s %12s %12s\n" "jobs" "points" "seconds" "points/s";
-  let reference = ref None in
-  List.iter
-    (fun jobs ->
-      let t0 = Unix.gettimeofday () in
-      match Driver.run ~jobs prepared space with
-      | Error msg -> Printf.printf "  jobs=%d failed: %s\n" jobs msg
-      | Ok summary ->
-        let dt = Unix.gettimeofday () -. t0 in
-        let pts = Array.length summary.Driver.results in
-        Printf.printf "%6d %10d %12.3f %12.1f\n" jobs pts dt
-          (float_of_int pts /. dt);
-        let rendered = Render.json summary in
-        (match !reference with
-        | None -> reference := Some rendered
-        | Some r ->
-          if r <> rendered then
-            Printf.printf "  WARNING: jobs=%d diverged from jobs=1\n" jobs))
-    [ 1; 2; 4 ];
-  let dup =
-    Space.make ~areas:[ 1500; 1500; 1500; 1500 ] ~cgcs:[ 2; 2 ]
-      ~clock_ratios:[ 3; 3 ] ~timings:[ budget ] ()
-  in
-  (match Driver.run prepared dup with
-  | Error msg -> Printf.printf "duplicate grid failed: %s\n" msg
-  | Ok summary ->
-    let stats = summary.Driver.cache in
-    let total = stats.Hypar_explore.Cache.hits + stats.Hypar_explore.Cache.misses in
-    Printf.printf
-      "duplicate grid: %d points, %d unique -> %d hits / %d misses (%.0f%% \
-       hit-rate)\n"
-      total stats.Hypar_explore.Cache.misses stats.Hypar_explore.Cache.hits
-      stats.Hypar_explore.Cache.misses
-      (100. *. float_of_int stats.Hypar_explore.Cache.hits /. float_of_int total));
-  print_newline ()
+  let best = ref (timed ()) in
+  for _ = 2 to reps do
+    let ((dt, _) as run) = timed () in
+    if dt < fst !best then best := run
+  done;
+  !best
+
+let write_bench section write =
+  let file = Printf.sprintf "BENCH_%s.json" section in
+  Out_channel.with_open_text file write;
+  Printf.printf "wrote %s\n" file
+
+(* The four overhead gates (obs, resilience, serve, soak) share one shape:
+   price what a layer adds to one run of a real workload, time that
+   workload ([denominator]: one warm-up, then best of 7), and exit 1 when
+   the ratio exceeds 2%.  [overhead_gate] prints both and returns the
+   ratio.  The obs, resilience and serve gates price their layer in a
+   tight loop, because differencing two full runs drowns in scheduler
+   noise. *)
+let denominator run =
+  run ();
+  fst (best_of ~reps:7 run)
+
+let overhead_gate ~layer ~per_item (workload, seconds) =
+  let overhead = per_item /. seconds in
+  Printf.printf "%-24s: %10.3f ms (best of 7)\n" workload (seconds *. 1e3);
+  Printf.printf "%-24s: %10.2f ns, %.4f%% of it (budget: 2%%)\n" layer
+    (per_item *. 1e9) (100. *. overhead);
+  if overhead > 0.02 then begin
+    Printf.printf "FAIL: %s exceeds the 2%% overhead budget\n" layer;
+    exit 1
+  end;
+  overhead
 
 (* ---- Observability overhead gate ----------------------------------------- *)
 
 (* The disabled-path guarantee is part of the Hypar_obs contract: with
-   tracing off, every probe is a single atomic load.  Measure the full
-   OFDM flow with the sink off and on, count the probes a traced run
-   fires, and price the disabled probe directly in a tight loop; the
-   estimated disabled-path overhead (probes/run x ns/probe, relative to
-   the untraced run) must stay under 2% or the bench exits 1.  Pricing
-   the probe directly instead of differencing two full-flow timings keeps
-   the gate robust to scheduler noise. *)
+   tracing off, every probe is a single atomic load.  Count the probes a
+   traced OFDM flow fires and price the disabled probe; probes/run x
+   ns/probe is the disabled-path cost of one untraced run. *)
 let obs_bench () =
   section_header "Obs — tracing overhead (enabled vs disabled) on OFDM";
   let prepared = Ofdm.prepared () in
@@ -518,39 +480,30 @@ let obs_bench () =
     ignore (Flow.partition pl ~timing_constraint:Ofdm.timing_constraint prepared)
   in
   flow ();
-  (* warmed up *)
-  let t_off = time_best ~reps:7 flow in
   Hypar_obs.Sink.enable ();
-  let t_on =
-    time_best ~reps:7 (fun () ->
+  let t_on, events_per_run =
+    best_of ~reps:7 (fun () ->
         Hypar_obs.Sink.clear ();
-        flow ())
+        flow ();
+        List.length (Hypar_obs.Sink.events ()))
   in
-  Hypar_obs.Sink.clear ();
-  flow ();
-  let events_per_run = List.length (Hypar_obs.Sink.events ()) in
   Hypar_obs.Sink.disable ();
   Hypar_obs.Sink.clear ();
   let calls = 5_000_000 in
-  let t_probe =
-    time_best ~reps:5 (fun () ->
+  let t_probe, () =
+    best_of ~reps:5 (fun () ->
         for _ = 1 to calls do
           Hypar_obs.Counter.incr "bench.probe"
         done)
   in
   let per_probe = t_probe /. float_of_int calls in
-  let disabled_overhead = float_of_int events_per_run *. per_probe /. t_off in
-  Printf.printf "flow, tracing off : %10.3f ms/run (best of 7)\n" (t_off *. 1e3);
-  Printf.printf "flow, tracing on  : %10.3f ms/run, %d events/run (x%.2f)\n"
-    (t_on *. 1e3) events_per_run (t_on /. t_off);
-  Printf.printf "disabled probe    : %10.2f ns/call\n" (per_probe *. 1e9);
-  Printf.printf
-    "disabled-path overhead: %.4f%% of the untraced run (budget: 2%%)\n"
-    (100. *. disabled_overhead);
-  if disabled_overhead > 0.02 then begin
-    Printf.printf "FAIL: disabled tracing path exceeds the 2%% overhead budget\n";
-    exit 1
-  end;
+  Printf.printf "%-24s: %10.3f ms, %d events/run (best of 7)\n"
+    "flow, tracing on" (t_on *. 1e3) events_per_run;
+  Printf.printf "%-24s: %10.2f ns/call\n" "disabled probe" (per_probe *. 1e9);
+  ignore
+    (overhead_gate ~layer:"disabled tracing"
+       ~per_item:(float_of_int events_per_run *. per_probe)
+       ("flow, tracing off", denominator flow));
   print_newline ()
 
 (* ---- Resilience overhead gate -------------------------------------------- *)
@@ -558,147 +511,108 @@ let obs_bench () =
 (* The hardened explore driver wraps every point evaluation in
    [Retry.run] and consults the fault spec; with no faults and no
    retries configured that wrapper is the only cost the resilience layer
-   adds to a fault-free sweep.  Price the wrapper directly in a tight
-   loop (same technique as the obs gate — differencing two full sweeps
-   drowns in scheduler noise), relate it to the time of one real point
-   evaluation, and fail the bench if the fault-free overhead exceeds
-   2%. *)
+   adds to a fault-free sweep.  Price it against one real point
+   evaluation. *)
 let resilience_bench () =
   section_header "Resilience — fault-free hardening overhead on explore";
-  let module Eval = Hypar_explore.Eval in
-  let module Space = Hypar_explore.Space in
   let module Retry = Hypar_resilience.Retry in
   let prepared = Ofdm.prepared () in
   let point =
-    { Space.area = 1500; cgcs = 2; rows = 2; cols = 2; clock_ratio = 3;
-      timing = Ofdm.timing_constraint }
+    { Hypar_explore.Space.area = 1500; cgcs = 2; rows = 2; cols = 2;
+      clock_ratio = 3; timing = Ofdm.timing_constraint }
   in
-  let eval () = ignore (Eval.evaluate prepared point) in
-  eval ();
-  (* warmed up *)
-  let t_eval = time_best ~reps:7 eval in
   let calls = 2_000_000 in
   let payload _attempt = Ok () in
-  let bare () =
-    for _ = 1 to calls do
-      ignore (Sys.opaque_identity (payload 1))
-    done
+  let t_bare, () =
+    best_of ~reps:5 (fun () ->
+        for _ = 1 to calls do
+          ignore (Sys.opaque_identity (payload 1))
+        done)
   in
-  let wrapped () =
-    for _ = 1 to calls do
-      ignore (Sys.opaque_identity (Retry.run ~retries:0 payload))
-    done
+  let t_wrapped, () =
+    best_of ~reps:5 (fun () ->
+        for _ = 1 to calls do
+          ignore (Sys.opaque_identity (Retry.run ~retries:0 payload))
+        done)
   in
-  let t_bare = time_best ~reps:5 bare in
-  let t_wrapped = time_best ~reps:5 wrapped in
-  let per_call =
-    Float.max 0. ((t_wrapped -. t_bare) /. float_of_int calls)
-  in
-  let overhead = per_call /. t_eval in
-  Printf.printf "point evaluation   : %10.3f ms (OFDM, best of 7)\n"
-    (t_eval *. 1e3);
-  Printf.printf "retry wrapper      : %10.2f ns/point\n" (per_call *. 1e9);
-  Printf.printf
-    "fault-free overhead: %.6f%% of one point evaluation (budget: 2%%)\n"
-    (100. *. overhead);
-  if overhead > 0.02 then begin
-    Printf.printf "FAIL: resilience hardening exceeds the 2%% overhead budget\n";
-    exit 1
-  end;
+  let eval () = ignore (Hypar_explore.Eval.evaluate prepared point) in
+  ignore
+    (overhead_gate ~layer:"retry wrapper"
+       ~per_item:(Float.max 0. ((t_wrapped -. t_bare) /. float_of_int calls))
+       ("OFDM point evaluation", denominator eval));
   print_newline ()
 
-(* ---- Serve wrapper overhead gate ----------------------------------------- *)
+(* ---- Serve and soak: the per-request gates -------------------------------- *)
 
-(* Every serve request pays the envelope machinery on top of the work
-   itself: parse, deadline construction, the dispatch match, the
-   isolation boundary and the response render.  Price that wrapper with
-   the cheapest verb (health — no file work, so what remains IS the
-   wrapper), relate it to one real partition request through the same
-   path, and gate it at the same 2% budget as the obs and resilience
-   layers.  The sink stays disabled throughout, matching the
-   disabled-observability contract the rest of the pipeline is held to. *)
-let serve_bench () =
-  section_header "Serve — per-request wrapper overhead (sink disabled)";
-  let module Worker = Hypar_server.Worker in
-  let module Protocol = Hypar_server.Protocol in
+module Worker = Hypar_server.Worker
+module Protocol = Hypar_server.Protocol
+
+(* the worker both per-request gates run: no faults, deadline or fuel, and
+   the sink disabled, as the rest of the pipeline is held to *)
+let worker_config () =
+  {
+    Worker.faults = None;
+    backend = None;
+    default_deadline_ms = None;
+    default_fuel = None;
+    drain = Hypar_server.Drain.create ~drain_timeout_ms:1000;
+    queue_depth = (fun () -> 0);
+    on_poll = None;
+  }
+
+let parse_request line =
+  match Protocol.parse_request line with Ok req -> req | Error e -> failwith e
+
+let execute config req =
+  match Worker.execute config req with
+  | Protocol.Done _ -> ()
+  | resp -> failwith (Protocol.render resp)
+
+(* The unit both per-request gates charge against: one OFDM partition
+   request through [Worker.execute].  Its source file is removed however
+   the requests end. *)
+let partition_request config =
   let src_file = Filename.temp_file "hypar_bench" ".mc" in
-  let oc = open_out src_file in
-  output_string oc Ofdm.source;
-  close_out oc;
-  let config =
-    {
-      Worker.faults = None;
-      backend = None;
-      default_deadline_ms = None;
-      default_fuel = None;
-      drain = Hypar_server.Drain.create ~drain_timeout_ms:1000;
-      queue_depth = (fun () -> 0);
-      on_poll = None;
-    }
-  in
-  let request line =
-    match Protocol.parse_request line with
-    | Ok req -> req
-    | Error e -> failwith e
-  in
-  let partition_req =
-    request
+  Fun.protect ~finally:(fun () -> Sys.remove src_file) @@ fun () ->
+  Out_channel.with_open_text src_file (fun oc -> output_string oc Ofdm.source);
+  let req =
+    parse_request
       (Printf.sprintf {|{"id":1,"verb":"partition","file":"%s","timing":%d}|}
          src_file Ofdm.timing_constraint)
   in
-  let health_req = request {|{"id":2,"verb":"health"}|} in
-  let run req () =
-    match Worker.execute config req with
-    | Protocol.Done _ -> ()
-    | resp -> failwith (Protocol.render resp)
-  in
-  run partition_req ();
-  (* warmed up *)
-  let t_req = time_best ~reps:7 (run partition_req) in
+  ("OFDM partition request", denominator (fun () -> execute config req))
+
+(* Every serve request pays the envelope machinery on top of the work
+   itself: parse, deadline construction, the dispatch match, the
+   isolation boundary and the response render.  The cheapest verb,
+   health, does no file work, so what it costs IS the wrapper. *)
+let serve_bench () =
+  section_header "Serve — per-request wrapper overhead (sink disabled)";
+  let config = worker_config () in
+  let health = parse_request {|{"id":2,"verb":"health"}|} in
   let calls = 100_000 in
-  let t_wrap =
-    time_best ~reps:5 (fun () ->
+  let t_wrap, () =
+    best_of ~reps:5 (fun () ->
         for _ = 1 to calls do
-          run health_req ()
+          execute config health
         done)
   in
-  Sys.remove src_file;
-  let per_wrap = t_wrap /. float_of_int calls in
-  let overhead = per_wrap /. t_req in
-  Printf.printf "partition request  : %10.3f ms/request (OFDM, best of 7)\n"
-    (t_req *. 1e3);
-  Printf.printf "request wrapper    : %10.2f ns/request (health, %d calls)\n"
-    (per_wrap *. 1e9) calls;
-  Printf.printf
-    "wrapper overhead   : %.4f%% of one partition request (budget: 2%%)\n"
-    (100. *. overhead);
-  if overhead > 0.02 then begin
-    Printf.printf "FAIL: serve wrapper exceeds the 2%% overhead budget\n";
-    exit 1
-  end;
+  ignore
+    (overhead_gate ~layer:"health request wrapper"
+       ~per_item:(t_wrap /. float_of_int calls)
+       (partition_request config));
   print_newline ()
-
-(* ---- Soak: supervision overhead gate ------------------------------------- *)
 
 (* The self-healing pool rides along on every request even when nothing
    goes wrong: heartbeat stores, the settle CAS, the monitor domain's
-   2 ms tick.  Price that tax by streaming the same chaos-free request
-   list through a one-worker supervised session and through the inline
-   session (one job, no supervisor), attributing the wall-time delta per
-   request, and relating it to one real partition request — the same
-   shape as the serve wrapper gate, and the same 2% budget.  The sorted
-   response envelopes must also be identical: chaos-free supervision
-   answers exactly as the inline path does. *)
+   2 ms tick.  Stream the same chaos-free request list through a
+   one-worker supervised session and through the inline session (one
+   job, no supervisor) and attribute the wall-time delta per request.
+   The sorted response envelopes must also be identical: chaos-free
+   supervision answers exactly as the inline path does. *)
 let soak_bench () =
   section_header "Soak — chaos-free supervision overhead";
-  let module Worker = Hypar_server.Worker in
-  let module Protocol = Hypar_server.Protocol in
   let module Server = Hypar_server.Server in
-  let module Supervisor = Hypar_server.Supervisor in
-  let src_file = Filename.temp_file "hypar_bench" ".mc" in
-  let oc = open_out src_file in
-  output_string oc Ofdm.source;
-  close_out oc;
   let n = 1000 in
   let lines =
     List.init n (fun i ->
@@ -726,7 +640,7 @@ let soak_bench () =
     in
     go ()
   in
-  let run_session ~supervisor =
+  let run_session supervisor () =
     let config =
       {
         Server.jobs = 1;
@@ -749,62 +663,20 @@ let soak_bench () =
     in
     let collector = Domain.spawn (fun () -> read_all resp_r) in
     let drain = Hypar_server.Drain.create ~drain_timeout_ms:10_000 in
-    let t0 = Unix.gettimeofday () in
     Server.run_session config drain req_r resp_w;
-    let dt = Unix.gettimeofday () -. t0 in
     Unix.close resp_w;
     Domain.join feeder;
     let out = Domain.join collector in
     Unix.close req_r;
     Unix.close resp_r;
-    (dt, out)
+    out
   in
-  let best f =
-    let t = ref infinity and out = ref "" in
-    for _ = 1 to 5 do
-      let dt, o = f () in
-      if dt < !t then begin
-        t := dt;
-        out := o
-      end
-    done;
-    (!t, !out)
-  in
-  ignore (run_session ~supervisor:None);
-  (* warmed up *)
-  let t_inline, out_inline = best (fun () -> run_session ~supervisor:None) in
+  ignore (run_session None ());
+  let t_inline, out_inline = best_of ~reps:5 (run_session None) in
   let t_sup, out_sup =
-    best (fun () -> run_session ~supervisor:(Some Supervisor.default_options))
+    best_of ~reps:5
+      (run_session (Some Hypar_server.Supervisor.default_options))
   in
-  (* denominator: one real partition request through the worker, the
-     unit the per-request supervision tax is charged against *)
-  let wconfig =
-    {
-      Worker.faults = None;
-      backend = None;
-      default_deadline_ms = None;
-      default_fuel = None;
-      drain = Hypar_server.Drain.create ~drain_timeout_ms:1000;
-      queue_depth = (fun () -> 0);
-      on_poll = None;
-    }
-  in
-  let partition_req =
-    match
-      Protocol.parse_request
-        (Printf.sprintf {|{"id":1,"verb":"partition","file":"%s","timing":%d}|}
-           src_file Ofdm.timing_constraint)
-    with
-    | Ok req -> req
-    | Error e -> failwith e
-  in
-  let t_req =
-    time_best ~reps:7 (fun () ->
-        match Worker.execute wconfig partition_req with
-        | Protocol.Done _ -> ()
-        | resp -> failwith (Protocol.render resp))
-  in
-  Sys.remove src_file;
   (* health payloads carry uptime and instantaneous queue depth, which
      differ between any two runs — compare the envelope signatures
      (id/status/verb), which must agree exactly *)
@@ -823,244 +695,33 @@ let soak_bench () =
   in
   let identical = sorted out_inline = sorted out_sup in
   let per_req = Float.max 0. ((t_sup -. t_inline) /. float_of_int n) in
-  let overhead = per_req /. t_req in
-  Printf.printf "inline session     : %10.3f ms (%d health requests, best of 5)\n"
-    (t_inline *. 1e3) n;
-  Printf.printf "supervised session : %10.3f ms (same stream, chaos off)\n"
-    (t_sup *. 1e3);
-  Printf.printf "envelopes identical: %s\n" (if identical then "yes" else "NO");
-  Printf.printf "supervision tax    : %10.2f ns/request\n" (per_req *. 1e9);
-  Printf.printf
-    "supervision overhead: %.4f%% of one partition request (budget: 2%%)\n"
-    (100. *. overhead);
-  let failed = ref false in
+  Printf.printf "%-24s: %10.3f ms (%d health requests, best of 5)\n"
+    "inline session" (t_inline *. 1e3) n;
+  Printf.printf "%-24s: %10.3f ms (same stream, chaos off)\n"
+    "supervised session" (t_sup *. 1e3);
+  Printf.printf "%-24s: %s\n" "envelopes identical"
+    (if identical then "yes" else "NO");
+  let ((_, t_req) as request) = partition_request (worker_config ()) in
+  let overhead = overhead_gate ~layer:"supervision tax" ~per_item:per_req request in
   if not identical then begin
     Printf.printf
       "FAIL: chaos-free supervised responses differ from the inline session\n";
-    failed := true
-  end;
-  if overhead > 0.02 then begin
-    Printf.printf "FAIL: supervision exceeds the 2%% overhead budget\n";
-    failed := true
-  end;
-  if !failed then exit 1;
-  let oc = open_out "BENCH_soak.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"section\": \"soak\",\n\
-    \  \"requests\": %d,\n\
-    \  \"inline_seconds\": %.6f,\n\
-    \  \"supervised_seconds\": %.6f,\n\
-    \  \"supervision_ns_per_request\": %.2f,\n\
-    \  \"partition_request_seconds\": %.6f,\n\
-    \  \"overhead_fraction\": %.6f,\n\
-    \  \"budget_fraction\": 0.02,\n\
-    \  \"envelopes_identical\": %b\n\
-     }\n"
-    n t_inline t_sup (per_req *. 1e9) t_req overhead identical;
-  close_out oc;
-  Printf.printf "wrote BENCH_soak.json\n";
-  print_newline ()
-
-(* ---- Dataflow: solver throughput and global-pass shrinkage -------------- *)
-
-let dataflow_bench () =
-  section_header "Dataflow — solver throughput and global-pass shrinkage";
-  let module D = Hypar_ir.Dataflow in
-  let module Passes = Hypar_ir.Passes in
-  let module Cdfg = Hypar_ir.Cdfg in
-  let srcs =
-    [
-      ("OFDM", Ofdm.source);
-      ("JPEG", Jpeg.source);
-      ("Sobel", Hypar_apps.Sobel.source);
-      ("ADPCM", Hypar_apps.Adpcm.source);
-    ]
-  in
-  let counts cdfg = (Cdfg.block_count cdfg, Cdfg.total_instrs cdfg) in
-  let rows =
-    List.map
-      (fun (name, src) ->
-        let raw = Hypar_minic.Driver.compile_exn ~name ~simplify:false src in
-        let cfg = Cdfg.cfg raw in
-        let iterations = (D.Liveness.solve cfg).D.iterations in
-        let batch = 50 in
-        (* the analyses the optimizer and verifier run *)
-        let t =
-          time_best ~reps:7 (fun () ->
-              for _ = 1 to batch do
-                ignore (D.Liveness.solve cfg);
-                ignore (D.Avail.solve (Hypar_ir.Exprs.build cfg) cfg);
-                ignore (D.solve (module D.Consts) cfg)
-              done)
-        in
-        let solves_per_sec = float_of_int (3 * batch) /. t in
-        let simplified = Passes.simplify ~verify:false raw in
-        let optimized = Passes.optimize ~verify:false raw in
-        let after_global pass =
-          snd (counts (Passes.dead_code_eliminate (pass raw)))
-        in
-        ( name,
-          counts raw,
-          counts simplified,
-          counts optimized,
-          [
-            ("const", after_global Passes.global_const_propagate);
-            ("copy", after_global Passes.global_copy_propagate);
-            ("cse", after_global Passes.global_cse);
-          ],
-          iterations,
-          solves_per_sec ))
-      srcs
-  in
-  Printf.printf
-    "%-6s | %12s | %13s | %13s | %19s | %6s | %11s\n"
-    "app" "raw blk/ins" "simplify ins" "optimize ins" "global pass ins"
-    "iters" "solves/s";
-  List.iter
-    (fun (name, (rb, ri), (_, si), (ob, oi), globals, iters, sps) ->
-      Printf.printf
-        "%-6s | %5d /%5d | %13d | %6d /%5d | %s | %6d | %11.0f\n"
-        name rb ri si ob oi
-        (String.concat " "
-           (List.map (fun (p, n) -> Printf.sprintf "%s:%d" p n) globals))
-        iters sps)
-    rows;
-  (* acceptance gate: each global pass (after DCE) strictly shrinks the
-     raw CDFG on at least two of the four apps *)
-  let shrinkers pass_name =
-    List.length
-      (List.filter
-         (fun (_, (_, ri), _, _, globals, _, _) ->
-           List.assoc pass_name globals < ri)
-         rows)
-  in
-  List.iter
-    (fun p ->
-      let n = shrinkers p in
-      Printf.printf "global %-5s shrinks %d/4 apps%s\n" p n
-        (if n >= 2 then "" else "  <-- FAIL (budget: >= 2)"))
-    [ "const"; "copy"; "cse" ];
-  if List.exists (fun p -> shrinkers p < 2) [ "const"; "copy"; "cse" ] then begin
-    Printf.printf "FAIL: a global pass shrinks fewer than 2/4 apps\n";
     exit 1
   end;
-  (* first perf snapshot: committed as BENCH_dataflow.json so later PRs
-     can diff solver throughput and pipeline shrinkage *)
-  let oc = open_out "BENCH_dataflow.json" in
-  Printf.fprintf oc "{\n  \"section\": \"dataflow\",\n  \"apps\": [\n";
-  List.iteri
-    (fun i (name, (rb, ri), (sb, si), (ob, oi), globals, iters, sps) ->
+  write_bench "soak" (fun oc ->
       Printf.fprintf oc
-        "    {\"app\": %S, \"raw\": {\"blocks\": %d, \"instrs\": %d},\n\
-        \     \"simplify\": {\"blocks\": %d, \"instrs\": %d},\n\
-        \     \"optimize\": {\"blocks\": %d, \"instrs\": %d},\n\
-        \     \"global_pass_instrs\": {%s},\n\
-        \     \"liveness_iterations\": %d, \"solves_per_sec\": %.0f}%s\n"
-        name rb ri sb si ob oi
-        (String.concat ", "
-           (List.map (fun (p, n) -> Printf.sprintf "%S: %d" p n) globals))
-        iters sps
-        (if i < List.length rows - 1 then "," else ""))
-    rows;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc;
-  Printf.printf "wrote BENCH_dataflow.json\n";
-  print_newline ()
-
-(* ---- bytecode: decompiled frontend vs direct frontend ------------------- *)
-
-let bytecode_bench () =
-  section_header "Bytecode — decompiled frontend vs direct Mini-C frontend";
-  let module Passes = Hypar_ir.Passes in
-  let module Cdfg = Hypar_ir.Cdfg in
-  let module B = Hypar_bytecode in
-  let module Interp = Hypar_profiling.Interp in
-  let apps =
-    [
-      ("OFDM", Ofdm.source, Ofdm.inputs ());
-      ("JPEG", Jpeg.source, Jpeg.inputs ());
-      ("Sobel", Hypar_apps.Sobel.source, Hypar_apps.Sobel.inputs ());
-      ("ADPCM", Hypar_apps.Adpcm.source, Hypar_apps.Adpcm.inputs ());
-    ]
-  in
-  let observed cdfg inputs =
-    let r = Interp.run ~inputs cdfg in
-    (r.Interp.return_value, List.sort compare r.Interp.arrays)
-  in
-  let rows =
-    List.map
-      (fun (name, src, inputs) ->
-        let direct_raw =
-          Hypar_minic.Driver.compile_exn ~name ~simplify:false src
-        in
-        let direct_opt = Passes.optimize ~verify:false direct_raw in
-        let prog = B.Emit.program direct_raw in
-        let bc_insns =
-          List.length
-            (List.filter
-               (fun (_, item) ->
-                 match item with B.Prog.Insn _ -> true | B.Prog.Label _ -> false)
-               prog.B.Prog.code)
-        in
-        let bc_raw =
-          B.Driver.compile_exn ~name ~optimize:false ~verify_ir:false
-            (B.Prog.to_string prog)
-        in
-        let bc_opt = Passes.optimize ~verify:false bc_raw in
-        let matches = observed direct_opt inputs = observed bc_opt inputs in
-        ( name,
-          bc_insns,
-          Cdfg.total_instrs direct_raw,
-          Cdfg.total_instrs direct_opt,
-          Cdfg.total_instrs bc_raw,
-          Cdfg.total_instrs bc_opt,
-          matches ))
-      apps
-  in
-  Printf.printf "%-6s | %8s | %10s | %10s | %8s | %8s | %6s\n" "app"
-    "bc insns" "direct raw" "decomp raw" "direct-O" "decomp-O" "interp";
-  List.iter
-    (fun (name, bc, dr, dopt, br, bopt, matches) ->
-      Printf.printf "%-6s | %8d | %10d | %10d | %8d | %8d | %6s\n" name bc dr
-        br dopt bopt
-        (if matches then "match" else "DIFFER"))
-    rows;
-  (* acceptance gates: the decompiled program must behave identically under
-     the interpreter, and after -O the recovered CDFG must be within 10% of
-     the direct frontend's instruction count *)
-  let failed = ref false in
-  List.iter
-    (fun (name, _, _, dopt, _, bopt, matches) ->
-      if not matches then begin
-        Printf.printf "FAIL: %s interpreter outputs differ across frontends\n"
-          name;
-        failed := true
-      end;
-      if 10 * abs (bopt - dopt) > dopt then begin
-        Printf.printf
-          "FAIL: %s decompiled -O instrs %d deviate >10%% from direct %d\n"
-          name bopt dopt;
-        failed := true
-      end)
-    rows;
-  if !failed then exit 1;
-  Printf.printf "all apps: interpreter match, -O instr counts within 10%%\n";
-  let oc = open_out "BENCH_bytecode.json" in
-  Printf.fprintf oc "{\n  \"section\": \"bytecode\",\n  \"apps\": [\n";
-  List.iteri
-    (fun i (name, bc, dr, dopt, br, bopt, matches) ->
-      Printf.fprintf oc
-        "    {\"app\": %S, \"bytecode_insns\": %d,\n\
-        \     \"direct\": {\"raw\": %d, \"optimized\": %d},\n\
-        \     \"decompiled\": {\"raw\": %d, \"optimized\": %d},\n\
-        \     \"interp_match\": %b}%s\n"
-        name bc dr dopt br bopt matches
-        (if i < List.length rows - 1 then "," else ""))
-    rows;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc;
-  Printf.printf "wrote BENCH_bytecode.json\n";
+        "{\n\
+        \  \"section\": \"soak\",\n\
+        \  \"requests\": %d,\n\
+        \  \"inline_seconds\": %.6f,\n\
+        \  \"supervised_seconds\": %.6f,\n\
+        \  \"supervision_ns_per_request\": %.2f,\n\
+        \  \"partition_request_seconds\": %.6f,\n\
+        \  \"overhead_fraction\": %.6f,\n\
+        \  \"budget_fraction\": 0.02,\n\
+        \  \"envelopes_identical\": %b\n\
+         }\n"
+        n t_inline t_sup (per_req *. 1e9) t_req overhead identical);
   print_newline ()
 
 (* ---- interp: compiled backend vs tree oracle + engine delta updates ------ *)
@@ -1093,18 +754,12 @@ let interp_bench () =
     List.map
       (fun (name, src, inputs) ->
         let cdfg = Hypar_minic.Driver.compile_exn ~name src in
-        let r_tree = ref None and r_comp = ref None and r_poll = ref None in
-        let t_tree =
-          time_best ~reps:3 (fun () -> r_tree := Some (Interp.run ~inputs cdfg))
+        let t_tree, r_tree = best_of ~reps:3 (fun () -> Interp.run ~inputs cdfg) in
+        let t_comp, r_comp = best_of ~reps:3 (fun () -> Exec.run ~inputs cdfg) in
+        let t_poll, r_poll =
+          best_of ~reps:3 (fun () -> Exec.run ~poll:ignore ~inputs cdfg)
         in
-        let t_comp =
-          time_best ~reps:3 (fun () -> r_comp := Some (Exec.run ~inputs cdfg))
-        in
-        let t_poll =
-          time_best ~reps:3 (fun () ->
-              r_poll := Some (Exec.run ~poll:ignore ~inputs cdfg))
-        in
-        let equal = !r_tree = !r_comp && !r_tree = !r_poll in
+        let equal = r_tree = r_comp && r_tree = r_poll in
         let speedup = t_tree /. t_comp in
         Printf.printf "%-6s | %12.3f | %12.3f | %12.3f | %7.2fx | %6s\n" name
           (t_tree *. 1e3) (t_comp *. 1e3) (t_poll *. 1e3) speedup
@@ -1138,8 +793,8 @@ let interp_bench () =
       r.Engine.moved
   in
   let batch = 50 in
-  let t_full =
-    time_best ~reps:5 (fun () ->
+  let t_full, () =
+    best_of ~reps:5 (fun () ->
         for _ = 1 to batch do
           let full =
             Engine.evaluate pl prepared.Flow.cdfg prepared.Flow.profile
@@ -1149,8 +804,8 @@ let interp_bench () =
         done)
   in
   let inc = Engine.Inc.create pl prepared.Flow.cdfg prepared.Flow.profile in
-  let t_delta =
-    time_best ~reps:5 (fun () ->
+  let t_delta, () =
+    best_of ~reps:5 (fun () ->
         for _ = 1 to batch do
           Engine.Inc.reset inc;
           ignore (Engine.Inc.times inc);
@@ -1169,27 +824,26 @@ let interp_bench () =
     (t_delta /. float_of_int batch *. 1e3)
     engine_speedup;
   if !failed then exit 1;
-  let oc = open_out "BENCH_interp.json" in
-  Printf.fprintf oc "{\n  \"section\": \"interp\",\n  \"apps\": [\n";
-  List.iteri
-    (fun i (name, t_tree, t_comp, t_poll, speedup, equal) ->
+  write_bench "interp" (fun oc ->
+      Printf.fprintf oc "{\n  \"section\": \"interp\",\n  \"apps\": [\n";
+      List.iteri
+        (fun i (name, t_tree, t_comp, t_poll, speedup, equal) ->
+          Printf.fprintf oc
+            "    {\"app\": %S, \"tree_ms\": %.3f, \"compiled_ms\": %.3f, \
+             \"compiled_poll_ms\": %.3f, \"speedup\": %.2f, \"identical\": \
+             %b}%s\n"
+            name (t_tree *. 1e3) (t_comp *. 1e3) (t_poll *. 1e3) speedup equal
+            (if i < List.length rows - 1 then "," else ""))
+        rows;
       Printf.fprintf oc
-        "    {\"app\": %S, \"tree_ms\": %.3f, \"compiled_ms\": %.3f, \
-         \"compiled_poll_ms\": %.3f, \"speedup\": %.2f, \"identical\": %b}%s\n"
-        name (t_tree *. 1e3) (t_comp *. 1e3) (t_poll *. 1e3) speedup equal
-        (if i < List.length rows - 1 then "," else ""))
-    rows;
-  Printf.fprintf oc
-    "  ],\n\
-    \  \"engine\": {\"moves\": %d, \"full_ms\": %.3f, \"delta_ms\": %.3f, \
-     \"speedup\": %.2f}\n\
-     }\n"
-    (List.length r.Engine.moved)
-    (t_full /. float_of_int batch *. 1e3)
-    (t_delta /. float_of_int batch *. 1e3)
-    engine_speedup;
-  close_out oc;
-  Printf.printf "wrote BENCH_interp.json\n";
+        "  ],\n\
+        \  \"engine\": {\"moves\": %d, \"full_ms\": %.3f, \"delta_ms\": %.3f, \
+         \"speedup\": %.2f}\n\
+         }\n"
+        (List.length r.Engine.moved)
+        (t_full /. float_of_int batch *. 1e3)
+        (t_delta /. float_of_int batch *. 1e3)
+        engine_speedup);
   print_newline ()
 
 (* ---- fuzz: generator + oracle throughput, determinism gate --------------- *)
@@ -1205,27 +859,28 @@ let fuzz_bench () =
   section_header "Fuzz — generator and oracle throughput";
   let module Runner = Hypar_fuzzgen.Runner in
   let n_gen = 2_000 and n_oracle = 150 in
-  let t0 = Unix.gettimeofday () in
-  let bytes = ref 0 in
-  for seed = 1 to n_gen do
-    bytes := !bytes + String.length (Hypar_fuzzgen.Gen.source seed)
-  done;
-  let t_gen = Unix.gettimeofday () -. t0 in
+  let t_gen, bytes =
+    best_of ~reps:1 (fun () ->
+        let bytes = ref 0 in
+        for seed = 1 to n_gen do
+          bytes := !bytes + String.length (Hypar_fuzzgen.Gen.source seed)
+        done;
+        !bytes)
+  in
   let gen_rate = float_of_int n_gen /. t_gen in
   Printf.printf "generator: %d programs (%.1f KiB) in %.3f s -> %.0f prog/s\n"
     n_gen
-    (float_of_int !bytes /. 1024.)
+    (float_of_int bytes /. 1024.)
     t_gen gen_rate;
-  let t0 = Unix.gettimeofday () in
-  let r1 = Runner.run { Runner.default with Runner.seed = 21; count = n_oracle } in
-  let t_oracle = Unix.gettimeofday () -. t0 in
+  let campaign jobs =
+    Runner.run { Runner.default with Runner.seed = 21; count = n_oracle; jobs }
+  in
+  let t_oracle, r1 = best_of ~reps:1 (fun () -> campaign 1) in
   let oracle_rate = float_of_int n_oracle /. t_oracle in
   Printf.printf
     "oracle matrix: %d programs in %.3f s -> %.1f prog/s (%d passes)\n"
     n_oracle t_oracle oracle_rate r1.Runner.passes;
-  let r2 =
-    Runner.run { Runner.default with Runner.seed = 21; count = n_oracle; jobs = 2 }
-  in
+  let r2 = campaign 2 in
   let deterministic =
     Runner.to_text r1 = Runner.to_text r2
     && Runner.to_json r1 = Runner.to_json r2
@@ -1253,20 +908,18 @@ let fuzz_bench () =
     failed := true
   end;
   if !failed then exit 1;
-  let oc = open_out "BENCH_fuzz.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"section\": \"fuzz\",\n\
-    \  \"generator\": {\"programs\": %d, \"seconds\": %.3f, \"rate_per_s\": \
-     %.0f},\n\
-    \  \"oracle\": {\"programs\": %d, \"seconds\": %.3f, \"rate_per_s\": %.1f, \
-     \"passes\": %d},\n\
-    \  \"deterministic_across_jobs\": %b\n\
-     }\n"
-    n_gen t_gen gen_rate n_oracle t_oracle oracle_rate r1.Runner.passes
-    deterministic;
-  close_out oc;
-  Printf.printf "wrote BENCH_fuzz.json\n";
+  write_bench "fuzz" (fun oc ->
+      Printf.fprintf oc
+        "{\n\
+        \  \"section\": \"fuzz\",\n\
+        \  \"generator\": {\"programs\": %d, \"seconds\": %.3f, \"rate_per_s\": \
+         %.0f},\n\
+        \  \"oracle\": {\"programs\": %d, \"seconds\": %.3f, \"rate_per_s\": \
+         %.1f, \"passes\": %d},\n\
+        \  \"deterministic_across_jobs\": %b\n\
+         }\n"
+        n_gen t_gen gen_rate n_oracle t_oracle oracle_rate r1.Runner.passes
+        deterministic);
   print_newline ()
 
 (* ---- driver -------------------------------------------------------------- *)
@@ -1285,15 +938,12 @@ let sections =
     ("ablation:reconfig", ablation_reconfig);
     ("ablation:priority", ablation_priority);
     ("ablation:scaling", ablation_scaling);
-    ("explore", explore_bench);
     ("obs", obs_bench);
     ("resilience", resilience_bench);
     ("serve", serve_bench);
     ("extension:pipeline", extension_pipeline);
     ("extension:energy", extension_energy);
     ("extension:modulo", extension_modulo);
-    ("dataflow", dataflow_bench);
-    ("bytecode", bytecode_bench);
     ("interp", interp_bench);
     ("fuzz", fuzz_bench);
     ("soak", soak_bench);

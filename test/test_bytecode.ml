@@ -346,7 +346,7 @@ let test_emit_roundtrip () =
 
 let test_emit_optimized_parity () =
   (* after -O the decompiled CDFG shrinks back to the direct frontend's
-     size (the acceptance gate the bench section enforces across apps) *)
+     size (checked on the four applications below) *)
   let direct =
     Hypar_minic.Driver.compile_exn ~name:"parity" ~simplify:true minic_src
   in
@@ -357,6 +357,29 @@ let test_emit_optimized_parity () =
   in
   let direct_n = Ir.Cdfg.total_instrs direct in
   let bc_n = Ir.Cdfg.total_instrs recovered in
+  Alcotest.(check bool)
+    (Printf.sprintf "within 10%% (direct %d, decompiled %d)" direct_n bc_n)
+    true
+    (10 * abs (bc_n - direct_n) <= direct_n)
+
+(* The same parity on the four applications: each is emitted as bytecode,
+   recovered, and both paths optimised; the interpreter must observe the
+   same return value and final arrays, and the instruction counts must
+   stay within 10%. *)
+let test_apps_decompiled_parity (name, src, inputs) () =
+  let raw = Hypar_minic.Driver.compile_exn ~name ~simplify:false src in
+  let direct = Ir.Passes.optimize raw in
+  let decompiled =
+    B.Driver.compile_exn ~name ~verify_ir:true (B.Prog.to_string (B.Emit.program raw))
+  in
+  let observed cdfg =
+    let r = Interp.run ~inputs cdfg in
+    (r.Interp.return_value, List.sort compare r.Interp.arrays)
+  in
+  Alcotest.(check bool) "interpreter results match" true
+    (observed direct = observed decompiled);
+  let direct_n = Ir.Cdfg.total_instrs direct in
+  let bc_n = Ir.Cdfg.total_instrs decompiled in
   Alcotest.(check bool)
     (Printf.sprintf "within 10%% (direct %d, decompiled %d)" direct_n bc_n)
     true
@@ -389,3 +412,8 @@ let suite =
     Alcotest.test_case "emit optimised parity" `Quick test_emit_optimized_parity;
     Alcotest.test_case "driver exception" `Quick test_driver_exn;
   ]
+  @ List.map
+      (fun ((name, _, _) as app) ->
+        Alcotest.test_case ("decompiled -O parity: " ^ name) `Quick
+          (test_apps_decompiled_parity app))
+      Test_compile.apps

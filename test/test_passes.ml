@@ -398,6 +398,39 @@ let test_sharing_one_block () =
   Alcotest.(check int) "the latch is in the loop" 1 (Ir.Cdfg.info out 1).Ir.Cdfg.loop_depth;
   check_sharing "const_fold" input out
 
+(* Each global pass shrinks at least two of the four applications.  DCE
+   alone already shrinks all four, so "pass then DCE below the raw CDFG"
+   holds for the identity; the later checks compare against the same
+   pipeline without the pass.  Global copy propagation beats DCE alone on
+   JPEG only. *)
+let test_global_passes_shrink_apps () =
+  let module P = Ir.Passes in
+  let raws = List.map (fun (app, src) -> (app, compile_raw src)) apps in
+  let size pipeline raw = Ir.Cdfg.total_instrs (pipeline raw) in
+  let shrinks ~than pipeline =
+    List.filter (fun (_, raw) -> size pipeline raw < size than raw) raws
+    |> List.map fst
+  in
+  let at_least_two what apps =
+    Alcotest.(check bool)
+      (Printf.sprintf "%s shrinks %s" what (String.concat "," apps))
+      true
+      (List.length apps >= 2)
+  in
+  let dce = P.dead_code_eliminate in
+  List.iter
+    (fun (name, pass) ->
+      at_least_two (name ^ " + DCE vs raw") (shrinks ~than:Fun.id (fun c -> dce (pass c))))
+    [ ("const", P.global_const_propagate); ("copy", P.global_copy_propagate);
+      ("cse", P.global_cse) ];
+  at_least_two "const + DCE vs DCE"
+    (shrinks ~than:dce (fun c -> dce (P.global_const_propagate c)));
+  at_least_two "cse + copy + DCE vs copy + DCE"
+    (shrinks ~than:(fun c -> dce (P.copy_propagate c))
+       (fun c -> dce (P.copy_propagate (P.global_cse c))));
+  Alcotest.(check bool) "copy + DCE vs DCE shrinks jpeg" true
+    (List.mem "jpeg" (shrinks ~than:dce (fun c -> dce (P.global_copy_propagate c))))
+
 let suite =
   [
     Alcotest.test_case "const fold arithmetic" `Quick test_const_fold_arithmetic;
@@ -414,6 +447,7 @@ let suite =
     Alcotest.test_case "DFG first use from 4 domains" `Quick test_dfg_concurrent_first_use;
     Alcotest.test_case "a pass shares the blocks it leaves alone" `Quick test_sharing_generated;
     Alcotest.test_case "one folded block, the rest shared" `Quick test_sharing_one_block;
+    Alcotest.test_case "global passes shrink the apps" `Quick test_global_passes_shrink_apps;
     (* 200 programs: decompiled bytecode is larger, so fewer of it *)
     QCheck_alcotest.to_alcotest (prop_oracle ("Mini-C", raw_minic, 150));
     QCheck_alcotest.to_alcotest (prop_oracle ("bytecode", raw_bytecode, 50));
