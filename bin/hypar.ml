@@ -82,9 +82,7 @@ let with_verification f =
     Printf.eprintf "%s\n" (Flow.load_error_message e);
     2
   | exception Hypar_profiling.Interp.Fuel_exhausted { steps } ->
-    Printf.eprintf
-      "hypar: profiling budget exhausted after %d steps (raise --point-fuel)\n"
-      steps;
+    Printf.eprintf "hypar: profiling budget exhausted after %d steps\n" steps;
     2
   | exception Hypar_profiling.Interp.Runtime_error msg ->
     Printf.eprintf "hypar: profiling run failed: %s\n" msg;
@@ -483,9 +481,7 @@ let opt_cmd =
     (match out with
     | None -> ()
     | Some path ->
-      let oc = open_out_bin path in
-      output_string oc (Hypar_ir.Serialize.to_string optimized);
-      close_out oc);
+      Hypar_obs.Export.write_file path (Hypar_ir.Serialize.to_string optimized));
     0
   in
   let out_arg =
@@ -941,10 +937,7 @@ let compile_bc_cmd =
     let text = Hypar_bytecode.Emit.to_string cdfg in
     (match out with
     | None -> print_string text
-    | Some path ->
-      let oc = open_out_bin path in
-      output_string oc text;
-      close_out oc);
+    | Some path -> Hypar_obs.Export.write_file path text);
     0
   in
   let out_arg =
@@ -1246,10 +1239,7 @@ let fuzz_cmd =
       in
       (match out with
       | None -> print_string rendered
-      | Some path ->
-        let oc = open_out_bin path in
-        output_string oc rendered;
-        close_out oc);
+      | Some path -> Hypar_obs.Export.write_file path rendered);
       if report.F.Runner.failures = [] then 0 else 1
   in
   let seed_arg =

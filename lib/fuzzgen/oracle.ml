@@ -38,8 +38,8 @@ let stage name f =
 let outcome backend fuel cdfg =
   let run =
     match backend with
-    | `Tree -> Interp.run ?fuel:None ~max_steps:fuel
-    | `Compiled -> Hypar_profiling.Exec.run ?fuel:None ~max_steps:fuel
+    | `Tree -> Interp.run ~max_steps:fuel
+    | `Compiled -> Hypar_profiling.Exec.run ~max_steps:fuel
   in
   match run cdfg with
   | r -> Value r

@@ -26,6 +26,16 @@ let terminator_uses b =
   | Return None -> []
   | Return (Some op) -> of_operand op
 
+let map_terminator_operands f term =
+  match term with
+  | Jump _ | Return None -> term
+  | Branch ({ cond; _ } as r) ->
+    let cond' = f cond in
+    if cond' == cond then term else Branch { r with cond = cond' }
+  | Return (Some op) ->
+    let op' = f op in
+    if op' == op then term else Return (Some op')
+
 let iter_vars f b =
   List.iter
     (fun instr ->

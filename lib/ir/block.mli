@@ -20,6 +20,11 @@ val instr_count : t -> int
 val terminator_uses : t -> Instr.var list
 (** Variables read by the terminator. *)
 
+val map_terminator_operands :
+  (Instr.operand -> Instr.operand) -> terminator -> terminator
+(** The terminator counterpart of {!Instr.map_operands}: the terminator
+    itself when [f] returns its operand physically. *)
+
 val iter_vars : (Instr.var -> unit) -> t -> unit
 (** Every variable the block mentions, once per mention: each
     instruction's def and reads in order, then the terminator's reads. *)

@@ -338,59 +338,15 @@ module Consts = struct
     | Instr.Imm n -> Some n
     | Instr.Var v -> Int_map.find_opt v.Instr.vid m
 
-  let set (d : Instr.var) v m =
-    match v with
-    | Some n -> Int_map.add d.Instr.vid n m
-    | None -> Int_map.remove d.Instr.vid m
-
-  (* mirrors the folding decisions of Passes.const_fold: divisions only
-     fold on a non-zero constant divisor, selects only on a constant
-     condition *)
+  (* the folding rule of {!Instr.eval}, which const folding shares *)
   let transfer _ instr t =
-    match t with
-    | Unreached -> Unreached
-    | Env m ->
-      Env
-        (match instr with
-        | Instr.Bin { dst; op; a; b } ->
-          set dst
-            (match (value m a, value m b) with
-            | Some x, Some y -> Some (Types.eval_alu_op op x y)
-            | _ -> None)
-            m
-        | Instr.Mul { dst; a; b } ->
-          set dst
-            (match (value m a, value m b) with
-            | Some x, Some y -> Some (x * y)
-            | _ -> None)
-            m
-        | Instr.Div { dst; a; b } ->
-          set dst
-            (match (value m a, value m b) with
-            | Some x, Some y when y <> 0 -> Some (x / y)
-            | _ -> None)
-            m
-        | Instr.Rem { dst; a; b } ->
-          set dst
-            (match (value m a, value m b) with
-            | Some x, Some y when y <> 0 -> Some (x mod y)
-            | _ -> None)
-            m
-        | Instr.Un { dst; op; a } ->
-          set dst
-            (match value m a with
-            | Some x -> Some (Types.eval_un_op op x)
-            | None -> None)
-            m
-        | Instr.Mov { dst; src } -> set dst (value m src) m
-        | Instr.Select { dst; cond; if_true; if_false } ->
-          set dst
-            (match value m cond with
-            | Some c -> value m (if c <> 0 then if_true else if_false)
-            | None -> None)
-            m
-        | Instr.Load { dst; _ } -> set dst None m
-        | Instr.Store _ -> m)
+    match (t, Instr.def instr) with
+    | Unreached, _ -> Unreached
+    | Env _, None -> t
+    | Env m, Some d -> (
+      match Instr.eval (value m) instr with
+      | Some n -> Env (Int_map.add d.Instr.vid n m)
+      | None -> Env (Int_map.remove d.Instr.vid m))
 
   let transfer_term _ _ t = t
   let transfer_block = None

@@ -33,6 +33,70 @@ let uses = function
   | Load { index; _ } -> [ index ]
   | Store { index; value; _ } -> [ index; value ]
 
+let map_operands f i =
+  match i with
+  | Bin ({ a; b; _ } as r) ->
+    let a' = f a in
+    let b' = f b in
+    if a' == a && b' == b then i else Bin { r with a = a'; b = b' }
+  | Mul ({ a; b; _ } as r) ->
+    let a' = f a in
+    let b' = f b in
+    if a' == a && b' == b then i else Mul { r with a = a'; b = b' }
+  | Div ({ a; b; _ } as r) ->
+    let a' = f a in
+    let b' = f b in
+    if a' == a && b' == b then i else Div { r with a = a'; b = b' }
+  | Rem ({ a; b; _ } as r) ->
+    let a' = f a in
+    let b' = f b in
+    if a' == a && b' == b then i else Rem { r with a = a'; b = b' }
+  | Un ({ a; _ } as r) ->
+    let a' = f a in
+    if a' == a then i else Un { r with a = a' }
+  | Mov ({ src; _ } as r) ->
+    let src' = f src in
+    if src' == src then i else Mov { r with src = src' }
+  | Select ({ cond; if_true; if_false; _ } as r) ->
+    let cond' = f cond in
+    let if_true' = f if_true in
+    let if_false' = f if_false in
+    if cond' == cond && if_true' == if_true && if_false' == if_false then i
+    else Select { r with cond = cond'; if_true = if_true'; if_false = if_false' }
+  | Load ({ index; _ } as r) ->
+    let index' = f index in
+    if index' == index then i else Load { r with index = index' }
+  | Store ({ index; value; _ } as r) ->
+    let index' = f index in
+    let value' = f value in
+    if index' == index && value' == value then i
+    else Store { r with index = index'; value = value' }
+
+let eval value i =
+  match i with
+  | Bin { op; a; b; _ } -> (
+    match (value a, value b) with
+    | Some x, Some y -> Some (Types.eval_alu_op op x y)
+    | _ -> None)
+  | Mul { a; b; _ } -> (
+    match (value a, value b) with Some x, Some y -> Some (x * y) | _ -> None)
+  | Div { a; b; _ } -> (
+    match (value a, value b) with
+    | Some x, Some y when y <> 0 -> Some (x / y)
+    | _ -> None)
+  | Rem { a; b; _ } -> (
+    match (value a, value b) with
+    | Some x, Some y when y <> 0 -> Some (x mod y)
+    | _ -> None)
+  | Un { op; a; _ } -> (
+    match value a with Some x -> Some (Types.eval_un_op op x) | None -> None)
+  | Mov { src; _ } -> value src
+  | Select { cond; if_true; if_false; _ } -> (
+    match value cond with
+    | Some c -> value (if c <> 0 then if_true else if_false)
+    | None -> None)
+  | Load _ | Store _ -> None
+
 let used_vars i =
   List.filter_map (function Var v -> Some v | Imm _ -> None) (uses i)
 

@@ -30,6 +30,20 @@ val uses : t -> operand list
 val used_vars : t -> var list
 (** Variables among {!uses}. *)
 
+val map_operands : (operand -> operand) -> t -> t
+(** [map_operands f i] applies [f] to every operand [i] reads, in
+    {!uses} order, and rebuilds [i] around the results.  It returns [i]
+    itself when [f] returns every operand physically, so a rewrite that
+    changes nothing allocates nothing. *)
+
+val eval : (operand -> int option) -> t -> int option
+(** [eval value i] is the constant [i] defines when [value] gives the
+    constants of its operands: ALU, [mul] and unary operations fold,
+    [div] and [rem] only on a non-zero divisor, a move copies, a select
+    folds only on a known condition, and loads and stores never fold.
+    The one folding rule of the constant lattice and of constant
+    folding. *)
+
 val op_class : t -> Types.op_class
 (** Classification used by the weight, delay, area and scheduling models. *)
 

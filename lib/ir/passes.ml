@@ -111,86 +111,34 @@ let const_fold_block ?(seed = Dataflow.Int_map.empty) (b : Block.t) =
     Regs.set known dst.vid src;
     Instr.Mov { dst; src }
   in
+  let imm = function Instr.Imm n -> Some n | Instr.Var _ -> None in
   let fold_instr (instr : Instr.t) : Instr.t =
-    match instr with
-    | Bin { dst; op; a; b } -> (
-      let a' = subst a and b' = subst b in
-      match (a', b') with
-      | Imm x, Imm y -> fold dst (Types.eval_alu_op op x y)
-      | _ ->
+    (match instr with
+    | Load { dst; _ } -> forget dst (* before the index is read *)
+    | Bin _ | Mul _ | Div _ | Rem _ | Un _ | Mov _ | Select _ | Store _ -> ());
+    let instr = Instr.map_operands subst instr in
+    match Instr.def instr with
+    | None -> instr
+    | Some dst -> (
+      match (Instr.eval imm instr, instr) with
+      | Some _, Mov { src; _ } ->
+        Regs.set known dst.vid src;
+        instr
+      | Some n, _ -> fold dst n
+      | None, Select { cond = Imm c; if_true; if_false; _ } ->
+        (* a known condition picks an operand that is not a constant *)
         forget dst;
-        if a' == a && b' == b then instr else Bin { dst; op; a = a'; b = b' })
-    | Mul { dst; a; b } -> (
-      let a' = subst a and b' = subst b in
-      match (a', b') with
-      | Imm x, Imm y -> fold dst (x * y)
-      | _ ->
-        forget dst;
-        if a' == a && b' == b then instr else Mul { dst; a = a'; b = b' })
-    | Div { dst; a; b } -> (
-      let a' = subst a and b' = subst b in
-      match (a', b') with
-      | Imm x, Imm y when y <> 0 -> fold dst (x / y)
-      | _ ->
-        forget dst;
-        if a' == a && b' == b then instr else Div { dst; a = a'; b = b' })
-    | Rem { dst; a; b } -> (
-      let a' = subst a and b' = subst b in
-      match (a', b') with
-      | Imm x, Imm y when y <> 0 -> fold dst (x mod y)
-      | _ ->
-        forget dst;
-        if a' == a && b' == b then instr else Rem { dst; a = a'; b = b' })
-    | Un { dst; op; a } -> (
-      match subst a with
-      | Imm x -> fold dst (Types.eval_un_op op x)
-      | Var _ ->
+        Mov { dst; src = (if c <> 0 then if_true else if_false) }
+      | None, _ ->
         forget dst;
         instr)
-    | Mov { dst; src } -> (
-      match subst src with
-      | Imm _ as src' ->
-        Regs.set known dst.vid src';
-        if src' == src then instr else Mov { dst; src = src' }
-      | Var _ ->
-        forget dst;
-        instr)
-    | Select { dst; cond; if_true; if_false } -> (
-      let cond' = subst cond
-      and if_true' = subst if_true
-      and if_false' = subst if_false in
-      match cond' with
-      | Imm c ->
-        let src = if c <> 0 then if_true' else if_false' in
-        (match src with
-        | Imm _ -> Regs.set known dst.vid src
-        | Var _ -> forget dst);
-        Mov { dst; src }
-      | Var _ ->
-        forget dst;
-        if if_true' == if_true && if_false' == if_false then instr
-        else Select { dst; cond; if_true = if_true'; if_false = if_false' })
-    | Load { dst; arr; index } ->
-      (* the destination is forgotten before the index is read *)
-      forget dst;
-      let index' = subst index in
-      if index' == index then instr else Load { dst; arr; index = index' }
-    | Store { arr; index; value } ->
-      let index' = subst index and value' = subst value in
-      if index' == index && value' == value then instr
-      else Store { arr; index = index'; value = value' }
   in
   let instrs = map_same fold_instr b.Block.instrs in
   let term =
-    match b.Block.term with
-    | Block.Branch { cond; if_true; if_false } as t -> (
-      match subst cond with
-      | Imm c -> Block.Jump (if c <> 0 then if_true else if_false)
-      | Var _ -> t)
-    | (Block.Jump _ | Block.Return None) as t -> t
-    | Block.Return (Some op) as t ->
-      let op' = subst op in
-      if op' == op then t else Block.Return (Some op')
+    match Block.map_terminator_operands subst b.Block.term with
+    | Block.Branch { cond = Imm c; if_true; if_false } ->
+      Block.Jump (if c <> 0 then if_true else if_false)
+    | (Block.Branch _ | Block.Jump _ | Block.Return _) as t -> t
   in
   with_body b instrs term
 
@@ -375,62 +323,19 @@ let copy_propagate_block ?(seed = Dataflow.Int_map.empty) (b : Block.t) =
     | Instr.Imm _ -> ()
   in
   let prop (instr : Instr.t) : Instr.t =
-    match instr with
-    | Bin { dst; op; a; b } ->
-      let a' = subst a and b' = subst b in
+    let instr = Instr.map_operands subst instr in
+    (match Instr.def instr with
+    | None -> ()
+    | Some dst -> (
       invalidate dst;
-      if a' == a && b' == b then instr else Bin { dst; op; a = a'; b = b' }
-    | Mul { dst; a; b } ->
-      let a' = subst a and b' = subst b in
-      invalidate dst;
-      if a' == a && b' == b then instr else Mul { dst; a = a'; b = b' }
-    | Div { dst; a; b } ->
-      let a' = subst a and b' = subst b in
-      invalidate dst;
-      if a' == a && b' == b then instr else Div { dst; a = a'; b = b' }
-    | Rem { dst; a; b } ->
-      let a' = subst a and b' = subst b in
-      invalidate dst;
-      if a' == a && b' == b then instr else Rem { dst; a = a'; b = b' }
-    | Un { dst; op; a } ->
-      let a' = subst a in
-      invalidate dst;
-      if a' == a then instr else Un { dst; op; a = a' }
-    | Mov { dst; src } ->
-      let src' = subst src in
-      invalidate dst;
-      (match src' with
-      | Var v when v.vid = dst.vid -> ()
-      | Var _ | Imm _ -> record dst src');
-      if src' == src then instr else Mov { dst; src = src' }
-    | Select { dst; cond; if_true; if_false } ->
-      let cond' = subst cond
-      and if_true' = subst if_true
-      and if_false' = subst if_false in
-      invalidate dst;
-      if cond' == cond && if_true' == if_true && if_false' == if_false then instr
-      else Select { dst; cond = cond'; if_true = if_true'; if_false = if_false' }
-    | Load { dst; arr; index } ->
-      let index' = subst index in
-      invalidate dst;
-      if index' == index then instr else Load { dst; arr; index = index' }
-    | Store { arr; index; value } ->
-      let index' = subst index and value' = subst value in
-      if index' == index && value' == value then instr
-      else Store { arr; index = index'; value = value' }
+      match instr with
+      | Mov { src = Var v; _ } when v.vid = dst.vid -> ()
+      | Mov { src; _ } -> record dst src
+      | Bin _ | Mul _ | Div _ | Rem _ | Un _ | Select _ | Load _ | Store _ -> ()));
+    instr
   in
   let instrs = map_same prop b.Block.instrs in
-  let term =
-    match b.Block.term with
-    | Block.Branch { cond; if_true; if_false } as t ->
-      let cond' = subst cond in
-      if cond' == cond then t else Block.Branch { cond = cond'; if_true; if_false }
-    | (Block.Jump _ | Block.Return None) as t -> t
-    | Block.Return (Some op) as t ->
-      let op' = subst op in
-      if op' == op then t else Block.Return (Some op')
-  in
-  with_body b instrs term
+  with_body b instrs (Block.map_terminator_operands subst b.Block.term)
 
 let copy_propagate cdfg = map_blocks (fun b -> copy_propagate_block b) cdfg
 

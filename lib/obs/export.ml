@@ -128,8 +128,16 @@ let parse_chrome data =
 
 (* --- atomic file output -------------------------------------------------- *)
 
+(* the mode [open_out] gives a new file under the process umask, read
+   once while the program starts, before any domain could create a file *)
+let new_file_mode =
+  let mask = Unix.umask 0o022 in
+  ignore (Unix.umask mask);
+  0o666 land lnot mask
+
 (* Write-to-temp + rename(2): a crash (or signal) mid-export leaves either
-   the previous file or a stray .tmp sibling, never a torn target. *)
+   the previous file or a stray .tmp sibling, never a torn target.  The
+   temp file is created 0600; the target gets the usual mode. *)
 let write_file path data =
   let dir = Filename.dirname path in
   let tmp =
@@ -139,7 +147,10 @@ let write_file path data =
     let oc = open_out_bin tmp in
     Fun.protect
       ~finally:(fun () -> close_out_noerr oc)
-      (fun () -> output_string oc data);
+      (fun () ->
+        output_string oc data;
+        try Unix.fchmod (Unix.descr_of_out_channel oc) new_file_mode
+        with Unix.Unix_error _ -> ());
     Sys.rename tmp path
   with
   | () -> ()

@@ -16,6 +16,8 @@ val parse_chrome : string -> (Event.t list, string) result
 val write_file : string -> string -> unit
 (** [write_file path data] writes atomically: the bytes go to a
     temporary sibling first and land at [path] via [Sys.rename], so a
-    crash mid-export never leaves a torn file.  Used for every rendered
-    artefact the CLI writes to disk ([--trace], [explore --out]).
-    Raises [Sys_error] on I/O failure (the temp file is removed). *)
+    crash mid-export never leaves a torn file.  [path] gets the mode
+    [open_out] would give it under the process umask.  Used for every
+    rendered artefact the CLI writes to disk ([--trace], [explore --out]
+    and the [-o] of [opt], [compile-bc] and [fuzz]).  Raises [Sys_error]
+    on I/O failure (the temp file is removed). *)

@@ -617,17 +617,16 @@ let chain regs defined data counts (p : C.t) (b : C.block) term : unit -> int =
 (* Runs a flattened program with semantics byte-identical to [Interp.run].
    The oracle ticks once per executed unit (a block, then each of its
    instructions): the [max_steps] check, [poll] when the step count is a
-   multiple of 1024, the fuel check, then the count.  Here [stop] is the
-   first step count at which a tick would do anything but count: the
-   [max_steps] limit, the step at which fuel runs out, or the next poll
-   point.  A block whose [len + 1] units all fall before [stop] adds
-   [len + 1] at once and runs as its chain — every tick it skips would
-   only have counted, so the steps, the poll calls and the point of any
-   exhaustion stay exactly the oracle's, fused pairs or not.  Any other
-   block ticks unit by unit as the oracle does, running one unfused
-   closure per unit (built on the block's first such visit), then [stop]
-   moves to the next such step. *)
-let exec ?(fuel = 400_000_000) ?max_steps ?poll ?(inputs = []) (p : C.t) =
+   multiple of 1024, then the count.  Here [stop] is the first step count
+   at which a tick would do anything but count: the [max_steps] limit or
+   the next poll point.  A block whose [len + 1] units all fall before
+   [stop] adds [len + 1] at once and runs as its chain — every tick it
+   skips would only have counted, so the steps, the poll calls and the
+   point of any exhaustion stay exactly the oracle's, fused pairs or not.
+   Any other block ticks unit by unit as the oracle does, running one
+   unfused closure per unit (built on the block's first such visit), then
+   [stop] moves to the next such step. *)
+let exec ?(max_steps = Interp.default_max_steps) ?poll ?(inputs = []) (p : C.t) =
   let regs = Array.make p.nregs 0 in
   let defined = Bytes.make p.nregs '\000' in
   let data =
@@ -676,19 +675,17 @@ let exec ?(fuel = 400_000_000) ?max_steps ?poll ?(inputs = []) (p : C.t) =
       u
     end
   in
-  let limit = match max_steps with Some l -> l | None -> max_int in
   let steps = ref 0 in
   let tick () =
     let s = !steps in
-    if s >= limit then raise (Interp.Fuel_exhausted { steps = s });
+    if s >= max_steps then raise (Interp.Fuel_exhausted { steps = s });
     (match poll with Some check when s land 1023 = 0 -> check () | Some _ | None -> ());
-    (* the oracle's budget is [fuel - steps] *)
-    if s >= fuel then error "fuel exhausted (infinite loop?)";
     steps := s + 1
   in
   let horizon s =
-    let h = min limit fuel in
-    match poll with Some _ -> min h ((s + 1023) land lnot 1023) | None -> h
+    match poll with
+    | Some _ -> min max_steps ((s + 1023) land lnot 1023)
+    | None -> max_steps
   in
   let stop = ref (horizon 0) in
   let cur = ref p.entry in
@@ -758,6 +755,6 @@ let exec ?(fuel = 400_000_000) ?max_steps ?poll ?(inputs = []) (p : C.t) =
     arrays;
   }
 
-let run ?fuel ?max_steps ?poll ?inputs cdfg =
+let run ?max_steps ?poll ?inputs cdfg =
   Hypar_obs.Span.with_ ~cat:"profile" "profile.run" @@ fun () ->
-  exec ?fuel ?max_steps ?poll ?inputs (Compile.compile cdfg)
+  exec ?max_steps ?poll ?inputs (Compile.compile cdfg)

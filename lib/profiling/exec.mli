@@ -5,10 +5,10 @@
     feeding the block's branch is fused with it, and an instruction
     whose result the next one reads exactly once is fused with that
     reader (the result is still written).  Whole blocks run as chains
-    between the steps at which a tick could be observed (a [max_steps]
-    or fuel limit, a poll point) without counting each unit; a block
-    that reaches such a step ticks unit by unit on unfused closures,
-    built on its first such visit.
+    between the steps at which a tick could be observed (the [max_steps]
+    limit, a poll point) without counting each unit; a block that
+    reaches such a step ticks unit by unit on unfused closures, built on
+    its first such visit.
 
     Produces {!Interp.result} values byte-identical to {!Interp.run} on
     the same program and inputs: identical frequencies and counters,
@@ -20,7 +20,6 @@
     section enforce this equivalence. *)
 
 val exec :
-  ?fuel:int ->
   ?max_steps:int ->
   ?poll:(unit -> unit) ->
   ?inputs:(string * int array) list ->
@@ -31,7 +30,6 @@ val exec :
     a span (callers that want the [profile.run] span use {!run}). *)
 
 val run :
-  ?fuel:int ->
   ?max_steps:int ->
   ?poll:(unit -> unit) ->
   ?inputs:(string * int array) list ->

@@ -3,6 +3,8 @@ module Ir = Hypar_ir
 exception Runtime_error of string
 exception Fuel_exhausted of { steps : int }
 
+let default_max_steps = 400_000_000
+
 let error fmt = Format.kasprintf (fun s -> raise (Runtime_error s)) fmt
 
 let () =
@@ -105,7 +107,7 @@ let exec_instr mach instr =
     check_bounds arr a i;
     a.(i) <- operand mach value
 
-let run ?(fuel = 400_000_000) ?max_steps ?poll ?(inputs = []) cdfg =
+let run ?(max_steps = default_max_steps) ?poll ?(inputs = []) cdfg =
   Hypar_obs.Span.with_ ~cat:"profile" "profile.run" @@ fun () ->
   let cfg = Ir.Cdfg.cfg cdfg in
   let n = Ir.Cdfg.block_count cdfg in
@@ -149,21 +151,14 @@ let run ?(fuel = 400_000_000) ?max_steps ?poll ?(inputs = []) cdfg =
   in
   let instrs_executed = ref 0 in
   let blocks_executed = ref 0 in
-  let budget = ref fuel in
   let steps = ref 0 in
-  (* [fuel] preserves the legacy untyped diagnostic; [max_steps] is the
-     typed per-evaluation budget the hardened explore driver threads in *)
   let tick () =
-    (match max_steps with
-    | Some limit when !steps >= limit -> raise (Fuel_exhausted { steps = !steps })
-    | Some _ | None -> ());
+    if !steps >= max_steps then raise (Fuel_exhausted { steps = !steps });
     (* cooperative cancellation: a long-running profile stays responsive
        to wall-clock deadlines without paying a syscall per step *)
     (match poll with
     | Some check when !steps land 1023 = 0 -> check ()
     | Some _ | None -> ());
-    if !budget <= 0 then error "fuel exhausted (infinite loop?)";
-    decr budget;
     incr steps
   in
   let rec exec_block i =

@@ -7,14 +7,18 @@
     functional oracle for the benchmark applications. *)
 
 exception Runtime_error of string
-(** Division by zero, out-of-bounds access, read of an undefined scalar,
-    store to a const array, or fuel exhaustion. *)
+(** Division by zero, out-of-bounds access, read of an undefined scalar
+    or store to a const array. *)
 
 exception Fuel_exhausted of { steps : int }
-(** The typed budget of [?max_steps] ran out after [steps] executed
-    units (instructions + blocks).  Unlike the legacy [?fuel] overflow —
-    which raises {!Runtime_error} — this is meant to be caught and
-    handled (e.g. by the hardened explore driver's per-point budget). *)
+(** The budget of [?max_steps] ran out after [steps] executed units
+    (instructions + blocks).  Every exhaustion raises this, the default
+    budget's safety stop included, so it can be caught and handled (e.g.
+    by the hardened explore driver's per-point budget). *)
+
+val default_max_steps : int
+(** [400_000_000]: the budget of a run that names none, on both
+    backends — a safety stop against non-terminating programs. *)
 
 type result = {
   exec_freq : int array;  (** per-block visit counts *)
@@ -28,7 +32,6 @@ type result = {
 }
 
 val run :
-  ?fuel:int ->
   ?max_steps:int ->
   ?poll:(unit -> unit) ->
   ?inputs:(string * int array) list ->
@@ -37,10 +40,8 @@ val run :
 (** Executes the program from its entry block.
 
     [inputs] preloads (non-const) arrays before execution; shorter inputs
-    fill the array prefix.  [fuel] bounds the number of executed
-    instructions + blocks (default [400_000_000]) and overflows as an
-    untyped {!Runtime_error}; [max_steps] (default unlimited) bounds the
-    same units but raises the typed {!Fuel_exhausted} instead.
+    fill the array prefix.  [max_steps] (default {!default_max_steps})
+    bounds the number of executed instructions + blocks.
 
     [poll] is a cooperative cancellation hook: it is invoked at least
     once every 1024 executed units and may raise to abort the run —

@@ -51,15 +51,14 @@ let backend_of_env () =
   | Some s when String.lowercase_ascii (String.trim s) = "tree" -> `Tree
   | Some _ | None -> `Compiled
 
-let run ?backend ?fuel ?max_steps ?poll ?inputs cdfg =
+let run ?backend ?max_steps ?poll ?inputs cdfg =
   match
     match backend with Some b -> b | None -> backend_of_env ()
   with
-  | `Tree -> Interp.run ?fuel ?max_steps ?poll ?inputs cdfg
-  | `Compiled -> Exec.run ?fuel ?max_steps ?poll ?inputs cdfg
+  | `Tree -> Interp.run ?max_steps ?poll ?inputs cdfg
+  | `Compiled -> Exec.run ?max_steps ?poll ?inputs cdfg
 
-let collect ?backend ?fuel ?inputs cdfg =
-  of_result cdfg (run ?backend ?fuel ?inputs cdfg)
+let collect ?backend ?inputs cdfg = of_result cdfg (run ?backend ?inputs cdfg)
 
 let freq t i = if i >= 0 && i < Array.length t.blocks then t.blocks.(i).freq else 0
 

@@ -31,7 +31,6 @@ type backend = [ `Compiled | `Tree ]
 
 val run :
   ?backend:backend ->
-  ?fuel:int ->
   ?max_steps:int ->
   ?poll:(unit -> unit) ->
   ?inputs:(string * int array) list ->
@@ -44,7 +43,6 @@ val run :
 
 val collect :
   ?backend:backend ->
-  ?fuel:int ->
   ?inputs:(string * int array) list ->
   Hypar_ir.Cdfg.t ->
   t

@@ -3,7 +3,9 @@
    arrays and shared every block they leave alone.  Each block rewrite
    here builds a fresh block, local CSE reads the whole-CFG {!Exprs}
    table, dead-code elimination filters lists, and a pass decides that it
-   changed nothing by comparing its blocks structurally.  [optimize]
+   changed nothing by comparing its blocks structurally.  The constant
+   lattice that global constant propagation solves is here too, folding
+   each instruction by its own case rather than by {!Instr.eval}.  [optimize]
    chains them exactly as the library pipeline does, without spans or
    verification; the library passes must serialise byte-identically to
    these, pass by pass and as a whole. *)
@@ -327,6 +329,120 @@ let copy_propagate_block ?(seed = []) (b : Block.t) =
 
 let copy_propagate cdfg = map_blocks (copy_propagate_block ?seed:None) cdfg
 
+(* --- the constant lattice, with its own folding rule ----------------------- *)
+
+(* {!Dataflow.Consts} as it was before its transfer and constant folding
+   shared {!Instr.eval}: each instruction folds here by its own case *)
+module Consts = struct
+  type consts = Unreached | Env of int Dataflow.Int_map.t
+  type t = consts
+
+  module Int_map = Dataflow.Int_map
+
+  let name = "consts"
+  let direction = Dataflow.Forward
+  let init = Unreached
+  let boundary = Env Int_map.empty
+
+  let join a b =
+    match (a, b) with
+    | Unreached, x | x, Unreached -> x
+    | Env m1, Env m2 ->
+      Env
+        (Int_map.merge
+           (fun _ a b ->
+             match (a, b) with
+             | Some x, Some y when x = y -> Some x
+             | _ -> None)
+           m1 m2)
+
+  let equal a b =
+    match (a, b) with
+    | Unreached, Unreached -> true
+    | Env m1, Env m2 -> Int_map.equal ( = ) m1 m2
+    | Unreached, Env _ | Env _, Unreached -> false
+
+  let value m = function
+    | Instr.Imm n -> Some n
+    | Instr.Var v -> Int_map.find_opt v.Instr.vid m
+
+  let set (d : Instr.var) v m =
+    match v with
+    | Some n -> Int_map.add d.Instr.vid n m
+    | None -> Int_map.remove d.Instr.vid m
+
+  (* divisions only fold on a non-zero constant divisor, selects only on
+     a constant condition *)
+  let transfer _ instr t =
+    match t with
+    | Unreached -> Unreached
+    | Env m ->
+      Env
+        (match instr with
+        | Instr.Bin { dst; op; a; b } ->
+          set dst
+            (match (value m a, value m b) with
+            | Some x, Some y -> Some (Types.eval_alu_op op x y)
+            | _ -> None)
+            m
+        | Instr.Mul { dst; a; b } ->
+          set dst
+            (match (value m a, value m b) with
+            | Some x, Some y -> Some (x * y)
+            | _ -> None)
+            m
+        | Instr.Div { dst; a; b } ->
+          set dst
+            (match (value m a, value m b) with
+            | Some x, Some y when y <> 0 -> Some (x / y)
+            | _ -> None)
+            m
+        | Instr.Rem { dst; a; b } ->
+          set dst
+            (match (value m a, value m b) with
+            | Some x, Some y when y <> 0 -> Some (x mod y)
+            | _ -> None)
+            m
+        | Instr.Un { dst; op; a } ->
+          set dst
+            (match value m a with
+            | Some x -> Some (Types.eval_un_op op x)
+            | None -> None)
+            m
+        | Instr.Mov { dst; src } -> set dst (value m src) m
+        | Instr.Select { dst; cond; if_true; if_false } ->
+          set dst
+            (match value m cond with
+            | Some c -> value m (if c <> 0 then if_true else if_false)
+            | None -> None)
+            m
+        | Instr.Load { dst; _ } -> set dst None m
+        | Instr.Store _ -> m)
+
+  let transfer_term _ _ t = t
+  let transfer_block = None
+
+  (* conditional constant propagation: the not-taken side of a branch
+     whose condition is a known constant contributes nothing *)
+  let edge =
+    Some
+      (fun (pred : Block.t) target v ->
+        match v with
+        | Unreached -> Unreached
+        | Env m -> (
+          match pred.Block.term with
+          | Block.Branch { cond; if_true; if_false } when if_true <> if_false
+            -> (
+            match value m cond with
+            | Some c ->
+              let taken = if c <> 0 then if_true else if_false in
+              if target = taken then v else Unreached
+            | None -> v)
+          | Block.Branch _ | Block.Jump _ | Block.Return _ -> v))
+
+  let widen = None
+end
+
 (* --- global (dataflow-backed) passes ----------------------------------- *)
 
 (* Each global pass solves one {!Dataflow} analysis and re-runs the
@@ -337,15 +453,14 @@ let copy_propagate cdfg = map_blocks (copy_propagate_block ?seed:None) cdfg
    are vacuous and seeding from them would be meaningless. *)
 
 let global_const_propagate cdfg =
-  let sol = Dataflow.solve (module Dataflow.Consts) (Cdfg.cfg cdfg) in
+  let sol = Dataflow.solve (module Consts) (Cdfg.cfg cdfg) in
   let blocks =
     List.map
       (fun i ->
         let b = (Cdfg.info cdfg i).Cdfg.block in
         match sol.Dataflow.at_entry.(i) with
-        | Dataflow.Consts.Env m ->
-          const_fold_block ~seed:(Dataflow.Int_map.bindings m) b
-        | Dataflow.Consts.Unreached -> const_fold_block b)
+        | Consts.Env m -> const_fold_block ~seed:(Dataflow.Int_map.bindings m) b
+        | Consts.Unreached -> const_fold_block b)
       (Cdfg.block_ids cdfg)
   in
   rebuild cdfg blocks

@@ -1,7 +1,7 @@
 (* Golden oracle tests for the compiled profiling backend: the flattened
    executor (Compile/Exec) must produce Interp.result values byte-identical
    to the tree-walking interpreter — on the four benchmark applications,
-   on the bundled bytecode examples, and on the runtime edge cases (fuel
+   on the bundled bytecode examples, and on the runtime edge cases (budget
    exhaustion, cooperative polling, every Runtime_error message). *)
 
 module Ir = Hypar_ir
@@ -38,16 +38,15 @@ type outcome =
   | Raised of string
 
 type runner =
-  ?fuel:int ->
   ?max_steps:int ->
   ?poll:(unit -> unit) ->
   ?inputs:(string * int array) list ->
   Ir.Cdfg.t ->
   Interp.result
 
-let outcome ?fuel ?max_steps ?mk_poll ?inputs (run : runner) cdfg =
+let outcome ?max_steps ?mk_poll ?inputs (run : runner) cdfg =
   let poll = Option.map (fun f -> f ()) mk_poll in
-  match run ?fuel ?max_steps ?poll ?inputs cdfg with
+  match run ?max_steps ?poll ?inputs cdfg with
   | r -> Value r
   | exception Interp.Runtime_error m -> Error_msg m
   | exception Interp.Fuel_exhausted { steps } -> Fuel steps
@@ -70,10 +69,10 @@ let check_outcomes what a b =
     Alcotest.failf "%s: tree %s but compiled %s" what (show_outcome a)
       (show_outcome b)
 
-let check_both ?fuel ?max_steps ?mk_poll ?inputs what cdfg =
+let check_both ?max_steps ?mk_poll ?inputs what cdfg =
   check_outcomes what
-    (outcome ?fuel ?max_steps ?mk_poll ?inputs Interp.run cdfg)
-    (outcome ?fuel ?max_steps ?mk_poll ?inputs Exec.run cdfg)
+    (outcome ?max_steps ?mk_poll ?inputs Interp.run cdfg)
+    (outcome ?max_steps ?mk_poll ?inputs Exec.run cdfg)
 
 (* --- the four benchmark applications, field by field --- *)
 
@@ -137,11 +136,11 @@ void main() {
       (Exec.exec ~inputs p)
   done
 
-(* --- fuel: the legacy budget must exhaust at exactly the same unit ---
+(* --- max_steps: typed exhaustion with identical step counts ---
 
-   The compiled fast path batch-decrements the budget per block, so an
-   off-by-one there would move the exhaustion point.  Sweep fuel values
-   around the program's exact cost and require identical outcomes. *)
+   The compiled fast path counts a whole block at once, so an off-by-one
+   there would move the exhaustion point.  Sweep budgets around the
+   program's exact cost and require identical outcomes. *)
 
 let loop_src =
   {|
@@ -153,31 +152,6 @@ void main() {
   out[0] = s;
 }
 |}
-
-let test_fuel_boundary () =
-  let cdfg = compile loop_src in
-  let r = Interp.run cdfg in
-  let total = r.Interp.instrs_executed + r.Interp.blocks_executed in
-  List.iter
-    (fun fuel ->
-      check_both ~fuel (Printf.sprintf "fuel=%d (total=%d)" fuel total) cdfg)
-    [ 1; 2; total - 2; total - 1; total; total + 1 ]
-
-let test_fuel_exhaustion_message () =
-  let cdfg =
-    compile
-      {|
-int out[1];
-void main() {
-  int i = 0;
-  while (i < 1000000) { i = i + 1; }
-  out[0] = i;
-}
-|}
-  in
-  check_both ~fuel:1000 "fuel message" cdfg
-
-(* --- max_steps: typed exhaustion with identical step counts --- *)
 
 let test_max_steps_boundary () =
   let cdfg = compile loop_src in
@@ -483,8 +457,8 @@ let test_poll_raise_sweep () =
    result the next one reads exactly once is fused with that reader.
    These programs put every fused shape in a block of its own, with the
    temporary read again after the pair or not, and the unfused shapes
-   next to them; the loops further down move every fuel, [max_steps] and
-   poll boundary across every unit of a block made of fused pairs. *)
+   next to them; the loops further down move every [max_steps] and poll
+   boundary across every unit of a block made of fused pairs. *)
 
 let fused_ir blocks =
   Ir.Serialize.of_string
@@ -722,7 +696,6 @@ let test_fused_loop_budgets () =
       List.iter
         (fun n ->
           let what budget = Printf.sprintf "%s, %s=%d (total=%d)" name budget n total in
-          check_both ~inputs:loop_inputs ~fuel:n (what "fuel") cdfg;
           check_both ~inputs:loop_inputs ~max_steps:n (what "max_steps") cdfg)
         (around 1000 @ around (total - body - 1) @ [ total + 1 ]))
     fused_loops
@@ -755,8 +728,6 @@ let suite =
   @ [
       Alcotest.test_case "bytecode examples" `Quick test_bytecode_examples;
       Alcotest.test_case "compiled program reuse" `Quick test_compile_reuse;
-      Alcotest.test_case "fuel boundary" `Quick test_fuel_boundary;
-      Alcotest.test_case "fuel message" `Quick test_fuel_exhaustion_message;
       Alcotest.test_case "max_steps boundary" `Quick test_max_steps_boundary;
       Alcotest.test_case "poll cadence" `Quick test_poll_cadence;
       Alcotest.test_case "poll raises" `Quick test_poll_raises;

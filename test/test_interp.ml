@@ -70,9 +70,9 @@ void main() {
   out[0] = i;
 }
 |} in
-  match Interp.run ~fuel:1000 cdfg with
-  | exception Interp.Runtime_error msg ->
-    Alcotest.(check bool) "mentions fuel" true (Str_contains.contains msg "fuel")
+  match Interp.run ~max_steps:1000 cdfg with
+  | exception Interp.Fuel_exhausted { steps } ->
+    Alcotest.(check int) "steps executed" 1000 steps
   | _ -> Alcotest.fail "expected fuel exhaustion"
 
 let test_counters () =

@@ -314,6 +314,47 @@ let prop_oracle (frontend, compile, count) =
               Gen.(pair (int_range 1 1_000_000) bool))
     (fun (seed, unsafe) -> matches_oracle (compile ~unsafe seed))
 
+(* --- the constant lattice against its own-rule reference ----------------- *)
+
+(* the facts at each block's entry and exit as bindings, [None] where no
+   execution reaches *)
+let consts_facts (type a) (module A : Ir.Dataflow.ANALYSIS with type t = a)
+    (view : a -> (int * int) list option) cdfg =
+  let sol = Ir.Dataflow.solve (module A) (Ir.Cdfg.cfg cdfg) in
+  (Array.map view sol.Ir.Dataflow.at_entry, Array.map view sol.Ir.Dataflow.at_exit)
+
+let lib_consts =
+  consts_facts (module Ir.Dataflow.Consts) (function
+    | Ir.Dataflow.Consts.Env m -> Some (Ir.Dataflow.Int_map.bindings m)
+    | Ir.Dataflow.Consts.Unreached -> None)
+
+let ref_consts =
+  consts_facts (module Ref.Consts) (function
+    | Ref.Consts.Env m -> Some (Ir.Dataflow.Int_map.bindings m)
+    | Ref.Consts.Unreached -> None)
+
+let prop_consts (frontend, compile, count) =
+  QCheck.Test.make
+    ~name:
+      (Printf.sprintf "consts: the lattice solves like its reference (%s)" frontend)
+    ~count
+    QCheck.(make ~print:(fun (s, u) -> Printf.sprintf "seed %d, unsafe %b" s u)
+              Gen.(pair (int_range 1 1_000_000) bool))
+    (fun (seed, unsafe) ->
+      List.for_all
+        (fun (stage, input) ->
+          let entry, exit = lib_consts input and entry', exit' = ref_consts input in
+          let differs a b =
+            List.find_opt (fun i -> a.(i) <> b.(i)) (Ir.Cdfg.block_ids input)
+          in
+          match (differs entry entry', differs exit exit') with
+          | Some i, _ ->
+            QCheck.Test.fail_reportf "%s program: the facts at BB%d's entry differ" stage i
+          | None, Some i ->
+            QCheck.Test.fail_reportf "%s program: the facts at BB%d's exit differ" stage i
+          | None, None -> true)
+        (stages (compile ~unsafe seed)))
+
 (* --- sharing: a pass rebuilds only the blocks it changes ----------------- *)
 
 let label_index cdfg =
@@ -451,4 +492,6 @@ let suite =
     (* 200 programs: decompiled bytecode is larger, so fewer of it *)
     QCheck_alcotest.to_alcotest (prop_oracle ("Mini-C", raw_minic, 150));
     QCheck_alcotest.to_alcotest (prop_oracle ("bytecode", raw_bytecode, 50));
+    QCheck_alcotest.to_alcotest (prop_consts ("Mini-C", raw_minic, 150));
+    QCheck_alcotest.to_alcotest (prop_consts ("bytecode", raw_bytecode, 100));
   ]

@@ -43,7 +43,7 @@ let test_structured_targets_depth () =
   let cfg = Ir.Cdfg.cfg cdfg in
   Alcotest.(check bool) "has control flow" true (Ir.Cfg.block_count cfg > 3);
   (* bounded loops: execution terminates well within the fuel *)
-  let r = Interp.run ~fuel:50_000_000 cdfg in
+  let r = Interp.run ~max_steps:50_000_000 cdfg in
   Alcotest.(check bool) "terminates" true (r.Interp.instrs_executed > 0)
 
 let test_matmul_identity () =
