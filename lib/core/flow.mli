@@ -24,7 +24,7 @@ val prepare :
     execution errors.  [backend] selects the profiling execution backend
     (default: compiled, unless [HYPAR_INTERP=tree], as
     {!Hypar_profiling.Profile.run}).  [max_steps] bounds the profiling interpreter
-    (default {!Hypar_profiling.Interp.default_max_steps}), raising
+    (default and cap {!Hypar_profiling.Interp.default_max_steps}), raising
     {!Hypar_profiling.Interp.Fuel_exhausted} when exceeded; [poll] is
     the interpreter's cooperative cancellation hook (see
     {!Hypar_profiling.Interp.run}).

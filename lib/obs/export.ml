@@ -128,32 +128,37 @@ let parse_chrome data =
 
 (* --- atomic file output -------------------------------------------------- *)
 
-(* the mode [open_out] gives a new file under the process umask, read
-   once while the program starts, before any domain could create a file *)
-let new_file_mode =
-  let mask = Unix.umask 0o022 in
-  ignore (Unix.umask mask);
-  0o666 land lnot mask
-
 (* Write-to-temp + rename(2): a crash (or signal) mid-export leaves either
    the previous file or a stray .tmp sibling, never a torn target.  The
-   temp file is created 0600; the target gets the usual mode. *)
+   temp file is created 0666 under the umask, as [open_out] would create
+   the target.  A path that exists and is not a regular file (a device
+   such as /dev/null, a FIFO, a symlink) is written through in place, as
+   [open_out] would: renaming over it would replace the node itself. *)
 let write_file path data =
-  let dir = Filename.dirname path in
-  let tmp =
-    Filename.temp_file ~temp_dir:dir ("." ^ Filename.basename path ^ ".") ".tmp"
+  let write oc =
+    match
+      output_string oc data;
+      close_out oc
+    with
+    | () -> ()
+    | exception e ->
+      close_out_noerr oc;
+      raise e
   in
-  match
-    let oc = open_out_bin tmp in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () ->
-        output_string oc data;
-        try Unix.fchmod (Unix.descr_of_out_channel oc) new_file_mode
-        with Unix.Unix_error _ -> ());
-    Sys.rename tmp path
-  with
-  | () -> ()
-  | exception e ->
-    (try Sys.remove tmp with Sys_error _ -> ());
-    raise e
+  match Unix.lstat path with
+  | { Unix.st_kind = Unix.S_REG; _ } | (exception Unix.Unix_error _) -> (
+    let tmp, oc =
+      Filename.open_temp_file ~mode:[ Open_binary ] ~perms:0o666
+        ~temp_dir:(Filename.dirname path)
+        ("." ^ Filename.basename path ^ ".")
+        ".tmp"
+    in
+    match
+      write oc;
+      Sys.rename tmp path
+    with
+    | () -> ()
+    | exception e ->
+      (try Sys.remove tmp with Sys_error _ -> ());
+      raise e)
+  | _ -> write (open_out_bin path)

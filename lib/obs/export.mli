@@ -17,7 +17,9 @@ val write_file : string -> string -> unit
 (** [write_file path data] writes atomically: the bytes go to a
     temporary sibling first and land at [path] via [Sys.rename], so a
     crash mid-export never leaves a torn file.  [path] gets the mode
-    [open_out] would give it under the process umask.  Used for every
+    [open_out] would give it under the process umask.  An existing
+    [path] that is not a regular file (a device, a FIFO, a symlink) is
+    written through in place instead, without that guarantee.  Used for every
     rendered artefact the CLI writes to disk ([--trace], [explore --out]
     and the [-o] of [opt], [compile-bc] and [fuzz]).  Raises [Sys_error]
     on I/O failure (the temp file is removed). *)

@@ -627,6 +627,7 @@ let chain regs defined data counts (p : C.t) (b : C.block) term : unit -> int =
    unfused closure per unit (built on the block's first such visit), then
    [stop] moves to the next such step. *)
 let exec ?(max_steps = Interp.default_max_steps) ?poll ?(inputs = []) (p : C.t) =
+  let max_steps = min max_steps Interp.default_max_steps in
   let regs = Array.make p.nregs 0 in
   let defined = Bytes.make p.nregs '\000' in
   let data =

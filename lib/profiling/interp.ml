@@ -109,6 +109,7 @@ let exec_instr mach instr =
 
 let run ?(max_steps = default_max_steps) ?poll ?(inputs = []) cdfg =
   Hypar_obs.Span.with_ ~cat:"profile" "profile.run" @@ fun () ->
+  let max_steps = min max_steps default_max_steps in
   let cfg = Ir.Cdfg.cfg cdfg in
   let n = Ir.Cdfg.block_count cdfg in
   let mach =

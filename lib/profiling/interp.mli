@@ -17,8 +17,9 @@ exception Fuel_exhausted of { steps : int }
     by the hardened explore driver's per-point budget). *)
 
 val default_max_steps : int
-(** [400_000_000]: the budget of a run that names none, on both
-    backends — a safety stop against non-terminating programs. *)
+(** [400_000_000]: the budget of a run that names none and the cap of
+    one that names more, on both backends — a safety stop against
+    non-terminating programs that no caller-supplied budget lifts. *)
 
 type result = {
   exec_freq : int array;  (** per-block visit counts *)
@@ -40,8 +41,8 @@ val run :
 (** Executes the program from its entry block.
 
     [inputs] preloads (non-const) arrays before execution; shorter inputs
-    fill the array prefix.  [max_steps] (default {!default_max_steps})
-    bounds the number of executed instructions + blocks.
+    fill the array prefix.  [max_steps] (default {!default_max_steps},
+    capped at it) bounds the number of executed instructions + blocks.
 
     [poll] is a cooperative cancellation hook: it is invoked at least
     once every 1024 executed units and may raise to abort the run —

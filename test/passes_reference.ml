@@ -331,45 +331,21 @@ let copy_propagate cdfg = map_blocks (copy_propagate_block ?seed:None) cdfg
 
 (* --- the constant lattice, with its own folding rule ----------------------- *)
 
-(* {!Dataflow.Consts} as it was before its transfer and constant folding
-   shared {!Instr.eval}: each instruction folds here by its own case *)
+(* {!Dataflow.Consts} with the transfer it had before it shared
+   {!Instr.eval} with constant folding: each instruction folds here by its
+   own case.  The lattice, the boundary and the edge rule are the
+   production ones. *)
 module Consts = struct
-  type consts = Unreached | Env of int Dataflow.Int_map.t
-  type t = consts
-
-  module Int_map = Dataflow.Int_map
-
-  let name = "consts"
-  let direction = Dataflow.Forward
-  let init = Unreached
-  let boundary = Env Int_map.empty
-
-  let join a b =
-    match (a, b) with
-    | Unreached, x | x, Unreached -> x
-    | Env m1, Env m2 ->
-      Env
-        (Int_map.merge
-           (fun _ a b ->
-             match (a, b) with
-             | Some x, Some y when x = y -> Some x
-             | _ -> None)
-           m1 m2)
-
-  let equal a b =
-    match (a, b) with
-    | Unreached, Unreached -> true
-    | Env m1, Env m2 -> Int_map.equal ( = ) m1 m2
-    | Unreached, Env _ | Env _, Unreached -> false
+  include Dataflow.Consts
 
   let value m = function
     | Instr.Imm n -> Some n
-    | Instr.Var v -> Int_map.find_opt v.Instr.vid m
+    | Instr.Var v -> Dataflow.Int_map.find_opt v.Instr.vid m
 
   let set (d : Instr.var) v m =
     match v with
-    | Some n -> Int_map.add d.Instr.vid n m
-    | None -> Int_map.remove d.Instr.vid m
+    | Some n -> Dataflow.Int_map.add d.Instr.vid n m
+    | None -> Dataflow.Int_map.remove d.Instr.vid m
 
   (* divisions only fold on a non-zero constant divisor, selects only on
      a constant condition *)
@@ -418,29 +394,6 @@ module Consts = struct
             m
         | Instr.Load { dst; _ } -> set dst None m
         | Instr.Store _ -> m)
-
-  let transfer_term _ _ t = t
-  let transfer_block = None
-
-  (* conditional constant propagation: the not-taken side of a branch
-     whose condition is a known constant contributes nothing *)
-  let edge =
-    Some
-      (fun (pred : Block.t) target v ->
-        match v with
-        | Unreached -> Unreached
-        | Env m -> (
-          match pred.Block.term with
-          | Block.Branch { cond; if_true; if_false } when if_true <> if_false
-            -> (
-            match value m cond with
-            | Some c ->
-              let taken = if c <> 0 then if_true else if_false in
-              if target = taken then v else Unreached
-            | None -> v)
-          | Block.Branch _ | Block.Jump _ | Block.Return _ -> v))
-
-  let widen = None
 end
 
 (* --- global (dataflow-backed) passes ----------------------------------- *)

@@ -164,6 +164,26 @@ let test_max_steps_boundary () =
         cdfg)
     [ 1; 7; total - 1; total; total + 1 ]
 
+(* A budget above [default_max_steps] does not lift the safety stop: a
+   non-terminating program still ends at the cap.  Only the compiled
+   backend runs it here (~0.5 s); both backends apply the same clamp. *)
+let test_max_steps_cap () =
+  let cdfg =
+    compile
+      {|
+int out[1];
+void main() {
+  int i = 0;
+  while (i >= 0) { i = i + 1; }
+  out[0] = i;
+}
+|}
+  in
+  match Exec.run ~max_steps:max_int cdfg with
+  | _ -> Alcotest.fail "a non-terminating program returned"
+  | exception Interp.Fuel_exhausted { steps } ->
+    Alcotest.(check int) "ends at the cap" Interp.default_max_steps steps
+
 (* --- poll: same cadence (at least every 1024 units), same call count --- *)
 
 let poll_src =
@@ -729,6 +749,7 @@ let suite =
       Alcotest.test_case "bytecode examples" `Quick test_bytecode_examples;
       Alcotest.test_case "compiled program reuse" `Quick test_compile_reuse;
       Alcotest.test_case "max_steps boundary" `Quick test_max_steps_boundary;
+      Alcotest.test_case "max_steps cap" `Quick test_max_steps_cap;
       Alcotest.test_case "poll cadence" `Quick test_poll_cadence;
       Alcotest.test_case "poll raises" `Quick test_poll_raises;
       Alcotest.test_case "division by zero" `Quick test_division_by_zero;

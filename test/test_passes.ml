@@ -316,22 +316,9 @@ let prop_oracle (frontend, compile, count) =
 
 (* --- the constant lattice against its own-rule reference ----------------- *)
 
-(* the facts at each block's entry and exit as bindings, [None] where no
-   execution reaches *)
-let consts_facts (type a) (module A : Ir.Dataflow.ANALYSIS with type t = a)
-    (view : a -> (int * int) list option) cdfg =
-  let sol = Ir.Dataflow.solve (module A) (Ir.Cdfg.cfg cdfg) in
-  (Array.map view sol.Ir.Dataflow.at_entry, Array.map view sol.Ir.Dataflow.at_exit)
-
-let lib_consts =
-  consts_facts (module Ir.Dataflow.Consts) (function
-    | Ir.Dataflow.Consts.Env m -> Some (Ir.Dataflow.Int_map.bindings m)
-    | Ir.Dataflow.Consts.Unreached -> None)
-
-let ref_consts =
-  consts_facts (module Ref.Consts) (function
-    | Ref.Consts.Env m -> Some (Ir.Dataflow.Int_map.bindings m)
-    | Ref.Consts.Unreached -> None)
+let consts_solution
+    (module A : Ir.Dataflow.ANALYSIS with type t = Ir.Dataflow.Consts.t) cdfg =
+  Ir.Dataflow.solve (module A) (Ir.Cdfg.cfg cdfg)
 
 let prop_consts (frontend, compile, count) =
   QCheck.Test.make
@@ -343,11 +330,17 @@ let prop_consts (frontend, compile, count) =
     (fun (seed, unsafe) ->
       List.for_all
         (fun (stage, input) ->
-          let entry, exit = lib_consts input and entry', exit' = ref_consts input in
+          let lib = consts_solution (module Ir.Dataflow.Consts) input
+          and ref = consts_solution (module Ref.Consts) input in
           let differs a b =
-            List.find_opt (fun i -> a.(i) <> b.(i)) (Ir.Cdfg.block_ids input)
+            List.find_opt
+              (fun i -> not (Ir.Dataflow.Consts.equal a.(i) b.(i)))
+              (Ir.Cdfg.block_ids input)
           in
-          match (differs entry entry', differs exit exit') with
+          match
+            ( differs lib.Ir.Dataflow.at_entry ref.Ir.Dataflow.at_entry,
+              differs lib.Ir.Dataflow.at_exit ref.Ir.Dataflow.at_exit )
+          with
           | Some i, _ ->
             QCheck.Test.fail_reportf "%s program: the facts at BB%d's entry differ" stage i
           | None, Some i ->
