@@ -681,19 +681,15 @@ let range_rules (prog : Ast.program) cdfg =
 (* --- entry points --------------------------------------------------------- *)
 
 let check ?(name = "program") src =
-  match Hypar_minic.Parser.parse_program src with
-  | exception
-      (Hypar_minic.Lexer.Error { pos; msg } | Hypar_minic.Parser.Error { pos; msg })
-    ->
-    Error
-      (Hypar_ir.Frontend.string_of_error { line = pos.line; col = pos.col; msg })
-  | ast ->
+  match Hypar_minic.Driver.parse src with
+  | Error e -> Error (Hypar_ir.Frontend.string_of_error e)
+  | Ok ast ->
     let syntactic = check_ast ast in
     let ranged =
       (* the range rules need a semantically valid program; skip them on
          programs that only parse *)
       match
-        Hypar_minic.Driver.compile ~name ~simplify:false ~verify_ir:false src
+        Hypar_minic.Driver.compile_ast ~name ~simplify:false ~verify_ir:false ast
       with
       | Ok cdfg -> range_rules ast cdfg
       | Error _ | (exception _) -> []

@@ -6,13 +6,17 @@ let of_pos (pos : Token.pos) msg = { line = pos.line; col = pos.col; msg }
 
 let span name f = Hypar_obs.Span.with_ ~cat:"minic" name f
 
-let compile ?name ?(simplify = true) ?verify_ir src =
+let parse src =
+  match span "minic.parse" (fun () -> Parser.parse_program src) with
+  | ast -> Ok ast
+  | exception (Lexer.Error { pos; msg } | Parser.Error { pos; msg }) ->
+    Error (of_pos pos msg)
+
+let compile_ast ?name ?(simplify = true) ?verify_ir ast =
   let verify =
     Option.value verify_ir ~default:!Hypar_ir.Passes.verify_passes
   in
   try
-    span "minic.compile" @@ fun () ->
-    let ast = span "minic.parse" (fun () -> Parser.parse_program src) in
     match span "minic.typecheck" (fun () -> Typecheck.check ast) with
     | Error e -> Error (of_pos e.Typecheck.pos e.Typecheck.msg)
     | Ok () ->
@@ -30,11 +34,13 @@ let compile ?name ?(simplify = true) ?verify_ir src =
         in
         Ok cdfg)
   with
-  | Lexer.Error { pos; msg } -> Error (of_pos pos msg)
-  | Parser.Error { pos; msg } -> Error (of_pos pos msg)
   | Inline.Recursive f ->
     Error { line = 0; col = 0; msg = Printf.sprintf "recursive function %S" f }
   | Invalid_argument msg -> Error { line = 0; col = 0; msg }
+
+let compile ?name ?simplify ?verify_ir src =
+  span "minic.compile" @@ fun () ->
+  Result.bind (parse src) (compile_ast ?name ?simplify ?verify_ir)
 
 let compile_exn ?name ?simplify ?verify_ir src =
   match compile ?name ?simplify ?verify_ir src with

@@ -9,5 +9,5 @@ exception Error of { pos : Token.pos; msg : string }
 
 val tokenize : string -> Token.located list
 (** The token stream of a source string, ending with {!Token.Eof}.
-    Raises {!Error} on an unexpected character or an unterminated
-    comment. *)
+    Raises {!Error} on an unexpected character, an unterminated comment
+    or an integer literal above [max_int]. *)

@@ -2,24 +2,32 @@ exception Error of { pos : Token.pos; msg : string }
 
 let error pos fmt = Format.kasprintf (fun msg -> raise (Error { pos; msg })) fmt
 
-type state = { toks : Token.located array; mutable k : int }
+(* The parser walks the token list itself; the list always ends with
+   [Eof], which [next] returns without consuming. *)
+type state = { mutable toks : Token.located list }
 
-let peek st = st.toks.(st.k)
-let peek2 st = st.toks.(min (st.k + 1) (Array.length st.toks - 1))
+let peek st = List.hd st.toks
+let peek2 st = match st.toks with _ :: t :: _ -> t | _ -> peek st
 
 let next st =
-  let t = st.toks.(st.k) in
-  if st.k < Array.length st.toks - 1 then st.k <- st.k + 1;
-  t
+  match st.toks with
+  | t :: (_ :: _ as rest) ->
+    st.toks <- rest;
+    t
+  | _ -> peek st
+
+(* The [tok] that [is], [expect] and [accept] test for is always a
+   constant constructor, so physical equality compares constructors. *)
+let is st tok = (peek st).Token.tok == tok
 
 let expect st tok =
   let t = next st in
-  if t.Token.tok <> tok then
+  if t.Token.tok != tok then
     error t.Token.pos "expected %s but found %s" (Token.describe tok)
       (Token.describe t.Token.tok)
 
 let accept st tok =
-  if (peek st).Token.tok = tok then begin
+  if is st tok then begin
     ignore (next st);
     true
   end
@@ -51,12 +59,35 @@ let width_of_kw = function
 
 (* --- expressions ------------------------------------------------------ *)
 
+(* The precedence level of a binary operator token, loosest ([||]) first;
+   level 0 marks a token that is no binary operator. *)
+let binop = function
+  | Token.Bar_bar -> (1, Ast.Lor)
+  | Token.Amp_amp -> (2, Ast.Land)
+  | Token.Bar -> (3, Ast.Bor)
+  | Token.Caret -> (4, Ast.Bxor)
+  | Token.Amp -> (5, Ast.Band)
+  | Token.Eq_eq -> (6, Ast.Eq)
+  | Token.Bang_eq -> (6, Ast.Ne)
+  | Token.Lt -> (7, Ast.Lt)
+  | Token.Le -> (7, Ast.Le)
+  | Token.Gt -> (7, Ast.Gt)
+  | Token.Ge -> (7, Ast.Ge)
+  | Token.Shl -> (8, Ast.Shl)
+  | Token.Shr -> (8, Ast.Shr)
+  | Token.Plus -> (9, Ast.Add)
+  | Token.Minus -> (9, Ast.Sub)
+  | Token.Star -> (10, Ast.Mul)
+  | Token.Slash -> (10, Ast.Div)
+  | Token.Percent -> (10, Ast.Mod)
+  | _ -> (0, Ast.Add)
+
 let mk pos desc = { Ast.desc; epos = pos }
 
 let rec parse_expr st = parse_ternary st
 
 and parse_ternary st =
-  let cond = parse_lor st in
+  let cond = parse_binary st 1 in
   if accept st Token.Question then begin
     let t = parse_expr st in
     expect st Token.Colon;
@@ -65,50 +96,18 @@ and parse_ternary st =
   end
   else cond
 
-and parse_binary_level st ops sub =
-  let lhs = sub st in
-  let rec loop lhs =
-    let t = peek st in
-    match List.assoc_opt t.Token.tok ops with
-    | Some op ->
-      ignore (next st);
-      let rhs = sub st in
-      loop (mk lhs.Ast.epos (Ast.Binary (op, lhs, rhs)))
-    | None -> lhs
-  in
-  loop lhs
+(* Precedence climbing: the operands of a level-[l] operator bind at
+   level [l + 1] or tighter, so every level is left-associative. *)
+and parse_binary st min_level = climb st min_level (parse_unary st)
 
-and parse_lor st =
-  parse_binary_level st [ (Token.Bar_bar, Ast.Lor) ] parse_land
-
-and parse_land st =
-  parse_binary_level st [ (Token.Amp_amp, Ast.Land) ] parse_bor
-
-and parse_bor st = parse_binary_level st [ (Token.Bar, Ast.Bor) ] parse_bxor
-and parse_bxor st = parse_binary_level st [ (Token.Caret, Ast.Bxor) ] parse_band
-and parse_band st = parse_binary_level st [ (Token.Amp, Ast.Band) ] parse_equality
-
-and parse_equality st =
-  parse_binary_level st
-    [ (Token.Eq_eq, Ast.Eq); (Token.Bang_eq, Ast.Ne) ]
-    parse_relational
-
-and parse_relational st =
-  parse_binary_level st
-    [ (Token.Lt, Ast.Lt); (Token.Le, Ast.Le); (Token.Gt, Ast.Gt); (Token.Ge, Ast.Ge) ]
-    parse_shift
-
-and parse_shift st =
-  parse_binary_level st [ (Token.Shl, Ast.Shl); (Token.Shr, Ast.Shr) ] parse_additive
-
-and parse_additive st =
-  parse_binary_level st [ (Token.Plus, Ast.Add); (Token.Minus, Ast.Sub) ]
-    parse_multiplicative
-
-and parse_multiplicative st =
-  parse_binary_level st
-    [ (Token.Star, Ast.Mul); (Token.Slash, Ast.Div); (Token.Percent, Ast.Mod) ]
-    parse_unary
+and climb st min_level lhs =
+  let level, op = binop (peek st).Token.tok in
+  if level < min_level then lhs
+  else begin
+    ignore (next st);
+    let rhs = parse_binary st (level + 1) in
+    climb st min_level (mk lhs.Ast.epos (Ast.Binary (op, lhs, rhs)))
+  end
 
 and parse_unary st =
   let t = peek st in
@@ -145,7 +144,7 @@ and parse_primary st =
     | Token.Lparen ->
       ignore (next st);
       let args =
-        if (peek st).Token.tok = Token.Rparen then []
+        if is st Token.Rparen then []
         else
           let rec more acc =
             let e = parse_expr st in
@@ -195,7 +194,7 @@ let rec parse_simple_stmt st =
       ignore (next st);
       let value = parse_expr st in
       mk_stmt t.Token.pos (Ast.Assign { name; value })
-    | Token.Ident name, op_tok when compound_op op_tok <> None ->
+    | Token.Ident name, op_tok when Option.is_some (compound_op op_tok) ->
       ignore (next st);
       ignore (next st);
       let op = Option.get (compound_op op_tok) in
@@ -207,7 +206,7 @@ let rec parse_simple_stmt st =
     | Token.Ident name, (Token.Plus_plus | Token.Minus_minus) ->
       ignore (next st);
       let op_tok = (next st).Token.tok in
-      let op = if op_tok = Token.Plus_plus then Ast.Add else Ast.Sub in
+      let op = if op_tok == Token.Plus_plus then Ast.Add else Ast.Sub in
       let value =
         mk t.Token.pos
           (Ast.Binary (op, mk t.Token.pos (Ast.Ident name), mk t.Token.pos (Ast.Num 1)))
@@ -216,34 +215,31 @@ let rec parse_simple_stmt st =
     | Token.Ident arr, Token.Lbracket ->
       (* A store "a[i] = e" / "a[i] op= e" / "a[i]++", or an expression
          starting with a[i]. *)
-      let save = st.k in
+      let save = st.toks in
       ignore (next st);
       ignore (next st);
       let index = parse_expr st in
       expect st Token.Rbracket;
       let store_of value = mk_stmt t.Token.pos (Ast.Array_assign { arr; index; value }) in
-      let current = (peek st).Token.tok in
-      if accept st Token.Assign then store_of (parse_expr st)
-      else if compound_op current <> None then begin
+      let elem () = mk t.Token.pos (Ast.Index (arr, index)) in
+      (match (peek st).Token.tok with
+      | Token.Assign ->
         ignore (next st);
-        let op = Option.get (compound_op current) in
-        let rhs = parse_expr st in
-        store_of
-          (mk t.Token.pos (Ast.Binary (op, mk t.Token.pos (Ast.Index (arr, index)), rhs)))
-      end
-      else if current = Token.Plus_plus || current = Token.Minus_minus then begin
+        store_of (parse_expr st)
+      | (Token.Plus_plus | Token.Minus_minus) as current ->
         ignore (next st);
-        let op = if current = Token.Plus_plus then Ast.Add else Ast.Sub in
-        store_of
-          (mk t.Token.pos
-             (Ast.Binary
-                (op, mk t.Token.pos (Ast.Index (arr, index)), mk t.Token.pos (Ast.Num 1))))
-      end
-      else begin
-        st.k <- save;
-        let e = parse_expr st in
-        mk_stmt t.Token.pos (Ast.Expr_stmt e)
-      end
+        let op = if current == Token.Plus_plus then Ast.Add else Ast.Sub in
+        store_of (mk t.Token.pos (Ast.Binary (op, elem (), mk t.Token.pos (Ast.Num 1))))
+      | current -> (
+        match compound_op current with
+        | Some op ->
+          ignore (next st);
+          let rhs = parse_expr st in
+          store_of (mk t.Token.pos (Ast.Binary (op, elem (), rhs)))
+        | None ->
+          st.toks <- save;
+          let e = parse_expr st in
+          mk_stmt t.Token.pos (Ast.Expr_stmt e)))
     | _ ->
       let e = parse_expr st in
       mk_stmt t.Token.pos (Ast.Expr_stmt e))
@@ -273,7 +269,7 @@ and parse_stmt st =
     ignore (next st);
     let body = parse_branch st in
     let kw = next st in
-    if kw.Token.tok <> Token.Kw_while then
+    if kw.Token.tok != Token.Kw_while then
       error kw.Token.pos "expected 'while' after 'do' body";
     expect st Token.Lparen;
     let cond = parse_expr st in
@@ -284,15 +280,15 @@ and parse_stmt st =
     ignore (next st);
     expect st Token.Lparen;
     let init =
-      if (peek st).Token.tok = Token.Semi then None else Some (parse_simple_stmt st)
+      if is st Token.Semi then None else Some (parse_simple_stmt st)
     in
     expect st Token.Semi;
     let cond =
-      if (peek st).Token.tok = Token.Semi then None else Some (parse_expr st)
+      if is st Token.Semi then None else Some (parse_expr st)
     in
     expect st Token.Semi;
     let step =
-      if (peek st).Token.tok = Token.Rparen then None
+      if is st Token.Rparen then None
       else Some (parse_simple_stmt st)
     in
     expect st Token.Rparen;
@@ -301,7 +297,7 @@ and parse_stmt st =
   | Token.Kw_return ->
     ignore (next st);
     let value =
-      if (peek st).Token.tok = Token.Semi then None else Some (parse_expr st)
+      if is st Token.Semi then None else Some (parse_expr st)
     in
     expect st Token.Semi;
     mk_stmt t.Token.pos (Ast.Return value)
@@ -311,7 +307,7 @@ and parse_stmt st =
     s
 
 and parse_branch st =
-  if (peek st).Token.tok = Token.Lbrace then parse_block st else [ parse_stmt st ]
+  if is st Token.Lbrace then parse_block st else [ parse_stmt st ]
 
 and parse_block st =
   expect st Token.Lbrace;
@@ -357,7 +353,7 @@ let parse_array_init st =
     let rec more acc =
       let n = expect_int st in
       if accept st Token.Comma then
-        if (peek st).Token.tok = Token.Rbrace then begin
+        if is st Token.Rbrace then begin
           ignore (next st);
           List.rev (n :: acc)
         end
@@ -372,7 +368,7 @@ let parse_array_init st =
 
 let parse_top_level st =
   let t = peek st in
-  let is_const = t.Token.tok = Token.Kw_const in
+  let is_const = t.Token.tok == Token.Kw_const in
   if is_const then ignore (next st);
   let t = next st in
   match (width_of_kw t.Token.tok, t.Token.tok) with
@@ -414,10 +410,9 @@ let parse_top_level st =
     error t.Token.pos "expected a declaration, found %s" (Token.describe other)
 
 let parse_program src =
-  let toks = Array.of_list (Lexer.tokenize src) in
-  let st = { toks; k = 0 } in
+  let st = { toks = Lexer.tokenize src } in
   let rec go globals funcs =
-    if (peek st).Token.tok = Token.Eof then
+    if is st Token.Eof then
       { Ast.globals = List.rev globals; funcs = List.rev funcs }
     else
       match parse_top_level st with
@@ -427,8 +422,7 @@ let parse_program src =
   go [] []
 
 let parse_expr_string src =
-  let toks = Array.of_list (Lexer.tokenize src) in
-  let st = { toks; k = 0 } in
+  let st = { toks = Lexer.tokenize src } in
   let e = parse_expr st in
   expect st Token.Eof;
   e

@@ -23,7 +23,18 @@ let test_numbers () =
   Alcotest.(check (list token)) "decimal" [ Token.Int_lit 12345; Token.Eof ] (toks "12345");
   Alcotest.(check (list token)) "hex" [ Token.Int_lit 255; Token.Eof ] (toks "0xFF");
   Alcotest.(check (list token)) "hex lowercase" [ Token.Int_lit 48879; Token.Eof ] (toks "0xbeef");
-  Alcotest.(check (list token)) "zero" [ Token.Int_lit 0; Token.Eof ] (toks "0")
+  Alcotest.(check (list token)) "zero" [ Token.Int_lit 0; Token.Eof ] (toks "0");
+  Alcotest.(check (list token)) "hex max_int" [ Token.Int_lit max_int; Token.Eof ]
+    (toks "0x3FFFFFFFFFFFFFFF");
+  (* above max_int a hex literal is refused like a decimal one, not
+     wrapped to a negative value *)
+  List.iter
+    (fun src ->
+      match Lexer.tokenize src with
+      | exception Lexer.Error { pos = { line = 1; col = 1 }; msg } ->
+        Alcotest.(check string) src (Printf.sprintf "invalid integer literal %S" src) msg
+      | _ -> Alcotest.failf "expected %s to be refused" src)
+    [ "0x4000000000000000"; "0x7FFFFFFFFFFFFFFF"; "4611686018427387904" ]
 
 let test_operators () =
   Alcotest.(check (list token)) "two-char operators"

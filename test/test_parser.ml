@@ -128,6 +128,83 @@ let test_errors () =
   raises "int x[] ;";
   raises "void main() { do { } while (1) }" (* missing ';' *)
 
+(* The library parser against the reference copy of the recursive-descent
+   parser it replaced: both return equal ASTs (positions included) or both
+   raise the same error at the same position.  The fuzz generator prints
+   every compound expression in parentheses and every 16-bit type as
+   [int], so each generated source is also tried with its grouping
+   parentheses blanked out (precedence then decides the tree) and with
+   [int] spelled [int16]; each of the three, in turn, with one character
+   deleted, duplicated or swapped with its successor. *)
+type outcome =
+  | Parsed of Ast.program
+  | Lexer_error of Hypar_minic.Token.pos * string
+  | Parser_error of Hypar_minic.Token.pos * string
+
+let library src =
+  match Parser.parse_program src with
+  | p -> Parsed p
+  | exception Hypar_minic.Lexer.Error { pos; msg } -> Lexer_error (pos, msg)
+  | exception Parser.Error { pos; msg } -> Parser_error (pos, msg)
+
+let reference src =
+  match Parser_reference.Parser.parse_program src with
+  | p -> Parsed p
+  | exception Parser_reference.Lexer.Error { pos; msg } -> Lexer_error (pos, msg)
+  | exception Parser_reference.Parser.Error { pos; msg } -> Parser_error (pos, msg)
+
+let describe = function
+  | Parsed _ -> "parsed"
+  | Lexer_error (p, m) -> Printf.sprintf "lexer error %d:%d %s" p.line p.col m
+  | Parser_error (p, m) -> Printf.sprintf "parser error %d:%d %s" p.line p.col m
+
+(* A '(' after an identifier or keyword opens a call or a statement
+   header; any other one groups an expression and is blanked with its
+   ')'. *)
+let ungroup src =
+  let b = Bytes.of_string src in
+  let is_word = function
+    | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> true
+    | _ -> false
+  in
+  let prev = ref ' ' and opened = ref [] in
+  String.iteri
+    (fun i c ->
+      (match (c, !opened) with
+      | '(', _ -> opened := (i, not (is_word !prev)) :: !opened
+      | ')', (j, grouping) :: rest ->
+        if grouping then (Bytes.set b i ' '; Bytes.set b j ' ');
+        opened := rest
+      | _ -> ());
+      if not (String.contains " \t\n" c) then prev := c)
+    src;
+  Bytes.to_string b
+
+let respell = Str.global_replace (Str.regexp "\\bint\\b") "int16"
+
+let mutants rng src =
+  let n = String.length src in
+  let at () = Random.State.int rng (n - 1) in
+  let splice i len mid = String.sub src 0 i ^ mid ^ String.sub src (i + len) (n - i - len) in
+  let delete = let i = at () in splice i 1 "" in
+  let duplicate = let i = at () in splice i 1 (String.make 2 src.[i]) in
+  let swap = let i = at () in splice i 2 (Printf.sprintf "%c%c" src.[i + 1] src.[i]) in
+  [ src; delete; duplicate; swap ]
+
+let prop_matches_reference =
+  QCheck.Test.make ~name:"parser matches the reference parser" ~count:250
+    QCheck.(make ~print:string_of_int Gen.(int_range 1 1_000_000))
+    (fun seed ->
+      let src = Hypar_fuzzgen.Gen.source seed in
+      let rng = Random.State.make [| seed |] in
+      List.for_all
+        (fun src ->
+          let lib = library src and ref_ = reference src in
+          lib = ref_
+          || QCheck.Test.fail_reportf "library %s, reference %s on\n%s"
+               (describe lib) (describe ref_) src)
+        (List.concat_map (mutants rng) [ src; ungroup src; respell src ]))
+
 let suite =
   [
     Alcotest.test_case "precedence" `Quick test_precedence;
@@ -138,4 +215,5 @@ let suite =
     Alcotest.test_case "statements" `Quick test_statements;
     Alcotest.test_case "negative initialisers" `Quick test_negative_init;
     Alcotest.test_case "errors" `Quick test_errors;
+    QCheck_alcotest.to_alcotest prop_matches_reference;
   ]
