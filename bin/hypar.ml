@@ -1367,8 +1367,7 @@ let fuzz_cmd =
 
 let soak_cmd =
   let module Srv = Hypar_server in
-  let run seed count budget_ms jobs chaos corpus max_retries grace fuel
-      no_baseline obs =
+  let run seed count budget_ms jobs chaos corpus max_retries grace fuel obs =
     with_obs ~command:"soak" obs @@ fun () ->
     match Srv.Chaos.of_arg chaos with
     | Error msg ->
@@ -1386,7 +1385,6 @@ let soak_cmd =
           max_retries;
           grace_ms = grace;
           fuel;
-          compare_baseline = not no_baseline;
         }
       in
       match Srv.Soak.run config with
@@ -1461,20 +1459,11 @@ let soak_cmd =
       & info [ "fuel" ] ~docv:"N"
           ~doc:"interpreter-step budget per request")
   in
-  let no_baseline_arg =
-    Arg.(
-      value & flag
-      & info [ "no-baseline" ]
-          ~doc:
-            "skip the chaos-free comparison against the inline baseline \
-             session ($(b,--jobs) 1, no supervisor; only meaningful with \
-             $(b,--chaos none))")
-  in
   let term =
     Term.(
       const run $ seed_arg $ count_arg $ budget_arg $ jobs_arg
       $ chaos_spec_arg $ corpus_arg $ max_retries_arg $ grace_arg $ fuel_arg
-      $ no_baseline_arg $ obs_args)
+      $ obs_args)
   in
   Cmd.v
     (Cmd.info "soak"

@@ -455,22 +455,6 @@ let check_ast (prog : Ast.program) =
 
 (* --- range-powered rules (W006-W008) -------------------------------------- *)
 
-(* the inliner renames copied locals to name__N; recover the source name *)
-let strip_inline_suffix name =
-  let len = String.length name in
-  let is_digit c = c >= '0' && c <= '9' in
-  let rec all_digits i =
-    if i >= len then true else is_digit name.[i] && all_digits (i + 1)
-  in
-  let rec find p =
-    if p < 1 then name
-    else if
-      name.[p - 1] = '_' && name.[p] = '_' && p + 1 < len && all_digits (p + 1)
-    then String.sub name 0 (p - 1)
-    else find (p - 1)
-  in
-  if len < 4 then name else find (len - 2)
-
 type range_env = {
   vars : (string, Range.interval) Hashtbl.t;  (* source name -> range *)
   widths : (string, int) Hashtbl.t;  (* declared scalar widths *)
@@ -481,7 +465,7 @@ let build_range_env (prog : Ast.program) reports =
   let vars = Hashtbl.create 64 in
   List.iter
     (fun (r : Range.report) ->
-      let base = strip_inline_suffix r.var.vname in
+      let base = Hypar_minic.Inline.source_name r.var.vname in
       let range =
         match Hashtbl.find_opt vars base with
         | Some prev -> Range.join prev r.range
@@ -650,7 +634,7 @@ let width_overflow_rules (prog : Ast.program) reports =
   let grouped : (string, Range.report) Hashtbl.t = Hashtbl.create 8 in
   List.iter
     (fun (r : Range.report) ->
-      let base = strip_inline_suffix r.var.vname in
+      let base = Hypar_minic.Inline.source_name r.var.vname in
       if Hashtbl.mem decl_pos base || List.mem base global_names then
         match Hashtbl.find_opt grouped base with
         | Some prev ->

@@ -1,4 +1,5 @@
 module Ir = Hypar_ir
+module B = Ir.Builder
 
 type kind =
   | Empty_program
@@ -34,33 +35,6 @@ let message = function
   | Unknown_array a -> Printf.sprintf "undeclared array %S" a
   | Unknown_local l -> Printf.sprintf "undeclared local %S" l
   | Const_store a -> Printf.sprintf "astore to const array %S" a
-
-(* --- widths (Mini-C rules, see lib/minic/lower.ml) ---------------------- *)
-
-let width_of_int n =
-  let n = abs n in
-  let rec bits acc v = if v = 0 then acc else bits (acc + 1) (v lsr 1) in
-  let w = 1 + bits 0 n in
-  if w > 32 then 32 else w
-
-let width_of_operand = function
-  | Ir.Instr.Var v -> v.Ir.Instr.vwidth
-  | Ir.Instr.Imm n -> width_of_int n
-
-let clamp_width w = if w > 32 then 32 else if w < 1 then 1 else w
-
-let alu_width op a b =
-  let wa = width_of_operand a and wb = width_of_operand b in
-  match (op : Ir.Types.alu_op) with
-  | Lt | Le | Eq | Ne | Gt | Ge -> 1
-  | Add | Sub -> clamp_width (1 + max wa wb)
-  | And | Or | Xor | Shl | Shr | Ashr | Min | Max -> clamp_width (max wa wb)
-
-let un_width op a =
-  let w = width_of_operand a in
-  match (op : Ir.Types.un_op) with
-  | Neg -> clamp_width (1 + w)
-  | Not | Abs -> w
 
 (* --- the stream, labels and leaders ------------------------------------- *)
 
@@ -166,24 +140,19 @@ type env = {
   arrays : (string, Ir.Cdfg.array_decl) Hashtbl.t;
   locals : (string, Ir.Instr.var) Hashtbl.t;
   local_order : Ir.Instr.var list;
-  mutable next_var : int;
+  regs : Ir.Builder.t;  (* numbers the registers; blocks are made per leader *)
   stk_vars : (int, Ir.Instr.var) Hashtbl.t;  (* stack position -> register *)
   stk_ids : (int, int) Hashtbl.t;  (* vid -> stack position *)
   stk_widths : (int, int) Hashtbl.t;  (* stack position -> register width *)
   stk_observed : (int, int) Hashtbl.t;  (* widest operand spilled per position *)
 }
 
-let fresh env ?(width = 16) name =
-  let v = { Ir.Instr.vname = name; vid = env.next_var; vwidth = width } in
-  env.next_var <- env.next_var + 1;
-  v
-
 let stk_var env j =
   match Hashtbl.find_opt env.stk_vars j with
   | Some v -> v
   | None ->
     let width = Option.value (Hashtbl.find_opt env.stk_widths j) ~default:32 in
-    let v = fresh env ~width (Printf.sprintf "stk_%d" j) in
+    let v = B.fresh_var ~width env.regs (Printf.sprintf "stk_%d" j) in
     Hashtbl.replace env.stk_vars j v;
     Hashtbl.replace env.stk_ids v.Ir.Instr.vid j;
     v
@@ -251,7 +220,7 @@ let lower_block env ~block_id ~entry_depth ~strict =
          stack; pad its underflow with fresh (undefined) registers rather
          than rejecting code that can never execute *)
       if strict then reject pos (Stack_underflow (Insn.mnemonic insn))
-      else Ir.Instr.Var (fresh env ~width:32 "u")
+      else Ir.Instr.Var (B.fresh_var ~width:32 env.regs "u")
     | op :: rest ->
       stack := rest;
       decr depth;
@@ -266,7 +235,7 @@ let lower_block env ~block_id ~entry_depth ~strict =
     let moves = ref [] in
     Array.iteri
       (fun j op ->
-        let w = width_of_operand op in
+        let w = Ir.Instr.width_of_operand op in
         let seen = Option.value (Hashtbl.find_opt env.stk_observed j) ~default:0 in
         if w > seen then Hashtbl.replace env.stk_observed j w;
         let target = stk_var env j in
@@ -282,7 +251,7 @@ let lower_block env ~block_id ~entry_depth ~strict =
         (fun (j, target, op) ->
           match op with
           | Ir.Instr.Var v when Hashtbl.mem env.stk_ids v.Ir.Instr.vid ->
-            let t = fresh env ~width:v.Ir.Instr.vwidth "stk_t" in
+            let t = B.fresh_var ~width:v.Ir.Instr.vwidth env.regs "stk_t" in
             emit (Ir.Instr.Mov { dst = t; src = op });
             (j, target, Ir.Instr.Var t)
           | _ -> (j, target, op))
@@ -295,7 +264,7 @@ let lower_block env ~block_id ~entry_depth ~strict =
   let protect_cond cond =
     match cond with
     | Ir.Instr.Var v when Hashtbl.mem env.stk_ids v.Ir.Instr.vid ->
-      let t = fresh env ~width:v.Ir.Instr.vwidth "t_cond" in
+      let t = B.fresh_var ~width:v.Ir.Instr.vwidth env.regs "t_cond" in
       emit (Ir.Instr.Mov { dst = t; src = cond });
       Ir.Instr.Var t
     | _ -> cond
@@ -308,7 +277,7 @@ let lower_block env ~block_id ~entry_depth ~strict =
     | Insn.Push n -> push pos (Ir.Instr.Imm n)
     | Insn.Load slot ->
       let v = find_local env pos slot in
-      let t = fresh env ~width:v.Ir.Instr.vwidth slot in
+      let t = B.fresh_var ~width:v.Ir.Instr.vwidth env.regs slot in
       emit (Ir.Instr.Mov { dst = t; src = Ir.Instr.Var v });
       push pos (Ir.Instr.Var t)
     | Insn.Store slot ->
@@ -342,7 +311,7 @@ let lower_block env ~block_id ~entry_depth ~strict =
     | Insn.Aload arr ->
       let d = find_array env pos arr in
       let index = pop pos insn in
-      let t = fresh env ~width:d.Ir.Cdfg.elem_width "t_load" in
+      let t = B.fresh_var ~width:d.Ir.Cdfg.elem_width env.regs "t_load" in
       emit (Ir.Instr.Load { dst = t; arr; index });
       push pos (Ir.Instr.Var t)
     | Insn.Astore arr ->
@@ -354,41 +323,39 @@ let lower_block env ~block_id ~entry_depth ~strict =
     | Insn.Alu op ->
       let b = pop pos insn in
       let a = pop pos insn in
-      let t = fresh env ~width:(alu_width op a b) "t" in
+      let t = B.fresh_var ~width:(Ir.Instr.alu_width op a b) env.regs "t" in
       emit (Ir.Instr.Bin { dst = t; op; a; b });
       push pos (Ir.Instr.Var t)
     | Insn.Mul ->
       let b = pop pos insn in
       let a = pop pos insn in
-      let width = clamp_width (width_of_operand a + width_of_operand b) in
-      let t = fresh env ~width "t_mul" in
+      let t = B.fresh_var ~width:(Ir.Instr.mul_width a b) env.regs "t_mul" in
       emit (Ir.Instr.Mul { dst = t; a; b });
       push pos (Ir.Instr.Var t)
     | Insn.Div ->
       let b = pop pos insn in
       let a = pop pos insn in
-      let width = clamp_width (max (width_of_operand a) (width_of_operand b)) in
-      let t = fresh env ~width "t_div" in
+      let t = B.fresh_var ~width:(Ir.Instr.div_width a b) env.regs "t_div" in
       emit (Ir.Instr.Div { dst = t; a; b });
       push pos (Ir.Instr.Var t)
     | Insn.Rem ->
       let b = pop pos insn in
       let a = pop pos insn in
-      let width = clamp_width (max (width_of_operand a) (width_of_operand b)) in
-      let t = fresh env ~width "t_rem" in
+      let t = B.fresh_var ~width:(Ir.Instr.div_width a b) env.regs "t_rem" in
       emit (Ir.Instr.Rem { dst = t; a; b });
       push pos (Ir.Instr.Var t)
     | Insn.Un op ->
       let a = pop pos insn in
-      let t = fresh env ~width:(un_width op a) ("t_" ^ Ir.Types.string_of_un_op op) in
+      let width = Ir.Instr.un_width op a in
+      let t = B.fresh_var ~width env.regs ("t_" ^ Ir.Types.string_of_un_op op) in
       emit (Ir.Instr.Un { dst = t; op; a });
       push pos (Ir.Instr.Var t)
     | Insn.Select ->
       let if_false = pop pos insn in
       let if_true = pop pos insn in
       let cond = pop pos insn in
-      let width = max (width_of_operand if_true) (width_of_operand if_false) in
-      let t = fresh env ~width "t_sel" in
+      let width = Ir.Instr.select_width if_true if_false in
+      let t = B.fresh_var ~width env.regs "t_sel" in
       emit (Ir.Instr.Select { dst = t; cond; if_true; if_false });
       push pos (Ir.Instr.Var t)
     | Insn.Dup ->
@@ -459,7 +426,7 @@ let cdfg_exn (prog : Prog.t) =
         arrays;
         locals = Hashtbl.create 16;
         local_order = [];
-        next_var = 0;
+        regs = Ir.Builder.create ();
         stk_vars = Hashtbl.create 8;
         stk_ids = Hashtbl.create 8;
         stk_widths;
@@ -469,7 +436,7 @@ let cdfg_exn (prog : Prog.t) =
     let local_order =
       List.map
         (fun (l : Prog.local_decl) ->
-          let v = fresh env ~width:l.lwidth l.lname in
+          let v = B.fresh_var ~width:l.lwidth env.regs l.lname in
           Hashtbl.replace env.locals l.lname v;
           v)
         prog.locals

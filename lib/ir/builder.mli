@@ -1,5 +1,10 @@
-(** Imperative convenience API for constructing CDFGs in tests, synthetic
-    workload generators and hand-written examples. *)
+(** Imperative API for constructing CDFGs.  Both frontends build through
+    it: the Mini-C lowering ([Hypar_minic.Lower]) numbers its registers,
+    emits its instructions and assembles its blocks here, and the
+    bytecode recovery ([Hypar_bytecode.Recover]) numbers its registers
+    here.  Tests, synthetic workload generators and hand-written examples
+    use it too.  The frontends size registers with the width rule in
+    {!Instr}; a width left out is 16. *)
 
 type t
 

@@ -97,6 +97,34 @@ let eval value i =
     | None -> None)
   | Load _ | Store _ -> None
 
+let width_of_int n =
+  let rec bits acc v = if v = 0 then acc else bits (acc + 1) (v lsr 1) in
+  let w = 1 + bits 0 (abs n) in
+  if w > 32 then 32 else w
+
+let width_of_operand = function Var v -> v.vwidth | Imm n -> width_of_int n
+let clamp_width w = if w > 32 then 32 else if w < 1 then 1 else w
+
+let widest a b =
+  let wa = width_of_operand a and wb = width_of_operand b in
+  if wa >= wb then wa else wb
+
+let alu_width (op : Types.alu_op) a b =
+  match op with
+  | Lt | Le | Eq | Ne | Gt | Ge -> 1
+  | Add | Sub -> clamp_width (1 + widest a b)
+  | And | Or | Xor | Shl | Shr | Ashr | Min | Max -> clamp_width (widest a b)
+
+let mul_width a b = clamp_width (width_of_operand a + width_of_operand b)
+let div_width a b = clamp_width (widest a b)
+
+let un_width (op : Types.un_op) a =
+  match op with
+  | Neg -> clamp_width (1 + width_of_operand a)
+  | Not | Abs -> width_of_operand a
+
+let select_width = widest
+
 let used_vars i =
   List.filter_map (function Var v -> Some v | Imm _ -> None) (uses i)
 

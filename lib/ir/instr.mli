@@ -44,6 +44,37 @@ val eval : (operand -> int option) -> t -> int option
     The one folding rule of the constant lattice and of constant
     folding. *)
 
+(** {2 Register widths}
+
+    The one rule both frontends use to size the register an instruction
+    defines.  Results are clamped to 1..32 bits, except that [select],
+    [not] and [abs] keep their widest operand unclamped.  A load's width
+    is each frontend's own choice. *)
+
+val width_of_int : int -> Types.width
+(** Bits of the two's-complement immediate [n], sign bit included, at
+    most 32. *)
+
+val width_of_operand : operand -> Types.width
+(** A register's declared width, or {!width_of_int} of an immediate. *)
+
+val alu_width : Types.alu_op -> operand -> operand -> Types.width
+(** 1 for a comparison, one bit more than the wider operand for [add] and
+    [sub], the wider operand for the rest. *)
+
+val mul_width : operand -> operand -> Types.width
+(** The sum of the operand widths. *)
+
+val div_width : operand -> operand -> Types.width
+(** The wider operand, for [div] and [rem]. *)
+
+val un_width : Types.un_op -> operand -> Types.width
+(** One bit more than the operand for [neg], the operand's width for
+    [not] and [abs]. *)
+
+val select_width : operand -> operand -> Types.width
+(** [select_width if_true if_false]: the wider of the two values. *)
+
 val op_class : t -> Types.op_class
 (** Classification used by the weight, delay, area and scheduling models. *)
 

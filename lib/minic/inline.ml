@@ -9,6 +9,17 @@ let fresh ctx base =
   ctx.counter <- ctx.counter + 1;
   Printf.sprintf "%s__%d" base ctx.counter
 
+(* the inverse of [fresh]: drop one trailing [__N] *)
+let source_name name =
+  let len = String.length name in
+  let is_digit c = c >= '0' && c <= '9' in
+  match String.rindex_opt name '_' with
+  | Some i
+    when len >= 4 && i >= 1 && i + 1 < len && name.[i - 1] = '_'
+         && String.for_all is_digit (String.sub name (i + 1) (len - i - 1)) ->
+    String.sub name 0 (i - 1)
+  | _ -> name
+
 (* --- renaming --------------------------------------------------------- *)
 
 type rename_scope = (string, string) Hashtbl.t list

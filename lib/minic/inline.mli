@@ -13,3 +13,7 @@ exception Recursive of string
 val program : Ast.program -> Ast.program
 (** The same program with [main]'s body fully inlined (other functions
     are dropped). The input must have passed {!Typecheck.check}. *)
+
+val source_name : string -> string
+(** The source name of a register the inliner renamed apart: [x__3] is
+    [x]; a name without a [__N] suffix is returned as is. *)

@@ -1,34 +1,25 @@
 module Ir = Hypar_ir
+module B = Ir.Builder
 
+(* The builder numbers the registers and assembles the blocks; this state
+   adds only what structured control flow needs on top of it. *)
 type state = {
-  mutable next_var : int;
+  b : B.t;
   mutable next_label : int;
   vars : (string, Ir.Instr.var) Hashtbl.t;  (* source name -> register *)
   bool_vars : (int, unit) Hashtbl.t;  (* vids known to hold 0/1 *)
-  mutable pending : Ir.Instr.t list;  (* reversed *)
   mutable current_label : string;
   mutable block_open : bool;
-  mutable blocks : Ir.Block.t list;  (* reversed *)
 }
-
-let fresh_var st ?(width = 16) name =
-  let v = { Ir.Instr.vname = name; vid = st.next_var; vwidth = width } in
-  st.next_var <- st.next_var + 1;
-  v
 
 let new_label st hint =
   let l = Printf.sprintf "L%d_%s" st.next_label hint in
   st.next_label <- st.next_label + 1;
   l
 
-let emit st i = st.pending <- i :: st.pending
-
 let finish st term =
-  let instrs = List.rev st.pending in
-  st.pending <- [];
-  st.block_open <- false;
-  st.blocks <-
-    Ir.Block.make ~label:st.current_label ~instrs ~term :: st.blocks
+  B.finish_block st.b ~label:st.current_label ~term;
+  st.block_open <- false
 
 let start st label =
   st.current_label <- label;
@@ -38,7 +29,7 @@ let source_var st name ~width =
   match Hashtbl.find_opt st.vars name with
   | Some v -> v
   | None ->
-    let v = fresh_var st ~width name in
+    let v = B.fresh_var ~width st.b name in
     Hashtbl.replace st.vars name v;
     v
 
@@ -46,20 +37,6 @@ let lookup_var st name =
   match Hashtbl.find_opt st.vars name with
   | Some v -> v
   | None -> invalid_arg ("lower: unbound variable " ^ name)
-
-(* --- widths ------------------------------------------------------------ *)
-
-let width_of_int n =
-  let n = abs n in
-  let rec bits acc v = if v = 0 then acc else bits (acc + 1) (v lsr 1) in
-  let w = 1 + bits 0 n in
-  if w > 32 then 32 else w
-
-let width_of_operand = function
-  | Ir.Instr.Var v -> v.Ir.Instr.vwidth
-  | Ir.Instr.Imm n -> width_of_int n
-
-let clamp_width w = if w > 32 then 32 else if w < 1 then 1 else w
 
 (* --- expressions -------------------------------------------------------- *)
 
@@ -90,14 +67,14 @@ let is_comparison = function
   | Ast.Bxor | Ast.Shl | Ast.Shr | Ast.Land | Ast.Lor ->
     false
 
-let result_width op a b =
-  match op with
-  | Ast.Mul -> clamp_width (width_of_operand a + width_of_operand b)
-  | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge | Ast.Eq | Ast.Ne | Ast.Land | Ast.Lor -> 1
-  | Ast.Add | Ast.Sub ->
-    clamp_width (1 + max (width_of_operand a) (width_of_operand b))
-  | Ast.Div | Ast.Mod | Ast.Band | Ast.Bor | Ast.Bxor | Ast.Shl | Ast.Shr ->
-    clamp_width (max (width_of_operand a) (width_of_operand b))
+let lower_un st op name a =
+  Ir.Instr.Var (B.un ~width:(Ir.Instr.un_width op a) st.b op name a)
+
+(* a 1-bit result, recorded as holding 0/1 *)
+let lower_bool st op name a b =
+  let dst = B.bin ~width:1 st.b op name a b in
+  Hashtbl.replace st.bool_vars dst.Ir.Instr.vid ();
+  Ir.Instr.Var dst
 
 let rec lower_expr st (e : Ast.expr) : Ir.Instr.operand =
   match e.Ast.desc with
@@ -105,9 +82,7 @@ let rec lower_expr st (e : Ast.expr) : Ir.Instr.operand =
   | Ast.Ident name -> Ir.Instr.Var (lookup_var st name)
   | Ast.Index (arr, ix) ->
     let index = lower_expr st ix in
-    let dst = fresh_var st ~width:16 "t_load" in
-    emit st (Ir.Instr.Load { dst; arr; index });
-    Ir.Instr.Var dst
+    Ir.Instr.Var (B.load ~width:16 st.b "t_load" ~arr index)
   | Ast.Call (fname, args) -> lower_builtin st e.Ast.epos fname args
   | Ast.Unary (op, a) -> lower_unary st op a
   | Ast.Binary (op, a, b) -> lower_binary st op a b
@@ -115,9 +90,9 @@ let rec lower_expr st (e : Ast.expr) : Ir.Instr.operand =
     let cond = lower_expr st c in
     let if_true = lower_expr st t in
     let if_false = lower_expr st f in
-    let width = max (width_of_operand if_true) (width_of_operand if_false) in
-    let dst = fresh_var st ~width "t_sel" in
-    emit st (Ir.Instr.Select { dst; cond; if_true; if_false });
+    let width = Ir.Instr.select_width if_true if_false in
+    let dst = B.fresh_var ~width st.b "t_sel" in
+    B.emit st.b (Ir.Instr.Select { dst; cond; if_true; if_false });
     Ir.Instr.Var dst
 
 and lower_builtin st pos fname args =
@@ -125,15 +100,9 @@ and lower_builtin st pos fname args =
   | "min", [ a; b ] | "max", [ a; b ] ->
     let a = lower_expr st a and b = lower_expr st b in
     let op = if fname = "min" then Ir.Types.Min else Ir.Types.Max in
-    let width = max (width_of_operand a) (width_of_operand b) in
-    let dst = fresh_var st ~width ("t_" ^ fname) in
-    emit st (Ir.Instr.Bin { dst; op; a; b });
-    Ir.Instr.Var dst
-  | "abs", [ a ] ->
-    let a = lower_expr st a in
-    let dst = fresh_var st ~width:(width_of_operand a) "t_abs" in
-    emit st (Ir.Instr.Un { dst; op = Ir.Types.Abs; a });
-    Ir.Instr.Var dst
+    let width = Ir.Instr.alu_width op a b in
+    Ir.Instr.Var (B.bin ~width st.b op ("t_" ^ fname) a b)
+  | "abs", [ a ] -> lower_un st Ir.Types.Abs "t_abs" (lower_expr st a)
   | _ ->
     invalid_arg
       (Printf.sprintf "lower: unexpected call to %S at %d:%d (program not inlined?)"
@@ -141,31 +110,13 @@ and lower_builtin st pos fname args =
 
 and lower_unary st op a =
   match op with
-  | Ast.Neg ->
-    let a = lower_expr st a in
-    let dst = fresh_var st ~width:(clamp_width (1 + width_of_operand a)) "t_neg" in
-    emit st (Ir.Instr.Un { dst; op = Ir.Types.Neg; a });
-    Ir.Instr.Var dst
-  | Ast.Bitnot ->
-    let a = lower_expr st a in
-    let dst = fresh_var st ~width:(width_of_operand a) "t_not" in
-    emit st (Ir.Instr.Un { dst; op = Ir.Types.Not; a });
-    Ir.Instr.Var dst
-  | Ast.Lognot ->
-    let a = lower_expr st a in
-    let dst = fresh_var st ~width:1 "t_lnot" in
-    emit st (Ir.Instr.Bin { dst; op = Ir.Types.Eq; a; b = Ir.Instr.Imm 0 });
-    Hashtbl.replace st.bool_vars dst.Ir.Instr.vid ();
-    Ir.Instr.Var dst
+  | Ast.Neg -> lower_un st Ir.Types.Neg "t_neg" (lower_expr st a)
+  | Ast.Bitnot -> lower_un st Ir.Types.Not "t_not" (lower_expr st a)
+  | Ast.Lognot -> lower_bool st Ir.Types.Eq "t_lnot" (lower_expr st a) (Ir.Instr.Imm 0)
 
 and as_bool st op =
   if is_bool_operand st op then op
-  else begin
-    let dst = fresh_var st ~width:1 "t_bool" in
-    emit st (Ir.Instr.Bin { dst; op = Ir.Types.Ne; a = op; b = Ir.Instr.Imm 0 });
-    Hashtbl.replace st.bool_vars dst.Ir.Instr.vid ();
-    Ir.Instr.Var dst
-  end
+  else lower_bool st Ir.Types.Ne "t_bool" op (Ir.Instr.Imm 0)
 
 and lower_binary st op a b =
   match op with
@@ -173,31 +124,25 @@ and lower_binary st op a b =
     let a = as_bool st (lower_expr st a) in
     let b = as_bool st (lower_expr st b) in
     let ir_op = if op = Ast.Land then Ir.Types.And else Ir.Types.Or in
-    let dst = fresh_var st ~width:1 "t_log" in
-    emit st (Ir.Instr.Bin { dst; op = ir_op; a; b });
-    Hashtbl.replace st.bool_vars dst.Ir.Instr.vid ();
-    Ir.Instr.Var dst
+    lower_bool st ir_op "t_log" a b
   | Ast.Mul ->
     let a = lower_expr st a and b = lower_expr st b in
-    let dst = fresh_var st ~width:(result_width Ast.Mul a b) "t_mul" in
-    emit st (Ir.Instr.Mul { dst; a; b });
-    Ir.Instr.Var dst
+    Ir.Instr.Var (B.mul ~width:(Ir.Instr.mul_width a b) st.b "t_mul" a b)
   | Ast.Div ->
     let a = lower_expr st a and b = lower_expr st b in
-    let dst = fresh_var st ~width:(result_width Ast.Div a b) "t_div" in
-    emit st (Ir.Instr.Div { dst; a; b });
+    let dst = B.fresh_var ~width:(Ir.Instr.div_width a b) st.b "t_div" in
+    B.emit st.b (Ir.Instr.Div { dst; a; b });
     Ir.Instr.Var dst
   | Ast.Mod ->
     let a = lower_expr st a and b = lower_expr st b in
-    let dst = fresh_var st ~width:(result_width Ast.Mod a b) "t_mod" in
-    emit st (Ir.Instr.Rem { dst; a; b });
+    let dst = B.fresh_var ~width:(Ir.Instr.div_width a b) st.b "t_mod" in
+    B.emit st.b (Ir.Instr.Rem { dst; a; b });
     Ir.Instr.Var dst
   | other -> (
     match alu_of_binop other with
     | Some ir_op ->
       let a = lower_expr st a and b = lower_expr st b in
-      let dst = fresh_var st ~width:(result_width other a b) "t" in
-      emit st (Ir.Instr.Bin { dst; op = ir_op; a; b });
+      let dst = B.bin ~width:(Ir.Instr.alu_width ir_op a b) st.b ir_op "t" a b in
       if is_comparison other then Hashtbl.replace st.bool_vars dst.Ir.Instr.vid ();
       Ir.Instr.Var dst
     | None -> assert false)
@@ -209,30 +154,30 @@ let lower_expr_into st (dst : Ir.Instr.var) (e : Ast.expr) =
   | Ast.Binary (op, a, b) when alu_of_binop op <> None && op <> Ast.Land && op <> Ast.Lor ->
     let ir_op = Option.get (alu_of_binop op) in
     let a = lower_expr st a and b = lower_expr st b in
-    emit st (Ir.Instr.Bin { dst; op = ir_op; a; b });
+    B.emit st.b (Ir.Instr.Bin { dst; op = ir_op; a; b });
     if is_comparison op then Hashtbl.replace st.bool_vars dst.Ir.Instr.vid ()
     else Hashtbl.remove st.bool_vars dst.Ir.Instr.vid
   | Ast.Binary (Ast.Mul, a, b) ->
     let a = lower_expr st a and b = lower_expr st b in
     Hashtbl.remove st.bool_vars dst.Ir.Instr.vid;
-    emit st (Ir.Instr.Mul { dst; a; b })
+    B.emit st.b (Ir.Instr.Mul { dst; a; b })
   | Ast.Binary (Ast.Div, a, b) ->
     let a = lower_expr st a and b = lower_expr st b in
     Hashtbl.remove st.bool_vars dst.Ir.Instr.vid;
-    emit st (Ir.Instr.Div { dst; a; b })
+    B.emit st.b (Ir.Instr.Div { dst; a; b })
   | Ast.Binary (Ast.Mod, a, b) ->
     let a = lower_expr st a and b = lower_expr st b in
     Hashtbl.remove st.bool_vars dst.Ir.Instr.vid;
-    emit st (Ir.Instr.Rem { dst; a; b })
+    B.emit st.b (Ir.Instr.Rem { dst; a; b })
   | Ast.Index (arr, ix) ->
     let index = lower_expr st ix in
     Hashtbl.remove st.bool_vars dst.Ir.Instr.vid;
-    emit st (Ir.Instr.Load { dst; arr; index })
+    B.emit st.b (Ir.Instr.Load { dst; arr; index })
   | _ ->
     let src = lower_expr st e in
     if is_bool_operand st src then Hashtbl.replace st.bool_vars dst.Ir.Instr.vid ()
     else Hashtbl.remove st.bool_vars dst.Ir.Instr.vid;
-    emit st (Ir.Instr.Mov { dst; src })
+    B.emit st.b (Ir.Instr.Mov { dst; src })
 
 (* --- statements ---------------------------------------------------------- *)
 
@@ -242,12 +187,12 @@ let rec lower_stmt st (s : Ast.stmt) =
     let v = source_var st name ~width in
     match init with
     | Some e -> lower_expr_into st v e
-    | None -> emit st (Ir.Instr.Mov { dst = v; src = Ir.Instr.Imm 0 }))
+    | None -> B.emit st.b (Ir.Instr.Mov { dst = v; src = Ir.Instr.Imm 0 }))
   | Ast.Assign { name; value } -> lower_expr_into st (lookup_var st name) value
   | Ast.Array_assign { arr; index; value } ->
     let index = lower_expr st index in
     let value = lower_expr st value in
-    emit st (Ir.Instr.Store { arr; index; value })
+    B.emit st.b (Ir.Instr.Store { arr; index; value })
   | Ast.If { cond; then_branch; else_branch } ->
     let cond_op = lower_expr st cond in
     let then_l = new_label st "then" in
@@ -318,21 +263,7 @@ and lower_stmts st stmts = List.iter (lower_stmt st) stmts
 
 (* --- program ------------------------------------------------------------- *)
 
-let array_decl_of_global = function
-  | Ast.Global_array { gname; size; ginit; is_const; gelem_width } ->
-    let init =
-      Option.map
-        (fun vals ->
-          let arr = Array.make size 0 in
-          List.iteri (fun i v -> if i < size then arr.(i) <- v) vals;
-          arr)
-        ginit
-    in
-    Some
-      { Ir.Cdfg.aname = gname; size; init; is_const; elem_width = gelem_width }
-  | Ast.Global_scalar _ -> None
-
-let program ?name (prog : Ast.program) =
+let program ?(name = "minic") (prog : Ast.program) =
   let main =
     match prog.Ast.funcs with
     | [ f ] when f.Ast.fname = "main" -> f
@@ -340,30 +271,32 @@ let program ?name (prog : Ast.program) =
   in
   let st =
     {
-      next_var = 0;
+      b = B.create ();
       next_label = 0;
       vars = Hashtbl.create 64;
       bool_vars = Hashtbl.create 64;
-      pending = [];
       current_label = "entry";
       block_open = true;
-      blocks = [];
     }
   in
   (* global scalar initialisation belongs to the entry block *)
   List.iter
-    (fun g ->
-      match g with
+    (function
       | Ast.Global_scalar { gname; gwidth; gvalue } ->
         let v = source_var st gname ~width:gwidth in
-        emit st (Ir.Instr.Mov { dst = v; src = Ir.Instr.Imm (Option.value gvalue ~default:0) })
-      | Ast.Global_array _ -> ())
+        B.emit st.b
+          (Ir.Instr.Mov { dst = v; src = Ir.Instr.Imm (Option.value gvalue ~default:0) })
+      | Ast.Global_array { gname; size; ginit; is_const; gelem_width } ->
+        let init =
+          Option.map
+            (fun vals ->
+              let arr = Array.make size 0 in
+              List.iteri (fun i v -> if i < size then arr.(i) <- v) vals;
+              arr)
+            ginit
+        in
+        B.declare_array ?init ~is_const ~elem_width:gelem_width st.b gname size)
     prog.Ast.globals;
   lower_stmts st main.Ast.body;
   if st.block_open then finish st (Ir.Block.Return None);
-  let blocks = List.rev st.blocks in
-  let arrays = List.filter_map array_decl_of_global prog.Ast.globals in
-  let cdfg_name =
-    match name with Some n -> n | None -> "minic"
-  in
-  Ir.Cdfg.make ~name:cdfg_name ~arrays (Ir.Cfg.of_blocks blocks)
+  B.cdfg ~name st.b

@@ -1,5 +1,4 @@
 module Engine = Hypar_core.Engine
-module Platform = Hypar_core.Platform
 
 type t = {
   healthy : Engine.t;
@@ -25,18 +24,6 @@ let of_runs ~healthy ~degraded =
       /. float_of_int healthy.Engine.final.Engine.t_total
   in
   { healthy; degraded; fallback_kernels; t_total_delta; slowdown_percent }
-
-let run ?comm_pricing ?cgc_pipelining ?granularity (spec : Fault.spec)
-    (platform : Platform.t) ~timing_constraint cdfg profile =
-  match Degrade.apply spec platform with
-  | Error _ as e -> e
-  | Ok degraded_platform ->
-    Hypar_obs.Span.with_ ~cat:"resilience" "resilience.delta" @@ fun () ->
-    let go p =
-      Engine.run ?comm_pricing ?cgc_pipelining ?granularity p
-        ~timing_constraint cdfg profile
-    in
-    Ok (of_runs ~healthy:(go platform) ~degraded:(go degraded_platform))
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>degradation delta for %s:@,"

@@ -13,7 +13,6 @@ type config = {
   max_retries : int;
   grace_ms : int;
   fuel : int;
-  compare_baseline : bool;
 }
 
 let default_config =
@@ -27,7 +26,6 @@ let default_config =
     max_retries = 1;
     grace_ms = 2000;
     fuel = 50_000;
-    compare_baseline = true;
   }
 
 type report = {
@@ -315,7 +313,7 @@ let run (cfg : config) =
        inline session does: byte-identical responses (modulo completion
        order, which was never deterministic for jobs > 1). *)
     let baseline_match, failures =
-      if chaos_active || not cfg.compare_baseline then (None, failures)
+      if chaos_active then (None, failures)
       else begin
         let base_out, _ = run_server cfg ~supervised:false lines in
         let base = response_lines base_out in

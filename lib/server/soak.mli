@@ -30,15 +30,12 @@ type config = {
   max_retries : int;
   grace_ms : int;  (** wedge-detection grace of the supervised pool *)
   fuel : int;  (** per-request interpreter fuel cap *)
-  compare_baseline : bool;
-      (** run the chaos-free baseline comparison (ignored when chaos is
-          active) *)
 }
 
 val default_config : config
 (** seed 0, 100 requests, 60 s budget, 4 jobs, {!Chaos.default}, no
     corpus, 1 retry, 2 s grace (comfortably above the longest
-    legitimate poll gap), 50k fuel, baseline comparison on. *)
+    legitimate poll gap), 50k fuel. *)
 
 type report = {
   seed : int;

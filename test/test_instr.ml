@@ -1,5 +1,5 @@
 (* Unit tests for Hypar_ir.Instr: def/use sets, classification, the
-   operand rewriter, the constant rule, printing. *)
+   operand rewriter, the constant rule, the width rule, printing. *)
 
 module Ir = Hypar_ir
 
@@ -131,6 +131,52 @@ let test_eval () =
     (fun (what, i, want) -> Alcotest.(check (option int)) what want (Ir.Instr.eval value i))
     cases
 
+(* The width rule both frontends size registers with.  A bytecode
+   [.local] may be up to 64 bits wide: ALU, [mul], [div] and [neg]
+   results clamp to 32, while [select], [not] and [abs] keep the widest
+   operand. *)
+let test_widths () =
+  let module I = Ir.Instr in
+  let r w = I.Var { I.vname = "r"; vid = 0; vwidth = w } in
+  let cases =
+    [
+      ("int 0", I.width_of_int 0, 1);
+      ("int 1", I.width_of_int 1, 2);
+      ("int -1", I.width_of_int (-1), 2);
+      ("int 127", I.width_of_int 127, 8);
+      ("int -128", I.width_of_int (-128), 9);
+      ("int 32767", I.width_of_int 32767, 16);
+      ("int 2^31", I.width_of_int (1 lsl 31), 32);
+      ("int max_int", I.width_of_int max_int, 32);
+      ("int min_int", I.width_of_int min_int, 32);
+      ("operand r64", I.width_of_operand (r 64), 64);
+      ("operand imm 255", I.width_of_operand (I.Imm 255), 9);
+      ("add 16 16", I.alu_width Ir.Types.Add (r 16) (r 16), 17);
+      ("add 32 32", I.alu_width Ir.Types.Add (r 32) (r 32), 32);
+      ("add 64 48", I.alu_width Ir.Types.Add (r 64) (r 48), 32);
+      ("sub 8 imm 1", I.alu_width Ir.Types.Sub (r 8) (I.Imm 1), 9);
+      ("and 64 8", I.alu_width Ir.Types.And (r 64) (r 8), 32);
+      ("shl 8 imm 3", I.alu_width Ir.Types.Shl (r 8) (I.Imm 3), 8);
+      ("min 64 48", I.alu_width Ir.Types.Min (r 64) (r 48), 32);
+      ("lt 64 48", I.alu_width Ir.Types.Lt (r 64) (r 48), 1);
+      ("eq 8 imm 0", I.alu_width Ir.Types.Eq (r 8) (I.Imm 0), 1);
+      ("mul 8 8", I.mul_width (r 8) (r 8), 16);
+      ("mul 16 imm 3", I.mul_width (r 16) (I.Imm 3), 19);
+      ("mul 64 48", I.mul_width (r 64) (r 48), 32);
+      ("div 8 imm 100", I.div_width (r 8) (I.Imm 100), 8);
+      ("div 64 8", I.div_width (r 64) (r 8), 32);
+      ("neg 8", I.un_width Ir.Types.Neg (r 8), 9);
+      ("neg imm -128", I.un_width Ir.Types.Neg (I.Imm (-128)), 10);
+      ("neg 64", I.un_width Ir.Types.Neg (r 64), 32);
+      ("not 8", I.un_width Ir.Types.Not (r 8), 8);
+      ("not 64", I.un_width Ir.Types.Not (r 64), 64);
+      ("abs 48", I.un_width Ir.Types.Abs (r 48), 48);
+      ("select 8 imm 1000", I.select_width (r 8) (I.Imm 1000), 11);
+      ("select 64 8", I.select_width (r 64) (r 8), 64);
+    ]
+  in
+  List.iter (fun (what, got, want) -> Alcotest.(check int) what want got) cases
+
 let test_pp () =
   let x = v "x" 0 and a = v "a" 1 in
   let bin = Ir.Instr.Bin { dst = x; op = Ir.Types.Add; a = Var a; b = Imm 1 } in
@@ -147,4 +193,5 @@ let suite =
     Alcotest.test_case "pretty-printing" `Quick test_pp;
     Alcotest.test_case "map_operands" `Quick test_map_operands;
     Alcotest.test_case "eval" `Quick test_eval;
+    Alcotest.test_case "widths" `Quick test_widths;
   ]

@@ -155,13 +155,15 @@ let test_dead_node_avoided () =
 let test_ofdm_degraded_partition () =
   let prepared = Hypar_apps.Ofdm.prepared () in
   let s = parse_exn "seed 1\ndead-node 0 0 0 both\ndead-cgc 1" in
-  match
-    Delta.run s (platform ())
-      ~timing_constraint:Hypar_apps.Ofdm.timing_constraint
+  let go p =
+    Engine.run p ~timing_constraint:Hypar_apps.Ofdm.timing_constraint
       prepared.Flow.cdfg prepared.Flow.profile
-  with
+  in
+  let healthy = platform () in
+  match Degrade.apply s healthy with
   | Error e -> Alcotest.fail e
-  | Ok d ->
+  | Ok degraded ->
+    let d = Delta.of_runs ~healthy:(go healthy) ~degraded:(go degraded) in
     Alcotest.(check bool) "degradation never speeds things up" true
       (d.Delta.t_total_delta >= 0);
     Alcotest.(check bool) "slowdown percent consistent" true

@@ -112,7 +112,6 @@ let soak_with ?(grace = 2000) ?(count = 8) chaos =
       jobs = 2;
       chaos;
       grace_ms = grace;
-      compare_baseline = false;
     }
   in
   match Soak.run cfg with
