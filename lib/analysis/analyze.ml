@@ -399,8 +399,8 @@ let check_unreachable cfg acc =
   !acc
 
 let check_constant_branches cfg acc =
-  let module C = Dataflow.Consts in
-  let sol = Dataflow.solve (module C) cfg in
+  let consts = Dataflow.Consts.analysis cfg in
+  let sol = Dataflow.solve consts cfg in
   let reachable = Ir.Cfg.reachable cfg in
   let acc = ref acc in
   for i = 0 to Ir.Cfg.block_count cfg - 1 do
@@ -417,7 +417,7 @@ let check_constant_branches cfg acc =
             match cond with
             | Ir.Instr.Imm n -> Some n
             | Ir.Instr.Var v ->
-              C.find v.Ir.Instr.vid (Dataflow.term_fact (module C) cfg sol i)
+              Dataflow.Consts.find v.Ir.Instr.vid (Dataflow.term_fact consts cfg sol i)
           in
           match value with
           | Some n ->

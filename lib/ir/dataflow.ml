@@ -305,146 +305,415 @@ module Avail = struct
     | Known s -> Exprs.holder tbl e s
 end
 
+(* --- liveness ------------------------------------------------------------ *)
+
+(* [f] on each register [instr] reads, without building a list *)
+let iter_reads f instr =
+  ignore
+    (Instr.map_operands
+       (fun op ->
+         (match op with Instr.Var v -> f v | Instr.Imm _ -> ());
+         op)
+       instr)
+
+(* the largest register id block [b] mentions, or -1 *)
+let block_top (b : Block.t) =
+  let top = ref (-1) in
+  let see (v : Instr.var) = if v.Instr.vid > !top then top := v.vid in
+  List.iter
+    (fun instr ->
+      Option.iter see (Instr.def instr);
+      iter_reads see instr)
+    b.Block.instrs;
+  List.iter see (Block.terminator_uses b);
+  !top
+
+module Liveness = struct
+  type live = Bitset.t
+
+  (* block [b]'s instructions and terminator folded into one gen/kill
+     pair over [n] ids, in = (out \ kill) ∪ gen: gen holds the reads no
+     earlier def in the block shadows (the terminator's included), kill
+     every def *)
+  let summarise n (b : Block.t) =
+    let gen = Bitset.create n and kill = Bitset.create n in
+    let read (v : Instr.var) =
+      if not (Bitset.mem kill v.Instr.vid) then Bitset.add gen v.Instr.vid
+    in
+    List.iter
+      (fun instr ->
+        iter_reads read instr;
+        Option.iter
+          (fun (d : Instr.var) -> Bitset.add kill d.Instr.vid)
+          (Instr.def instr))
+      b.Block.instrs;
+    List.iter read (Block.terminator_uses b);
+    (gen, kill)
+
+  let with_read op live =
+    match op with
+    | Instr.Var v ->
+      let s = Bitset.copy live in
+      Bitset.add s v.Instr.vid;
+      s
+    | Instr.Imm _ -> live
+
+  (* the lattice over [n] ids whose blocks transfer through [summaries] *)
+  let lattice n summaries : (module ANALYSIS with type t = live) =
+    (module struct
+      type t = live
+
+      let name = "liveness"
+      let direction = Backward
+      let init = Bitset.create n
+      let boundary = init
+
+      (* facts are never written after they are made, so the solver's
+         fold over successors, which starts from [init], can share the
+         first one *)
+      let join a b = if a == init then b else Bitset.union a b
+      let equal = Bitset.equal
+
+      (* live-before = uses ∪ (live-after \ def) *)
+      let transfer _ instr live =
+        let s = Bitset.copy live in
+        Option.iter
+          (fun (d : Instr.var) -> Bitset.remove s d.Instr.vid)
+          (Instr.def instr);
+        List.iter
+          (fun (v : Instr.var) -> Bitset.add s v.Instr.vid)
+          (Instr.used_vars instr);
+        s
+
+      let transfer_term _ term live =
+        match term with
+        | Block.Jump _ | Block.Return None -> live
+        | Block.Branch { cond = op; _ } | Block.Return (Some op) ->
+          with_read op live
+
+      let transfer_block =
+        Some
+          (fun i live ->
+            let gen, kill = summaries.(i) in
+            let s = Bitset.copy live in
+            Bitset.diff_into s kill;
+            Bitset.union_into s gen;
+            s)
+
+      let edge = None
+      let widen = None
+    end)
+
+  (* This domain's last summarised CFG: its blocks, each one's largest
+     register id and summary over the universe [n], and its solution once
+     one was solved. *)
+  type memo = {
+    blocks : Block.t array;
+    tops : int array;
+    n : int;
+    summaries : (Bitset.t * Bitset.t) array;
+    mutable sol : live solution option;
+  }
+
+  let last =
+    Domain.DLS.new_key (fun () ->
+        { blocks = [||]; tops = [||]; n = 0; summaries = [||]; sol = None })
+
+  let count name by =
+    if Hypar_obs.Sink.enabled () then
+      Hypar_obs.Counter.incr ("dataflow.liveness." ^ name) ~by
+
+  let shares m blocks =
+    Array.length m.blocks = Array.length blocks
+    && Array.for_all2 ( == ) m.blocks blocks
+
+  (* [cfg]'s memo: the last one when it has all of [cfg]'s blocks, else
+     one keeping the top of each block physically the last one's at the
+     same index, and its summary while the universe stays the same *)
+  let memo cfg =
+    let blocks = Cfg.blocks cfg and m = Domain.DLS.get last in
+    if shares m blocks then m
+    else begin
+      let kept i = i < Array.length m.blocks && m.blocks.(i) == blocks.(i) in
+      let tops =
+        Array.mapi (fun i b -> if kept i then m.tops.(i) else block_top b) blocks
+      in
+      let n = 1 + Array.fold_left max (-1) tops and reused = ref 0 in
+      let summaries =
+        Array.mapi
+          (fun i b ->
+            if kept i && m.n = n then (incr reused; m.summaries.(i)) else summarise n b)
+          blocks
+      in
+      if !reused > 0 then count "summaries_reused" !reused;
+      let m = { blocks; tops; n; summaries; sol = None } in
+      Domain.DLS.set last m;
+      m
+    end
+
+  let analysis cfg =
+    let m = memo cfg in
+    lattice m.n m.summaries
+
+  let solve cfg =
+    match Domain.DLS.get last with
+    | { sol = Some sol; _ } as m when shares m (Cfg.blocks cfg) ->
+      count "reused" 1;
+      sol
+    | _ ->
+      observed "liveness" (fun () ->
+          let m = memo cfg in
+          let sol = solve_raw (lattice m.n m.summaries) cfg in
+          m.sol <- Some sol;
+          sol)
+end
+
+(* --- dense forward environments ------------------------------------------ *)
+
+let varying = Instr.Var { Instr.vname = ""; vid = -1; vwidth = 0 }
+
+(* A fact of {!Consts} or {!Copies}: what each register holds, an operand
+   or [varying], by slot.  [slot] numbers first the registers whose facts
+   cross a block boundary (read in a block before any def there), then
+   the rest: a boundary fact's [vals] covers the former, and a replay
+   through a block extends it.  [cond] is what the branch condition of
+   the block a fact leaves holds, which the constant lattice's edge rule
+   reads. *)
+type env = { slot : int array; vals : Instr.operand array; cond : Instr.operand }
+type dense = Unreached | Env of env
+
+(* [cfg]'s facts of nothing, and its liveness summaries *)
+let env_of cfg =
+  let m = Liveness.memo cfg in
+  let crossing = Bitset.create m.n in
+  Array.iter (fun (gen, _) -> Bitset.union_into crossing gen) m.summaries;
+  let slot = Array.make m.n (-1) and count = ref 0 in
+  let number vid =
+    slot.(vid) <- !count;
+    incr count
+  in
+  Bitset.iter number crossing;
+  let vals = Array.make !count varying in
+  Array.iteri (fun vid s -> if s < 0 then number vid) slot;
+  ({ slot; vals; cond = varying }, m.summaries)
+
+let lookup e vid =
+  if vid < Array.length e.slot && e.slot.(vid) < Array.length e.vals then
+    e.vals.(e.slot.(vid))
+  else varying
+
+let seed = function Unreached -> fun _ -> varying | Env e -> lookup e
+
+(* for a replay: [e] with register [vid] holding [x] *)
+let assign e vid x =
+  let s = e.slot.(vid) in
+  let grown = Array.make (max 0 (s + 1 - Array.length e.vals)) varying in
+  let vals = Array.append e.vals grown in
+  vals.(s) <- x;
+  { e with vals }
+
+let same a b =
+  a == b
+  ||
+  match (a, b) with
+  | Instr.Var v1, Instr.Var v2 -> Instr.var_equal v1 v2
+  | Instr.Imm n1, Instr.Imm n2 -> n1 = n2
+  | (Instr.Var _ | Instr.Imm _), (Instr.Var _ | Instr.Imm _) -> false
+
+(* the first slot at or after [s] where [a] and [b] differ, or -1 *)
+let rec differs a b s =
+  if a == b || s = Array.length a then -1
+  else if same a.(s) b.(s) then differs a b (s + 1)
+  else s
+
+(* The lattice over the slots of [empty]: [Unreached] is neutral in the
+   join (unvisited), and a slot keeps a fact where both sides agree.
+   [replay e instr] is the per-instruction transfer and [through i e] the
+   solver's transfer of block [i]. *)
+let dense_analysis name empty ~replay ~through ~edge :
+    (module ANALYSIS with type t = dense) =
+  (module struct
+    type t = dense
+
+    let name = name
+    let direction = Forward
+    let init = Unreached
+    let boundary = Env empty
+
+    let join a b =
+      match (a, b) with
+      | Unreached, x | x, Unreached -> x
+      | Env e, Env f -> (
+        match differs e.vals f.vals 0 with
+        | -1 -> a
+        | s0 ->
+          let vals = Array.copy e.vals in
+          for s = s0 to Array.length vals - 1 do
+            if not (same vals.(s) f.vals.(s)) then vals.(s) <- varying
+          done;
+          Env { e with vals })
+
+    let equal a b =
+      match (a, b) with
+      | Unreached, Unreached -> true
+      | Env e, Env f -> differs e.vals f.vals 0 < 0 && same e.cond f.cond
+      | Unreached, Env _ | Env _, Unreached -> false
+
+    let transfer _ instr = function
+      | Unreached -> Unreached
+      | Env e -> Env (replay e instr)
+
+    let transfer_term _ _ t = t
+
+    let transfer_block =
+      Some (fun i -> function Unreached -> Unreached | Env e -> Env (through i e))
+
+    let edge = edge
+    let widen = None
+  end)
+
 (* --- constant lattice ---------------------------------------------------- *)
 
 module Consts = struct
-  type consts = Unreached | Env of int Int_map.t
-  type t = consts
+  type consts = dense = Unreached | Env of env
 
-  let name = "consts"
-  let direction = Forward
-  let init = Unreached
-  let boundary = Env Int_map.empty
-
-  let join a b =
-    match (a, b) with
-    | Unreached, x | x, Unreached -> x
-    | Env m1, Env m2 ->
-      Env
-        (Int_map.merge
-           (fun _ a b ->
-             match (a, b) with
-             | Some x, Some y when x = y -> Some x
-             | _ -> None)
-           m1 m2)
-
-  let equal a b =
-    match (a, b) with
-    | Unreached, Unreached -> true
-    | Env m1, Env m2 -> Int_map.equal ( = ) m1 m2
-    | Unreached, Env _ | Env _, Unreached -> false
-
-  let value m = function
-    | Instr.Imm n -> Some n
-    | Instr.Var v -> Int_map.find_opt v.Instr.vid m
-
-  (* the folding rule of {!Instr.eval}, which const folding shares *)
-  let transfer _ instr t =
-    match (t, Instr.def instr) with
-    | Unreached, _ -> Unreached
-    | Env _, None -> t
-    | Env m, Some d -> (
-      match Instr.eval (value m) instr with
-      | Some n -> Env (Int_map.add d.Instr.vid n m)
-      | None -> Env (Int_map.remove d.Instr.vid m))
-
-  let transfer_term _ _ t = t
-  let transfer_block = None
+  (* Both transfers fold through {!Instr.eval}, the rule const folding
+     shares. *)
+  let replay e instr =
+    match Instr.def instr with
+    | None -> e
+    | Some d ->
+      let value = function
+        | Instr.Imm n -> Some n
+        | Instr.Var v -> (
+          match lookup e v.Instr.vid with Instr.Imm n -> Some n | Instr.Var _ -> None)
+      in
+      assign e d.Instr.vid
+        (match Instr.eval value instr with Some n -> Instr.Imm n | None -> varying)
 
   (* conditional constant propagation: the not-taken side of a branch
      whose condition is a known constant contributes nothing *)
-  let edge =
-    Some
-      (fun (pred : Block.t) target v ->
-        match v with
-        | Unreached -> Unreached
-        | Env m -> (
-          match pred.Block.term with
-          | Block.Branch { cond; if_true; if_false } when if_true <> if_false
-            -> (
-            match value m cond with
-            | Some c ->
-              let taken = if c <> 0 then if_true else if_false in
-              if target = taken then v else Unreached
-            | None -> v)
-          | Block.Branch _ | Block.Jump _ | Block.Return _ -> v))
+  let edge (pred : Block.t) target = function
+    | Unreached -> Unreached
+    | Env e as v -> (
+      match pred.Block.term with
+      | Block.Branch { cond; if_true; if_false } when if_true <> if_false -> (
+        match match cond with Instr.Var _ -> e.cond | Instr.Imm _ -> cond with
+        | Instr.Imm c ->
+          if String.equal target (if c <> 0 then if_true else if_false) then v
+          else Unreached
+        | Instr.Var _ -> v)
+      | Block.Branch _ | Block.Jump _ | Block.Return _ -> v)
 
-  let widen = None
+  (* the known values of the registers without a boundary slot, while a
+     block is transferred *)
+  let locals : int Regs.key = Regs.per_domain 0
 
-  let find vid = function
-    | Unreached -> None
-    | Env m -> Int_map.find_opt vid m
+  let analysis cfg =
+    let empty, _ = env_of cfg in
+    (* the slots in a copy, the other registers in a scratch map *)
+    let through i e =
+      let b = Cfg.block cfg i and vals = Array.copy e.vals in
+      let local = Regs.fresh locals in
+      let g = Array.length vals in
+      let value = function
+        | Instr.Imm n -> Some n
+        | Instr.Var v -> (
+          let s = e.slot.(v.Instr.vid) in
+          if s >= g then
+            if Regs.mem local v.vid then Some (Regs.get local v.vid) else None
+          else match vals.(s) with Instr.Imm n -> Some n | Instr.Var _ -> None)
+      in
+      List.iter
+        (fun instr ->
+          match Instr.def instr with
+          | None -> ()
+          | Some d -> (
+            let s = e.slot.(d.Instr.vid) in
+            match Instr.eval value instr with
+            | Some n -> if s < g then vals.(s) <- Instr.Imm n else Regs.set local d.vid n
+            | None -> if s < g then vals.(s) <- varying else Regs.remove local d.vid))
+        b.Block.instrs;
+      let cond =
+        match b.Block.term with
+        | Block.Branch { cond; _ } -> (
+          match value cond with Some c -> Instr.Imm c | None -> varying)
+        | Block.Jump _ | Block.Return _ -> varying
+      in
+      { e with vals; cond }
+    in
+    dense_analysis "consts" empty ~replay ~through ~edge:(Some edge)
+
+  (* the slots, too, found inside the span *)
+  let solve cfg = observed "consts" (fun () -> solve_raw (analysis cfg) cfg)
+
+  let find vid t =
+    match seed t vid with Instr.Imm n -> Some n | Instr.Var _ -> None
 end
 
 (* --- copy lattice -------------------------------------------------------- *)
 
 module Copies = struct
-  type copies = All | Env of Instr.operand Int_map.t
-  type t = copies
+  (* a redefinition of [d] ends the copy into it and every copy from it *)
+  let from (d : Instr.var) = function
+    | Instr.Var v -> v.Instr.vid = d.Instr.vid
+    | Instr.Imm _ -> false
 
-  let name = "copies"
-  let direction = Forward
-  let init = All
-  let boundary = Env Int_map.empty
+  (* the copy [instr], which defines [d], makes *)
+  let copy_of instr (d : Instr.var) =
+    match instr with
+    | Instr.Mov { src; _ } when not (from d src) -> src
+    | Instr.Mov _ | Bin _ | Mul _ | Div _ | Rem _ | Un _ | Select _ | Load _
+    | Store _ ->
+      varying
 
-  let operand_equal a b =
-    match (a, b) with
-    | Instr.Var v1, Instr.Var v2 -> Instr.var_equal v1 v2
-    | Instr.Imm n1, Instr.Imm n2 -> n1 = n2
-    | (Instr.Var _ | Instr.Imm _), (Instr.Var _ | Instr.Imm _) -> false
+  let replay e instr =
+    match Instr.def instr with
+    | None -> e
+    | Some d ->
+      let vals = Array.map (fun x -> if from d x then varying else x) e.vals in
+      assign { e with vals } d.Instr.vid (copy_of instr d)
 
-  let join a b =
-    match (a, b) with
-    | All, x | x, All -> x
-    | Env m1, Env m2 ->
-      Env
-        (Int_map.merge
-           (fun _ a b ->
-             match (a, b) with
-             | Some s1, Some s2 when operand_equal s1 s2 -> Some s1
-             | _ -> None)
-           m1 m2)
+  (* per boundary slot block [b] defines, the copy it holds at the exit *)
+  let gen e (b : Block.t) =
+    List.fold_left
+      (fun gen instr ->
+        match Instr.def instr with
+        | None -> gen
+        | Some d ->
+          let s = e.slot.(d.Instr.vid) in
+          let gen =
+            List.filter_map
+              (fun (s', x) ->
+                if s' = s then None else Some (s', if from d x then varying else x))
+              gen
+          in
+          if s < Array.length e.vals then (s, copy_of instr d) :: gen else gen)
+      [] b.Block.instrs
 
-  let equal a b =
-    match (a, b) with
-    | All, All -> true
-    | Env m1, Env m2 -> Int_map.equal operand_equal m1 m2
-    | All, Env _ | Env _, All -> false
+  (* each block as one gen/kill pair: a def (in the liveness kill set)
+     ends every copy from it, then the block's own copies hold *)
+  let analysis cfg =
+    let empty, summaries = env_of cfg in
+    let gens = Array.map (gen empty) (Cfg.blocks cfg) in
+    let through i e =
+      let _, kill = summaries.(i) and vals = Array.copy e.vals in
+      for s = 0 to Array.length vals - 1 do
+        match vals.(s) with
+        | Instr.Var v as x when x != varying && Bitset.mem kill v.Instr.vid ->
+          vals.(s) <- varying
+        | Instr.Var _ | Instr.Imm _ -> ()
+      done;
+      List.iter (fun (s, x) -> vals.(s) <- x) gens.(i);
+      { e with vals }
+    in
+    dense_analysis "copies" empty ~replay ~through ~edge:None
 
-  (* a redefinition of [d] kills both the copy *of* d and every copy
-     *from* d *)
-  let kill m (d : Instr.var) =
-    Int_map.filter
-      (fun vid src ->
-        vid <> d.Instr.vid
-        &&
-        match src with
-        | Instr.Var v -> v.Instr.vid <> d.Instr.vid
-        | Instr.Imm _ -> true)
-      m
+  let solve cfg = observed "copies" (fun () -> solve_raw (analysis cfg) cfg)
 
-  let transfer _ instr t =
-    match t with
-    | All -> All
-    | Env m ->
-      Env
-        (match instr with
-        | Instr.Mov { dst; src } -> (
-          let m = kill m dst in
-          match src with
-          | Instr.Var v when v.Instr.vid = dst.Instr.vid -> m
-          | src -> Int_map.add dst.Instr.vid src m)
-        | instr -> (
-          match Instr.def instr with Some d -> kill m d | None -> m))
-
-  let transfer_term _ _ t = t
-  let transfer_block = None
-  let edge = None
-  let widen = None
-
-  let find vid = function
-    | All -> None
-    | Env m -> Int_map.find_opt vid m
+  let find vid t =
+    let x = seed t vid in
+    if x == varying then None else Some x
 end
 
 (* --- definite assignment ------------------------------------------------- *)
@@ -485,97 +754,3 @@ module Assigned = struct
   let mem vid = function All -> true | Known s -> Int_set.mem vid s
 end
 
-(* --- liveness ------------------------------------------------------------ *)
-
-module Liveness = struct
-  type live = Bitset.t
-
-  (* one past the largest register id the CFG mentions *)
-  let universe cfg =
-    let top = ref (-1) in
-    Array.iter
-      (Block.iter_vars (fun v -> if v.Instr.vid > !top then top := v.Instr.vid))
-      (Cfg.blocks cfg);
-    !top + 1
-
-  (* each block's instructions and terminator folded into one gen/kill
-     pair, in = (out \ kill) ∪ gen: gen holds the reads no earlier def in
-     the block shadows (the terminator's included), kill every def *)
-  let summarise n cfg =
-    Array.map
-      (fun (b : Block.t) ->
-        let gen = Bitset.create n and kill = Bitset.create n in
-        let read (v : Instr.var) =
-          if not (Bitset.mem kill v.Instr.vid) then Bitset.add gen v.Instr.vid
-        in
-        List.iter
-          (fun instr ->
-            List.iter read (Instr.used_vars instr);
-            Option.iter
-              (fun (d : Instr.var) -> Bitset.add kill d.Instr.vid)
-              (Instr.def instr))
-          b.Block.instrs;
-        List.iter read (Block.terminator_uses b);
-        (gen, kill))
-      (Cfg.blocks cfg)
-
-  let with_read op live =
-    match op with
-    | Instr.Var v ->
-      let s = Bitset.copy live in
-      Bitset.add s v.Instr.vid;
-      s
-    | Instr.Imm _ -> live
-
-  let analysis cfg : (module ANALYSIS with type t = live) =
-    let n = universe cfg in
-    (module struct
-      type t = live
-
-      let name = "liveness"
-      let direction = Backward
-      let init = Bitset.create n
-      let boundary = init
-
-      (* facts are never written after they are made, so the solver's
-         fold over successors, which starts from [init], can share the
-         first one *)
-      let join a b = if a == init then b else Bitset.union a b
-      let equal = Bitset.equal
-
-      (* live-before = uses ∪ (live-after \ def) *)
-      let transfer _ instr live =
-        let s = Bitset.copy live in
-        Option.iter
-          (fun (d : Instr.var) -> Bitset.remove s d.Instr.vid)
-          (Instr.def instr);
-        List.iter
-          (fun (v : Instr.var) -> Bitset.add s v.Instr.vid)
-          (Instr.used_vars instr);
-        s
-
-      let transfer_term _ term live =
-        match term with
-        | Block.Jump _ | Block.Return None -> live
-        | Block.Branch { cond = op; _ } | Block.Return (Some op) ->
-          with_read op live
-
-      (* forced inside the solve, so its span covers the summaries *)
-      let summaries = lazy (summarise n cfg)
-
-      let transfer_block =
-        Some
-          (fun i live ->
-            let gen, kill = (Lazy.force summaries).(i) in
-            let s = Bitset.copy live in
-            Bitset.diff_into s kill;
-            Bitset.union_into s gen;
-            s)
-
-      let edge = None
-      let widen = None
-    end)
-
-  (* the universe scan, too, inside the span *)
-  let solve cfg = observed "liveness" (fun () -> solve_raw (analysis cfg) cfg)
-end

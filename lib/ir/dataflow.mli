@@ -17,7 +17,8 @@
     are never visited and keep {!ANALYSIS.init} on both sides.  When the
     {!Hypar_obs} sink is enabled each solve runs under a
     [dataflow.<name>] span and publishes a
-    [dataflow.<name>.iterations] counter. *)
+    [dataflow.<name>.iterations] counter; a liveness solve that
+    {!Liveness.solve} reuses opens no span. *)
 
 type direction = Forward | Backward
 
@@ -122,11 +123,11 @@ module Int_set : Set.S with type elt = int
 
 (** {2 The classic global analyses}
 
-    Each is a plain module satisfying {!module-type:ANALYSIS}, so it can be
-    passed to {!solve} as [(module Consts)] and its [transfer] reused
-    directly by rewriting passes threading facts through a block —
-    except {!Avail} and {!Liveness}, whose facts are bitsets over one
-    CFG's ids, so their [analysis] builds the module per CFG. *)
+    {!Assigned} is a plain module satisfying {!module-type:ANALYSIS}, so
+    it can be passed to {!solve} as [(module Assigned)].  The others'
+    facts are over one CFG's ids, so their module is built per CFG:
+    bitsets for {!Avail} and {!Liveness}, dense arrays of operands for
+    {!Consts} and {!Copies}. *)
 
 (** Available expressions (forward, must): pure expressions already
     computed on every path, with the register still holding each result.
@@ -147,31 +148,54 @@ module Avail : sig
   (** The register holding an available expression id, if any. *)
 end
 
-(** Constant lattice (forward, conditional): registers with one known
-    compile-time value.  The {!ANALYSIS.edge} hook prunes branch edges
-    whose condition is a known constant, so code behind a statically
-    decided branch keeps (rather than pollutes) the constant facts. *)
-module Consts : sig
-  type consts =
-    | Unreached  (** bottom: no execution reaches this point *)
-    | Env of int Int_map.t  (** register id -> known value; absent = varying *)
+(** {2 Dense forward environments}
 
-  include ANALYSIS with type t = consts
+    The facts of {!Consts} and {!Copies}: what each register holds, an
+    operand or {!varying}.  Only a register some block reads before
+    defining it can carry a fact across a block boundary, so a boundary
+    fact is one array over those registers, numbered per CFG; a
+    constant fact also holds the value of the branch condition of the
+    block it leaves, which the edge rule reads.  A block transfer works
+    on one copy of that array; a replay through a block
+    ({!instr_facts}, {!term_fact}) also tracks the other registers it
+    defines.  A fact says nothing about any other register. *)
+
+type env
+
+type dense =
+  | Unreached  (** unvisited, or no execution reaches this point *)
+  | Env of env
+
+val varying : Instr.operand
+(** What a register with no fact holds: a variable with id [-1]. *)
+
+val seed : dense -> int -> Instr.operand
+(** [seed fact vid]: what register [vid] holds, [varying] when nothing
+    is known (always, for [Unreached]).  The global passes seed their
+    block rewrites with it. *)
+
+(** Constant lattice (forward, conditional): registers with one known
+    compile-time value ([Imm n]).  The {!ANALYSIS.edge} hook prunes
+    branch edges whose condition is a known constant, so code behind a
+    statically decided branch keeps (rather than pollutes) the constant
+    facts. *)
+module Consts : sig
+  type consts = dense = Unreached | Env of env
+
+  val analysis : Cfg.t -> (module ANALYSIS with type t = consts)
+  val solve : Cfg.t -> consts solution
+  (** [Dataflow.solve (analysis cfg) cfg], with the slots found inside
+      the span too. *)
 
   val find : int -> consts -> int option
 end
 
 (** Copy lattice (forward, must): registers currently holding an exact
     copy of another operand ([x = y] or [x = 7]).  A fact dies when
-    either side is redefined. *)
+    either side is redefined.  [Unreached] is the unvisited top. *)
 module Copies : sig
-  type copies =
-    | All  (** top: unvisited *)
-    | Env of Instr.operand Int_map.t
-
-  include ANALYSIS with type t = copies
-
-  val find : int -> copies -> Instr.operand option
+  val solve : Cfg.t -> dense solution
+  val find : int -> dense -> Instr.operand option
 end
 
 (** Definite assignment (forward, must): registers assigned on {e every}
@@ -199,12 +223,16 @@ module Liveness : sig
   (** the ids of the live registers, over one CFG's universe *)
 
   val analysis : Cfg.t -> (module ANALYSIS with type t = live)
-  (** The lattice over the register ids of this CFG.  Its
-      per-instruction [transfer] copies the set (fine for
-      {!instr_facts}); the solver uses the block summaries, built on the
-      solve's first block transfer. *)
+  (** The lattice over the register ids of this CFG, with the block
+      summaries {!solve} keeps.  Its per-instruction [transfer] copies
+      the set (fine for {!instr_facts}); the solver uses the summaries. *)
 
   val solve : Cfg.t -> live solution
   (** [Dataflow.solve (analysis cfg) cfg], with the lattice built inside
-      the span too. *)
+      the span too, paying only for what changed since this domain's
+      last summarised CFG.  A block physically ([==]) that CFG's block
+      at the same index keeps its summary while the register universe
+      stays the same; a CFG whose blocks are all the last solve's
+      returns that solve itself, without a span.  The facts of a
+      solution are therefore shared: no caller may mutate one. *)
 end

@@ -86,12 +86,12 @@ let map_blocks f cdfg = mapi_blocks (fun _ b -> f b) cdfg
    fact, read from the seed on demand, so a seed costs nothing for the
    registers a block never reads. *)
 let no_reg = { Instr.vname = ""; vid = -1; vwidth = 0 }
-let varying = Instr.Var no_reg
+let varying = Dataflow.varying
 
 (* register id -> [Imm n] for a known constant, or [varying] *)
 let block_consts : Instr.operand Regs.key = Regs.per_domain varying
 
-let const_fold_block ?(seed = Dataflow.Int_map.empty) (b : Block.t) =
+let const_fold_block ?(seed = Dataflow.seed Unreached) (b : Block.t) =
   let known = Regs.fresh block_consts in
   let subst op =
     match op with
@@ -99,10 +99,7 @@ let const_fold_block ?(seed = Dataflow.Int_map.empty) (b : Block.t) =
     | Instr.Var v ->
       if Regs.mem known v.vid then
         match Regs.get known v.vid with Imm _ as c -> c | Var _ -> op
-      else
-        match Dataflow.Int_map.find_opt v.vid seed with
-        | Some n -> Instr.Imm n
-        | None -> op
+      else match seed v.vid with Imm _ as c -> c | Var _ -> op
   in
   let forget (dst : Instr.var) = Regs.set known dst.vid varying in
   (* [dst] gets the constant [n]: the instruction becomes a move of it *)
@@ -289,7 +286,7 @@ let common_subexpressions cdfg = map_blocks cse_block cdfg
 let block_copies : Instr.operand Regs.key = Regs.per_domain varying
 let copy_readers : int list Regs.key = Regs.per_domain []
 
-let copy_propagate_block ?(seed = Dataflow.Int_map.empty) (b : Block.t) =
+let copy_propagate_block ?(seed = Dataflow.seed Unreached) (b : Block.t) =
   let copies = Regs.fresh block_copies and readers = Regs.fresh copy_readers in
   let subst op =
     match op with
@@ -300,10 +297,10 @@ let copy_propagate_block ?(seed = Dataflow.Int_map.empty) (b : Block.t) =
         if src == varying then op else src
       else
         (* an entry copy holds until the block redefines its source *)
-        match Dataflow.Int_map.find_opt v.vid seed with
-        | Some (Instr.Var s as src) when not (Regs.mem copies s.vid) -> src
-        | Some (Instr.Imm _ as src) -> src
-        | Some (Var _) | None -> op
+        match seed v.vid with
+        | Var s as src when src != varying && not (Regs.mem copies s.vid) -> src
+        | Imm _ as src -> src
+        | Var _ -> op
   in
   (* a redefinition of [dst] ends the copy into it and every copy from it *)
   let invalidate (dst : Instr.var) =
@@ -344,26 +341,21 @@ let copy_propagate cdfg = map_blocks (fun b -> copy_propagate_block b) cdfg
 (* Each global pass solves one {!Dataflow} analysis and re-runs the
    corresponding local rewrite seeded with the facts holding at block
    entry, so code straddling block boundaries optimises exactly like
-   straight-line code.  Blocks the analysis proves unreachable
-   ([Unreached]/[All] at entry) are rewritten without a seed: their facts
-   are vacuous and seeding from them would be meaningless. *)
+   straight-line code.  A block the analysis proves unreachable
+   ([Unreached] at entry) is seeded with nothing known: its facts are
+   vacuous and seeding from them would be meaningless. *)
 
 let global_const_propagate cdfg =
-  let sol = Dataflow.solve (module Dataflow.Consts) (Cdfg.cfg cdfg) in
+  let sol = Dataflow.Consts.solve (Cdfg.cfg cdfg) in
   mapi_blocks
-    (fun i b ->
-      match sol.Dataflow.at_entry.(i) with
-      | Dataflow.Consts.Env m -> const_fold_block ~seed:m b
-      | Dataflow.Consts.Unreached -> const_fold_block b)
+    (fun i b -> const_fold_block ~seed:(Dataflow.seed sol.Dataflow.at_entry.(i)) b)
     cdfg
 
 let global_copy_propagate cdfg =
-  let sol = Dataflow.solve (module Dataflow.Copies) (Cdfg.cfg cdfg) in
+  let sol = Dataflow.Copies.solve (Cdfg.cfg cdfg) in
   mapi_blocks
     (fun i b ->
-      match sol.Dataflow.at_entry.(i) with
-      | Dataflow.Copies.Env m -> copy_propagate_block ~seed:m b
-      | Dataflow.Copies.All -> copy_propagate_block b)
+      copy_propagate_block ~seed:(Dataflow.seed sol.Dataflow.at_entry.(i)) b)
     cdfg
 
 let global_cse cdfg =

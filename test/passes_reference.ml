@@ -4,8 +4,9 @@
    here builds a fresh block, local CSE reads the whole-CFG {!Exprs}
    table, dead-code elimination filters lists, and a pass decides that it
    changed nothing by comparing its blocks structurally.  The constant
-   lattice that global constant propagation solves is here too, folding
-   each instruction by its own case rather than by {!Instr.eval}.  [optimize]
+   and copy lattices that the global propagation passes solve are here
+   too, as maps over every register, the constant one folding each
+   instruction by its own case rather than by {!Instr.eval}.  [optimize]
    chains them exactly as the library pipeline does, without spans or
    verification; the library passes must serialise byte-identically to
    these, pass by pass and as a whole. *)
@@ -329,24 +330,50 @@ let copy_propagate_block ?(seed = []) (b : Block.t) =
 
 let copy_propagate cdfg = map_blocks (copy_propagate_block ?seed:None) cdfg
 
-(* --- the constant lattice, with its own folding rule ----------------------- *)
+(* --- the constant and copy lattices on maps ------------------------------ *)
 
-(* {!Dataflow.Consts} with the transfer it had before it shared
-   {!Instr.eval} with constant folding: each instruction folds here by its
-   own case.  The lattice, the boundary and the edge rule are the
-   production ones. *)
+module Int_map = Dataflow.Int_map
+
+(* {!Dataflow.Consts} as it was before its facts became dense arrays over
+   the registers that cross a block boundary: a map over every register
+   with a known value, with the transfer it had before it shared
+   {!Instr.eval} with constant folding, each instruction folding by its
+   own case. *)
 module Consts = struct
-  include Dataflow.Consts
+  type consts = Unreached | Env of int Int_map.t
+  type t = consts
+
+  let name = "consts"
+  let direction = Dataflow.Forward
+  let init = Unreached
+  let boundary = Env Int_map.empty
+
+  let join a b =
+    match (a, b) with
+    | Unreached, x | x, Unreached -> x
+    | Env m1, Env m2 ->
+      Env
+        (Int_map.merge
+           (fun _ a b ->
+             match (a, b) with
+             | Some x, Some y when x = y -> Some x
+             | _ -> None)
+           m1 m2)
+
+  let equal a b =
+    match (a, b) with
+    | Unreached, Unreached -> true
+    | Env m1, Env m2 -> Int_map.equal ( = ) m1 m2
+    | Unreached, Env _ | Env _, Unreached -> false
 
   let value m = function
     | Instr.Imm n -> Some n
-    | Instr.Var v -> Dataflow.Int_map.find_opt v.Instr.vid m
+    | Instr.Var v -> Int_map.find_opt v.Instr.vid m
 
   let set (d : Instr.var) v m =
     match v with
-    | Some n -> Dataflow.Int_map.add d.Instr.vid n m
-    | None -> Dataflow.Int_map.remove d.Instr.vid m
-
+    | Some n -> Int_map.add d.Instr.vid n m
+    | None -> Int_map.remove d.Instr.vid m
   (* divisions only fold on a non-zero constant divisor, selects only on
      a constant condition *)
   let transfer _ instr t =
@@ -394,7 +421,105 @@ module Consts = struct
             m
         | Instr.Load { dst; _ } -> set dst None m
         | Instr.Store _ -> m)
+
+  let transfer_term _ _ t = t
+  let transfer_block = None
+
+  (* conditional constant propagation: the not-taken side of a branch
+     whose condition is a known constant contributes nothing *)
+  let edge =
+    Some
+      (fun (pred : Block.t) target v ->
+        match v with
+        | Unreached -> Unreached
+        | Env m -> (
+          match pred.Block.term with
+          | Block.Branch { cond; if_true; if_false } when if_true <> if_false
+            -> (
+            match value m cond with
+            | Some c ->
+              let taken = if c <> 0 then if_true else if_false in
+              if target = taken then v else Unreached
+            | None -> v)
+          | Block.Branch _ | Block.Jump _ | Block.Return _ -> v))
+
+  let widen = None
+
+  let find vid = function
+    | Unreached -> None
+    | Env m -> Int_map.find_opt vid m
 end
+
+(* {!Dataflow.Copies} as a map over every register holding a copy. *)
+module Copies = struct
+  type copies = All | Env of Instr.operand Int_map.t
+  type t = copies
+
+  let name = "copies"
+  let direction = Dataflow.Forward
+  let init = All
+  let boundary = Env Int_map.empty
+
+  let operand_equal a b =
+    match (a, b) with
+    | Instr.Var v1, Instr.Var v2 -> Instr.var_equal v1 v2
+    | Instr.Imm n1, Instr.Imm n2 -> n1 = n2
+    | (Instr.Var _ | Instr.Imm _), (Instr.Var _ | Instr.Imm _) -> false
+
+  let join a b =
+    match (a, b) with
+    | All, x | x, All -> x
+    | Env m1, Env m2 ->
+      Env
+        (Int_map.merge
+           (fun _ a b ->
+             match (a, b) with
+             | Some s1, Some s2 when operand_equal s1 s2 -> Some s1
+             | _ -> None)
+           m1 m2)
+
+  let equal a b =
+    match (a, b) with
+    | All, All -> true
+    | Env m1, Env m2 -> Int_map.equal operand_equal m1 m2
+    | All, Env _ | Env _, All -> false
+
+  (* a redefinition of [d] kills both the copy *of* d and every copy
+     *from* d *)
+  let kill m (d : Instr.var) =
+    Int_map.filter
+      (fun vid src ->
+        vid <> d.Instr.vid
+        &&
+        match src with
+        | Instr.Var v -> v.Instr.vid <> d.Instr.vid
+        | Instr.Imm _ -> true)
+      m
+
+  let transfer _ instr t =
+    match t with
+    | All -> All
+    | Env m ->
+      Env
+        (match instr with
+        | Instr.Mov { dst; src } -> (
+          let m = kill m dst in
+          match src with
+          | Instr.Var v when v.Instr.vid = dst.Instr.vid -> m
+          | src -> Int_map.add dst.Instr.vid src m)
+        | instr -> (
+          match Instr.def instr with Some d -> kill m d | None -> m))
+
+  let transfer_term _ _ t = t
+  let transfer_block = None
+  let edge = None
+  let widen = None
+
+  let find vid = function
+    | All -> None
+    | Env m -> Int_map.find_opt vid m
+end
+
 
 (* --- global (dataflow-backed) passes ----------------------------------- *)
 
@@ -412,22 +537,21 @@ let global_const_propagate cdfg =
       (fun i ->
         let b = (Cdfg.info cdfg i).Cdfg.block in
         match sol.Dataflow.at_entry.(i) with
-        | Consts.Env m -> const_fold_block ~seed:(Dataflow.Int_map.bindings m) b
+        | Consts.Env m -> const_fold_block ~seed:(Int_map.bindings m) b
         | Consts.Unreached -> const_fold_block b)
       (Cdfg.block_ids cdfg)
   in
   rebuild cdfg blocks
 
 let global_copy_propagate cdfg =
-  let sol = Dataflow.solve (module Dataflow.Copies) (Cdfg.cfg cdfg) in
+  let sol = Dataflow.solve (module Copies) (Cdfg.cfg cdfg) in
   let blocks =
     List.map
       (fun i ->
         let b = (Cdfg.info cdfg i).Cdfg.block in
         match sol.Dataflow.at_entry.(i) with
-        | Dataflow.Copies.Env m ->
-          copy_propagate_block ~seed:(Dataflow.Int_map.bindings m) b
-        | Dataflow.Copies.All -> copy_propagate_block b)
+        | Copies.Env m -> copy_propagate_block ~seed:(Int_map.bindings m) b
+        | Copies.All -> copy_propagate_block b)
       (Cdfg.block_ids cdfg)
   in
   rebuild cdfg blocks

@@ -228,7 +228,7 @@ let constant_branch () =
 
 let test_consts_edge_pruning () =
   let cfg = constant_branch () in
-  let sol = D.solve (module D.Consts) cfg in
+  let sol = D.Consts.solve cfg in
   Alcotest.(check (option int)) "x constant in hot" (Some 7)
     (D.Consts.find 0 sol.D.at_entry.(1));
   (* the not-taken edge is pruned: cold's input stays Unreached *)
@@ -261,11 +261,44 @@ let test_copies () =
       ~term:(Ir.Block.Return (Some (Var y)))
   in
   let cfg = Ir.Cfg.of_blocks [ entry; next; last ] in
-  let sol = D.solve (module D.Copies) cfg in
+  let sol = D.Copies.solve cfg in
   Alcotest.(check bool) "y = x crosses the block boundary" true
     (D.Copies.find 1 sol.D.at_entry.(1) = Some (Ir.Instr.Var x));
   Alcotest.(check bool) "redefinition replaces the copy" true
     (D.Copies.find 1 sol.D.at_entry.(2) = Some (Ir.Instr.Imm 5))
+
+(* entry: x = 0; y = 1; jump loop
+   loop: x = y; y = y + 1; branch y -> loop / exit
+   exit: return x
+   The copy x = y dies in its own block, and with it the x = 0 that
+   reached the loop: no copy of x reaches the exit. *)
+let test_copies_ended_in_block () =
+  let x = mk "x" 0 and y = mk "y" 1 in
+  let entry =
+    Ir.Block.make ~label:"entry"
+      ~instrs:[ Ir.Instr.Mov { dst = x; src = Imm 0 }; Ir.Instr.Mov { dst = y; src = Imm 1 } ]
+      ~term:(Ir.Block.Jump "loop")
+  in
+  let loop =
+    Ir.Block.make ~label:"loop"
+      ~instrs:
+        [
+          Ir.Instr.Mov { dst = x; src = Var y };
+          Ir.Instr.Bin { dst = y; op = Ir.Types.Add; a = Var y; b = Imm 1 };
+        ]
+      ~term:(Ir.Block.Branch { cond = Var y; if_true = "loop"; if_false = "exit" })
+  in
+  let exit_b =
+    Ir.Block.make ~label:"exit" ~instrs:[] ~term:(Ir.Block.Return (Some (Var x)))
+  in
+  let cfg = Ir.Cfg.of_blocks [ entry; loop; exit_b ] in
+  let sol = D.Copies.solve cfg in
+  Alcotest.(check bool) "x = 0 reaches the loop from the entry only" true
+    (D.Copies.find 0 sol.D.at_entry.(1) = None);
+  Alcotest.(check bool) "no copy of x at the exit" true
+    (D.Copies.find 0 sol.D.at_entry.(2) = None);
+  Alcotest.(check (option int)) "nor a constant" None
+    (D.Consts.find 0 (D.Consts.solve cfg).D.at_entry.(2))
 
 let test_liveness_matches_live () =
   let cfg = diamond () in
@@ -363,6 +396,75 @@ let prop_liveness_generated =
           (fun cdfg -> live_matches_reference (Ir.Cdfg.cfg cdfg))
           [ raw; Ir.Passes.optimize ~verify:false raw; recovered ])
 
+(* --- the liveness memo ----------------------------------------------------- *)
+
+(* The optimizer's passes, applied one at a time, twice over. *)
+let pass_sequence =
+  let p = Ir.Passes.[ const_fold; algebraic_simplify; copy_propagate;
+                      common_subexpressions; dead_code_eliminate; simplify_cfg;
+                      global_const_propagate; global_copy_propagate; global_cse;
+                      loop_invariant_motion ] in
+  p @ p
+
+let rebuild cdfg blocks =
+  Ir.Cdfg.cfg (Ir.Cdfg.with_blocks cdfg (Array.to_list blocks))
+
+(* [cdfg]'s blocks, each a new record: none is shared with any solve *)
+let fresh cdfg =
+  rebuild cdfg
+    (Array.map (fun (b : Ir.Block.t) -> { b with Ir.Block.label = b.label })
+       (Ir.Cfg.blocks (Ir.Cdfg.cfg cdfg)))
+
+(* [cdfg] with a def of a register a word past its universe added to
+   its first block: the other blocks shared, the universe grown *)
+let grown cdfg =
+  let blocks = Array.copy (Ir.Cfg.blocks (Ir.Cdfg.cfg cdfg)) in
+  let top = ref 0 in
+  Array.iter (Ir.Block.iter_vars (fun v -> top := max !top v.Ir.Instr.vid)) blocks;
+  let extra = { Ir.Instr.vname = "grown"; vid = !top + 64; vwidth = 8 } in
+  blocks.(0) <-
+    { (blocks.(0)) with
+      Ir.Block.instrs = blocks.(0).Ir.Block.instrs @ [ Ir.Instr.Mov { dst = extra; src = Imm 0 } ] };
+  rebuild cdfg blocks
+
+(* Every CDFG along the pass sequence, solved through the memo this
+   domain keeps, against the map oracle: as the pass left it (some
+   blocks shared with the solve before), again (all shared: the solve
+   is reused), grown (all but one shared, in a larger universe), with
+   fresh blocks (none shared), and as the pass left it once more, so the
+   next pass's output meets a memo it shares blocks with. *)
+let memo_matches_reference raw =
+  let ok = ref true in
+  ignore
+    (List.fold_left
+       (fun c pass ->
+         let c = pass c in
+         let cfg = Ir.Cdfg.cfg c in
+         List.iter
+           (fun cfg -> ok := !ok && live_matches_reference cfg)
+           [ cfg; cfg; grown c; fresh c; cfg ];
+         c)
+       raw pass_sequence);
+  !ok
+
+let prop_liveness_memo (frontend, compile) =
+  QCheck.Test.make
+    ~name:(Printf.sprintf "liveness memo solves like the oracle along the passes (%s)" frontend)
+    ~count:25
+    QCheck.(make ~print:string_of_int Gen.(int_range 1 1_000_000))
+    (fun seed ->
+      (* two domains at once, each with its own memo *)
+      let other = Domain.spawn (fun () -> memo_matches_reference (compile (seed + 1))) in
+      let here = memo_matches_reference (compile seed) in
+      Domain.join other && here)
+
+let raw_minic seed =
+  Hypar_minic.Driver.compile_exn ~name:"memo" ~simplify:false (Hypar_fuzzgen.Gen.source seed)
+
+let raw_bytecode seed =
+  Hypar_bytecode.Driver.compile_exn ~name:"memo" ~optimize:false ~verify_ir:false
+    (Hypar_bytecode.Emit.to_string (raw_minic seed))
+
 (* a random CFG over blocks b0..bn, whose terminators name b0..b(n-1)
    only, and registers 0..7; a register's record is fixed by its id, as
    every frontend keeps it *)
@@ -435,9 +537,10 @@ let prop_liveness_hand_built =
 
 let test_instr_facts_and_term_fact () =
   let cfg = constant_branch () in
-  let sol = D.solve (module D.Consts) cfg in
+  let consts = D.Consts.analysis cfg in
+  let sol = D.solve consts cfg in
   (* before the compare in the entry block, x = 7 already holds *)
-  (match D.instr_facts (module D.Consts) cfg sol 0 with
+  (match D.instr_facts consts cfg sol 0 with
   | [ (_, before_mov); (_, before_cmp) ] ->
     Alcotest.(check (option int)) "nothing before the first instr" None
       (D.Consts.find 0 before_mov);
@@ -445,7 +548,7 @@ let test_instr_facts_and_term_fact () =
       (D.Consts.find 0 before_cmp)
   | _ -> Alcotest.fail "entry has two instructions");
   Alcotest.(check (option int)) "condition known at the terminator" (Some 1)
-    (D.Consts.find 2 (D.term_fact (module D.Consts) cfg sol 0))
+    (D.Consts.find 2 (D.term_fact consts cfg sol 0))
 
 let test_iterations_bounded () =
   (* an acyclic CFG needs exactly one transfer per reachable block *)
@@ -475,17 +578,18 @@ let test_unreachable_blocks_keep_init () =
 
 let test_refine_is_stable_without_widening () =
   let cfg = diamond () in
-  let sol = D.solve (module D.Consts) cfg in
-  let refined = D.refine (module D.Consts) cfg sol in
+  let ((module C) as consts) = D.Consts.analysis cfg in
+  let sol = D.solve consts cfg in
+  let refined = D.refine consts cfg sol in
   for i = 0 to Ir.Cfg.block_count cfg - 1 do
     Alcotest.(check bool)
       (Printf.sprintf "entry fact of %d unchanged" i)
       true
-      (D.Consts.equal sol.D.at_entry.(i) refined.D.at_entry.(i));
+      (C.equal sol.D.at_entry.(i) refined.D.at_entry.(i));
     Alcotest.(check bool)
       (Printf.sprintf "exit fact of %d unchanged" i)
       true
-      (D.Consts.equal sol.D.at_exit.(i) refined.D.at_exit.(i))
+      (C.equal sol.D.at_exit.(i) refined.D.at_exit.(i))
   done
 
 let suite =
@@ -497,6 +601,8 @@ let suite =
     Alcotest.test_case "consts: constant-branch edge pruning" `Quick
       test_consts_edge_pruning;
     Alcotest.test_case "copies: cross-block copy facts" `Quick test_copies;
+    Alcotest.test_case "copies: a copy its own block ends" `Quick
+      test_copies_ended_in_block;
     Alcotest.test_case "liveness: agrees with Live.analyse" `Quick
       test_liveness_matches_live;
     Alcotest.test_case "instr_facts / term_fact replay" `Quick
@@ -511,4 +617,6 @@ let suite =
     QCheck_alcotest.to_alcotest (prop_cse_reference ~unsafe:true);
     QCheck_alcotest.to_alcotest prop_liveness_generated;
     QCheck_alcotest.to_alcotest prop_liveness_hand_built;
+    QCheck_alcotest.to_alcotest (prop_liveness_memo ("Mini-C", raw_minic));
+    QCheck_alcotest.to_alcotest (prop_liveness_memo ("bytecode", raw_bytecode));
   ]

@@ -261,7 +261,11 @@ let test_probe_per_layer () =
   | [ delta ] ->
     Alcotest.(check int) "the fine layer's partitions" partitions delta
   | l -> Alcotest.failf "expected one partition counter, got %d" (List.length l));
-  Alcotest.(check int) "events per partition" 21 (List.length events)
+  (* the flow's liveness solve is the one [characterise] above already
+     ran on this CFG: reused, it leaves a [dataflow.liveness.reused]
+     counter where a solve leaves its span's two events and an
+     iterations counter *)
+  Alcotest.(check int) "events per partition" 19 (List.length events)
 
 let suite =
   [

@@ -314,39 +314,136 @@ let prop_oracle (frontend, compile, count) =
               Gen.(pair (int_range 1 1_000_000) bool))
     (fun (seed, unsafe) -> matches_oracle (compile ~unsafe seed))
 
-(* --- the constant lattice against its own-rule reference ----------------- *)
+(* --- the dense lattices against their map references --------------------- *)
 
-let consts_solution
-    (module A : Ir.Dataflow.ANALYSIS with type t = Ir.Dataflow.Consts.t) cdfg =
-  Ir.Dataflow.solve (module A) (Ir.Cdfg.cfg cdfg)
+(* The registers whose facts cross a block boundary, found here without
+   the library: each block's reads before its own defs (the terminator's
+   included).  The dense facts must agree with the map oracle on these;
+   on any other register the map may know more, but no rewrite reads it. *)
+let crossing cfg =
+  let regs = Hashtbl.create 16 in
+  Array.iter
+    (fun (b : Ir.Block.t) ->
+      let defined = Hashtbl.create 16 in
+      let read (v : Ir.Instr.var) =
+        if not (Hashtbl.mem defined v.Ir.Instr.vid) then Hashtbl.replace regs v.vid ()
+      in
+      List.iter
+        (fun instr ->
+          List.iter read (Ir.Instr.used_vars instr);
+          Option.iter
+            (fun (d : Ir.Instr.var) -> Hashtbl.replace defined d.Ir.Instr.vid ())
+            (Ir.Instr.def instr))
+        b.Ir.Block.instrs;
+      List.iter read (Ir.Block.terminator_uses b))
+    (Ir.Cfg.blocks cfg);
+  List.sort compare (Hashtbl.fold (fun vid () l -> vid :: l) regs [])
 
-let prop_consts (frontend, compile, count) =
+(* one dense lattice and its map oracle, each read as "what register
+   [vid] holds" *)
+type 'o lattice = {
+  oracle : (module Ir.Dataflow.ANALYSIS with type t = 'o);
+  solve : Ir.Cfg.t -> Ir.Dataflow.dense Ir.Dataflow.solution;
+  reached : 'o -> bool;
+  find_oracle : int -> 'o -> Ir.Instr.operand option;
+  find : int -> Ir.Dataflow.dense -> Ir.Instr.operand option;
+}
+
+let consts_lattice =
+  let imm = Option.map (fun n -> Ir.Instr.Imm n) in
+  { oracle = (module Ref.Consts);
+    solve = Ir.Dataflow.Consts.solve;
+    reached = (fun f -> f <> Ref.Consts.Unreached);
+    find_oracle = (fun vid f -> imm (Ref.Consts.find vid f));
+    find = (fun vid f -> imm (Ir.Dataflow.Consts.find vid f)) }
+
+let copies_lattice =
+  { oracle = (module Ref.Copies);
+    solve = Ir.Dataflow.Copies.solve;
+    reached = (fun f -> f <> Ref.Copies.All);
+    find_oracle = Ref.Copies.find;
+    find = Ir.Dataflow.Copies.find }
+
+let same_operand a b =
+  match (a, b) with
+  | Some (Ir.Instr.Var v1), Some (Ir.Instr.Var v2) -> v1.Ir.Instr.vid = v2.Ir.Instr.vid
+  | Some (Imm n1), Some (Imm n2) -> n1 = n2
+  | None, None -> true
+  | Some (Var _ | Imm _), _ | None, Some _ -> false
+
+(* every block's entry and exit fact agrees with the oracle's: reached
+   on the same blocks, and holding the same operand in every crossing
+   register *)
+let dense_matches l stage input =
+  let cfg = Ir.Cdfg.cfg input in
+  let got = l.solve cfg and want = Ir.Dataflow.solve l.oracle cfg in
+  let regs = crossing cfg in
+  let differs side (g : Ir.Dataflow.dense array) w i =
+    if (g.(i) <> Ir.Dataflow.Unreached) <> l.reached w.(i) then
+      QCheck.Test.fail_reportf "%s program: BB%d's %s is reached on one side only" stage i side
+    else
+      match
+        List.find_opt
+          (fun vid -> not (same_operand (l.find vid g.(i)) (l.find_oracle vid w.(i))))
+          regs
+      with
+      | Some vid ->
+        QCheck.Test.fail_reportf "%s program: the facts at BB%d's %s differ on register %d"
+          stage i side vid
+      | None -> true
+  in
+  List.for_all
+    (fun i ->
+      differs "entry" got.Ir.Dataflow.at_entry want.Ir.Dataflow.at_entry i
+      && differs "exit" got.Ir.Dataflow.at_exit want.Ir.Dataflow.at_exit i)
+    (Ir.Cdfg.block_ids input)
+
+let prop_dense (name, lattice) (frontend, compile, count) =
   QCheck.Test.make
-    ~name:
-      (Printf.sprintf "consts: the lattice solves like its reference (%s)" frontend)
+    ~name:(Printf.sprintf "%s: the lattice solves like its reference (%s)" name frontend)
     ~count
     QCheck.(make ~print:(fun (s, u) -> Printf.sprintf "seed %d, unsafe %b" s u)
               Gen.(pair (int_range 1 1_000_000) bool))
     (fun (seed, unsafe) ->
       List.for_all
-        (fun (stage, input) ->
-          let lib = consts_solution (module Ir.Dataflow.Consts) input
-          and ref = consts_solution (module Ref.Consts) input in
-          let differs a b =
-            List.find_opt
-              (fun i -> not (Ir.Dataflow.Consts.equal a.(i) b.(i)))
-              (Ir.Cdfg.block_ids input)
-          in
-          match
-            ( differs lib.Ir.Dataflow.at_entry ref.Ir.Dataflow.at_entry,
-              differs lib.Ir.Dataflow.at_exit ref.Ir.Dataflow.at_exit )
-          with
-          | Some i, _ ->
-            QCheck.Test.fail_reportf "%s program: the facts at BB%d's entry differ" stage i
-          | None, Some i ->
-            QCheck.Test.fail_reportf "%s program: the facts at BB%d's exit differ" stage i
-          | None, None -> true)
+        (fun (stage, input) -> dense_matches lattice stage input)
         (stages (compile ~unsafe seed)))
+
+(* the bundled applications, the bytecode examples and the crash corpus,
+   at every stage *)
+let test_dense_fixed_programs () =
+  let read f = In_channel.with_open_text f In_channel.input_all in
+  (* from the test directory under dune runtest, or from the root *)
+  let dir candidates ext =
+    let d = Option.value (List.find_opt Sys.file_exists candidates) ~default:(List.hd candidates) in
+    List.map (Filename.concat d)
+      (List.filter (fun f -> Filename.check_suffix f ext) (Array.to_list (Sys.readdir d)))
+  in
+  let programs =
+    List.map
+      (fun (name, src) -> (name, Hypar_minic.Driver.compile_exn ~name ~simplify:false src))
+      (Hypar_apps.[ ("ofdm", Ofdm.source); ("jpeg", Jpeg.source); ("sobel", Sobel.source);
+                    ("adpcm", Adpcm.source) ]
+       @ List.map (fun f -> (f, read f)) (dir [ "corpus"; "test/corpus" ] ".mc"))
+    @ List.map
+        (fun f ->
+          (f, Hypar_bytecode.Driver.compile_exn ~name:f ~optimize:false (read f)))
+        (dir [ "../examples/bytecode"; "examples/bytecode" ] ".hbc")
+  in
+  List.iter
+    (fun (name, raw) ->
+      List.iter
+        (fun (stage, input) ->
+          List.iter
+            (fun (what, ok) ->
+              if not ok then Alcotest.failf "%s, %s program: %s facts differ" name stage what)
+            [ ("consts", dense_matches consts_lattice stage input);
+              ("copies", dense_matches copies_lattice stage input) ])
+        (stages raw))
+    programs
+
+let prop_consts = prop_dense ("consts", consts_lattice)
+let prop_copies = prop_dense ("copies", copies_lattice)
 
 (* --- sharing: a pass rebuilds only the blocks it changes ----------------- *)
 
@@ -487,4 +584,8 @@ let suite =
     QCheck_alcotest.to_alcotest (prop_oracle ("bytecode", raw_bytecode, 50));
     QCheck_alcotest.to_alcotest (prop_consts ("Mini-C", raw_minic, 150));
     QCheck_alcotest.to_alcotest (prop_consts ("bytecode", raw_bytecode, 100));
+    Alcotest.test_case "consts and copies: the apps, examples and corpus" `Quick
+      test_dense_fixed_programs;
+    QCheck_alcotest.to_alcotest (prop_copies ("Mini-C", raw_minic, 150));
+    QCheck_alcotest.to_alcotest (prop_copies ("bytecode", raw_bytecode, 100));
   ]
