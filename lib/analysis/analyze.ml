@@ -38,11 +38,6 @@ let kind =
     fields = (fun f -> [ ("block", f.block); ("index", f.index) ]);
   }
 
-let all_codes = Diagnostics.all kind
-let code_id = Diagnostics.id kind
-let code_mnemonic = Diagnostics.mnemonic kind
-let code_of_string = Diagnostics.of_string kind
-
 let finding code block index fmt =
   Format.kasprintf (fun message -> { code; block; index; message }) fmt
 
@@ -377,7 +372,7 @@ let check_dead_stores cfg acc =
       List.iteri
         (fun k (instr, after) ->
           match Ir.Instr.def instr with
-          | Some d when not (Ir.Bitset.mem after d.Ir.Instr.vid) ->
+          | Some d when not (Dataflow.Liveness.mem after d.Ir.Instr.vid) ->
             acc :=
               finding Dead_store i k "value of %a is never read" pp_var d
               :: !acc
@@ -649,6 +644,3 @@ let check cdfg =
   |> Diagnostics.sort kind
 
 (* --- rendering ----------------------------------------------------------- *)
-
-let render ?(file = "<ir>") fs = Diagnostics.render kind ~file fs
-let render_json ?(file = "<ir>") fs = Diagnostics.render_json kind ~file fs

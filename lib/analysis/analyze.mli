@@ -54,18 +54,6 @@ val kind : (code, finding) Diagnostics.kind
 (** Analyze's code table and positions, as [hypar analyze] renders and
     gates them. *)
 
-val all_codes : code list
-
-val code_id : code -> string
-(** Stable identifier, ["A001"] … ["A008"]. *)
-
-val code_mnemonic : code -> string
-(** Stable kebab-case name, e.g. ["use-before-def"]. *)
-
-val code_of_string : string -> code option
-(** Accepts an id ([A004]), a mnemonic ([constant-branch]), either
-    case. *)
-
 val check : Hypar_ir.Cdfg.t -> finding list
 (** Run every rule, sorted by (block, index, code).  The input is
     typically the {e unoptimised} CDFG: the optimiser deliberately
@@ -77,10 +65,3 @@ val register_ranges : Hypar_ir.Cdfg.t -> Range.report list
     definitions get, over every definition the solve reaches.  One
     report per such register, ordered by id.  [hypar ranges] and the
     {!Lint} range rules (W006-W008) read it. *)
-
-val render : ?file:string -> finding list -> string
-(** Human-readable, one finding per line:
-    [file:BBn.i: note A00N [mnemonic]: message]. *)
-
-val render_json : ?file:string -> finding list -> string
-(** A JSON object [{"file": …, "count": N, "findings": […]}]. *)

@@ -46,8 +46,3 @@ let analyse ?(weights = Weights.paper) cdfg (profile : Profiling.Profile.t) =
   { weights; entries; kernels }
 
 let top t n = List.filteri (fun i _ -> i < n) t.kernels
-
-let entry t i = t.entries.(i)
-
-let total_application_weight t =
-  Array.fold_left (fun acc e -> acc + e.total_weight) 0 t.entries

@@ -29,9 +29,3 @@ val analyse :
 
 val top : t -> int -> entry list
 (** The [n] heaviest kernels. *)
-
-val entry : t -> int -> entry
-(** Entry for a block id. *)
-
-val total_application_weight : t -> int
-(** Sum of all blocks' total weights — a size measure of the workload. *)

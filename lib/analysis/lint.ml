@@ -36,11 +36,6 @@ let kind =
     fields = (fun d -> [ ("line", d.line); ("col", d.col) ]);
   }
 
-let all_codes = Diagnostics.all kind
-let code_id = Diagnostics.id kind
-let code_mnemonic = Diagnostics.mnemonic kind
-let code_of_string = Diagnostics.of_string kind
-
 let diag code (pos : Token.pos) fmt =
   Format.kasprintf
     (fun message -> { code; line = pos.line; col = pos.col; message })
@@ -118,27 +113,17 @@ let rec iter_exprs f (e : Ast.expr) =
 
 (* --- constant folding over expressions ---------------------------------- *)
 
-let eval_const_binop (op : Ast.binop) x y =
-  let bool b = if b then 1 else 0 in
-  match op with
-  | Ast.Add -> Some (x + y)
-  | Ast.Sub -> Some (x - y)
-  | Ast.Mul -> Some (x * y)
-  | Ast.Div -> if y = 0 then None else Some (x / y)
-  | Ast.Mod -> if y = 0 then None else Some (x mod y)
-  | Ast.Band -> Some (x land y)
-  | Ast.Bor -> Some (x lor y)
-  | Ast.Bxor -> Some (x lxor y)
-  | Ast.Shl -> if y < 0 || y > 62 then None else Some (x lsl y)
-  | Ast.Shr -> if y < 0 || y > 62 then None else Some (x asr y)
-  | Ast.Lt -> Some (bool (x < y))
-  | Ast.Le -> Some (bool (x <= y))
-  | Ast.Gt -> Some (bool (x > y))
-  | Ast.Ge -> Some (bool (x >= y))
-  | Ast.Eq -> Some (bool (x = y))
-  | Ast.Ne -> Some (bool (x <> y))
-  | Ast.Land -> Some (bool (x <> 0 && y <> 0))
-  | Ast.Lor -> Some (bool (x <> 0 || y <> 0))
+(* An operator folds by the IR's rule on the instruction it lowers to,
+   so a condition is constant exactly when the profiled program computes
+   a constant there (a shift amount outside 0..62 is clamped). *)
+let fold_binop (op : Ast.binop) x y =
+  let module I = Hypar_ir.Instr in
+  let scratch = { I.vname = "c"; vid = 0; vwidth = 32 } in
+  match Hypar_minic.Lower.instr_of_binop scratch op (I.Imm x) (I.Imm y) with
+  | Some i -> I.eval (function I.Imm n -> Some n | I.Var _ -> None) i
+  | None ->
+    let holds = if op = Ast.Land then x <> 0 && y <> 0 else x <> 0 || y <> 0 in
+    Some (if holds then 1 else 0)
 
 let rec const_value (e : Ast.expr) =
   match e.desc with
@@ -149,7 +134,7 @@ let rec const_value (e : Ast.expr) =
   | Ast.Unary (Ast.Bitnot, a) -> Option.map lnot (const_value a)
   | Ast.Binary (op, a, b) -> (
     match (const_value a, const_value b) with
-    | Some x, Some y -> eval_const_binop op x y
+    | Some x, Some y -> fold_binop op x y
     | (Some _ | None), (Some _ | None) -> None)
   | Ast.Ternary (c, t, f) -> (
     match const_value c with
@@ -563,13 +548,6 @@ let rec eval_interval env (e : Ast.expr) : Range.interval =
     | Ast.Lor ->
       bool_interval)
 
-let binop_symbol = function
-  | Ast.Div -> "/"
-  | Ast.Mod -> "%"
-  | Ast.Shl -> "<<"
-  | Ast.Shr -> ">>"
-  | _ -> "?"
-
 let interval_rules env (f : Ast.func) =
   let diags = ref [] in
   let on_expr (e : Ast.expr) =
@@ -580,11 +558,11 @@ let interval_rules env (f : Ast.func) =
         diags :=
           (if i.Range.lo = 0 && i.Range.hi = 0 then
              diag Division_by_zero e.epos
-               "right operand of '%s' is always zero" (binop_symbol op)
+               "right operand of '%s' is always zero" (Ast.binop_name op)
            else
              diag Division_by_zero e.epos
                "right operand of '%s' may be zero (range [%d, %d])"
-               (binop_symbol op) i.Range.lo i.Range.hi)
+               (Ast.binop_name op) i.Range.lo i.Range.hi)
           :: !diags
     | Ast.Binary ((Ast.Shl | Ast.Shr) as op, _, rhs) ->
       let i = eval_interval env rhs in
@@ -592,7 +570,7 @@ let interval_rules env (f : Ast.func) =
         diags :=
           diag Shift_out_of_range e.epos
             "shift amount of '%s' may be outside 0..31 (range [%d, %d])"
-            (binop_symbol op) i.Range.lo i.Range.hi
+            (Ast.binop_name op) i.Range.lo i.Range.hi
           :: !diags
     | _ -> ()
   in
@@ -679,6 +657,3 @@ let check ?(name = "program") src =
       | Error _ | (exception _) -> []
     in
     Ok (sort_diags (syntactic @ ranged))
-
-let render ?(file = "<source>") ds = Diagnostics.render kind ~file ds
-let render_json ?(file = "<source>") ds = Diagnostics.render_json kind ~file ds

@@ -52,30 +52,8 @@ val kind : (code, diagnostic) Diagnostics.kind
 (** Lint's code table and positions, as [hypar lint] renders and gates
     them. *)
 
-val all_codes : code list
-
-val code_id : code -> string
-(** Stable identifier, ["W001"] … ["W009"]. *)
-
-val code_mnemonic : code -> string
-(** Stable kebab-case name, e.g. ["unused-variable"]. *)
-
-val code_of_string : string -> code option
-(** Accepts an id ([W003]), a mnemonic ([dead-assignment]), either case. *)
-
-val check_ast : Hypar_minic.Ast.program -> diagnostic list
-(** The syntactic rules (W001–W005, W009) over a parsed program, sorted
-    by position. *)
-
 val check : ?name:string -> string -> (diagnostic list, string) result
 (** Parse the source and run every rule; the range-powered rules
     (W006–W008) additionally need the program to typecheck and lower, and
     are skipped (silently) when it does not.  [Error] only on lex/parse
     failure, with a [line:col: message] string. *)
-
-val render : ?file:string -> diagnostic list -> string
-(** Human-readable, one diagnostic per line:
-    [file:line:col: warning W00N [mnemonic]: message]. *)
-
-val render_json : ?file:string -> diagnostic list -> string
-(** A JSON object [{"file": …, "count": N, "diagnostics": […]}]. *)

@@ -4,10 +4,6 @@ type t = { alu : int; mul : int; div : int; mem : int; move : int }
 
 let paper = { alu = 1; mul = 2; div = 4; mem = 1; move = 1 }
 
-let make ?(alu = paper.alu) ?(mul = paper.mul) ?(div = paper.div)
-    ?(mem = paper.mem) ?(move = paper.move) () =
-  { alu; mul; div; mem; move }
-
 let of_class t = function
   | Ir.Types.Class_alu -> t.alu
   | Ir.Types.Class_mul -> t.mul

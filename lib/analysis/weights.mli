@@ -18,8 +18,5 @@ val paper : t
 (** The paper's weights: ALU 1, MUL 2; memory accesses and moves count 1,
     divisions 4 (absent from the benchmark DFGs). *)
 
-val make : ?alu:int -> ?mul:int -> ?div:int -> ?mem:int -> ?move:int -> unit -> t
-(** [paper] with selected fields overridden. *)
-
 val bb_weight : t -> Hypar_ir.Dfg.t -> int
 (** The paper's [bb_weight]: weighted operation count of a block's DFG. *)

@@ -1,4 +1,4 @@
-(** Synthetic workload generators for property tests and benchmarks.
+(** Synthetic workloads for benchmarks, examples and property tests.
 
     All generators are deterministic in their [seed]. *)
 
@@ -7,22 +7,6 @@ val random_dfg : ?seed:int -> nodes:int -> unit -> Hypar_ir.Dfg.t
     multiplications, moves and loads/stores on a scratch array, with
     operands drawn from earlier results (guaranteeing forward edges). *)
 
-val random_straightline_main : ?seed:int -> ops:int -> unit -> string
-(** A Mini-C program whose [main] is a single straight-line block of
-    random integer arithmetic over previously defined locals, storing
-    its last value to [out[0]] — used to cross-check passes and the
-    interpreter against direct evaluation. *)
-
-val random_structured_main : ?seed:int -> depth:int -> unit -> string
-(** A Mini-C program with random nested structure (bounded [for] loops,
-    [if]/[else], arithmetic on an accumulator) writing its result to
-    [out[0]].  All loops have static bounds, so the program always
-    terminates. *)
-
 val matmul_source : n:int -> string
 (** Dense [n×n] integer matrix multiplication (a classic third workload
     for examples/benches): reads [a] and [b], writes [c]. *)
-
-val fir_source : taps:int -> samples:int -> string
-(** FIR filter over [samples] inputs with [taps] coefficients: reads
-    [x] and [h], writes [y]. *)

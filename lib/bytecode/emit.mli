@@ -7,9 +7,7 @@
     differential property in the test suite), which is what turns every
     Mini-C example and generated program into a bytecode test input. *)
 
-val program : Hypar_ir.Cdfg.t -> Prog.t
-(** Variable names are mangled to [<sanitised-name>_<vid>] so distinct
-    registers with the same display name stay distinct slots. *)
-
 val to_string : Hypar_ir.Cdfg.t -> string
-(** [Prog.to_string] of {!program}. *)
+(** The bytecode text of the CDFG.  Variable names are mangled to
+    [<sanitised-name>_<vid>] so distinct registers with the same display
+    name stay distinct slots. *)

@@ -40,15 +40,3 @@ let to_string t =
       | Insn i -> pr "  %s\n" (Insn.to_string i))
     t.code;
   Buffer.contents buf
-
-let equal a b =
-  let item_eq x y =
-    match (x, y) with
-    | Label l, Label m -> String.equal l m
-    | Insn i, Insn j -> i = j
-    | _ -> false
-  in
-  String.equal a.name b.name
-  && a.arrays = b.arrays && a.locals = b.locals
-  && List.length a.code = List.length b.code
-  && List.for_all2 (fun (_, x) (_, y) -> item_eq x y) a.code b.code

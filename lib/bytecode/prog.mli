@@ -27,7 +27,4 @@ type t = {
 
 val to_string : t -> string
 (** Render in the exact syntax {!Parse.program} accepts; parsing the
-    result yields a program [equal] to the input. *)
-
-val equal : t -> t -> bool
-(** Structural equality ignoring source positions. *)
+    result and rendering it again yields the same text. *)

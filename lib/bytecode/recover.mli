@@ -48,9 +48,6 @@ type kind =
 
 type diag = { dpos : Prog.pos; dkind : kind }
 
-val stack_limit : int
-(** Maximum static operand-stack depth (1024). *)
-
 val message : kind -> string
 
 val cdfg : Prog.t -> (Hypar_ir.Cdfg.t, diag) result

@@ -31,8 +31,6 @@ let healthy t h =
   Array.for_all (fun r -> r = t.rows) h.col_rows
   && h.no_mul = [] && h.no_alu = []
 
-let usable_slots h = Array.fold_left ( + ) 0 h.col_rows
-
 let chain_of t ~cgc ~col = (cgc * t.cols) + col
 
 (* depth slots are filled bottom-up, so a dead node at row [r] of a column

@@ -53,9 +53,6 @@ val full_health : t -> health
 val healthy : t -> health -> bool
 (** [true] iff the health equals {!full_health}. *)
 
-val usable_slots : health -> int
-(** Sum of usable chain depths — 0 means no node op can execute at all. *)
-
 val chain_of : t -> cgc:int -> col:int -> int
 (** Chain-space index of a CGC column. *)
 

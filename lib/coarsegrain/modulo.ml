@@ -71,7 +71,3 @@ let analyse cgc dfg ~carried =
     let ii = min latency (max res rc) in
     Some { ii; res_mii = res; rec_mii = rc; latency; recurrences }
   end
-
-let pipelined_cycles t ~iterations =
-  if iterations <= 0 then 0
-  else ((iterations - 1) * t.ii) + t.latency

@@ -30,7 +30,3 @@ val analyse : Cgc.t -> Hypar_ir.Dfg.t -> carried:Hypar_ir.Instr.var list -> t op
 (** [carried] are the block's loop-carried scalars (live-in ∩ defined —
     the engine derives them from liveness).  [None] when the DFG is not
     CGC-executable. *)
-
-val pipelined_cycles : t -> iterations:int -> int
-(** [(iterations-1)·II + latency], at least one iteration's latency;
-    0 for 0 iterations. *)

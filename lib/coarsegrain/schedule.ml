@@ -242,13 +242,6 @@ let schedule ?priority ?health cgc dfg =
   done;
   { placements; makespan = Array.fold_left max 0 finish }
 
-let chains_in_cycle t cycle =
-  let seen = Hashtbl.create 8 in
-  Array.iter
-    (fun p -> if p.cycle = cycle && p.chain >= 0 then Hashtbl.replace seen p.chain ())
-    t.placements;
-  Hashtbl.length seen
-
 let is_valid ?health cgc dfg t =
   let ok = ref true in
   let n = Ir.Dfg.node_count dfg in

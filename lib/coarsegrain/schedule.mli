@@ -54,7 +54,4 @@ val is_valid : ?health:Cgc.health -> Cgc.t -> Hypar_ir.Dfg.t -> t -> bool
     and, when [health] is given, that no placement lands on dead
     hardware. *)
 
-val chains_in_cycle : t -> int -> int
-(** Number of distinct columns used in the given cycle. *)
-
 val pp : Format.formatter -> t -> unit

@@ -128,8 +128,3 @@ let compare_all
     }
   in
   List.map run strategies
-
-let run platform ~timing_constraint cdfg profile strategy =
-  List.hd
-    (compare_all ~strategies:[ strategy ] platform ~timing_constraint cdfg
-       profile)

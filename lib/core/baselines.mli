@@ -47,14 +47,6 @@ type outcome = {
           {!Benefit_greedy}); for {!Exhaustive}, one per subset *)
 }
 
-val run :
-  Platform.t ->
-  timing_constraint:int ->
-  Hypar_ir.Cdfg.t ->
-  Hypar_profiling.Profile.t ->
-  strategy ->
-  outcome
-
 val compare_all :
   ?strategies:strategy list ->
   Platform.t ->

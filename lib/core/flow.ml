@@ -75,6 +75,3 @@ let load_error_message = function
 
 let partition platform ~timing_constraint prepared =
   Engine.run platform ~timing_constraint prepared.cdfg prepared.profile
-
-let partition_source ?name ?inputs platform ~timing_constraint source =
-  partition platform ~timing_constraint (prepare ?name ?inputs source)

@@ -74,12 +74,3 @@ val partition :
   prepared ->
   Engine.t
 (** The Figure 2 flow on a prepared application. *)
-
-val partition_source :
-  ?name:string ->
-  ?inputs:(string * int array) list ->
-  Platform.t ->
-  timing_constraint:int ->
-  string ->
-  Engine.t
-(** [prepare] + [partition]. *)

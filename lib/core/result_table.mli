@@ -7,6 +7,3 @@
 val render : title:string -> Engine.t list -> string
 (** All runs must target the same application and timing constraint.
     Each column is as wide as its widest cell. *)
-
-val moved_blocks_string : Engine.t -> string
-(** e.g. ["22, 12, 3"] — moved kernels in move order. *)

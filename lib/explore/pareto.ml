@@ -23,11 +23,6 @@ let frontier_flags objectives xs =
       !k = n)
     vecs
 
-let frontier objectives l =
-  let xs = Array.of_list l in
-  let flags = frontier_flags objectives xs in
-  List.filteri (fun i _ -> flags.(i)) l
-
 let best_by f xs =
   let best = ref None in
   Array.iteri

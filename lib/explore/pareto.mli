@@ -5,18 +5,12 @@
     each other, so ties (and cache-shared duplicate configurations) all
     stay on the frontier. *)
 
-val dominates : int array -> int array -> bool
-(** [dominates a b] — [a] weakly better everywhere, strictly somewhere.
-    Raises [Invalid_argument] on mismatched lengths. *)
-
 val frontier_flags : ('a -> int array) -> 'a array -> bool array
-(** Per-index membership of the Pareto frontier.  An O(n²) pairwise
+(** Per-index membership of the Pareto frontier; raises
+    [Invalid_argument] on objective vectors of mismatched lengths.  An O(n²) pairwise
     scan that allocates only the objective vectors and the flags: each
     comparison is a plain loop that stops at the first worse objective,
     and each point's scan stops at its first dominator. *)
-
-val frontier : ('a -> int array) -> 'a list -> 'a list
-(** The non-dominated subset, in input order. *)
 
 val best_by : ('a -> int) -> 'a array -> int option
 (** Index of the minimum (first on ties); [None] on an empty array. *)

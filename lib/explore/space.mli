@@ -54,12 +54,9 @@ val axis_of_string : string -> (int list, string) result
     cache deduplicates them).  Errors on malformed integers, non-positive
     steps and descending ranges. *)
 
-val size : t -> int
-(** Number of points the space expands to (product of axis lengths). *)
-
 val points : t -> (point list, string) result
 (** Expands the cartesian product in the documented order.  Errors when
-    the space is empty or [size] exceeds [max_points]. *)
+    the space is empty or its number of points exceeds [max_points]. *)
 
 val point_key : point -> string
 (** Canonical configuration key, e.g. ["a1500/k2/g2x2/r3/t8000"].  The

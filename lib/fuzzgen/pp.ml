@@ -12,8 +12,7 @@ let rec expr (e : Ast.expr) =
   | Ast.Call (f, args) ->
     Printf.sprintf "%s(%s)" f (String.concat ", " (List.map expr args))
   | Ast.Unary (op, a) ->
-    let s = match op with Ast.Neg -> "-" | Ast.Lognot -> "!" | Ast.Bitnot -> "~" in
-    Printf.sprintf "(%s%s)" s (expr a)
+    Printf.sprintf "(%s%s)" (Ast.unop_name op) (expr a)
   | Ast.Binary (op, a, b) ->
     Printf.sprintf "(%s %s %s)" (expr a) (Ast.binop_name op) (expr b)
   | Ast.Ternary (c, t, f) ->
@@ -116,66 +115,3 @@ let program (p : Ast.program) =
       func buf f)
     p.funcs;
   Buffer.contents buf
-
-(* --- position-erased structural equality -------------------------------- *)
-
-let zero = { Hypar_minic.Token.line = 0; col = 0 }
-
-let rec strip_expr (e : Ast.expr) =
-  let desc =
-    match e.desc with
-    | (Ast.Num _ | Ast.Ident _) as d -> d
-    | Ast.Index (a, ix) -> Ast.Index (a, strip_expr ix)
-    | Ast.Call (f, args) -> Ast.Call (f, List.map strip_expr args)
-    | Ast.Unary (op, a) -> Ast.Unary (op, strip_expr a)
-    | Ast.Binary (op, a, b) -> Ast.Binary (op, strip_expr a, strip_expr b)
-    | Ast.Ternary (a, b, c) ->
-      Ast.Ternary (strip_expr a, strip_expr b, strip_expr c)
-  in
-  { Ast.desc; epos = zero }
-
-let rec strip_stmt (s : Ast.stmt) =
-  let sdesc =
-    match s.sdesc with
-    | Ast.Decl { name; width; init } ->
-      Ast.Decl { name; width; init = Option.map strip_expr init }
-    | Ast.Assign { name; value } -> Ast.Assign { name; value = strip_expr value }
-    | Ast.Array_assign { arr; index; value } ->
-      Ast.Array_assign
-        { arr; index = strip_expr index; value = strip_expr value }
-    | Ast.If { cond; then_branch; else_branch } ->
-      Ast.If
-        {
-          cond = strip_expr cond;
-          then_branch = List.map strip_stmt then_branch;
-          else_branch = List.map strip_stmt else_branch;
-        }
-    | Ast.While { cond; body } ->
-      Ast.While { cond = strip_expr cond; body = List.map strip_stmt body }
-    | Ast.Do_while { body; cond } ->
-      Ast.Do_while { body = List.map strip_stmt body; cond = strip_expr cond }
-    | Ast.For { init; cond; step; body } ->
-      Ast.For
-        {
-          init = Option.map strip_stmt init;
-          cond = Option.map strip_expr cond;
-          step = Option.map strip_stmt step;
-          body = List.map strip_stmt body;
-        }
-    | Ast.Return v -> Ast.Return (Option.map strip_expr v)
-    | Ast.Expr_stmt e -> Ast.Expr_stmt (strip_expr e)
-    | Ast.Block body -> Ast.Block (List.map strip_stmt body)
-  in
-  { Ast.sdesc; spos = zero }
-
-let strip (p : Ast.program) =
-  {
-    Ast.globals = p.globals;
-    funcs =
-      List.map
-        (fun (f : Ast.func) ->
-          { f with Ast.body = List.map strip_stmt f.body; fpos = zero })
-        p.funcs;
-  }
-
-let equal_program a b = strip a = strip b

@@ -14,6 +14,3 @@
     negative. *)
 
 val program : Hypar_minic.Ast.program -> string
-
-val equal_program : Hypar_minic.Ast.program -> Hypar_minic.Ast.program -> bool
-(** Structural equality modulo source positions. *)

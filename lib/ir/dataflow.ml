@@ -331,6 +331,11 @@ let block_top (b : Block.t) =
 module Liveness = struct
   type live = Bitset.t
 
+  let mem = Bitset.mem
+  let iter = Bitset.iter
+  let cardinal = Bitset.cardinal
+  let to_bitset = Bitset.copy
+
   (* block [b]'s instructions and terminator folded into one gen/kill
      pair over [n] ids, in = (out \ kill) ∪ gen: gen holds the reads no
      earlier def in the block shadows (the terminator's included), kill

@@ -219,8 +219,16 @@ end
     wraps this into the block-level API the partitioning engine
     consumes. *)
 module Liveness : sig
-  type live = Bitset.t
-  (** the ids of the live registers, over one CFG's universe *)
+  type live
+  (** The ids of the live registers, over one CFG's universe.  Read-only:
+      {!solve} shares its facts between callers. *)
+
+  val mem : live -> int -> bool
+  val iter : (int -> unit) -> live -> unit
+  val cardinal : live -> int
+
+  val to_bitset : live -> Bitset.t
+  (** A copy the caller may mutate. *)
 
   val analysis : Cfg.t -> (module ANALYSIS with type t = live)
   (** The lattice over the register ids of this CFG, with the block

@@ -8,9 +8,6 @@ type t = {
   alap_levels : int array;
   max_level : int;
   level_order : int array;
-  level_start : int array;
-      (* level [l]'s nodes are [level_order.(level_start.(l - 1))] up to,
-         not including, [level_order.(level_start.(l))] *)
   live_ins : Instr.var list;
   (* the list scheduler's view, built on first use: see [pred_arrays]
      and [critical_order] *)
@@ -153,7 +150,6 @@ let of_instrs instr_list =
     alap_levels;
     max_level;
     level_order;
-    level_start;
     live_ins;
     pred_arrays = None;
     critical_order = None;
@@ -168,10 +164,6 @@ let asap t = Array.copy t.asap_levels
 let level t i = t.asap_levels.(i)
 let alap t = Array.copy t.alap_levels
 let max_level t = t.max_level
-
-let slack t =
-  Array.init (Array.length t.nodes) (fun i ->
-      t.alap_levels.(i) - t.asap_levels.(i))
 
 let level_order t = t.level_order
 
@@ -204,15 +196,6 @@ let critical_order t =
     t.critical_order <- Some ids;
     ids
 
-let nodes_at_level t level =
-  if level < 1 || level > t.max_level then []
-  else
-    List.init
-      (t.level_start.(level) - t.level_start.(level - 1))
-      (fun k -> t.level_order.(t.level_start.(level - 1) + k))
-
-let critical_path t = t.max_level
-
 let live_in_vars t = t.live_ins
 
 let is_well_formed t =
@@ -221,15 +204,3 @@ let is_well_formed t =
     (fun src targets -> List.iter (fun dst -> if dst <= src then ok := false) targets)
     t.succs;
   !ok
-
-let op_counts t =
-  let classes =
-    [ Types.Class_alu; Types.Class_mul; Types.Class_div; Types.Class_mem;
-      Types.Class_move ]
-  in
-  let count c =
-    Array.fold_left
-      (fun acc nd -> if Instr.op_class nd.instr = c then acc + 1 else acc)
-      0 t.nodes
-  in
-  List.map (fun c -> (c, count c)) classes

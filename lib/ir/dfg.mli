@@ -35,9 +35,6 @@ val alap : t -> int array
 val max_level : t -> int
 (** Highest ASAP level ([0] for an empty graph). *)
 
-val slack : t -> int array
-(** [alap - asap], per node; critical nodes have slack 0. *)
-
 val level_order : t -> int array
 (** Every node id, by ascending ASAP level and in program order within a
     level: the order in which Figure 3 visits the nodes.  Computed once
@@ -54,19 +51,9 @@ val critical_order : t -> int array
     scheduler's default priority.  Computed on first use and kept; the
     array is the graph's own, so callers must not mutate it. *)
 
-val nodes_at_level : t -> int -> int list
-(** Node ids whose ASAP level equals the given level, in program order:
-    that level's slice of {!level_order}. *)
-
-val critical_path : t -> int
-(** Longest path length in nodes — equals [max_level]. *)
-
 val live_in_vars : t -> Instr.var list
 (** Variables read before any definition in the block (operand inputs). *)
 
 val is_well_formed : t -> bool
 (** All edges point forward in program order (guaranteed by construction;
     exposed for property tests). *)
-
-val op_counts : t -> (Types.op_class * int) list
-(** Instruction count per operation class, in a fixed class order. *)

@@ -1,7 +1,7 @@
 type t = {
   cfg : Cfg.t;
-  live_in : Bitset.t array;
-  live_out : Bitset.t array;
+  live_in : Dataflow.Liveness.live array;
+  live_out : Dataflow.Liveness.live array;
   mutable vars : Instr.var array option;  (* by vid, for the list views *)
 }
 
@@ -27,7 +27,7 @@ let vars t =
 
 let to_list t set =
   let vars = vars t and acc = ref [] in
-  Bitset.iter (fun vid -> acc := vars.(vid) :: !acc) set;
+  Dataflow.Liveness.iter (fun vid -> acc := vars.(vid) :: !acc) set;
   List.rev !acc
 
 (* use = upward-exposed reads; def = all variables written in the block. *)
@@ -64,13 +64,13 @@ let analyse cfg =
 
 let live_in t i = to_list t t.live_in.(i)
 let live_out t i = to_list t t.live_out.(i)
-let live_in_count t i = Bitset.cardinal t.live_in.(i)
+let live_in_count t i = Dataflow.Liveness.cardinal t.live_in.(i)
 
 (* the block's defs live on exit, each once, in program order: a def
    counts when its register is still pending in a copy of the live-out
    set, and leaves it *)
 let fold_defs_live_out f acc t i =
-  let pending = Bitset.copy t.live_out.(i) in
+  let pending = Dataflow.Liveness.to_bitset t.live_out.(i) in
   List.fold_left
     (fun acc instr ->
       match Instr.def instr with

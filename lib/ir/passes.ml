@@ -433,7 +433,7 @@ let dead_code_eliminate cdfg =
       end;
       List.iteri (fun k instr -> sw.instrs.(k) <- instr) b.Block.instrs;
       (* walked last to first on a copy of the block's live-out set *)
-      let live_now = Bitset.copy live.(i) in
+      let live_now = Dataflow.Liveness.to_bitset live.(i) in
       (match b.Block.term with
       | Block.Branch { cond = op; _ } | Block.Return (Some op) -> read live_now op
       | Block.Jump _ | Block.Return None -> ());
@@ -628,7 +628,7 @@ let hoist_loop ~cfg ~live ~dominates (blocks : Block.t array) (loop : Loop.t) =
       && (match Instr.def instr with
          | Some dst ->
            Hashtbl.find_opt def_count dst.vid = Some 1
-           && (not (Bitset.mem live_in_header dst.vid))
+           && (not (Dataflow.Liveness.mem live_in_header dst.vid))
            && not (Hashtbl.mem hoisted_vids dst.vid)
          | None -> false)
       && List.for_all operand_invariant (Instr.uses instr)

@@ -109,8 +109,4 @@ let binop_name = function
   | Land -> "&&"
   | Lor -> "||"
 
-let pp_binop ppf op = Format.pp_print_string ppf (binop_name op)
-
-let pp_unop ppf op =
-  Format.pp_print_string ppf
-    (match op with Neg -> "-" | Lognot -> "!" | Bitnot -> "~")
+let unop_name = function Neg -> "-" | Lognot -> "!" | Bitnot -> "~"

@@ -95,5 +95,4 @@ val expr_calls : expr -> string list
 val binop_name : binop -> string
 (** The operator's concrete syntax, e.g. ["+"] for [Add]. *)
 
-val pp_binop : Format.formatter -> binop -> unit
-val pp_unop : Format.formatter -> unop -> unit
+val unop_name : unop -> string

@@ -61,6 +61,14 @@ let alu_of_binop = function
   | Ast.Ne -> Some Ir.Types.Ne
   | Ast.Mul | Ast.Div | Ast.Mod | Ast.Land | Ast.Lor -> None
 
+let instr_of_binop dst op a b =
+  match (op, alu_of_binop op) with
+  | _, Some op -> Some (Ir.Instr.Bin { dst; op; a; b })
+  | Ast.Mul, None -> Some (Ir.Instr.Mul { dst; a; b })
+  | Ast.Div, None -> Some (Ir.Instr.Div { dst; a; b })
+  | Ast.Mod, None -> Some (Ir.Instr.Rem { dst; a; b })
+  | _, None -> None
+
 let is_comparison = function
   | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge | Ast.Eq | Ast.Ne -> true
   | Ast.Add | Ast.Sub | Ast.Mul | Ast.Div | Ast.Mod | Ast.Band | Ast.Bor
@@ -125,50 +133,29 @@ and lower_binary st op a b =
     let b = as_bool st (lower_expr st b) in
     let ir_op = if op = Ast.Land then Ir.Types.And else Ir.Types.Or in
     lower_bool st ir_op "t_log" a b
-  | Ast.Mul ->
+  | _ ->
     let a = lower_expr st a and b = lower_expr st b in
-    Ir.Instr.Var (B.mul ~width:(Ir.Instr.mul_width a b) st.b "t_mul" a b)
-  | Ast.Div ->
-    let a = lower_expr st a and b = lower_expr st b in
-    let dst = B.fresh_var ~width:(Ir.Instr.div_width a b) st.b "t_div" in
-    B.emit st.b (Ir.Instr.Div { dst; a; b });
+    let width, name =
+      match (op, alu_of_binop op) with
+      | _, Some ir_op -> (Ir.Instr.alu_width ir_op a b, "t")
+      | Ast.Mul, None -> (Ir.Instr.mul_width a b, "t_mul")
+      | Ast.Div, None -> (Ir.Instr.div_width a b, "t_div")
+      | _, None -> (Ir.Instr.div_width a b, "t_mod")
+    in
+    let dst = B.fresh_var ~width st.b name in
+    B.emit st.b (Option.get (instr_of_binop dst op a b));
+    if is_comparison op then Hashtbl.replace st.bool_vars dst.Ir.Instr.vid ();
     Ir.Instr.Var dst
-  | Ast.Mod ->
-    let a = lower_expr st a and b = lower_expr st b in
-    let dst = B.fresh_var ~width:(Ir.Instr.div_width a b) st.b "t_mod" in
-    B.emit st.b (Ir.Instr.Rem { dst; a; b });
-    Ir.Instr.Var dst
-  | other -> (
-    match alu_of_binop other with
-    | Some ir_op ->
-      let a = lower_expr st a and b = lower_expr st b in
-      let dst = B.bin ~width:(Ir.Instr.alu_width ir_op a b) st.b ir_op "t" a b in
-      if is_comparison other then Hashtbl.replace st.bool_vars dst.Ir.Instr.vid ();
-      Ir.Instr.Var dst
-    | None -> assert false)
 
 (* Lower [e] directly into destination register [dst] (avoids a trailing
    move for the common "x = a op b" statements). *)
 let lower_expr_into st (dst : Ir.Instr.var) (e : Ast.expr) =
   match e.Ast.desc with
-  | Ast.Binary (op, a, b) when alu_of_binop op <> None && op <> Ast.Land && op <> Ast.Lor ->
-    let ir_op = Option.get (alu_of_binop op) in
+  | Ast.Binary (op, a, b) when op <> Ast.Land && op <> Ast.Lor ->
     let a = lower_expr st a and b = lower_expr st b in
-    B.emit st.b (Ir.Instr.Bin { dst; op = ir_op; a; b });
+    B.emit st.b (Option.get (instr_of_binop dst op a b));
     if is_comparison op then Hashtbl.replace st.bool_vars dst.Ir.Instr.vid ()
     else Hashtbl.remove st.bool_vars dst.Ir.Instr.vid
-  | Ast.Binary (Ast.Mul, a, b) ->
-    let a = lower_expr st a and b = lower_expr st b in
-    Hashtbl.remove st.bool_vars dst.Ir.Instr.vid;
-    B.emit st.b (Ir.Instr.Mul { dst; a; b })
-  | Ast.Binary (Ast.Div, a, b) ->
-    let a = lower_expr st a and b = lower_expr st b in
-    Hashtbl.remove st.bool_vars dst.Ir.Instr.vid;
-    B.emit st.b (Ir.Instr.Div { dst; a; b })
-  | Ast.Binary (Ast.Mod, a, b) ->
-    let a = lower_expr st a and b = lower_expr st b in
-    Hashtbl.remove st.bool_vars dst.Ir.Instr.vid;
-    B.emit st.b (Ir.Instr.Rem { dst; a; b })
   | Ast.Index (arr, ix) ->
     let index = lower_expr st ix in
     Hashtbl.remove st.bool_vars dst.Ir.Instr.vid;

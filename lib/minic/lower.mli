@@ -9,6 +9,15 @@
     short-circuiting) and normalise their operands to 0/1 only when the
     operand is not already boolean-valued. *)
 
+val instr_of_binop :
+  Hypar_ir.Instr.var ->
+  Ast.binop ->
+  Hypar_ir.Instr.operand ->
+  Hypar_ir.Instr.operand ->
+  Hypar_ir.Instr.t option
+(** [instr_of_binop dst op a b] is the one instruction [dst = a op b]
+    lowers to; [None] for [&&] and [||], which lower to several. *)
+
 val program : ?name:string -> Ast.program -> Hypar_ir.Cdfg.t
 (** Lowers the (typechecked, inlined — a single [main]) program.
     Raises [Invalid_argument] on programs that were not inlined. *)

@@ -237,8 +237,3 @@ let check prog =
       if f.params <> [] then fail f.fpos "'main' must take no parameters");
     Ok ()
   with Err e -> Error e
-
-let check_exn prog =
-  match check prog with
-  | Ok () -> ()
-  | Error e -> failwith (Printf.sprintf "%d:%d: %s" e.pos.line e.pos.col e.msg)

@@ -16,6 +16,3 @@
 type error = { pos : Token.pos; msg : string }
 
 val check : Ast.program -> (unit, error) result
-
-val check_exn : Ast.program -> unit
-(** Like {!check} but raises {!Failure} with a formatted message. *)

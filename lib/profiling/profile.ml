@@ -58,8 +58,6 @@ let run ?backend ?max_steps ?poll ?inputs cdfg =
   | `Tree -> Interp.run ?max_steps ?poll ?inputs cdfg
   | `Compiled -> Exec.run ?max_steps ?poll ?inputs cdfg
 
-let collect ?backend ?inputs cdfg = of_result cdfg (run ?backend ?inputs cdfg)
-
 let freq t i = if i >= 0 && i < Array.length t.blocks then t.blocks.(i).freq else 0
 
 let hottest ?limit t =

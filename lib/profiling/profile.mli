@@ -41,13 +41,6 @@ val run :
     otherwise, which [hypar serve] honours too).  Parameters and
     exceptions as {!Interp.run}. *)
 
-val collect :
-  ?backend:backend ->
-  ?inputs:(string * int array) list ->
-  Hypar_ir.Cdfg.t ->
-  t
-(** Runs the program (see {!run}) and assembles per-block stats. *)
-
 val of_result : Hypar_ir.Cdfg.t -> Interp.result -> t
 (** Assembles a profile from an existing interpreter run. *)
 

@@ -60,8 +60,7 @@ val to_text : spec -> string
 val of_string : string -> (spec, string) result
 (** Inverse of {!to_text}; errors carry a line number. *)
 
-val load : string -> (spec, string) result
-
 val of_arg : string -> (spec option, string) result
 (** The CLI's [--chaos] argument: ["none"]/["off"] → [None],
-    ["default"] → the built-in spec, anything else → {!load}. *)
+    ["default"] → the built-in spec, anything else → the spec file at that
+    path, read with {!of_string}. *)

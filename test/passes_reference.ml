@@ -600,7 +600,7 @@ let dead_code_eliminate cdfg =
   let live = (Dataflow.Liveness.solve cfg).Dataflow.at_exit in
   let eliminate i (b : Block.t) =
     (* walked last to first on a copy of the block's live-out set *)
-    let live_now = Bitset.copy live.(i) in
+    let live_now = Dataflow.Liveness.to_bitset live.(i) in
     List.iter (fun (v : Instr.var) -> Bitset.add live_now v.vid)
       (Block.terminator_uses b);
     let keep instr =
@@ -794,7 +794,7 @@ let hoist_loop ~cfg ~live ~dominates (blocks : Block.t array) (loop : Loop.t) =
       && (match Instr.def instr with
          | Some dst ->
            Hashtbl.find_opt def_count dst.vid = Some 1
-           && (not (Bitset.mem live_in_header dst.vid))
+           && (not (Dataflow.Liveness.mem live_in_header dst.vid))
            && not (Hashtbl.mem hoisted_vids dst.vid)
          | None -> false)
       && List.for_all operand_invariant (Instr.uses instr)

@@ -10,7 +10,7 @@ module Table = Hypar_analysis.Table
 
 let analyse ?weights src =
   let cdfg = Driver.compile_exn src in
-  let profile = Profile.collect cdfg in
+  let profile = Profile.of_result cdfg (Profile.run cdfg) in
   (cdfg, Kernel.analyse ?weights cdfg profile)
 
 let two_loops_src = {|
@@ -33,7 +33,7 @@ let test_weight_model () =
   let w = Weights.paper in
   Alcotest.(check int) "alu weight" 1 w.Weights.alu;
   Alcotest.(check int) "mul weight" 2 w.Weights.mul;
-  let custom = Weights.make ~mul:5 () in
+  let custom = { Weights.paper with mul = 5 } in
   Alcotest.(check int) "override mul" 5 custom.Weights.mul;
   Alcotest.(check int) "alu inherited" 1 custom.Weights.alu
 
@@ -77,7 +77,7 @@ let test_kernels_only_in_loops () =
         true (e.loop_depth > 0))
     analysis.Kernel.kernels;
   (* entry block is never a kernel *)
-  Alcotest.(check bool) "entry not kernel" false (Kernel.entry analysis 0).Kernel.is_kernel
+  Alcotest.(check bool) "entry not kernel" false analysis.Kernel.entries.(0).Kernel.is_kernel
 
 let test_unexecuted_blocks_excluded () =
   let _, analysis =
@@ -118,8 +118,8 @@ void main() {
   out[0] = s;
 }
 |} in
-  let _, flat = analyse ~weights:(Weights.make ~mul:1 ()) src in
-  let _, boosted = analyse ~weights:(Weights.make ~mul:50 ()) src in
+  let _, flat = analyse ~weights:{ Weights.paper with mul = 1 } src in
+  let _, boosted = analyse ~weights:{ Weights.paper with mul = 50 } src in
   let first (a : Kernel.t) =
     match a.Kernel.kernels with
     | e :: _ -> e.Kernel.exec_freq
@@ -137,7 +137,10 @@ let test_table_rendering () =
 
 let test_total_application_weight () =
   let _, analysis = analyse two_loops_src in
-  let total = Kernel.total_application_weight analysis in
+  let total =
+    Array.fold_left (fun acc (e : Kernel.entry) -> acc + e.total_weight) 0
+      analysis.Kernel.entries
+  in
   let sum_kernels =
     List.fold_left (fun acc (e : Kernel.entry) -> acc + e.total_weight) 0
       analysis.Kernel.kernels

@@ -2,6 +2,9 @@
 
 module Ir = Hypar_ir
 module Analyze = Hypar_analysis.Analyze
+module Diagnostics = Hypar_analysis.Diagnostics
+
+let code_id = Diagnostics.id Analyze.kind
 
 let compile src =
   Hypar_minic.Driver.compile_exn ~name:"test.mc" ~simplify:false src
@@ -20,15 +23,15 @@ let contains s affix =
 let test_codes_roundtrip () =
   List.iter
     (fun c ->
-      Alcotest.(check bool) (Analyze.code_id c) true
-        (Analyze.code_of_string (Analyze.code_id c) = Some c);
-      Alcotest.(check bool) (Analyze.code_mnemonic c) true
-        (Analyze.code_of_string (Analyze.code_mnemonic c) = Some c);
+      Alcotest.(check bool) (code_id c) true
+        (Diagnostics.of_string Analyze.kind (code_id c) = Some c);
+      Alcotest.(check bool) (Diagnostics.mnemonic Analyze.kind c) true
+        (Diagnostics.of_string Analyze.kind (Diagnostics.mnemonic Analyze.kind c) = Some c);
       Alcotest.(check bool) "lower-case id" true
-        (Analyze.code_of_string (String.lowercase_ascii (Analyze.code_id c))
+        (Diagnostics.of_string Analyze.kind (String.lowercase_ascii (code_id c))
         = Some c))
-    Analyze.all_codes;
-  Alcotest.(check bool) "unknown code" true (Analyze.code_of_string "A999" = None)
+    (Diagnostics.all Analyze.kind);
+  Alcotest.(check bool) "unknown code" true (Diagnostics.of_string Analyze.kind "A999" = None)
 
 let test_use_before_def () =
   (* hand-built: the entry reads a register nothing defines *)
@@ -216,7 +219,7 @@ let test_unoptimized_fir_findings () =
   let fs = Analyze.check (compile fir_src) in
   Alcotest.(check (list string)) "pre-tests and duplicated inits"
     [ "A004"; "A002"; "A004"; "A002" ]
-    (List.map (fun f -> Analyze.code_id f.Analyze.code) fs)
+    (List.map (fun f -> code_id f.Analyze.code) fs)
 
 let test_findings_sorted_and_unique () =
   let src =
@@ -232,7 +235,7 @@ let test_findings_sorted_and_unique () =
   let keys =
     List.map
       (fun (f : Analyze.finding) ->
-        (f.Analyze.block, f.Analyze.index, Analyze.code_id f.Analyze.code))
+        (f.Analyze.block, f.Analyze.index, code_id f.Analyze.code))
       fs
   in
   Alcotest.(check bool) "sorted" true (List.sort compare keys = keys);
@@ -250,10 +253,10 @@ let test_render () =
   in
   Alcotest.(check string) "text line"
     "x.ir:BB2.1: note A001 [use-before-def]: ghost#7 may be read\n"
-    (Analyze.render ~file:"x.ir" [ f ]);
+    (Diagnostics.render Analyze.kind ~file:"x.ir" [ f ]);
   let t = { f with Analyze.index = -1 } in
   Alcotest.(check bool) "terminator position" true
-    (contains (Analyze.render [ t ]) "BB2.term")
+    (contains (Diagnostics.render Analyze.kind ~file:"<ir>" [ t ]) "BB2.term")
 
 let test_render_json () =
   let f =
@@ -264,7 +267,7 @@ let test_render_json () =
       message = "divisor \"d\" may be zero";
     }
   in
-  let json = Analyze.render_json ~file:"p.mc" [ f ] in
+  let json = Diagnostics.render_json Analyze.kind ~file:"p.mc" [ f ] in
   List.iter
     (fun affix -> Alcotest.(check bool) affix true (contains json affix))
     [

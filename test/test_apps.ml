@@ -193,7 +193,23 @@ let test_matmul_and_fir_compile_and_run () =
     expected := !expected + (k mod 7 * (k * 8 mod 5))
   done;
   Alcotest.(check int) "matmul c00" !expected c.(0);
-  let fir = Hypar_apps.Synth.fir_source ~taps:8 ~samples:32 in
+  let fir =
+    {|
+int x[40];
+int h[8];
+int y[32];
+void main() {
+  int i;
+  for (i = 0; i < 32; i = i + 1) {
+    int s = 0;
+    int t;
+    for (t = 0; t < 8; t = t + 1) {
+      s = s + x[i + t] * h[t];
+    }
+    y[i] = s >> 8;
+  }
+}|}
+  in
   let prepared_fir =
     Flow.prepare ~name:"fir" fir
       ~inputs:

@@ -11,6 +11,11 @@ module Fpga = Hypar_finegrain.Fpga
 
 let platform () = List.hd (Platform.paper_configs ())
 
+let run platform ~timing_constraint cdfg profile strategy =
+  List.hd
+    (Baselines.compare_all ~strategies:[ strategy ] platform ~timing_constraint cdfg
+       profile)
+
 let prepared = lazy (Flow.prepare ~name:"two-loops" {|
 int out[1];
 void main() {
@@ -141,7 +146,7 @@ let test_ablation_e_golden () =
 let test_exhaustive_no_worse_than_greedy () =
   let p = Lazy.force prepared in
   let timing_constraint = budget p in
-  let run s = Baselines.run (platform ()) ~timing_constraint p.Flow.cdfg p.Flow.profile s in
+  let run s = run (platform ()) ~timing_constraint p.Flow.cdfg p.Flow.profile s in
   let greedy = run Baselines.Paper_greedy in
   let optimal = run (Baselines.Exhaustive 10) in
   Alcotest.(check bool) "both met" true (greedy.Baselines.met && optimal.Baselines.met);
@@ -152,7 +157,7 @@ let test_random_is_met_eventually () =
   let p = Lazy.force prepared in
   let timing_constraint = budget p in
   let r =
-    Baselines.run (platform ()) ~timing_constraint p.Flow.cdfg p.Flow.profile
+    run (platform ()) ~timing_constraint p.Flow.cdfg p.Flow.profile
       (Baselines.Random_order 7)
   in
   Alcotest.(check bool) "random order still converges" true r.Baselines.met
@@ -184,14 +189,14 @@ let test_exhaustive_cap () =
   Buffer.add_string buf "  out[0] = s;\n}\n";
   let p = Flow.prepare ~name:"many-loops" (Buffer.contents buf) in
   (match
-     Baselines.run (platform ()) ~timing_constraint:1 p.Flow.cdfg p.Flow.profile
+     run (platform ()) ~timing_constraint:1 p.Flow.cdfg p.Flow.profile
        (Baselines.Exhaustive 25)
    with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected top-20 cap");
   (* but asking for fewer than 20 of them is fine *)
   let o =
-    Baselines.run (platform ()) ~timing_constraint:1 p.Flow.cdfg p.Flow.profile
+    run (platform ()) ~timing_constraint:1 p.Flow.cdfg p.Flow.profile
       (Baselines.Exhaustive 8)
   in
   Alcotest.(check bool) "bounded search ran" true (o.Baselines.evaluations = 256)
@@ -270,7 +275,7 @@ let test_loop_greedy_on_branchy_kernel () =
   let p = Hypar_apps.Adpcm.prepared () in
   let timing_constraint = Hypar_apps.Adpcm.timing_constraint in
   let run s =
-    Baselines.run (adpcm_platform ()) ~timing_constraint
+    run (adpcm_platform ()) ~timing_constraint
       p.Flow.cdfg p.Flow.profile s
   in
   let per_block = run Baselines.Paper_greedy in
@@ -291,7 +296,7 @@ let test_loop_greedy_single_block_loops () =
   let p = Lazy.force prepared in
   let timing_constraint = budget p in
   let r =
-    Baselines.run (platform ()) ~timing_constraint p.Flow.cdfg p.Flow.profile
+    run (platform ()) ~timing_constraint p.Flow.cdfg p.Flow.profile
       Baselines.Loop_greedy
   in
   Alcotest.(check bool) "met" true r.Baselines.met

@@ -85,14 +85,12 @@ void main() {
 
 let test_random_semantics () =
   for seed = 300 to 312 do
-    let src = Hypar_apps.Synth.random_structured_main ~seed ~depth:3 () in
-    let raw = compile_raw src in
-    let cleaned = Ir.Passes.simplify_cfg raw in
-    Alcotest.(check int) (Printf.sprintf "seed %d" seed) (out0 raw) (out0 cleaned)
+    let raw = compile_raw (Hypar_fuzzgen.Gen.source seed) in
+    Outputs.check (Printf.sprintf "seed %d" seed) raw (Ir.Passes.simplify_cfg raw)
   done
 
 let test_idempotent () =
-  let cdfg = compile_raw (Hypar_apps.Synth.random_structured_main ~seed:99 ~depth:3 ()) in
+  let cdfg = compile_raw (Hypar_fuzzgen.Gen.source 99) in
   let once = Ir.Passes.simplify_cfg cdfg in
   let twice = Ir.Passes.simplify_cfg once in
   Alcotest.(check int) "stable block count" (Ir.Cdfg.block_count once)

@@ -307,7 +307,7 @@ let test_liveness_matches_live () =
   let of_list l = List.map (fun (v : Ir.Instr.var) -> v.Ir.Instr.vid) l in
   let of_set s =
     let acc = ref [] in
-    Ir.Bitset.iter (fun vid -> acc := vid :: !acc) s;
+    D.Liveness.iter (fun vid -> acc := vid :: !acc) s;
     List.rev !acc
   in
   for i = 0 to Ir.Cfg.block_count cfg - 1 do

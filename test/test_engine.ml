@@ -48,7 +48,7 @@ let test_moves_hot_kernel () =
   Alcotest.(check bool) "met by moving the loop" true (Engine.met r);
   (match r.Engine.moved with
   | [ moved ] ->
-    let entry = Hypar_analysis.Kernel.entry r.Engine.analysis moved in
+    let entry = r.Engine.analysis.Hypar_analysis.Kernel.entries.(moved) in
     Alcotest.(check int) "moved block ran 5000 times" 5000
       entry.Hypar_analysis.Kernel.exec_freq
   | l -> Alcotest.failf "expected a single move, got %d" (List.length l));

@@ -23,8 +23,9 @@ void main() { out[0] = in[0] * 2; }
 
 let test_partition_source_shortcut () =
   let r =
-    Flow.partition_source ~name:"loop" (platform ()) ~timing_constraint:max_int
-      {|
+    Flow.partition (platform ()) ~timing_constraint:max_int
+    @@ Flow.prepare ~name:"loop"
+         {|
 int out[1];
 void main() {
   int s = 0;

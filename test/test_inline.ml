@@ -7,9 +7,14 @@ module Inline = Hypar_minic.Inline
 module Driver = Hypar_minic.Driver
 module Interp = Hypar_profiling.Interp
 
+let typecheck prog =
+  match Typecheck.check prog with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "%d:%d: %s" e.pos.line e.pos.col e.msg
+
 let inline_src src =
   let prog = Parser.parse_program src in
-  Typecheck.check_exn prog;
+  typecheck prog;
   Inline.program prog
 
 let run_out0 ?(inputs = []) src =
@@ -127,7 +132,7 @@ int g(int x) { return f(x); }
 void main() { out[0] = f(1); }
 |} in
   let prog = Parser.parse_program src in
-  Typecheck.check_exn prog;
+  typecheck prog;
   match Inline.program prog with
   | exception Inline.Recursive name ->
     Alcotest.(check bool) "names a cycle member" true (name = "f" || name = "g")

@@ -225,10 +225,8 @@ void main() {
 
 let test_random_structured_semantics () =
   for seed = 200 to 212 do
-    let src = Hypar_apps.Synth.random_structured_main ~seed ~depth:3 () in
-    let raw = compile_raw src in
-    let opt = Ir.Passes.optimize raw in
-    Alcotest.(check int) (Printf.sprintf "seed %d" seed) (out0 raw) (out0 opt)
+    let raw = compile_raw (Hypar_fuzzgen.Gen.source seed) in
+    Outputs.check (Printf.sprintf "seed %d" seed) raw (Ir.Passes.optimize raw)
   done
 
 let suite =

@@ -1,12 +1,9 @@
 (* Unit tests for the Mini-C source linter. *)
 
 module Lint = Hypar_analysis.Lint
+module Diagnostics = Hypar_analysis.Diagnostics
 
-let parse = Hypar_minic.Parser.parse_program
-
-let ast_codes src =
-  List.map (fun (d : Lint.diagnostic) -> Lint.code_id d.code)
-    (Lint.check_ast (parse src))
+let code_id = Diagnostics.id Lint.kind
 
 let full src =
   match Lint.check src with
@@ -14,7 +11,7 @@ let full src =
   | Error msg -> Alcotest.failf "lint refused to parse: %s" msg
 
 let full_codes src =
-  List.map (fun (d : Lint.diagnostic) -> Lint.code_id d.code) (full src)
+  List.map (fun (d : Lint.diagnostic) -> code_id d.code) (full src)
 
 let has code codes = List.mem code codes
 
@@ -121,7 +118,7 @@ let test_unreachable_after_return () =
   (* never typechecks (trailing-return rule) but must still lint *)
   Alcotest.(check bool) "code after return" true
     (has "W004"
-       (ast_codes {|
+       (full_codes {|
 int f() {
   return 1;
   int x = 2;
@@ -153,7 +150,7 @@ let test_unreachable_after_infinite_loop () =
   (* Mini-C has no break: while(1) never exits *)
   Alcotest.(check bool) "code after while(1)" true
     (has "W004"
-       (ast_codes {|
+       (full_codes {|
 void f() {
   while (1) {
     int x = 1;
@@ -178,6 +175,16 @@ int out[1];
 int in[1];
 void main() {
   if (in[0] > 1) {
+    out[0] = 1;
+  }
+}
+|};
+  (* the IR clamps a shift amount to 62, so the profiled program always
+     takes this branch *)
+  check_fires "W005" "shift past the word" {|
+int out[1];
+void main() {
+  if (1 << 70) {
     out[0] = 1;
   }
 }
@@ -288,7 +295,7 @@ void main() {
 |}
   with
   | [ d ] ->
-    Alcotest.(check string) "code" "W001" (Lint.code_id d.code);
+    Alcotest.(check string) "code" "W001" (code_id d.code);
     Alcotest.(check int) "line" 4 d.line;
     Alcotest.(check bool) "column set" true (d.col > 0)
   | ds -> Alcotest.failf "expected exactly one diagnostic, got %d" (List.length ds)
@@ -306,30 +313,30 @@ void main() {
   out[0] = 1;
 }
 |} in
-  let text = Lint.render ~file:"t.mc" ds in
+  let text = Diagnostics.render Lint.kind ~file:"t.mc" ds in
   Alcotest.(check bool) "text format" true
     (contains "t.mc:4:" text && contains "warning W001 [unused-variable]" text);
-  let json = Lint.render_json ~file:"t.mc" ds in
+  let json = Diagnostics.render_json Lint.kind ~file:"t.mc" ds in
   Alcotest.(check bool) "json format" true
     (contains {|"count": 1|} json && contains {|"code": "W001"|} json)
 
 let test_code_names () =
-  Alcotest.(check int) "nine codes" 9 (List.length Lint.all_codes);
+  Alcotest.(check int) "nine codes" 9 (List.length (Diagnostics.all Lint.kind));
   List.iter
     (fun c ->
       Alcotest.(check bool)
-        ("id resolves: " ^ Lint.code_id c)
+        ("id resolves: " ^ code_id c)
         true
-        (Lint.code_of_string (Lint.code_id c) = Some c);
+        (Diagnostics.of_string Lint.kind (code_id c) = Some c);
       Alcotest.(check bool)
-        ("mnemonic resolves: " ^ Lint.code_mnemonic c)
+        ("mnemonic resolves: " ^ Diagnostics.mnemonic Lint.kind c)
         true
-        (Lint.code_of_string (Lint.code_mnemonic c) = Some c))
-    Lint.all_codes;
+        (Diagnostics.of_string Lint.kind (Diagnostics.mnemonic Lint.kind c) = Some c))
+    (Diagnostics.all Lint.kind);
   Alcotest.(check bool) "case-insensitive" true
-    (Lint.code_of_string "w003" = Some Lint.Dead_assignment);
+    (Diagnostics.of_string Lint.kind "w003" = Some Lint.Dead_assignment);
   Alcotest.(check bool) "unknown rejected" true
-    (Lint.code_of_string "W999" = None)
+    (Diagnostics.of_string Lint.kind "W999" = None)
 
 let test_parse_error_is_error () =
   match Lint.check "int main( {" with

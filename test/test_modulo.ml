@@ -58,20 +58,6 @@ let test_wide_kernel_pipelines_well () =
       (m.Modulo.ii < m.Modulo.latency)
   | None -> Alcotest.fail "expected analysis"
 
-let test_pipelined_cycles_math () =
-  let dfg, s, i = carried_dfg () in
-  match Modulo.analyse cgc2 dfg ~carried:[ s; i ] with
-  | Some m ->
-    Alcotest.(check int) "0 iterations" 0 (Modulo.pipelined_cycles m ~iterations:0);
-    Alcotest.(check int) "1 iteration = latency" m.Modulo.latency
-      (Modulo.pipelined_cycles m ~iterations:1);
-    Alcotest.(check int) "100 iterations"
-      ((99 * m.Modulo.ii) + m.Modulo.latency)
-      (Modulo.pipelined_cycles m ~iterations:100);
-    Alcotest.(check bool) "pipelining never slower than sequential" true
-      (Modulo.pipelined_cycles m ~iterations:100 <= 100 * m.Modulo.latency)
-  | None -> Alcotest.fail "expected analysis"
-
 let test_division_unsupported () =
   let b = Ir.Builder.create () in
   let x = Ir.Builder.fresh_var b "x" in
@@ -129,7 +115,6 @@ let suite =
   [
     Alcotest.test_case "II bounds" `Quick test_bounds;
     Alcotest.test_case "wide kernels pipeline" `Quick test_wide_kernel_pipelines_well;
-    Alcotest.test_case "pipelined cycles math" `Quick test_pipelined_cycles_math;
     Alcotest.test_case "division unsupported" `Quick test_division_unsupported;
     Alcotest.test_case "engine pipelining helps" `Quick test_engine_pipelining_helps;
     Alcotest.test_case "no self-loop, no effect" `Quick test_non_self_loop_blocks_unaffected;

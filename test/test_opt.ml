@@ -141,10 +141,8 @@ void main() {
 
 let test_random_semantics_with_full_pipeline () =
   for seed = 50 to 65 do
-    let src = Hypar_apps.Synth.random_straightline_main ~seed ~ops:50 () in
-    let raw = compile_raw src in
-    let opt = Ir.Passes.simplify raw in
-    Alcotest.(check int) (Printf.sprintf "seed %d" seed) (out0 raw) (out0 opt)
+    let raw = compile_raw (Hypar_fuzzgen.Gen.source seed) in
+    Outputs.check (Printf.sprintf "seed %d" seed) raw (Ir.Passes.simplify raw)
   done
 
 let suite =

@@ -12,10 +12,10 @@ let rec expr_to_string (e : Ast.expr) =
   | Ast.Call (f, args) ->
     Printf.sprintf "%s(%s)" f (String.concat "," (List.map expr_to_string args))
   | Ast.Unary (op, a) ->
-    Printf.sprintf "(%s%s)" (Format.asprintf "%a" Ast.pp_unop op) (expr_to_string a)
+    Printf.sprintf "(%s%s)" (Ast.unop_name op) (expr_to_string a)
   | Ast.Binary (op, a, b) ->
     Printf.sprintf "(%s%s%s)" (expr_to_string a)
-      (Format.asprintf "%a" Ast.pp_binop op)
+      (Ast.binop_name op)
       (expr_to_string b)
   | Ast.Ternary (a, b, c) ->
     Printf.sprintf "(%s?%s:%s)" (expr_to_string a) (expr_to_string b)

@@ -114,8 +114,7 @@ void main() {
   Alcotest.(check int) "dead load removed" 0 loads
 
 let test_simplify_idempotent () =
-  let src = Hypar_apps.Synth.random_structured_main ~seed:5 ~depth:3 () in
-  let cdfg = compile_raw src in
+  let cdfg = compile_raw (Hypar_fuzzgen.Gen.source 5) in
   let s1 = Ir.Passes.simplify cdfg in
   let s2 = Ir.Passes.simplify s1 in
   Alcotest.(check int) "same size after second round"
@@ -124,12 +123,8 @@ let test_simplify_idempotent () =
 let test_semantics_preserved_random () =
   (* run 12 random programs through the passes and compare results *)
   for seed = 1 to 12 do
-    let src = Hypar_apps.Synth.random_straightline_main ~seed ~ops:40 () in
-    let raw = compile_raw src in
-    let simplified = Ir.Passes.simplify raw in
-    Alcotest.(check int)
-      (Printf.sprintf "seed %d" seed)
-      (out0 raw) (out0 simplified)
+    let raw = compile_raw (Hypar_fuzzgen.Gen.source seed) in
+    Outputs.check (Printf.sprintf "seed %d" seed) raw (Ir.Passes.simplify raw)
   done
 
 (* --- the pass contract: no-op identity and the DFG cache ------------------ *)

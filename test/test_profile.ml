@@ -4,7 +4,9 @@ module Ir = Hypar_ir
 module Driver = Hypar_minic.Driver
 module Profile = Hypar_profiling.Profile
 
-let profile src = Profile.collect (Driver.compile_exn src)
+let profile src =
+  let cdfg = Driver.compile_exn src in
+  Profile.of_result cdfg (Profile.run cdfg)
 
 let loop_src = {|
 int out[1];

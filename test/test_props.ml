@@ -13,6 +13,7 @@ module Schedule = Hypar_coarsegrain.Schedule
 module Binding = Hypar_coarsegrain.Binding
 module Cgc = Hypar_coarsegrain.Cgc
 module Synth = Hypar_apps.Synth
+module Gen = Hypar_fuzzgen.Gen
 module Driver = Hypar_minic.Driver
 module Interp = Hypar_profiling.Interp
 
@@ -92,18 +93,16 @@ let prop_more_cgcs_never_hurt =
       let m k = (Schedule.schedule (Cgc.two_by_two k) dfg).Schedule.makespan in
       m 3 <= m 2)
 
+(* A fuzz-generator program nesting loops and branches up to [depth]. *)
+let structured ~seed ~depth = Gen.source ~config:{ Gen.default_config with max_depth = depth } seed
+
 let prop_passes_preserve_semantics =
   QCheck.Test.make ~name:"passes: simplify preserves the computed value"
     ~count:40
-    (QCheck.make
-       ~print:(fun (seed, ops) -> Printf.sprintf "seed=%d ops=%d" seed ops)
-       QCheck.Gen.(pair (int_range 1 100_000) (int_range 1 60)))
-    (fun (seed, ops) ->
-      let src = Synth.random_straightline_main ~seed ~ops () in
-      let raw = Driver.compile_exn ~simplify:false src in
-      let simplified = Ir.Passes.simplify raw in
-      let out cdfg = (Interp.array_exn (Interp.run cdfg) "out").(0) in
-      out raw = out simplified)
+    (QCheck.make ~print:(Printf.sprintf "seed=%d") QCheck.Gen.(int_range 1 100_000))
+    (fun seed ->
+      let raw = Driver.compile_exn ~simplify:false (Gen.source seed) in
+      Outputs.of_cdfg raw = Outputs.of_cdfg (Ir.Passes.simplify raw))
 
 let prop_structured_programs_roundtrip =
   QCheck.Test.make ~name:"frontend: structured programs compile and run"
@@ -112,11 +111,8 @@ let prop_structured_programs_roundtrip =
        ~print:(fun (seed, depth) -> Printf.sprintf "seed=%d depth=%d" seed depth)
        QCheck.Gen.(pair (int_range 1 100_000) (int_range 1 4)))
     (fun (seed, depth) ->
-      let src = Synth.random_structured_main ~seed ~depth () in
-      let raw = Driver.compile_exn ~simplify:false src in
-      let simplified = Ir.Passes.simplify raw in
-      let out cdfg = (Interp.array_exn (Interp.run cdfg) "out").(0) in
-      out raw = out simplified)
+      let raw = Driver.compile_exn ~simplify:false (structured ~seed ~depth) in
+      Outputs.of_cdfg raw = Outputs.of_cdfg (Ir.Passes.simplify raw))
 
 let prop_edge_block_consistency =
   QCheck.Test.make ~name:"interp: edge counts sum to block frequencies"
@@ -125,7 +121,7 @@ let prop_edge_block_consistency =
        ~print:(fun (seed, depth) -> Printf.sprintf "seed=%d depth=%d" seed depth)
        QCheck.Gen.(pair (int_range 1 100_000) (int_range 1 4)))
     (fun (seed, depth) ->
-      let src = Synth.random_structured_main ~seed ~depth () in
+      let src = structured ~seed ~depth in
       let cdfg = Driver.compile_exn src in
       let r = Interp.run cdfg in
       let incoming = Array.make (Ir.Cdfg.block_count cdfg) 0 in
@@ -145,7 +141,7 @@ let prop_engine_eq2 =
        ~print:(fun (seed, depth) -> Printf.sprintf "seed=%d depth=%d" seed depth)
        QCheck.Gen.(pair (int_range 1 100_000) (int_range 2 4)))
     (fun (seed, depth) ->
-      let src = Synth.random_structured_main ~seed ~depth () in
+      let src = structured ~seed ~depth in
       let prepared = Hypar_core.Flow.prepare ~name:"prop" src in
       let platform = List.hd (Hypar_core.Platform.paper_configs ()) in
       let r = Hypar_core.Flow.partition platform ~timing_constraint:1 prepared in
@@ -165,7 +161,7 @@ let prop_serialize_roundtrip =
        ~print:(fun (seed, depth) -> Printf.sprintf "seed=%d depth=%d" seed depth)
        QCheck.Gen.(pair (int_range 1 100_000) (int_range 1 4)))
     (fun (seed, depth) ->
-      let src = Synth.random_structured_main ~seed ~depth () in
+      let src = structured ~seed ~depth in
       let cdfg = Driver.compile_exn src in
       let back = Ir.Serialize.of_string (Ir.Serialize.to_string cdfg) in
       Array.to_list (Ir.Cfg.blocks (Ir.Cdfg.cfg cdfg))
@@ -286,7 +282,7 @@ let prop_obs_pipeline_balanced =
        ~print:(fun (seed, depth) -> Printf.sprintf "seed=%d depth=%d" seed depth)
        QCheck.Gen.(pair (int_range 1 100_000) (int_range 1 3)))
     (fun (seed, depth) ->
-      let src = Synth.random_structured_main ~seed ~depth () in
+      let src = structured ~seed ~depth in
       let events =
         with_recording (fun () ->
             let prepared = Hypar_core.Flow.prepare ~name:"prop" src in

@@ -93,12 +93,9 @@ let test_result_table_aligned () =
 
 let test_moved_blocks_string () =
   let r = Lazy.force result in
-  let s = Hypar_core.Result_table.moved_blocks_string r in
-  List.iter
-    (fun b ->
-      Alcotest.(check bool) "mentions moved block" true
-        (contains s (string_of_int b)))
-    r.Engine.moved
+  let s = Hypar_core.Result_table.render ~title:"t" [ r ] in
+  Alcotest.(check bool) "BB no. lists the moved blocks in move order" true
+    (contains s (String.concat ", " (List.map string_of_int r.Engine.moved)))
 
 let test_dot_export () =
   let p = Lazy.force prepared in

@@ -89,8 +89,9 @@ let test_degrade_platform () =
     (match p.Platform.cgc_health with
     | None -> Alcotest.fail "expected a health mask"
     | Some h ->
-      let full = Cgc.usable_slots (Cgc.full_health p.Platform.cgc) in
-      Alcotest.(check bool) "slots lost" true (Cgc.usable_slots h < full))
+      let usable (h : Cgc.health) = Array.fold_left ( + ) 0 h.col_rows in
+      let full = usable (Cgc.full_health p.Platform.cgc) in
+      Alcotest.(check bool) "slots lost" true (usable h < full))
 
 let test_degrade_strictness () =
   let s = parse_exn "dead-cgc 7" in

@@ -33,10 +33,8 @@ void main() {
   Alcotest.(check string) "name preserved" (Ir.Cdfg.name cdfg) (Ir.Cdfg.name back)
 
 let test_roundtrip_preserves_semantics () =
-  let cdfg = Driver.compile_exn (Hypar_apps.Synth.random_structured_main ~seed:77 ~depth:3 ()) in
-  let back = roundtrip cdfg in
-  let out c = (Interp.array_exn (Interp.run c) "out").(0) in
-  Alcotest.(check int) "same result after reload" (out cdfg) (out back)
+  let cdfg = Driver.compile_exn (Hypar_fuzzgen.Gen.source 77) in
+  Outputs.check "same result after reload" cdfg (roundtrip cdfg)
 
 let test_roundtrip_apps () =
   List.iter

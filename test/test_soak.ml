@@ -99,8 +99,9 @@ let test_chaos_decisions () =
 (* ---- fixture replay ------------------------------------------------------ *)
 
 let load_fixture name =
-  match Chaos.load (Filename.concat "chaos" name) with
-  | Ok spec -> spec
+  match Chaos.of_arg (Filename.concat "chaos" name) with
+  | Ok (Some spec) -> spec
+  | Ok None -> Alcotest.fail "no spec"
   | Error e -> Alcotest.fail e
 
 let soak_with ?(grace = 2000) ?(count = 8) chaos =

@@ -16,7 +16,7 @@ let test_random_dfg_determinism () =
   let d3 = Synth.random_dfg ~seed:43 ~nodes:50 () in
   Alcotest.(check bool) "different seeds differ" true
     (Array.to_list (Ir.Dfg.asap d1) <> Array.to_list (Ir.Dfg.asap d3)
-    || Ir.Dfg.op_counts d1 <> Ir.Dfg.op_counts d3)
+    || Ir.Dfg.nodes d1 <> Ir.Dfg.nodes d3)
 
 let test_random_dfg_size () =
   List.iter
@@ -28,23 +28,6 @@ let test_random_dfg_size () =
         true
         (Ir.Dfg.node_count d >= n))
     [ 1; 10; 100 ]
-
-let test_straightline_deterministic_and_runs () =
-  let src1 = Synth.random_straightline_main ~seed:5 ~ops:30 () in
-  let src2 = Synth.random_straightline_main ~seed:5 ~ops:30 () in
-  Alcotest.(check string) "deterministic" src1 src2;
-  let cdfg = Driver.compile_exn src1 in
-  let r = Interp.run cdfg in
-  Alcotest.(check bool) "terminates" true (r.Interp.instrs_executed > 0)
-
-let test_structured_targets_depth () =
-  let src = Synth.random_structured_main ~seed:3 ~depth:4 () in
-  let cdfg = Driver.compile_exn ~simplify:false src in
-  let cfg = Ir.Cdfg.cfg cdfg in
-  Alcotest.(check bool) "has control flow" true (Ir.Cfg.block_count cfg > 3);
-  (* bounded loops: execution terminates well within the fuel *)
-  let r = Interp.run ~max_steps:50_000_000 cdfg in
-  Alcotest.(check bool) "terminates" true (r.Interp.instrs_executed > 0)
 
 let test_matmul_identity () =
   (* multiplying by the identity matrix returns the input *)
@@ -59,26 +42,9 @@ let test_matmul_identity () =
   in
   Alcotest.(check bool) "A x I = A" true (Interp.array_exn r "c" = a)
 
-let test_fir_impulse_response () =
-  (* an impulse input reproduces the (shifted, scaled) coefficients *)
-  let taps = 8 and samples = 16 in
-  let x = Array.make (samples + taps) 0 in
-  x.(0) <- 256;
-  let h = Array.init taps (fun i -> i + 1) in
-  let cdfg = Driver.compile_exn (Synth.fir_source ~taps ~samples) in
-  let r = Interp.run ~inputs:[ ("x", x); ("h", h) ] cdfg in
-  let y = Interp.array_exn r "y" in
-  (* y[i] = x[i+t]*h[t] summed = 256*h[-i]... only y[0] sees the impulse
-     at t=0: y[0] = 256*h[0] >> 8 = 1 *)
-  Alcotest.(check int) "impulse through tap 0" 1 y.(0);
-  Alcotest.(check int) "silence after the impulse passes" 0 y.(8)
-
 let suite =
   [
     Alcotest.test_case "random DFG determinism" `Quick test_random_dfg_determinism;
     Alcotest.test_case "random DFG sizes" `Quick test_random_dfg_size;
-    Alcotest.test_case "straight-line programs" `Quick test_straightline_deterministic_and_runs;
-    Alcotest.test_case "structured programs" `Quick test_structured_targets_depth;
     Alcotest.test_case "matmul identity" `Quick test_matmul_identity;
-    Alcotest.test_case "FIR impulse" `Quick test_fir_impulse_response;
   ]

@@ -1,13 +1,23 @@
-(* Gate: every library export has a caller, and every library module a
-   production one.
+(* Gate: every library export and every library module has a production
+   caller.
 
    Reads the [.cmt]/[.cmti] files that [dune build @check] writes under
-   the build root given as the only argument, and reports
+   the build root given as the first argument, and reports
 
-   - each value a [lib/] [.mli] declares that no other compilation unit
-     references (a reference from [test/] counts);
-   - each [lib/] module that nothing in [lib/], [bin/], [bench/],
-     [perfbench/] or [examples/] outside the module itself references.
+   - each value a [lib/] [.mli] declares that nothing in [lib/], [bin/],
+     [bench/], [perfbench/] or [examples/] outside its module references,
+     unless the allow-list names it;
+   - each [lib/] module that nothing there outside the module itself
+     references;
+   - each allow-list entry that no longer names an export, whose export
+     now has a production caller, or that no test in [test/] calls.
+
+   A reference from [test/] does not count: a value only tests call is
+   deleted, kept behind its interface, moved to [test/], or named in the
+   allow-list as a deliberate test seam.  The allow-list (second
+   argument) holds one [Module.value reason] entry per line; blank lines
+   and lines starting with [#] are ignored, and an entry without a reason
+   is an error.
 
    A value reference is an identifier whose declaration uid is the
    exported one; a module reference is any value, type, constructor,
@@ -16,12 +26,12 @@
    [Dataflow] analyses passed as first-class modules), not exports, and
    are not checked.  Exits 1 when anything is reported.
 
-   Usage: [unused_exports BUILD_ROOT]; [dune build @unused-exports]. *)
+   Usage: [unused_exports BUILD_ROOT ALLOW_LIST]; [dune build
+   @unused-exports]. *)
 
 open Typedtree
 
 let production = [ "lib"; "bin"; "bench"; "perfbench"; "examples" ]
-let roots = "test" :: production
 
 let rec files dir =
   Sys.readdir dir |> Array.to_list |> List.sort compare
@@ -66,12 +76,15 @@ let unit_of_path units p =
     | _ -> Some head)
   | `Ok _ -> None
 
-(* [Hypar_core__Engine] is [Engine] to a reader of the source. *)
+(* [Hypar_core__Result_table] is [Result_table] to a reader of the
+   source: the module name follows the last [__]. *)
 let short unit =
-  match String.rindex_opt unit '_' with
-  | Some i when i > 0 && unit.[i - 1] = '_' ->
-    String.sub unit (i + 1) (String.length unit - i - 1)
-  | _ -> unit
+  let rec last_sep i =
+    if i < 1 then None else if unit.[i] = '_' && unit.[i - 1] = '_' then Some i else last_sep (i - 1)
+  in
+  match last_sep (String.length unit - 1) with
+  | Some i -> String.sub unit (i + 1) (String.length unit - i - 1)
+  | None -> unit
 
 let type_path ty =
   match Types.get_desc ty with Types.Tconstr (p, _, _) -> Some p | _ -> None
@@ -127,17 +140,31 @@ let generated (cmt : Cmt_format.cmt_infos) =
   (* dune's wrapper alias module, [hypar_core.ml-gen] *)
   match cmt.cmt_sourcefile with Some f -> Filename.check_suffix f "-gen" | None -> true
 
+(* [(name, line)] per entry of the allow-list file. *)
+let allow_list path =
+  In_channel.with_open_text path In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.mapi (fun i line -> (i + 1, String.trim line))
+  |> List.filter_map (fun (n, line) ->
+         if line = "" || line.[0] = '#' then None
+         else
+           match String.index_opt line ' ' with
+           | Some i when String.trim (String.sub line i (String.length line - i)) <> "" ->
+             Some (String.sub line 0 i, n)
+           | _ ->
+             Printf.printf "%s:%d: allow-list entry %s has no reason\n" path n line;
+             exit 1)
+
 let () =
-  let root = Sys.argv.(1) in
-  let cmts =
-    List.concat_map
-      (fun d ->
-        let dir = Filename.concat root d in
-        if Sys.file_exists dir then List.map (fun path -> (d, path)) (files dir) else [])
-      roots
-    |> List.map (fun (d, path) -> (d, Cmt_format.read_cmt path))
+  let root = Sys.argv.(1) and allow_path = Sys.argv.(2) in
+  let allowed = allow_list allow_path in
+  let read d =
+    let dir = Filename.concat root d in
+    (if Sys.file_exists dir then files dir else [])
+    |> List.map (fun path -> (d, Cmt_format.read_cmt path))
     |> List.filter (fun (_, cmt) -> not (generated cmt))
   in
+  let cmts = List.concat_map read production in
   let units = Hashtbl.create 64 (* lib unit -> its source file *) in
   let exports = ref [] in
   List.iter
@@ -152,23 +179,39 @@ let () =
     cmts;
   let used = Hashtbl.create 4096 and reached = Hashtbl.create 64 in
   List.iter
-    (fun (dir, (cmt : Cmt_format.cmt_infos)) ->
+    (fun (_, (cmt : Cmt_format.cmt_infos)) ->
       let self = cmt.cmt_modname in
       let uids, paths = references cmt.cmt_annots in
       List.iter (fun ((u, _) as k) -> if u <> self then Hashtbl.replace used k ()) uids;
-      if List.mem dir production then
-        List.map fst uids @ List.filter_map (unit_of_path units) paths
-        |> List.iter (fun u -> if u <> self then Hashtbl.replace reached u ()))
+      List.map fst uids @ List.filter_map (unit_of_path units) paths
+      |> List.iter (fun u -> if u <> self then Hashtbl.replace reached u ()))
     cmts;
+  let tested = Hashtbl.create 1024 in
+  List.iter
+    (fun (_, (cmt : Cmt_format.cmt_infos)) ->
+      List.iter (fun k -> Hashtbl.replace tested k ()) (fst (references cmt.cmt_annots)))
+    (read "test");
+  let qualified e = short e.unit ^ "." ^ e.name in
   let unused_values =
     List.filter_map
       (fun e ->
-        if Hashtbl.mem used e.uid then None
+        if Hashtbl.mem used e.uid || List.mem_assoc (qualified e) allowed then None
         else
           Some
-            (Printf.sprintf "%s:%d: value %s.%s is referenced by nothing outside its module"
-               e.loc.loc_start.pos_fname e.loc.loc_start.pos_lnum (short e.unit) e.name))
+            (Printf.sprintf "%s:%d: value %s has no caller in lib/, bin/, bench/, perfbench/ or examples/"
+               e.loc.loc_start.pos_fname e.loc.loc_start.pos_lnum (qualified e)))
       !exports
+  and stale_entries =
+    List.filter_map
+      (fun (name, n) ->
+        match List.find_opt (fun e -> qualified e = name) !exports with
+        | None -> Some (Printf.sprintf "%s:%d: allow-list entry %s is not a lib/ export" allow_path n name)
+        | Some e when Hashtbl.mem used e.uid ->
+          Some (Printf.sprintf "%s:%d: allow-list entry %s has a production caller" allow_path n name)
+        | Some e when not (Hashtbl.mem tested e.uid) ->
+          Some (Printf.sprintf "%s:%d: allow-list entry %s has no caller in test/" allow_path n name)
+        | Some _ -> None)
+      allowed
   and test_only_modules =
     Hashtbl.fold
       (fun u src acc ->
@@ -180,7 +223,7 @@ let () =
           :: acc)
       units []
   in
-  let findings = List.sort_uniq compare (unused_values @ test_only_modules) in
+  let findings = List.sort_uniq compare (unused_values @ test_only_modules @ stale_entries) in
   List.iter print_endline findings;
   if findings <> [] then begin
     Printf.printf "unused-exports: %d finding(s)\n" (List.length findings);
